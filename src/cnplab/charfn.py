@@ -10,13 +10,14 @@ construction satisfies is available as a residual.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ._linalg import RANK_REL_TOL, hermitize, opnorm, orthonormal_range, psd_sqrt
-from .coeffs import CoeffTable, as_point, graded_indices, kernel_eval, multi_coeff
+from .coeffs import CoeffTable, as_point, graded_index_map, graded_indices, kernel_eval, multi_coeff
 from .errors import DomainError, NonConvergedError, NotCnpError
 from .model import DilationMap, build_dilation
 from .tuples import OperatorTuple, TruncationParams, TuplePowers, defect, shift_matrices
@@ -40,51 +41,36 @@ class CalculusResult:
 
 
 def _monomials(w: np.ndarray, indices) -> np.ndarray:
-    out = np.empty(len(indices), dtype=complex)
-    for j, alpha in enumerate(indices):
-        val = 1.0 + 0.0j
-        for wi, ai in zip(w, alpha):
-            if ai:
-                val *= wi ** ai
-        out[j] = val
-    return out
+    """w^alpha for every multi-index alpha in indices."""
+    return np.prod(np.power(w, np.asarray(indices)), axis=1)
 
 
-def kernel_calculus(t: OperatorTuple, table: CoeffTable, w, p: TruncationParams,
-                    powers: TuplePowers | None = None) -> CalculusResult:
+def kernel_calculus(t: OperatorTuple, table: CoeffTable, w, p: TruncationParams) -> CalculusResult:
     """Evaluate the kernel series at the tuple for the point w.
 
-    The point must lie strictly inside the ball.  The magnitude of the
-    highest-degree layer is the tail diagnostic; a tail above tol flags the
-    sum as non-converged.
+    The tuple commutes, so by the multinomial theorem the degree-k layer
+    sum_{|alpha|=k} a_alpha conj(w^alpha) T^alpha is a_k A_w^k with
+    A_w = sum_i conj(w_i) T_i: both series cost one h x h product per
+    degree.  The point must lie strictly inside the ball.  The magnitude of
+    the highest-degree layer a_N A_w^N is the tail diagnostic; a tail above
+    tol flags the sum as non-converged.
     """
     w = as_point(w, t.d)
     if np.linalg.norm(w) >= 1.0:
         raise DomainError("w must lie strictly inside the unit ball")
-    table.require_a(p.N)
-    table.require_b(p.N)
-    if powers is None:
-        powers = TuplePowers(t, p.N)
-    indices = graded_indices(t.d, p.N)
-    mono = np.conj(_monomials(w, indices))
-    h = t.h
-    total = np.zeros((h, h), dtype=complex)
-    binv = np.eye(h, dtype=complex)
-    layer = np.zeros((h, h), dtype=complex)
-    current_deg = 0
-    for j, alpha in enumerate(indices):
-        deg = sum(alpha)
-        if deg != current_deg:
-            layer = np.zeros((h, h), dtype=complex)
-            current_deg = deg
-        pa = powers.power(alpha)
-        term = (multi_coeff(table, alpha, "a") * mono[j]) * pa
-        total += term
-        layer += term
-        if deg >= 1:
-            binv -= (multi_coeff(table, alpha, "b") * mono[j]) * pa
-    tail = opnorm(layer)
-    inverse_residual = opnorm(binv @ total - np.eye(h, dtype=complex))
+    a = table.require_a(p.N)
+    b = table.require_b(p.N)
+    eye = np.eye(t.h, dtype=complex)
+    a_w = sum(np.conj(wi) * ti for wi, ti in zip(w, t.mats))
+    total = eye.copy()
+    binv = eye.copy()
+    power = eye
+    for k in range(1, p.N + 1):
+        power = power @ a_w
+        total += a[k] * power
+        binv -= b[k] * power
+    tail = opnorm(a[p.N] * power)
+    inverse_residual = opnorm(binv @ total - eye)
     if tail > p.tol:
         raise NonConvergedError(
             f"kernel series tail {tail:.3e} exceeds tol {p.tol:.1e} at degree {p.N}"
@@ -103,13 +89,17 @@ class TupleLift:
     t_tilde maps the direct sum of one copy of C^h per positive multi-index
     back to C^h.  d_tilde is the positive square root of I - t_tilde^*
     t_tilde on the direct sum, d_tilde_basis an orthonormal basis of its
-    numerical range.  Requires every b_alpha >= 0, i.e. a CNP-consistent
-    kernel, for the square roots to exist.
+    numerical range.  t_tilde_e and d_tilde_e are t_tilde and d_tilde
+    applied to that basis, the only form in which theta uses them.
+    Requires every b_alpha >= 0, i.e. a CNP-consistent kernel, for the
+    square roots to exist.
     """
 
     t_tilde: np.ndarray
     d_tilde: np.ndarray
     d_tilde_basis: np.ndarray
+    t_tilde_e: np.ndarray
+    d_tilde_e: np.ndarray
     pos_indices: tuple
     delta: np.ndarray
     ran_delta_basis: np.ndarray
@@ -160,6 +150,8 @@ def build_lift(t: OperatorTuple, table: CoeffTable, p: TruncationParams) -> Tupl
         t_tilde=t_tilde,
         d_tilde=d_tilde,
         d_tilde_basis=basis,
+        t_tilde_e=t_tilde @ basis,
+        d_tilde_e=d_tilde @ basis,
         pos_indices=pos,
         delta=dd.delta,
         ran_delta_basis=dd.ran_delta_basis,
@@ -191,39 +183,39 @@ class CharFnEval:
     z_norm_sq: float
 
 
-def _z_row(lift: TupleLift, z: np.ndarray, h: int) -> np.ndarray:
-    mono = _monomials(z, lift.pos_indices)
-    weights = lift.sqrt_b * mono
-    return np.hstack([wj * np.eye(h, dtype=complex) for wj in weights])
+def _row_apply(lift: TupleLift, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Z x = sum_alpha weights_alpha x_alpha over the h-row blocks x_alpha of x."""
+    return np.tensordot(weights, x.reshape(len(lift.pos_indices), lift.h, x.shape[1]), axes=1)
 
 
 def charfn_eval(t: OperatorTuple, lift: TupleLift, table: CoeffTable, z,
                 p: TruncationParams) -> CharFnEval:
     """theta(z) = (-t_tilde + Delta s_z(T)^* Z(z) D) restricted to the defect range.
 
-    The inverse (I - Z t_tilde^*)^{-1} is taken as the adjoint kernel series
-    at the tuple rather than by a matrix solve; the residual of that identity
-    is reported and must stay below tol.
+    Z(z) is the row of scalar blocks sqrt(b_alpha) z^alpha I, applied as a
+    weighted sum over block rows.  The inverse (I - Z t_tilde^*)^{-1} is
+    taken as the adjoint kernel series at the tuple rather than by a matrix
+    solve; the residual of that identity is reported and must stay below tol.
     """
     z = as_point(z, t.d)
     if np.linalg.norm(z) >= 1.0:
         raise DomainError("z must lie strictly inside the unit ball")
-    h = t.h
-    zrow = _z_row(lift, z, h)
-    z_norm_sq = float(np.sum((lift.sqrt_b * np.abs(_monomials(z, lift.pos_indices))) ** 2))
+    eye = np.eye(t.h, dtype=complex)
+    weights = lift.sqrt_b * _monomials(z, lift.pos_indices)
+    z_norm_sq = float(np.sum(np.abs(weights) ** 2))
     if z_norm_sq >= 1.0:
         raise DomainError(f"row symbol Z(z) must be a strict contraction, got |Z|^2 = {z_norm_sq}")
 
     calc = kernel_calculus(t, table, z, p)
     s_star = calc.matrix.conj().T
-    inv_residual = opnorm((np.eye(h, dtype=complex) - zrow @ lift.t_tilde.conj().T) @ s_star
-                          - np.eye(h, dtype=complex))
+    inv_residual = opnorm((eye - _row_apply(lift, weights, lift.t_tilde.conj().T)) @ s_star - eye)
     if inv_residual > p.tol:
         raise NonConvergedError(
             f"reciprocal-series inverse residual {inv_residual:.3e} exceeds tol {p.tol:.1e}"
         )
-    full = -lift.t_tilde + lift.delta @ s_star @ zrow @ lift.d_tilde
-    theta = lift.ran_delta_basis.conj().T @ full @ lift.d_tilde_basis
+    c_star = lift.ran_delta_basis.conj().T
+    theta = c_star @ (lift.delta @ s_star @ _row_apply(lift, weights, lift.d_tilde_e)
+                      - lift.t_tilde_e)
     return CharFnEval(
         z=z,
         theta=theta,
@@ -315,12 +307,10 @@ def verify_multiplier(t: OperatorTuple, lift: TupleLift, table: CoeffTable,
     if v is None:
         v = build_dilation(t, table, p)
     # kernel functions expanded in the truncated orthonormal basis
+    sqrt_a = np.sqrt([multi_coeff(table, alpha, "a") for alpha in v.indices])
     mono_w = {}
     for i, z in enumerate(pts):
-        col = np.array([
-            np.sqrt(multi_coeff(table, alpha, "a")) * np.conj(_monomials(z, (alpha,))[0])
-            for alpha in v.indices
-        ])
+        col = sqrt_a * np.conj(_monomials(z, v.indices))
         mono_w[i] = np.kron(col.reshape(-1, 1), np.eye(v.codomain_dims[1], dtype=complex))
     vstar = v.matrix.conj().T
     worst = 0.0
@@ -345,61 +335,62 @@ class ModelReport:
 
     compression_residual: recovering each T_i by compressing the tensored
     shifts through the embedding.  factor_residual: I - V V^* against the
-    multiplication operator of theta times its adjoint.  fit_residual: the
-    sampling error of the Taylor-block extraction used to assemble that
-    multiplication operator.
+    multiplication operator of theta times its adjoint, assembled from the
+    exact Taylor blocks of theta.
     """
 
     compression_residual: float
     factor_residual: float
-    fit_residual: float
-    taylor_degree: int
 
 
 def _taylor_blocks(t: OperatorTuple, lift: TupleLift, table: CoeffTable,
-                   p: TruncationParams, n_taylor: int, radius: float = 0.9):
-    """Extract Taylor blocks of theta up to total degree n_taylor.
+                   p: TruncationParams) -> dict:
+    """Taylor blocks of theta through total degree N, in closed form.
 
-    theta is sampled on a phase grid per coordinate at fixed modulus and the
-    monomial system solved in least squares; the grid makes the system a
-    scaled discrete Fourier matrix, so the fit is stable.  Twice as many
-    phases as coefficients keeps the unmodelled series tail through degree
-    2 n_taylor + 1 exactly orthogonal to the fit, so it cannot alias onto
-    the extracted blocks.
+    With s_z(T)^* = sum_beta a_beta z^beta (T^beta)^* and Z(z) D~ E =
+    sum_alpha sqrt(b_alpha) z^alpha (D~E)_alpha, where (D~E)_alpha is the
+    block row of d_tilde_e at alpha, the coefficient of z^gamma is
+
+        -C^* T~ E                                                 at gamma = 0,
+        C^* Delta sum_{alpha <= gamma, |alpha| >= 1}
+            a_{gamma-alpha} sqrt(b_alpha) (T^{gamma-alpha})^* (D~E)_alpha   otherwise,
+
+    with C the defect-range basis of the tuple and E that of the lift.  Each
+    term has |alpha|, |gamma - alpha| <= N, so these are exactly the
+    coefficients of the degree-N theta that charfn_eval evaluates.
     """
-    d = t.d
-    k = 2 * (n_taylor + 1)
-    rho = radius / np.sqrt(d)
-    phases = 2.0 * np.pi * np.arange(k) / k
-    axis = rho * np.exp(1j * phases)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-
-    monomial_set = [alpha for alpha in graded_indices(d, n_taylor)]
-    a_mat = np.empty((len(pts), len(monomial_set)), dtype=complex)
-    for row, z in enumerate(pts):
-        a_mat[row, :] = _monomials(z, monomial_set)
-
-    evals = [charfn_eval(t, lift, table, z, p) for z in pts]
-    r_out, r_in = evals[0].theta.shape
-    rhs = np.stack([e.theta.reshape(-1) for e in evals], axis=0)
-    coef, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-    fit_res = float(np.max(np.abs(a_mat @ coef - rhs))) if rhs.size else 0.0
-    blocks = {alpha: coef[j].reshape(r_out, r_in) for j, alpha in enumerate(monomial_set)}
-    return blocks, fit_res
+    gmap = graded_index_map(t.d, p.N)
+    powers = TuplePowers(t, p.N)
+    c_star = lift.ran_delta_basis.conj().T
+    cd = c_star @ lift.delta
+    # a_beta C^* Delta (T^beta)^* by graded position of beta, and
+    # sqrt(b_alpha) (D~E)_alpha by position among the positive indices, which
+    # is the graded position minus one
+    left = np.stack([multi_coeff(table, beta, "a") * (cd @ powers.power(beta).conj().T)
+                     for beta in gmap])
+    right = lift.sqrt_b[:, None, None] * lift.d_tilde_e.reshape(
+        len(lift.pos_indices), t.h, lift.defect_rank)
+    blocks = {}
+    for gamma in gmap:
+        if not any(gamma):
+            blocks[gamma] = -(c_star @ lift.t_tilde_e)
+            continue
+        pairs = [(gmap[tuple(g - a for g, a in zip(gamma, alpha))], gmap[alpha] - 1)
+                 for alpha in itertools.product(*(range(g + 1) for g in gamma)) if any(alpha)]
+        beta_pos, alpha_pos = (list(x) for x in zip(*pairs))
+        blocks[gamma] = np.tensordot(left[beta_pos], right[alpha_pos], axes=([0, 2], [0, 1]))
+    return blocks
 
 
 def verify_model(t: OperatorTuple, lift: TupleLift, table: CoeffTable,
-                 p: TruncationParams, v: DilationMap | None = None,
-                 n_taylor: int | None = None) -> ModelReport:
+                 p: TruncationParams, v: DilationMap | None = None) -> ModelReport:
     """Check that the embedding carries the functional model back to the tuple.
 
     Verifies max_i |V^* (M_i x I) V - T_i| and the factorization of
-    I - V V^* by the truncated multiplication operator of theta.  The Taylor
-    extraction runs to full degree N by default: the column of theta at a
-    positive multi-index alpha starts at z-degree |alpha|, so a shorter fit
-    silently drops every column past its cut when the kernel has infinitely
-    many nonzero inverted coefficients.
+    I - V V^* by the truncated multiplication operator of theta, assembled
+    from the exact Taylor blocks of theta through degree N: the column of
+    theta at a positive multi-index alpha starts at z-degree |alpha|, so
+    every degree up to N is needed.
     """
     if v is None:
         v = build_dilation(t, table, p)
@@ -410,34 +401,27 @@ def verify_model(t: OperatorTuple, lift: TupleLift, table: CoeffTable,
         big = np.kron(shifts.ops.mats[i], np.eye(r_delta, dtype=complex))
         comp_res = max(comp_res, opnorm(v.matrix.conj().T @ big @ v.matrix - t.mats[i]))
 
-    if n_taylor is None:
-        n_taylor = max(1, p.N)
-    blocks, fit_res = _taylor_blocks(t, lift, table, p, n_taylor)
+    blocks = _taylor_blocks(t, lift, table, p)
 
     indices = v.indices
     n_idx = len(indices)
     r_in = lift.defect_rank
     mtheta = np.zeros((n_idx * r_delta, n_idx * r_in), dtype=complex)
     pos = {alpha: i for i, alpha in enumerate(indices)}
+    a_vals = [multi_coeff(table, alpha, "a") for alpha in indices]
     for col, beta in enumerate(indices):
-        a_beta = multi_coeff(table, beta, "a")
         for delta_idx, block in blocks.items():
             gamma = tuple(b + dxt for b, dxt in zip(beta, delta_idx))
             row = pos.get(gamma)
             if row is None:
                 continue
-            w = np.sqrt(a_beta / multi_coeff(table, gamma, "a"))
+            w = np.sqrt(a_vals[col] / a_vals[row])
             mtheta[row * r_delta:(row + 1) * r_delta,
                    col * r_in:(col + 1) * r_in] = w * block
 
     big_eye = np.eye(n_idx * r_delta, dtype=complex)
     factor_res = opnorm((big_eye - v.matrix @ v.matrix.conj().T) - mtheta @ mtheta.conj().T)
-    return ModelReport(
-        compression_residual=comp_res,
-        factor_residual=factor_res,
-        fit_residual=fit_res,
-        taylor_degree=n_taylor,
-    )
+    return ModelReport(compression_residual=comp_res, factor_residual=factor_res)
 
 
 def eval_to_dict(ev: CharFnEval) -> dict:

@@ -119,7 +119,10 @@ def kernel_from_dict(spec: dict) -> tuple[KernelSpec, int]:
     d = int(spec.get("d", 1))
     label = spec.get("label", "")
     if rule == "bergman":
-        param = int(params["m"])
+        m = params["m"]
+        if isinstance(m, bool) or not (isinstance(m, int) or isinstance(m, float) and m.is_integer()):
+            raise ValueError(f"kernel.params.m must be an integer, got {m!r}")
+        param = int(m)
     elif rule == "dirichlet_t":
         param = float(params["t"])
     elif rule == "custom":
@@ -132,10 +135,15 @@ def kernel_from_dict(spec: dict) -> tuple[KernelSpec, int]:
 
 
 def matrices_from_nested(entries) -> np.ndarray:
-    """Nested lists of [re, im] pairs to a complex matrix."""
+    """Nested lists of [re, im] pairs to a complex matrix of finite entries."""
     arr = np.asarray(entries, dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError("matrix entries must be nested [re, im] pairs")
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        row, col, part = bad[0]
+        raise ValueError(f"matrix entry [{row}][{col}] has a non-finite "
+                         f"{('real', 'imaginary')[part]} part: {arr[row, col, part]}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -186,7 +194,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         raise ValueError(
             f"kernel.N_max ({n_table}) must be at least truncation.N + tail_window + 1 ({floor})"
         )
-    suites = tuple(raw.get("suites", ()))
+    suites = raw.get("suites", [])
+    if not isinstance(suites, (list, tuple)):
+        raise ValueError(f"suites must be a list of suite names, got {suites!r}")
+    suites = tuple(suites)
     if not suites:
         raise ValueError("config must request at least one suite")
     unknown = [s for s in suites if s not in SUITE_ORDER]
@@ -389,7 +400,6 @@ def _suite_identities(ctx: _SuiteContext, res: SuiteResult):
     model = verify_model(ctx.ops(), lift, ctx.table, cfg.truncation, v=v)
     res.gate("model_compression", model.compression_residual, GATES["model"])
     res.gate("model_factorization", model.factor_residual, GATES["model"])
-    res.residuals["taylor_fit"] = fmt(model.fit_residual)
 
 
 def _suite_counterexample(ctx: _SuiteContext, res: SuiteResult):

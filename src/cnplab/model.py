@@ -25,6 +25,7 @@ from ._linalg import (
 from .coeffs import CoeffTable, KernelSpec, bergman, build_table, graded_indices, multi_coeff
 from .errors import DegenerateDilationError, PrerequisiteError
 from .tuples import (
+    COMMUTATOR_TOL,
     DefectData,
     OperatorTuple,
     TruncatedShifts,
@@ -39,8 +40,6 @@ from .tuples import (
     shift_norm_sq,
     ContractionVerdict,
 )
-
-COMMUTATOR_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------

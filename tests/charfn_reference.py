@@ -1,0 +1,99 @@
+"""Slow reference implementations of the characteristic-function path.
+
+Each one computes what cnplab.charfn computes in closed form, the long way,
+and shares none of its shortcuts, so the differential tests can compare the
+two:
+
+- `enumerated_calculus` sums the kernel series at the tuple term by term
+  over every multi-index alpha with |alpha| <= N, from the products T^alpha
+  and the multi-index coefficients a_alpha, b_alpha;
+- `dense_theta` forms the full row -T~ + Delta s_z(T)^* Z(z) D~ with Z(z)
+  as an explicit block row and compresses it to the defect ranges;
+- `fitted_taylor_blocks` recovers the Taylor blocks of theta by least
+  squares on charfn_eval samples over a phase grid.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cnplab._linalg import opnorm
+from cnplab.charfn import charfn_eval
+from cnplab.coeffs import as_point, graded_indices, multi_coeff
+from cnplab.tuples import TuplePowers
+
+
+def monomials(w, indices) -> np.ndarray:
+    out = np.empty(len(indices), dtype=complex)
+    for j, alpha in enumerate(indices):
+        val = 1.0 + 0.0j
+        for wi, ai in zip(w, alpha):
+            if ai:
+                val *= wi ** ai
+        out[j] = val
+    return out
+
+
+def enumerated_calculus(t, table, w, p):
+    """(sum_alpha a_alpha conj(w^alpha) T^alpha, norm of its degree-N layer,
+    |(I - sum_{|alpha|>=1} b_alpha conj(w^alpha) T^alpha) s - I|)."""
+    w = as_point(w, t.d)
+    powers = TuplePowers(t, p.N)
+    indices = graded_indices(t.d, p.N)
+    mono = np.conj(monomials(w, indices))
+    h = t.h
+    total = np.zeros((h, h), dtype=complex)
+    binv = np.eye(h, dtype=complex)
+    layer = np.zeros((h, h), dtype=complex)
+    current_deg = 0
+    for j, alpha in enumerate(indices):
+        deg = sum(alpha)
+        if deg != current_deg:
+            layer = np.zeros((h, h), dtype=complex)
+            current_deg = deg
+        pa = powers.power(alpha)
+        term = (multi_coeff(table, alpha, "a") * mono[j]) * pa
+        total += term
+        layer += term
+        if deg >= 1:
+            binv -= (multi_coeff(table, alpha, "b") * mono[j]) * pa
+    return total, opnorm(layer), opnorm(binv @ total - np.eye(h, dtype=complex))
+
+
+def dense_theta(t, lift, table, z, p) -> np.ndarray:
+    """theta(z) from the full h x (positive indices * h) row, before compression."""
+    z = as_point(z, t.d)
+    h = t.h
+    weights = lift.sqrt_b * monomials(z, lift.pos_indices)
+    zrow = np.hstack([wj * np.eye(h, dtype=complex) for wj in weights])
+    s_star = enumerated_calculus(t, table, z, p)[0].conj().T
+    full = -lift.t_tilde + lift.delta @ s_star @ zrow @ lift.d_tilde
+    return lift.ran_delta_basis.conj().T @ full @ lift.d_tilde_basis
+
+
+def fitted_taylor_blocks(t, lift, table, p, n_taylor: int, radius: float = 0.9):
+    """Taylor blocks of theta through degree n_taylor by a phase-grid fit.
+
+    theta is sampled at modulus radius / sqrt(d) per coordinate and the
+    monomial system solved in least squares; the grid makes it a scaled
+    discrete Fourier matrix.  Twice as many phases as coefficients keeps the
+    unmodelled degrees through 2 n_taylor + 1 orthogonal to the fit, so the
+    degree-2N polynomial theta is recovered exactly when n_taylor = N.
+    Returns (blocks, max sample residual of the fit).
+    """
+    d = t.d
+    k = 2 * (n_taylor + 1)
+    rho = radius / np.sqrt(d)
+    axis = rho * np.exp(2j * np.pi * np.arange(k) / k)
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+
+    monomial_set = graded_indices(d, n_taylor)
+    a_mat = np.stack([monomials(z, monomial_set) for z in pts])
+    evals = [charfn_eval(t, lift, table, z, p) for z in pts]
+    r_out, r_in = evals[0].theta.shape
+    rhs = np.stack([e.theta.reshape(-1) for e in evals], axis=0)
+    coef, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
+    fit_res = float(np.max(np.abs(a_mat @ coef - rhs))) if rhs.size else 0.0
+    blocks = {alpha: coef[j].reshape(r_out, r_in) for j, alpha in enumerate(monomial_set)}
+    return blocks, fit_res

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cnplab as cl
-from cnplab.charfn import reciprocal_kernel
+from charfn_reference import dense_theta, enumerated_calculus, fitted_taylor_blocks
+from cnplab.charfn import _taylor_blocks, reciprocal_kernel
 
 
 def P(n, tol=1e-9, window=3):
@@ -281,17 +284,15 @@ def test_multiplier_needs_two_points(szego_half):
 
 def test_taylor_blocks_match_mobius_coefficients(szego_half):
     # closed form: (z - t)/(1 - tz) = -t + (1 - t^2) sum_{n>=1} t^(n-1) z^n
-    from cnplab.charfn import _taylor_blocks
-
     t, lift, table, p = szego_half
-    blocks, fit = _taylor_blocks(t, lift, table, p, 30)
-    assert fit <= 1e-10
-    assert abs(blocks[(0,)][0, 0] - (-0.5)) <= 1e-12
-    for n in range(1, 31):
+    blocks = _taylor_blocks(t, lift, table, p)
+    assert sorted(blocks) == [(n,) for n in range(p.N + 1)]
+    assert abs(blocks[(0,)][0, 0] - (-0.5)) <= 1e-14
+    for n in range(1, p.N + 1):
         expected = 0.75 * 0.5 ** (n - 1)
-        assert abs(blocks[(n,)][0, 0] - expected) <= 1e-11, n
+        assert abs(blocks[(n,)][0, 0] - expected) <= 1e-13, n
         # nothing leaks into the directions the lift never reaches
-        assert np.max(np.abs(blocks[(n,)][0, 1:])) <= 1e-11
+        assert np.max(np.abs(blocks[(n,)][0, 1:])) <= 1e-13
 
 
 def test_model_zero_tuple_exact():
@@ -302,7 +303,12 @@ def test_model_zero_tuple_exact():
     rep = cl.verify_model(t, lift, table, p)
     assert rep.compression_residual <= 1e-10
     assert rep.factor_residual <= 1e-10
-    assert rep.fit_residual <= 1e-10
+    # theta(z) = z e_0 exactly: one nonzero block, at degree 1
+    e0 = np.zeros((1, p.N))
+    e0[0, 0] = 1.0
+    for gamma, block in _taylor_blocks(t, lift, table, p).items():
+        expected = e0 if gamma == (1,) else 0.0
+        assert np.max(np.abs(block - expected)) <= 1e-14, gamma
 
 
 def test_model_sampled(charfn_examples):
@@ -355,3 +361,87 @@ def test_identities_on_random_commuting_pair():
     assert worst <= 1e-8
     mult = cl.verify_multiplier(t, lift, table, cl.ball_points(2, 4, 53), p)
     assert mult.gram_min_eig >= -1e-9 and mult.vv_identity_residual <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the slow references
+# ---------------------------------------------------------------------------
+
+# series degree per dimension: enough layers to exercise the series while
+# the reference fit, which samples (2(N + 1))^d points, stays fast
+DIFF_DEGREE = {1: 14, 2: 8, 3: 4}
+
+
+def random_commuting_tuple(rng, d, h, scale):
+    """T_i = x_i A + y_i A^2 for one generic A: commuting, non-normal, small."""
+    a = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
+    a *= scale / np.linalg.norm(a, 2)
+    coef = rng.uniform(-1.0, 1.0, (d, 2)) + 1j * rng.uniform(-1.0, 1.0, (d, 2))
+    coef /= np.sqrt(d) * np.max(np.abs(coef).sum(axis=1))
+    return cl.OperatorTuple(tuple(x * a + y * (a @ a) for x, y in coef))
+
+
+def random_point(rng, d, radius):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return radius * rng.random() * v / np.linalg.norm(v)
+
+
+def diff_kernel(rule, d, param):
+    """param in [0, 2] is the Dirichlet exponent t, or picks Bergman m in {1, 2, 3}."""
+    return {
+        "szego": lambda: cl.KernelSpec(d=d, rule="szego"),
+        "drury_arveson": lambda: cl.drury_arveson(d),
+        "dirichlet_t": lambda: cl.dirichlet_t(param, d=d),
+        "bergman": lambda: cl.bergman(1 + int(param), d=d),
+    }[rule]()
+
+
+# both sides evaluate the same degree-N truncation, so convergence of the
+# truncation is not under test; a loose tol keeps the tail and inverse
+# checks from rejecting a comparison of two identical finite sums
+DIFF_TOL = 1e-2
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
+       h=st.integers(min_value=1, max_value=3),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t", "bergman"]),
+       param=st.floats(min_value=0.0, max_value=2.0))
+@settings(max_examples=60, deadline=None)
+def test_calculus_matches_enumeration(seed, d, h, rule, param):
+    rng = np.random.default_rng(seed)
+    spec = diff_kernel(rule, d, param)
+    n = DIFF_DEGREE[d]
+    table = cl.build_table(spec, n + 1)
+    p = P(n, tol=DIFF_TOL)
+    t = random_commuting_tuple(rng, d, h, 0.35)
+    w = random_point(rng, d, 0.95)
+    got = cl.kernel_calculus(t, table, w, p)
+    total, tail, inverse_residual = enumerated_calculus(t, table, w, p)
+    scale = np.linalg.norm(total, 2)
+    assert np.linalg.norm(got.matrix - total, 2) <= 1e-12 * scale
+    assert abs(got.tail_term - tail) <= 1e-12 * scale
+    assert abs(got.inverse_residual - inverse_residual) <= 1e-12 * scale
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
+       h=st.integers(min_value=1, max_value=3),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t"]),
+       param=st.floats(min_value=0.0, max_value=2.0))
+@settings(max_examples=25, deadline=None)
+def test_theta_and_blocks_match_references(seed, d, h, rule, param):
+    rng = np.random.default_rng(seed)
+    spec = diff_kernel(rule, d, param)
+    n = DIFF_DEGREE[d]
+    table = cl.build_table(spec, n + 1)
+    p = P(n, tol=DIFF_TOL)
+    t = random_commuting_tuple(rng, d, h, 0.35)
+    lift = cl.build_lift(t, table, p)
+    z = random_point(rng, d, 0.95)
+    theta = cl.charfn_eval(t, lift, table, z, p).theta
+    assert np.max(np.abs(theta - dense_theta(t, lift, table, z, p)), initial=0.0) <= 1e-13
+
+    blocks = _taylor_blocks(t, lift, table, p)
+    fitted, _ = fitted_taylor_blocks(t, lift, table, p, n)
+    assert blocks.keys() == fitted.keys()
+    for gamma, block in blocks.items():
+        assert np.max(np.abs(block - fitted[gamma]), initial=0.0) <= 1e-11, gamma

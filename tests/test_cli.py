@@ -230,6 +230,43 @@ def test_cmd_run_config_error(tmp_path, capsys):
     assert cli.main(["run", str(path2)]) == 2
 
 
+def run_cli_config(tmp_path, raw):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "report.json"
+    code = cli.main(["run", str(path), "--out", str(out)])
+    return code, out.exists()
+
+
+@pytest.mark.parametrize("entry, where", [([float("nan"), 0.0], "real part: nan"),
+                                          ([0.5, float("inf")], "imaginary part: inf")])
+def test_non_finite_matrix_entry_is_config_error(tmp_path, capsys, entry, where):
+    # json writes and reads back NaN and Infinity
+    cfg = base_config(suites=["coeffs", "contraction"],
+                      tuple={"inline": {"h": 1, "d": 1, "mats": [[[entry]]]}})
+    assert run_cli_config(tmp_path, cfg) == (2, False)
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "entry [0][0]" in err and where in err
+
+
+@pytest.mark.parametrize("m", [2.5, "2", True, float("inf")])
+def test_bergman_m_must_be_an_integer(tmp_path, capsys, m):
+    cfg = base_config(kernel={"d": 1, "rule": "bergman", "params": {"m": m}, "N_max": 40},
+                      suites=["coeffs"], tuple=None)
+    assert run_cli_config(tmp_path, cfg) == (2, False)
+    assert "config error: kernel.params.m must be an integer" in capsys.readouterr().err
+
+
+def test_bergman_m_accepts_integral_float():
+    spec, _ = cli.kernel_from_dict({"rule": "bergman", "params": {"m": 2.0}})
+    assert spec.param == 2 and isinstance(spec.param, int)
+
+
+def test_suites_must_be_a_list(tmp_path, capsys):
+    assert run_cli_config(tmp_path, base_config(suites="coeffs", tuple=None)) == (2, False)
+    assert "config error: suites must be a list" in capsys.readouterr().err
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path))
     cfg_path = tmp_path / "cfg.json"
