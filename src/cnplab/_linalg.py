@@ -65,16 +65,15 @@ def psd_sqrt(a: np.ndarray):
     return root, min_eig, vals, vecs
 
 
-def orthonormal_range(a: np.ndarray, rel_tol: float = RANK_REL_TOL):
+def orthonormal_range(vals: np.ndarray, vecs: np.ndarray, rel_tol: float = RANK_REL_TOL):
     """Orthonormal basis of the numerical range of a Hermitian PSD matrix.
 
-    Columns are eigenvectors with eigenvalue above rel_tol * max_eig, kept in
-    ascending eigenvalue order with canonical phases.  Returns
-    (basis, kept_eigvals).
+    From its psd_decompose eigenpairs: the eigenvectors with eigenvalue above
+    rel_tol * max_eig, in ascending eigenvalue order with canonical phases.
+    Returns (basis, kept_eigvals).
     """
-    vals, vecs = psd_decompose(a)
     if len(vals) == 0 or vals[-1] <= 0.0:
-        return np.zeros((a.shape[0], 0), dtype=complex), np.zeros(0)
+        return np.zeros((vecs.shape[0], 0), dtype=complex), np.zeros(0)
     keep = vals > rel_tol * vals[-1]
     return vecs[:, keep], vals[keep]
 

@@ -139,12 +139,12 @@ def build_lift(t: OperatorTuple, table: CoeffTable, p: TruncationParams) -> Tupl
     sqrt_b = np.array([np.sqrt(max(multi_coeff(table, alpha, "b"), 0.0)) for alpha in pos])
     t_tilde = np.hstack([sqrt_b[j] * powers.power(alpha) for j, alpha in enumerate(pos)])
 
-    dd = defect(t, table, p, powers=powers)
+    dd = defect(t, table, p)
     ttstar_res = opnorm(t_tilde @ t_tilde.conj().T - (np.eye(h, dtype=complex) - dd.delta_sq))
 
     d_sq = hermitize(np.eye(t_tilde.shape[1], dtype=complex) - t_tilde.conj().T @ t_tilde)
-    d_tilde, min_eig, _, _ = psd_sqrt(d_sq)
-    basis, _ = orthonormal_range(d_sq, RANK_REL_TOL)
+    d_tilde, min_eig, vals, vecs = psd_sqrt(d_sq)
+    basis, _ = orthonormal_range(vals, vecs, RANK_REL_TOL)
     intertwine_res = opnorm(t_tilde @ d_tilde - dd.delta @ t_tilde)
     return TupleLift(
         t_tilde=t_tilde,
@@ -394,12 +394,10 @@ def verify_model(t: OperatorTuple, lift: TupleLift, table: CoeffTable,
     """
     if v is None:
         v = build_dilation(t, table, p)
-    shifts = shift_matrices(table, p.N)
     r_delta = v.codomain_dims[1]
-    comp_res = 0.0
-    for i in range(t.d):
-        big = np.kron(shifts.ops.mats[i], np.eye(r_delta, dtype=complex))
-        comp_res = max(comp_res, opnorm(v.matrix.conj().T @ big @ v.matrix - t.mats[i]))
+    tensored = shift_matrices(table, p.N).index.tensor(r_delta)
+    comp_res = max(opnorm(v.matrix.conj().T @ tensored.apply(i, v.matrix) - t.mats[i])
+                   for i in range(t.d))
 
     blocks = _taylor_blocks(t, lift, table, p)
 

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -338,10 +339,7 @@ def _suite_existence(ctx: _SuiteContext, res: SuiteResult):
     res.residuals["invariance"] = fmt(report.invariance_residual)
     v = ctx.get("dilation", lambda: build_dilation(ctx.ops(), ctx.table, cfg.truncation))
     shifts = ctx.get("shifts", lambda: shift_matrices(ctx.table, cfg.truncation.N))
-    r = v.codomain_dims[1]
     x = np.eye(v.big_dim, dtype=complex) - v.matrix @ v.matrix.conj().T
-    tensored = OperatorTuple(
-        tuple(np.kron(m, np.eye(r, dtype=complex)) for m in shifts.ops.mats))
     # series degree extends past the space truncation so the tail window sees
     # the terminating matrix series, not the cut-off
     p_series = TruncationParams(
@@ -349,7 +347,7 @@ def _suite_existence(ctx: _SuiteContext, res: SuiteResult):
         tol=cfg.truncation.tol,
         tail_window=cfg.truncation.tail_window,
     )
-    fact = check_factorability(x, tensored, ctx.table, p_series)
+    fact = check_factorability(x, shifts.index.tensor(v.codomain_dims[1]), ctx.table, p_series)
     res.details["factorability"] = fact.verdict
     res.details["factorability_failed_condition"] = fact.failed_condition
     consistent = (report.status == "admits") == (fact.verdict == "factorable")
@@ -461,9 +459,11 @@ def run(cfg: RunConfig) -> dict:
         start = time.perf_counter()
         try:
             SUITE_RUNNERS[name](ctx, res)
-        except CnpLabError as exc:
+        except Exception as exc:  # a fault inside a suite is that suite's error
             res.outcome = "error"
             res.error = f"{type(exc).__name__}: {exc}"
+            if not isinstance(exc, CnpLabError):
+                traceback.print_exc()  # unexpected: show where it was raised
         res.wall_time = time.perf_counter() - start
         outcomes[name] = res.outcome
         suites.append(res)
@@ -543,7 +543,8 @@ def cmd_run(args) -> int:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     print(text)
-    return 0 if report["overall"] == "pass" else 1
+    outcomes = {s["outcome"] for s in report["suites"]}
+    return 1 if "fail" in outcomes else 3 if "error" in outcomes else 0
 
 
 def cmd_kernel_info(args) -> int:

@@ -20,10 +20,6 @@ import numpy as np
 
 from .errors import DomainError, InsufficientCacheError, InvalidKernelError
 
-# Multinomials are exact integers up to this total degree, log-gamma floats
-# beyond it.
-EXACT_MULTINOMIAL_LIMIT = 20
-
 # Absolute tolerance below which a numerically computed b_n counts as zero
 # for CNP classification.
 CNP_TOL = 1e-12
@@ -66,23 +62,15 @@ def graded_index_map(d: int, n: int) -> dict[tuple[int, ...], int]:
     return {alpha: i for i, alpha in enumerate(graded_indices(d, n))}
 
 
-def multinomial(alpha: Sequence[int]) -> int | float:
-    """Multinomial coefficient |alpha|! / prod(alpha_i!).
-
-    Exact integer arithmetic for |alpha| <= 20; log-gamma beyond that, where
-    the result no longer fits common fixed-width integers anyway.
-    """
+def multinomial(alpha: Sequence[int]) -> int:
+    """Multinomial coefficient |alpha|! / prod(alpha_i!), an exact integer at every degree."""
     entries = tuple(int(a) for a in alpha)
     if any(a < 0 for a in entries):
         raise ValueError(f"multinomial undefined for negative entries: {entries}")
-    total = sum(entries)
-    if total <= EXACT_MULTINOMIAL_LIMIT:
-        out = math.factorial(total)
-        for a in entries:
-            out //= math.factorial(a)
-        return out
-    log_val = math.lgamma(total + 1) - sum(math.lgamma(a + 1) for a in entries)
-    return math.exp(log_val)
+    out = math.factorial(sum(entries))
+    for a in entries:
+        out //= math.factorial(a)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +279,6 @@ def multi_coeff(table: CoeffTable, alpha: Sequence[int], which: str = "a") -> fl
         scalars = table.require_b(deg)
     else:
         scalars = table.require_a(deg)
-    if deg > table.n_max:
-        raise InsufficientCacheError(f"degree {deg} exceeds cached maximum {table.n_max}")
     value = float(scalars[deg]) * float(multinomial(alpha))
     table._multi_cache[key] = value
     return value

@@ -27,11 +27,11 @@ from .errors import DegenerateDilationError, PrerequisiteError
 from .tuples import (
     COMMUTATOR_TOL,
     DefectData,
+    IndexShifts,
     OperatorTuple,
     TruncatedShifts,
     TruncationParams,
     TuplePowers,
-    _tail,
     _weighted_series,
     defect,
     is_contraction,
@@ -106,14 +106,6 @@ def build_dilation(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
     )
 
 
-def _tensor_shift(shifts: TruncatedShifts, alpha: tuple, r: int) -> np.ndarray:
-    m = np.eye(shifts.dim, dtype=complex)
-    for mat, power in zip(shifts.ops.mats, alpha):
-        for _ in range(power):
-            m = mat @ m
-    return np.kron(m, np.eye(r, dtype=complex))
-
-
 def check_intertwining(v: DilationMap, t: OperatorTuple, shifts: TruncatedShifts,
                        alphas: Sequence[tuple]) -> float:
     """Max residual of V^*(M^alpha x I) = T^alpha V^* on interior degrees.
@@ -124,13 +116,18 @@ def check_intertwining(v: DilationMap, t: OperatorTuple, shifts: TruncatedShifts
     """
     if shifts.N != v.N or shifts.indices != v.indices:
         raise ValueError("shift matrices and dilation map use different basis orderings")
-    n_idx, r = v.codomain_dims
+    r = v.codomain_dims[1]
     vstar = v.matrix.conj().T
+    tensored = shifts.index.tensor(r)
     powers = TuplePowers(t, max(sum(a) for a in alphas))
     worst = 0.0
     for alpha in alphas:
         alpha = tuple(int(x) for x in alpha)
-        lhs = vstar @ _tensor_shift(shifts, alpha, r)
+        big_m = np.eye(tensored.h, dtype=complex)  # becomes M^alpha x I_r
+        for i, power in enumerate(alpha):
+            for _ in range(power):
+                big_m = tensored.apply(i, big_m)
+        lhs = vstar @ big_m
         rhs = powers.power(alpha) @ vstar
         keep = [
             j * r + k
@@ -169,14 +166,16 @@ class FactorabilityReport:
     cond3_tail: float
 
 
-def check_factorability(x: np.ndarray, t: OperatorTuple, table: CoeffTable,
+def check_factorability(x: np.ndarray, t: OperatorTuple | IndexShifts, table: CoeffTable,
                         p: TruncationParams, c: Sequence[float] | None = None) -> FactorabilityReport:
     """Evaluate the factorability conditions for a Hermitian PSD matrix x.
 
-    The constants c_i default to the squared truncated shift norms of the
-    kernel.  Sign failures of conditions (1) and (2) are definitive at this
-    truncation; condition (3) distinguishes a converged-but-wrong series
-    (not factorable) from one that is still moving (inconclusive).
+    t is a dense tuple or index-map shifts, such as the tensored shifts of a
+    dilation space.  The constants c_i default to the squared truncated
+    shift norms of the kernel.  Sign failures of conditions (1) and (2) are
+    definitive at this truncation; condition (3) distinguishes a
+    converged-but-wrong series (not factorable) from one that is still
+    moving (inconclusive).
     """
     x = np.asarray(x, dtype=complex)
     if opnorm(x - x.conj().T) > 1e-10 * max(1.0, opnorm(x)):
@@ -190,18 +189,18 @@ def check_factorability(x: np.ndarray, t: OperatorTuple, table: CoeffTable,
 
     cond1 = []
     for i in range(t.d):
-        g = hermitize(c[i] * x - t.mats[i] @ x @ t.mats[i].conj().T)
+        g = hermitize(c[i] * x - t.sandwich(i, x))
         cond1.append(float(np.linalg.eigvalsh(g)[0]) if g.size else 0.0)
 
-    powers = TuplePowers(t, p.N)
-    p_of_x, inc2 = _weighted_series(t, table, p.N, "b", middle=x, start_degree=1, powers=powers)
+    p_of_x, inc2 = _weighted_series(t, table, p.N, "b", middle=x, start_degree=1,
+                                    window=p.tail_window)
     gap = hermitize(x - p_of_x)
     cond2_min = float(np.linalg.eigvalsh(gap)[0]) if gap.size else 0.0
-    cond2_tail = _tail(inc2[1:], p.tail_window)
+    cond2_tail = max(inc2, default=0.0)
 
-    recon, inc3 = _weighted_series(t, table, p.N, "a", middle=gap, powers=powers)
+    recon, inc3 = _weighted_series(t, table, p.N, "a", middle=gap, window=p.tail_window)
     cond3_res = opnorm(recon - x)
-    cond3_tail = _tail(inc3, p.tail_window)
+    cond3_tail = max(inc3, default=0.0)
 
     failed = None
     verdict = "factorable"
@@ -249,8 +248,7 @@ class AssociatedTuple:
 def associated_tuple(v: DilationMap, shifts: TruncatedShifts) -> AssociatedTuple:
     if shifts.N != v.N or shifts.indices != v.indices:
         raise ValueError("shift matrices and dilation map use different basis orderings")
-    n_idx, r = v.codomain_dims
-    big = n_idx * r
+    r = v.codomain_dims[1]
     u, svals, _ = np.linalg.svd(v.matrix, full_matrices=True)
     rank = split_rank(svals, RANK_REL_TOL)
     k = canonical_phases(u[:, rank:])
@@ -263,13 +261,14 @@ def associated_tuple(v: DilationMap, shifts: TruncatedShifts) -> AssociatedTuple
     )
     mats = []
     inv_res = 0.0
-    proj_out = np.eye(big, dtype=complex) - k @ k.conj().T
-    for i in range(shifts.ops.d):
-        big_m = np.kron(shifts.ops.mats[i], np.eye(r, dtype=complex))
-        mk = big_m @ k
-        leak = proj_out @ mk
+    tensored = shifts.index.tensor(r)
+    for i in range(tensored.d):
+        mk = tensored.apply(i, k)
+        compressed = k.conj().T @ mk
+        # the part of (M_i x I) K leaving span K
+        leak = mk - k @ compressed
         inv_res = max(inv_res, opnorm(leak[interior_rows, :]))
-        mats.append(k.conj().T @ mk)
+        mats.append(compressed)
     ctol = max(COMMUTATOR_TOL, 10.0 * inv_res)
     ops = OperatorTuple(tuple(mats), commutator_tol=ctol)
     return AssociatedTuple(ops=ops, basis=k, invariance_residual=inv_res, dim=dim)
@@ -323,12 +322,12 @@ def admits_charfn(t: OperatorTuple, table: CoeffTable, p: TruncationParams) -> E
             invariance_residual=assoc.invariance_residual, kernel_dim=0,
         )
     p_series = TruncationParams(N=p.N + p.tail_window, tol=p.tol, tail_window=p.tail_window)
-    verdict = is_contraction(assoc.ops, table, p_series)
+    dd = defect(assoc.ops, table, p_series)
+    verdict = is_contraction(assoc.ops, table, p_series, defect_data=dd)
     if verdict.status == "yes":
         status, witness = "admits", None
     elif verdict.status == "no":
         status = "does_not_admit"
-        dd = defect(assoc.ops, table, p_series)
         vals, vecs = np.linalg.eigh(hermitize(dd.delta_sq))
         witness = canonical_phases((assoc.basis @ vecs[:, :1]))[:, 0]
     else:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import RANK_REL_TOL, hermitize, opnorm, orthonormal_range, psd_sqrt
-from .coeffs import CoeffTable, graded_indices, multi_coeff
+from .coeffs import CoeffTable, graded_index_map, graded_indices, multi_coeff
 from .errors import CommutationError
 
 COMMUTATOR_TOL = 1e-12
@@ -77,6 +77,10 @@ class OperatorTuple:
     def d(self) -> int:
         return len(self.mats)
 
+    def sandwich(self, i: int, x: np.ndarray) -> np.ndarray:
+        """T_i X T_i^*."""
+        return self.mats[i] @ x @ self.mats[i].conj().T
+
     @classmethod
     def zero(cls, h: int, d: int) -> "OperatorTuple":
         return cls(tuple(np.zeros((h, h), dtype=complex) for _ in range(d)))
@@ -119,53 +123,33 @@ class TuplePowers:
         return self._mats[alpha]
 
 
-def _indices_by_degree(d: int, n: int) -> list[list[tuple[int, ...]]]:
-    groups: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    for alpha in graded_indices(d, n):
-        groups[sum(alpha)].append(alpha)
-    return groups
+def _sigma(t, x: np.ndarray) -> np.ndarray:
+    """sigma(X) = sum_i T_i X T_i^*, the completely positive map of the tuple."""
+    return sum(t.sandwich(i, x) for i in range(t.d))
 
 
-def _weighted_series(
-    t: OperatorTuple,
-    table: CoeffTable,
-    n: int,
-    which: str,
-    middle: np.ndarray | None = None,
-    start_degree: int = 0,
-    powers: TuplePowers | None = None,
-):
-    """sum over |alpha| in [start_degree, n] of c_alpha T^alpha M (T^alpha)^*.
+def _weighted_series(t, table: CoeffTable, n: int, which: str,
+                     middle: np.ndarray | None = None, start_degree: int = 0, window: int = 0):
+    """sum over k in [start_degree, n] of c_k sigma^k(M), with c_k = a_k or b_k.
 
-    Returns (total, per-degree increment norms).  M defaults to the identity.
+    t (an OperatorTuple or IndexShifts) commutes, so sigma^k(M) is
+    sum_{|alpha|=k} multinomial(alpha) T^alpha M (T^alpha)^*.  Returns (total,
+    norms of the summed increments among the last `window` degrees).  M
+    defaults to the identity.
     """
-    if powers is None:
-        powers = TuplePowers(t, n)
-    h = t.h
-    total = np.zeros((h, h), dtype=complex)
-    inc_norms: list[float] = []
-    for deg, group in enumerate(_indices_by_degree(t.d, n)):
-        if deg < start_degree:
-            inc_norms.append(0.0)
-            continue
-        inc = np.zeros((h, h), dtype=complex)
-        for alpha in group:
-            c = multi_coeff(table, alpha, which)
-            if c == 0.0:
-                continue
-            p = powers.power(alpha)
-            if middle is None:
-                inc += c * (p @ p.conj().T)
-            else:
-                inc += c * (p @ middle @ p.conj().T)
-        total += inc
-        inc_norms.append(opnorm(inc))
-    return total, inc_norms
-
-
-def _tail(inc_norms: list[float], window: int) -> float:
-    tail = inc_norms[-window:] if len(inc_norms) >= window else inc_norms
-    return max(tail) if tail else 0.0
+    coeffs = table.require_b(n) if which == "b" else table.require_a(n)
+    layer = np.eye(t.h, dtype=complex) if middle is None else np.asarray(middle, dtype=complex)
+    total = np.zeros((t.h, t.h), dtype=complex)
+    tail: list[float] = []
+    for k in range(n + 1):
+        if k:
+            layer = _sigma(t, layer)
+        if k >= start_degree:
+            inc = coeffs[k] * layer
+            total += inc
+            if k > n - window:
+                tail.append(opnorm(inc))
+    return total, tail
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +163,8 @@ class DefectData:
     delta_sq is I - sum_{1<=|alpha|<=N} b_alpha T^alpha (T^alpha)^*, delta its
     positive square root (computed from the eigenvalue-clipped matrix when
     delta_sq is indefinite, with `positive` recording the honest sign),
-    ran_delta_basis an orthonormal basis of the numerical range of delta.
+    ran_delta_basis an orthonormal basis of the numerical range of delta,
+    increment_norms the norms of the last tail_window series increments.
     """
 
     delta_sq: np.ndarray
@@ -195,23 +180,20 @@ class DefectData:
         return self.ran_delta_basis.shape[1]
 
 
-def defect(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
-           powers: TuplePowers | None = None) -> DefectData:
+def defect(t: OperatorTuple, table: CoeffTable, p: TruncationParams) -> DefectData:
     """Truncated defect of t: the b-weighted series subtracted from the identity."""
-    table.require_b(p.N)
-    series, inc_norms = _weighted_series(t, table, p.N, "b", start_degree=1, powers=powers)
+    series, tail = _weighted_series(t, table, p.N, "b", start_degree=1, window=p.tail_window)
     delta_sq = hermitize(np.eye(t.h, dtype=complex) - series)
-    delta, min_eig, _, _ = psd_sqrt(delta_sq)
-    basis, _ = orthonormal_range(delta_sq, RANK_REL_TOL)
-    tail = _tail(inc_norms[1:], p.tail_window)
+    delta, min_eig, vals, vecs = psd_sqrt(delta_sq)
+    basis, _ = orthonormal_range(vals, vecs, RANK_REL_TOL)
     return DefectData(
         delta_sq=delta_sq,
         delta=delta,
         ran_delta_basis=basis,
-        tail_norm=tail,
+        tail_norm=max(tail, default=0.0),
         min_eig=min_eig,
         positive=min_eig >= -p.tol,
-        increment_norms=tuple(inc_norms[1:]),
+        increment_norms=tuple(tail),
     )
 
 
@@ -230,19 +212,17 @@ class ContractionVerdict:
         return self.status == "yes"
 
 
-def is_contraction(t: OperatorTuple, table: CoeffTable, p: TruncationParams) -> ContractionVerdict:
+def is_contraction(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
+                   defect_data: DefectData | None = None) -> ContractionVerdict:
     """Three-valued contractivity test on the truncated defect.
 
     yes requires both positivity of delta_sq (up to tol) and a tail window
     already below tol; a positive defect with a live tail stays inconclusive
     because the truncation cannot certify convergence.
     """
-    dd = defect(t, table, p)
-    if dd.min_eig < -p.tol:
-        return ContractionVerdict(status="no", min_eig=dd.min_eig, tail_norm=dd.tail_norm)
-    if dd.tail_norm > p.tol:
-        return ContractionVerdict(status="inconclusive", min_eig=dd.min_eig, tail_norm=dd.tail_norm)
-    return ContractionVerdict(status="yes", min_eig=dd.min_eig, tail_norm=dd.tail_norm)
+    dd = defect(t, table, p) if defect_data is None else defect_data
+    status = "no" if dd.min_eig < -p.tol else "inconclusive" if dd.tail_norm > p.tol else "yes"
+    return ContractionVerdict(status=status, min_eig=dd.min_eig, tail_norm=dd.tail_norm)
 
 
 @dataclass(frozen=True)
@@ -266,10 +246,9 @@ def is_pure(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
     """
     if defect_data is None:
         defect_data = defect(t, table, p)
-    table.require_a(p.N)
-    total, inc_norms = _weighted_series(t, table, p.N, "a", middle=defect_data.delta_sq)
+    total, window = _weighted_series(t, table, p.N, "a", middle=defect_data.delta_sq,
+                                     window=p.tail_window)
     residual = opnorm(total - np.eye(t.h, dtype=complex))
-    window = inc_norms[-p.tail_window:] if len(inc_norms) >= p.tail_window else inc_norms
     # non-increasing up to rounding: equal increments must count as shrinking
     shrinking = all(window[k + 1] <= window[k] * (1.0 + 1e-12) + 1e-15
                     for k in range(len(window) - 1))
@@ -285,14 +264,54 @@ def is_pure(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class IndexShifts:
+    """Weighted shifts on C^h with one nonzero per column, kept as index maps.
+
+    maps[i] = (dst, src, weight) says T_i e_src[j] = weight[j] e_dst[j]; both
+    index arrays are injective, so T_i X and T_i X T_i^* are O(h^2) gathers,
+    not dense O(h^3) products.  The shifts commute by construction.
+    """
+
+    maps: tuple
+    h: int
+
+    @property
+    def d(self) -> int:
+        return len(self.maps)
+
+    def apply(self, i: int, x: np.ndarray) -> np.ndarray:
+        """T_i X."""
+        dst, src, w = self.maps[i]
+        out = np.zeros((self.h, x.shape[1]), dtype=complex)
+        out[dst] = w[:, None] * x[src]
+        return out
+
+    def sandwich(self, i: int, x: np.ndarray) -> np.ndarray:
+        """T_i X T_i^*."""
+        dst, src, w = self.maps[i]
+        out = np.zeros((self.h, self.h), dtype=complex)
+        out[np.ix_(dst, dst)] = w[:, None] * x[np.ix_(src, src)] * w[None, :]
+        return out
+
+    def tensor(self, r: int) -> "IndexShifts":
+        """The shifts T_i x I_r on C^h x C^r, the C^r coordinate fastest."""
+        def spread(idx):
+            return (idx[:, None] * r + np.arange(r)).ravel()
+        return IndexShifts(tuple((spread(dst), spread(src), np.repeat(w, r))
+                                 for dst, src, w in self.maps), self.h * r)
+
+
+@dataclass(frozen=True)
 class TruncatedShifts:
     """Compressions of the coordinate multipliers to degrees <= N.
 
     Matrices act on the orthonormal monomial basis e(alpha) = sqrt(a_alpha)
-    z^alpha listed in graded_indices(d, N) order.
+    z^alpha listed in graded_indices(d, N) order; `index` holds the same
+    shifts as index maps.
     """
 
     ops: OperatorTuple
+    index: IndexShifts
     indices: tuple
     N: int
 
@@ -308,22 +327,20 @@ def shift_matrices(table: CoeffTable, n: int) -> TruncatedShifts:
     sqrt(a_alpha / a_{alpha+e_i}); the a-table must extend through n + 1.
     """
     table.require_a(n + 1)
-    d = table.d
-    indices = graded_indices(d, n)
-    pos = {alpha: i for i, alpha in enumerate(indices)}
-    size = len(indices)
-    mats = []
-    for i in range(d):
-        m = np.zeros((size, size), dtype=complex)
-        for alpha in indices:
-            if sum(alpha) >= n:
-                continue
-            up = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-            m[pos[up], pos[alpha]] = np.sqrt(
-                multi_coeff(table, alpha, "a") / multi_coeff(table, up, "a")
-            )
-        mats.append(m)
-    return TruncatedShifts(ops=OperatorTuple(tuple(mats)), indices=indices, N=n)
+    indices = graded_indices(table.d, n)
+    pos = graded_index_map(table.d, n)
+    lows = [alpha for alpha in indices if sum(alpha) < n]
+    src = np.array([pos[alpha] for alpha in lows], dtype=int)
+    maps = []
+    for i in range(table.d):
+        ups = [alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:] for alpha in lows]
+        weight = np.sqrt([multi_coeff(table, alpha, "a") / multi_coeff(table, up, "a")
+                          for alpha, up in zip(lows, ups)])
+        maps.append((np.array([pos[up] for up in ups], dtype=int), src, weight))
+    index = IndexShifts(tuple(maps), len(indices))
+    eye = np.eye(index.h, dtype=complex)
+    ops = OperatorTuple(tuple(index.apply(i, eye) for i in range(index.d)))
+    return TruncatedShifts(ops=ops, index=index, indices=indices, N=n)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,38 @@
+"""Slow reference for the weighted operator series of cnplab.tuples.
+
+`enumerated_series` sums c_alpha T^alpha M (T^alpha)^* term by term over
+every multi-index alpha, from the products T^alpha and the multi-index
+coefficients c_alpha = c_|alpha| multinomial(alpha).  It shares none of the
+sigma-recursion shortcut, so differential tests can compare the two.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cnplab._linalg import opnorm
+from cnplab.coeffs import graded_indices, multi_coeff
+from cnplab.tuples import TuplePowers
+
+
+def enumerated_series(t, table, n, which, middle=None, start_degree=0):
+    """(sum over start_degree <= |alpha| <= n of c_alpha T^alpha M (T^alpha)^*,
+    norm of the degree-k increment for every k in 0..n, 0 below start_degree)."""
+    powers = TuplePowers(t, n)
+    h = t.h
+    total = np.zeros((h, h), dtype=complex)
+    inc_norms = []
+    for deg in range(n + 1):
+        if deg < start_degree:
+            inc_norms.append(0.0)
+            continue
+        inc = np.zeros((h, h), dtype=complex)
+        for alpha in graded_indices(t.d, n):
+            if sum(alpha) != deg:
+                continue
+            p = powers.power(alpha)
+            m = p @ p.conj().T if middle is None else p @ middle @ p.conj().T
+            inc += multi_coeff(table, alpha, which) * m
+        total += inc
+        inc_norms.append(opnorm(inc))
+    return total, inc_norms

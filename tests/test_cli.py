@@ -221,6 +221,29 @@ def test_cmd_run_exit_codes(tmp_path):
     assert cli.main(["run", str(bad_path), "--out", str(tmp_path / "bad_report.json")]) == 1
 
 
+def test_fault_inside_a_suite_is_its_error(tmp_path):
+    # finite but huge entries overflow the defect series and numpy's SVD
+    # raises; that fault is the suite's error, exit code 3, not a crash or a
+    # "fail", and the report is still written
+    huge = [[[1e300, 0.0], [0.0, 0.0]], [[1e300, 0.0], [0.0, 0.0]]]
+    cfg = base_config(
+        kernel={"d": 1, "rule": "szego", "params": {}, "N_max": 40},
+        tuple={"inline": {"h": 2, "d": 1, "mats": [huge]}},
+        truncation={"N": 30, "tol": 1e-9, "tail_window": 3},
+        suites=["coeffs", "contraction", "purity"],
+    )
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_path = tmp_path / "huge_report.json"
+    with np.errstate(all="ignore"):
+        assert cli.main(["run", str(cfg_path), "--out", str(out_path)]) == 3
+    by_name = {s["name"]: s for s in json.loads(out_path.read_text())["suites"]}
+    assert by_name["coeffs"]["outcome"] == "pass"
+    assert by_name["contraction"]["outcome"] == "error"
+    assert by_name["contraction"]["error"].startswith("LinAlgError: ")
+    assert by_name["purity"]["outcome"] == "skip"
+
+
 def test_cmd_run_config_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -204,15 +204,15 @@ def test_multi_index_reconstruction(spec_fn, d):
         assert abs(total - target) <= 1e-10 * max(1.0, abs(target))
 
 
-def test_multinomial_exact_and_lgamma():
+def test_multinomial_exact():
     assert multinomial((10, 10)) == math.comb(20, 10)
     assert multinomial((3, 2, 1)) == 60
     assert isinstance(multinomial((10, 10)), int)
-    # beyond the exact window: float via log-gamma, relative accuracy
-    exact = math.factorial(30) // (math.factorial(12) * math.factorial(18))
-    approx = multinomial((12, 18))
-    assert isinstance(approx, float)
-    assert abs(approx - exact) <= 1e-12 * exact
+    # exact integers at every degree, past the range of 64-bit integers too
+    big = multinomial((12, 18))
+    assert isinstance(big, int)
+    assert big == math.factorial(30) // (math.factorial(12) * math.factorial(18))
+    assert multinomial((40, 30, 30)) == math.comb(100, 40) * math.comb(60, 30)
     with pytest.raises(ValueError):
         multinomial((-1, 2))
 

@@ -232,6 +232,28 @@ def test_existence_factorability_consistency(existence_examples):
         assert (report.status == "admits") == (fact.verdict == "factorable"), ex.name
 
 
+def test_factorability_on_index_shifts_matches_dense(existence_examples):
+    # the existence suite runs the check on index-map shifts; the dense
+    # Kronecker tuple must give the same report up to rounding
+    for ex in existence_examples:
+        table = ex.table()
+        v = cl.build_dilation(ex.ops, table, ex.p)
+        shifts = cl.shift_matrices(table, ex.p.N)
+        r = v.codomain_dims[1]
+        x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
+        p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
+        dense = cl.check_factorability(x, tensored_shifts(shifts, r), table, p_series)
+        gather = cl.check_factorability(x, shifts.index.tensor(r), table, p_series)
+        assert (gather.verdict, gather.failed_condition) == \
+            (dense.verdict, dense.failed_condition), ex.name
+        for got, want in ((gather.cond1_min_eigs, dense.cond1_min_eigs),
+                          ((gather.cond2_min_eig, gather.cond2_tail, gather.cond3_residual,
+                            gather.cond3_tail),
+                           (dense.cond2_min_eig, dense.cond2_tail, dense.cond3_residual,
+                            dense.cond3_tail))):
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, ex.name
+
+
 def test_associated_tuple_purity_follows_contractivity(pure_examples):
     # whenever the associated tuple is a contraction it is itself pure
     for ex in pure_examples[:5]:

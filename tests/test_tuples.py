@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cnplab as cl
 from cnplab.coeffs import graded_indices
+from cnplab.tuples import _weighted_series
+from random_inputs import diff_kernel, random_commuting_tuple
+from series_reference import enumerated_series
 
 
 def P(n, tol=1e-9, window=3):
@@ -276,3 +281,68 @@ def test_shift_norm_sq():
     bound = cl.shift_norm_sq(bg, 0, 10)
     assert abs(bound.value - 11.0 / 12.0) <= 1e-15
     assert bound.lower_bound  # true supremum is 1, attained only in the limit
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the sigma-recursion and the index-map shifts against
+# term-by-term and dense references
+# ---------------------------------------------------------------------------
+
+SERIES_DEGREE = {1: 14, 2: 8, 3: 5}
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
+       h=st.integers(min_value=1, max_value=3),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t", "bergman"]),
+       param=st.floats(min_value=0.0, max_value=2.0),
+       series=st.sampled_from([("a", 0), ("a", 1), ("b", 1)]),
+       hermitian_middle=st.booleans(), window=st.integers(min_value=1, max_value=4))
+@settings(max_examples=80, deadline=None)
+def test_series_matches_enumeration(seed, d, h, rule, param, series, hermitian_middle, window):
+    rng = np.random.default_rng(seed)
+    which, start = series
+    n = SERIES_DEGREE[d]
+    table = cl.build_table(diff_kernel(rule, d, param), n)
+    t = random_commuting_tuple(rng, d, h, 0.6)
+    middle = None
+    if hermitian_middle:
+        m = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
+        middle = 0.5 * (m + m.conj().T)
+    total, tail = _weighted_series(t, table, n, which, middle=middle, start_degree=start,
+                                   window=window)
+    ref_total, ref_norms = enumerated_series(t, table, n, which, middle=middle,
+                                             start_degree=start)
+    ref_tail = ref_norms[max(start, n - window + 1):]
+    scale = max(np.linalg.norm(ref_total, 2), max(ref_norms))
+    assert np.linalg.norm(total - ref_total, 2) <= 1e-12 * scale
+    assert len(tail) == len(ref_tail)
+    assert np.max(np.abs(np.subtract(tail, ref_tail)), initial=0.0) <= 1e-12 * scale
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t", "bergman"]),
+       param=st.floats(min_value=0.0, max_value=2.0), r=st.sampled_from([1, 2, 3]))
+@settings(max_examples=40, deadline=None)
+def test_index_shifts_match_dense_kron(seed, d, rule, param, r):
+    rng = np.random.default_rng(seed)
+    n = SERIES_DEGREE[d] - 2
+    table = cl.build_table(diff_kernel(rule, d, param), n + 1)
+    shifts = cl.shift_matrices(table, n)
+    tensored = shifts.index.tensor(r)
+    dense = cl.OperatorTuple(tuple(np.kron(m, np.eye(r)) for m in shifts.ops.mats))
+    size = shifts.dim * r
+    assert tensored.h == size and tensored.d == d
+    x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    k = rng.standard_normal((size, 4)) + 1j * rng.standard_normal((size, 4))
+    w_max = max(np.max(np.abs(m), initial=0.0) for m in shifts.ops.mats)
+    scale = max(1.0, w_max) ** 2 * max(np.max(np.abs(x)), np.max(np.abs(k)))
+    for i, m in enumerate(dense.mats):
+        assert np.max(np.abs(tensored.sandwich(i, x) - m @ x @ m.conj().T)) <= 1e-14 * scale
+        assert np.max(np.abs(tensored.apply(i, k) - m @ k)) <= 1e-14 * scale
+    # the sigma-recursion over the gather is the series over the dense tuple
+    herm = 0.5 * (x + x.conj().T)
+    got, got_tail = _weighted_series(tensored, table, n, "a", middle=herm, window=3)
+    ref, ref_tail = _weighted_series(dense, table, n, "a", middle=herm, window=3)
+    ref_scale = max(np.linalg.norm(ref, 2), max(ref_tail))
+    assert np.linalg.norm(got - ref, 2) <= 1e-12 * ref_scale
+    assert np.max(np.abs(np.subtract(got_tail, ref_tail))) <= 1e-12 * ref_scale
