@@ -17,10 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import RANK_REL_TOL, hermitize, opnorm, orthonormal_range, psd_sqrt
-from .coeffs import CoeffTable, as_point, graded_index_map, graded_indices, kernel_eval, multi_coeff
+from .coeffs import (CoeffTable, as_point, graded_index_map, graded_indices, kernel_eval,
+                     multi_coeff, scalar_series)
 from .errors import DomainError, NonConvergedError, NotCnpError
-from .model import DilationMap, build_dilation
-from .tuples import OperatorTuple, TruncationParams, TuplePowers, defect, shift_matrices
+from .model import DilationMap
+from .tuples import OperatorTuple, TruncationParams, TuplePowers, defect
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +174,8 @@ class CharFnEval:
 
     theta maps defect-range coordinates of the lift to defect-range
     coordinates of the tuple.  z_norm_sq is the squared norm of the scalar
-    row Z(z), which stays strictly below 1 inside the ball.
+    row Z(z), which stays strictly below 1 inside the ball.  s_z is the
+    kernel series at the tuple, s_z(T), that theta was built from.
     """
 
     z: np.ndarray
@@ -181,6 +183,7 @@ class CharFnEval:
     norm: float
     inverse_residual: float
     z_norm_sq: float
+    s_z: np.ndarray
 
 
 def _row_apply(lift: TupleLift, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -222,6 +225,7 @@ def charfn_eval(t: OperatorTuple, lift: TupleLift, table: CoeffTable, z,
         norm=opnorm(theta),
         inverse_residual=inv_residual,
         z_norm_sq=z_norm_sq,
+        s_z=calc.matrix,
     )
 
 
@@ -239,13 +243,7 @@ def reciprocal_kernel(table: CoeffTable, z, w, n: int) -> complex:
     z = as_point(z, table.d)
     w = as_point(w, table.d)
     b = table.require_b(n)
-    x = complex(np.vdot(w, z))
-    total = 1.0 + 0.0j
-    power = x
-    for k in range(1, n + 1):
-        total -= b[k] * power
-        power *= x
-    return total
+    return scalar_series(np.concatenate(([1.0], -b[1:n + 1])), complex(np.vdot(w, z)), n).value
 
 
 def verify_defect_identity(t: OperatorTuple, lift: TupleLift, table: CoeffTable,
@@ -260,10 +258,8 @@ def verify_defect_identity(t: OperatorTuple, lift: TupleLift, table: CoeffTable,
     ew = charfn_eval(t, lift, table, w, p)
     r = lift.ran_delta_basis.shape[1]
     lhs = np.eye(r, dtype=complex) - ez.theta @ ew.theta.conj().T
-    sz = kernel_calculus(t, table, z, p).matrix
-    sw = kernel_calculus(t, table, w, p).matrix
     recip = reciprocal_kernel(table, z, w, p.N)
-    mid = lift.delta @ sz.conj().T @ sw @ lift.delta
+    mid = lift.delta @ ez.s_z.conj().T @ ew.s_z @ lift.delta
     rhs = recip * (lift.ran_delta_basis.conj().T @ mid @ lift.ran_delta_basis)
     return opnorm(lhs - rhs)
 
@@ -282,13 +278,13 @@ class MultiplierReport:
     vv_identity_residual: float
 
 
-def verify_multiplier(t: OperatorTuple, lift: TupleLift, table: CoeffTable,
-                      points: Sequence, p: TruncationParams,
-                      v: DilationMap | None = None) -> MultiplierReport:
+def verify_multiplier(v: DilationMap, lift: TupleLift, table: CoeffTable,
+                      points: Sequence, p: TruncationParams) -> MultiplierReport:
+    """Gram positivity of theta and the inner products of V^*-embedded kernel functions."""
     if len(points) < 2:
         raise ValueError("need at least 2 sample points")
-    pts = [as_point(z, t.d) for z in points]
-    evals = [charfn_eval(t, lift, table, z, p) for z in pts]
+    pts = [as_point(z, v.ops.d) for z in points]
+    evals = [charfn_eval(v.ops, lift, table, z, p) for z in pts]
     r = lift.ran_delta_basis.shape[1]
 
     n_pts = len(pts)
@@ -304,8 +300,6 @@ def verify_multiplier(t: OperatorTuple, lift: TupleLift, table: CoeffTable,
             gram[i * r:(i + 1) * r, j * r:(j + 1) * r] = block
     gram_min = float(np.linalg.eigvalsh(hermitize(gram))[0])
 
-    if v is None:
-        v = build_dilation(t, table, p)
     # kernel functions expanded in the truncated orthonormal basis
     sqrt_a = np.sqrt([multi_coeff(table, alpha, "a") for alpha in v.indices])
     mono_w = {}
@@ -343,8 +337,7 @@ class ModelReport:
     factor_residual: float
 
 
-def _taylor_blocks(t: OperatorTuple, lift: TupleLift, table: CoeffTable,
-                   p: TruncationParams) -> dict:
+def _taylor_blocks(v: DilationMap, lift: TupleLift, table: CoeffTable) -> dict:
     """Taylor blocks of theta through total degree N, in closed form.
 
     With s_z(T)^* = sum_beta a_beta z^beta (T^beta)^* and Z(z) D~ E =
@@ -357,23 +350,23 @@ def _taylor_blocks(t: OperatorTuple, lift: TupleLift, table: CoeffTable,
 
     with C the defect-range basis of the tuple and E that of the lift.  Each
     term has |alpha|, |gamma - alpha| <= N, so these are exactly the
-    coefficients of the degree-N theta that charfn_eval evaluates.
+    coefficients of the degree-N theta that charfn_eval evaluates.  Block
+    beta of the dilation v is sqrt(a_beta) C^* Delta (T^beta)^*, built from
+    the same defect as the lift, so it supplies the left factors.
     """
-    gmap = graded_index_map(t.d, p.N)
-    powers = TuplePowers(t, p.N)
-    c_star = lift.ran_delta_basis.conj().T
-    cd = c_star @ lift.delta
+    gmap = graded_index_map(table.d, v.N)
+    h, r = v.ops.h, v.codomain_dims[1]
     # a_beta C^* Delta (T^beta)^* by graded position of beta, and
     # sqrt(b_alpha) (D~E)_alpha by position among the positive indices, which
     # is the graded position minus one
-    left = np.stack([multi_coeff(table, beta, "a") * (cd @ powers.power(beta).conj().T)
-                     for beta in gmap])
+    sqrt_a = np.sqrt([multi_coeff(table, beta, "a") for beta in gmap])
+    left = sqrt_a[:, None, None] * v.matrix.reshape(len(gmap), r, h)
     right = lift.sqrt_b[:, None, None] * lift.d_tilde_e.reshape(
-        len(lift.pos_indices), t.h, lift.defect_rank)
+        len(lift.pos_indices), h, lift.defect_rank)
     blocks = {}
     for gamma in gmap:
         if not any(gamma):
-            blocks[gamma] = -(c_star @ lift.t_tilde_e)
+            blocks[gamma] = -(lift.ran_delta_basis.conj().T @ lift.t_tilde_e)
             continue
         pairs = [(gmap[tuple(g - a for g, a in zip(gamma, alpha))], gmap[alpha] - 1)
                  for alpha in itertools.product(*(range(g + 1) for g in gamma)) if any(alpha)]
@@ -382,24 +375,23 @@ def _taylor_blocks(t: OperatorTuple, lift: TupleLift, table: CoeffTable,
     return blocks
 
 
-def verify_model(t: OperatorTuple, lift: TupleLift, table: CoeffTable,
-                 p: TruncationParams, v: DilationMap | None = None) -> ModelReport:
+def verify_model(v: DilationMap, lift: TupleLift, table: CoeffTable) -> ModelReport:
     """Check that the embedding carries the functional model back to the tuple.
 
     Verifies max_i |V^* (M_i x I) V - T_i| and the factorization of
     I - V V^* by the truncated multiplication operator of theta, assembled
     from the exact Taylor blocks of theta through degree N: the column of
     theta at a positive multi-index alpha starts at z-degree |alpha|, so
-    every degree up to N is needed.
+    every degree up to N is needed.  The lift must be built at the same
+    degree N as v.
     """
-    if v is None:
-        v = build_dilation(t, table, p)
+    t = v.ops
     r_delta = v.codomain_dims[1]
-    tensored = shift_matrices(table, p.N).index.tensor(r_delta)
+    tensored = v.shifts.index.tensor(r_delta)
     comp_res = max(opnorm(v.matrix.conj().T @ tensored.apply(i, v.matrix) - t.mats[i])
                    for i in range(t.d))
 
-    blocks = _taylor_blocks(t, lift, table, p)
+    blocks = _taylor_blocks(v, lift, table)
 
     indices = v.indices
     n_idx = len(indices)

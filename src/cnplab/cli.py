@@ -16,7 +16,8 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,13 +32,16 @@ from .coeffs import (
 )
 from .errors import CnpLabError
 from .tuples import (
+    DefectData,
     OperatorTuple,
     TruncationParams,
+    defect,
     is_contraction,
     is_pure,
-    shift_matrices,
 )
 from .model import (
+    CounterexamplePoint,
+    DilationMap,
     admits_charfn,
     bergman_counterexample,
     build_dilation,
@@ -45,6 +49,7 @@ from .model import (
     check_intertwining,
 )
 from .charfn import (
+    TupleLift,
     ball_points,
     build_lift,
     charfn_eval,
@@ -103,7 +108,7 @@ def fmt(x: float) -> str:
 class RunConfig:
     kernel: KernelSpec
     n_table: int
-    tuple_data: dict | None
+    tuple_mats: tuple | None
     truncation: TruncationParams
     suites: tuple
     expect: dict
@@ -114,16 +119,24 @@ class RunConfig:
     raw: dict
 
 
+def strict_int(value, name: str) -> int:
+    """value as an int; integral floats pass, while bools, strings and fractions are rejected."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def kernel_from_dict(spec: dict) -> tuple[KernelSpec, int]:
     rule = spec.get("rule")
     params = spec.get("params", {}) or {}
     d = int(spec.get("d", 1))
     label = spec.get("label", "")
+    name = {"bergman": "m", "dirichlet_t": "t", "custom": "coeffs"}.get(rule)
+    if name is not None and params.get(name) is None:
+        raise ValueError(f"the {rule} rule needs the parameter {name!r}")
     if rule == "bergman":
-        m = params["m"]
-        if isinstance(m, bool) or not (isinstance(m, int) or isinstance(m, float) and m.is_integer()):
-            raise ValueError(f"kernel.params.m must be an integer, got {m!r}")
-        param = int(m)
+        param = strict_int(params["m"], "kernel.params.m")
     elif rule == "dirichlet_t":
         param = float(params["t"])
     elif rule == "custom":
@@ -152,31 +165,25 @@ def matrix_to_nested(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
-def tuple_from_dict(data: dict) -> OperatorTuple:
-    """Construct the tuple, including the commutator check."""
-    mats = [matrices_from_nested(m) for m in data["mats"]]
-    return OperatorTuple(tuple(mats))
-
-
-def validate_tuple_dict(data: dict) -> dict:
-    """Shape-level validation only; commutators are checked at construction."""
+def mats_from_tuple_dict(data: dict) -> tuple:
+    """The tuple's matrices, shape-checked; commutators are checked when the tuple is built."""
     h = int(data["h"])
     d = int(data["d"])
-    mats = [matrices_from_nested(m) for m in data["mats"]]
+    mats = tuple(matrices_from_nested(m) for m in data["mats"])
     if len(mats) != d or any(m.shape != (h, h) for m in mats):
         raise ValueError(f"expected {d} matrices of shape ({h}, {h})")
-    return data
+    return mats
 
 
-def load_tuple_source(source: dict, base_dir: str = ".") -> dict:
+def load_tuple_source(source: dict, base_dir: str = ".") -> tuple:
     if "inline" in source:
-        return validate_tuple_dict(source["inline"])
+        return mats_from_tuple_dict(source["inline"])
     if "path" in source:
         path = source["path"]
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         with open(path) as fh:
-            return validate_tuple_dict(json.load(fh))
+            return mats_from_tuple_dict(json.load(fh))
     raise ValueError("tuple source needs an 'inline' block or a 'path'")
 
 
@@ -204,22 +211,27 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     unknown = [s for s in suites if s not in SUITE_ORDER]
     if unknown:
         raise ValueError(f"unknown suites {unknown}; valid: {list(SUITE_ORDER)}")
-    tuple_data = None
+    tuple_mats = None
     if "tuple" in raw and raw["tuple"]:
-        tuple_data = load_tuple_source(raw["tuple"], base_dir)
+        tuple_mats = load_tuple_source(raw["tuple"], base_dir)
     needs_tuple = [s for s in suites if s not in ("coeffs", "counterexample")]
-    if needs_tuple and tuple_data is None:
+    if needs_tuple and tuple_mats is None:
         raise ValueError(f"suites {needs_tuple} require a tuple source")
-    if tuple_data is not None and int(tuple_data["d"]) != kernel.d:
-        raise ValueError(f"tuple has d={tuple_data['d']} but kernel has d={kernel.d}")
-    ce = dict(raw.get("counterexample", {}))
-    ce.setdefault("m", 2)
-    ce.setdefault("N_list", [0, 1, 2, 3])
-    ce.setdefault("d", 1)
+    if tuple_mats is not None and len(tuple_mats) != kernel.d:
+        raise ValueError(f"tuple has d={len(tuple_mats)} but kernel has d={kernel.d}")
+    ce = raw.get("counterexample", {})
+    n_list = ce.get("N_list", [0, 1, 2, 3])
+    if not isinstance(n_list, list):
+        raise ValueError(f"counterexample.N_list must be a list of integers, got {n_list!r}")
+    ce = {
+        "m": strict_int(ce.get("m", 2), "counterexample.m"),
+        "N_list": [strict_int(n, f"counterexample.N_list[{i}]") for i, n in enumerate(n_list)],
+        "d": strict_int(ce.get("d", 1), "counterexample.d"),
+    }
     return RunConfig(
         kernel=kernel,
         n_table=n_table,
-        tuple_data=tuple_data,
+        tuple_mats=tuple_mats,
         truncation=trunc,
         suites=suites,
         expect=dict(raw.get("expect", {})),
@@ -262,17 +274,24 @@ class _SuiteContext:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.table: CoeffTable = build_table(cfg.kernel, cfg.n_table)
-        self._cache: dict = {}
 
-    def get(self, key: str, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
+    @cached_property
     def ops(self) -> OperatorTuple:
         # constructed on first use so the commutator check surfaces as a
         # suite error, not a config error
-        return self.get("ops", lambda: tuple_from_dict(self.cfg.tuple_data))
+        return OperatorTuple(self.cfg.tuple_mats)
+
+    @cached_property
+    def defect(self) -> DefectData:
+        return defect(self.ops, self.table, self.cfg.truncation)
+
+    @cached_property
+    def dilation(self) -> DilationMap:
+        return build_dilation(self.ops, self.table, self.cfg.truncation)
+
+    @cached_property
+    def lift(self) -> TupleLift:
+        return build_lift(self.ops, self.table, self.cfg.truncation)
 
 
 def _suite_coeffs(ctx: _SuiteContext, res: SuiteResult):
@@ -294,8 +313,7 @@ def _suite_coeffs(ctx: _SuiteContext, res: SuiteResult):
 
 
 def _suite_contraction(ctx: _SuiteContext, res: SuiteResult):
-    verdict = ctx.get("contraction", lambda: is_contraction(
-        ctx.ops(), ctx.table, ctx.cfg.truncation))
+    verdict = is_contraction(ctx.ops, ctx.table, ctx.cfg.truncation, defect_data=ctx.defect)
     res.verdict = verdict.status
     res.residuals["min_eig"] = fmt(verdict.min_eig)
     res.residuals["tail_norm"] = fmt(verdict.tail_norm)
@@ -306,8 +324,7 @@ def _suite_contraction(ctx: _SuiteContext, res: SuiteResult):
 
 
 def _suite_purity(ctx: _SuiteContext, res: SuiteResult):
-    verdict = ctx.get("purity", lambda: is_pure(
-        ctx.ops(), ctx.table, ctx.cfg.truncation))
+    verdict = is_pure(ctx.ops, ctx.table, ctx.cfg.truncation, defect_data=ctx.defect)
     res.verdict = verdict.status
     res.residuals["purity_residual"] = fmt(verdict.residual)
     res.tolerances["tol"] = fmt(ctx.cfg.truncation.tol)
@@ -317,37 +334,30 @@ def _suite_purity(ctx: _SuiteContext, res: SuiteResult):
 
 
 def _suite_dilation(ctx: _SuiteContext, res: SuiteResult):
-    cfg = ctx.cfg
-    v = ctx.get("dilation", lambda: build_dilation(ctx.ops(), ctx.table, cfg.truncation))
-    shifts = ctx.get("shifts", lambda: shift_matrices(ctx.table, cfg.truncation.N))
-    d = cfg.kernel.d
+    v = ctx.dilation
+    d = ctx.cfg.kernel.d
     alphas = [tuple(2 if i == j else 0 for i in range(d)) for j in range(d)]
     alphas += [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
     if d >= 2:
         alphas.append(tuple(1 if i < 2 else 0 for i in range(d)))
-    inter = check_intertwining(v, ctx.ops(), shifts, alphas)
+    inter = check_intertwining(v, alphas)
     res.verdict = "isometry"
     res.gate("isometry_defect", v.isometry_defect, GATES["isometry"])
     res.gate("intertwining", inter, GATES["intertwine"])
 
 
 def _suite_existence(ctx: _SuiteContext, res: SuiteResult):
-    cfg = ctx.cfg
-    report = admits_charfn(ctx.ops(), ctx.table, cfg.truncation)
+    p = ctx.cfg.truncation
+    v = ctx.dilation
+    report = admits_charfn(v, ctx.table, p)
     res.verdict = report.status
     res.residuals["assoc_min_eig"] = fmt(report.value)
     res.residuals["invariance"] = fmt(report.invariance_residual)
-    v = ctx.get("dilation", lambda: build_dilation(ctx.ops(), ctx.table, cfg.truncation))
-    shifts = ctx.get("shifts", lambda: shift_matrices(ctx.table, cfg.truncation.N))
     x = np.eye(v.big_dim, dtype=complex) - v.matrix @ v.matrix.conj().T
     # series degree extends past the space truncation so the tail window sees
     # the terminating matrix series, not the cut-off
-    p_series = TruncationParams(
-        N=cfg.truncation.N + cfg.truncation.tail_window,
-        tol=cfg.truncation.tol,
-        tail_window=cfg.truncation.tail_window,
-    )
-    fact = check_factorability(x, shifts.index.tensor(v.codomain_dims[1]), ctx.table, p_series)
+    p_series = replace(p, N=p.N + p.tail_window)
+    fact = check_factorability(x, v.shifts.index.tensor(v.codomain_dims[1]), ctx.table, p_series)
     res.details["factorability"] = fact.verdict
     res.details["factorability_failed_condition"] = fact.failed_condition
     consistent = (report.status == "admits") == (fact.verdict == "factorable")
@@ -359,45 +369,53 @@ def _suite_existence(ctx: _SuiteContext, res: SuiteResult):
 
 def _suite_charfn(ctx: _SuiteContext, res: SuiteResult):
     cfg = ctx.cfg
-    lift = ctx.get("lift", lambda: build_lift(ctx.ops(), ctx.table, cfg.truncation))
+    lift = ctx.lift
     res.verdict = "contractive" if lift.contractive else "non_contractive"
     res.gate("ttstar_identity", lift.ttstar_residual, GATES["lift"])
     res.gate("defect_intertwine", lift.intertwine_residual, GATES["lift"])
-    pts = ball_points(cfg.kernel.d, 100, cfg.seed + 1)
+    evals = [charfn_eval(ctx.ops, lift, ctx.table, z, cfg.truncation)
+             for z in ball_points(cfg.kernel.d, 100, cfg.seed + 1)]
     worst_norm, worst_z, worst_inv = 0.0, 0.0, 0.0
-    for z in pts:
-        ev = charfn_eval(ctx.ops(), lift, ctx.table, z, cfg.truncation)
+    for ev in evals:
         worst_norm = max(worst_norm, ev.norm)
         worst_inv = max(worst_inv, ev.inverse_residual)
-        szz = kernel_eval(ctx.table, z, z, ctx.table.n_max).value
+        szz = kernel_eval(ctx.table, ev.z, ev.z, ctx.table.n_max).value
         worst_z = max(worst_z, abs(ev.z_norm_sq - (1.0 - 1.0 / szz.real)))
     res.gate("theta_norm_excess", worst_norm - 1.0, GATES["theta_norm_excess"])
     res.gate("z_row_identity", worst_z, GATES["z_identity"])
     res.residuals["inverse_residual_max"] = fmt(worst_inv)
-    sample = charfn_eval(ctx.ops(), lift, ctx.table, pts[0], cfg.truncation)
-    res.details["sample_evaluation"] = eval_to_dict(sample)
+    res.details["sample_evaluation"] = eval_to_dict(evals[0])
 
 
 def _suite_identities(ctx: _SuiteContext, res: SuiteResult):
     cfg = ctx.cfg
-    lift = ctx.get("lift", lambda: build_lift(ctx.ops(), ctx.table, cfg.truncation))
-    v = ctx.get("dilation", lambda: build_dilation(ctx.ops(), ctx.table, cfg.truncation))
+    lift = ctx.lift
     res.verdict = "identities"
     pairs = ball_points(cfg.kernel.d, 40, cfg.seed + 2)
     worst_i1 = 0.0
     for k in range(20):
         z, w = pairs[2 * k], pairs[2 * k + 1]
         worst_i1 = max(worst_i1, verify_defect_identity(
-            ctx.ops(), lift, ctx.table, z, w, cfg.truncation))
+            ctx.ops, lift, ctx.table, z, w, cfg.truncation))
     res.gate("identity_i1", worst_i1, GATES["identity_i1"])
-    mult = verify_multiplier(ctx.ops(), lift, ctx.table,
-                             ball_points(cfg.kernel.d, 5, cfg.seed + 3),
-                             cfg.truncation, v=v)
+    mult = verify_multiplier(ctx.dilation, lift, ctx.table,
+                             ball_points(cfg.kernel.d, 5, cfg.seed + 3), cfg.truncation)
     res.gate("gram_min_eig", mult.gram_min_eig, GATES["gram_min_eig"], lower=True)
     res.gate("vv_identity", mult.vv_identity_residual, GATES["vv_identity"])
-    model = verify_model(ctx.ops(), lift, ctx.table, cfg.truncation, v=v)
+    model = verify_model(ctx.dilation, lift, ctx.table)
     res.gate("model_compression", model.compression_residual, GATES["model"])
     res.gate("model_factorization", model.factor_residual, GATES["model"])
+
+
+def counterexample_row(point: CounterexamplePoint) -> dict:
+    """One counterexample instance with its values as round-tripping strings."""
+    return {
+        "m": point.m, "N": point.N,
+        "closed_form": fmt(point.closed_form),
+        "numeric": fmt(point.numeric),
+        "match_error": fmt(point.match_error),
+        "bound": fmt(point.bound_value),
+    }
 
 
 def _suite_counterexample(ctx: _SuiteContext, res: SuiteResult):
@@ -406,16 +424,10 @@ def _suite_counterexample(ctx: _SuiteContext, res: SuiteResult):
     worst_match = 0.0
     all_negative = True
     for n in ce["N_list"]:
-        point = bergman_counterexample(int(ce["m"]), int(n), d=int(ce["d"]))
+        point = bergman_counterexample(ce["m"], n, d=ce["d"])
         worst_match = max(worst_match, point.match_error)
         all_negative = all_negative and point.closed_form < 0.0
-        rows.append({
-            "m": point.m, "N": point.N,
-            "closed_form": fmt(point.closed_form),
-            "numeric": fmt(point.numeric),
-            "match_error": fmt(point.match_error),
-            "bound": fmt(point.bound_value),
-        })
+        rows.append(counterexample_row(point))
     res.verdict = "reproduced" if all_negative else "bound_not_violated"
     res.gate("match_error_max", worst_match, GATES["counterexample_match"])
     res.details["rows"] = rows
@@ -548,13 +560,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_kernel_info(args) -> int:
+    params = {"m": args.m, "t": args.t,
+              "coeffs": args.coeffs.split(",") if args.coeffs else None}
     try:
-        spec = _spec_from_args(args)
+        spec, _ = kernel_from_dict({"rule": args.rule, "d": args.d, "params": params})
         # the radius estimator needs a longer prefix than small printouts ask for
         table = build_table(spec, max(args.N, 16))
         ra = estimate_radius(table, "a")
         rb = estimate_radius(table, "b")
-    except (CnpLabError, ValueError, KeyError) as exc:
+    except (CnpLabError, ValueError) as exc:
         print(f"invalid kernel: {exc}", file=sys.stderr)
         return 2
     print(f"kernel: {spec.label}  d={spec.d}  N={args.N}")
@@ -580,47 +594,25 @@ def cmd_counterexample(args) -> int:
             file=sys.stderr,
         )
         return 2
-    n_list = [int(x) for x in args.N.split(",")]
-    rows = []
+    try:
+        points = [bergman_counterexample(args.m, int(n), d=args.d) for n in args.N.split(",")]
+    except (CnpLabError, ValueError) as exc:
+        print(f"invalid counterexample input: {exc}", file=sys.stderr)
+        return 2
     print(f"{'m':>3s} {'N':>3s} {'closed_form':>22s} {'numeric':>22s} {'match_error':>12s} {'bound':>10s}")
     ok = True
-    for n in n_list:
-        pt = bergman_counterexample(args.m, n, d=args.d)
-        rows.append(pt)
+    for pt in points:
         ok = ok and pt.match_error <= GATES["counterexample_match"] and pt.closed_form < 0.0
         print(f"{pt.m:>3d} {pt.N:>3d} {fmt(pt.closed_form):>22s} {fmt(pt.numeric):>22s} "
               f"{pt.match_error:>12.3e} {pt.bound_value:>10.6f}")
     out = _resolve_out(args.out)
     if out:
-        payload = [
-            {"m": pt.m, "N": pt.N, "d": pt.d, "closed_form": fmt(pt.closed_form),
-             "numeric": fmt(pt.numeric), "match_error": fmt(pt.match_error),
-             "bound": fmt(pt.bound_value)}
-            for pt in rows
-        ]
+        payload = [dict(counterexample_row(pt), d=pt.d) for pt in points]
         os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
         with open(out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0 if ok else 1
-
-
-def _spec_from_args(args) -> KernelSpec:
-    rule = args.rule
-    if rule == "bergman":
-        if args.m is None:
-            raise ValueError("--m is required for the bergman rule")
-        return KernelSpec(d=args.d, rule=rule, param=args.m)
-    if rule == "dirichlet_t":
-        if args.t is None:
-            raise ValueError("--t is required for the dirichlet_t rule")
-        return KernelSpec(d=args.d, rule=rule, param=args.t)
-    if rule == "custom":
-        if not args.coeffs:
-            raise ValueError("--coeffs is required for the custom rule")
-        return KernelSpec(d=args.d, rule=rule,
-                          param=tuple(float(c) for c in args.coeffs.split(",")))
-    return KernelSpec(d=args.d, rule=rule)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -350,13 +350,16 @@ def kernel_eval(table: CoeffTable, z, w, n: int | None = None) -> KernelValue:
             raise DomainError(f"{name} must lie strictly inside the unit ball")
     if n is None:
         n = table.n_max
-    a = table.require_a(n)
-    x = complex(np.vdot(w, z))
+    return scalar_series(table.require_a(n), complex(np.vdot(w, z)), n)
+
+
+def scalar_series(coeffs: Sequence[float], x: complex, n: int) -> KernelValue:
+    """sum_{k<=n} coeffs[k] x^k, summed in degree order, with |coeffs[n] x^n| as the tail."""
     value = 0.0 + 0.0j
     power = 1.0 + 0.0j
     last = 0.0
     for k in range(n + 1):
-        term = a[k] * power
+        term = coeffs[k] * power
         value += term
         last = abs(term)
         power *= x

@@ -10,7 +10,7 @@ test with an explicit closed-form witness, reproduced numerically by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from ._linalg import (
     opnorm,
     split_rank,
 )
-from .coeffs import CoeffTable, KernelSpec, bergman, build_table, graded_indices, multi_coeff
+from .coeffs import CoeffTable, KernelSpec, bergman, build_table, multi_coeff
 from .errors import DegenerateDilationError, PrerequisiteError
 from .tuples import (
     COMMUTATOR_TOL,
@@ -48,21 +48,34 @@ from .tuples import (
 
 @dataclass(frozen=True)
 class DilationMap:
-    """Block-column matrix of the embedding into (truncated H_k) x Ran(defect).
+    """Block-column matrix of the embedding of a tuple into (truncated H_k) x Ran(defect).
 
     The block at multi-index alpha is sqrt(a_alpha) * C^* Delta (T^alpha)^*
     where C holds the orthonormal defect-range basis; rows are stacked in
-    graded_indices order with the defect-range coordinate fastest.
+    graded_indices order with the defect-range coordinate fastest.  The map
+    carries the tuple it embeds and the shifts of its model space, so every
+    later check reads both from here and uses the same basis.
     """
 
     matrix: np.ndarray
-    N: int
-    indices: tuple
-    domain_dim: int
-    codomain_dims: tuple  # (number of multi-indices, defect rank)
+    ops: OperatorTuple
+    shifts: TruncatedShifts
     isometry_defect: float
     defect_data: DefectData
     degenerate: bool = False
+
+    @property
+    def N(self) -> int:
+        return self.shifts.N
+
+    @property
+    def indices(self) -> tuple:
+        return self.shifts.indices
+
+    @property
+    def codomain_dims(self) -> tuple:
+        """(number of multi-indices, defect rank)."""
+        return len(self.indices), self.defect_data.rank
 
     @property
     def big_dim(self) -> int:
@@ -76,19 +89,19 @@ def build_dilation(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
     For a pure tuple this is an isometry up to the purity residual; the
     defect of V^*V from the identity is recorded.  A rank-zero defect admits
     no dilation space and raises unless allow_degenerate is set, in which
-    case the zero map is returned with its honest isometry defect.
+    case the zero map is returned with its honest isometry defect.  The
+    shifts of the model space are built here, at degree N.
     """
-    table.require_a(p.N)
     dd = defect(t, table, p)
-    indices = graded_indices(t.d, p.N)
     c = dd.ran_delta_basis
     r = c.shape[1]
     if r == 0 and t.h > 0 and not allow_degenerate:
         raise DegenerateDilationError("defect operator has rank zero; no dilation space")
+    shifts = shift_matrices(table, p.N)
     powers = TuplePowers(t, p.N)
     blocks = []
     cd = c.conj().T @ dd.delta
-    for alpha in indices:
+    for alpha in shifts.indices:
         w = np.sqrt(multi_coeff(table, alpha, "a"))
         blocks.append(w * (cd @ powers.power(alpha).conj().T))
     matrix = np.vstack(blocks) if blocks else np.zeros((0, t.h), dtype=complex)
@@ -96,30 +109,25 @@ def build_dilation(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
     iso_defect = opnorm(gram - np.eye(t.h, dtype=complex))
     return DilationMap(
         matrix=matrix,
-        N=p.N,
-        indices=indices,
-        domain_dim=t.h,
-        codomain_dims=(len(indices), r),
+        ops=t,
+        shifts=shifts,
         isometry_defect=iso_defect,
         defect_data=dd,
         degenerate=(r == 0 and t.h > 0),
     )
 
 
-def check_intertwining(v: DilationMap, t: OperatorTuple, shifts: TruncatedShifts,
-                       alphas: Sequence[tuple]) -> float:
+def check_intertwining(v: DilationMap, alphas: Sequence[tuple]) -> float:
     """Max residual of V^*(M^alpha x I) = T^alpha V^* on interior degrees.
 
     Columns whose source degree exceeds N - |alpha| are excluded: their image
     leaves the truncated space, so they only measure the cut-off, not the
     intertwining.
     """
-    if shifts.N != v.N or shifts.indices != v.indices:
-        raise ValueError("shift matrices and dilation map use different basis orderings")
     r = v.codomain_dims[1]
     vstar = v.matrix.conj().T
-    tensored = shifts.index.tensor(r)
-    powers = TuplePowers(t, max(sum(a) for a in alphas))
+    tensored = v.shifts.index.tensor(r)
+    powers = TuplePowers(v.ops, max(sum(a) for a in alphas))
     worst = 0.0
     for alpha in alphas:
         alpha = tuple(int(x) for x in alpha)
@@ -245,9 +253,7 @@ class AssociatedTuple:
     dim: int
 
 
-def associated_tuple(v: DilationMap, shifts: TruncatedShifts) -> AssociatedTuple:
-    if shifts.N != v.N or shifts.indices != v.indices:
-        raise ValueError("shift matrices and dilation map use different basis orderings")
+def associated_tuple(v: DilationMap) -> AssociatedTuple:
     r = v.codomain_dims[1]
     u, svals, _ = np.linalg.svd(v.matrix, full_matrices=True)
     rank = split_rank(svals, RANK_REL_TOL)
@@ -261,7 +267,7 @@ def associated_tuple(v: DilationMap, shifts: TruncatedShifts) -> AssociatedTuple
     )
     mats = []
     inv_res = 0.0
-    tensored = shifts.index.tensor(r)
+    tensored = v.shifts.index.tensor(r)
     for i in range(tensored.d):
         mk = tensored.apply(i, k)
         compressed = k.conj().T @ mk
@@ -295,33 +301,32 @@ class ExistenceReport:
     kernel_dim: int
 
 
-def admits_charfn(t: OperatorTuple, table: CoeffTable, p: TruncationParams) -> ExistenceReport:
-    """Decide whether a pure tuple admits a characteristic function.
+def admits_charfn(v: DilationMap, table: CoeffTable, p: TruncationParams) -> ExistenceReport:
+    """Decide whether the pure tuple embedded by v admits a characteristic function.
 
     Runs the contractivity test on the tuple associated with the dilation.
     Non-pure inputs are rejected: outside the hypothesis there is nothing to
-    decide.  The associated tuple lives on a space truncated at degree N
-    where the shifts are nilpotent of order N + 1, so its contraction series
-    is summed through N + tail_window: past degree N the increments vanish
-    identically and the tail verdict reflects the finite matrix algebra, not
-    the cut-off.  The table must therefore extend through N + tail_window.
+    decide.  Purity is tested on the defect the dilation already holds.  The
+    associated tuple lives on a space truncated at degree N where the shifts
+    are nilpotent of order N + 1, so its contraction series is summed
+    through N + tail_window: past degree N the increments vanish identically
+    and the tail verdict reflects the finite matrix algebra, not the
+    cut-off.  The table must therefore extend through N + tail_window.
     """
-    purity = is_pure(t, table, p)
+    purity = is_pure(v.ops, table, p, defect_data=v.defect_data)
     if purity.status != "pure":
         raise PrerequisiteError(
             f"existence test requires a pure tuple; purity verdict was {purity.status!r} "
             f"(residual {purity.residual:.3e})"
         )
-    v = build_dilation(t, table, p)
-    shifts = shift_matrices(table, p.N)
-    assoc = associated_tuple(v, shifts)
+    assoc = associated_tuple(v)
     if assoc.dim == 0:
         trivial = ContractionVerdict(status="yes", min_eig=0.0, tail_norm=0.0)
         return ExistenceReport(
             status="admits", value=0.0, witness=None, contraction=trivial,
             invariance_residual=assoc.invariance_residual, kernel_dim=0,
         )
-    p_series = TruncationParams(N=p.N + p.tail_window, tol=p.tol, tail_window=p.tail_window)
+    p_series = replace(p, N=p.N + p.tail_window)
     dd = defect(assoc.ops, table, p_series)
     verdict = is_contraction(assoc.ops, table, p_series, defect_data=dd)
     if verdict.status == "yes":
@@ -391,13 +396,12 @@ def bergman_counterexample(m: int, n: int, d: int = 1,
     inner = shift_matrices(table, n)
     t = inner.ops
     v = build_dilation(t, table, p)
-    shifts = shift_matrices(table, big_n)
-    assoc = associated_tuple(v, shifts)
+    assoc = associated_tuple(v)
 
     target = (n + 2,) + (0,) * (d - 1)
-    pos = {alpha: i for i, alpha in enumerate(shifts.indices)}
+    pos = {alpha: i for i, alpha in enumerate(v.indices)}
     r = v.codomain_dims[1]
-    e = np.zeros(len(shifts.indices) * r, dtype=complex)
+    e = np.zeros(v.big_dim, dtype=complex)
     e[pos[target] * r] = 1.0
 
     dd = defect(assoc.ops, table, p)

@@ -93,14 +93,13 @@ def test_criterion_4_dilation_isometry(pure_examples):
         table = ex.table()
         purity = cl.is_pure(ex.ops, table, ex.p)
         v = cl.build_dilation(ex.ops, table, ex.p)
-        shifts = cl.shift_matrices(table, ex.p.N)
         d = ex.kernel.d
         alphas = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
         alphas += [tuple(2 if i == j else 0 for i in range(d)) for j in range(d)]
         alphas.append(tuple(3 if i == 0 else 0 for i in range(d)))
         if d >= 2:
             alphas.append(tuple(1 if i < 2 else 0 for i in range(d)))
-        inter = cl.check_intertwining(v, ex.ops, shifts, alphas)
+        inter = cl.check_intertwining(v, alphas)
         good = (purity.status == "pure" and purity.residual <= 1e-9
                 and v.isometry_defect <= 1e-8 and inter <= 1e-8)
         ok = ok and good
@@ -119,13 +118,12 @@ def test_criterion_5_existence_equivalence(existence_examples):
     notes = []
     for ex in existence_examples:
         table = ex.table()
-        report = cl.admits_charfn(ex.ops, table, ex.p)
         v = cl.build_dilation(ex.ops, table, ex.p)
-        shifts = cl.shift_matrices(table, ex.p.N)
+        report = cl.admits_charfn(v, table, ex.p)
         r = v.codomain_dims[1]
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
         tensored = cl.OperatorTuple(
-            tuple(np.kron(m, np.eye(r, dtype=complex)) for m in shifts.ops.mats))
+            tuple(np.kron(m, np.eye(r, dtype=complex)) for m in v.shifts.ops.mats))
         p_series = cl.TruncationParams(N=ex.p.N + ex.p.tail_window, tol=ex.p.tol,
                                        tail_window=ex.p.tail_window)
         fact = cl.check_factorability(x, tensored, table, p_series)
@@ -155,9 +153,9 @@ def test_criterion_6_charfn_identities(charfn_examples):
         ws = cl.ball_points(d, 20, seed=102)
         i1 = max(cl.verify_defect_identity(ex.ops, lift, table, z, w, ex.p)
                  for z, w in zip(zs, ws))
-        mult = cl.verify_multiplier(ex.ops, lift, table,
-                                    cl.ball_points(d, 5, seed=103), ex.p)
-        model = cl.verify_model(ex.ops, lift, table, ex.p)
+        v = cl.build_dilation(ex.ops, table, ex.p)
+        mult = cl.verify_multiplier(v, lift, table, cl.ball_points(d, 5, seed=103), ex.p)
+        model = cl.verify_model(v, lift, table)
         norms = max(cl.charfn_eval(ex.ops, lift, table, z, ex.p).norm
                     for z in cl.ball_points(d, 100, seed=104))
         good = (i1 <= 1e-8

@@ -257,7 +257,7 @@ def test_multiplier_gram_zero_tuple_pair():
     p = P(20)
     t = cl.OperatorTuple.zero(1, 1)
     lift = cl.build_lift(t, table, p)
-    rep = cl.verify_multiplier(t, lift, table, [0.0, 0.5], p)
+    rep = cl.verify_multiplier(cl.build_dilation(t, table, p), lift, table, [0.0, 0.5], p)
     assert rep.gram_min_eig >= -1e-12
     assert abs(rep.gram_min_eig) <= 1e-10  # ones matrix has a zero eigenvalue
     assert rep.vv_identity_residual <= 1e-10
@@ -267,7 +267,7 @@ def test_multiplier_sampled(charfn_examples):
     for ex in charfn_examples:
         table = ex.table()
         lift = cl.build_lift(ex.ops, table, ex.p)
-        rep = cl.verify_multiplier(ex.ops, lift, table,
+        rep = cl.verify_multiplier(cl.build_dilation(ex.ops, table, ex.p), lift, table,
                                    cl.ball_points(ex.kernel.d, 5, seed=31), ex.p)
         assert rep.gram_min_eig >= -1e-9, (ex.name, rep)
         assert rep.vv_identity_residual <= 1e-8, (ex.name, rep)
@@ -276,7 +276,7 @@ def test_multiplier_sampled(charfn_examples):
 def test_multiplier_needs_two_points(szego_half):
     t, lift, table, p = szego_half
     with pytest.raises(ValueError):
-        cl.verify_multiplier(t, lift, table, [0.0], p)
+        cl.verify_multiplier(cl.build_dilation(t, table, p), lift, table, [0.0], p)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +286,7 @@ def test_multiplier_needs_two_points(szego_half):
 def test_taylor_blocks_match_mobius_coefficients(szego_half):
     # closed form: (z - t)/(1 - tz) = -t + (1 - t^2) sum_{n>=1} t^(n-1) z^n
     t, lift, table, p = szego_half
-    blocks = _taylor_blocks(t, lift, table, p)
+    blocks = _taylor_blocks(cl.build_dilation(t, table, p), lift, table)
     assert sorted(blocks) == [(n,) for n in range(p.N + 1)]
     assert abs(blocks[(0,)][0, 0] - (-0.5)) <= 1e-14
     for n in range(1, p.N + 1):
@@ -301,13 +301,14 @@ def test_model_zero_tuple_exact():
     p = P(20)
     t = cl.OperatorTuple.zero(1, 1)
     lift = cl.build_lift(t, table, p)
-    rep = cl.verify_model(t, lift, table, p)
+    v = cl.build_dilation(t, table, p)
+    rep = cl.verify_model(v, lift, table)
     assert rep.compression_residual <= 1e-10
     assert rep.factor_residual <= 1e-10
     # theta(z) = z e_0 exactly: one nonzero block, at degree 1
     e0 = np.zeros((1, p.N))
     e0[0, 0] = 1.0
-    for gamma, block in _taylor_blocks(t, lift, table, p).items():
+    for gamma, block in _taylor_blocks(v, lift, table).items():
         expected = e0 if gamma == (1,) else 0.0
         assert np.max(np.abs(block - expected)) <= 1e-14, gamma
 
@@ -316,7 +317,7 @@ def test_model_sampled(charfn_examples):
     for ex in charfn_examples:
         table = ex.table()
         lift = cl.build_lift(ex.ops, table, ex.p)
-        rep = cl.verify_model(ex.ops, lift, table, ex.p)
+        rep = cl.verify_model(cl.build_dilation(ex.ops, table, ex.p), lift, table)
         assert rep.compression_residual <= 1e-7, (ex.name, rep)
         assert rep.factor_residual <= 1e-7, (ex.name, rep)
 
@@ -331,15 +332,16 @@ def test_full_stack_on_random_contraction():
     p = P(60)
     assert cl.is_contraction(t, table, p).status == "yes"
     assert cl.is_pure(t, table, p).status == "pure"
-    assert cl.admits_charfn(t, table, p).status == "admits"
+    v = cl.build_dilation(t, table, p)
+    assert cl.admits_charfn(v, table, p).status == "admits"
     lift = cl.build_lift(t, table, p)
     assert lift.ttstar_residual <= 1e-10 and lift.intertwine_residual <= 1e-10
     worst = max(cl.verify_defect_identity(t, lift, table, z, w, p)
                 for z, w in zip(cl.ball_points(1, 10, 41), cl.ball_points(1, 10, 42)))
     assert worst <= 1e-8
-    mult = cl.verify_multiplier(t, lift, table, cl.ball_points(1, 5, 43), p)
+    mult = cl.verify_multiplier(v, lift, table, cl.ball_points(1, 5, 43), p)
     assert mult.gram_min_eig >= -1e-9 and mult.vv_identity_residual <= 1e-8
-    model = cl.verify_model(t, lift, table, p)
+    model = cl.verify_model(v, lift, table)
     assert model.compression_residual <= 1e-7 and model.factor_residual <= 1e-7
     for z in cl.ball_points(1, 50, 44):
         assert cl.charfn_eval(t, lift, table, z, p).norm <= 1.0 + 1e-8
@@ -360,7 +362,8 @@ def test_identities_on_random_commuting_pair():
     worst = max(cl.verify_defect_identity(t, lift, table, z, w, p)
                 for z, w in zip(cl.ball_points(2, 10, 51), cl.ball_points(2, 10, 52)))
     assert worst <= 1e-8
-    mult = cl.verify_multiplier(t, lift, table, cl.ball_points(2, 4, 53), p)
+    mult = cl.verify_multiplier(cl.build_dilation(t, table, p), lift, table,
+                                cl.ball_points(2, 4, 53), p)
     assert mult.gram_min_eig >= -1e-9 and mult.vv_identity_residual <= 1e-8
 
 
@@ -417,7 +420,7 @@ def test_theta_and_blocks_match_references(seed, d, h, rule, param):
     theta = cl.charfn_eval(t, lift, table, z, p).theta
     assert np.max(np.abs(theta - dense_theta(t, lift, table, z, p)), initial=0.0) <= 1e-13
 
-    blocks = _taylor_blocks(t, lift, table, p)
+    blocks = _taylor_blocks(cl.build_dilation(t, table, p), lift, table)
     fitted, _ = fitted_taylor_blocks(t, lift, table, p, n)
     assert blocks.keys() == fitted.keys()
     for gamma, block in blocks.items():

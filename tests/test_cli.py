@@ -1,11 +1,13 @@
 """Config ingestion, suite orchestration, reports, and the command line."""
 
+import collections
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from cnplab import cli
+from cnplab import cli, model, tuples
 
 
 def scalar_tuple_block(value):
@@ -280,6 +282,29 @@ def test_bergman_m_must_be_an_integer(tmp_path, capsys, m):
     assert "config error: kernel.params.m must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, name", [({"m": 2.5}, "counterexample.m"),
+                                         ({"N_list": [0, "1"]}, "counterexample.N_list[1]"),
+                                         ({"N_list": [0, 1, 2.7]}, "counterexample.N_list[2]"),
+                                         ({"N_list": 3}, "counterexample.N_list"),
+                                         ({"d": True}, "counterexample.d")])
+def test_counterexample_block_is_parsed_strictly(tmp_path, capsys, block, name):
+    cfg = base_config(suites=["coeffs", "counterexample"], tuple=None, counterexample=block)
+    assert run_cli_config(tmp_path, cfg) == (2, False)
+    assert f"config error: {name} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rule, name", [("bergman", "m"), ("dirichlet_t", "t"),
+                                        ("custom", "coeffs")])
+def test_missing_kernel_parameter_is_named(tmp_path, capsys, rule, name):
+    message = f"the {rule} rule needs the parameter '{name}'"
+    assert cli.main(["kernel-info", "--rule", rule, "--N", "3"]) == 2
+    assert capsys.readouterr().err == f"invalid kernel: {message}\n"
+    cfg = base_config(kernel={"d": 1, "rule": rule, "params": {}, "N_max": 40},
+                      suites=["coeffs"], tuple=None)
+    assert run_cli_config(tmp_path, cfg) == (2, False)
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_bergman_m_accepts_integral_float():
     spec, _ = cli.kernel_from_dict({"rule": "bergman", "params": {"m": 2.0}})
     assert spec.param == 2 and isinstance(spec.param, int)
@@ -335,19 +360,57 @@ def test_counterexample_rejects_m1(capsys):
     assert "drury-arveson" in err
 
 
-def test_full_run_two_variables():
+@pytest.mark.parametrize("argv", [["--N", "-1"], ["--N", "x"], ["--d", "0"]])
+def test_counterexample_bad_input_exits_2(capsys, argv):
+    assert cli.main(["counterexample", "--m", "2", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid counterexample input: ")
+    assert captured.err.count("\n") == 1  # one line, no traceback
+
+
+def nilpotent_pair_config(suites):
     e12_blocks = lambda s: [[[0.0, 0.0], [s, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
-    cfg = {
+    return {
         "label": "nilpotent pair under drury-arveson",
         "kernel": {"d": 2, "rule": "drury_arveson", "params": {}, "N_max": 90},
         "tuple": {"inline": {"h": 2, "d": 2,
                              "mats": [e12_blocks(0.4), e12_blocks(0.3)]}},
         "truncation": {"N": 8, "tol": 1e-9, "tail_window": 3},
-        "suites": ["coeffs", "contraction", "purity", "dilation",
-                   "existence", "charfn", "identities"],
+        "suites": suites,
         "seed": 99,
     }
-    report = run_config(cfg)
+
+
+def test_existence_run_builds_the_dilation_once(monkeypatch):
+    calls = collections.Counter()
+    originals = {"build_dilation": model.build_dilation,
+                 "shift_matrices": tuples.shift_matrices, "defect": tuples.defect}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] != "cnplab":
+            continue
+        for name, fn in originals.items():
+            if vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, counted(name, fn))
+    report = run_config(nilpotent_pair_config(
+        ["coeffs", "contraction", "purity", "dilation", "existence"]))
+    assert report["overall"] == "pass"
+    # the tuple's defect is shared by contraction and purity, built once more
+    # inside the dilation, and the associated tuple has its own
+    assert calls["build_dilation"] == 1 and calls["shift_matrices"] == 1
+    assert calls["defect"] <= 3
+
+
+def test_full_run_two_variables():
+    report = run_config(nilpotent_pair_config(["coeffs", "contraction", "purity", "dilation",
+                                               "existence", "charfn", "identities"]))
     assert report["overall"] == "pass", [
         (s["name"], s["outcome"], s["residuals"], s["error"]) for s in report["suites"]
     ]

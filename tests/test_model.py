@@ -51,8 +51,7 @@ def test_intertwining_zero_tuple():
     zero = cl.OperatorTuple.zero(2, 2)
     p = P(8)
     v = cl.build_dilation(zero, table, p)
-    shifts = cl.shift_matrices(table, 8)
-    res = cl.check_intertwining(v, zero, shifts, [(1, 0), (0, 1), (1, 1)])
+    res = cl.check_intertwining(v, [(1, 0), (0, 1), (1, 1)])
     assert res == 0.0
 
 
@@ -62,19 +61,18 @@ def test_intertwining_scalar_and_truncation_trend():
     residuals = {}
     for n in (40, 60):
         v = cl.build_dilation(t, table, P(n))
-        shifts = cl.shift_matrices(table, n)
-        residuals[n] = cl.check_intertwining(v, t, shifts, [(3,)])
+        residuals[n] = cl.check_intertwining(v, [(3,)])
     assert residuals[60] <= 1e-9
     assert residuals[60] <= residuals[40] + 1e-13
 
 
-def test_intertwining_rejects_mismatched_basis():
-    table = cl.build_table(cl.szego(), 22)
-    t = cl.OperatorTuple.from_scalars(0.5)
-    v = cl.build_dilation(t, table, P(20))
-    shifts = cl.shift_matrices(table, 10)
-    with pytest.raises(ValueError):
-        cl.check_intertwining(v, t, shifts, [(1,)])
+def test_dilation_carries_its_tuple_and_shifts():
+    table = cl.build_table(cl.drury_arveson(2), 10)
+    t = cl.OperatorTuple.zero(2, 2)
+    v = cl.build_dilation(t, table, P(8))
+    assert v.ops is t
+    assert (v.N, v.indices) == (v.shifts.N, v.shifts.indices) == (8, cl.graded_indices(2, 8))
+    assert v.codomain_dims == (v.shifts.dim, 2) and v.big_dim == v.matrix.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +114,8 @@ def test_factorability_bergman_projection_fails_cond2():
     p = P(12)
     t0 = cl.shift_matrices(table, 0).ops  # compression to the constants
     v = cl.build_dilation(t0, table, p)
-    shifts = cl.shift_matrices(table, p.N)
     x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
-    report = cl.check_factorability(x, tensored_shifts(shifts, v.codomain_dims[1]), table,
+    report = cl.check_factorability(x, tensored_shifts(v.shifts, v.codomain_dims[1]), table,
                                     P(p.N + 3))
     assert report.verdict == "not_factorable"
     assert report.failed_condition == 2
@@ -152,9 +149,8 @@ def test_associated_tuple_full_range_is_empty():
     # the truncated shifts dilate to themselves: the embedding is the identity
     table = cl.build_table(cl.dirichlet_t(1.0), 14)
     p = P(10)
-    shifts = cl.shift_matrices(table, p.N)
-    v = cl.build_dilation(shifts.ops, table, p)
-    assoc = cl.associated_tuple(v, shifts)
+    v = cl.build_dilation(cl.shift_matrices(table, p.N).ops, table, p)
+    assoc = cl.associated_tuple(v)
     assert assoc.dim == 0 and assoc.ops is None
 
 
@@ -163,8 +159,7 @@ def test_associated_tuple_scalar_szego():
     p = P(80)
     t = cl.OperatorTuple.from_scalars(0.5)
     v = cl.build_dilation(t, table, p)
-    shifts = cl.shift_matrices(table, p.N)
-    assoc = cl.associated_tuple(v, shifts)
+    assoc = cl.associated_tuple(v)
     assert assoc.dim == 80
     assert assoc.invariance_residual <= 1e-10
     assert np.linalg.norm(assoc.ops.mats[0], 2) <= 1.0 + 1e-10
@@ -177,8 +172,7 @@ def test_associated_tuple_bergman_kernel_structure():
     p = P(12)
     t0 = cl.shift_matrices(table, 0).ops
     v = cl.build_dilation(t0, table, p)
-    shifts = cl.shift_matrices(table, p.N)
-    assoc = cl.associated_tuple(v, shifts)
+    assoc = cl.associated_tuple(v)
     assert assoc.dim == p.N
     # basis columns have no component on the constants
     assert np.max(np.abs(assoc.basis[0, :])) <= 1e-12
@@ -188,15 +182,19 @@ def test_associated_tuple_bergman_kernel_structure():
 # existence test
 # ---------------------------------------------------------------------------
 
+def admits(t, table, p):
+    return cl.admits_charfn(cl.build_dilation(t, table, p), table, p)
+
+
 def test_admits_zero_tuple_drury_arveson():
     table = cl.build_table(cl.drury_arveson(2), 14)
-    report = cl.admits_charfn(cl.OperatorTuple.zero(1, 2), table, P(8))
+    report = admits(cl.OperatorTuple.zero(1, 2), table, P(8))
     assert report.status == "admits"
 
 
 def test_does_not_admit_zero_tuple_bergman():
     table = cl.build_table(cl.bergman(2), 24)
-    report = cl.admits_charfn(cl.OperatorTuple.zero(1, 1), table, P(16))
+    report = admits(cl.OperatorTuple.zero(1, 1), table, P(16))
     assert report.status == "does_not_admit"
     assert abs(report.value + 1.0 / 3.0) <= 1e-12
     # witness concentrates on the degree-2 basis vector
@@ -206,27 +204,30 @@ def test_does_not_admit_zero_tuple_bergman():
 def test_witness_value_t0_bergman():
     table = cl.build_table(cl.bergman(2), 20)
     t0 = cl.shift_matrices(table, 0).ops
-    report = cl.admits_charfn(t0, table, P(12))
+    report = admits(t0, table, P(12))
     assert report.status == "does_not_admit"
     assert abs(report.value + 1.0 / 3.0) <= 1e-12
 
 
 def test_admits_requires_purity():
+    # the unitary part of diag(1, 0.5) never leaves, so the tuple is not pure,
+    # yet its defect is nonzero and it has a dilation map to test
     table = cl.build_table(cl.szego(), 22)
+    t = cl.OperatorTuple((np.diag([1.0, 0.5]),))
+    assert cl.is_pure(t, table, P(20)).status == "not_pure"
     with pytest.raises(cl.PrerequisiteError):
-        cl.admits_charfn(cl.OperatorTuple.from_scalars(1.0), table, P(20))
+        admits(t, table, P(20))
 
 
 def test_existence_factorability_consistency(existence_examples):
     for ex in existence_examples:
         table = ex.table()
-        report = cl.admits_charfn(ex.ops, table, ex.p)
         v = cl.build_dilation(ex.ops, table, ex.p)
-        shifts = cl.shift_matrices(table, ex.p.N)
+        report = cl.admits_charfn(v, table, ex.p)
         r = v.codomain_dims[1]
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
         p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
-        fact = cl.check_factorability(x, tensored_shifts(shifts, r), table, p_series)
+        fact = cl.check_factorability(x, tensored_shifts(v.shifts, r), table, p_series)
         assert report.status in ("admits", "does_not_admit"), ex.name
         assert fact.verdict in ("factorable", "not_factorable"), ex.name
         assert (report.status == "admits") == (fact.verdict == "factorable"), ex.name
@@ -238,12 +239,11 @@ def test_factorability_on_index_shifts_matches_dense(existence_examples):
     for ex in existence_examples:
         table = ex.table()
         v = cl.build_dilation(ex.ops, table, ex.p)
-        shifts = cl.shift_matrices(table, ex.p.N)
         r = v.codomain_dims[1]
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
         p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
-        dense = cl.check_factorability(x, tensored_shifts(shifts, r), table, p_series)
-        gather = cl.check_factorability(x, shifts.index.tensor(r), table, p_series)
+        dense = cl.check_factorability(x, tensored_shifts(v.shifts, r), table, p_series)
+        gather = cl.check_factorability(x, v.shifts.index.tensor(r), table, p_series)
         assert (gather.verdict, gather.failed_condition) == \
             (dense.verdict, dense.failed_condition), ex.name
         for got, want in ((gather.cond1_min_eigs, dense.cond1_min_eigs),
@@ -259,8 +259,7 @@ def test_associated_tuple_purity_follows_contractivity(pure_examples):
     for ex in pure_examples[:5]:
         table = ex.table()
         v = cl.build_dilation(ex.ops, table, ex.p)
-        shifts = cl.shift_matrices(table, ex.p.N)
-        assoc = cl.associated_tuple(v, shifts)
+        assoc = cl.associated_tuple(v)
         if assoc.dim == 0:
             continue
         p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
