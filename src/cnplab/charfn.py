@@ -17,11 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import RANK_REL_TOL, hermitize, opnorm, orthonormal_range, psd_sqrt
-from .coeffs import (CoeffTable, as_point, graded_index_map, graded_indices, kernel_eval,
-                     multi_coeff, scalar_series)
+from .coeffs import (CoeffTable, as_point, graded_index_map, kernel_eval, multi_coeff,
+                     scalar_series)
 from .errors import DomainError, NonConvergedError, NotCnpError
 from .model import DilationMap
-from .tuples import OperatorTuple, TruncationParams, TuplePowers, defect
+from .tuples import OperatorTuple, TruncationParams
 
 
 # ---------------------------------------------------------------------------
@@ -87,28 +87,27 @@ def kernel_calculus(t: OperatorTuple, table: CoeffTable, w, p: TruncationParams)
 class TupleLift:
     """Row contraction with blocks sqrt(b_alpha) T^alpha over positive indices.
 
-    t_tilde maps the direct sum of one copy of C^h per positive multi-index
-    back to C^h.  d_tilde is the positive square root of I - t_tilde^*
-    t_tilde on the direct sum, d_tilde_basis an orthonormal basis of its
-    numerical range.  t_tilde_e and d_tilde_e are t_tilde and d_tilde
-    applied to that basis, the only form in which theta uses them.
-    Requires every b_alpha >= 0, i.e. a CNP-consistent kernel, for the
-    square roots to exist.
+    Built on the dilation it factors: the tuple, its defect Delta, the
+    graded basis (whose positive part indexes the blocks), the coefficient
+    table and the truncation all come from `dilation`.  t_tilde maps the
+    direct sum of one copy of C^h per positive multi-index back to C^h.
+    d_tilde is the positive square root of I - t_tilde^* t_tilde on the
+    direct sum, d_tilde_basis an orthonormal basis of its numerical range.
+    t_tilde_e and d_tilde_e are t_tilde and d_tilde applied to that basis,
+    the only form in which theta uses them.  Requires every b_alpha >= 0,
+    i.e. a CNP-consistent kernel, for the square roots to exist.
     """
 
+    dilation: DilationMap
     t_tilde: np.ndarray
     d_tilde: np.ndarray
     d_tilde_basis: np.ndarray
     t_tilde_e: np.ndarray
     d_tilde_e: np.ndarray
-    pos_indices: tuple
-    delta: np.ndarray
-    ran_delta_basis: np.ndarray
     sqrt_b: np.ndarray
     ttstar_residual: float
     intertwine_residual: float
     contractive: bool
-    N: int
 
     @property
     def h(self) -> int:
@@ -119,48 +118,44 @@ class TupleLift:
         return self.d_tilde_basis.shape[1]
 
 
-def build_lift(t: OperatorTuple, table: CoeffTable, p: TruncationParams) -> TupleLift:
-    """Assemble the lifted row operator and its defect data.
+def build_lift(v: DilationMap) -> TupleLift:
+    """Assemble the lifted row operator of the tuple that v embeds.
 
-    Checks the two structural identities along the way: the row times its
-    adjoint reproduces I minus the squared defect of the tuple, and the row
+    Reuses the defect and the powers T^alpha that v was built from.  Checks
+    the two structural identities along the way: the row times its adjoint
+    reproduces I minus the squared defect of the tuple, and the row
     intertwines the two defect square roots.
     """
-    table.require_b(p.N)
-    b = table.require_b()
+    table, p = v.table, v.params
+    b = table.require_b(p.N)
     bad = [(k, float(b[k])) for k in range(1, p.N + 1) if b[k] < -p.tol]
     if bad:
         k, val = bad[0]
         raise NotCnpError(
             f"b_{k} = {val:.6g} < 0: square roots of the inverted coefficients do not exist"
         )
-    pos = tuple(alpha for alpha in graded_indices(t.d, p.N) if sum(alpha) >= 1)
-    powers = TuplePowers(t, p.N)
-    h = t.h
+    pos = v.indices[1:]
     sqrt_b = np.array([np.sqrt(max(multi_coeff(table, alpha, "b"), 0.0)) for alpha in pos])
-    t_tilde = np.hstack([sqrt_b[j] * powers.power(alpha) for j, alpha in enumerate(pos)])
+    t_tilde = np.hstack([sqrt_b[j] * v.powers.power(alpha) for j, alpha in enumerate(pos)])
 
-    dd = defect(t, table, p)
-    ttstar_res = opnorm(t_tilde @ t_tilde.conj().T - (np.eye(h, dtype=complex) - dd.delta_sq))
+    dd = v.defect_data
+    ttstar_res = opnorm(t_tilde @ t_tilde.conj().T - (np.eye(v.ops.h, dtype=complex) - dd.delta_sq))
 
     d_sq = hermitize(np.eye(t_tilde.shape[1], dtype=complex) - t_tilde.conj().T @ t_tilde)
     d_tilde, min_eig, vals, vecs = psd_sqrt(d_sq)
     basis, _ = orthonormal_range(vals, vecs, RANK_REL_TOL)
     intertwine_res = opnorm(t_tilde @ d_tilde - dd.delta @ t_tilde)
     return TupleLift(
+        dilation=v,
         t_tilde=t_tilde,
         d_tilde=d_tilde,
         d_tilde_basis=basis,
         t_tilde_e=t_tilde @ basis,
         d_tilde_e=d_tilde @ basis,
-        pos_indices=pos,
-        delta=dd.delta,
-        ran_delta_basis=dd.ran_delta_basis,
         sqrt_b=sqrt_b,
         ttstar_residual=ttstar_res,
         intertwine_residual=intertwine_res,
         contractive=min_eig >= -p.tol,
-        N=p.N,
     )
 
 
@@ -188,11 +183,10 @@ class CharFnEval:
 
 def _row_apply(lift: TupleLift, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Z x = sum_alpha weights_alpha x_alpha over the h-row blocks x_alpha of x."""
-    return np.tensordot(weights, x.reshape(len(lift.pos_indices), lift.h, x.shape[1]), axes=1)
+    return np.tensordot(weights, x.reshape(len(weights), lift.h, x.shape[1]), axes=1)
 
 
-def charfn_eval(t: OperatorTuple, lift: TupleLift, table: CoeffTable, z,
-                p: TruncationParams) -> CharFnEval:
+def charfn_eval(lift: TupleLift, z) -> CharFnEval:
     """theta(z) = (-t_tilde + Delta s_z(T)^* Z(z) D) restricted to the defect range.
 
     Z(z) is the row of scalar blocks sqrt(b_alpha) z^alpha I, applied as a
@@ -200,25 +194,27 @@ def charfn_eval(t: OperatorTuple, lift: TupleLift, table: CoeffTable, z,
     taken as the adjoint kernel series at the tuple rather than by a matrix
     solve; the residual of that identity is reported and must stay below tol.
     """
+    v = lift.dilation
+    t, p = v.ops, v.params
     z = as_point(z, t.d)
     if np.linalg.norm(z) >= 1.0:
         raise DomainError("z must lie strictly inside the unit ball")
     eye = np.eye(t.h, dtype=complex)
-    weights = lift.sqrt_b * _monomials(z, lift.pos_indices)
+    weights = lift.sqrt_b * _monomials(z, v.indices[1:])
     z_norm_sq = float(np.sum(np.abs(weights) ** 2))
     if z_norm_sq >= 1.0:
         raise DomainError(f"row symbol Z(z) must be a strict contraction, got |Z|^2 = {z_norm_sq}")
 
-    calc = kernel_calculus(t, table, z, p)
+    calc = kernel_calculus(t, v.table, z, p)
     s_star = calc.matrix.conj().T
     inv_residual = opnorm((eye - _row_apply(lift, weights, lift.t_tilde.conj().T)) @ s_star - eye)
     if inv_residual > p.tol:
         raise NonConvergedError(
             f"reciprocal-series inverse residual {inv_residual:.3e} exceeds tol {p.tol:.1e}"
         )
-    c_star = lift.ran_delta_basis.conj().T
-    theta = c_star @ (lift.delta @ s_star @ _row_apply(lift, weights, lift.d_tilde_e)
-                      - lift.t_tilde_e)
+    dd = v.defect_data
+    row = dd.delta @ s_star @ _row_apply(lift, weights, lift.d_tilde_e)
+    theta = dd.ran_delta_basis.conj().T @ (row - lift.t_tilde_e)
     return CharFnEval(
         z=z,
         theta=theta,
@@ -246,21 +242,21 @@ def reciprocal_kernel(table: CoeffTable, z, w, n: int) -> complex:
     return scalar_series(np.concatenate(([1.0], -b[1:n + 1])), complex(np.vdot(w, z)), n).value
 
 
-def verify_defect_identity(t: OperatorTuple, lift: TupleLift, table: CoeffTable,
-                           z, w, p: TruncationParams) -> float:
+def verify_defect_identity(lift: TupleLift, z, w) -> float:
     """Residual of I - theta(z) theta(w)^* = Delta s_z(T)^* s_w(T) Delta / s(z, w).
 
     Both sides are compressed to the defect range and evaluated at the same
     truncation degree; 1/s(z, w) goes through the reciprocal series so no
     scalar division fights the operator truncation.
     """
-    ez = charfn_eval(t, lift, table, z, p)
-    ew = charfn_eval(t, lift, table, w, p)
-    r = lift.ran_delta_basis.shape[1]
-    lhs = np.eye(r, dtype=complex) - ez.theta @ ew.theta.conj().T
-    recip = reciprocal_kernel(table, z, w, p.N)
-    mid = lift.delta @ ez.s_z.conj().T @ ew.s_z @ lift.delta
-    rhs = recip * (lift.ran_delta_basis.conj().T @ mid @ lift.ran_delta_basis)
+    v = lift.dilation
+    dd = v.defect_data
+    ez = charfn_eval(lift, z)
+    ew = charfn_eval(lift, w)
+    lhs = np.eye(dd.rank, dtype=complex) - ez.theta @ ew.theta.conj().T
+    recip = reciprocal_kernel(v.table, z, w, v.N)
+    mid = dd.delta @ ez.s_z.conj().T @ ew.s_z @ dd.delta
+    rhs = recip * (dd.ran_delta_basis.conj().T @ mid @ dd.ran_delta_basis)
     return opnorm(lhs - rhs)
 
 
@@ -278,44 +274,37 @@ class MultiplierReport:
     vv_identity_residual: float
 
 
-def verify_multiplier(v: DilationMap, lift: TupleLift, table: CoeffTable,
-                      points: Sequence, p: TruncationParams) -> MultiplierReport:
+def verify_multiplier(lift: TupleLift, points: Sequence) -> MultiplierReport:
     """Gram positivity of theta and the inner products of V^*-embedded kernel functions."""
     if len(points) < 2:
         raise ValueError("need at least 2 sample points")
+    v = lift.dilation
+    table = v.table
     pts = [as_point(z, v.ops.d) for z in points]
-    evals = [charfn_eval(v.ops, lift, table, z, p) for z in pts]
-    r = lift.ran_delta_basis.shape[1]
+    evals = [charfn_eval(lift, z) for z in pts]
+    r = v.codomain_dims[1]
+
+    # V^* applied to each kernel function, expanded in the truncated
+    # orthonormal basis
+    sqrt_a = np.sqrt([multi_coeff(table, alpha, "a") for alpha in v.indices])
+    vstar = v.matrix.conj().T
+    embedded = [vstar @ np.kron((sqrt_a * np.conj(_monomials(z, v.indices))).reshape(-1, 1),
+                                np.eye(r, dtype=complex))
+                for z in pts]
 
     n_pts = len(pts)
     gram = np.zeros((n_pts * r, n_pts * r), dtype=complex)
-    svals = {}
+    worst = 0.0
     # scalar kernel values use the full cached table: the scalar series is
     # cheap, and a short truncation would only measure its own tail
-    for i in range(n_pts):
-        for j in range(n_pts):
-            s = kernel_eval(table, pts[i], pts[j], table.n_max).value
-            svals[i, j] = s
-            block = s * (np.eye(r, dtype=complex) - evals[i].theta @ evals[j].theta.conj().T)
-            gram[i * r:(i + 1) * r, j * r:(j + 1) * r] = block
-    gram_min = float(np.linalg.eigvalsh(hermitize(gram))[0])
-
-    # kernel functions expanded in the truncated orthonormal basis
-    sqrt_a = np.sqrt([multi_coeff(table, alpha, "a") for alpha in v.indices])
-    mono_w = {}
-    for i, z in enumerate(pts):
-        col = sqrt_a * np.conj(_monomials(z, v.indices))
-        mono_w[i] = np.kron(col.reshape(-1, 1), np.eye(v.codomain_dims[1], dtype=complex))
-    vstar = v.matrix.conj().T
-    worst = 0.0
     for i in range(n_pts):       # plays the role of z
         for j in range(n_pts):   # plays the role of w
-            f_w = vstar @ mono_w[j]
-            f_z = vstar @ mono_w[i]
-            lhs = f_z.conj().T @ f_w
-            rhs = svals[i, j] * (np.eye(r, dtype=complex)
-                                 - evals[i].theta @ evals[j].theta.conj().T)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0)
+            s = kernel_eval(table, pts[i], pts[j], table.n_max).value
+            block = s * (np.eye(r, dtype=complex) - evals[i].theta @ evals[j].theta.conj().T)
+            gram[i * r:(i + 1) * r, j * r:(j + 1) * r] = block
+            lhs = embedded[i].conj().T @ embedded[j]
+            worst = max(worst, float(np.max(np.abs(lhs - block))) if lhs.size else 0.0)
+    gram_min = float(np.linalg.eigvalsh(hermitize(gram))[0])
     return MultiplierReport(gram_min_eig=gram_min, vv_identity_residual=worst)
 
 
@@ -329,7 +318,7 @@ class ModelReport:
 
     compression_residual: recovering each T_i by compressing the tensored
     shifts through the embedding.  factor_residual: I - V V^* against the
-    multiplication operator of theta times its adjoint, assembled from the
+    multiplication operator of theta times its adjoint, summed from the
     exact Taylor blocks of theta.
     """
 
@@ -337,12 +326,14 @@ class ModelReport:
     factor_residual: float
 
 
-def _taylor_blocks(v: DilationMap, lift: TupleLift, table: CoeffTable) -> dict:
+def _taylor_blocks(lift: TupleLift) -> np.ndarray:
     """Taylor blocks of theta through total degree N, in closed form.
 
-    With s_z(T)^* = sum_beta a_beta z^beta (T^beta)^* and Z(z) D~ E =
-    sum_alpha sqrt(b_alpha) z^alpha (D~E)_alpha, where (D~E)_alpha is the
-    block row of d_tilde_e at alpha, the coefficient of z^gamma is
+    Returns the (number of multi-indices, r, r_in) stack of the blocks in
+    graded order.  With s_z(T)^* = sum_beta a_beta z^beta (T^beta)^* and
+    Z(z) D~ E = sum_alpha sqrt(b_alpha) z^alpha (D~E)_alpha, where
+    (D~E)_alpha is the block row of d_tilde_e at alpha, the coefficient of
+    z^gamma is
 
         -C^* T~ E                                                 at gamma = 0,
         C^* Delta sum_{alpha <= gamma, |alpha| >= 1}
@@ -351,67 +342,74 @@ def _taylor_blocks(v: DilationMap, lift: TupleLift, table: CoeffTable) -> dict:
     with C the defect-range basis of the tuple and E that of the lift.  Each
     term has |alpha|, |gamma - alpha| <= N, so these are exactly the
     coefficients of the degree-N theta that charfn_eval evaluates.  Block
-    beta of the dilation v is sqrt(a_beta) C^* Delta (T^beta)^*, built from
-    the same defect as the lift, so it supplies the left factors.
+    beta of the dilation is sqrt(a_beta) C^* Delta (T^beta)^*, so it
+    supplies the left factors.
     """
-    gmap = graded_index_map(table.d, v.N)
+    v = lift.dilation
+    gmap = graded_index_map(v.ops.d, v.N)
     h, r = v.ops.h, v.codomain_dims[1]
     # a_beta C^* Delta (T^beta)^* by graded position of beta, and
     # sqrt(b_alpha) (D~E)_alpha by position among the positive indices, which
     # is the graded position minus one
-    sqrt_a = np.sqrt([multi_coeff(table, beta, "a") for beta in gmap])
+    sqrt_a = np.sqrt([multi_coeff(v.table, beta, "a") for beta in gmap])
     left = sqrt_a[:, None, None] * v.matrix.reshape(len(gmap), r, h)
-    right = lift.sqrt_b[:, None, None] * lift.d_tilde_e.reshape(
-        len(lift.pos_indices), h, lift.defect_rank)
-    blocks = {}
-    for gamma in gmap:
-        if not any(gamma):
-            blocks[gamma] = -(lift.ran_delta_basis.conj().T @ lift.t_tilde_e)
-            continue
+    right = lift.sqrt_b[:, None, None] * lift.d_tilde_e.reshape(len(gmap) - 1, h,
+                                                                lift.defect_rank)
+    blocks = np.empty((len(gmap), r, lift.defect_rank), dtype=complex)
+    blocks[0] = -(v.defect_data.ran_delta_basis.conj().T @ lift.t_tilde_e)
+    for k, gamma in enumerate(v.indices[1:], start=1):
         pairs = [(gmap[tuple(g - a for g, a in zip(gamma, alpha))], gmap[alpha] - 1)
                  for alpha in itertools.product(*(range(g + 1) for g in gamma)) if any(alpha)]
         beta_pos, alpha_pos = (list(x) for x in zip(*pairs))
-        blocks[gamma] = np.tensordot(left[beta_pos], right[alpha_pos], axes=([0, 2], [0, 1]))
+        blocks[k] = np.tensordot(left[beta_pos], right[alpha_pos], axes=([0, 2], [0, 1]))
     return blocks
 
 
-def verify_model(v: DilationMap, lift: TupleLift, table: CoeffTable) -> ModelReport:
+def _model_gap(lift: TupleLift) -> np.ndarray:
+    """(I - V V^*) - M_theta M_theta^* on the truncated model space.
+
+    M_theta M_theta^* is the sum over column blocks beta of C_beta C_beta^*,
+    where column beta of the multiplication operator is
+    sum_delta sqrt(a_beta / a_{beta+delta}) e(beta + delta) x Theta_delta
+    over the delta with |beta| + |delta| <= N.  In graded order those delta
+    are a prefix of the Taylor-block stack, and each C_beta is subtracted on
+    the rows it reaches, so M_theta itself is never formed.
+    """
+    v = lift.dilation
+    blocks = _taylor_blocks(lift)
+    r, r_in = blocks.shape[1:]
+    idx = np.array(v.indices)
+    degrees = idx.sum(axis=1)
+    # multi-indices of degree <= N as integers in base N + 1: the sum of two
+    # such keys is the key of the sum whenever that sum has degree <= N
+    keys = idx @ (v.N + 1) ** np.arange(idx.shape[1])
+    order = np.argsort(keys)
+    a_vals = np.array([multi_coeff(v.table, alpha, "a") for alpha in v.indices])
+    gap = np.eye(v.big_dim, dtype=complex) - v.matrix @ v.matrix.conj().T
+    for col in range(len(idx)):
+        m = np.searchsorted(degrees, v.N - degrees[col], side="right")
+        rows = order[np.searchsorted(keys, keys[col] + keys[:m], sorter=order)]
+        weights = np.sqrt(a_vals[col] / a_vals[rows])
+        c_col = (weights[:, None, None] * blocks[:m]).reshape(m * r, r_in)
+        spread = (rows[:, None] * r + np.arange(r)).ravel()
+        gap[np.ix_(spread, spread)] -= c_col @ c_col.conj().T
+    return gap
+
+
+def verify_model(lift: TupleLift) -> ModelReport:
     """Check that the embedding carries the functional model back to the tuple.
 
     Verifies max_i |V^* (M_i x I) V - T_i| and the factorization of
-    I - V V^* by the truncated multiplication operator of theta, assembled
+    I - V V^* by the truncated multiplication operator of theta, summed
     from the exact Taylor blocks of theta through degree N: the column of
     theta at a positive multi-index alpha starts at z-degree |alpha|, so
-    every degree up to N is needed.  The lift must be built at the same
-    degree N as v.
+    every degree up to N is needed.
     """
-    t = v.ops
-    r_delta = v.codomain_dims[1]
-    tensored = v.shifts.index.tensor(r_delta)
-    comp_res = max(opnorm(v.matrix.conj().T @ tensored.apply(i, v.matrix) - t.mats[i])
-                   for i in range(t.d))
-
-    blocks = _taylor_blocks(v, lift, table)
-
-    indices = v.indices
-    n_idx = len(indices)
-    r_in = lift.defect_rank
-    mtheta = np.zeros((n_idx * r_delta, n_idx * r_in), dtype=complex)
-    pos = {alpha: i for i, alpha in enumerate(indices)}
-    a_vals = [multi_coeff(table, alpha, "a") for alpha in indices]
-    for col, beta in enumerate(indices):
-        for delta_idx, block in blocks.items():
-            gamma = tuple(b + dxt for b, dxt in zip(beta, delta_idx))
-            row = pos.get(gamma)
-            if row is None:
-                continue
-            w = np.sqrt(a_vals[col] / a_vals[row])
-            mtheta[row * r_delta:(row + 1) * r_delta,
-                   col * r_in:(col + 1) * r_in] = w * block
-
-    big_eye = np.eye(n_idx * r_delta, dtype=complex)
-    factor_res = opnorm((big_eye - v.matrix @ v.matrix.conj().T) - mtheta @ mtheta.conj().T)
-    return ModelReport(compression_residual=comp_res, factor_residual=factor_res)
+    v = lift.dilation
+    tensored = v.shifts.index.tensor(v.codomain_dims[1])
+    comp_res = max(opnorm(v.matrix.conj().T @ tensored.apply(i, v.matrix) - v.ops.mats[i])
+                   for i in range(v.ops.d))
+    return ModelReport(compression_residual=comp_res, factor_residual=opnorm(_model_gap(lift)))
 
 
 def eval_to_dict(ev: CharFnEval) -> dict:

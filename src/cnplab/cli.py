@@ -130,7 +130,7 @@ def strict_int(value, name: str) -> int:
 def kernel_from_dict(spec: dict) -> tuple[KernelSpec, int]:
     rule = spec.get("rule")
     params = spec.get("params", {}) or {}
-    d = int(spec.get("d", 1))
+    d = strict_int(spec.get("d", 1), "kernel.d")
     label = spec.get("label", "")
     name = {"bergman": "m", "dirichlet_t": "t", "custom": "coeffs"}.get(rule)
     if name is not None and params.get(name) is None:
@@ -144,7 +144,7 @@ def kernel_from_dict(spec: dict) -> tuple[KernelSpec, int]:
     else:
         param = None
     ks = KernelSpec(d=d, rule=rule, param=param, label=label)
-    n_table = int(spec.get("N_max", 64))
+    n_table = strict_int(spec.get("N_max", 64), "kernel.N_max")
     return ks, n_table
 
 
@@ -167,8 +167,8 @@ def matrix_to_nested(m: np.ndarray) -> list:
 
 def mats_from_tuple_dict(data: dict) -> tuple:
     """The tuple's matrices, shape-checked; commutators are checked when the tuple is built."""
-    h = int(data["h"])
-    d = int(data["d"])
+    h = strict_int(data["h"], "tuple.h")
+    d = strict_int(data["d"], "tuple.d")
     mats = tuple(matrices_from_nested(m) for m in data["mats"])
     if len(mats) != d or any(m.shape != (h, h) for m in mats):
         raise ValueError(f"expected {d} matrices of shape ({h}, {h})")
@@ -191,9 +191,9 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     kernel, n_table = kernel_from_dict(raw["kernel"])
     trunc_raw = raw.get("truncation", {})
     trunc = TruncationParams(
-        N=int(trunc_raw.get("N", 32)),
+        N=strict_int(trunc_raw.get("N", 32), "truncation.N"),
         tol=float(trunc_raw.get("tol", 1e-9)),
-        tail_window=int(trunc_raw.get("tail_window", 3)),
+        tail_window=strict_int(trunc_raw.get("tail_window", 3), "truncation.tail_window"),
     )
     # the existence suite extends its series by tail_window and reads shift
     # norms one degree beyond that
@@ -235,7 +235,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         truncation=trunc,
         suites=suites,
         expect=dict(raw.get("expect", {})),
-        seed=int(raw.get("seed", 2024)),
+        seed=strict_int(raw.get("seed", 2024), "seed"),
         output=raw.get("output"),
         counterexample=ce,
         label=raw.get("label", ""),
@@ -291,7 +291,7 @@ class _SuiteContext:
 
     @cached_property
     def lift(self) -> TupleLift:
-        return build_lift(self.ops, self.table, self.cfg.truncation)
+        return build_lift(self.dilation)
 
 
 def _suite_coeffs(ctx: _SuiteContext, res: SuiteResult):
@@ -349,7 +349,7 @@ def _suite_dilation(ctx: _SuiteContext, res: SuiteResult):
 def _suite_existence(ctx: _SuiteContext, res: SuiteResult):
     p = ctx.cfg.truncation
     v = ctx.dilation
-    report = admits_charfn(v, ctx.table, p)
+    report = admits_charfn(v)
     res.verdict = report.status
     res.residuals["assoc_min_eig"] = fmt(report.value)
     res.residuals["invariance"] = fmt(report.invariance_residual)
@@ -373,8 +373,7 @@ def _suite_charfn(ctx: _SuiteContext, res: SuiteResult):
     res.verdict = "contractive" if lift.contractive else "non_contractive"
     res.gate("ttstar_identity", lift.ttstar_residual, GATES["lift"])
     res.gate("defect_intertwine", lift.intertwine_residual, GATES["lift"])
-    evals = [charfn_eval(ctx.ops, lift, ctx.table, z, cfg.truncation)
-             for z in ball_points(cfg.kernel.d, 100, cfg.seed + 1)]
+    evals = [charfn_eval(lift, z) for z in ball_points(cfg.kernel.d, 100, cfg.seed + 1)]
     worst_norm, worst_z, worst_inv = 0.0, 0.0, 0.0
     for ev in evals:
         worst_norm = max(worst_norm, ev.norm)
@@ -395,14 +394,12 @@ def _suite_identities(ctx: _SuiteContext, res: SuiteResult):
     worst_i1 = 0.0
     for k in range(20):
         z, w = pairs[2 * k], pairs[2 * k + 1]
-        worst_i1 = max(worst_i1, verify_defect_identity(
-            ctx.ops, lift, ctx.table, z, w, cfg.truncation))
+        worst_i1 = max(worst_i1, verify_defect_identity(lift, z, w))
     res.gate("identity_i1", worst_i1, GATES["identity_i1"])
-    mult = verify_multiplier(ctx.dilation, lift, ctx.table,
-                             ball_points(cfg.kernel.d, 5, cfg.seed + 3), cfg.truncation)
+    mult = verify_multiplier(lift, ball_points(cfg.kernel.d, 5, cfg.seed + 3))
     res.gate("gram_min_eig", mult.gram_min_eig, GATES["gram_min_eig"], lower=True)
     res.gate("vv_identity", mult.vv_identity_residual, GATES["vv_identity"])
-    model = verify_model(ctx.dilation, lift, ctx.table)
+    model = verify_model(lift)
     res.gate("model_compression", model.compression_residual, GATES["model"])
     res.gate("model_factorization", model.factor_residual, GATES["model"])
 

@@ -53,8 +53,11 @@ class DilationMap:
     The block at multi-index alpha is sqrt(a_alpha) * C^* Delta (T^alpha)^*
     where C holds the orthonormal defect-range basis; rows are stacked in
     graded_indices order with the defect-range coordinate fastest.  The map
-    carries the tuple it embeds and the shifts of its model space, so every
-    later check reads both from here and uses the same basis.
+    carries what it was built from: the tuple it embeds, its defect and
+    powers T^alpha through degree N, the coefficient table, the truncation,
+    and the shifts of its model space.  Every later stage, the
+    characteristic function included, reads these from here, so it cannot
+    disagree with the dilation on any of them.
     """
 
     matrix: np.ndarray
@@ -62,7 +65,9 @@ class DilationMap:
     shifts: TruncatedShifts
     isometry_defect: float
     defect_data: DefectData
-    degenerate: bool = False
+    powers: TuplePowers
+    table: CoeffTable
+    params: TruncationParams
 
     @property
     def N(self) -> int:
@@ -82,20 +87,17 @@ class DilationMap:
         return self.codomain_dims[0] * self.codomain_dims[1]
 
 
-def build_dilation(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
-                   allow_degenerate: bool = False) -> DilationMap:
+def build_dilation(t: OperatorTuple, table: CoeffTable, p: TruncationParams) -> DilationMap:
     """Matrix of h -> sum_alpha sqrt(a_alpha) e(alpha) x (defect-range coords of Delta (T^alpha)^* h).
 
     For a pure tuple this is an isometry up to the purity residual; the
     defect of V^*V from the identity is recorded.  A rank-zero defect admits
-    no dilation space and raises unless allow_degenerate is set, in which
-    case the zero map is returned with its honest isometry defect.  The
-    shifts of the model space are built here, at degree N.
+    no dilation space and raises.  The shifts of the model space are built
+    here, at degree N.
     """
     dd = defect(t, table, p)
     c = dd.ran_delta_basis
-    r = c.shape[1]
-    if r == 0 and t.h > 0 and not allow_degenerate:
+    if c.shape[1] == 0 and t.h > 0:
         raise DegenerateDilationError("defect operator has rank zero; no dilation space")
     shifts = shift_matrices(table, p.N)
     powers = TuplePowers(t, p.N)
@@ -113,7 +115,9 @@ def build_dilation(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
         shifts=shifts,
         isometry_defect=iso_defect,
         defect_data=dd,
-        degenerate=(r == 0 and t.h > 0),
+        powers=powers,
+        table=table,
+        params=p,
     )
 
 
@@ -122,29 +126,29 @@ def check_intertwining(v: DilationMap, alphas: Sequence[tuple]) -> float:
 
     Columns whose source degree exceeds N - |alpha| are excluded: their image
     leaves the truncated space, so they only measure the cut-off, not the
-    intertwining.
+    intertwining.  An alpha with |alpha| > N has no such column and is
+    skipped.
     """
     r = v.codomain_dims[1]
     vstar = v.matrix.conj().T
     tensored = v.shifts.index.tensor(r)
-    powers = TuplePowers(v.ops, max(sum(a) for a in alphas))
     worst = 0.0
     for alpha in alphas:
         alpha = tuple(int(x) for x in alpha)
+        if sum(alpha) > v.N:
+            continue
         big_m = np.eye(tensored.h, dtype=complex)  # becomes M^alpha x I_r
         for i, power in enumerate(alpha):
             for _ in range(power):
                 big_m = tensored.apply(i, big_m)
         lhs = vstar @ big_m
-        rhs = powers.power(alpha) @ vstar
+        rhs = v.powers.power(alpha) @ vstar
         keep = [
             j * r + k
             for j, beta in enumerate(v.indices)
             if sum(beta) <= v.N - sum(alpha)
             for k in range(r)
         ]
-        if not keep:
-            continue
         diff = (lhs - rhs)[:, keep]
         worst = max(worst, opnorm(diff))
     return worst
@@ -175,12 +179,12 @@ class FactorabilityReport:
 
 
 def check_factorability(x: np.ndarray, t: OperatorTuple | IndexShifts, table: CoeffTable,
-                        p: TruncationParams, c: Sequence[float] | None = None) -> FactorabilityReport:
+                        p: TruncationParams) -> FactorabilityReport:
     """Evaluate the factorability conditions for a Hermitian PSD matrix x.
 
     t is a dense tuple or index-map shifts, such as the tensored shifts of a
-    dilation space.  The constants c_i default to the squared truncated
-    shift norms of the kernel.  Sign failures of conditions (1) and (2) are
+    dilation space.  The constants c_i are the squared truncated shift norms
+    of the kernel.  Sign failures of conditions (1) and (2) are
     definitive at this truncation; condition (3) distinguishes a
     converged-but-wrong series (not factorable) from one that is still
     moving (inconclusive).
@@ -192,8 +196,7 @@ def check_factorability(x: np.ndarray, t: OperatorTuple | IndexShifts, table: Co
     min_x = float(np.linalg.eigvalsh(x)[0]) if x.size else 0.0
     if min_x < -p.tol:
         raise ValueError(f"x must be PSD up to tol, min eigenvalue {min_x:.3e}")
-    if c is None:
-        c = [shift_norm_sq(table, i, p.N).value for i in range(t.d)]
+    c = [shift_norm_sq(table, i, p.N).value for i in range(t.d)]
 
     cond1 = []
     for i in range(t.d):
@@ -301,18 +304,20 @@ class ExistenceReport:
     kernel_dim: int
 
 
-def admits_charfn(v: DilationMap, table: CoeffTable, p: TruncationParams) -> ExistenceReport:
+def admits_charfn(v: DilationMap) -> ExistenceReport:
     """Decide whether the pure tuple embedded by v admits a characteristic function.
 
-    Runs the contractivity test on the tuple associated with the dilation.
-    Non-pure inputs are rejected: outside the hypothesis there is nothing to
-    decide.  Purity is tested on the defect the dilation already holds.  The
-    associated tuple lives on a space truncated at degree N where the shifts
-    are nilpotent of order N + 1, so its contraction series is summed
-    through N + tail_window: past degree N the increments vanish identically
-    and the tail verdict reflects the finite matrix algebra, not the
-    cut-off.  The table must therefore extend through N + tail_window.
+    Runs the contractivity test on the tuple associated with the dilation,
+    against the dilation's kernel and truncation.  Non-pure inputs are
+    rejected: outside the hypothesis there is nothing to decide.  Purity is
+    tested on the defect the dilation already holds.  The associated tuple
+    lives on a space truncated at degree N where the shifts are nilpotent
+    of order N + 1, so its contraction series is summed through
+    N + tail_window: past degree N the increments vanish identically and
+    the tail verdict reflects the finite matrix algebra, not the cut-off.
+    The table must therefore extend through N + tail_window.
     """
+    table, p = v.table, v.params
     purity = is_pure(v.ops, table, p, defect_data=v.defect_data)
     if purity.status != "pure":
         raise PrerequisiteError(
@@ -369,8 +374,7 @@ class CounterexamplePoint:
     bound_value: float
 
 
-def bergman_counterexample(m: int, n: int, d: int = 1,
-                           p: TruncationParams | None = None) -> CounterexamplePoint:
+def bergman_counterexample(m: int, n: int, d: int = 1) -> CounterexamplePoint:
     """Quadratic form of the associated tuple of the degree-n compressed shifts.
 
     Builds the compression T of the Bergman-m shifts to degrees <= n, embeds
@@ -386,11 +390,8 @@ def bergman_counterexample(m: int, n: int, d: int = 1,
         )
     if n < 0:
         raise ValueError(f"compression degree must be >= 0, got {n}")
-    big_n = n + 3 if p is None else max(p.N, n + 3)
-    if p is None:
-        p = TruncationParams(N=big_n)
-    else:
-        p = TruncationParams(N=big_n, tol=p.tol, tail_window=p.tail_window)
+    big_n = n + 3
+    p = TruncationParams(N=big_n)
     table = build_table(bergman(m, d=d), big_n + 1)
 
     inner = shift_matrices(table, n)

@@ -10,7 +10,10 @@ two:
 - `dense_theta` forms the full row -T~ + Delta s_z(T)^* Z(z) D~ with Z(z)
   as an explicit block row and compresses it to the defect ranges;
 - `fitted_taylor_blocks` recovers the Taylor blocks of theta by least
-  squares on charfn_eval samples over a phase grid.
+  squares on charfn_eval samples over a phase grid;
+- `dense_model_gap` assembles the multiplication operator M_theta as one
+  dense matrix, block by block, and subtracts M_theta M_theta^* from
+  I - V V^*.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from cnplab._linalg import opnorm
-from cnplab.charfn import charfn_eval
+from cnplab.charfn import _taylor_blocks, charfn_eval
 from cnplab.coeffs import as_point, graded_indices, multi_coeff
 from cnplab.tuples import TuplePowers
 
@@ -60,18 +63,20 @@ def enumerated_calculus(t, table, w, p):
     return total, opnorm(layer), opnorm(binv @ total - np.eye(h, dtype=complex))
 
 
-def dense_theta(t, lift, table, z, p) -> np.ndarray:
+def dense_theta(lift, z) -> np.ndarray:
     """theta(z) from the full h x (positive indices * h) row, before compression."""
+    v = lift.dilation
+    t, dd = v.ops, v.defect_data
     z = as_point(z, t.d)
     h = t.h
-    weights = lift.sqrt_b * monomials(z, lift.pos_indices)
+    weights = lift.sqrt_b * monomials(z, v.indices[1:])
     zrow = np.hstack([wj * np.eye(h, dtype=complex) for wj in weights])
-    s_star = enumerated_calculus(t, table, z, p)[0].conj().T
-    full = -lift.t_tilde + lift.delta @ s_star @ zrow @ lift.d_tilde
-    return lift.ran_delta_basis.conj().T @ full @ lift.d_tilde_basis
+    s_star = enumerated_calculus(t, v.table, z, v.params)[0].conj().T
+    full = -lift.t_tilde + dd.delta @ s_star @ zrow @ lift.d_tilde
+    return dd.ran_delta_basis.conj().T @ full @ lift.d_tilde_basis
 
 
-def fitted_taylor_blocks(t, lift, table, p, n_taylor: int, radius: float = 0.9):
+def fitted_taylor_blocks(lift, n_taylor: int, radius: float = 0.9):
     """Taylor blocks of theta through degree n_taylor by a phase-grid fit.
 
     theta is sampled at modulus radius / sqrt(d) per coordinate and the
@@ -81,7 +86,7 @@ def fitted_taylor_blocks(t, lift, table, p, n_taylor: int, radius: float = 0.9):
     degree-2N polynomial theta is recovered exactly when n_taylor = N.
     Returns (blocks, max sample residual of the fit).
     """
-    d = t.d
+    d = lift.dilation.ops.d
     k = 2 * (n_taylor + 1)
     rho = radius / np.sqrt(d)
     axis = rho * np.exp(2j * np.pi * np.arange(k) / k)
@@ -90,10 +95,37 @@ def fitted_taylor_blocks(t, lift, table, p, n_taylor: int, radius: float = 0.9):
 
     monomial_set = graded_indices(d, n_taylor)
     a_mat = np.stack([monomials(z, monomial_set) for z in pts])
-    evals = [charfn_eval(t, lift, table, z, p) for z in pts]
+    evals = [charfn_eval(lift, z) for z in pts]
     r_out, r_in = evals[0].theta.shape
     rhs = np.stack([e.theta.reshape(-1) for e in evals], axis=0)
     coef, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
     fit_res = float(np.max(np.abs(a_mat @ coef - rhs))) if rhs.size else 0.0
     blocks = {alpha: coef[j].reshape(r_out, r_in) for j, alpha in enumerate(monomial_set)}
     return blocks, fit_res
+
+
+def dense_model_gap(lift) -> np.ndarray:
+    """(I - V V^*) - M_theta M_theta^* with M_theta formed densely.
+
+    Block (beta + delta, beta) of M_theta is sqrt(a_beta / a_{beta+delta})
+    Theta_delta, written one (beta, delta) pair at a time into an
+    (indices * r) x (indices * r_in) matrix.
+    """
+    v = lift.dilation
+    blocks = _taylor_blocks(lift)
+    indices = v.indices
+    n_idx = len(indices)
+    r_delta = v.codomain_dims[1]
+    r_in = lift.defect_rank
+    mtheta = np.zeros((n_idx * r_delta, n_idx * r_in), dtype=complex)
+    pos = {alpha: i for i, alpha in enumerate(indices)}
+    a_vals = [multi_coeff(v.table, alpha, "a") for alpha in indices]
+    for col, beta in enumerate(indices):
+        for delta_idx, block in zip(indices, blocks):
+            row = pos.get(tuple(b + dxt for b, dxt in zip(beta, delta_idx)))
+            if row is None:
+                continue
+            w = np.sqrt(a_vals[col] / a_vals[row])
+            mtheta[row * r_delta:(row + 1) * r_delta, col * r_in:(col + 1) * r_in] = w * block
+    big_eye = np.eye(n_idx * r_delta, dtype=complex)
+    return (big_eye - v.matrix @ v.matrix.conj().T) - mtheta @ mtheta.conj().T

@@ -119,7 +119,7 @@ def test_criterion_5_existence_equivalence(existence_examples):
     for ex in existence_examples:
         table = ex.table()
         v = cl.build_dilation(ex.ops, table, ex.p)
-        report = cl.admits_charfn(v, table, ex.p)
+        report = cl.admits_charfn(v)
         r = v.codomain_dims[1]
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
         tensored = cl.OperatorTuple(
@@ -147,17 +147,14 @@ def test_criterion_6_charfn_identities(charfn_examples):
     notes = []
     for ex in charfn_examples:
         table = ex.table()
-        lift = cl.build_lift(ex.ops, table, ex.p)
+        lift = cl.build_lift(cl.build_dilation(ex.ops, table, ex.p))
         d = ex.kernel.d
         zs = cl.ball_points(d, 20, seed=101)
         ws = cl.ball_points(d, 20, seed=102)
-        i1 = max(cl.verify_defect_identity(ex.ops, lift, table, z, w, ex.p)
-                 for z, w in zip(zs, ws))
-        v = cl.build_dilation(ex.ops, table, ex.p)
-        mult = cl.verify_multiplier(v, lift, table, cl.ball_points(d, 5, seed=103), ex.p)
-        model = cl.verify_model(v, lift, table)
-        norms = max(cl.charfn_eval(ex.ops, lift, table, z, ex.p).norm
-                    for z in cl.ball_points(d, 100, seed=104))
+        i1 = max(cl.verify_defect_identity(lift, z, w) for z, w in zip(zs, ws))
+        mult = cl.verify_multiplier(lift, cl.ball_points(d, 5, seed=103))
+        model = cl.verify_model(lift)
+        norms = max(cl.charfn_eval(lift, z).norm for z in cl.ball_points(d, 100, seed=104))
         good = (i1 <= 1e-8
                 and mult.gram_min_eig >= -1e-9
                 and mult.vv_identity_residual <= 1e-7
@@ -184,8 +181,8 @@ def test_criterion_7_classical_reduction():
         t_val = float(rng.uniform(-0.95, 0.95))
         z = complex(rng.uniform(-0.85, 0.85), rng.uniform(-0.4, 0.4))
         t = cl.OperatorTuple.from_scalars(t_val)
-        lift = cl.build_lift(t, table, p)
-        ev = cl.charfn_eval(t, lift, table, z, p)
+        lift = cl.build_lift(cl.build_dilation(t, table, p))
+        ev = cl.charfn_eval(lift, z)
         mobius = (z - t_val) / (1.0 - t_val * z)
         worst = max(worst, abs(ev.theta[0, 0] - mobius))
     elapsed = time.perf_counter() - start

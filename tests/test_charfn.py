@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cnplab as cl
-from charfn_reference import dense_theta, enumerated_calculus, fitted_taylor_blocks
+from charfn_reference import (dense_model_gap, dense_theta, enumerated_calculus,
+                              fitted_taylor_blocks)
 from random_inputs import diff_kernel, random_commuting_tuple, random_point
-from cnplab.charfn import _taylor_blocks, reciprocal_kernel
+from cnplab.charfn import _model_gap, _taylor_blocks, reciprocal_kernel
 
 
 def P(n, tol=1e-9, window=3):
@@ -19,12 +20,16 @@ def mobius(t, z):
     return (z - t) / (1.0 - t * z)
 
 
+def lift_of(t, table, p):
+    return cl.build_lift(cl.build_dilation(t, table, p))
+
+
 @pytest.fixture(scope="module")
 def szego_half():
     table = cl.build_table(cl.szego(), 90)
     p = P(80)
     t = cl.OperatorTuple.from_scalars(0.5)
-    return t, cl.build_lift(t, table, p), table, p
+    return t, lift_of(t, table, p), table, p
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +82,7 @@ def test_lift_scalar_szego(szego_half):
 def test_lift_zero_tuple():
     table = cl.build_table(cl.szego(), 22)
     p = P(20)
-    lift = cl.build_lift(cl.OperatorTuple.zero(1, 1), table, p)
+    lift = lift_of(cl.OperatorTuple.zero(1, 1), table, p)
     assert np.all(lift.t_tilde == 0.0)
     assert np.array_equal(lift.d_tilde, np.eye(20))
     assert lift.defect_rank == 20
@@ -87,7 +92,7 @@ def test_lift_nilpotent_pair_block():
     e12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     t = cl.OperatorTuple((0.4 * e12, 0.3 * e12))
     table = cl.build_table(cl.drury_arveson(2), 12)
-    lift = cl.build_lift(t, table, P(8))
+    lift = lift_of(t, table, P(8))
     tt = lift.t_tilde @ lift.t_tilde.conj().T
     expected = np.zeros((2, 2))
     expected[0, 0] = 0.25
@@ -97,23 +102,24 @@ def test_lift_nilpotent_pair_block():
 def test_lift_rejects_non_cnp():
     table = cl.build_table(cl.bergman(2), 12)
     with pytest.raises(cl.NotCnpError):
-        cl.build_lift(cl.OperatorTuple.zero(1, 1), table, P(8))
+        lift_of(cl.OperatorTuple.zero(1, 1), table, P(8))
 
 
 def test_lift_invariants_on_examples(charfn_examples):
     for ex in charfn_examples:
-        lift = cl.build_lift(ex.ops, ex.table(), ex.p)
+        lift = lift_of(ex.ops, ex.table(), ex.p)
         assert lift.ttstar_residual <= 1e-10, ex.name
         assert lift.intertwine_residual <= 1e-10, ex.name
 
 
 def test_lift_contraction_equivalence():
-    # the lifted row is a contraction exactly when the tuple is one
+    # the lifted row is a contraction exactly when the tuple is one; the
+    # second direction keeps the defect, and so the dilation, nonzero
     table = cl.build_table(cl.szego(), 22)
     p = P(20)
     for value, expected in ((0.5, "yes"), (1.0, "yes"), (2.0, "no")):
-        t = cl.OperatorTuple.from_scalars(value)
-        lift = cl.build_lift(t, table, p)
+        t = cl.OperatorTuple((np.diag([value, 0.3]),))
+        lift = lift_of(t, table, p)
         verdict = cl.is_contraction(t, table, p)
         assert verdict.status == expected
         row_norm = np.linalg.norm(lift.t_tilde, 2)
@@ -127,14 +133,15 @@ def test_lift_contraction_equivalence():
 
 def test_theta_at_zero_is_minus_lift(szego_half):
     t, lift, table, p = szego_half
-    ev = cl.charfn_eval(t, lift, table, 0.0, p)
-    expected = -(lift.ran_delta_basis.conj().T @ lift.t_tilde @ lift.d_tilde_basis)
+    ev = cl.charfn_eval(lift, 0.0)
+    basis = lift.dilation.defect_data.ran_delta_basis
+    expected = -(basis.conj().T @ lift.t_tilde @ lift.d_tilde_basis)
     assert np.max(np.abs(ev.theta - expected)) <= 1e-14
 
 
 def test_theta_matches_mobius(szego_half):
     t, lift, table, p = szego_half
-    ev = cl.charfn_eval(t, lift, table, 0.3, p)
+    ev = cl.charfn_eval(lift, 0.3)
     assert abs(ev.theta[0, 0] - mobius(0.5, 0.3)) <= 1e-10
     assert abs(ev.norm - abs(mobius(0.5, 0.3))) <= 1e-10
 
@@ -143,8 +150,8 @@ def test_theta_zero_tuple_is_coordinate():
     table = cl.build_table(cl.szego(), 90)
     p = P(20)
     t = cl.OperatorTuple.zero(1, 1)
-    lift = cl.build_lift(t, table, p)
-    ev = cl.charfn_eval(t, lift, table, 0.37, p)
+    lift = lift_of(t, table, p)
+    ev = cl.charfn_eval(lift, 0.37)
     assert abs(ev.theta[0, 0] - 0.37) <= 1e-14
     assert np.max(np.abs(ev.theta[0, 1:])) <= 1e-14
 
@@ -160,26 +167,26 @@ def test_scalar_mobius_sweep():
         if abs(z) >= 0.95:
             z *= 0.9 / abs(z)
         t = cl.OperatorTuple.from_scalars(t_val)
-        lift = cl.build_lift(t, table, p)
-        ev = cl.charfn_eval(t, lift, table, z, p)
+        lift = lift_of(t, table, p)
+        ev = cl.charfn_eval(lift, z)
         assert abs(ev.theta[0, 0] - mobius(t_val, z)) <= 1e-9, (t_val, z)
 
 
 def test_theta_norm_bound(charfn_examples):
     for ex in charfn_examples:
         table = ex.table()
-        lift = cl.build_lift(ex.ops, table, ex.p)
+        lift = lift_of(ex.ops, table, ex.p)
         for z in cl.ball_points(ex.kernel.d, 100, seed=5):
-            ev = cl.charfn_eval(ex.ops, lift, table, z, ex.p)
+            ev = cl.charfn_eval(lift, z)
             assert ev.norm <= 1.0 + 1e-8, (ex.name, z, ev.norm)
 
 
 def test_z_row_strict_contraction_identity(charfn_examples):
     for ex in charfn_examples:
         table = ex.table()
-        lift = cl.build_lift(ex.ops, table, ex.p)
+        lift = lift_of(ex.ops, table, ex.p)
         for z in cl.ball_points(ex.kernel.d, 20, seed=6):
-            ev = cl.charfn_eval(ex.ops, lift, table, z, ex.p)
+            ev = cl.charfn_eval(lift, z)
             s = cl.kernel_eval(table, z, z, table.n_max).value
             assert ev.z_norm_sq < 1.0
             assert abs(ev.z_norm_sq - (1.0 - 1.0 / s.real)) <= 1e-10, ex.name
@@ -188,8 +195,8 @@ def test_z_row_strict_contraction_identity(charfn_examples):
 def test_hermitian_symmetry(szego_half):
     t, lift, table, p = szego_half
     za, zb = 0.3 + 0.2j, -0.4 + 0.1j
-    ea = cl.charfn_eval(t, lift, table, za, p)
-    eb = cl.charfn_eval(t, lift, table, zb, p)
+    ea = cl.charfn_eval(lift, za)
+    eb = cl.charfn_eval(lift, zb)
     ab = ea.theta @ eb.theta.conj().T
     ba = eb.theta @ ea.theta.conj().T
     assert np.max(np.abs(ab - ba.conj().T)) <= 1e-12
@@ -198,14 +205,14 @@ def test_hermitian_symmetry(szego_half):
 def test_domain_checks(szego_half):
     t, lift, table, p = szego_half
     with pytest.raises(cl.DomainError):
-        cl.charfn_eval(t, lift, table, 1.0, p)
+        cl.charfn_eval(lift, 1.0)
 
 
 def test_eval_export(szego_half):
     import json
 
     t, lift, table, p = szego_half
-    ev = cl.charfn_eval(t, lift, table, 0.3 + 0.1j, p)
+    ev = cl.charfn_eval(lift, 0.3 + 0.1j)
     payload = cl.eval_to_dict(ev)
     parsed = json.loads(json.dumps(payload))
     assert parsed["point"] == [[0.3, 0.1]]
@@ -223,22 +230,22 @@ def test_defect_identity_origin_zero_tuple():
     table = cl.build_table(cl.szego(), 90)
     p = P(20)
     t = cl.OperatorTuple.zero(1, 1)
-    lift = cl.build_lift(t, table, p)
-    assert cl.verify_defect_identity(t, lift, table, 0.0, 0.0, p) <= 1e-14
+    lift = lift_of(t, table, p)
+    assert cl.verify_defect_identity(lift, 0.0, 0.0) <= 1e-14
 
 
 def test_defect_identity_scalar(szego_half):
     t, lift, table, p = szego_half
-    assert cl.verify_defect_identity(t, lift, table, 0.3, -0.2, p) <= 1e-9
+    assert cl.verify_defect_identity(lift, 0.3, -0.2) <= 1e-9
 
 
 def test_defect_identity_sampled(charfn_examples):
     for ex in charfn_examples:
         table = ex.table()
-        lift = cl.build_lift(ex.ops, table, ex.p)
+        lift = lift_of(ex.ops, table, ex.p)
         zs = cl.ball_points(ex.kernel.d, 20, seed=21)
         ws = cl.ball_points(ex.kernel.d, 20, seed=22)
-        worst = max(cl.verify_defect_identity(ex.ops, lift, table, z, w, ex.p)
+        worst = max(cl.verify_defect_identity(lift, z, w)
                     for z, w in zip(zs, ws))
         assert worst <= 1e-8, (ex.name, worst)
 
@@ -256,8 +263,8 @@ def test_multiplier_gram_zero_tuple_pair():
     table = cl.build_table(cl.szego(), 90)
     p = P(20)
     t = cl.OperatorTuple.zero(1, 1)
-    lift = cl.build_lift(t, table, p)
-    rep = cl.verify_multiplier(cl.build_dilation(t, table, p), lift, table, [0.0, 0.5], p)
+    lift = lift_of(t, table, p)
+    rep = cl.verify_multiplier(lift, [0.0, 0.5])
     assert rep.gram_min_eig >= -1e-12
     assert abs(rep.gram_min_eig) <= 1e-10  # ones matrix has a zero eigenvalue
     assert rep.vv_identity_residual <= 1e-10
@@ -266,9 +273,8 @@ def test_multiplier_gram_zero_tuple_pair():
 def test_multiplier_sampled(charfn_examples):
     for ex in charfn_examples:
         table = ex.table()
-        lift = cl.build_lift(ex.ops, table, ex.p)
-        rep = cl.verify_multiplier(cl.build_dilation(ex.ops, table, ex.p), lift, table,
-                                   cl.ball_points(ex.kernel.d, 5, seed=31), ex.p)
+        lift = lift_of(ex.ops, table, ex.p)
+        rep = cl.verify_multiplier(lift, cl.ball_points(ex.kernel.d, 5, seed=31))
         assert rep.gram_min_eig >= -1e-9, (ex.name, rep)
         assert rep.vv_identity_residual <= 1e-8, (ex.name, rep)
 
@@ -276,7 +282,7 @@ def test_multiplier_sampled(charfn_examples):
 def test_multiplier_needs_two_points(szego_half):
     t, lift, table, p = szego_half
     with pytest.raises(ValueError):
-        cl.verify_multiplier(cl.build_dilation(t, table, p), lift, table, [0.0], p)
+        cl.verify_multiplier(lift, [0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -286,29 +292,31 @@ def test_multiplier_needs_two_points(szego_half):
 def test_taylor_blocks_match_mobius_coefficients(szego_half):
     # closed form: (z - t)/(1 - tz) = -t + (1 - t^2) sum_{n>=1} t^(n-1) z^n
     t, lift, table, p = szego_half
-    blocks = _taylor_blocks(cl.build_dilation(t, table, p), lift, table)
-    assert sorted(blocks) == [(n,) for n in range(p.N + 1)]
-    assert abs(blocks[(0,)][0, 0] - (-0.5)) <= 1e-14
+    blocks = _taylor_blocks(lift)
+    # one block per degree 0..N, in graded order
+    assert blocks.shape[0] == p.N + 1 and lift.dilation.indices == tuple(
+        (n,) for n in range(p.N + 1))
+    assert abs(blocks[0][0, 0] - (-0.5)) <= 1e-14
     for n in range(1, p.N + 1):
         expected = 0.75 * 0.5 ** (n - 1)
-        assert abs(blocks[(n,)][0, 0] - expected) <= 1e-13, n
+        assert abs(blocks[n][0, 0] - expected) <= 1e-13, n
         # nothing leaks into the directions the lift never reaches
-        assert np.max(np.abs(blocks[(n,)][0, 1:])) <= 1e-13
+        assert np.max(np.abs(blocks[n][0, 1:])) <= 1e-13
 
 
 def test_model_zero_tuple_exact():
     table = cl.build_table(cl.szego(), 90)
     p = P(20)
     t = cl.OperatorTuple.zero(1, 1)
-    lift = cl.build_lift(t, table, p)
     v = cl.build_dilation(t, table, p)
-    rep = cl.verify_model(v, lift, table)
+    lift = cl.build_lift(v)
+    rep = cl.verify_model(lift)
     assert rep.compression_residual <= 1e-10
     assert rep.factor_residual <= 1e-10
     # theta(z) = z e_0 exactly: one nonzero block, at degree 1
     e0 = np.zeros((1, p.N))
     e0[0, 0] = 1.0
-    for gamma, block in _taylor_blocks(v, lift, table).items():
+    for gamma, block in zip(v.indices, _taylor_blocks(lift), strict=True):
         expected = e0 if gamma == (1,) else 0.0
         assert np.max(np.abs(block - expected)) <= 1e-14, gamma
 
@@ -316,8 +324,8 @@ def test_model_zero_tuple_exact():
 def test_model_sampled(charfn_examples):
     for ex in charfn_examples:
         table = ex.table()
-        lift = cl.build_lift(ex.ops, table, ex.p)
-        rep = cl.verify_model(cl.build_dilation(ex.ops, table, ex.p), lift, table)
+        lift = lift_of(ex.ops, table, ex.p)
+        rep = cl.verify_model(lift)
         assert rep.compression_residual <= 1e-7, (ex.name, rep)
         assert rep.factor_residual <= 1e-7, (ex.name, rep)
 
@@ -333,18 +341,18 @@ def test_full_stack_on_random_contraction():
     assert cl.is_contraction(t, table, p).status == "yes"
     assert cl.is_pure(t, table, p).status == "pure"
     v = cl.build_dilation(t, table, p)
-    assert cl.admits_charfn(v, table, p).status == "admits"
-    lift = cl.build_lift(t, table, p)
+    assert cl.admits_charfn(v).status == "admits"
+    lift = cl.build_lift(v)
     assert lift.ttstar_residual <= 1e-10 and lift.intertwine_residual <= 1e-10
-    worst = max(cl.verify_defect_identity(t, lift, table, z, w, p)
+    worst = max(cl.verify_defect_identity(lift, z, w)
                 for z, w in zip(cl.ball_points(1, 10, 41), cl.ball_points(1, 10, 42)))
     assert worst <= 1e-8
-    mult = cl.verify_multiplier(v, lift, table, cl.ball_points(1, 5, 43), p)
+    mult = cl.verify_multiplier(lift, cl.ball_points(1, 5, 43))
     assert mult.gram_min_eig >= -1e-9 and mult.vv_identity_residual <= 1e-8
-    model = cl.verify_model(v, lift, table)
+    model = cl.verify_model(lift)
     assert model.compression_residual <= 1e-7 and model.factor_residual <= 1e-7
     for z in cl.ball_points(1, 50, 44):
-        assert cl.charfn_eval(t, lift, table, z, p).norm <= 1.0 + 1e-8
+        assert cl.charfn_eval(lift, z).norm <= 1.0 + 1e-8
 
 
 def test_identities_on_random_commuting_pair():
@@ -358,12 +366,11 @@ def test_identities_on_random_commuting_pair():
     p = P(24)
     assert cl.is_contraction(t, table, p).status == "yes"
     assert cl.is_pure(t, table, p).status == "pure"
-    lift = cl.build_lift(t, table, p)
-    worst = max(cl.verify_defect_identity(t, lift, table, z, w, p)
+    lift = lift_of(t, table, p)
+    worst = max(cl.verify_defect_identity(lift, z, w)
                 for z, w in zip(cl.ball_points(2, 10, 51), cl.ball_points(2, 10, 52)))
     assert worst <= 1e-8
-    mult = cl.verify_multiplier(cl.build_dilation(t, table, p), lift, table,
-                                cl.ball_points(2, 4, 53), p)
+    mult = cl.verify_multiplier(lift, cl.ball_points(2, 4, 53))
     assert mult.gram_min_eig >= -1e-9 and mult.vv_identity_residual <= 1e-8
 
 
@@ -415,13 +422,34 @@ def test_theta_and_blocks_match_references(seed, d, h, rule, param):
     table = cl.build_table(spec, n + 1)
     p = P(n, tol=DIFF_TOL)
     t = random_commuting_tuple(rng, d, h, 0.35)
-    lift = cl.build_lift(t, table, p)
+    lift = lift_of(t, table, p)
     z = random_point(rng, d, 0.95)
-    theta = cl.charfn_eval(t, lift, table, z, p).theta
-    assert np.max(np.abs(theta - dense_theta(t, lift, table, z, p)), initial=0.0) <= 1e-13
+    theta = cl.charfn_eval(lift, z).theta
+    assert np.max(np.abs(theta - dense_theta(lift, z)), initial=0.0) <= 1e-13
 
-    blocks = _taylor_blocks(cl.build_dilation(t, table, p), lift, table)
-    fitted, _ = fitted_taylor_blocks(t, lift, table, p, n)
-    assert blocks.keys() == fitted.keys()
-    for gamma, block in blocks.items():
+    blocks = _taylor_blocks(lift)
+    fitted, _ = fitted_taylor_blocks(lift, n)
+    assert list(fitted) == list(lift.dilation.indices)
+    for gamma, block in zip(lift.dilation.indices, blocks, strict=True):
         assert np.max(np.abs(block - fitted[gamma]), initial=0.0) <= 1e-11, gamma
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2]),
+       h=st.integers(min_value=1, max_value=3),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t"]),
+       param=st.floats(min_value=0.0, max_value=2.0))
+@settings(max_examples=25, deadline=None)
+def test_model_gap_matches_dense_reference(seed, d, h, rule, param):
+    # verify_model sums M_theta M_theta^* column block by column block; the
+    # reference forms M_theta densely.  The gap need not be small here, as
+    # the truncation is not under test, but both sides must agree on it.
+    rng = np.random.default_rng(seed)
+    n = DIFF_DEGREE[d]
+    table = cl.build_table(diff_kernel(rule, d, param), n + 1)
+    lift = lift_of(random_commuting_tuple(rng, d, h, 0.35), table, P(n, tol=DIFF_TOL))
+    v = lift.dilation
+    want = dense_model_gap(lift)
+    scale = max(1.0, np.linalg.norm(np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T, 2))
+    gap = _model_gap(lift)
+    assert np.linalg.norm(gap - want, 2) <= 1e-12 * scale
+    assert cl.verify_model(lift).factor_residual == np.linalg.norm(gap, 2)

@@ -3,11 +3,14 @@
 import collections
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cnplab import cli, model, tuples
+from cnplab import charfn, cli, model, tuples
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def scalar_tuple_block(value):
@@ -310,6 +313,42 @@ def test_bergman_m_accepts_integral_float():
     assert spec.param == 2 and isinstance(spec.param, int)
 
 
+def set_entry(cfg, path, value):
+    *parents, key = path
+    for name in parents:
+        cfg = cfg[name]
+    cfg[key] = value
+
+
+@pytest.mark.parametrize("overrides, name", [
+    ({("kernel", "d"): 1.9, ("truncation", "N"): "12", ("truncation", "tail_window"): 3.7,
+      ("seed",): 2.5}, "kernel.d"),
+    ({("kernel", "N_max"): 84.5}, "kernel.N_max"),
+    ({("truncation", "N"): "12"}, "truncation.N"),
+    ({("truncation", "tail_window"): 3.7}, "truncation.tail_window"),
+    ({("seed",): 2.5}, "seed"),
+    ({("tuple", "inline", "h"): 1.5}, "tuple.h"),
+    ({("tuple", "inline", "d"): True}, "tuple.d"),
+])
+def test_config_integers_are_parsed_strictly(tmp_path, capsys, overrides, name):
+    cfg = base_config(suites=["coeffs", "contraction"])
+    for path, value in overrides.items():
+        set_entry(cfg, path, value)
+    assert run_cli_config(tmp_path, cfg) == (2, False)
+    assert f"config error: {name} must be an integer, got" in capsys.readouterr().err
+
+
+def test_config_integers_accept_integral_floats():
+    cfg = base_config(kernel={"d": 1.0, "rule": "szego", "params": {}, "N_max": 84.0},
+                      tuple={"inline": {"h": 1.0, "d": 1.0, "mats": [[[[0.5, 0.0]]]]}},
+                      truncation={"N": 80.0, "tol": 1e-9, "tail_window": 3.0}, seed=1234.0)
+    parsed = cli.parse_config(cfg)
+    values = (parsed.kernel.d, parsed.n_table, parsed.truncation.N,
+              parsed.truncation.tail_window, parsed.seed)
+    assert values == (1, 84, 80, 3, 1234) and all(type(x) is int for x in values)
+    assert parsed.tuple_mats[0].shape == (1, 1)
+
+
 def test_suites_must_be_a_list(tmp_path, capsys):
     assert run_cli_config(tmp_path, base_config(suites="coeffs", tuple=None)) == (2, False)
     assert "config error: suites must be a list" in capsys.readouterr().err
@@ -382,15 +421,15 @@ def nilpotent_pair_config(suites):
     }
 
 
-def test_existence_run_builds_the_dilation_once(monkeypatch):
-    calls = collections.Counter()
-    originals = {"build_dilation": model.build_dilation,
-                 "shift_matrices": tuples.shift_matrices, "defect": tuples.defect}
+def record_calls(monkeypatch, originals):
+    """name -> results of every call, through each cnplab binding of the function."""
+    results = collections.defaultdict(list)
 
-    def counted(name, fn):
+    def recorded(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            results[name].append(out)
+            return out
         return wrapper
 
     for mod_name, mod in list(sys.modules.items()):
@@ -398,14 +437,45 @@ def test_existence_run_builds_the_dilation_once(monkeypatch):
             continue
         for name, fn in originals.items():
             if vars(mod).get(name) is fn:
-                monkeypatch.setattr(mod, name, counted(name, fn))
+                monkeypatch.setattr(mod, name, recorded(name, fn))
+    monkeypatch.setattr(tuples.TuplePowers, "__init__",
+                        recorded("TuplePowers", tuples.TuplePowers.__init__))
+    return results
+
+
+def test_existence_run_builds_the_dilation_once(monkeypatch):
+    calls = record_calls(monkeypatch, {"build_dilation": model.build_dilation,
+                                       "shift_matrices": tuples.shift_matrices,
+                                       "defect": tuples.defect})
     report = run_config(nilpotent_pair_config(
         ["coeffs", "contraction", "purity", "dilation", "existence"]))
     assert report["overall"] == "pass"
     # the tuple's defect is shared by contraction and purity, built once more
-    # inside the dilation, and the associated tuple has its own
-    assert calls["build_dilation"] == 1 and calls["shift_matrices"] == 1
-    assert calls["defect"] <= 3
+    # inside the dilation, and the associated tuple has its own; the
+    # intertwining check reads the dilation's powers
+    assert len(calls["build_dilation"]) == 1 and len(calls["shift_matrices"]) == 1
+    assert len(calls["defect"]) <= 3 and len(calls["TuplePowers"]) == 1
+
+
+def test_identities_run_builds_theta_on_the_dilation(monkeypatch):
+    calls = record_calls(monkeypatch, {"build_dilation": model.build_dilation,
+                                       "build_lift": charfn.build_lift,
+                                       "defect": tuples.defect})
+    report = run_config(nilpotent_pair_config(
+        ["coeffs", "contraction", "purity", "dilation", "charfn", "identities"]))
+    assert report["overall"] == "pass"
+    # contraction and purity share one defect and the dilation builds the
+    # other; the lift reuses the dilation's defect and powers
+    assert len(calls["defect"]) <= 2 and len(calls["TuplePowers"]) == 1
+    [v], [lift] = calls["build_dilation"], calls["build_lift"]
+    assert lift.dilation is v
+    assert any(dd is v.defect_data for dd in calls["defect"])
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in CONFIGS.glob("*.json")))
+def test_shipped_config_passes(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path))
+    assert cli.main(["run", str(CONFIGS / name)]) == 0
 
 
 def test_full_run_two_variables():

@@ -41,9 +41,6 @@ def test_dilation_degenerate():
     unit = cl.OperatorTuple.from_scalars(1.0)
     with pytest.raises(cl.DegenerateDilationError):
         cl.build_dilation(unit, table, P(10))
-    v = cl.build_dilation(unit, table, P(10), allow_degenerate=True)
-    assert v.degenerate and abs(v.isometry_defect - 1.0) <= 1e-15
-    assert v.codomain_dims[1] == 0
 
 
 def test_intertwining_zero_tuple():
@@ -53,6 +50,8 @@ def test_intertwining_zero_tuple():
     v = cl.build_dilation(zero, table, p)
     res = cl.check_intertwining(v, [(1, 0), (0, 1), (1, 1)])
     assert res == 0.0
+    # |alpha| > N reaches no column inside the truncated space
+    assert cl.check_intertwining(v, [(9, 0), (1, 1)]) == 0.0
 
 
 def test_intertwining_scalar_and_truncation_trend():
@@ -69,8 +68,11 @@ def test_intertwining_scalar_and_truncation_trend():
 def test_dilation_carries_its_tuple_and_shifts():
     table = cl.build_table(cl.drury_arveson(2), 10)
     t = cl.OperatorTuple.zero(2, 2)
-    v = cl.build_dilation(t, table, P(8))
-    assert v.ops is t
+    p = P(8)
+    v = cl.build_dilation(t, table, p)
+    assert v.ops is t and v.table is table and v.params is p
+    assert all(np.array_equal(v.powers.power(alpha), cl.tuple_power(t, alpha))
+               for alpha in v.indices)
     assert (v.N, v.indices) == (v.shifts.N, v.shifts.indices) == (8, cl.graded_indices(2, 8))
     assert v.codomain_dims == (v.shifts.dim, 2) and v.big_dim == v.matrix.shape[0]
 
@@ -183,7 +185,7 @@ def test_associated_tuple_bergman_kernel_structure():
 # ---------------------------------------------------------------------------
 
 def admits(t, table, p):
-    return cl.admits_charfn(cl.build_dilation(t, table, p), table, p)
+    return cl.admits_charfn(cl.build_dilation(t, table, p))
 
 
 def test_admits_zero_tuple_drury_arveson():
@@ -223,7 +225,7 @@ def test_existence_factorability_consistency(existence_examples):
     for ex in existence_examples:
         table = ex.table()
         v = cl.build_dilation(ex.ops, table, ex.p)
-        report = cl.admits_charfn(v, table, ex.p)
+        report = cl.admits_charfn(v)
         r = v.codomain_dims[1]
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
         p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
