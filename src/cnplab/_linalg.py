@@ -15,10 +15,18 @@ AMBIGUITY_FACTOR = 10.0
 
 
 def opnorm(a: np.ndarray) -> float:
-    """Spectral norm, with the empty matrix mapped to 0."""
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    """Spectral norm, with an empty or all-zero matrix mapped to 0 without an SVD."""
+    return float(np.linalg.norm(a, 2)) if a.any() else 0.0
+
+
+def hermitian_norm(a: np.ndarray) -> float:
+    """Spectral norm of a Hermitian matrix from the eigenvalues of its lower triangle.
+
+    Non-finite entries raise LinAlgError; eigvalsh would return numbers for them.
+    """
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("Hermitian norm of a matrix with non-finite entries")
+    return float(np.abs(np.linalg.eigvalsh(a)).max()) if a.any() else 0.0
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

@@ -287,7 +287,7 @@ class _SuiteContext:
 
     @cached_property
     def dilation(self) -> DilationMap:
-        return build_dilation(self.ops, self.table, self.cfg.truncation)
+        return build_dilation(self.ops, self.table, self.cfg.truncation, defect_data=self.defect)
 
     @cached_property
     def lift(self) -> TupleLift:

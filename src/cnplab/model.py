@@ -10,7 +10,7 @@ test with an explicit closed-form witness, reproduced numerically by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,6 +18,7 @@ import numpy as np
 from ._linalg import (
     RANK_REL_TOL,
     canonical_phases,
+    hermitian_norm,
     hermitize,
     opnorm,
     split_rank,
@@ -25,16 +26,16 @@ from ._linalg import (
 from .coeffs import CoeffTable, KernelSpec, bergman, build_table, multi_coeff
 from .errors import DegenerateDilationError, PrerequisiteError
 from .tuples import (
-    COMMUTATOR_TOL,
     DefectData,
     IndexShifts,
     OperatorTuple,
     TruncatedShifts,
     TruncationParams,
     TuplePowers,
+    _sigma,
     _weighted_series,
     defect,
-    is_contraction,
+    is_contraction,  # noqa: F401  bound here too: tracers rebind it in every module namespace
     is_pure,
     shift_matrices,
     shift_norm_sq,
@@ -87,15 +88,16 @@ class DilationMap:
         return self.codomain_dims[0] * self.codomain_dims[1]
 
 
-def build_dilation(t: OperatorTuple, table: CoeffTable, p: TruncationParams) -> DilationMap:
+def build_dilation(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
+                   defect_data: DefectData | None = None) -> DilationMap:
     """Matrix of h -> sum_alpha sqrt(a_alpha) e(alpha) x (defect-range coords of Delta (T^alpha)^* h).
 
     For a pure tuple this is an isometry up to the purity residual; the
     defect of V^*V from the identity is recorded.  A rank-zero defect admits
     no dilation space and raises.  The shifts of the model space are built
-    here, at degree N.
+    here, at degree N.  The tuple's defect is computed unless given.
     """
-    dd = defect(t, table, p)
+    dd = defect(t, table, p) if defect_data is None else defect_data
     c = dd.ran_delta_basis
     if c.shape[1] == 0 and t.h > 0:
         raise DegenerateDilationError("defect operator has rank zero; no dilation space")
@@ -190,7 +192,9 @@ def check_factorability(x: np.ndarray, t: OperatorTuple | IndexShifts, table: Co
     moving (inconclusive).
     """
     x = np.asarray(x, dtype=complex)
-    if opnorm(x - x.conj().T) > 1e-10 * max(1.0, opnorm(x)):
+    # the Frobenius norm of x - x^* bounds its spectral norm, which needs an SVD
+    if (np.linalg.norm(x - x.conj().T) > 1e-10
+            and opnorm(x - x.conj().T) > 1e-10 * max(1.0, opnorm(x))):
         raise ValueError("x must be Hermitian")
     x = hermitize(x)
     min_x = float(np.linalg.eigvalsh(x)[0]) if x.size else 0.0
@@ -210,7 +214,7 @@ def check_factorability(x: np.ndarray, t: OperatorTuple | IndexShifts, table: Co
     cond2_tail = max(inc2, default=0.0)
 
     recon, inc3 = _weighted_series(t, table, p.N, "a", middle=gap, window=p.tail_window)
-    cond3_res = opnorm(recon - x)
+    cond3_res = hermitian_norm(recon - x)
     cond3_tail = max(inc3, default=0.0)
 
     failed = None
@@ -243,15 +247,16 @@ def check_factorability(x: np.ndarray, t: OperatorTuple | IndexShifts, table: Co
 
 @dataclass(frozen=True)
 class AssociatedTuple:
-    """Compression of the tensored shifts to the orthogonal complement of Ran V.
+    """Compression K^* (M_i x I) K of the tensored shifts to Ker V^*, never formed.
 
-    The complement is invariant for the shifts up to truncation, so the
-    compression equals the restriction up to `invariance_residual`, measured
-    on rows of degree <= N - 1 where the cut-off cannot pollute it.
+    `basis` K and `range_basis` U are orthonormal bases of Ker V^* and Ran V.
+    Ker V^* is invariant for the shifts up to truncation, so the compression
+    equals the restriction up to `invariance_residual`, measured on rows of
+    degree <= N - 1 where the cut-off cannot pollute it.
     """
 
-    ops: OperatorTuple | None
     basis: np.ndarray
+    range_basis: np.ndarray
     invariance_residual: float
     dim: int
 
@@ -261,26 +266,37 @@ def associated_tuple(v: DilationMap) -> AssociatedTuple:
     u, svals, _ = np.linalg.svd(v.matrix, full_matrices=True)
     rank = split_rank(svals, RANK_REL_TOL)
     k = canonical_phases(u[:, rank:])
-    dim = k.shape[1]
-    if dim == 0:
-        return AssociatedTuple(ops=None, basis=k, invariance_residual=0.0, dim=0)
-
+    u = u[:, :rank]
     interior_rows = np.array(
         [sum(beta) <= v.N - 1 for beta in v.indices for _ in range(r)], dtype=bool
     )
-    mats = []
-    inv_res = 0.0
+    # the part of (M_i x I) K leaving span K is U U^* (M_i x I) K, of rank <= h;
+    # with U[interior] = Q R its interior rows have the norm of R U^* (M_i x I) K
+    _, r_int = np.linalg.qr(u[interior_rows])
     tensored = v.shifts.index.tensor(r)
-    for i in range(tensored.d):
-        mk = tensored.apply(i, k)
-        compressed = k.conj().T @ mk
-        # the part of (M_i x I) K leaving span K
-        leak = mk - k @ compressed
-        inv_res = max(inv_res, opnorm(leak[interior_rows, :]))
-        mats.append(compressed)
-    ctol = max(COMMUTATOR_TOL, 10.0 * inv_res)
-    ops = OperatorTuple(tuple(mats), commutator_tol=ctol)
-    return AssociatedTuple(ops=ops, basis=k, invariance_residual=inv_res, dim=dim)
+    inv_res = max(opnorm(r_int @ (u.conj().T @ tensored.apply(i, k))) for i in range(tensored.d))
+    return AssociatedTuple(basis=k, range_basis=u, invariance_residual=inv_res, dim=k.shape[1])
+
+
+def _associated_defect(v: DilationMap, assoc: AssociatedTuple, n: int):
+    """I - sum_{1<=k<=n} b_k sigma_A^k(I) for the associated tuple A, and its tail-window norms.
+
+    With P = K K^* = I - U U^*, sigma_A^k(I) = K^* W_k K exactly, where W_0 = P
+    and W_k = P sigma_M(W_{k-1}) P is summed on the model space by the shifts'
+    index gathers.  W_k = P W_k P, so b_k W_k has the norm of its compression.
+    """
+    u, k = assoc.range_basis, assoc.basis
+    tensored = v.shifts.index.tensor(v.codomain_dims[1])
+
+    def projected_sigma(x):  # P applied as rank-h corrections
+        y = _sigma(tensored, x)
+        y = y - u @ (u.conj().T @ y)
+        return y - (y @ u) @ u.conj().T
+
+    proj = np.eye(tensored.h, dtype=complex) - u @ u.conj().T
+    total, tail = _weighted_series(tensored, v.table, n, "b", middle=proj, start_degree=1,
+                                   window=v.params.tail_window, sigma=projected_sigma)
+    return hermitize(np.eye(assoc.dim, dtype=complex) - k.conj().T @ total @ k), tail
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +324,8 @@ def admits_charfn(v: DilationMap) -> ExistenceReport:
     """Decide whether the pure tuple embedded by v admits a characteristic function.
 
     Runs the contractivity test on the tuple associated with the dilation,
-    against the dilation's kernel and truncation.  Non-pure inputs are
+    against the dilation's kernel and truncation, with its defect summed on
+    the model space (`_associated_defect`).  Non-pure inputs are
     rejected: outside the hypothesis there is nothing to decide.  Purity is
     tested on the defect the dilation already holds.  The associated tuple
     lives on a space truncated at degree N where the shifts are nilpotent
@@ -325,20 +342,15 @@ def admits_charfn(v: DilationMap) -> ExistenceReport:
             f"(residual {purity.residual:.3e})"
         )
     assoc = associated_tuple(v)
-    if assoc.dim == 0:
-        trivial = ContractionVerdict(status="yes", min_eig=0.0, tail_norm=0.0)
-        return ExistenceReport(
-            status="admits", value=0.0, witness=None, contraction=trivial,
-            invariance_residual=assoc.invariance_residual, kernel_dim=0,
-        )
-    p_series = replace(p, N=p.N + p.tail_window)
-    dd = defect(assoc.ops, table, p_series)
-    verdict = is_contraction(assoc.ops, table, p_series, defect_data=dd)
+    delta_sq, tail = _associated_defect(v, assoc, p.N + p.tail_window)
+    vals = np.linalg.eigvalsh(delta_sq)  # none when Ker V^* = 0: an empty tuple contracts
+    min_eig = float(vals[0]) if len(vals) else 0.0
+    verdict = ContractionVerdict.decide(min_eig, max(tail, default=0.0), p.tol)
     if verdict.status == "yes":
         status, witness = "admits", None
     elif verdict.status == "no":
         status = "does_not_admit"
-        vals, vecs = np.linalg.eigh(hermitize(dd.delta_sq))
+        _, vecs = np.linalg.eigh(delta_sq)
         witness = canonical_phases((assoc.basis @ vecs[:, :1]))[:, 0]
     else:
         status, witness = "inconclusive", None
@@ -405,9 +417,9 @@ def bergman_counterexample(m: int, n: int, d: int = 1) -> CounterexamplePoint:
     e = np.zeros(v.big_dim, dtype=complex)
     e[pos[target] * r] = 1.0
 
-    dd = defect(assoc.ops, table, p)
+    delta_sq, _ = _associated_defect(v, assoc, p.N)
     coords = assoc.basis.conj().T @ e
-    numeric = float(np.real(np.vdot(coords, dd.delta_sq @ coords)))
+    numeric = float(np.real(np.vdot(coords, delta_sq @ coords)))
 
     closed = 1.0 - m * (n + 2) / (m + n + 1)
     bound = m * (n + 2) / (m + n + 1)
@@ -429,33 +441,18 @@ def cnp_zero_tuple_probe(table: CoeffTable, n: int) -> np.ndarray:
 
     For the zero tuple on the constants, the contractivity form of the
     restricted shifts evaluated at the degree-k basis vector collapses to
-    b_k / a_k.  Returned for k = 2 .. n, computed entirely from shift
-    matrices so the sign pattern cross-validates the coefficient-level CNP
-    classification.  The computation lives on the first coordinate axis, so
-    it is carried out with one-variable shift matrices regardless of the
-    ambient dimension.
+    b_k / a_k.  Returned for k = 2 .. n, computed on the model space by the
+    existence test's defect series, so the sign pattern cross-validates the
+    coefficient-level CNP classification.  The computation lives on the
+    first coordinate axis, so it is carried out in one variable regardless
+    of the ambient dimension.
     """
     if n < 2:
         raise ValueError(f"probe needs n >= 2, got {n}")
     spec1 = KernelSpec(d=1, rule=table.spec.rule, param=table.spec.param,
                        label=table.spec.label)
-    table1 = build_table(spec1, n + 1)
-    shifts = shift_matrices(table1, n)
-    m = shifts.ops.mats[0]
-    size = shifts.dim
-    proj = np.eye(size)
-    proj[0, 0] = 0.0  # kill the constants: the complement of the embedded space
-
-    b = table1.require_b(n)
-    out = np.empty(n - 1)
-    for k in range(2, n + 1):
-        e = np.zeros(size, dtype=complex)
-        e[k] = 1.0  # one-variable index k sits at position k
-        q = 1.0
-        w = e
-        for i in range(1, n + 1):
-            w = m.conj().T @ w
-            pw = proj @ w
-            q -= b[i] * float(np.real(np.vdot(pw, pw)))
-        out[k - 2] = q
-    return out
+    v = build_dilation(OperatorTuple.zero(1, 1), build_table(spec1, n + 1), TruncationParams(N=n))
+    assoc = associated_tuple(v)
+    delta_sq, _ = _associated_defect(v, assoc, n)
+    coords = assoc.basis.conj().T[:, 2:]  # K^* e_k: one-variable index k sits at position k
+    return np.real(np.sum(coords.conj() * (delta_sq @ coords), axis=0))

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import RANK_REL_TOL, hermitize, opnorm, orthonormal_range, psd_sqrt
+from ._linalg import RANK_REL_TOL, hermitian_norm, hermitize, opnorm, orthonormal_range, psd_sqrt
 from .coeffs import CoeffTable, graded_index_map, graded_indices, multi_coeff
 from .errors import CommutationError
 
@@ -129,26 +129,33 @@ def _sigma(t, x: np.ndarray) -> np.ndarray:
 
 
 def _weighted_series(t, table: CoeffTable, n: int, which: str,
-                     middle: np.ndarray | None = None, start_degree: int = 0, window: int = 0):
+                     middle: np.ndarray | None = None, start_degree: int = 0, window: int = 0,
+                     sigma=None):
     """sum over k in [start_degree, n] of c_k sigma^k(M), with c_k = a_k or b_k.
 
     t (an OperatorTuple or IndexShifts) commutes, so sigma^k(M) is
     sum_{|alpha|=k} multinomial(alpha) T^alpha M (T^alpha)^*.  Returns (total,
-    norms of the summed increments among the last `window` degrees).  M
-    defaults to the identity.
+    norms of the summed increments among the last `window` degrees).  M (the
+    identity by default) and so every increment is Hermitian; a linear `sigma`
+    replaces the tuple's own.  The recursion stops once every later increment
+    is exactly 0: zero times a finite matrix, or the zero matrix.
     """
     coeffs = table.require_b(n) if which == "b" else table.require_a(n)
+    last = max((k for k in range(start_degree, n + 1) if coeffs[k] != 0.0), default=-1)
     layer = np.eye(t.h, dtype=complex) if middle is None else np.asarray(middle, dtype=complex)
     total = np.zeros((t.h, t.h), dtype=complex)
     tail: list[float] = []
     for k in range(n + 1):
         if k:
-            layer = _sigma(t, layer)
+            layer = _sigma(t, layer) if sigma is None else sigma(layer)
         if k >= start_degree:
             inc = coeffs[k] * layer
             total += inc
             if k > n - window:
-                tail.append(opnorm(inc))
+                tail.append(hermitian_norm(inc))
+        if (k >= last or not layer.any()) and np.isfinite(layer).all():
+            tail += [0.0] * (n - max(k, n - window, start_degree - 1))
+            break
     return total, tail
 
 
@@ -211,18 +218,18 @@ class ContractionVerdict:
     def ok(self) -> bool:
         return self.status == "yes"
 
+    @classmethod
+    def decide(cls, min_eig: float, tail_norm: float, tol: float) -> "ContractionVerdict":
+        """yes needs min_eig >= -tol and a tail window below tol: a live tail certifies nothing."""
+        status = "no" if min_eig < -tol else "inconclusive" if tail_norm > tol else "yes"
+        return cls(status=status, min_eig=min_eig, tail_norm=tail_norm)
+
 
 def is_contraction(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
                    defect_data: DefectData | None = None) -> ContractionVerdict:
-    """Three-valued contractivity test on the truncated defect.
-
-    yes requires both positivity of delta_sq (up to tol) and a tail window
-    already below tol; a positive defect with a live tail stays inconclusive
-    because the truncation cannot certify convergence.
-    """
+    """Three-valued contractivity test on the truncated defect (ContractionVerdict.decide)."""
     dd = defect(t, table, p) if defect_data is None else defect_data
-    status = "no" if dd.min_eig < -p.tol else "inconclusive" if dd.tail_norm > p.tol else "yes"
-    return ContractionVerdict(status=status, min_eig=dd.min_eig, tail_norm=dd.tail_norm)
+    return ContractionVerdict.decide(dd.min_eig, dd.tail_norm, p.tol)
 
 
 @dataclass(frozen=True)
@@ -287,10 +294,17 @@ class IndexShifts:
         return out
 
     def sandwich(self, i: int, x: np.ndarray) -> np.ndarray:
-        """T_i X T_i^*."""
+        """T_i X T_i^*: entry (dst[j], dst[k]) is w[j] X[src[j], src[k]] w[k].
+
+        Gathered and scattered by flat indices of the h x h matrices, and
+        weighted in place: no index table or weighted copy outlives a call.
+        """
         dst, src, w = self.maps[i]
         out = np.zeros((self.h, self.h), dtype=complex)
-        out[np.ix_(dst, dst)] = w[:, None] * x[np.ix_(src, src)] * w[None, :]
+        block = x.reshape(-1)[(src[:, None] * self.h + src).ravel()].reshape(len(src), len(src))
+        block *= w[:, None]
+        block *= w
+        out.reshape(-1)[(dst[:, None] * self.h + dst).ravel()] = block.ravel()
         return out
 
     def tensor(self, r: int) -> "IndexShifts":

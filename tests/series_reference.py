@@ -4,6 +4,7 @@
 every multi-index alpha, from the products T^alpha and the multi-index
 coefficients c_alpha = c_|alpha| multinomial(alpha).  It shares none of the
 sigma-recursion shortcut, so differential tests can compare the two.
+`ix_sandwich` is T_i X T_i^* for index-map shifts gathered through np.ix_.
 """
 
 from __future__ import annotations
@@ -36,3 +37,11 @@ def enumerated_series(t, table, n, which, middle=None, start_degree=0):
         total += inc
         inc_norms.append(opnorm(inc))
     return total, inc_norms
+
+
+def ix_sandwich(shifts, i, x):
+    """T_i X T_i^* for IndexShifts, as a two-axis np.ix_ gather."""
+    dst, src, w = shifts.maps[i]
+    out = np.zeros((shifts.h, shifts.h), dtype=complex)
+    out[np.ix_(dst, dst)] = w[:, None] * x[np.ix_(src, src)] * w[None, :]
+    return out

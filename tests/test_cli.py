@@ -450,11 +450,11 @@ def test_existence_run_builds_the_dilation_once(monkeypatch):
     report = run_config(nilpotent_pair_config(
         ["coeffs", "contraction", "purity", "dilation", "existence"]))
     assert report["overall"] == "pass"
-    # the tuple's defect is shared by contraction and purity, built once more
-    # inside the dilation, and the associated tuple has its own; the
+    # the tuple's defect is shared by contraction, purity and the dilation,
+    # and the associated defect is summed on the model space; the
     # intertwining check reads the dilation's powers
     assert len(calls["build_dilation"]) == 1 and len(calls["shift_matrices"]) == 1
-    assert len(calls["defect"]) <= 3 and len(calls["TuplePowers"]) == 1
+    assert len(calls["defect"]) == 1 and len(calls["TuplePowers"]) == 1
 
 
 def test_identities_run_builds_theta_on_the_dilation(monkeypatch):
@@ -464,9 +464,9 @@ def test_identities_run_builds_theta_on_the_dilation(monkeypatch):
     report = run_config(nilpotent_pair_config(
         ["coeffs", "contraction", "purity", "dilation", "charfn", "identities"]))
     assert report["overall"] == "pass"
-    # contraction and purity share one defect and the dilation builds the
-    # other; the lift reuses the dilation's defect and powers
-    assert len(calls["defect"]) <= 2 and len(calls["TuplePowers"]) == 1
+    # contraction, purity and the dilation share one defect; the lift reuses
+    # the dilation's defect and powers
+    assert len(calls["defect"]) == 1 and len(calls["TuplePowers"]) == 1
     [v], [lift] = calls["build_dilation"], calls["build_lift"]
     assert lift.dilation is v
     assert any(dd is v.defect_data for dd in calls["defect"])

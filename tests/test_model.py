@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cnplab as cl
 from cnplab.tuples import TuplePowers
+from model_reference import dense_associated_tuple, dense_existence
+from random_inputs import diff_kernel, random_commuting_tuple
 
 
 def P(n, tol=1e-9, window=3):
@@ -153,7 +157,7 @@ def test_associated_tuple_full_range_is_empty():
     p = P(10)
     v = cl.build_dilation(cl.shift_matrices(table, p.N).ops, table, p)
     assoc = cl.associated_tuple(v)
-    assert assoc.dim == 0 and assoc.ops is None
+    assert assoc.dim == 0 and assoc.basis.shape[1] == 0
 
 
 def test_associated_tuple_scalar_szego():
@@ -164,7 +168,8 @@ def test_associated_tuple_scalar_szego():
     assoc = cl.associated_tuple(v)
     assert assoc.dim == 80
     assert assoc.invariance_residual <= 1e-10
-    assert np.linalg.norm(assoc.ops.mats[0], 2) <= 1.0 + 1e-10
+    _, ops, _ = dense_associated_tuple(v)
+    assert np.linalg.norm(ops.mats[0], 2) <= 1.0 + 1e-10
 
 
 def test_associated_tuple_bergman_kernel_structure():
@@ -261,13 +266,74 @@ def test_associated_tuple_purity_follows_contractivity(pure_examples):
     for ex in pure_examples[:5]:
         table = ex.table()
         v = cl.build_dilation(ex.ops, table, ex.p)
-        assoc = cl.associated_tuple(v)
-        if assoc.dim == 0:
+        if cl.associated_tuple(v).dim == 0:
             continue
+        _, ops, _ = dense_associated_tuple(v)
         p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
-        if cl.is_contraction(assoc.ops, table, p_series).status == "yes":
-            verdict = cl.is_pure(assoc.ops, table, p_series)
+        if cl.is_contraction(ops, table, p_series).status == "yes":
+            verdict = cl.is_pure(ops, table, p_series)
             assert verdict.status == "pure", (ex.name, verdict)
+
+
+EXISTENCE_DEGREE = {1: 14, 2: 7}
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2]),
+       h=st.integers(min_value=1, max_value=3),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t", "bergman"]),
+       t=st.floats(min_value=0.25, max_value=2.0))
+@settings(max_examples=40, deadline=None)
+def test_existence_matches_dense_reference(seed, d, h, rule, t):
+    # the defect summed on the model space against the dense associated tuple;
+    # dirichlet_t has b_k != 0 for every k, so its tail window is not an exact
+    # zero, and bergman(2) must not admit
+    rng = np.random.default_rng(seed)
+    n = EXISTENCE_DEGREE[d]
+    kernel = cl.bergman(2, d=d) if rule == "bergman" else diff_kernel(rule, d, t)
+    table = cl.build_table(kernel, n + 4)
+    v = cl.build_dilation(random_commuting_tuple(rng, d, h, 0.1), table, P(n))
+    report = cl.admits_charfn(v)
+    ref, dd, ref_witness = dense_existence(v)
+    k, _, ref_invariance = dense_associated_tuple(v)
+    assert report.status == {"yes": "admits", "no": "does_not_admit"}[ref.status]
+    assert rule != "bergman" or report.status == "does_not_admit"
+    assert abs(report.value - ref.min_eig) <= 1e-12
+    assert abs(report.contraction.tail_norm - ref.tail_norm) <= 1e-12
+    assert abs(report.invariance_residual - ref_invariance) <= 1e-12
+    if report.status == "does_not_admit":
+        vals = np.linalg.eigvalsh(dd.delta_sq)
+        if vals[1] - vals[0] > 1e-6:  # a simple eigenvalue fixes the witness up to phase
+            assert abs(abs(np.vdot(report.witness, ref_witness)) - 1.0) <= 1e-9
+        coords = k.conj().T @ report.witness
+        assert abs(np.real(np.vdot(coords, dd.delta_sq @ coords)) - ref.min_eig) <= 1e-12
+    else:
+        assert report.witness is None
+
+
+def test_invariance_matches_dense_reference():
+    # tuples far from pure at this truncation put mass on the top degree, where
+    # the leak must be excluded; the residual is computed from a rank-h factor
+    rng = np.random.default_rng(1)
+    for spec, t, n in ((cl.szego(), cl.OperatorTuple.from_scalars(0.9), 10),
+                       (cl.drury_arveson(2), random_commuting_tuple(rng, 2, 3, 0.6), 5)):
+        v = cl.build_dilation(t, cl.build_table(spec, n + 4), P(n))
+        _, _, ref = dense_associated_tuple(v)
+        assert ref > 1e-4
+        assert abs(cl.associated_tuple(v).invariance_residual - ref) <= 1e-12 * ref
+
+
+def test_counterexample_matches_dense_reference():
+    for m, n, d in ((2, 0, 1), (3, 2, 1), (2, 1, 2), (3, 3, 2)):
+        big_n = n + 3
+        table = cl.build_table(cl.bergman(m, d=d), big_n + 1)
+        v = cl.build_dilation(cl.shift_matrices(table, n).ops, table, P(big_n))
+        k, _, _ = dense_associated_tuple(v)
+        _, dd, _ = dense_existence(v, n=big_n)
+        e = np.zeros(v.big_dim, dtype=complex)
+        e[v.indices.index((n + 2,) + (0,) * (d - 1)) * v.codomain_dims[1]] = 1.0
+        coords = k.conj().T @ e
+        ref = float(np.real(np.vdot(coords, dd.delta_sq @ coords)))
+        assert abs(cl.bergman_counterexample(m, n, d=d).numeric - ref) <= 1e-12, (m, n, d)
 
 
 def orbit_closure(shifts, v0, thr=1e-10):

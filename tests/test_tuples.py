@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cnplab as cl
 from cnplab.coeffs import graded_indices
 from cnplab.tuples import _weighted_series
 from random_inputs import diff_kernel, random_commuting_tuple
-from series_reference import enumerated_series
+from series_reference import enumerated_series, ix_sandwich
 
 
 def P(n, tol=1e-9, window=3):
@@ -295,9 +295,12 @@ SERIES_DEGREE = {1: 14, 2: 8, 3: 5}
        h=st.integers(min_value=1, max_value=3),
        rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t", "bergman"]),
        param=st.floats(min_value=0.0, max_value=2.0),
-       series=st.sampled_from([("a", 0), ("a", 1), ("b", 1)]),
-       hermitian_middle=st.booleans(), window=st.integers(min_value=1, max_value=4))
+       series=st.sampled_from([("a", 0), ("a", 1), ("b", 1), ("b", 2)]),
+       hermitian_middle=st.booleans(), window=st.integers(min_value=1, max_value=6))
 @settings(max_examples=80, deadline=None)
+# no nonzero b_k from degree 2 on, and a window reaching below start_degree
+@example(seed=0, d=3, h=2, rule="drury_arveson", param=0.0, series=("b", 2),
+         hermitian_middle=False, window=6)
 def test_series_matches_enumeration(seed, d, h, rule, param, series, hermitian_middle, window):
     rng = np.random.default_rng(seed)
     which, start = series
@@ -338,6 +341,10 @@ def test_index_shifts_match_dense_kron(seed, d, rule, param, r):
     scale = max(1.0, w_max) ** 2 * max(np.max(np.abs(x)), np.max(np.abs(k)))
     for i, m in enumerate(dense.mats):
         assert np.max(np.abs(tensored.sandwich(i, x) - m @ x @ m.conj().T)) <= 1e-14 * scale
+        # the flat-index gather does the two-axis gather's arithmetic, in its order
+        assert np.array_equal(tensored.sandwich(i, x), ix_sandwich(tensored, i, x))
+        assert np.array_equal(shifts.index.sandwich(i, x[:shifts.dim, :shifts.dim]),
+                              ix_sandwich(shifts.index, i, x[:shifts.dim, :shifts.dim]))
         assert np.max(np.abs(tensored.apply(i, k) - m @ k)) <= 1e-14 * scale
     # the sigma-recursion over the gather is the series over the dense tuple
     herm = 0.5 * (x + x.conj().T)
@@ -346,3 +353,20 @@ def test_index_shifts_match_dense_kron(seed, d, rule, param, r):
     ref_scale = max(np.linalg.norm(ref, 2), max(ref_tail))
     assert np.linalg.norm(got - ref, 2) <= 1e-12 * ref_scale
     assert np.max(np.abs(np.subtract(got_tail, ref_tail))) <= 1e-12 * ref_scale
+
+
+def test_hermitian_norm():
+    from cnplab._linalg import hermitian_norm, opnorm
+
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    herm = m + m.conj().T
+    assert abs(hermitian_norm(herm) - opnorm(herm)) <= 1e-13 * opnorm(herm)
+    assert hermitian_norm(-np.eye(3)) == 1.0
+    assert hermitian_norm(np.zeros((4, 4), dtype=complex)) == 0.0
+    assert hermitian_norm(np.zeros((0, 0))) == 0.0
+    # eigvalsh([[nan, 0], [0, 1]]) returns finite values; the norm must raise,
+    # so a series that overflows is an error, not a small tail
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        with pytest.raises(np.linalg.LinAlgError):
+            hermitian_norm(np.diag([bad, 1.0]).astype(complex))
