@@ -15,7 +15,9 @@ AMBIGUITY_FACTOR = 10.0
 
 
 def opnorm(a: np.ndarray) -> float:
-    """Spectral norm, with an empty or all-zero matrix mapped to 0 without an SVD."""
+    """Spectral norm, 0 for an empty or all-zero matrix; LinAlgError on non-finite entries."""
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("spectral norm of a matrix with non-finite entries")
     return float(np.linalg.norm(a, 2)) if a.any() else 0.0
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import RANK_REL_TOL, hermitize, opnorm, orthonormal_range, psd_sqrt
+from ._linalg import RANK_REL_TOL, hermitize, opnorm
 from .coeffs import (CoeffTable, as_point, graded_index_map, kernel_eval, multi_coeff,
                      scalar_series)
 from .errors import DomainError, NonConvergedError, NotCnpError
@@ -91,16 +91,15 @@ class TupleLift:
     graded basis (whose positive part indexes the blocks), the coefficient
     table and the truncation all come from `dilation`.  t_tilde maps the
     direct sum of one copy of C^h per positive multi-index back to C^h.
-    d_tilde is the positive square root of I - t_tilde^* t_tilde on the
-    direct sum, d_tilde_basis an orthonormal basis of its numerical range.
-    t_tilde_e and d_tilde_e are t_tilde and d_tilde applied to that basis,
-    the only form in which theta uses them.  Requires every b_alpha >= 0,
+    d_tilde_basis E is an orthonormal basis of the numerical range of D~,
+    the positive square root of I - t_tilde^* t_tilde on the direct sum;
+    t_tilde_e and d_tilde_e are T~E and D~E, the only form in which theta
+    uses them, and D~ itself is never formed.  Requires every b_alpha >= 0,
     i.e. a CNP-consistent kernel, for the square roots to exist.
     """
 
     dilation: DilationMap
     t_tilde: np.ndarray
-    d_tilde: np.ndarray
     d_tilde_basis: np.ndarray
     t_tilde_e: np.ndarray
     d_tilde_e: np.ndarray
@@ -110,10 +109,6 @@ class TupleLift:
     contractive: bool
 
     @property
-    def h(self) -> int:
-        return self.t_tilde.shape[0]
-
-    @property
     def defect_rank(self) -> int:
         return self.d_tilde_basis.shape[1]
 
@@ -121,10 +116,14 @@ class TupleLift:
 def build_lift(v: DilationMap) -> TupleLift:
     """Assemble the lifted row operator of the tuple that v embeds.
 
-    Reuses the defect and the powers T^alpha that v was built from.  Checks
-    the two structural identities along the way: the row times its adjoint
-    reproduces I minus the squared defect of the tuple, and the row
-    intertwines the two defect square roots.
+    Reuses the defect and the powers T^alpha that v was built from.  The row
+    has rank <= h, so with its thin SVD T~ = U S W^* the defect is
+    D~ = I - W (I - sqrt(I - S^2)) W^*.  E spans the complement of the
+    columns of W whose eigenvalue 1 - S^2 is at most RANK_REL_TOL times the
+    largest eigenvalue of I - T~^*T~, so E = I when Delta is invertible.
+    Checks the two structural identities along the way: the row times its
+    adjoint reproduces I minus the squared defect of the tuple, and the row
+    intertwines the two defect square roots on E.
     """
     table, p = v.table, v.params
     b = table.require_b(p.N)
@@ -141,21 +140,25 @@ def build_lift(v: DilationMap) -> TupleLift:
     dd = v.defect_data
     ttstar_res = opnorm(t_tilde @ t_tilde.conj().T - (np.eye(v.ops.h, dtype=complex) - dd.delta_sq))
 
-    d_sq = hermitize(np.eye(t_tilde.shape[1], dtype=complex) - t_tilde.conj().T @ t_tilde)
-    d_tilde, min_eig, vals, vecs = psd_sqrt(d_sq)
-    basis, _ = orthonormal_range(vals, vecs, RANK_REL_TOL)
-    intertwine_res = opnorm(t_tilde @ d_tilde - dd.delta @ t_tilde)
+    _, s, w_star = np.linalg.svd(t_tilde, full_matrices=False)
+    eigs = 1.0 - s ** 2
+    all_eigs = np.append(eigs, np.ones(t_tilde.shape[1] - len(s)))
+    drop = eigs <= RANK_REL_TOL * all_eigs.max()
+    q, _ = np.linalg.qr(w_star[drop].conj().T, mode="complete")  # I when nothing drops
+    basis = q[:, np.count_nonzero(drop):]
+    shrink = w_star.conj().T * (1.0 - np.sqrt(np.clip(eigs, 0.0, None)))
+    d_tilde_e = basis - shrink @ (w_star @ basis)
+    t_tilde_e = t_tilde @ basis
     return TupleLift(
         dilation=v,
         t_tilde=t_tilde,
-        d_tilde=d_tilde,
         d_tilde_basis=basis,
-        t_tilde_e=t_tilde @ basis,
-        d_tilde_e=d_tilde @ basis,
+        t_tilde_e=t_tilde_e,
+        d_tilde_e=d_tilde_e,
         sqrt_b=sqrt_b,
         ttstar_residual=ttstar_res,
-        intertwine_residual=intertwine_res,
-        contractive=min_eig >= -p.tol,
+        intertwine_residual=opnorm(t_tilde @ d_tilde_e - dd.delta @ t_tilde_e),
+        contractive=bool(all_eigs.min() >= -p.tol),
     )
 
 
@@ -181,45 +184,37 @@ class CharFnEval:
     s_z: np.ndarray
 
 
-def _row_apply(lift: TupleLift, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Z x = sum_alpha weights_alpha x_alpha over the h-row blocks x_alpha of x."""
-    return np.tensordot(weights, x.reshape(len(weights), lift.h, x.shape[1]), axes=1)
-
-
 def charfn_eval(lift: TupleLift, z) -> CharFnEval:
     """theta(z) = (-t_tilde + Delta s_z(T)^* Z(z) D) restricted to the defect range.
 
     Z(z) is the row of scalar blocks sqrt(b_alpha) z^alpha I, applied as a
-    weighted sum over block rows.  The inverse (I - Z t_tilde^*)^{-1} is
-    taken as the adjoint kernel series at the tuple rather than by a matrix
-    solve; the residual of that identity is reported and must stay below tol.
+    weighted sum over block rows.  The inverse (I - Z t_tilde^*)^{-1} is the
+    adjoint kernel series at the tuple, and kernel_calculus reports the
+    residual of that identity, which must stay below tol.
     """
     v = lift.dilation
     t, p = v.ops, v.params
     z = as_point(z, t.d)
     if np.linalg.norm(z) >= 1.0:
         raise DomainError("z must lie strictly inside the unit ball")
-    eye = np.eye(t.h, dtype=complex)
     weights = lift.sqrt_b * _monomials(z, v.indices[1:])
     z_norm_sq = float(np.sum(np.abs(weights) ** 2))
     if z_norm_sq >= 1.0:
         raise DomainError(f"row symbol Z(z) must be a strict contraction, got |Z|^2 = {z_norm_sq}")
 
     calc = kernel_calculus(t, v.table, z, p)
-    s_star = calc.matrix.conj().T
-    inv_residual = opnorm((eye - _row_apply(lift, weights, lift.t_tilde.conj().T)) @ s_star - eye)
-    if inv_residual > p.tol:
-        raise NonConvergedError(
-            f"reciprocal-series inverse residual {inv_residual:.3e} exceeds tol {p.tol:.1e}"
-        )
+    if calc.inverse_residual > p.tol:
+        raise NonConvergedError(f"reciprocal-series inverse residual {calc.inverse_residual:.3e} "
+                                f"exceeds tol {p.tol:.1e}")
     dd = v.defect_data
-    row = dd.delta @ s_star @ _row_apply(lift, weights, lift.d_tilde_e)
+    z_d = np.tensordot(weights, lift.d_tilde_e.reshape(len(weights), t.h, lift.defect_rank), axes=1)
+    row = dd.delta @ calc.matrix.conj().T @ z_d
     theta = dd.ran_delta_basis.conj().T @ (row - lift.t_tilde_e)
     return CharFnEval(
         z=z,
         theta=theta,
         norm=opnorm(theta),
-        inverse_residual=inv_residual,
+        inverse_residual=calc.inverse_residual,
         z_norm_sq=z_norm_sq,
         s_z=calc.matrix,
     )
@@ -372,12 +367,14 @@ def _model_gap(lift: TupleLift) -> np.ndarray:
     where column beta of the multiplication operator is
     sum_delta sqrt(a_beta / a_{beta+delta}) e(beta + delta) x Theta_delta
     over the delta with |beta| + |delta| <= N.  In graded order those delta
-    are a prefix of the Taylor-block stack, and each C_beta is subtracted on
-    the rows it reaches, so M_theta itself is never formed.
+    are a prefix of the stack, so C_beta C_beta^* is a weighted leading block
+    of its one Gram matrix, subtracted on the rows it reaches.
     """
     v = lift.dilation
     blocks = _taylor_blocks(lift)
-    r, r_in = blocks.shape[1:]
+    r = blocks.shape[1]
+    flat = blocks.reshape(-1, blocks.shape[2])
+    gram = flat @ flat.conj().T
     idx = np.array(v.indices)
     degrees = idx.sum(axis=1)
     # multi-indices of degree <= N as integers in base N + 1: the sum of two
@@ -389,10 +386,9 @@ def _model_gap(lift: TupleLift) -> np.ndarray:
     for col in range(len(idx)):
         m = np.searchsorted(degrees, v.N - degrees[col], side="right")
         rows = order[np.searchsorted(keys, keys[col] + keys[:m], sorter=order)]
-        weights = np.sqrt(a_vals[col] / a_vals[rows])
-        c_col = (weights[:, None, None] * blocks[:m]).reshape(m * r, r_in)
+        wr = np.repeat(np.sqrt(a_vals[col] / a_vals[rows]), r)
         spread = (rows[:, None] * r + np.arange(r)).ravel()
-        gap[np.ix_(spread, spread)] -= c_col @ c_col.conj().T
+        gap[np.ix_(spread, spread)] -= wr[:, None] * gram[:m * r, :m * r] * wr
     return gap
 
 
@@ -406,8 +402,7 @@ def verify_model(lift: TupleLift) -> ModelReport:
     every degree up to N is needed.
     """
     v = lift.dilation
-    tensored = v.shifts.index.tensor(v.codomain_dims[1])
-    comp_res = max(opnorm(v.matrix.conj().T @ tensored.apply(i, v.matrix) - v.ops.mats[i])
+    comp_res = max(opnorm(v.matrix.conj().T @ v.tensored.apply(i, v.matrix) - v.ops.mats[i])
                    for i in range(v.ops.d))
     return ModelReport(compression_residual=comp_res, factor_residual=opnorm(_model_gap(lift)))
 

@@ -263,8 +263,8 @@ class SuiteResult:
         """Record a residual and fail the suite when it violates its gate."""
         self.residuals[name] = fmt(value)
         self.tolerances[name] = fmt(limit)
-        bad = value < limit if lower else value > limit
-        if bad:
+        # written negated so that a NaN residual fails its gate
+        if not (value >= limit if lower else value <= limit):
             self.outcome = "fail"
 
 
@@ -357,7 +357,7 @@ def _suite_existence(ctx: _SuiteContext, res: SuiteResult):
     # series degree extends past the space truncation so the tail window sees
     # the terminating matrix series, not the cut-off
     p_series = replace(p, N=p.N + p.tail_window)
-    fact = check_factorability(x, v.shifts.index.tensor(v.codomain_dims[1]), ctx.table, p_series)
+    fact = check_factorability(x, v.tensored, ctx.table, p_series)
     res.details["factorability"] = fact.verdict
     res.details["factorability_failed_condition"] = fact.failed_condition
     consistent = (report.status == "admits") == (fact.verdict == "factorable")

@@ -56,14 +56,15 @@ class DilationMap:
     graded_indices order with the defect-range coordinate fastest.  The map
     carries what it was built from: the tuple it embeds, its defect and
     powers T^alpha through degree N, the coefficient table, the truncation,
-    and the shifts of its model space.  Every later stage, the
-    characteristic function included, reads these from here, so it cannot
-    disagree with the dilation on any of them.
+    and the shifts of its model space, plain and tensored with I_r.  Every
+    later stage, the characteristic function included, reads these from
+    here, so it cannot disagree with the dilation on any of them.
     """
 
     matrix: np.ndarray
     ops: OperatorTuple
     shifts: TruncatedShifts
+    tensored: IndexShifts
     isometry_defect: float
     defect_data: DefectData
     powers: TuplePowers
@@ -95,7 +96,7 @@ def build_dilation(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
     For a pure tuple this is an isometry up to the purity residual; the
     defect of V^*V from the identity is recorded.  A rank-zero defect admits
     no dilation space and raises.  The shifts of the model space are built
-    here, at degree N.  The tuple's defect is computed unless given.
+    here, at degree N, and tensored once; the defect is computed unless given.
     """
     dd = defect(t, table, p) if defect_data is None else defect_data
     c = dd.ran_delta_basis
@@ -115,6 +116,7 @@ def build_dilation(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
         matrix=matrix,
         ops=t,
         shifts=shifts,
+        tensored=shifts.index.tensor(c.shape[1]),
         isometry_defect=iso_defect,
         defect_data=dd,
         powers=powers,
@@ -133,16 +135,15 @@ def check_intertwining(v: DilationMap, alphas: Sequence[tuple]) -> float:
     """
     r = v.codomain_dims[1]
     vstar = v.matrix.conj().T
-    tensored = v.shifts.index.tensor(r)
     worst = 0.0
     for alpha in alphas:
         alpha = tuple(int(x) for x in alpha)
         if sum(alpha) > v.N:
             continue
-        big_m = np.eye(tensored.h, dtype=complex)  # becomes M^alpha x I_r
+        big_m = np.eye(v.big_dim, dtype=complex)  # becomes M^alpha x I_r
         for i, power in enumerate(alpha):
             for _ in range(power):
-                big_m = tensored.apply(i, big_m)
+                big_m = v.tensored.apply(i, big_m)
         lhs = vstar @ big_m
         rhs = v.powers.power(alpha) @ vstar
         keep = [
@@ -273,8 +274,7 @@ def associated_tuple(v: DilationMap) -> AssociatedTuple:
     # the part of (M_i x I) K leaving span K is U U^* (M_i x I) K, of rank <= h;
     # with U[interior] = Q R its interior rows have the norm of R U^* (M_i x I) K
     _, r_int = np.linalg.qr(u[interior_rows])
-    tensored = v.shifts.index.tensor(r)
-    inv_res = max(opnorm(r_int @ (u.conj().T @ tensored.apply(i, k))) for i in range(tensored.d))
+    inv_res = max(opnorm(r_int @ (u.conj().T @ v.tensored.apply(i, k))) for i in range(v.ops.d))
     return AssociatedTuple(basis=k, range_basis=u, invariance_residual=inv_res, dim=k.shape[1])
 
 
@@ -286,15 +286,14 @@ def _associated_defect(v: DilationMap, assoc: AssociatedTuple, n: int):
     index gathers.  W_k = P W_k P, so b_k W_k has the norm of its compression.
     """
     u, k = assoc.range_basis, assoc.basis
-    tensored = v.shifts.index.tensor(v.codomain_dims[1])
 
     def projected_sigma(x):  # P applied as rank-h corrections
-        y = _sigma(tensored, x)
+        y = _sigma(v.tensored, x)
         y = y - u @ (u.conj().T @ y)
         return y - (y @ u) @ u.conj().T
 
-    proj = np.eye(tensored.h, dtype=complex) - u @ u.conj().T
-    total, tail = _weighted_series(tensored, v.table, n, "b", middle=proj, start_degree=1,
+    proj = np.eye(v.big_dim, dtype=complex) - u @ u.conj().T
+    total, tail = _weighted_series(v.tensored, v.table, n, "b", middle=proj, start_degree=1,
                                    window=v.params.tail_window, sigma=projected_sigma)
     return hermitize(np.eye(assoc.dim, dtype=complex) - k.conj().T @ total @ k), tail
 

@@ -9,6 +9,7 @@ so every verdict here is three-valued: yes / no / inconclusive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -320,11 +321,10 @@ class TruncatedShifts:
     """Compressions of the coordinate multipliers to degrees <= N.
 
     Matrices act on the orthonormal monomial basis e(alpha) = sqrt(a_alpha)
-    z^alpha listed in graded_indices(d, N) order; `index` holds the same
-    shifts as index maps.
+    z^alpha listed in graded_indices(d, N) order; `index` holds the shifts
+    as index maps, and the dense `ops` are built from it on first read.
     """
 
-    ops: OperatorTuple
     index: IndexShifts
     indices: tuple
     N: int
@@ -332,6 +332,11 @@ class TruncatedShifts:
     @property
     def dim(self) -> int:
         return len(self.indices)
+
+    @cached_property
+    def ops(self) -> OperatorTuple:
+        eye = np.eye(self.index.h, dtype=complex)
+        return OperatorTuple(tuple(self.index.apply(i, eye) for i in range(self.index.d)))
 
 
 def shift_matrices(table: CoeffTable, n: int) -> TruncatedShifts:
@@ -351,10 +356,7 @@ def shift_matrices(table: CoeffTable, n: int) -> TruncatedShifts:
         weight = np.sqrt([multi_coeff(table, alpha, "a") / multi_coeff(table, up, "a")
                           for alpha, up in zip(lows, ups)])
         maps.append((np.array([pos[up] for up in ups], dtype=int), src, weight))
-    index = IndexShifts(tuple(maps), len(indices))
-    eye = np.eye(index.h, dtype=complex)
-    ops = OperatorTuple(tuple(index.apply(i, eye) for i in range(index.d)))
-    return TruncatedShifts(ops=ops, index=index, indices=indices, N=n)
+    return TruncatedShifts(index=IndexShifts(tuple(maps), len(indices)), indices=indices, N=n)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ two:
 - `enumerated_calculus` sums the kernel series at the tuple term by term
   over every multi-index alpha with |alpha| <= N, from the products T^alpha
   and the multi-index coefficients a_alpha, b_alpha;
+- `dense_lift_defect` takes the defect D~ of the lifted row, and a basis of
+  its range, from a dense eigendecomposition of I - T~^*T~;
 - `dense_theta` forms the full row -T~ + Delta s_z(T)^* Z(z) D~ with Z(z)
   as an explicit block row and compresses it to the defect ranges;
 - `fitted_taylor_blocks` recovers the Taylor blocks of theta by least
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cnplab._linalg import opnorm
+from cnplab._linalg import RANK_REL_TOL, hermitize, opnorm, orthonormal_range, psd_sqrt
 from cnplab.charfn import _taylor_blocks, charfn_eval
 from cnplab.coeffs import as_point, graded_indices, multi_coeff
 from cnplab.tuples import TuplePowers
@@ -63,8 +65,27 @@ def enumerated_calculus(t, table, w, p):
     return total, opnorm(layer), opnorm(binv @ total - np.eye(h, dtype=complex))
 
 
-def dense_theta(lift, z) -> np.ndarray:
-    """theta(z) from the full h x (positive indices * h) row, before compression."""
+def dense_lift_defect(lift):
+    """(D~, E): the square root of I - T~^*T~ and an orthonormal basis of its range.
+
+    D~ comes from the eigendecomposition of the full (positive indices * h)
+    square matrix, E from its eigenvectors whose eigenvalue exceeds
+    RANK_REL_TOL times the largest.
+    """
+    m = lift.t_tilde.shape[1]
+    d_sq = hermitize(np.eye(m, dtype=complex) - lift.t_tilde.conj().T @ lift.t_tilde)
+    d_tilde, _, vals, vecs = psd_sqrt(d_sq)
+    basis, _ = orthonormal_range(vals, vecs, RANK_REL_TOL)
+    return d_tilde, basis
+
+
+def dense_theta(lift, z, defect) -> np.ndarray:
+    """theta(z) from the full h x (positive indices * h) row, before compression.
+
+    defect is (D~, E): the lift's defect and the basis of its range in which
+    theta's input is written.
+    """
+    d_tilde, basis = defect
     v = lift.dilation
     t, dd = v.ops, v.defect_data
     z = as_point(z, t.d)
@@ -72,8 +93,8 @@ def dense_theta(lift, z) -> np.ndarray:
     weights = lift.sqrt_b * monomials(z, v.indices[1:])
     zrow = np.hstack([wj * np.eye(h, dtype=complex) for wj in weights])
     s_star = enumerated_calculus(t, v.table, z, v.params)[0].conj().T
-    full = -lift.t_tilde + dd.delta @ s_star @ zrow @ lift.d_tilde
-    return dd.ran_delta_basis.conj().T @ full @ lift.d_tilde_basis
+    full = -lift.t_tilde + dd.delta @ s_star @ zrow @ d_tilde
+    return dd.ran_delta_basis.conj().T @ full @ basis
 
 
 def fitted_taylor_blocks(lift, n_taylor: int, radius: float = 0.9):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cnplab as cl
-from charfn_reference import (dense_model_gap, dense_theta, enumerated_calculus,
-                              fitted_taylor_blocks)
+from charfn_reference import (dense_lift_defect, dense_model_gap, dense_theta,
+                              enumerated_calculus, fitted_taylor_blocks)
 from random_inputs import diff_kernel, random_commuting_tuple, random_point
 from cnplab.charfn import _model_gap, _taylor_blocks, reciprocal_kernel
 
@@ -75,8 +75,9 @@ def test_lift_scalar_szego(szego_half):
     assert np.max(np.abs(lift.t_tilde[0, 1:])) == 0.0
     assert lift.ttstar_residual <= 1e-10
     assert lift.intertwine_residual <= 1e-10
-    # defect square root acts as sqrt(1 - t^2) on the first slot
-    assert abs(lift.d_tilde[0, 0] - np.sqrt(0.75)) <= 1e-12
+    # defect square root acts as sqrt(1 - t^2) on the first slot; Delta is
+    # invertible, so E = I and D~E is D~
+    assert abs(lift.d_tilde_e[0, 0] - np.sqrt(0.75)) <= 1e-12
 
 
 def test_lift_zero_tuple():
@@ -84,7 +85,8 @@ def test_lift_zero_tuple():
     p = P(20)
     lift = lift_of(cl.OperatorTuple.zero(1, 1), table, p)
     assert np.all(lift.t_tilde == 0.0)
-    assert np.array_equal(lift.d_tilde, np.eye(20))
+    assert np.array_equal(lift.d_tilde_basis, np.eye(20))
+    assert np.array_equal(lift.d_tilde_e, np.eye(20))
     assert lift.defect_rank == 20
 
 
@@ -425,13 +427,75 @@ def test_theta_and_blocks_match_references(seed, d, h, rule, param):
     lift = lift_of(t, table, p)
     z = random_point(rng, d, 0.95)
     theta = cl.charfn_eval(lift, z).theta
-    assert np.max(np.abs(theta - dense_theta(lift, z)), initial=0.0) <= 1e-13
+    defect = (dense_lift_defect(lift)[0], lift.d_tilde_basis)
+    assert np.max(np.abs(theta - dense_theta(lift, z, defect)), initial=0.0) <= 1e-13
 
     blocks = _taylor_blocks(lift)
     fitted, _ = fitted_taylor_blocks(lift, n)
     assert list(fitted) == list(lift.dilation.indices)
     for gamma, block in zip(lift.dilation.indices, blocks, strict=True):
         assert np.max(np.abs(block - fitted[gamma]), initial=0.0) <= 1e-11, gamma
+
+
+def check_lift_against_dense_reference(lift, rng, radius):
+    """The closed-form lift agrees with the dense eigendecomposition one."""
+    d_ref, e_ref = dense_lift_defect(lift)
+    e = lift.d_tilde_basis
+    m = lift.t_tilde.shape[1]
+    assert np.max(np.abs(lift.d_tilde_e - d_ref @ e), initial=0.0) <= 1e-12
+    assert np.max(np.abs(e.conj().T @ e - np.eye(e.shape[1])), initial=0.0) <= 1e-12
+    assert np.max(np.abs(e @ e.conj().T - e_ref @ e_ref.conj().T)) <= 1e-12
+    assert lift.defect_rank == e_ref.shape[1]
+    min_eig = np.linalg.eigvalsh(np.eye(m) - lift.t_tilde.conj().T @ lift.t_tilde)[0]
+    assert lift.contractive == (min_eig >= -lift.dilation.params.tol)
+    # theta(z) theta(w)^* does not depend on the basis of the lift's range
+    d = lift.dilation.ops.d
+    z, w = random_point(rng, d, radius), random_point(rng, d, radius)
+    got = cl.charfn_eval(lift, z).theta @ cl.charfn_eval(lift, w).theta.conj().T
+    ref_z, ref_w = dense_theta(lift, z, (d_ref, e_ref)), dense_theta(lift, w, (d_ref, e_ref))
+    assert np.max(np.abs(got - ref_z @ ref_w.conj().T)) <= 1e-12
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2]),
+       h=st.integers(min_value=1, max_value=3),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t"]),
+       param=st.floats(min_value=0.0, max_value=2.0))
+@settings(max_examples=25, deadline=None)
+def test_lift_matches_dense_reference(seed, d, h, rule, param):
+    rng = np.random.default_rng(seed)
+    n = DIFF_DEGREE[d]
+    table = cl.build_table(diff_kernel(rule, d, param), n + 1)
+    t = random_commuting_tuple(rng, d, h, 0.35)
+    lift = lift_of(t, table, P(n, tol=DIFF_TOL))
+    check_lift_against_dense_reference(lift, rng, 0.9)
+    # Delta is invertible, so nothing is dropped and E is exactly I
+    assert lift.dilation.defect_data.rank == h
+    assert np.array_equal(lift.d_tilde_basis, np.eye(lift.t_tilde.shape[1]))
+
+
+@pytest.mark.parametrize("value, rotated", [(1.0, False), (2.0, False), (1.0, True)])
+def test_lift_with_singular_delta_matches_dense_reference(value, rotated):
+    # T = diag(value, 0.3) under Szego, or its conjugate by a complex unitary:
+    # Delta has a kernel, so the lift's range drops a direction and E is a
+    # proper subspace.  The kernel series at T converges only for
+    # |z| < 1 / value, so theta is sampled near 0.
+    u = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0) if rotated else np.eye(2)
+    t = cl.OperatorTuple((u @ np.diag([value, 0.3]) @ u.conj().T,))
+    table = cl.build_table(cl.szego(), 22)
+    lift = lift_of(t, table, P(20, tol=DIFF_TOL))
+    assert lift.dilation.defect_data.rank == 1
+    assert lift.defect_rank == lift.t_tilde.shape[1] - 1
+    assert lift.contractive == (value == 1.0)
+    check_lift_against_dense_reference(lift, np.random.default_rng(3), 0.3)
+
+
+def test_inverse_residual_is_the_calculus_one(charfn_examples):
+    for ex in charfn_examples:
+        lift = lift_of(ex.ops, ex.table(), ex.p)
+        v = lift.dilation
+        for z in cl.ball_points(ex.kernel.d, 5, seed=61):
+            want = cl.kernel_calculus(v.ops, v.table, z, v.params).inverse_residual
+            assert cl.charfn_eval(lift, z).inverse_residual == want, ex.name
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2]),

@@ -206,6 +206,19 @@ def test_residual_strings_round_trip():
             assert cli.fmt(float(value)) == value
 
 
+def test_gate_fails_a_nan_residual():
+    upper = cli.SuiteResult("x")
+    upper.gate("residual", float("nan"), 1e-8)
+    lower = cli.SuiteResult("x")
+    lower.gate("min_eig", float("nan"), -1e-9, lower=True)
+    assert upper.outcome == "fail" and lower.outcome == "fail"
+    assert upper.residuals["residual"] == "nan"
+    held = cli.SuiteResult("x")
+    held.gate("residual", 1e-8, 1e-8)
+    held.gate("min_eig", -1e-9, -1e-9, lower=True)
+    assert held.outcome == "pass"
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
@@ -227,9 +240,10 @@ def test_cmd_run_exit_codes(tmp_path):
 
 
 def test_fault_inside_a_suite_is_its_error(tmp_path):
-    # finite but huge entries overflow the defect series and numpy's SVD
-    # raises; that fault is the suite's error, exit code 3, not a crash or a
-    # "fail", and the report is still written
+    # finite but huge entries overflow the defect series, and the norm of its
+    # tail window raises on the non-finite entries; that fault is the suite's
+    # error, exit code 3, not a crash or a "fail", and the report is still
+    # written
     huge = [[[1e300, 0.0], [0.0, 0.0]], [[1e300, 0.0], [0.0, 0.0]]]
     cfg = base_config(
         kernel={"d": 1, "rule": "szego", "params": {}, "N_max": 40},
@@ -438,8 +452,10 @@ def record_calls(monkeypatch, originals):
         for name, fn in originals.items():
             if vars(mod).get(name) is fn:
                 monkeypatch.setattr(mod, name, recorded(name, fn))
-    monkeypatch.setattr(tuples.TuplePowers, "__init__",
-                        recorded("TuplePowers", tuples.TuplePowers.__init__))
+    for cls in (tuples.TuplePowers, tuples.OperatorTuple):
+        monkeypatch.setattr(cls, "__init__", recorded(cls.__name__, cls.__init__))
+    monkeypatch.setattr(tuples.IndexShifts, "tensor",
+                        recorded("tensor", tuples.IndexShifts.tensor))
     return results
 
 
@@ -452,9 +468,11 @@ def test_existence_run_builds_the_dilation_once(monkeypatch):
     assert report["overall"] == "pass"
     # the tuple's defect is shared by contraction, purity and the dilation,
     # and the associated defect is summed on the model space; the
-    # intertwining check reads the dilation's powers
+    # intertwining check reads the dilation's powers; every stage reads the
+    # dilation's tensored shifts, and the dense shifts are never built
     assert len(calls["build_dilation"]) == 1 and len(calls["shift_matrices"]) == 1
     assert len(calls["defect"]) == 1 and len(calls["TuplePowers"]) == 1
+    assert len(calls["tensor"]) == 1 and len(calls["OperatorTuple"]) == 1
 
 
 def test_identities_run_builds_theta_on_the_dilation(monkeypatch):
@@ -465,8 +483,9 @@ def test_identities_run_builds_theta_on_the_dilation(monkeypatch):
         ["coeffs", "contraction", "purity", "dilation", "charfn", "identities"]))
     assert report["overall"] == "pass"
     # contraction, purity and the dilation share one defect; the lift reuses
-    # the dilation's defect and powers
+    # the dilation's defect and powers, and the model check its tensored shifts
     assert len(calls["defect"]) == 1 and len(calls["TuplePowers"]) == 1
+    assert len(calls["tensor"]) == 1
     [v], [lift] = calls["build_dilation"], calls["build_lift"]
     assert lift.dilation is v
     assert any(dd is v.defect_data for dd in calls["defect"])

@@ -365,8 +365,10 @@ def test_hermitian_norm():
     assert hermitian_norm(-np.eye(3)) == 1.0
     assert hermitian_norm(np.zeros((4, 4), dtype=complex)) == 0.0
     assert hermitian_norm(np.zeros((0, 0))) == 0.0
-    # eigvalsh([[nan, 0], [0, 1]]) returns finite values; the norm must raise,
-    # so a series that overflows is an error, not a small tail
+    # eigvalsh([[nan, 0], [0, 1]]) returns finite values and the SVD returns
+    # nan for inf; both norms must raise, so a series that overflows is an
+    # error, not a small tail
     for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
-        with pytest.raises(np.linalg.LinAlgError):
-            hermitian_norm(np.diag([bad, 1.0]).astype(complex))
+        for norm in (hermitian_norm, opnorm):
+            with pytest.raises(np.linalg.LinAlgError):
+                norm(np.diag([bad, 1.0]).astype(complex))
