@@ -13,6 +13,7 @@ from .coeffs import (
     KernelSpec,
     KernelValue,
     RadiusEstimate,
+    as_points,
     bergman,
     build_table,
     custom_kernel,

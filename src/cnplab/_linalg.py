@@ -14,10 +14,12 @@ RANK_REL_TOL = 1e-10
 AMBIGUITY_FACTOR = 10.0
 
 
-def opnorm(a: np.ndarray) -> float:
+def opnorm(a: np.ndarray):
     """Spectral norm, 0 for an empty or all-zero matrix; LinAlgError on non-finite entries."""
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("spectral norm of a matrix with non-finite entries")
+    if a.ndim == 3:  # a stack: the norm of each matrix, from one batched SVD
+        return np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
     return float(np.linalg.norm(a, 2)) if a.any() else 0.0
 
 

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from ._linalg import RANK_REL_TOL, hermitize, opnorm
-from .coeffs import (CoeffTable, as_point, graded_index_map, kernel_eval, multi_coeff,
-                     scalar_series)
+from ._linalg import RANK_REL_TOL, hermitian_norm, hermitize, opnorm
+from .coeffs import (CoeffTable, as_points, graded_index_map, in_ball, inner_products,
+                     kernel_eval, multi_coeff, scalar_series)
 from .errors import DomainError, NonConvergedError, NotCnpError
 from .model import DilationMap
 from .tuples import OperatorTuple, TruncationParams
@@ -30,41 +29,39 @@ from .tuples import OperatorTuple, TruncationParams
 
 @dataclass(frozen=True)
 class CalculusResult:
-    """Truncated kernel series at the tuple: sum_alpha a_alpha conj(w^alpha) T^alpha.
+    """Truncated kernel series sum_alpha a_alpha conj(w^alpha) T^alpha, stacked over points w.
 
     inverse_residual measures how well the b-weighted series inverts it,
     which is the identity the characteristic function relies on.
     """
 
     matrix: np.ndarray
-    tail_term: float
-    inverse_residual: float
+    tail_term: np.ndarray
+    inverse_residual: np.ndarray
 
 
-def _monomials(w: np.ndarray, indices) -> np.ndarray:
-    """w^alpha for every multi-index alpha in indices."""
-    return np.prod(np.power(w, np.asarray(indices)), axis=1)
+def _monomials(ws: np.ndarray, indices) -> np.ndarray:
+    """w^alpha for every point w of the stack (rows) and multi-index alpha in indices (columns)."""
+    return np.prod(np.power(ws[:, None, :], np.asarray(indices)), axis=2)
 
 
-def kernel_calculus(t: OperatorTuple, table: CoeffTable, w, p: TruncationParams) -> CalculusResult:
-    """Evaluate the kernel series at the tuple for the point w.
+def kernel_calculus(t: OperatorTuple, table: CoeffTable, ws, p: TruncationParams) -> CalculusResult:
+    """Evaluate the kernel series at the tuple for every point w of the stack ws.
 
     The tuple commutes, so by the multinomial theorem the degree-k layer
     sum_{|alpha|=k} a_alpha conj(w^alpha) T^alpha is a_k A_w^k with
-    A_w = sum_i conj(w_i) T_i: both series cost one h x h product per
-    degree.  The point must lie strictly inside the ball.  The magnitude of
+    A_w = sum_i conj(w_i) T_i: both series cost one product of A_w stacks
+    per degree.  The points must lie strictly inside the ball.  The norm of
     the highest-degree layer a_N A_w^N is the tail diagnostic; a tail above
-    tol flags the sum as non-converged.
+    tol at any point flags the sum as non-converged.
     """
-    w = as_point(w, t.d)
-    if np.linalg.norm(w) >= 1.0:
-        raise DomainError("w must lie strictly inside the unit ball")
+    ws = in_ball(ws, t.d, "w")
     a = table.require_a(p.N)
     b = table.require_b(p.N)
     eye = np.eye(t.h, dtype=complex)
-    a_w = sum(np.conj(wi) * ti for wi, ti in zip(w, t.mats))
-    total = eye.copy()
-    binv = eye.copy()
+    a_w = sum(np.conj(ws[:, i, None, None]) * ti for i, ti in enumerate(t.mats))
+    total = np.broadcast_to(eye, a_w.shape).copy()
+    binv = total.copy()
     power = eye
     for k in range(1, p.N + 1):
         power = power @ a_w
@@ -72,10 +69,10 @@ def kernel_calculus(t: OperatorTuple, table: CoeffTable, w, p: TruncationParams)
         binv -= b[k] * power
     tail = opnorm(a[p.N] * power)
     inverse_residual = opnorm(binv @ total - eye)
-    if tail > p.tol:
-        raise NonConvergedError(
-            f"kernel series tail {tail:.3e} exceeds tol {p.tol:.1e} at degree {p.N}"
-        )
+    bad = np.flatnonzero(tail > p.tol)
+    if len(bad):
+        raise NonConvergedError(f"kernel series tail {tail[bad[0]]:.3e} at point {bad[0]} "
+                                f"exceeds tol {p.tol:.1e} at degree {p.N}")
     return CalculusResult(matrix=total, tail_term=tail, inverse_residual=inverse_residual)
 
 
@@ -168,7 +165,7 @@ def build_lift(v: DilationMap) -> TupleLift:
 
 @dataclass(frozen=True)
 class CharFnEval:
-    """One evaluation of the characteristic function.
+    """The characteristic function at a stack of points, every field stacked along axis 0.
 
     theta maps defect-range coordinates of the lift to defect-range
     coordinates of the tuple.  z_norm_sq is the squared norm of the scalar
@@ -178,14 +175,14 @@ class CharFnEval:
 
     z: np.ndarray
     theta: np.ndarray
-    norm: float
-    inverse_residual: float
-    z_norm_sq: float
+    norm: np.ndarray
+    inverse_residual: np.ndarray
+    z_norm_sq: np.ndarray
     s_z: np.ndarray
 
 
-def charfn_eval(lift: TupleLift, z) -> CharFnEval:
-    """theta(z) = (-t_tilde + Delta s_z(T)^* Z(z) D) restricted to the defect range.
+def charfn_eval(lift: TupleLift, zs) -> CharFnEval:
+    """theta(z) = (-t_tilde + Delta s_z(T)^* Z(z) D) on the defect ranges, at each point z of zs.
 
     Z(z) is the row of scalar blocks sqrt(b_alpha) z^alpha I, applied as a
     weighted sum over block rows.  The inverse (I - Z t_tilde^*)^{-1} is the
@@ -194,51 +191,45 @@ def charfn_eval(lift: TupleLift, z) -> CharFnEval:
     """
     v = lift.dilation
     t, p = v.ops, v.params
-    z = as_point(z, t.d)
-    if np.linalg.norm(z) >= 1.0:
-        raise DomainError("z must lie strictly inside the unit ball")
-    weights = lift.sqrt_b * _monomials(z, v.indices[1:])
-    z_norm_sq = float(np.sum(np.abs(weights) ** 2))
-    if z_norm_sq >= 1.0:
-        raise DomainError(f"row symbol Z(z) must be a strict contraction, got |Z|^2 = {z_norm_sq}")
+    zs = in_ball(zs, t.d, "z")
+    weights = lift.sqrt_b * _monomials(zs, v.indices[1:])
+    z_norm_sq = np.sum(np.abs(weights) ** 2, axis=1)
+    bad = np.flatnonzero(z_norm_sq >= 1.0)
+    if len(bad):
+        raise DomainError(f"point {bad[0]}: |Z(z)|^2 = {z_norm_sq[bad[0]]}, not a strict contraction")
 
-    calc = kernel_calculus(t, v.table, z, p)
-    if calc.inverse_residual > p.tol:
-        raise NonConvergedError(f"reciprocal-series inverse residual {calc.inverse_residual:.3e} "
+    calc = kernel_calculus(t, v.table, zs, p)
+    bad = np.flatnonzero(calc.inverse_residual > p.tol)
+    if len(bad):
+        raise NonConvergedError(f"reciprocal-series inverse residual "
+                                f"{calc.inverse_residual[bad[0]]:.3e} at point {bad[0]} "
                                 f"exceeds tol {p.tol:.1e}")
     dd = v.defect_data
-    z_d = np.tensordot(weights, lift.d_tilde_e.reshape(len(weights), t.h, lift.defect_rank), axes=1)
-    row = dd.delta @ calc.matrix.conj().T @ z_d
+    z_d = (weights @ lift.d_tilde_e.reshape(len(v.indices) - 1, t.h * lift.defect_rank)
+           ).reshape(len(zs), t.h, lift.defect_rank)
+    row = dd.delta @ calc.matrix.conj().swapaxes(1, 2) @ z_d
     theta = dd.ran_delta_basis.conj().T @ (row - lift.t_tilde_e)
-    return CharFnEval(
-        z=z,
-        theta=theta,
-        norm=opnorm(theta),
-        inverse_residual=calc.inverse_residual,
-        z_norm_sq=z_norm_sq,
-        s_z=calc.matrix,
-    )
+    return CharFnEval(z=zs, theta=theta, norm=opnorm(theta), inverse_residual=calc.inverse_residual,
+                      z_norm_sq=z_norm_sq, s_z=calc.matrix)
 
 
 # ---------------------------------------------------------------------------
 # Identity checks
 # ---------------------------------------------------------------------------
 
-def reciprocal_kernel(table: CoeffTable, z, w, n: int) -> complex:
-    """1 / s(z, w) evaluated through the reciprocal series 1 - sum b_alpha z^alpha conj(w^alpha).
+def reciprocal_kernel(table: CoeffTable, zs, ws, n: int) -> np.ndarray:
+    """1 / s(z, w) as the reciprocal series 1 - sum b_alpha z^alpha conj(w^alpha), by row pair.
 
     Truncating the b-series keeps the value consistent with the operator
     computations at the same degree; for kernels with a finite b-sequence it
     is exact.
     """
-    z = as_point(z, table.d)
-    w = as_point(w, table.d)
-    b = table.require_b(n)
-    return scalar_series(np.concatenate(([1.0], -b[1:n + 1])), complex(np.vdot(w, z)), n).value
+    x = inner_products(as_points(zs, table.d), as_points(ws, table.d))
+    return scalar_series(np.concatenate(([1.0], -table.require_b(n)[1:n + 1])), x, n).value
 
 
-def verify_defect_identity(lift: TupleLift, z, w) -> float:
-    """Residual of I - theta(z) theta(w)^* = Delta s_z(T)^* s_w(T) Delta / s(z, w).
+def verify_defect_identity(lift: TupleLift, zs, ws) -> np.ndarray:
+    """Residuals of I - theta(z) theta(w)^* = Delta s_z(T)^* s_w(T) Delta / s(z, w) by row pair.
 
     Both sides are compressed to the defect range and evaluated at the same
     truncation degree; 1/s(z, w) goes through the reciprocal series so no
@@ -246,12 +237,11 @@ def verify_defect_identity(lift: TupleLift, z, w) -> float:
     """
     v = lift.dilation
     dd = v.defect_data
-    ez = charfn_eval(lift, z)
-    ew = charfn_eval(lift, w)
-    lhs = np.eye(dd.rank, dtype=complex) - ez.theta @ ew.theta.conj().T
-    recip = reciprocal_kernel(v.table, z, w, v.N)
-    mid = dd.delta @ ez.s_z.conj().T @ ew.s_z @ dd.delta
-    rhs = recip * (dd.ran_delta_basis.conj().T @ mid @ dd.ran_delta_basis)
+    ez, ew = charfn_eval(lift, zs), charfn_eval(lift, ws)
+    recip = reciprocal_kernel(v.table, ez.z, ew.z, v.N)
+    lhs = np.eye(dd.rank, dtype=complex) - ez.theta @ ew.theta.conj().swapaxes(1, 2)
+    mid = dd.delta @ ez.s_z.conj().swapaxes(1, 2) @ ew.s_z @ dd.delta
+    rhs = recip[:, None, None] * (dd.ran_delta_basis.conj().T @ mid @ dd.ran_delta_basis)
     return opnorm(lhs - rhs)
 
 
@@ -269,36 +259,31 @@ class MultiplierReport:
     vv_identity_residual: float
 
 
-def verify_multiplier(lift: TupleLift, points: Sequence) -> MultiplierReport:
+def verify_multiplier(lift: TupleLift, points) -> MultiplierReport:
     """Gram positivity of theta and the inner products of V^*-embedded kernel functions."""
-    if len(points) < 2:
-        raise ValueError("need at least 2 sample points")
     v = lift.dilation
-    table = v.table
-    pts = [as_point(z, v.ops.d) for z in points]
-    evals = [charfn_eval(lift, z) for z in pts]
-    r = v.codomain_dims[1]
+    pts = as_points(points, v.ops.d)
+    n_pts, r = len(pts), v.codomain_dims[1]
+    if n_pts < 2:
+        raise ValueError("need at least 2 sample points")
+    theta = charfn_eval(lift, pts).theta
 
     # V^* applied to each kernel function, expanded in the truncated
-    # orthonormal basis
-    sqrt_a = np.sqrt([multi_coeff(table, alpha, "a") for alpha in v.indices])
-    vstar = v.matrix.conj().T
-    embedded = [vstar @ np.kron((sqrt_a * np.conj(_monomials(z, v.indices))).reshape(-1, 1),
-                                np.eye(r, dtype=complex))
-                for z in pts]
+    # orthonormal basis: one h x r block per point
+    sqrt_a = np.sqrt([multi_coeff(v.table, alpha, "a") for alpha in v.indices])
+    kernel_fns = sqrt_a * np.conj(_monomials(pts, v.indices))
+    vstar = v.matrix.conj().T.reshape(v.ops.h, len(v.indices), r)
+    embedded = np.tensordot(kernel_fns, vstar, axes=([1], [1]))
 
-    n_pts = len(pts)
-    gram = np.zeros((n_pts * r, n_pts * r), dtype=complex)
-    worst = 0.0
-    # scalar kernel values use the full cached table: the scalar series is
-    # cheap, and a short truncation would only measure its own tail
-    for i in range(n_pts):       # plays the role of z
-        for j in range(n_pts):   # plays the role of w
-            s = kernel_eval(table, pts[i], pts[j], table.n_max).value
-            block = s * (np.eye(r, dtype=complex) - evals[i].theta @ evals[j].theta.conj().T)
-            gram[i * r:(i + 1) * r, j * r:(j + 1) * r] = block
-            lhs = embedded[i].conj().T @ embedded[j]
-            worst = max(worst, float(np.max(np.abs(lhs - block))) if lhs.size else 0.0)
+    # block (i, j) pairs z_i with w = z_j.  Scalar kernel values use the full
+    # cached table: the scalar series is cheap, and a short truncation would
+    # only measure its own tail
+    s = kernel_eval(v.table, np.repeat(pts, n_pts, axis=0), np.tile(pts, (n_pts, 1)),
+                    v.table.n_max).value.reshape(n_pts, n_pts, 1, 1)
+    blocks = s * (np.eye(r, dtype=complex) - theta[:, None] @ theta.conj().swapaxes(1, 2))
+    lhs = embedded.conj().swapaxes(1, 2)[:, None] @ embedded
+    worst = float(np.max(np.abs(lhs - blocks), initial=0.0))
+    gram = blocks.transpose(0, 2, 1, 3).reshape(n_pts * r, n_pts * r)
     gram_min = float(np.linalg.eigvalsh(hermitize(gram))[0])
     return MultiplierReport(gram_min_eig=gram_min, vv_identity_residual=worst)
 
@@ -404,18 +389,19 @@ def verify_model(lift: TupleLift) -> ModelReport:
     v = lift.dilation
     comp_res = max(opnorm(v.matrix.conj().T @ v.tensored.apply(i, v.matrix) - v.ops.mats[i])
                    for i in range(v.ops.d))
-    return ModelReport(compression_residual=comp_res, factor_residual=opnorm(_model_gap(lift)))
+    gap = _model_gap(lift)
+    return ModelReport(compression_residual=comp_res, factor_residual=hermitian_norm(gap))
 
 
-def eval_to_dict(ev: CharFnEval) -> dict:
-    """Structured-text form of one evaluation: point, re/im entries, norm, diagnostics."""
+def eval_to_dict(ev: CharFnEval, i: int) -> dict:
+    """Structured-text form of row i of an evaluation: point, re/im entries, norm, diagnostics."""
     return {
-        "point": [[float(v.real), float(v.imag)] for v in ev.z],
-        "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in ev.theta],
-        "norm": float(ev.norm),
+        "point": [[float(v.real), float(v.imag)] for v in ev.z[i]],
+        "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in ev.theta[i]],
+        "norm": float(ev.norm[i]),
         "diagnostics": {
-            "inverse_residual": float(ev.inverse_residual),
-            "z_norm_sq": float(ev.z_norm_sq),
+            "inverse_residual": float(ev.inverse_residual[i]),
+            "z_norm_sq": float(ev.z_norm_sq[i]),
         },
     }
 
@@ -424,8 +410,8 @@ def eval_to_dict(ev: CharFnEval) -> dict:
 # Sampling helper
 # ---------------------------------------------------------------------------
 
-def ball_points(d: int, count: int, seed: int, radius: float = 0.8) -> list[np.ndarray]:
-    """Deterministic pseudo-random points in the ball of the given radius."""
+def ball_points(d: int, count: int, seed: int, radius: float = 0.8) -> np.ndarray:
+    """Deterministic pseudo-random points in the ball of the given radius, as a (count, d) stack."""
     rng = np.random.default_rng(seed)
     pts = []
     for _ in range(count):
@@ -436,4 +422,4 @@ def ball_points(d: int, count: int, seed: int, radius: float = 0.8) -> list[np.n
             n = np.linalg.norm(v)
         scale = radius * rng.random() ** (1.0 / (2 * d))
         pts.append(scale * v / n)
-    return pts
+    return np.array(pts)

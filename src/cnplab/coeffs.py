@@ -323,40 +323,56 @@ def is_cnp(table: CoeffTable, n: int | None = None, tol_zero: float = CNP_TOL) -
 # Pointwise evaluation and radius estimates
 # ---------------------------------------------------------------------------
 
-def as_point(z, d: int) -> np.ndarray:
-    """Coerce a scalar or sequence to a complex point in C^d."""
-    arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if arr.shape != (d,):
-        raise ValueError(f"point has shape {arr.shape}, expected ({d},)")
+def as_points(zs, d: int) -> np.ndarray:
+    """zs as an (m, d) complex stack of m >= 1 finite points; ValueError for anything else."""
+    arr = np.asarray(zs, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != d:
+        raise ValueError(f"points have shape {arr.shape}, expected (m, {d}) with m >= 1")
+    if not np.isfinite(arr).all():
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(f"non-finite entry {arr[i, j]} at point {i}, coordinate {j}")
     return arr
+
+
+def in_ball(zs, d: int, name: str) -> np.ndarray:
+    """as_points, with DomainError for the first point not strictly inside the unit ball."""
+    pts = as_points(zs, d)
+    norms = np.linalg.norm(pts, axis=1)
+    out = np.flatnonzero(norms >= 1.0)
+    if len(out):
+        raise DomainError(f"{name}[{out[0]}] has norm {norms[out[0]]:.6g}, not below 1")
+    return pts
+
+
+def inner_products(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """<z_j, w_j> = sum_i z_ji conj(w_ji) over two point stacks of the same length."""
+    if zs.shape != ws.shape:
+        raise ValueError(f"point stacks of shapes {zs.shape} and {ws.shape} do not pair up")
+    return np.sum(zs * np.conj(ws), axis=1)
 
 
 @dataclass(frozen=True)
 class KernelValue:
-    value: complex
-    tail_term: float
+    value: np.ndarray
+    tail_term: np.ndarray
 
 
-def kernel_eval(table: CoeffTable, z, w, n: int | None = None) -> KernelValue:
-    """Truncated kernel value sum_{k<=n} a_k <z, w>^k with <z, w> = sum z_i conj(w_i).
+def kernel_eval(table: CoeffTable, zs, ws, n: int | None = None) -> KernelValue:
+    """Truncated kernel values sum_{k<=n} a_k <z, w>^k for the pairs (z, w) of rows of zs, ws.
 
-    The magnitude of the last retained term is reported as a truncation
+    The magnitude of each last retained term is reported as a truncation
     diagnostic.  Points must lie strictly inside the unit ball.
     """
-    z = as_point(z, table.d)
-    w = as_point(w, table.d)
-    for name, p in (("z", z), ("w", w)):
-        if np.linalg.norm(p) >= 1.0:
-            raise DomainError(f"{name} must lie strictly inside the unit ball")
+    x = inner_products(in_ball(zs, table.d, "z"), in_ball(ws, table.d, "w"))
     if n is None:
         n = table.n_max
-    return scalar_series(table.require_a(n), complex(np.vdot(w, z)), n)
+    return scalar_series(table.require_a(n), x, n)
 
 
-def scalar_series(coeffs: Sequence[float], x: complex, n: int) -> KernelValue:
-    """sum_{k<=n} coeffs[k] x^k, summed in degree order, with |coeffs[n] x^n| as the tail."""
+def scalar_series(coeffs: Sequence[float], x: np.ndarray, n: int) -> KernelValue:
+    """sum_{k<=n} coeffs[k] x^k at each entry of x, in degree order; |coeffs[n] x^n| is the tail."""
     value = 0.0 + 0.0j
-    power = 1.0 + 0.0j
+    power = np.ones_like(x)
     last = 0.0
     for k in range(n + 1):
         term = coeffs[k] * power

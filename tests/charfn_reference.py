@@ -7,6 +7,9 @@ two:
 - `enumerated_calculus` sums the kernel series at the tuple term by term
   over every multi-index alpha with |alpha| <= N, from the products T^alpha
   and the multi-index coefficients a_alpha, b_alpha;
+- `pointwise_calculus` and `pointwise_charfn_eval` evaluate the kernel
+  calculus and theta at one point at a time, with a Python loop of h x h
+  products per point, where the package evaluates a whole stack at once;
 - `dense_lift_defect` takes the defect D~ of the lifted row, and a basis of
   its range, from a dense eigendecomposition of I - T~^*T~;
 - `dense_theta` forms the full row -T~ + Delta s_z(T)^* Z(z) D~ with Z(z)
@@ -23,9 +26,17 @@ from __future__ import annotations
 import numpy as np
 
 from cnplab._linalg import RANK_REL_TOL, hermitize, opnorm, orthonormal_range, psd_sqrt
-from cnplab.charfn import _taylor_blocks, charfn_eval
-from cnplab.coeffs import as_point, graded_indices, multi_coeff
+from cnplab.charfn import CalculusResult, CharFnEval, _taylor_blocks, charfn_eval
+from cnplab.coeffs import graded_indices, multi_coeff
+from cnplab.errors import DomainError, NonConvergedError
 from cnplab.tuples import TuplePowers
+
+
+def point(z, d) -> np.ndarray:
+    """One point of C^d as a length-d complex vector."""
+    z = np.asarray(z, dtype=complex)
+    assert z.shape == (d,), z.shape
+    return z
 
 
 def monomials(w, indices) -> np.ndarray:
@@ -42,7 +53,7 @@ def monomials(w, indices) -> np.ndarray:
 def enumerated_calculus(t, table, w, p):
     """(sum_alpha a_alpha conj(w^alpha) T^alpha, norm of its degree-N layer,
     |(I - sum_{|alpha|>=1} b_alpha conj(w^alpha) T^alpha) s - I|)."""
-    w = as_point(w, t.d)
+    w = point(w, t.d)
     powers = TuplePowers(t, p.N)
     indices = graded_indices(t.d, p.N)
     mono = np.conj(monomials(w, indices))
@@ -63,6 +74,54 @@ def enumerated_calculus(t, table, w, p):
         if deg >= 1:
             binv -= (multi_coeff(table, alpha, "b") * mono[j]) * pa
     return total, opnorm(layer), opnorm(binv @ total - np.eye(h, dtype=complex))
+
+
+def pointwise_calculus(t, table, w, p) -> CalculusResult:
+    """The kernel calculus at the one point w, with scalar tail and residual fields."""
+    w = point(w, t.d)
+    if np.linalg.norm(w) >= 1.0:
+        raise DomainError("w must lie strictly inside the unit ball")
+    a = table.require_a(p.N)
+    b = table.require_b(p.N)
+    eye = np.eye(t.h, dtype=complex)
+    a_w = sum(np.conj(wi) * ti for wi, ti in zip(w, t.mats))
+    total = eye.copy()
+    binv = eye.copy()
+    power = eye
+    for k in range(1, p.N + 1):
+        power = power @ a_w
+        total += a[k] * power
+        binv -= b[k] * power
+    tail = opnorm(a[p.N] * power)
+    inverse_residual = opnorm(binv @ total - eye)
+    if tail > p.tol:
+        raise NonConvergedError(
+            f"kernel series tail {tail:.3e} exceeds tol {p.tol:.1e} at degree {p.N}"
+        )
+    return CalculusResult(matrix=total, tail_term=tail, inverse_residual=inverse_residual)
+
+
+def pointwise_charfn_eval(lift, z) -> CharFnEval:
+    """theta at the one point z, with the fields of a one-point evaluation unstacked."""
+    v = lift.dilation
+    t, p = v.ops, v.params
+    z = point(z, t.d)
+    if np.linalg.norm(z) >= 1.0:
+        raise DomainError("z must lie strictly inside the unit ball")
+    weights = lift.sqrt_b * np.prod(np.power(z, np.asarray(v.indices[1:])), axis=1)
+    z_norm_sq = float(np.sum(np.abs(weights) ** 2))
+    if z_norm_sq >= 1.0:
+        raise DomainError(f"row symbol Z(z) must be a strict contraction, got |Z|^2 = {z_norm_sq}")
+    calc = pointwise_calculus(t, v.table, z, p)
+    if calc.inverse_residual > p.tol:
+        raise NonConvergedError(f"reciprocal-series inverse residual {calc.inverse_residual:.3e} "
+                                f"exceeds tol {p.tol:.1e}")
+    dd = v.defect_data
+    z_d = np.tensordot(weights, lift.d_tilde_e.reshape(len(weights), t.h, lift.defect_rank), axes=1)
+    row = dd.delta @ calc.matrix.conj().T @ z_d
+    theta = dd.ran_delta_basis.conj().T @ (row - lift.t_tilde_e)
+    return CharFnEval(z=z, theta=theta, norm=opnorm(theta), inverse_residual=calc.inverse_residual,
+                      z_norm_sq=z_norm_sq, s_z=calc.matrix)
 
 
 def dense_lift_defect(lift):
@@ -88,7 +147,7 @@ def dense_theta(lift, z, defect) -> np.ndarray:
     d_tilde, basis = defect
     v = lift.dilation
     t, dd = v.ops, v.defect_data
-    z = as_point(z, t.d)
+    z = point(z, t.d)
     h = t.h
     weights = lift.sqrt_b * monomials(z, v.indices[1:])
     zrow = np.hstack([wj * np.eye(h, dtype=complex) for wj in weights])
@@ -116,12 +175,11 @@ def fitted_taylor_blocks(lift, n_taylor: int, radius: float = 0.9):
 
     monomial_set = graded_indices(d, n_taylor)
     a_mat = np.stack([monomials(z, monomial_set) for z in pts])
-    evals = [charfn_eval(lift, z) for z in pts]
-    r_out, r_in = evals[0].theta.shape
-    rhs = np.stack([e.theta.reshape(-1) for e in evals], axis=0)
+    theta = charfn_eval(lift, pts).theta
+    rhs = theta.reshape(len(pts), -1)
     coef, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
     fit_res = float(np.max(np.abs(a_mat @ coef - rhs))) if rhs.size else 0.0
-    blocks = {alpha: coef[j].reshape(r_out, r_in) for j, alpha in enumerate(monomial_set)}
+    blocks = {alpha: coef[j].reshape(theta.shape[1:]) for j, alpha in enumerate(monomial_set)}
     return blocks, fit_res
 
 

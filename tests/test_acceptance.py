@@ -151,10 +151,10 @@ def test_criterion_6_charfn_identities(charfn_examples):
         d = ex.kernel.d
         zs = cl.ball_points(d, 20, seed=101)
         ws = cl.ball_points(d, 20, seed=102)
-        i1 = max(cl.verify_defect_identity(lift, z, w) for z, w in zip(zs, ws))
+        i1 = cl.verify_defect_identity(lift, zs, ws).max()
         mult = cl.verify_multiplier(lift, cl.ball_points(d, 5, seed=103))
         model = cl.verify_model(lift)
-        norms = max(cl.charfn_eval(lift, z).norm for z in cl.ball_points(d, 100, seed=104))
+        norms = cl.charfn_eval(lift, cl.ball_points(d, 100, seed=104)).norm.max()
         good = (i1 <= 1e-8
                 and mult.gram_min_eig >= -1e-9
                 and mult.vv_identity_residual <= 1e-7
@@ -182,9 +182,9 @@ def test_criterion_7_classical_reduction():
         z = complex(rng.uniform(-0.85, 0.85), rng.uniform(-0.4, 0.4))
         t = cl.OperatorTuple.from_scalars(t_val)
         lift = cl.build_lift(cl.build_dilation(t, table, p))
-        ev = cl.charfn_eval(lift, z)
+        theta = cl.charfn_eval(lift, [[z]]).theta[0]
         mobius = (z - t_val) / (1.0 - t_val * z)
-        worst = max(worst, abs(ev.theta[0, 0] - mobius))
+        worst = max(worst, abs(theta[0, 0] - mobius))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 5.0
     criterion(7, "scalar reduction matches the Mobius function at N=100",

@@ -1,5 +1,7 @@
 """Characteristic function: lift, evaluation, and the operator identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 
 import cnplab as cl
 from charfn_reference import (dense_lift_defect, dense_model_gap, dense_theta,
-                              enumerated_calculus, fitted_taylor_blocks)
+                              enumerated_calculus, fitted_taylor_blocks, pointwise_calculus,
+                              pointwise_charfn_eval)
 from random_inputs import diff_kernel, random_commuting_tuple, random_point
+from cnplab._linalg import hermitian_norm
 from cnplab.charfn import _model_gap, _taylor_blocks, reciprocal_kernel
 
 
@@ -39,30 +43,30 @@ def szego_half():
 def test_kernel_calculus_at_origin():
     table = cl.build_table(cl.szego(), 42)
     t = cl.OperatorTuple.from_scalars(0.5)
-    out = cl.kernel_calculus(t, table, 0.0, P(40))
-    assert np.array_equal(out.matrix, np.eye(1))
+    out = cl.kernel_calculus(t, table, [[0.0]], P(40))
+    assert np.array_equal(out.matrix[0], np.eye(1))
 
 
 def test_kernel_calculus_geometric():
     table = cl.build_table(cl.szego(), 82)
     t = cl.OperatorTuple.from_scalars(0.5)
-    out = cl.kernel_calculus(t, table, 0.5, P(80))
-    assert abs(out.matrix[0, 0] - 4.0 / 3.0) <= 1e-10
-    assert out.inverse_residual <= 1e-12
+    out = cl.kernel_calculus(t, table, [[0.5]], P(80))
+    assert abs(out.matrix[0][0, 0] - 4.0 / 3.0) <= 1e-10
+    assert out.inverse_residual[0] <= 1e-12
 
 
 def test_kernel_calculus_zero_tuple():
     table = cl.build_table(cl.drury_arveson(2), 12)
-    out = cl.kernel_calculus(cl.OperatorTuple.zero(3, 2), table, (0.4, 0.2), P(8))
-    assert np.array_equal(out.matrix, np.eye(3))
-    assert out.tail_term == 0.0
+    out = cl.kernel_calculus(cl.OperatorTuple.zero(3, 2), table, [(0.4, 0.2)], P(8))
+    assert np.array_equal(out.matrix[0], np.eye(3))
+    assert out.tail_term[0] == 0.0
 
 
 def test_kernel_calculus_flags_nonconvergence():
     table = cl.build_table(cl.szego(), 12)
     t = cl.OperatorTuple.from_scalars(0.95)
     with pytest.raises(cl.NonConvergedError):
-        cl.kernel_calculus(t, table, 0.9, P(10))
+        cl.kernel_calculus(t, table, [[0.9]], P(10))
 
 
 # ---------------------------------------------------------------------------
@@ -135,17 +139,17 @@ def test_lift_contraction_equivalence():
 
 def test_theta_at_zero_is_minus_lift(szego_half):
     t, lift, table, p = szego_half
-    ev = cl.charfn_eval(lift, 0.0)
+    ev = cl.charfn_eval(lift, [[0.0]])
     basis = lift.dilation.defect_data.ran_delta_basis
     expected = -(basis.conj().T @ lift.t_tilde @ lift.d_tilde_basis)
-    assert np.max(np.abs(ev.theta - expected)) <= 1e-14
+    assert np.max(np.abs(ev.theta[0] - expected)) <= 1e-14
 
 
 def test_theta_matches_mobius(szego_half):
     t, lift, table, p = szego_half
-    ev = cl.charfn_eval(lift, 0.3)
-    assert abs(ev.theta[0, 0] - mobius(0.5, 0.3)) <= 1e-10
-    assert abs(ev.norm - abs(mobius(0.5, 0.3))) <= 1e-10
+    ev = cl.charfn_eval(lift, [[0.3]])
+    assert abs(ev.theta[0][0, 0] - mobius(0.5, 0.3)) <= 1e-10
+    assert abs(ev.norm[0] - abs(mobius(0.5, 0.3))) <= 1e-10
 
 
 def test_theta_zero_tuple_is_coordinate():
@@ -153,9 +157,9 @@ def test_theta_zero_tuple_is_coordinate():
     p = P(20)
     t = cl.OperatorTuple.zero(1, 1)
     lift = lift_of(t, table, p)
-    ev = cl.charfn_eval(lift, 0.37)
-    assert abs(ev.theta[0, 0] - 0.37) <= 1e-14
-    assert np.max(np.abs(ev.theta[0, 1:])) <= 1e-14
+    theta = cl.charfn_eval(lift, [[0.37]]).theta[0]
+    assert abs(theta[0, 0] - 0.37) <= 1e-14
+    assert np.max(np.abs(theta[0, 1:])) <= 1e-14
 
 
 def test_scalar_mobius_sweep():
@@ -170,57 +174,57 @@ def test_scalar_mobius_sweep():
             z *= 0.9 / abs(z)
         t = cl.OperatorTuple.from_scalars(t_val)
         lift = lift_of(t, table, p)
-        ev = cl.charfn_eval(lift, z)
-        assert abs(ev.theta[0, 0] - mobius(t_val, z)) <= 1e-9, (t_val, z)
+        theta = cl.charfn_eval(lift, [[z]]).theta[0]
+        assert abs(theta[0, 0] - mobius(t_val, z)) <= 1e-9, (t_val, z)
 
 
 def test_theta_norm_bound(charfn_examples):
     for ex in charfn_examples:
         table = ex.table()
         lift = lift_of(ex.ops, table, ex.p)
-        for z in cl.ball_points(ex.kernel.d, 100, seed=5):
-            ev = cl.charfn_eval(lift, z)
-            assert ev.norm <= 1.0 + 1e-8, (ex.name, z, ev.norm)
+        ev = cl.charfn_eval(lift, cl.ball_points(ex.kernel.d, 100, seed=5))
+        for z, norm in zip(ev.z, ev.norm):
+            assert norm <= 1.0 + 1e-8, (ex.name, z, norm)
 
 
 def test_z_row_strict_contraction_identity(charfn_examples):
     for ex in charfn_examples:
         table = ex.table()
         lift = lift_of(ex.ops, table, ex.p)
-        for z in cl.ball_points(ex.kernel.d, 20, seed=6):
-            ev = cl.charfn_eval(lift, z)
-            s = cl.kernel_eval(table, z, z, table.n_max).value
-            assert ev.z_norm_sq < 1.0
-            assert abs(ev.z_norm_sq - (1.0 - 1.0 / s.real)) <= 1e-10, ex.name
+        zs = cl.ball_points(ex.kernel.d, 20, seed=6)
+        ev = cl.charfn_eval(lift, zs)
+        s = cl.kernel_eval(table, zs, zs, table.n_max).value
+        assert np.all(ev.z_norm_sq < 1.0)
+        assert np.max(np.abs(ev.z_norm_sq - (1.0 - 1.0 / s.real))) <= 1e-10, ex.name
 
 
 def test_hermitian_symmetry(szego_half):
     t, lift, table, p = szego_half
     za, zb = 0.3 + 0.2j, -0.4 + 0.1j
-    ea = cl.charfn_eval(lift, za)
-    eb = cl.charfn_eval(lift, zb)
-    ab = ea.theta @ eb.theta.conj().T
-    ba = eb.theta @ ea.theta.conj().T
+    ta = cl.charfn_eval(lift, [[za]]).theta[0]
+    tb = cl.charfn_eval(lift, [[zb]]).theta[0]
+    ab = ta @ tb.conj().T
+    ba = tb @ ta.conj().T
     assert np.max(np.abs(ab - ba.conj().T)) <= 1e-12
 
 
 def test_domain_checks(szego_half):
     t, lift, table, p = szego_half
     with pytest.raises(cl.DomainError):
-        cl.charfn_eval(lift, 1.0)
+        cl.charfn_eval(lift, [[1.0]])
 
 
 def test_eval_export(szego_half):
     import json
 
     t, lift, table, p = szego_half
-    ev = cl.charfn_eval(lift, 0.3 + 0.1j)
-    payload = cl.eval_to_dict(ev)
+    ev = cl.charfn_eval(lift, [[0.3 + 0.1j]])
+    payload = cl.eval_to_dict(ev, 0)
     parsed = json.loads(json.dumps(payload))
     assert parsed["point"] == [[0.3, 0.1]]
     entry = parsed["matrix"][0][0]
-    assert abs(complex(entry[0], entry[1]) - ev.theta[0, 0]) == 0.0
-    assert parsed["norm"] == ev.norm
+    assert abs(complex(entry[0], entry[1]) - ev.theta[0][0, 0]) == 0.0
+    assert parsed["norm"] == ev.norm[0]
     assert "inverse_residual" in parsed["diagnostics"]
 
 
@@ -233,12 +237,12 @@ def test_defect_identity_origin_zero_tuple():
     p = P(20)
     t = cl.OperatorTuple.zero(1, 1)
     lift = lift_of(t, table, p)
-    assert cl.verify_defect_identity(lift, 0.0, 0.0) <= 1e-14
+    assert cl.verify_defect_identity(lift, [[0.0]], [[0.0]])[0] <= 1e-14
 
 
 def test_defect_identity_scalar(szego_half):
     t, lift, table, p = szego_half
-    assert cl.verify_defect_identity(lift, 0.3, -0.2) <= 1e-9
+    assert cl.verify_defect_identity(lift, [[0.3]], [[-0.2]])[0] <= 1e-9
 
 
 def test_defect_identity_sampled(charfn_examples):
@@ -247,16 +251,15 @@ def test_defect_identity_sampled(charfn_examples):
         lift = lift_of(ex.ops, table, ex.p)
         zs = cl.ball_points(ex.kernel.d, 20, seed=21)
         ws = cl.ball_points(ex.kernel.d, 20, seed=22)
-        worst = max(cl.verify_defect_identity(lift, z, w)
-                    for z, w in zip(zs, ws))
+        worst = cl.verify_defect_identity(lift, zs, ws).max()
         assert worst <= 1e-8, (ex.name, worst)
 
 
 def test_reciprocal_kernel_is_reciprocal():
     table = cl.build_table(cl.dirichlet_t(1.0), 90)
     z, w = 0.4 + 0.2j, -0.3 + 0.5j
-    recip = reciprocal_kernel(table, z, w, 80)
-    s = cl.kernel_eval(table, z, w, 90).value
+    recip = reciprocal_kernel(table, [[z]], [[w]], 80)[0]
+    s = cl.kernel_eval(table, [[z]], [[w]], 90).value[0]
     assert abs(recip * s - 1.0) <= 1e-12
 
 
@@ -266,7 +269,7 @@ def test_multiplier_gram_zero_tuple_pair():
     p = P(20)
     t = cl.OperatorTuple.zero(1, 1)
     lift = lift_of(t, table, p)
-    rep = cl.verify_multiplier(lift, [0.0, 0.5])
+    rep = cl.verify_multiplier(lift, [[0.0], [0.5]])
     assert rep.gram_min_eig >= -1e-12
     assert abs(rep.gram_min_eig) <= 1e-10  # ones matrix has a zero eigenvalue
     assert rep.vv_identity_residual <= 1e-10
@@ -284,7 +287,7 @@ def test_multiplier_sampled(charfn_examples):
 def test_multiplier_needs_two_points(szego_half):
     t, lift, table, p = szego_half
     with pytest.raises(ValueError):
-        cl.verify_multiplier(lift, [0.0])
+        cl.verify_multiplier(lift, [[0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +349,14 @@ def test_full_stack_on_random_contraction():
     assert cl.admits_charfn(v).status == "admits"
     lift = cl.build_lift(v)
     assert lift.ttstar_residual <= 1e-10 and lift.intertwine_residual <= 1e-10
-    worst = max(cl.verify_defect_identity(lift, z, w)
-                for z, w in zip(cl.ball_points(1, 10, 41), cl.ball_points(1, 10, 42)))
+    worst = cl.verify_defect_identity(lift, cl.ball_points(1, 10, 41),
+                                      cl.ball_points(1, 10, 42)).max()
     assert worst <= 1e-8
     mult = cl.verify_multiplier(lift, cl.ball_points(1, 5, 43))
     assert mult.gram_min_eig >= -1e-9 and mult.vv_identity_residual <= 1e-8
     model = cl.verify_model(lift)
     assert model.compression_residual <= 1e-7 and model.factor_residual <= 1e-7
-    for z in cl.ball_points(1, 50, 44):
-        assert cl.charfn_eval(lift, z).norm <= 1.0 + 1e-8
+    assert np.all(cl.charfn_eval(lift, cl.ball_points(1, 50, 44)).norm <= 1.0 + 1e-8)
 
 
 def test_identities_on_random_commuting_pair():
@@ -369,8 +371,8 @@ def test_identities_on_random_commuting_pair():
     assert cl.is_contraction(t, table, p).status == "yes"
     assert cl.is_pure(t, table, p).status == "pure"
     lift = lift_of(t, table, p)
-    worst = max(cl.verify_defect_identity(lift, z, w)
-                for z, w in zip(cl.ball_points(2, 10, 51), cl.ball_points(2, 10, 52)))
+    worst = cl.verify_defect_identity(lift, cl.ball_points(2, 10, 51),
+                                      cl.ball_points(2, 10, 52)).max()
     assert worst <= 1e-8
     mult = cl.verify_multiplier(lift, cl.ball_points(2, 4, 53))
     assert mult.gram_min_eig >= -1e-9 and mult.vv_identity_residual <= 1e-8
@@ -404,12 +406,12 @@ def test_calculus_matches_enumeration(seed, d, h, rule, param):
     p = P(n, tol=DIFF_TOL)
     t = random_commuting_tuple(rng, d, h, 0.35)
     w = random_point(rng, d, 0.95)
-    got = cl.kernel_calculus(t, table, w, p)
+    got = cl.kernel_calculus(t, table, [w], p)
     total, tail, inverse_residual = enumerated_calculus(t, table, w, p)
     scale = np.linalg.norm(total, 2)
-    assert np.linalg.norm(got.matrix - total, 2) <= 1e-12 * scale
-    assert abs(got.tail_term - tail) <= 1e-12 * scale
-    assert abs(got.inverse_residual - inverse_residual) <= 1e-12 * scale
+    assert np.linalg.norm(got.matrix[0] - total, 2) <= 1e-12 * scale
+    assert abs(got.tail_term[0] - tail) <= 1e-12 * scale
+    assert abs(got.inverse_residual[0] - inverse_residual) <= 1e-12 * scale
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
@@ -426,7 +428,7 @@ def test_theta_and_blocks_match_references(seed, d, h, rule, param):
     t = random_commuting_tuple(rng, d, h, 0.35)
     lift = lift_of(t, table, p)
     z = random_point(rng, d, 0.95)
-    theta = cl.charfn_eval(lift, z).theta
+    theta = cl.charfn_eval(lift, [z]).theta[0]
     defect = (dense_lift_defect(lift)[0], lift.d_tilde_basis)
     assert np.max(np.abs(theta - dense_theta(lift, z, defect)), initial=0.0) <= 1e-13
 
@@ -451,7 +453,7 @@ def check_lift_against_dense_reference(lift, rng, radius):
     # theta(z) theta(w)^* does not depend on the basis of the lift's range
     d = lift.dilation.ops.d
     z, w = random_point(rng, d, radius), random_point(rng, d, radius)
-    got = cl.charfn_eval(lift, z).theta @ cl.charfn_eval(lift, w).theta.conj().T
+    got = cl.charfn_eval(lift, [z]).theta[0] @ cl.charfn_eval(lift, [w]).theta[0].conj().T
     ref_z, ref_w = dense_theta(lift, z, (d_ref, e_ref)), dense_theta(lift, w, (d_ref, e_ref))
     assert np.max(np.abs(got - ref_z @ ref_w.conj().T)) <= 1e-12
 
@@ -489,13 +491,102 @@ def test_lift_with_singular_delta_matches_dense_reference(value, rotated):
     check_lift_against_dense_reference(lift, np.random.default_rng(3), 0.3)
 
 
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
+       h=st.integers(min_value=1, max_value=3), m=st.integers(min_value=1, max_value=7),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t", "bergman"]),
+       param=st.floats(min_value=0.0, max_value=2.0))
+@settings(max_examples=60, deadline=None)
+def test_batch_matches_pointwise_reference(seed, d, h, m, rule, param):
+    # one evaluation of a stack of m points against the point-by-point loop,
+    # row by row; Bergman kernels are not CNP, so they run the calculus only
+    rng = np.random.default_rng(seed)
+    n = DIFF_DEGREE[d]
+    table = cl.build_table(diff_kernel(rule, d, param), n + 1)
+    p = P(n, tol=DIFF_TOL)
+    t = random_commuting_tuple(rng, d, h, 0.35)
+    zs = np.array([random_point(rng, d, 0.95) for _ in range(m)])
+    calc = cl.kernel_calculus(t, table, zs, p)
+    for i, z in enumerate(zs):
+        want = pointwise_calculus(t, table, z, p)
+        # the inverse residual is itself a rounding-level number, so it is
+        # compared relative to the series it is the residual of
+        scale = np.linalg.norm(want.matrix, 2)
+        assert np.linalg.norm(calc.matrix[i] - want.matrix, 2) <= 1e-12 * scale
+        assert abs(calc.tail_term[i] - want.tail_term) <= 1e-12 * want.tail_term
+        assert abs(calc.inverse_residual[i] - want.inverse_residual) <= 1e-12 * scale
+    if rule == "bergman":
+        return
+    lift = lift_of(t, table, p)
+    ev = cl.charfn_eval(lift, zs)
+    assert np.array_equal(ev.z, zs)
+    for i, z in enumerate(zs):
+        want = pointwise_charfn_eval(lift, z)
+        scale = np.linalg.norm(want.theta, 2)
+        assert np.linalg.norm(ev.theta[i] - want.theta, 2) <= 1e-12 * scale
+        assert abs(ev.norm[i] - want.norm) <= 1e-12 * want.norm
+        assert abs(ev.z_norm_sq[i] - want.z_norm_sq) <= 1e-12 * want.z_norm_sq
+
+
+def overflowing_lift(lift):
+    """The lift with its tuple and D~E scaled so that theta overflows at |z| = 0.5.
+
+    With T = c and the tolerance raised to 1e305, s_z(T) stays finite up to
+    |z c| = 10^14.5 at degree 20; D~E scaled by 1e19 then carries theta past
+    the largest double at z = 0.5, while it stays finite at z = 0 and 1e-15.
+    """
+    v = dataclasses.replace(lift.dilation, ops=cl.OperatorTuple.from_scalars(6.3e14),
+                            params=P(20, tol=1e305))
+    return dataclasses.replace(lift, dilation=v, d_tilde_e=lift.d_tilde_e * 1e19)
+
+
+def test_one_bad_point_fails_the_batch_as_it_fails_alone():
+    table = cl.build_table(cl.szego(), 90)
+    p = P(20)
+    t = cl.OperatorTuple.from_scalars(0.5)
+    lift = lift_of(t, table, p)
+    good = [[0.1], [0.2j]]
+    # outside the ball
+    with pytest.raises(cl.DomainError):
+        pointwise_charfn_eval(lift, [1.2])
+    with pytest.raises(cl.DomainError, match=r"z\[1\]"):
+        cl.charfn_eval(lift, [good[0], [1.2], good[1]])
+    with pytest.raises(cl.DomainError, match=r"w\[1\]"):
+        cl.kernel_calculus(t, table, [good[0], [1.2], good[1]], p)
+    # the series tail at z = 0.9 is 0.45^20 > tol
+    for z in good:
+        pointwise_charfn_eval(lift, z)
+    with pytest.raises(cl.NonConvergedError):
+        pointwise_charfn_eval(lift, [0.9])
+    with pytest.raises(cl.NonConvergedError, match="at point 2 "):
+        cl.charfn_eval(lift, good + [[0.9]])
+    # the first point over tol is named
+    with pytest.raises(cl.NonConvergedError, match="at point 1 "):
+        cl.kernel_calculus(t, table, [good[0], [0.9], [0.95j]], p)
+    # a non-finite theta
+    big = overflowing_lift(lift)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z in ([0.0], [1e-15]):
+            assert np.isfinite(pointwise_charfn_eval(big, z).theta).all()
+        with pytest.raises(np.linalg.LinAlgError):
+            pointwise_charfn_eval(big, [0.5])
+        with pytest.raises(np.linalg.LinAlgError):
+            cl.charfn_eval(big, [[0.0], [0.5], [1e-15]])
+    # a length-d vector is not a stack of points
+    with pytest.raises(ValueError, match="shape"):
+        cl.charfn_eval(lift, [0.3])
+    with pytest.raises(ValueError, match="shape"):
+        cl.kernel_calculus(t, table, [0.3], p)
+    with pytest.raises(ValueError, match="do not pair up"):
+        cl.verify_defect_identity(lift, good, good[:1])
+
+
 def test_inverse_residual_is_the_calculus_one(charfn_examples):
     for ex in charfn_examples:
         lift = lift_of(ex.ops, ex.table(), ex.p)
         v = lift.dilation
-        for z in cl.ball_points(ex.kernel.d, 5, seed=61):
-            want = cl.kernel_calculus(v.ops, v.table, z, v.params).inverse_residual
-            assert cl.charfn_eval(lift, z).inverse_residual == want, ex.name
+        zs = cl.ball_points(ex.kernel.d, 5, seed=61)
+        want = cl.kernel_calculus(v.ops, v.table, zs, v.params).inverse_residual
+        assert np.array_equal(cl.charfn_eval(lift, zs).inverse_residual, want), ex.name
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2]),
@@ -516,4 +607,6 @@ def test_model_gap_matches_dense_reference(seed, d, h, rule, param):
     scale = max(1.0, np.linalg.norm(np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T, 2))
     gap = _model_gap(lift)
     assert np.linalg.norm(gap - want, 2) <= 1e-12 * scale
-    assert cl.verify_model(lift).factor_residual == np.linalg.norm(gap, 2)
+    # the gap is Hermitian, and its norm is taken from its eigenvalues
+    assert cl.verify_model(lift).factor_residual == hermitian_norm(gap)
+    assert abs(hermitian_norm(gap) - np.linalg.norm(gap, 2)) <= 1e-12 * scale

@@ -478,10 +478,16 @@ def test_existence_run_builds_the_dilation_once(monkeypatch):
 def test_identities_run_builds_theta_on_the_dilation(monkeypatch):
     calls = record_calls(monkeypatch, {"build_dilation": model.build_dilation,
                                        "build_lift": charfn.build_lift,
-                                       "defect": tuples.defect})
+                                       "defect": tuples.defect,
+                                       "charfn_eval": charfn.charfn_eval,
+                                       "kernel_calculus": charfn.kernel_calculus})
     report = run_config(nilpotent_pair_config(
         ["coeffs", "contraction", "purity", "dilation", "charfn", "identities"]))
     assert report["overall"] == "pass"
+    # theta is evaluated on point stacks: the 100 charfn samples, the z and
+    # the w of the 20 defect-identity pairs, and the 5 multiplier points
+    assert [len(e.z) for e in calls["charfn_eval"]] == [100, 20, 20, 5]
+    assert [len(c.matrix) for c in calls["kernel_calculus"]] == [100, 20, 20, 5]
     # contraction, purity and the dilation share one defect; the lift reuses
     # the dilation's defect and powers, and the model check its tensored shifts
     assert len(calls["defect"]) == 1 and len(calls["TuplePowers"]) == 1

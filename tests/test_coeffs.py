@@ -262,28 +262,63 @@ def test_kernel_eval_at_origin():
     for spec in BUILTIN_SPECS[:4]:
         table = cl.build_table(spec, 10)
         z = np.zeros(spec.d)
-        assert cl.kernel_eval(table, z, z, 10).value == 1.0
+        assert cl.kernel_eval(table, [z], [z], 10).value[0] == 1.0
 
 
 def test_kernel_eval_drury_arveson():
     table = cl.build_table(cl.drury_arveson(2), 45)
-    out = cl.kernel_eval(table, (0.5, 0.0), (0.5, 0.0), 42)
-    assert abs(out.value - 4.0 / 3.0) <= 1e-10
+    out = cl.kernel_eval(table, [(0.5, 0.0)], [(0.5, 0.0)], 42)
+    assert abs(out.value[0] - 4.0 / 3.0) <= 1e-10
 
 
 def test_kernel_eval_bergman():
     table = cl.build_table(cl.bergman(2), 65)
     z = np.sqrt(0.5)
-    out = cl.kernel_eval(table, z, z, 62)
-    assert abs(out.value - 4.0) <= 1e-8
+    out = cl.kernel_eval(table, [[z]], [[z]], 62)
+    assert abs(out.value[0] - 4.0) <= 1e-8
+
+
+@pytest.mark.parametrize("zs, d, fragment", [
+    (0.3, 1, "shape ()"),
+    ([0.3], 1, "shape (1,)"),
+    ([0.3, 0.1], 2, "shape (2,)"),      # a length-d vector is not d points
+    (np.zeros((0, 2)), 2, "shape (0, 2)"),
+    ([[0.1, 0.2]], 1, "shape (1, 2)"),
+    (np.zeros((1, 2, 1)), 2, "shape (1, 2, 1)"),
+    ([[0.1, np.nan]], 2, "at point 0, coordinate 1"),
+    ([[0.1], [complex(0.0, np.inf)]], 1, "at point 1, coordinate 0"),
+])
+def test_as_points_is_strict(zs, d, fragment):
+    with pytest.raises(ValueError) as err:
+        cl.as_points(zs, d)
+    assert fragment in str(err.value)
+
+
+def test_as_points_keeps_a_stack():
+    pts = cl.as_points([[0.1, 0.2j], (0.3, 0.0)], 2)
+    assert pts.dtype == complex and pts.shape == (2, 2)
+    assert np.array_equal(pts, [[0.1, 0.2j], [0.3, 0.0]])
+
+
+def test_kernel_eval_pairs_rows():
+    table = cl.build_table(cl.drury_arveson(2), 45)
+    zs = [(0.5, 0.0), (0.1, 0.2j), (0.0, 0.3)]
+    ws = [(0.5, 0.0), (0.3, 0.0), (0.0, -0.3j)]
+    out = cl.kernel_eval(table, zs, ws, 42)
+    for value, z, w in zip(out.value, zs, ws):
+        assert abs(value - 1.0 / (1.0 - np.vdot(w, z))) <= 1e-10
+    with pytest.raises(ValueError, match="do not pair up"):
+        cl.kernel_eval(table, zs, ws[:1], 42)
 
 
 def test_kernel_eval_domain_error():
     table = cl.build_table(cl.szego(), 10)
     with pytest.raises(cl.DomainError):
-        cl.kernel_eval(table, 1.0, 0.0, 5)
+        cl.kernel_eval(table, [[1.0]], [[0.0]], 5)
     with pytest.raises(cl.DomainError):
-        cl.kernel_eval(table, 0.5, 1.2, 5)
+        cl.kernel_eval(table, [[0.5]], [[1.2]], 5)
+    with pytest.raises(cl.DomainError, match=r"w\[1\]"):
+        cl.kernel_eval(table, [[0.5], [0.2]], [[0.1], [1.2]], 5)
 
 
 def test_kernel_hermitian_symmetry_and_positivity():
@@ -296,7 +331,7 @@ def test_kernel_hermitian_symmetry_and_positivity():
         for _ in range(6):
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             pts.append(0.7 * v / np.linalg.norm(v) * rng.random())
-        gram = np.array([[cl.kernel_eval(table, zi, zj, 60).value for zj in pts]
+        gram = np.array([[cl.kernel_eval(table, [zi], [zj], 60).value[0] for zj in pts]
                          for zi in pts])
         assert np.max(np.abs(gram - gram.conj().T)) <= 1e-12
         assert np.linalg.eigvalsh((gram + gram.conj().T) / 2)[0] >= -1e-10
