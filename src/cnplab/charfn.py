@@ -10,17 +10,18 @@ construction satisfies is available as a residual.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._linalg import RANK_REL_TOL, hermitian_norm, hermitize, opnorm
-from .coeffs import (CoeffTable, as_points, graded_index_map, in_ball, inner_products,
-                     kernel_eval, multi_coeff, scalar_series)
+from .coeffs import (CoeffTable, KernelValue, as_points, in_ball, inner_products, kernel_eval,
+                     multi_coeff, scalar_series)
 from .errors import DomainError, NonConvergedError, NotCnpError
 from .model import DilationMap
-from .tuples import OperatorTuple, TruncationParams
+from .tuples import OperatorTuple, TruncationParams, _sigma
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +169,21 @@ class CharFnEval:
     """The characteristic function at a stack of points, every field stacked along axis 0.
 
     theta maps defect-range coordinates of the lift to defect-range
-    coordinates of the tuple.  z_norm_sq is the squared norm of the scalar
+    coordinates of the tuple; its norm is taken, by one batched SVD, only
+    when read.  z_norm_sq is the squared norm of the scalar
     row Z(z), which stays strictly below 1 inside the ball.  s_z is the
     kernel series at the tuple, s_z(T), that theta was built from.
     """
 
     z: np.ndarray
     theta: np.ndarray
-    norm: np.ndarray
     inverse_residual: np.ndarray
     z_norm_sq: np.ndarray
     s_z: np.ndarray
+
+    @cached_property
+    def norm(self) -> np.ndarray:
+        return opnorm(self.theta)
 
 
 def charfn_eval(lift: TupleLift, zs) -> CharFnEval:
@@ -187,7 +192,7 @@ def charfn_eval(lift: TupleLift, zs) -> CharFnEval:
     Z(z) is the row of scalar blocks sqrt(b_alpha) z^alpha I, applied as a
     weighted sum over block rows.  The inverse (I - Z t_tilde^*)^{-1} is the
     adjoint kernel series at the tuple, and kernel_calculus reports the
-    residual of that identity, which must stay below tol.
+    residual of that identity, which must stay below tol; a non-finite theta raises LinAlgError.
     """
     v = lift.dilation
     t, p = v.ops, v.params
@@ -209,7 +214,10 @@ def charfn_eval(lift: TupleLift, zs) -> CharFnEval:
            ).reshape(len(zs), t.h, lift.defect_rank)
     row = dd.delta @ calc.matrix.conj().swapaxes(1, 2) @ z_d
     theta = dd.ran_delta_basis.conj().T @ (row - lift.t_tilde_e)
-    return CharFnEval(z=zs, theta=theta, norm=opnorm(theta), inverse_residual=calc.inverse_residual,
+    bad = np.flatnonzero(~np.isfinite(theta).all(axis=(1, 2)))
+    if len(bad):
+        raise np.linalg.LinAlgError(f"theta has non-finite entries at point {bad[0]}")
+    return CharFnEval(z=zs, theta=theta, inverse_residual=calc.inverse_residual,
                       z_norm_sq=z_norm_sq, s_z=calc.matrix)
 
 
@@ -217,15 +225,15 @@ def charfn_eval(lift: TupleLift, zs) -> CharFnEval:
 # Identity checks
 # ---------------------------------------------------------------------------
 
-def reciprocal_kernel(table: CoeffTable, zs, ws, n: int) -> np.ndarray:
+def reciprocal_kernel(table: CoeffTable, zs, ws, n: int) -> KernelValue:
     """1 / s(z, w) as the reciprocal series 1 - sum b_alpha z^alpha conj(w^alpha), by row pair.
 
     Truncating the b-series keeps the value consistent with the operator
     computations at the same degree; for kernels with a finite b-sequence it
-    is exact.
+    is exact.  The magnitude of the last retained term is the tail.
     """
     x = inner_products(as_points(zs, table.d), as_points(ws, table.d))
-    return scalar_series(np.concatenate(([1.0], -table.require_b(n)[1:n + 1])), x, n).value
+    return scalar_series(np.concatenate(([1.0], -table.require_b(n)[1:n + 1])), x, n)
 
 
 def verify_defect_identity(lift: TupleLift, zs, ws) -> np.ndarray:
@@ -238,7 +246,7 @@ def verify_defect_identity(lift: TupleLift, zs, ws) -> np.ndarray:
     v = lift.dilation
     dd = v.defect_data
     ez, ew = charfn_eval(lift, zs), charfn_eval(lift, ws)
-    recip = reciprocal_kernel(v.table, ez.z, ew.z, v.N)
+    recip = reciprocal_kernel(v.table, ez.z, ew.z, v.N).value
     lhs = np.eye(dd.rank, dtype=complex) - ez.theta @ ew.theta.conj().swapaxes(1, 2)
     mid = dd.delta @ ez.s_z.conj().swapaxes(1, 2) @ ew.s_z @ dd.delta
     rhs = recip[:, None, None] * (dd.ran_delta_basis.conj().T @ mid @ dd.ran_delta_basis)
@@ -270,8 +278,7 @@ def verify_multiplier(lift: TupleLift, points) -> MultiplierReport:
 
     # V^* applied to each kernel function, expanded in the truncated
     # orthonormal basis: one h x r block per point
-    sqrt_a = np.sqrt([multi_coeff(v.table, alpha, "a") for alpha in v.indices])
-    kernel_fns = sqrt_a * np.conj(_monomials(pts, v.indices))
+    kernel_fns = np.sqrt(v.shifts.a_alpha) * np.conj(_monomials(pts, v.indices))
     vstar = v.matrix.conj().T.reshape(v.ops.h, len(v.indices), r)
     embedded = np.tensordot(kernel_fns, vstar, axes=([1], [1]))
 
@@ -322,59 +329,51 @@ def _taylor_blocks(lift: TupleLift) -> np.ndarray:
     with C the defect-range basis of the tuple and E that of the lift.  Each
     term has |alpha|, |gamma - alpha| <= N, so these are exactly the
     coefficients of the degree-N theta that charfn_eval evaluates.  Block
-    beta of the dilation is sqrt(a_beta) C^* Delta (T^beta)^*, so it
-    supplies the left factors.
+    beta of the dilation is V_beta = sqrt(a_beta) C^* Delta (T^beta)^*, so the
+    stack is one product P (D~E), P placing sqrt(b_alpha a_beta) V_beta at
+    block (alpha + beta, alpha).  The beta with |beta| <= N - |alpha| lead the
+    graded order, and base-(N + 1) keys add as their multi-indices do.
     """
     v = lift.dilation
-    gmap = graded_index_map(v.ops.d, v.N)
-    h, r = v.ops.h, v.codomain_dims[1]
-    # a_beta C^* Delta (T^beta)^* by graded position of beta, and
-    # sqrt(b_alpha) (D~E)_alpha by position among the positive indices, which
-    # is the graded position minus one
-    sqrt_a = np.sqrt([multi_coeff(v.table, beta, "a") for beta in gmap])
-    left = sqrt_a[:, None, None] * v.matrix.reshape(len(gmap), r, h)
-    right = lift.sqrt_b[:, None, None] * lift.d_tilde_e.reshape(len(gmap) - 1, h,
-                                                                lift.defect_rank)
-    blocks = np.empty((len(gmap), r, lift.defect_rank), dtype=complex)
+    idx = np.array(v.indices)
+    n, h, r = len(idx), v.ops.h, v.codomain_dims[1]
+    runs = np.searchsorted(idx.sum(axis=1), v.N - idx[1:].sum(axis=1), side="right")
+    alpha_pos = np.repeat(np.arange(1, n), runs)
+    beta_pos = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
+    keys = idx @ (v.N + 1) ** np.arange(v.ops.d)
+    order = np.argsort(keys)
+    gamma_pos = order[np.searchsorted(keys, keys[alpha_pos] + keys[beta_pos], sorter=order)]
+    left = np.sqrt(v.shifts.a_alpha)[:, None, None] * v.matrix.reshape(n, r, h)
+    place = np.zeros((n, r, n - 1, h), dtype=complex)
+    place[gamma_pos, :, alpha_pos - 1] = lift.sqrt_b[alpha_pos - 1, None, None] * left[beta_pos]
+    blocks = (place.reshape(n * r, -1) @ lift.d_tilde_e).reshape(n, r, lift.defect_rank)
     blocks[0] = -(v.defect_data.ran_delta_basis.conj().T @ lift.t_tilde_e)
-    for k, gamma in enumerate(v.indices[1:], start=1):
-        pairs = [(gmap[tuple(g - a for g, a in zip(gamma, alpha))], gmap[alpha] - 1)
-                 for alpha in itertools.product(*(range(g + 1) for g in gamma)) if any(alpha)]
-        beta_pos, alpha_pos = (list(x) for x in zip(*pairs))
-        blocks[k] = np.tensordot(left[beta_pos], right[alpha_pos], axes=([0, 2], [0, 1]))
     return blocks
 
 
 def _model_gap(lift: TupleLift) -> np.ndarray:
     """(I - V V^*) - M_theta M_theta^* on the truncated model space.
 
-    M_theta M_theta^* is the sum over column blocks beta of C_beta C_beta^*,
-    where column beta of the multiplication operator is
-    sum_delta sqrt(a_beta / a_{beta+delta}) e(beta + delta) x Theta_delta
-    over the delta with |beta| + |delta| <= N.  In graded order those delta
-    are a prefix of the stack, so C_beta C_beta^* is a weighted leading block
-    of its one Gram matrix, subtracted on the rows it reaches.
+    Column beta of M_theta is sum_delta sqrt(a_beta / a_{beta+delta})
+    e(beta + delta) x Theta_delta, and S^beta e(delta) = sqrt(a_delta /
+    a_{delta+beta}) e(delta + beta) for the tensored shifts S_i, so
+    M_theta M_theta^* = sum_k a_k sigma^k(X), with X = D^{-1/2} G D^{-1/2},
+    G = Theta Theta^* the Gram matrix of the Taylor stack, D = diag(a_delta) x I_r
+    and sigma(Y) = sum_i S_i Y S_i^*.  Summed by Horner, H <- a_{N-j} X + sigma(H)
+    from H = a_N X: sigma^k(X) reads X only on degrees <= N - k, so after step
+    j, H lives on the leading block of degrees <= j, where sigma gathers it.
     """
     v = lift.dilation
-    blocks = _taylor_blocks(lift)
-    r = blocks.shape[1]
-    flat = blocks.reshape(-1, blocks.shape[2])
-    gram = flat @ flat.conj().T
-    idx = np.array(v.indices)
-    degrees = idx.sum(axis=1)
-    # multi-indices of degree <= N as integers in base N + 1: the sum of two
-    # such keys is the key of the sum whenever that sum has degree <= N
-    keys = idx @ (v.N + 1) ** np.arange(idx.shape[1])
-    order = np.argsort(keys)
-    a_vals = np.array([multi_coeff(v.table, alpha, "a") for alpha in v.indices])
-    gap = np.eye(v.big_dim, dtype=complex) - v.matrix @ v.matrix.conj().T
-    for col in range(len(idx)):
-        m = np.searchsorted(degrees, v.N - degrees[col], side="right")
-        rows = order[np.searchsorted(keys, keys[col] + keys[:m], sorter=order)]
-        wr = np.repeat(np.sqrt(a_vals[col] / a_vals[rows]), r)
-        spread = (rows[:, None] * r + np.arange(r)).ravel()
-        gap[np.ix_(spread, spread)] -= wr[:, None] * gram[:m * r, :m * r] * wr
-    return gap
+    d, r = v.ops.d, v.codomain_dims[1]
+    flat = _taylor_blocks(lift).reshape(v.big_dim, -1)
+    scale = np.repeat(1.0 / np.sqrt(v.shifts.a_alpha), r)
+    x = scale[:, None] * (flat @ flat.conj().T) * scale
+    a = v.table.require_a(v.N)
+    acc = a[v.N] * x[:r, :r]
+    for j in range(1, v.N + 1):
+        size = math.comb(j + d, d) * r
+        acc = a[v.N - j] * x[:size, :size] + _sigma(v.tensored, acc, size)
+    return np.eye(v.big_dim, dtype=complex) - v.matrix @ v.matrix.conj().T - acc
 
 
 def verify_model(lift: TupleLift) -> ModelReport:
@@ -389,8 +388,8 @@ def verify_model(lift: TupleLift) -> ModelReport:
     v = lift.dilation
     comp_res = max(opnorm(v.matrix.conj().T @ v.tensored.apply(i, v.matrix) - v.ops.mats[i])
                    for i in range(v.ops.d))
-    gap = _model_gap(lift)
-    return ModelReport(compression_residual=comp_res, factor_residual=hermitian_norm(gap))
+    return ModelReport(compression_residual=comp_res,
+                       factor_residual=hermitian_norm(_model_gap(lift)))
 
 
 def eval_to_dict(ev: CharFnEval, i: int) -> dict:

@@ -28,7 +28,6 @@ from .coeffs import (
     build_table,
     estimate_radius,
     is_cnp,
-    kernel_eval,
 )
 from .errors import CnpLabError
 from .tuples import (
@@ -54,6 +53,7 @@ from .charfn import (
     build_lift,
     charfn_eval,
     eval_to_dict,
+    reciprocal_kernel,
     verify_defect_identity,
     verify_model,
     verify_multiplier,
@@ -374,10 +374,12 @@ def _suite_charfn(ctx: _SuiteContext, res: SuiteResult):
     res.gate("ttstar_identity", lift.ttstar_residual, GATES["lift"])
     res.gate("defect_intertwine", lift.intertwine_residual, GATES["lift"])
     ev = charfn_eval(lift, ball_points(cfg.kernel.d, 100, cfg.seed + 1))
-    szz = kernel_eval(ctx.table, ev.z, ev.z, ctx.table.n_max).value
+    # |Z(z)|^2 = 1 - 1/s(z, z), 1/s(z, z) by its own series (finite for Szego, Drury-Arveson)
+    recip = reciprocal_kernel(ctx.table, ev.z, ev.z, ctx.table.n_max)
     res.gate("theta_norm_excess", ev.norm.max() - 1.0, GATES["theta_norm_excess"])
-    res.gate("z_row_identity", np.max(np.abs(ev.z_norm_sq - (1.0 - 1.0 / szz.real))),
+    res.gate("z_row_identity", np.max(np.abs(ev.z_norm_sq - (1.0 - recip.value.real))),
              GATES["z_identity"])
+    res.details["z_row_series_last_term"] = fmt(recip.tail_term.max())
     res.residuals["inverse_residual_max"] = fmt(ev.inverse_residual.max())
     res.details["sample_evaluation"] = eval_to_dict(ev, 0)
 

@@ -10,6 +10,7 @@ test with an explicit closed-form witness, reproduced numerically by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,7 +24,7 @@ from ._linalg import (
     opnorm,
     split_rank,
 )
-from .coeffs import CoeffTable, KernelSpec, bergman, build_table, multi_coeff
+from .coeffs import CoeffTable, KernelSpec, bergman, build_table, multi_coeff  # noqa: F401
 from .errors import DegenerateDilationError, PrerequisiteError
 from .tuples import (
     DefectData,
@@ -104,14 +105,10 @@ def build_dilation(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
         raise DegenerateDilationError("defect operator has rank zero; no dilation space")
     shifts = shift_matrices(table, p.N)
     powers = TuplePowers(t, p.N)
-    blocks = []
     cd = c.conj().T @ dd.delta
-    for alpha in shifts.indices:
-        w = np.sqrt(multi_coeff(table, alpha, "a"))
-        blocks.append(w * (cd @ powers.power(alpha).conj().T))
-    matrix = np.vstack(blocks) if blocks else np.zeros((0, t.h), dtype=complex)
-    gram = matrix.conj().T @ matrix
-    iso_defect = opnorm(gram - np.eye(t.h, dtype=complex))
+    matrix = np.vstack([w * (cd @ powers.power(alpha).conj().T)
+                        for w, alpha in zip(np.sqrt(shifts.a_alpha), shifts.indices)])
+    iso_defect = opnorm(matrix.conj().T @ matrix - np.eye(t.h, dtype=complex))
     return DilationMap(
         matrix=matrix,
         ops=t,
@@ -128,31 +125,22 @@ def build_dilation(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
 def check_intertwining(v: DilationMap, alphas: Sequence[tuple]) -> float:
     """Max residual of V^*(M^alpha x I) = T^alpha V^* on interior degrees.
 
-    Columns whose source degree exceeds N - |alpha| are excluded: their image
-    leaves the truncated space, so they only measure the cut-off, not the
-    intertwining.  An alpha with |alpha| > N has no such column and is
-    skipped.
+    Taken as the norm of the adjoint (M^alpha x I)^* V - V (T^alpha)^*, the
+    shifts gathered on the h columns of V.  Source degrees above N - |alpha|
+    (the tail of the graded order) are excluded: their image leaves the
+    truncated space, so they only measure the cut-off, not the intertwining.
+    An alpha with |alpha| > N has no such degree and is skipped.
     """
-    r = v.codomain_dims[1]
-    vstar = v.matrix.conj().T
     worst = 0.0
     for alpha in alphas:
         alpha = tuple(int(x) for x in alpha)
         if sum(alpha) > v.N:
             continue
-        big_m = np.eye(v.big_dim, dtype=complex)  # becomes M^alpha x I_r
-        for i, power in enumerate(alpha):
-            for _ in range(power):
-                big_m = v.tensored.apply(i, big_m)
-        lhs = vstar @ big_m
-        rhs = v.powers.power(alpha) @ vstar
-        keep = [
-            j * r + k
-            for j, beta in enumerate(v.indices)
-            if sum(beta) <= v.N - sum(alpha)
-            for k in range(r)
-        ]
-        diff = (lhs - rhs)[:, keep]
+        y = v.matrix  # becomes (M^alpha x I_r)^* V
+        for i in np.repeat(np.arange(v.ops.d), alpha):
+            y = v.tensored.apply_adjoint(i, y)
+        rows = math.comb(v.N - sum(alpha) + v.ops.d, v.ops.d) * v.codomain_dims[1]
+        diff = y[:rows] - v.matrix[:rows] @ v.powers.power(alpha).conj().T
         worst = max(worst, opnorm(diff))
     return worst
 
@@ -268,12 +256,10 @@ def associated_tuple(v: DilationMap) -> AssociatedTuple:
     rank = split_rank(svals, RANK_REL_TOL)
     k = canonical_phases(u[:, rank:])
     u = u[:, :rank]
-    interior_rows = np.array(
-        [sum(beta) <= v.N - 1 for beta in v.indices for _ in range(r)], dtype=bool
-    )
     # the part of (M_i x I) K leaving span K is U U^* (M_i x I) K, of rank <= h;
-    # with U[interior] = Q R its interior rows have the norm of R U^* (M_i x I) K
-    _, r_int = np.linalg.qr(u[interior_rows])
+    # with U[interior] = Q R its interior rows (degrees <= N - 1, which lead the
+    # graded order) have the norm of R U^* (M_i x I) K
+    _, r_int = np.linalg.qr(u[:math.comb(v.N - 1 + v.ops.d, v.ops.d) * r])
     inv_res = max(opnorm(r_int @ (u.conj().T @ v.tensored.apply(i, k))) for i in range(v.ops.d))
     return AssociatedTuple(basis=k, range_basis=u, invariance_residual=inv_res, dim=k.shape[1])
 

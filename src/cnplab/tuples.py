@@ -124,9 +124,9 @@ class TuplePowers:
         return self._mats[alpha]
 
 
-def _sigma(t, x: np.ndarray) -> np.ndarray:
-    """sigma(X) = sum_i T_i X T_i^*, the completely positive map of the tuple."""
-    return sum(t.sandwich(i, x) for i in range(t.d))
+def _sigma(t, x: np.ndarray, *size) -> np.ndarray:
+    """sigma(X) = sum_i T_i X T_i^*, the completely positive map (size: IndexShifts.sandwich)."""
+    return sum(t.sandwich(i, x, *size) for i in range(t.d))
 
 
 def _weighted_series(t, table: CoeffTable, n: int, which: str,
@@ -294,18 +294,30 @@ class IndexShifts:
         out[dst] = w[:, None] * x[src]
         return out
 
-    def sandwich(self, i: int, x: np.ndarray) -> np.ndarray:
+    def apply_adjoint(self, i: int, x: np.ndarray) -> np.ndarray:
+        """T_i^* X for real weights: row src[j] of the result is w[j] X[dst[j]]."""
+        dst, src, w = self.maps[i]
+        out = np.zeros((self.h, x.shape[1]), dtype=complex)
+        out[src] = w[:, None] * x[dst]
+        return out
+
+    def sandwich(self, i: int, x: np.ndarray, size: int | None = None) -> np.ndarray:
         """T_i X T_i^*: entry (dst[j], dst[k]) is w[j] X[src[j], src[k]] w[k].
 
-        Gathered and scattered by flat indices of the h x h matrices, and
-        weighted in place: no index table or weighted copy outlives a call.
+        x may be the leading m x m block of a matrix zero outside it: then the
+        leading run of (ascending) src below m is gathered into the leading
+        size x size block (size = h by default), which must hold its dst.
+        Gathered and scattered by flat indices, and weighted in place: no
+        index table or weighted copy outlives a call.
         """
-        dst, src, w = self.maps[i]
-        out = np.zeros((self.h, self.h), dtype=complex)
-        block = x.reshape(-1)[(src[:, None] * self.h + src).ravel()].reshape(len(src), len(src))
+        m, size = x.shape[0], self.h if size is None else size
+        run = np.searchsorted(self.maps[i][1], m)
+        dst, src, w = (a[:run] for a in self.maps[i])
+        out = np.zeros((size, size), dtype=complex)
+        block = x.reshape(-1)[(src[:, None] * m + src).ravel()].reshape(run, run)
         block *= w[:, None]
         block *= w
-        out.reshape(-1)[(dst[:, None] * self.h + dst).ravel()] = block.ravel()
+        out.reshape(-1)[(dst[:, None] * size + dst).ravel()] = block.ravel()
         return out
 
     def tensor(self, r: int) -> "IndexShifts":
@@ -321,13 +333,15 @@ class TruncatedShifts:
     """Compressions of the coordinate multipliers to degrees <= N.
 
     Matrices act on the orthonormal monomial basis e(alpha) = sqrt(a_alpha)
-    z^alpha listed in graded_indices(d, N) order; `index` holds the shifts
-    as index maps, and the dense `ops` are built from it on first read.
+    z^alpha listed in graded_indices(d, N) order, with a_alpha in `a_alpha`;
+    `index` holds the shifts as index maps, and the dense `ops` are built
+    from it on first read.
     """
 
     index: IndexShifts
     indices: tuple
     N: int
+    a_alpha: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -344,19 +358,21 @@ def shift_matrices(table: CoeffTable, n: int) -> TruncatedShifts:
 
     The only nonzero entries are <M_i e(alpha), e(alpha + e_i)> =
     sqrt(a_alpha / a_{alpha+e_i}); the a-table must extend through n + 1.
+    The vector of a_alpha is built here, once, and read by every later stage.
     """
     table.require_a(n + 1)
     indices = graded_indices(table.d, n)
     pos = graded_index_map(table.d, n)
+    a_alpha = np.array([multi_coeff(table, alpha, "a") for alpha in indices])
+    a_alpha.setflags(write=False)
     lows = [alpha for alpha in indices if sum(alpha) < n]
     src = np.array([pos[alpha] for alpha in lows], dtype=int)
     maps = []
     for i in range(table.d):
-        ups = [alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:] for alpha in lows]
-        weight = np.sqrt([multi_coeff(table, alpha, "a") / multi_coeff(table, up, "a")
-                          for alpha, up in zip(lows, ups)])
-        maps.append((np.array([pos[up] for up in ups], dtype=int), src, weight))
-    return TruncatedShifts(index=IndexShifts(tuple(maps), len(indices)), indices=indices, N=n)
+        dst = np.array([pos[alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]] for alpha in lows], int)
+        maps.append((dst, src, np.sqrt(a_alpha[src] / a_alpha[dst])))
+    return TruncatedShifts(index=IndexShifts(tuple(maps), len(indices)), indices=indices, N=n,
+                           a_alpha=a_alpha)
 
 
 @dataclass(frozen=True)
@@ -373,15 +389,12 @@ class ShiftNormBound:
 
 
 def shift_norm_sq(table: CoeffTable, i: int, n: int) -> ShiftNormBound:
-    table.require_a(n + 1)
+    """In closed form: a_alpha / a_{alpha+e_i} = (a_k / a_{k+1}) (alpha_i + 1) / (k + 1) at
+    |alpha| = k, so the maximum over degree k is a_k / a_{k+1}, attained only at k e_i."""
+    a = table.require_a(n + 1)
     if not 0 <= i < table.d:
         raise ValueError(f"coordinate {i} out of range for d={table.d}")
-    best = -np.inf
-    best_alpha = None
-    for alpha in graded_indices(table.d, n):
-        up = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-        ratio = multi_coeff(table, alpha, "a") / multi_coeff(table, up, "a")
-        if ratio > best:
-            best = ratio
-            best_alpha = alpha
-    return ShiftNormBound(value=float(best), lower_bound=sum(best_alpha) == n, argmax=best_alpha)
+    ratios = a[:n + 1] / a[1:n + 2]
+    k = int(np.argmax(ratios))
+    return ShiftNormBound(value=float(ratios[k]), lower_bound=k == n,
+                          argmax=tuple(k if j == i else 0 for j in range(table.d)))

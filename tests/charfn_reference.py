@@ -16,18 +16,26 @@ two:
   as an explicit block row and compresses it to the defect ranges;
 - `fitted_taylor_blocks` recovers the Taylor blocks of theta by least
   squares on charfn_eval samples over a phase grid;
-- `dense_model_gap` assembles the multiplication operator M_theta as one
-  dense matrix, block by block, and subtracts M_theta M_theta^* from
-  I - V V^*.
+- `looped_taylor_blocks` sums the closed-form Taylor blocks one multi-index
+  gamma at a time, over every pair alpha + beta = gamma, where the package
+  places all of them in one product;
+- `dense_model_gap` assembles the multiplication operator M_theta from the
+  looped blocks as one dense matrix, block by block, and subtracts
+  M_theta M_theta^* from I - V V^*;
+- `looped_model_gap` subtracts M_theta M_theta^* one column block at a
+  time, as a weighted leading block of the Gram matrix of the looped blocks,
+  where the package sums it by a Horner recursion in the tensored shifts.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from cnplab._linalg import RANK_REL_TOL, hermitize, opnorm, orthonormal_range, psd_sqrt
-from cnplab.charfn import CalculusResult, CharFnEval, _taylor_blocks, charfn_eval
-from cnplab.coeffs import graded_indices, multi_coeff
+from cnplab.charfn import CalculusResult, CharFnEval, charfn_eval
+from cnplab.coeffs import graded_index_map, graded_indices, multi_coeff
 from cnplab.errors import DomainError, NonConvergedError
 from cnplab.tuples import TuplePowers
 
@@ -120,7 +128,9 @@ def pointwise_charfn_eval(lift, z) -> CharFnEval:
     z_d = np.tensordot(weights, lift.d_tilde_e.reshape(len(weights), t.h, lift.defect_rank), axes=1)
     row = dd.delta @ calc.matrix.conj().T @ z_d
     theta = dd.ran_delta_basis.conj().T @ (row - lift.t_tilde_e)
-    return CharFnEval(z=z, theta=theta, norm=opnorm(theta), inverse_residual=calc.inverse_residual,
+    if not np.isfinite(theta).all():
+        raise np.linalg.LinAlgError("theta has non-finite entries")
+    return CharFnEval(z=z, theta=theta, inverse_residual=calc.inverse_residual,
                       z_norm_sq=z_norm_sq, s_z=calc.matrix)
 
 
@@ -183,15 +193,69 @@ def fitted_taylor_blocks(lift, n_taylor: int, radius: float = 0.9):
     return blocks, fit_res
 
 
+def looped_taylor_blocks(lift) -> np.ndarray:
+    """The closed-form Taylor blocks of theta, one gamma at a time.
+
+    Block gamma is C^* Delta sum_{alpha <= gamma, alpha != 0} a_{gamma-alpha}
+    sqrt(b_alpha) (T^{gamma-alpha})^* (D~E)_alpha, with the left factors
+    a_beta C^* Delta (T^beta)^* taken as sqrt(a_beta) times block beta of V;
+    block 0 is -C^* T~ E.
+    """
+    v = lift.dilation
+    gmap = graded_index_map(v.ops.d, v.N)
+    h, r = v.ops.h, v.codomain_dims[1]
+    sqrt_a = np.sqrt([multi_coeff(v.table, beta, "a") for beta in gmap])
+    left = sqrt_a[:, None, None] * v.matrix.reshape(len(gmap), r, h)
+    right = lift.sqrt_b[:, None, None] * lift.d_tilde_e.reshape(len(gmap) - 1, h,
+                                                                lift.defect_rank)
+    blocks = np.empty((len(gmap), r, lift.defect_rank), dtype=complex)
+    blocks[0] = -(v.defect_data.ran_delta_basis.conj().T @ lift.t_tilde_e)
+    for k, gamma in enumerate(v.indices[1:], start=1):
+        pairs = [(gmap[tuple(g - a for g, a in zip(gamma, alpha))], gmap[alpha] - 1)
+                 for alpha in itertools.product(*(range(g + 1) for g in gamma)) if any(alpha)]
+        beta_pos, alpha_pos = (list(x) for x in zip(*pairs))
+        blocks[k] = np.tensordot(left[beta_pos], right[alpha_pos], axes=([0, 2], [0, 1]))
+    return blocks
+
+
+def looped_model_gap(lift) -> np.ndarray:
+    """(I - V V^*) - M_theta M_theta^*, one column block beta of M_theta at a time.
+
+    The delta with |beta| + |delta| <= N are a prefix of the graded order,
+    so C_beta C_beta^* is that leading block of the Gram matrix of the
+    looped Taylor blocks, weighted by sqrt(a_beta / a_{beta+delta}) on both
+    sides and subtracted on the rows beta + delta it reaches.
+    """
+    v = lift.dilation
+    blocks = looped_taylor_blocks(lift)
+    r = blocks.shape[1]
+    flat = blocks.reshape(-1, blocks.shape[2])
+    gram = flat @ flat.conj().T
+    idx = np.array(v.indices)
+    degrees = idx.sum(axis=1)
+    keys = idx @ (v.N + 1) ** np.arange(idx.shape[1])
+    order = np.argsort(keys)
+    a_vals = np.array([multi_coeff(v.table, alpha, "a") for alpha in v.indices])
+    gap = np.eye(v.big_dim, dtype=complex) - v.matrix @ v.matrix.conj().T
+    for col in range(len(idx)):
+        m = np.searchsorted(degrees, v.N - degrees[col], side="right")
+        rows = order[np.searchsorted(keys, keys[col] + keys[:m], sorter=order)]
+        wr = np.repeat(np.sqrt(a_vals[col] / a_vals[rows]), r)
+        spread = (rows[:, None] * r + np.arange(r)).ravel()
+        gap[np.ix_(spread, spread)] -= wr[:, None] * gram[:m * r, :m * r] * wr
+    return gap
+
+
 def dense_model_gap(lift) -> np.ndarray:
     """(I - V V^*) - M_theta M_theta^* with M_theta formed densely.
 
     Block (beta + delta, beta) of M_theta is sqrt(a_beta / a_{beta+delta})
-    Theta_delta, written one (beta, delta) pair at a time into an
-    (indices * r) x (indices * r_in) matrix.
+    Theta_delta, with Theta_delta from looped_taylor_blocks, written one
+    (beta, delta) pair at a time into an (indices * r) x (indices * r_in)
+    matrix.
     """
     v = lift.dilation
-    blocks = _taylor_blocks(lift)
+    blocks = looped_taylor_blocks(lift)
     indices = v.indices
     n_idx = len(indices)
     r_delta = v.codomain_dims[1]

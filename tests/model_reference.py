@@ -4,7 +4,9 @@
 Ker V^* as dense matrices, A_i = K^* (M_i x I) K, and `dense_existence` runs
 the contractivity test on that tuple with `cnplab.defect`.  The package sums
 the same defect on the model space by the projected sigma-recursion and never
-forms A, so differential tests can compare the two.
+forms A, so differential tests can compare the two.  `dense_intertwining`
+pushes a big_dim identity through the tensored shifts to form M^alpha x I,
+where the package gathers the adjoint shifts on the columns of V.
 """
 
 from __future__ import annotations
@@ -52,3 +54,27 @@ def dense_existence(v, n=None):
     verdict = cl.is_contraction(ops, v.table, p, defect_data=dd)
     _, vecs = np.linalg.eigh(dd.delta_sq)
     return verdict, dd, k @ vecs[:, 0]
+
+
+def dense_intertwining(v, alphas):
+    """Max over alphas of |V^*(M^alpha x I) - T^alpha V^*| on the columns of degree <= N - |alpha|.
+
+    M^alpha x I is formed as a big_dim x big_dim matrix by applying the
+    tensored shifts to the identity; an alpha with |alpha| > N is skipped.
+    """
+    r = v.codomain_dims[1]
+    vstar = v.matrix.conj().T
+    worst = 0.0
+    for alpha in alphas:
+        alpha = tuple(int(x) for x in alpha)
+        if sum(alpha) > v.N:
+            continue
+        big_m = np.eye(v.big_dim, dtype=complex)
+        for i, power in enumerate(alpha):
+            for _ in range(power):
+                big_m = v.tensored.apply(i, big_m)
+        keep = [j * r + k for j, beta in enumerate(v.indices)
+                if sum(beta) <= v.N - sum(alpha) for k in range(r)]
+        diff = (vstar @ big_m - v.powers.power(alpha) @ vstar)[:, keep]
+        worst = max(worst, opnorm(diff))
+    return worst

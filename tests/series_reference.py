@@ -5,6 +5,9 @@ every multi-index alpha, from the products T^alpha and the multi-index
 coefficients c_alpha = c_|alpha| multinomial(alpha).  It shares none of the
 sigma-recursion shortcut, so differential tests can compare the two.
 `ix_sandwich` is T_i X T_i^* for index-map shifts gathered through np.ix_.
+`enumerated_shift_norm_sq` takes the squared shift norm as the largest ratio
+a_alpha / a_{alpha+e_i} over every multi-index, where the package uses its
+closed form.
 """
 
 from __future__ import annotations
@@ -45,3 +48,14 @@ def ix_sandwich(shifts, i, x):
     out = np.zeros((shifts.h, shifts.h), dtype=complex)
     out[np.ix_(dst, dst)] = w[:, None] * x[np.ix_(src, src)] * w[None, :]
     return out
+
+
+def enumerated_shift_norm_sq(table, i, n):
+    """(max_{|alpha|<=n} a_alpha / a_{alpha+e_i}, first alpha in graded order attaining it)."""
+    best, best_alpha = -np.inf, None
+    for alpha in graded_indices(table.d, n):
+        up = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+        ratio = multi_coeff(table, alpha, "a") / multi_coeff(table, up, "a")
+        if ratio > best:
+            best, best_alpha = ratio, alpha
+    return best, best_alpha

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import cnplab as cl
 from charfn_reference import (dense_lift_defect, dense_model_gap, dense_theta,
-                              enumerated_calculus, fitted_taylor_blocks, pointwise_calculus,
-                              pointwise_charfn_eval)
+                              enumerated_calculus, fitted_taylor_blocks, looped_model_gap,
+                              looped_taylor_blocks, pointwise_calculus, pointwise_charfn_eval)
 from random_inputs import diff_kernel, random_commuting_tuple, random_point
 from cnplab._linalg import hermitian_norm
 from cnplab.charfn import _model_gap, _taylor_blocks, reciprocal_kernel
@@ -258,7 +258,7 @@ def test_defect_identity_sampled(charfn_examples):
 def test_reciprocal_kernel_is_reciprocal():
     table = cl.build_table(cl.dirichlet_t(1.0), 90)
     z, w = 0.4 + 0.2j, -0.3 + 0.5j
-    recip = reciprocal_kernel(table, [[z]], [[w]], 80)[0]
+    recip = reciprocal_kernel(table, [[z]], [[w]], 80).value[0]
     s = cl.kernel_eval(table, [[z]], [[w]], 90).value[0]
     assert abs(recip * s - 1.0) <= 1e-12
 
@@ -610,3 +610,38 @@ def test_model_gap_matches_dense_reference(seed, d, h, rule, param):
     # the gap is Hermitian, and its norm is taken from its eigenvalues
     assert cl.verify_model(lift).factor_residual == hermitian_norm(gap)
     assert abs(hermitian_norm(gap) - np.linalg.norm(gap, 2)) <= 1e-12 * scale
+
+
+def check_model_against_looped_references(lift):
+    """The placed Taylor stack and the Horner-summed gap against the per-gamma and
+    per-column loops, relative to the size of I - V V^*."""
+    v = lift.dilation
+    want = looped_taylor_blocks(lift)
+    assert np.max(np.abs(_taylor_blocks(lift) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    scale = max(1.0, np.linalg.norm(np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T, 2))
+    assert np.linalg.norm(_model_gap(lift) - looped_model_gap(lift), 2) <= 1e-12 * scale
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
+       h=st.integers(min_value=1, max_value=3),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t"]),
+       param=st.floats(min_value=0.0, max_value=2.0))
+@settings(max_examples=30, deadline=None)
+def test_taylor_stack_and_gap_match_looped_references(seed, d, h, rule, param):
+    rng = np.random.default_rng(seed)
+    n = DIFF_DEGREE[d]
+    table = cl.build_table(diff_kernel(rule, d, param), n + 1)
+    check_model_against_looped_references(
+        lift_of(random_commuting_tuple(rng, d, h, 0.35), table, P(n, tol=DIFF_TOL)))
+
+
+@pytest.mark.parametrize("spec, mats", [
+    (cl.szego(), [np.diag([1.0, 0.3])]),
+    (cl.drury_arveson(2), [np.diag([0.6, 0.3]), np.diag([0.8, 0.2])]),
+])
+def test_model_on_a_singular_defect_matches_looped_references(spec, mats):
+    # Delta^2 = diag(0, *): the defect range is a proper subspace, so r < h
+    table = cl.build_table(spec, 12)
+    lift = lift_of(cl.OperatorTuple(tuple(mats)), table, P(10, tol=DIFF_TOL))
+    assert lift.dilation.defect_data.rank == 1
+    check_model_against_looped_references(lift)

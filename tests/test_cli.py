@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cnplab as cl
 from cnplab import charfn, cli, model, tuples
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -495,6 +496,72 @@ def test_identities_run_builds_theta_on_the_dilation(monkeypatch):
     [v], [lift] = calls["build_dilation"], calls["build_lift"]
     assert lift.dilation is v
     assert any(dd is v.defect_data for dd in calls["defect"])
+    # only the charfn suite reads the norms of theta, so only its stack pays the SVD
+    assert ["norm" in vars(e) for e in calls["charfn_eval"]] == [True, False, False, False]
+
+
+def test_identities_run_takes_batched_svds_only_where_read(monkeypatch):
+    stacks = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacks.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    report = run_config(nilpotent_pair_config(
+        ["coeffs", "contraction", "purity", "dilation", "charfn", "identities"]))
+    assert report["overall"] == "pass"
+    # the tail and inverse residual of each of the 4 kernel calculi (100, 20,
+    # 20 and 5 points), the norms of the 100 charfn samples, and the 20
+    # defect-identity residuals: theta's norms at the other 45 points are never read
+    assert sorted(stacks) == sorted([100, 100, 20, 20, 20, 20, 5, 5] + [100] + [20])
+
+
+def test_identities_run_reads_the_coefficient_vector(monkeypatch):
+    # a_alpha is computed once per multi-index, by the shifts of the dilation;
+    # the lift adds one b_alpha per positive multi-index
+    seen = []
+    original = tuples.multi_coeff
+
+    def counted(table, alpha, which="a"):
+        seen.append((tuple(alpha), which))
+        return original(table, alpha, which)
+
+    for mod in (tuples, model, charfn):
+        monkeypatch.setattr(mod, "multi_coeff", counted)
+    report = run_config(nilpotent_pair_config(
+        ["coeffs", "contraction", "purity", "dilation", "charfn", "identities"]))
+    assert report["overall"] == "pass"
+    indices = cl.graded_indices(2, 8)
+    assert sorted(seen) == sorted([(alpha, "a") for alpha in indices]
+                                  + [(alpha, "b") for alpha in indices[1:]])
+
+
+def test_z_row_identity_measures_the_identity_not_the_kernel_tail():
+    # with N_max = 15 the Drury-Arveson series s(z, z) stops at |z|^30, which
+    # is 1e-3 at |z| = 0.8; 1/s(z, z) = 1 - |z|^2 has a terminating series
+    raw = json.loads((CONFIGS / "drury_arveson_pair.json").read_text())
+    raw["kernel"]["N_max"] = 15
+    raw["suites"] = ["coeffs", "contraction", "purity", "dilation", "charfn"]
+    raw.pop("output")
+    suite = {s["name"]: s for s in run_config(raw)["suites"]}["charfn"]
+    assert suite["outcome"] == "pass", suite["residuals"]
+    assert float(suite["residuals"]["z_row_identity"]) <= 1e-15
+    assert float(suite["details"]["z_row_series_last_term"]) == 0.0
+    # a reciprocal series that does not terminate records its last term,
+    # b_{N_max} |z|^(2 N_max) at the largest sampled |z|
+    dirichlet = json.loads((CONFIGS / "dirichlet_scalar.json").read_text())
+    dirichlet["suites"] = ["coeffs", "contraction", "purity", "dilation", "charfn"]
+    dirichlet.pop("output", None)
+    cfg = cli.parse_config(dirichlet)
+    suite = {s["name"]: s for s in cli.run(cfg)["suites"]}["charfn"]
+    b = cl.build_table(cfg.kernel, cfg.n_table).b
+    radius = np.max(np.linalg.norm(cl.ball_points(1, 100, cfg.seed + 1), axis=1))
+    want = abs(b[cfg.n_table]) * radius ** (2 * cfg.n_table)
+    assert 0.0 < want <= 1e-15
+    assert abs(float(suite["details"]["z_row_series_last_term"]) - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("name", sorted(path.name for path in CONFIGS.glob("*.json")))

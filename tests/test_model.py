@@ -1,5 +1,7 @@
 """Dilation map, factorability, associated tuples, existence, counterexample."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import cnplab as cl
 from cnplab.tuples import TuplePowers
-from model_reference import dense_associated_tuple, dense_existence
+from model_reference import dense_associated_tuple, dense_existence, dense_intertwining
 from random_inputs import diff_kernel, random_commuting_tuple
 
 
@@ -67,6 +69,31 @@ def test_intertwining_scalar_and_truncation_trend():
         residuals[n] = cl.check_intertwining(v, [(3,)])
     assert residuals[60] <= 1e-9
     assert residuals[60] <= residuals[40] + 1e-13
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
+       h=st.integers(min_value=1, max_value=3),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t", "bergman"]),
+       param=st.floats(min_value=0.0, max_value=2.0), exact=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_intertwining_matches_dense_reference(seed, d, h, rule, param, exact):
+    # the adjoint gathers on V's columns against M^alpha x I formed densely;
+    # a random V makes the residual of order one, so the comparison is sharp
+    rng = np.random.default_rng(seed)
+    n = {1: 10, 2: 6, 3: 4}[d]
+    table = cl.build_table(diff_kernel(rule, d, param), n + 1)
+    v = cl.build_dilation(random_commuting_tuple(rng, d, h, 0.35), table, P(n))
+    if not exact:
+        shape = v.matrix.shape
+        v = dataclasses.replace(v, matrix=rng.standard_normal(shape)
+                                + 1j * rng.standard_normal(shape))
+    alphas = [alpha for alpha in cl.graded_indices(d, 3) if any(alpha)]
+    alphas.append((n + 1,) + (0,) * (d - 1))
+    want = dense_intertwining(v, alphas)
+    scale = max(1.0, np.max(np.abs(v.matrix)))
+    assert abs(cl.check_intertwining(v, alphas) - want) <= 1e-12 * scale
+    if exact:
+        assert want <= 1e-12
 
 
 def test_dilation_carries_its_tuple_and_shifts():

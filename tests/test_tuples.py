@@ -9,7 +9,7 @@ import cnplab as cl
 from cnplab.coeffs import graded_indices
 from cnplab.tuples import _weighted_series
 from random_inputs import diff_kernel, random_commuting_tuple
-from series_reference import enumerated_series, ix_sandwich
+from series_reference import enumerated_series, enumerated_shift_norm_sq, ix_sandwich
 
 
 def P(n, tol=1e-9, window=3):
@@ -283,6 +283,25 @@ def test_shift_norm_sq():
     assert bound.lower_bound  # true supremum is 1, attained only in the limit
 
 
+@given(d=st.sampled_from([1, 2, 3]),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t", "bergman"]),
+       param=st.floats(min_value=0.0, max_value=2.0), n=st.integers(min_value=0, max_value=8))
+@settings(max_examples=60, deadline=None)
+def test_shift_norm_sq_matches_enumeration(d, rule, param, n):
+    table = cl.build_table(diff_kernel(rule, d, param), n + 1)
+    for i in range(d):
+        value, argmax = enumerated_shift_norm_sq(table, i, n)
+        got = cl.shift_norm_sq(table, i, n)
+        assert (got.value, got.argmax, got.lower_bound) == (value, argmax, sum(argmax) == n)
+
+
+def test_shifts_carry_the_multi_index_coefficients():
+    table = cl.build_table(cl.bergman(2, d=3), 6)
+    shifts = cl.shift_matrices(table, 5)
+    want = [cl.multi_coeff(table, alpha) for alpha in shifts.indices]
+    assert np.array_equal(shifts.a_alpha, want) and not shifts.a_alpha.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # differential tests: the sigma-recursion and the index-map shifts against
 # term-by-term and dense references
@@ -353,6 +372,34 @@ def test_index_shifts_match_dense_kron(seed, d, rule, param, r):
     ref_scale = max(np.linalg.norm(ref, 2), max(ref_tail))
     assert np.linalg.norm(got - ref, 2) <= 1e-12 * ref_scale
     assert np.max(np.abs(np.subtract(got_tail, ref_tail))) <= 1e-12 * ref_scale
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t", "bergman"]),
+       param=st.floats(min_value=0.0, max_value=2.0), r=st.sampled_from([1, 2, 3]))
+@settings(max_examples=40, deadline=None)
+def test_adjoint_and_leading_block_gathers_match_dense_kron(seed, d, rule, param, r):
+    rng = np.random.default_rng(seed)
+    n = SERIES_DEGREE[d] - 2
+    table = cl.build_table(diff_kernel(rule, d, param), n + 1)
+    shifts = cl.shift_matrices(table, n)
+    tensored = shifts.index.tensor(r)
+    size = shifts.dim * r
+    k = rng.standard_normal((size, 4)) + 1j * rng.standard_normal((size, 4))
+    lead = [len(graded_indices(d, j)) * r for j in range(n + 1)]
+    for i, m in enumerate(np.kron(m, np.eye(r)) for m in shifts.ops.mats):
+        scale = max(1.0, np.max(np.abs(m))) ** 2 * np.max(np.abs(k))
+        assert np.max(np.abs(tensored.apply_adjoint(i, k) - m.conj().T @ k)) <= 1e-14 * scale
+        for j in range(n):
+            # a matrix on degrees <= j is carried to one on degrees <= j + 1
+            x = rng.standard_normal((lead[j], lead[j])) + 1j * rng.standard_normal((lead[j],) * 2)
+            full = np.zeros((size, size), dtype=complex)
+            full[:lead[j], :lead[j]] = x
+            want = m @ full @ m.conj().T
+            got = tensored.sandwich(i, x, lead[j + 1])
+            assert np.max(np.abs(want[lead[j + 1]:]), initial=0.0) == 0.0
+            assert np.max(np.abs(got - want[:lead[j + 1], :lead[j + 1]])) <= 1e-14 * scale
+            assert np.array_equal(got, tensored.sandwich(i, full)[:lead[j + 1], :lead[j + 1]])
 
 
 def test_hermitian_norm():
