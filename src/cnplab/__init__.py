@@ -20,9 +20,7 @@ from .coeffs import (
     dirichlet_t,
     drury_arveson,
     estimate_radius,
-    generate_coeffs,
     graded_indices,
-    invert_coefficients,
     is_cnp,
     kernel_eval,
     multi_coeff,
@@ -54,7 +52,6 @@ from .tuples import (
     is_pure,
     shift_matrices,
     shift_norm_sq,
-    tuple_power,
 )
 from .model import (
     AssociatedTuple,

@@ -10,15 +10,14 @@ construction satisfies is available as a residual.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ._linalg import RANK_REL_TOL, hermitian_norm, hermitize, opnorm
-from .coeffs import (CoeffTable, KernelValue, as_points, in_ball, inner_products, kernel_eval,
-                     multi_coeff, scalar_series)
+from .coeffs import (CoeffTable, KernelValue, as_points, graded_count, graded_position, in_ball,
+                     inner_products, is_cnp, kernel_eval, multi_coeff, scalar_series)
 from .errors import DomainError, NonConvergedError, NotCnpError
 from .model import DilationMap
 from .tuples import OperatorTuple, TruncationParams, _sigma
@@ -124,16 +123,12 @@ def build_lift(v: DilationMap) -> TupleLift:
     intertwines the two defect square roots on E.
     """
     table, p = v.table, v.params
-    b = table.require_b(p.N)
-    bad = [(k, float(b[k])) for k in range(1, p.N + 1) if b[k] < -p.tol]
-    if bad:
-        k, val = bad[0]
-        raise NotCnpError(
-            f"b_{k} = {val:.6g} < 0: square roots of the inverted coefficients do not exist"
-        )
-    pos = v.indices[1:]
-    sqrt_b = np.array([np.sqrt(max(multi_coeff(table, alpha, "b"), 0.0)) for alpha in pos])
-    t_tilde = np.hstack([sqrt_b[j] * v.powers.power(alpha) for j, alpha in enumerate(pos)])
+    cnp = is_cnp(table, p.N, tol_zero=p.tol)
+    if not cnp.consistent:
+        raise NotCnpError(f"b_{cnp.first_failure} = {cnp.value:.6g} < 0: square roots of the "
+                          "inverted coefficients do not exist")
+    sqrt_b = np.sqrt(np.maximum(multi_coeff(table, v.indices[1:], "b"), 0.0))
+    t_tilde = np.hstack(sqrt_b[:, None, None] * v.powers.stack[1:])
 
     dd = v.defect_data
     ttstar_res = opnorm(t_tilde @ t_tilde.conj().T - (np.eye(v.ops.h, dtype=complex) - dd.delta_sq))
@@ -332,17 +327,16 @@ def _taylor_blocks(lift: TupleLift) -> np.ndarray:
     beta of the dilation is V_beta = sqrt(a_beta) C^* Delta (T^beta)^*, so the
     stack is one product P (D~E), P placing sqrt(b_alpha a_beta) V_beta at
     block (alpha + beta, alpha).  The beta with |beta| <= N - |alpha| lead the
-    graded order, and base-(N + 1) keys add as their multi-indices do.
+    graded order.
     """
     v = lift.dilation
     idx = np.array(v.indices)
-    n, h, r = len(idx), v.ops.h, v.codomain_dims[1]
-    runs = np.searchsorted(idx.sum(axis=1), v.N - idx[1:].sum(axis=1), side="right")
+    n, d, h, r = len(idx), v.ops.d, v.ops.h, v.codomain_dims[1]
+    counts = np.array([graded_count(d, v.N - k) for k in range(v.N + 1)])
+    runs = counts[idx[1:].sum(axis=1)]
     alpha_pos = np.repeat(np.arange(1, n), runs)
     beta_pos = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
-    keys = idx @ (v.N + 1) ** np.arange(v.ops.d)
-    order = np.argsort(keys)
-    gamma_pos = order[np.searchsorted(keys, keys[alpha_pos] + keys[beta_pos], sorter=order)]
+    gamma_pos = graded_position(d, v.N, idx[alpha_pos] + idx[beta_pos])
     left = np.sqrt(v.shifts.a_alpha)[:, None, None] * v.matrix.reshape(n, r, h)
     place = np.zeros((n, r, n - 1, h), dtype=complex)
     place[gamma_pos, :, alpha_pos - 1] = lift.sqrt_b[alpha_pos - 1, None, None] * left[beta_pos]
@@ -371,7 +365,7 @@ def _model_gap(lift: TupleLift) -> np.ndarray:
     a = v.table.require_a(v.N)
     acc = a[v.N] * x[:r, :r]
     for j in range(1, v.N + 1):
-        size = math.comb(j + d, d) * r
+        size = graded_count(d, j) * r
         acc = a[v.N - j] * x[:size, :size] + _sigma(v.tensored, acc, size)
     return np.eye(v.big_dim, dtype=complex) - v.matrix @ v.matrix.conj().T - acc
 

@@ -127,6 +127,14 @@ def strict_int(value, name: str) -> int:
     return int(value)
 
 
+def strict_float(value, name: str) -> float:
+    """value as a finite float; ints pass, while bools, strings, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def kernel_from_dict(spec: dict) -> tuple[KernelSpec, int]:
     rule = spec.get("rule")
     params = spec.get("params", {}) or {}
@@ -138,9 +146,12 @@ def kernel_from_dict(spec: dict) -> tuple[KernelSpec, int]:
     if rule == "bergman":
         param = strict_int(params["m"], "kernel.params.m")
     elif rule == "dirichlet_t":
-        param = float(params["t"])
+        param = strict_float(params["t"], "kernel.params.t")
     elif rule == "custom":
-        param = tuple(float(c) for c in params["coeffs"])
+        coeffs = params["coeffs"]
+        if not isinstance(coeffs, list):
+            raise ValueError(f"kernel.params.coeffs must be a list of numbers, got {coeffs!r}")
+        param = tuple(strict_float(c, f"kernel.params.coeffs[{i}]") for i, c in enumerate(coeffs))
     else:
         param = None
     ks = KernelSpec(d=d, rule=rule, param=param, label=label)
@@ -192,7 +203,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     trunc_raw = raw.get("truncation", {})
     trunc = TruncationParams(
         N=strict_int(trunc_raw.get("N", 32), "truncation.N"),
-        tol=float(trunc_raw.get("tol", 1e-9)),
+        tol=strict_float(trunc_raw.get("tol", 1e-9), "truncation.tol"),
         tail_window=strict_int(trunc_raw.get("tail_window", 3), "truncation.tail_window"),
     )
     # the existence suite extends its series by tail_window and reads shift
@@ -296,7 +307,7 @@ class _SuiteContext:
 
 def _suite_coeffs(ctx: _SuiteContext, res: SuiteResult):
     table = ctx.table
-    a, b = table.a, table.require_b()
+    a, b = table.a, table.b
     n = table.n_max
     conv = np.zeros(n + 1)
     for k in range(1, n + 1):
@@ -552,9 +563,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_kernel_info(args) -> int:
-    params = {"m": args.m, "t": args.t,
-              "coeffs": args.coeffs.split(",") if args.coeffs else None}
     try:
+        if args.N < 0:
+            raise ValueError(f"--N must be >= 0, got {args.N}")
+        params = {"m": args.m, "t": args.t,
+                  "coeffs": [float(c) for c in args.coeffs.split(",")] if args.coeffs else None}
         spec, _ = kernel_from_dict({"rule": args.rule, "d": args.d, "params": params})
         # the radius estimator needs a longer prefix than small printouts ask for
         table = build_table(spec, max(args.N, 16))
@@ -565,9 +578,8 @@ def cmd_kernel_info(args) -> int:
         return 2
     print(f"kernel: {spec.label}  d={spec.d}  N={args.N}")
     print(f"{'n':>4s}  {'a_n':>24s}  {'b_n':>24s}")
-    b = table.require_b()
     for n in range(args.N + 1):
-        bs = fmt(b[n]) if n >= 1 else ""
+        bs = fmt(table.b[n]) if n >= 1 else ""
         print(f"{n:>4d}  {fmt(table.a[n]):>24s}  {bs:>24s}")
     cls = is_cnp(table, n=args.N)
     print(f"classification: {cls.describe()}")

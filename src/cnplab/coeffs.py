@@ -7,12 +7,16 @@ solving sum_{n>=1} b_n t^n = 1 - 1/(sum_n a_n t^n), multi-index coefficients
 a_alpha = a_|alpha| * multinomial(alpha), the complete Nevanlinna-Pick
 classification (all b_n >= 0), pointwise kernel evaluation, and ratio-test
 radius estimates.
+
+The graded order of multi-indices is decided here and nowhere else:
+graded_indices lists it, graded_position finds a stack of multi-indices in
+it, and graded_count gives the length of its leading block of degrees <= j.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -56,10 +60,32 @@ def graded_indices(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def graded_count(d: int, j: int) -> int:
+    """Number of multi-indices of length d and degree <= j: the graded order's leading block."""
+    return math.comb(j + d, d)
+
+
 @lru_cache(maxsize=None)
-def graded_index_map(d: int, n: int) -> dict[tuple[int, ...], int]:
-    """Position of each multi-index inside graded_indices(d, n)."""
-    return {alpha: i for i, alpha in enumerate(graded_indices(d, n))}
+def _graded_keys(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted base-(n + 1) keys of graded_indices(d, n), and the positions they sort from."""
+    keys = np.array(graded_indices(d, n)) @ (n + 1) ** np.arange(d)
+    order = np.argsort(keys)
+    return keys[order], order
+
+
+def graded_position(d: int, n: int, rows) -> np.ndarray:
+    """Positions of the rows of an (m, d) stack of multi-indices inside graded_indices(d, n).
+
+    A row with a negative entry or degree above n raises ValueError: it is
+    outside the basis, and its base-(n + 1) key may equal the key of a row
+    inside it.
+    """
+    rows = np.asarray(rows, dtype=int)
+    outside = np.flatnonzero((rows < 0).any(axis=1) | (rows.sum(axis=1) > n))
+    if len(outside):
+        raise ValueError(f"multi-index {rows[outside[0]]} is not in graded_indices({d}, {n})")
+    keys, order = _graded_keys(d, n)
+    return order[np.searchsorted(keys, rows @ (n + 1) ** np.arange(d))]
 
 
 def multinomial(alpha: Sequence[int]) -> int:
@@ -82,8 +108,8 @@ class KernelSpec:
     """A unitarily invariant kernel: ambient dimension plus a coefficient rule.
 
     rule is one of "szego", "drury_arveson", "bergman" (param: integer
-    m >= 1), "dirichlet_t" (param: real t >= 0) or "custom" (param: finite
-    list of positive coefficients starting with 1).
+    m >= 1), "dirichlet_t" (param: finite real t >= 0) or "custom" (param:
+    finite list of positive finite coefficients starting with 1).
     """
 
     d: int
@@ -102,8 +128,8 @@ class KernelSpec:
                 raise InvalidKernelError(f"bergman requires integer m >= 1, got {m!r}")
         elif self.rule == "dirichlet_t":
             t = self.param
-            if not isinstance(t, (int, float)) or t < 0:
-                raise InvalidKernelError(f"dirichlet_t requires real t >= 0, got {t!r}")
+            if not isinstance(t, (int, float)) or not 0 <= t < math.inf:
+                raise InvalidKernelError(f"dirichlet_t requires finite real t >= 0, got {t!r}")
         elif self.rule == "custom":
             coeffs = self.param
             if coeffs is None or isinstance(coeffs, (str, int, float)):
@@ -111,8 +137,8 @@ class KernelSpec:
             coeffs = tuple(float(c) for c in coeffs)
             if len(coeffs) == 0 or coeffs[0] != 1.0:
                 raise InvalidKernelError("custom coefficients must start with a_0 = 1")
-            if any(c <= 0.0 for c in coeffs):
-                raise InvalidKernelError("custom coefficients must all be positive")
+            if not all(0.0 < c < math.inf for c in coeffs):
+                raise InvalidKernelError("custom coefficients must all be positive and finite")
             object.__setattr__(self, "param", coeffs)
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
@@ -176,25 +202,17 @@ def _scalar_coeffs(spec: KernelSpec, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """Cached prefix of the scalar sequences {a_n} and {b_n} for one kernel.
-
-    Immutable after construction; the multi-index cache is filled lazily but
-    only ever stores values derived from the frozen arrays.
-    """
+    """Cached prefix of the scalar sequences {a_n} and {b_n} for one kernel; read-only arrays."""
 
     spec: KernelSpec
     a: np.ndarray
-    b: np.ndarray | None = None
-    _multi_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        if self.b is not None:
-            b = np.asarray(self.b, dtype=float)
-            b.setflags(write=False)
-            object.__setattr__(self, "b", b)
+        for name in ("a", "b"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_max(self) -> int:
@@ -204,11 +222,8 @@ class CoeffTable:
     def d(self) -> int:
         return self.spec.d
 
-    def require_b(self, n: int | None = None) -> np.ndarray:
-        if self.b is None:
-            raise InsufficientCacheError("inverted coefficients not computed; call invert_coefficients")
-        if n is not None and n > self.n_max:
-            raise InsufficientCacheError(f"table cached through degree {self.n_max}, degree {n} requested")
+    def require_b(self, n: int) -> np.ndarray:
+        self.require_a(n)
         return self.b
 
     def require_a(self, n: int) -> np.ndarray:
@@ -217,8 +232,16 @@ class CoeffTable:
         return self.a
 
 
-def generate_coeffs(spec: KernelSpec, n: int) -> CoeffTable:
-    """Generate a_0 .. a_n for the rule of spec.  a_0 is exactly 1."""
+def build_table(spec: KernelSpec, n: int) -> CoeffTable:
+    """a_0 .. a_n for the rule of spec, and the reciprocal sequence {b_n}.
+
+    sum b_n t^n = 1 - 1/(sum a_n t^n) by the convolution recursion
+    b_n = a_n - sum_{j=1}^{n-1} b_j a_{n-j}, which makes b_1 = a_1 bit-exact.
+    Total for every positive input sequence.  For custom coefficient lists
+    the relation is a formal power-series statement about the cached
+    prefix; nothing is claimed about pointwise values of the reciprocal
+    beyond it.
+    """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     a = _scalar_coeffs(spec, n)
@@ -226,36 +249,17 @@ def generate_coeffs(spec: KernelSpec, n: int) -> CoeffTable:
         raise InvalidKernelError("generated sequence must start with a_0 = 1")
     if np.any(a <= 0.0):
         raise InvalidKernelError("generated coefficients must be strictly positive")
-    return CoeffTable(spec=spec, a=a)
+    b = np.zeros(n + 1)
+    for k in range(1, n + 1):
+        acc = a[k]
+        for j in range(1, k):
+            acc -= b[j] * a[k - j]
+        b[k] = acc
+    return CoeffTable(spec=spec, a=a, b=b)
 
 
-def invert_coefficients(table: CoeffTable) -> CoeffTable:
-    """Fill the reciprocal sequence {b_n} with sum b_n t^n = 1 - 1/(sum a_n t^n).
-
-    Convolution recursion: b_n = a_n - sum_{j=1}^{n-1} b_j a_{n-j}, which
-    makes b_1 = a_1 bit-exact.  Total for every positive input sequence.
-    For custom coefficient lists the relation is a formal power-series
-    statement about the cached prefix; nothing is claimed about pointwise
-    values of the reciprocal beyond it.
-    """
-    a = table.a
-    n_max = table.n_max
-    b = np.zeros(n_max + 1)
-    for n in range(1, n_max + 1):
-        acc = a[n]
-        for j in range(1, n):
-            acc -= b[j] * a[n - j]
-        b[n] = acc
-    return CoeffTable(spec=table.spec, a=a, b=b)
-
-
-def build_table(spec: KernelSpec, n: int) -> CoeffTable:
-    """Convenience: generate and invert in one step."""
-    return invert_coefficients(generate_coeffs(spec, n))
-
-
-def multi_coeff(table: CoeffTable, alpha: Sequence[int], which: str = "a") -> float:
-    """Multi-index coefficient a_alpha or b_alpha.
+def multi_coeff(table: CoeffTable, alpha, which: str = "a"):
+    """Multi-index coefficient a_alpha or b_alpha; for an (m, d) stack of indices, their vector.
 
     a_alpha = a_|alpha| * multinomial(alpha) on nonnegative indices and 0 as
     soon as any entry is negative; b_alpha analogously but undefined at
@@ -263,25 +267,19 @@ def multi_coeff(table: CoeffTable, alpha: Sequence[int], which: str = "a") -> fl
     """
     if which not in ("a", "b"):
         raise ValueError(f"which must be 'a' or 'b', got {which!r}")
-    alpha = tuple(int(x) for x in alpha)
-    if len(alpha) != table.d:
-        raise ValueError(f"multi-index length {len(alpha)} does not match d={table.d}")
-    key = (alpha, which)
-    cached = table._multi_cache.get(key)
-    if cached is not None:
-        return cached
-    if any(x < 0 for x in alpha):
-        return 0.0
-    deg = sum(alpha)
-    if which == "b":
-        if deg == 0:
-            raise ValueError("b_alpha is undefined at alpha = 0")
-        scalars = table.require_b(deg)
-    else:
-        scalars = table.require_a(deg)
-    value = float(scalars[deg]) * float(multinomial(alpha))
-    table._multi_cache[key] = value
-    return value
+    rows = np.asarray(alpha, dtype=int)
+    if rows.ndim not in (1, 2) or rows.shape[-1] != table.d:
+        raise ValueError(f"multi-index shape {rows.shape} does not match d={table.d}")
+    stack = rows.reshape(-1, table.d)
+    live = (stack >= 0).all(axis=1)
+    deg = stack.sum(axis=1)[live]
+    if which == "b" and (deg == 0).any():
+        raise ValueError("b_alpha is undefined at alpha = 0")
+    top = int(deg.max(initial=0))
+    scalars = table.require_b(top) if which == "b" else table.require_a(top)
+    out = np.zeros(len(stack))
+    out[live] = scalars[deg] * np.array([multinomial(r) for r in stack[live]], dtype=float)
+    return out if rows.ndim == 2 else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +307,9 @@ class CnpClassification:
 
 def is_cnp(table: CoeffTable, n: int | None = None, tol_zero: float = CNP_TOL) -> CnpClassification:
     """Classify the kernel by the sign pattern of b_1 .. b_n."""
-    b = table.require_b()
     if n is None:
         n = table.n_max
-    table.require_b(n)
+    b = table.require_b(n)
     for k in range(1, n + 1):
         if b[k] < -tol_zero:
             return CnpClassification(consistent=False, degree=n, first_failure=k, value=float(b[k]))
@@ -404,7 +401,7 @@ def estimate_radius(table: CoeffTable, which: str = "a") -> RadiusEstimate:
         coeffs = np.asarray(table.a)
         start = 0
     elif which == "b":
-        coeffs = np.asarray(table.require_b())[1:]
+        coeffs = table.b[1:]
         start = 1
     else:
         raise ValueError(f"which must be 'a' or 'b', got {which!r}")

@@ -10,7 +10,7 @@ test with an explicit closed-form witness, reproduced numerically by
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +24,8 @@ from ._linalg import (
     opnorm,
     split_rank,
 )
-from .coeffs import CoeffTable, KernelSpec, bergman, build_table, multi_coeff  # noqa: F401
+from .coeffs import (CoeffTable, bergman, build_table, graded_count, graded_position,
+                     multi_coeff)  # noqa: F401  multi_coeff: tracers rebind it in every namespace
 from .errors import DegenerateDilationError, PrerequisiteError
 from .tuples import (
     DefectData,
@@ -105,9 +106,8 @@ def build_dilation(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
         raise DegenerateDilationError("defect operator has rank zero; no dilation space")
     shifts = shift_matrices(table, p.N)
     powers = TuplePowers(t, p.N)
-    cd = c.conj().T @ dd.delta
-    matrix = np.vstack([w * (cd @ powers.power(alpha).conj().T)
-                        for w, alpha in zip(np.sqrt(shifts.a_alpha), shifts.indices)])
+    blocks = c.conj().T @ dd.delta @ powers.stack.conj().swapaxes(1, 2)
+    matrix = (np.sqrt(shifts.a_alpha)[:, None, None] * blocks).reshape(-1, t.h)
     iso_defect = opnorm(matrix.conj().T @ matrix - np.eye(t.h, dtype=complex))
     return DilationMap(
         matrix=matrix,
@@ -133,13 +133,12 @@ def check_intertwining(v: DilationMap, alphas: Sequence[tuple]) -> float:
     """
     worst = 0.0
     for alpha in alphas:
-        alpha = tuple(int(x) for x in alpha)
         if sum(alpha) > v.N:
             continue
         y = v.matrix  # becomes (M^alpha x I_r)^* V
         for i in np.repeat(np.arange(v.ops.d), alpha):
             y = v.tensored.apply_adjoint(i, y)
-        rows = math.comb(v.N - sum(alpha) + v.ops.d, v.ops.d) * v.codomain_dims[1]
+        rows = graded_count(v.ops.d, v.N - sum(alpha)) * v.codomain_dims[1]
         diff = y[:rows] - v.matrix[:rows] @ v.powers.power(alpha).conj().T
         worst = max(worst, opnorm(diff))
     return worst
@@ -259,7 +258,7 @@ def associated_tuple(v: DilationMap) -> AssociatedTuple:
     # the part of (M_i x I) K leaving span K is U U^* (M_i x I) K, of rank <= h;
     # with U[interior] = Q R its interior rows (degrees <= N - 1, which lead the
     # graded order) have the norm of R U^* (M_i x I) K
-    _, r_int = np.linalg.qr(u[:math.comb(v.N - 1 + v.ops.d, v.ops.d) * r])
+    _, r_int = np.linalg.qr(u[:graded_count(v.ops.d, v.N - 1) * r])
     inv_res = max(opnorm(r_int @ (u.conj().T @ v.tensored.apply(i, k))) for i in range(v.ops.d))
     return AssociatedTuple(basis=k, range_basis=u, invariance_residual=inv_res, dim=k.shape[1])
 
@@ -396,14 +395,9 @@ def bergman_counterexample(m: int, n: int, d: int = 1) -> CounterexamplePoint:
     v = build_dilation(t, table, p)
     assoc = associated_tuple(v)
 
-    target = (n + 2,) + (0,) * (d - 1)
-    pos = {alpha: i for i, alpha in enumerate(v.indices)}
-    r = v.codomain_dims[1]
-    e = np.zeros(v.big_dim, dtype=complex)
-    e[pos[target] * r] = 1.0
-
+    target = graded_position(d, big_n, [(n + 2,) + (0,) * (d - 1)])[0]
     delta_sq, _ = _associated_defect(v, assoc, p.N)
-    coords = assoc.basis.conj().T @ e
+    coords = assoc.basis[target * v.codomain_dims[1]].conj()  # K^* e at the target
     numeric = float(np.real(np.vdot(coords, delta_sq @ coords)))
 
     closed = 1.0 - m * (n + 2) / (m + n + 1)
@@ -434,8 +428,7 @@ def cnp_zero_tuple_probe(table: CoeffTable, n: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError(f"probe needs n >= 2, got {n}")
-    spec1 = KernelSpec(d=1, rule=table.spec.rule, param=table.spec.param,
-                       label=table.spec.label)
+    spec1 = dataclasses.replace(table.spec, d=1)
     v = build_dilation(OperatorTuple.zero(1, 1), build_table(spec1, n + 1), TruncationParams(N=n))
     assoc = associated_tuple(v)
     delta_sq, _ = _associated_defect(v, assoc, n)

@@ -8,14 +8,14 @@ so every verdict here is three-valued: yes / no / inconclusive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from ._linalg import RANK_REL_TOL, hermitian_norm, hermitize, opnorm, orthonormal_range, psd_sqrt
-from .coeffs import CoeffTable, graded_index_map, graded_indices, multi_coeff
+from .coeffs import CoeffTable, graded_count, graded_indices, graded_position, multi_coeff
 from .errors import CommutationError
 
 COMMUTATOR_TOL = 1e-12
@@ -32,8 +32,8 @@ class TruncationParams:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"truncation degree must be >= 1, got {self.N}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
         if self.tail_window < 1:
             raise ValueError(f"tail window must be >= 1, got {self.tail_window}")
 
@@ -91,37 +91,25 @@ class OperatorTuple:
         return cls(tuple(np.array([[v]], dtype=complex) for v in values))
 
 
-def tuple_power(t: OperatorTuple, alpha: Sequence[int]) -> np.ndarray:
-    """T^alpha = T_1^a1 ... T_d^ad; the identity when alpha = 0 or any entry is negative."""
-    alpha = tuple(int(x) for x in alpha)
-    if len(alpha) != t.d:
-        raise ValueError(f"multi-index length {len(alpha)} does not match d={t.d}")
-    out = np.eye(t.h, dtype=complex)
-    if any(x < 0 for x in alpha):
-        return out
-    for m, power in zip(t.mats, alpha):
-        if power:
-            out = out @ np.linalg.matrix_power(m, power)
-    return out
-
-
 class TuplePowers:
-    """All products T^alpha for |alpha| <= N, one multiplication per index."""
+    """All products T^alpha for |alpha| <= N as one (m, h, h) stack in graded order.
+
+    Entry alpha is T_i T^(alpha - e_i), with i the first nonzero coordinate of
+    alpha: one product per multi-index.
+    """
 
     def __init__(self, t: OperatorTuple, n: int):
-        self.tuple = t
-        self._mats: dict[tuple[int, ...], np.ndarray] = {}
-        eye = np.eye(t.h, dtype=complex)
-        for alpha in graded_indices(t.d, n):
-            if sum(alpha) == 0:
-                self._mats[alpha] = eye
-                continue
-            i = next(k for k, x in enumerate(alpha) if x > 0)
-            beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-            self._mats[alpha] = t.mats[i] @ self._mats[beta]
+        self.tuple, self.n = t, n
+        idx = np.array(graded_indices(t.d, n))[1:]
+        first = np.argmax(idx > 0, axis=1)
+        lower = graded_position(t.d, n, idx - np.eye(t.d, dtype=int)[first])
+        self.stack = np.empty((len(idx) + 1, t.h, t.h), dtype=complex)
+        self.stack[0] = np.eye(t.h)
+        for j, (i, k) in enumerate(zip(first, lower), start=1):
+            self.stack[j] = t.mats[i] @ self.stack[k]
 
-    def power(self, alpha: tuple[int, ...]) -> np.ndarray:
-        return self._mats[alpha]
+    def power(self, alpha) -> np.ndarray:
+        return self.stack[graded_position(self.tuple.d, self.n, [alpha])[0]]
 
 
 def _sigma(t, x: np.ndarray, *size) -> np.ndarray:
@@ -362,16 +350,13 @@ def shift_matrices(table: CoeffTable, n: int) -> TruncatedShifts:
     """
     table.require_a(n + 1)
     indices = graded_indices(table.d, n)
-    pos = graded_index_map(table.d, n)
-    a_alpha = np.array([multi_coeff(table, alpha, "a") for alpha in indices])
+    a_alpha = multi_coeff(table, indices, "a")
     a_alpha.setflags(write=False)
-    lows = [alpha for alpha in indices if sum(alpha) < n]
-    src = np.array([pos[alpha] for alpha in lows], dtype=int)
-    maps = []
-    for i in range(table.d):
-        dst = np.array([pos[alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]] for alpha in lows], int)
-        maps.append((dst, src, np.sqrt(a_alpha[src] / a_alpha[dst])))
-    return TruncatedShifts(index=IndexShifts(tuple(maps), len(indices)), indices=indices, N=n,
+    src = np.arange(graded_count(table.d, n - 1))  # degrees < n lead the graded order
+    ups = np.array(indices)[src] + np.eye(table.d, dtype=int)[:, None]  # alpha + e_i in row i
+    dsts = graded_position(table.d, n, ups.reshape(-1, table.d)).reshape(table.d, len(src))
+    maps = tuple((dst, src, np.sqrt(a_alpha[src] / a_alpha[dst])) for dst in dsts)
+    return TruncatedShifts(index=IndexShifts(maps, len(indices)), indices=indices, N=n,
                            a_alpha=a_alpha)
 
 

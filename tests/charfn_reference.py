@@ -35,9 +35,9 @@ import numpy as np
 
 from cnplab._linalg import RANK_REL_TOL, hermitize, opnorm, orthonormal_range, psd_sqrt
 from cnplab.charfn import CalculusResult, CharFnEval, charfn_eval
-from cnplab.coeffs import graded_index_map, graded_indices, multi_coeff
+from cnplab.coeffs import graded_indices, multi_coeff
 from cnplab.errors import DomainError, NonConvergedError
-from cnplab.tuples import TuplePowers
+from series_reference import tuple_power
 
 
 def point(z, d) -> np.ndarray:
@@ -62,7 +62,6 @@ def enumerated_calculus(t, table, w, p):
     """(sum_alpha a_alpha conj(w^alpha) T^alpha, norm of its degree-N layer,
     |(I - sum_{|alpha|>=1} b_alpha conj(w^alpha) T^alpha) s - I|)."""
     w = point(w, t.d)
-    powers = TuplePowers(t, p.N)
     indices = graded_indices(t.d, p.N)
     mono = np.conj(monomials(w, indices))
     h = t.h
@@ -75,7 +74,7 @@ def enumerated_calculus(t, table, w, p):
         if deg != current_deg:
             layer = np.zeros((h, h), dtype=complex)
             current_deg = deg
-        pa = powers.power(alpha)
+        pa = tuple_power(t, alpha)
         term = (multi_coeff(table, alpha, "a") * mono[j]) * pa
         total += term
         layer += term
@@ -202,7 +201,7 @@ def looped_taylor_blocks(lift) -> np.ndarray:
     block 0 is -C^* T~ E.
     """
     v = lift.dilation
-    gmap = graded_index_map(v.ops.d, v.N)
+    gmap = {alpha: i for i, alpha in enumerate(graded_indices(v.ops.d, v.N))}
     h, r = v.ops.h, v.codomain_dims[1]
     sqrt_a = np.sqrt([multi_coeff(v.table, beta, "a") for beta in gmap])
     left = sqrt_a[:, None, None] * v.matrix.reshape(len(gmap), r, h)

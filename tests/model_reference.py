@@ -18,6 +18,7 @@ import numpy as np
 import cnplab as cl
 from cnplab._linalg import opnorm, split_rank
 from cnplab.tuples import COMMUTATOR_TOL
+from series_reference import tuple_power
 
 
 def dense_associated_tuple(v):
@@ -60,7 +61,8 @@ def dense_intertwining(v, alphas):
     """Max over alphas of |V^*(M^alpha x I) - T^alpha V^*| on the columns of degree <= N - |alpha|.
 
     M^alpha x I is formed as a big_dim x big_dim matrix by applying the
-    tensored shifts to the identity; an alpha with |alpha| > N is skipped.
+    tensored shifts to the identity, and T^alpha by matrix powers; an alpha
+    with |alpha| > N is skipped.
     """
     r = v.codomain_dims[1]
     vstar = v.matrix.conj().T
@@ -75,6 +77,6 @@ def dense_intertwining(v, alphas):
                 big_m = v.tensored.apply(i, big_m)
         keep = [j * r + k for j, beta in enumerate(v.indices)
                 if sum(beta) <= v.N - sum(alpha) for k in range(r)]
-        diff = (vstar @ big_m - v.powers.power(alpha) @ vstar)[:, keep]
+        diff = (vstar @ big_m - tuple_power(v.ops, alpha) @ vstar)[:, keep]
         worst = max(worst, opnorm(diff))
     return worst

@@ -4,6 +4,8 @@
 every multi-index alpha, from the products T^alpha and the multi-index
 coefficients c_alpha = c_|alpha| multinomial(alpha).  It shares none of the
 sigma-recursion shortcut, so differential tests can compare the two.
+`tuple_power` is T^alpha as a product of matrix powers, one per coordinate,
+where the package builds every T^alpha as one graded stack of single products.
 `ix_sandwich` is T_i X T_i^* for index-map shifts gathered through np.ix_.
 `enumerated_shift_norm_sq` takes the squared shift norm as the largest ratio
 a_alpha / a_{alpha+e_i} over every multi-index, where the package uses its
@@ -16,13 +18,19 @@ import numpy as np
 
 from cnplab._linalg import opnorm
 from cnplab.coeffs import graded_indices, multi_coeff
-from cnplab.tuples import TuplePowers
+
+
+def tuple_power(t, alpha) -> np.ndarray:
+    """T^alpha = T_1^alpha_1 ... T_d^alpha_d by np.linalg.matrix_power."""
+    out = np.eye(t.h, dtype=complex)
+    for m, k in zip(t.mats, alpha):
+        out = out @ np.linalg.matrix_power(m, k)
+    return out
 
 
 def enumerated_series(t, table, n, which, middle=None, start_degree=0):
     """(sum over start_degree <= |alpha| <= n of c_alpha T^alpha M (T^alpha)^*,
     norm of the degree-k increment for every k in 0..n, 0 below start_degree)."""
-    powers = TuplePowers(t, n)
     h = t.h
     total = np.zeros((h, h), dtype=complex)
     inc_norms = []
@@ -34,7 +42,7 @@ def enumerated_series(t, table, n, which, middle=None, start_degree=0):
         for alpha in graded_indices(t.d, n):
             if sum(alpha) != deg:
                 continue
-            p = powers.power(alpha)
+            p = tuple_power(t, alpha)
             m = p @ p.conj().T if middle is None else p @ middle @ p.conj().T
             inc += multi_coeff(table, alpha, which) * m
         total += inc

@@ -364,6 +364,71 @@ def test_config_integers_accept_integral_floats():
     assert parsed.tuple_mats[0].shape == (1, 1)
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exits_2(tmp_path, capsys, tol):
+    # T = (2) under Szego is no contraction; a NaN or infinite tol made it pass
+    cfg = base_config(suites=["coeffs", "contraction"], tuple={"inline": scalar_tuple_block(2.0)})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--tol", tol, "--out", str(tmp_path / "r.json")]) == 2
+    assert "config error: truncation.tol must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+    cfg["truncation"]["tol"] = float(tol)  # json writes NaN and Infinity, and reads them back
+    assert run_cli_config(tmp_path, cfg) == (2, False)
+    assert "config error: truncation.tol must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value, name", [
+    (("truncation", "tol"), "1e-9", "truncation.tol"),
+    (("truncation", "tol"), True, "truncation.tol"),
+    (("truncation", "tol"), -float("inf"), "truncation.tol"),
+    (("kernel", "params", "t"), "1", "kernel.params.t"),
+    (("kernel", "params", "t"), True, "kernel.params.t"),
+    (("kernel", "params", "t"), float("nan"), "kernel.params.t"),
+    pytest.param(("kernel", "params", "t"), 10 ** 400, "kernel.params.t", id="t-past-float"),
+])
+def test_config_floats_are_parsed_strictly(tmp_path, capsys, path, value, name):
+    cfg = base_config(kernel={"d": 1, "rule": "dirichlet_t", "params": {"t": 1.0}, "N_max": 84},
+                      suites=["coeffs"], tuple=None)
+    set_entry(cfg, path, value)
+    assert run_cli_config(tmp_path, cfg) == (2, False)
+    assert f"config error: {name} must be a finite number, got" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeffs, name", [([1, "0.5"], "kernel.params.coeffs[1]"),
+                                          ([1, True], "kernel.params.coeffs[1]"),
+                                          ([1, 0.5, float("nan")], "kernel.params.coeffs[2]"),
+                                          (0.5, "kernel.params.coeffs")])
+def test_custom_coefficients_are_parsed_strictly(tmp_path, capsys, coeffs, name):
+    cfg = base_config(kernel={"d": 1, "rule": "custom", "params": {"coeffs": coeffs}, "N_max": 2},
+                      suites=["coeffs"], tuple=None)
+    assert run_cli_config(tmp_path, cfg) == (2, False)
+    assert f"config error: {name} must be a" in capsys.readouterr().err
+
+
+def test_config_floats_accept_ints():
+    spec, _ = cli.kernel_from_dict({"rule": "dirichlet_t", "params": {"t": 1}})
+    assert spec.param == 1.0 and type(spec.param) is float
+    spec, _ = cli.kernel_from_dict({"rule": "custom", "params": {"coeffs": [1, 2]}})
+    assert spec.param == (1.0, 2.0)
+    cfg = cli.parse_config(base_config(truncation={"N": 80, "tol": 1, "tail_window": 3}))
+    assert cfg.truncation.tol == 1.0 and type(cfg.truncation.tol) is float
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["--rule", "dirichlet_t", "--t", "nan", "--N", "3"], "kernel.params.t must be a finite"),
+    (["--rule", "dirichlet_t", "--t", "inf", "--N", "3"], "kernel.params.t must be a finite"),
+    (["--rule", "custom", "--coeffs", "1,nan,0.5", "--N", "2"], "coeffs[1] must be a finite"),
+    (["--rule", "custom", "--coeffs", "1,x", "--N", "1"], "could not convert"),
+    (["--rule", "szego", "--N", "-2"], "--N must be >= 0, got -2"),
+])
+def test_kernel_info_rejects_non_finite_and_negative_input(capsys, argv, fragment):
+    assert cli.main(["kernel-info", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("invalid kernel: ")
+    assert fragment in captured.err
+
+
 def test_suites_must_be_a_list(tmp_path, capsys):
     assert run_cli_config(tmp_path, base_config(suites="coeffs", tuple=None)) == (2, False)
     assert "config error: suites must be a list" in capsys.readouterr().err
@@ -520,13 +585,13 @@ def test_identities_run_takes_batched_svds_only_where_read(monkeypatch):
 
 
 def test_identities_run_reads_the_coefficient_vector(monkeypatch):
-    # a_alpha is computed once per multi-index, by the shifts of the dilation;
-    # the lift adds one b_alpha per positive multi-index
+    # a_alpha is computed once per multi-index, as one stack by the shifts of
+    # the dilation; the lift adds b_alpha over the positive multi-indices as one more
     seen = []
     original = tuples.multi_coeff
 
     def counted(table, alpha, which="a"):
-        seen.append((tuple(alpha), which))
+        seen.append((tuple(map(tuple, alpha)), which))
         return original(table, alpha, which)
 
     for mod in (tuples, model, charfn):
@@ -535,8 +600,7 @@ def test_identities_run_reads_the_coefficient_vector(monkeypatch):
         ["coeffs", "contraction", "purity", "dilation", "charfn", "identities"]))
     assert report["overall"] == "pass"
     indices = cl.graded_indices(2, 8)
-    assert sorted(seen) == sorted([(alpha, "a") for alpha in indices]
-                                  + [(alpha, "b") for alpha in indices[1:]])
+    assert seen == [(indices, "a"), (indices[1:], "b")]
 
 
 def test_z_row_identity_measures_the_identity_not_the_kernel_tail():

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cnplab as cl
-from cnplab.coeffs import graded_indices, multinomial
+from cnplab.coeffs import graded_count, graded_indices, graded_position, multinomial
+from random_inputs import diff_kernel
 
 
 def long_division_reciprocal(a, n):
     """Oracle: coefficients of 1/A(t) by naive polynomial long division.
 
-    Independent of the convolution recursion used by invert_coefficients.
+    Independent of the convolution recursion used by build_table.
     """
     c = np.zeros(n + 1)
     c[0] = 1.0 / a[0]
@@ -46,31 +47,31 @@ BUILTIN_SPECS = [
 # ---------------------------------------------------------------------------
 
 def test_szego_sequence():
-    table = cl.generate_coeffs(cl.szego(), 3)
+    table = cl.build_table(cl.szego(), 3)
     assert np.array_equal(table.a, [1.0, 1.0, 1.0, 1.0])
 
 
 def test_bergman2_sequence_by_hand():
     # (1 - t)^(-2) = 1 + 2t + 3t^2 + 4t^3 + ...
-    table = cl.generate_coeffs(cl.bergman(2), 3)
+    table = cl.build_table(cl.bergman(2), 3)
     assert np.array_equal(table.a, [1.0, 2.0, 3.0, 4.0])
 
 
 def test_bergman1_matches_drury_arveson():
-    a1 = cl.generate_coeffs(cl.bergman(1), 30).a
-    a2 = cl.generate_coeffs(cl.drury_arveson(1), 30).a
+    a1 = cl.build_table(cl.bergman(1), 30).a
+    a2 = cl.build_table(cl.drury_arveson(1), 30).a
     assert np.array_equal(a1, a2)
     assert np.all(a1 == 1.0)
 
 
 def test_dirichlet_sequence():
-    table = cl.generate_coeffs(cl.dirichlet_t(1.0), 2)
+    table = cl.build_table(cl.dirichlet_t(1.0), 2)
     assert np.allclose(table.a, [1.0, 0.5, 1.0 / 3.0], rtol=0, atol=1e-15)
 
 
 def test_dirichlet_zero_is_szego():
-    a0 = cl.generate_coeffs(cl.dirichlet_t(0.0), 20).a
-    assert np.array_equal(a0, cl.generate_coeffs(cl.szego(), 20).a)
+    a0 = cl.build_table(cl.dirichlet_t(0.0), 20).a
+    assert np.array_equal(a0, cl.build_table(cl.szego(), 20).a)
 
 
 def test_custom_validation():
@@ -79,14 +80,18 @@ def test_custom_validation():
     with pytest.raises(cl.InvalidKernelError):
         cl.custom_kernel([1.0, -0.5])  # negative entry
     with pytest.raises(cl.InvalidKernelError):
-        cl.generate_coeffs(cl.custom_kernel([1.0, 0.5]), 5)  # too short
+        cl.build_table(cl.custom_kernel([1.0, 0.5]), 5)  # too short
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(cl.InvalidKernelError, match="positive and finite"):
+            cl.custom_kernel([1.0, bad, 0.5])
 
 
 def test_bergman_param_validation():
     with pytest.raises(cl.InvalidKernelError):
         cl.bergman(0)
-    with pytest.raises(cl.InvalidKernelError):
-        cl.dirichlet_t(-1.0)
+    for t in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(cl.InvalidKernelError, match="finite real t"):
+            cl.dirichlet_t(t)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +225,72 @@ def test_multinomial_exact():
 def test_graded_order_is_stable():
     idx = graded_indices(2, 2)
     assert idx == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
+
+
+# ---------------------------------------------------------------------------
+# the graded-order lookup and stacked coefficients, against dict references
+# ---------------------------------------------------------------------------
+
+@given(d=st.sampled_from([1, 2, 3]), n=st.integers(min_value=0, max_value=8),
+       seed=st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=60, deadline=None)
+def test_graded_lookup_matches_a_dict(d, n, seed):
+    indices = graded_indices(d, n)
+    pos = {alpha: i for i, alpha in enumerate(indices)}
+    idx = np.array(indices)
+    assert np.array_equal(graded_position(d, n, idx), np.arange(len(indices)))
+    for j in range(n + 1):
+        assert graded_count(d, j) == sum(1 for alpha in indices if sum(alpha) <= j)
+    # sums of two indices inside the basis, as the Taylor placement looks them up
+    rng = np.random.default_rng(seed)
+    pairs = [(a, b) for a, b in rng.integers(0, len(indices), (40, 2))
+             if sum(indices[a]) + sum(indices[b]) <= n]
+    if pairs:
+        sums = np.array([idx[a] + idx[b] for a, b in pairs])
+        want = [pos[tuple(int(x) for x in row)] for row in sums]
+        assert graded_position(d, n, sums).tolist() == want
+    # rows outside the basis raise, though their base-(n + 1) keys may collide
+    # with keys of rows inside it
+    outside = rng.integers(-2, n + 2, (20, d))
+    for row in outside:
+        if row.min() < 0 or row.sum() > n:
+            with pytest.raises(ValueError, match="is not in graded_indices"):
+                graded_position(d, n, [row])
+            with pytest.raises(ValueError):
+                graded_position(d, n, np.vstack([idx, row]))
+
+
+def test_graded_lookup_rejects_a_colliding_key():
+    # at d = 2, n = 2 the row (3, 0) has key 3, the key of (0, 1)
+    assert graded_position(2, 2, [(0, 1)]).tolist() == [1]
+    with pytest.raises(ValueError):
+        graded_position(2, 2, [(3, 0)])
+    with pytest.raises(ValueError):
+        graded_position(2, 2, [(-1, 1)])
+
+
+@given(d=st.sampled_from([1, 2, 3]), n=st.integers(min_value=1, max_value=8),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t", "bergman"]),
+       param=st.floats(min_value=0.0, max_value=2.0), seed=st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=60, deadline=None)
+def test_stacked_multi_coeff_matches_per_index_values(d, n, rule, param, seed):
+    table = cl.build_table(diff_kernel(rule, d, param), n)
+    rng = np.random.default_rng(seed)
+    rows = np.vstack([np.array(graded_indices(d, n)), rng.integers(-2, 3, (10, d))])
+    rows = rows[rows.sum(axis=1) <= n]
+    nonzero = rows[(rows != 0).any(axis=1)]  # b_alpha is undefined at alpha = 0
+    for which, scalars, stack in (("a", table.a, rows), ("b", table.b, nonzero)):
+        want = [scalars[sum(r)] * multinomial(r) if min(r) >= 0 else 0.0 for r in stack.tolist()]
+        got = cl.multi_coeff(table, stack, which)
+        assert got.shape == (len(stack),) and np.array_equal(got, want)
+        assert [cl.multi_coeff(table, r, which) for r in stack] == want
+        with pytest.raises(cl.InsufficientCacheError):
+            cl.multi_coeff(table, np.vstack([stack, [(n + 1,) + (0,) * (d - 1)]]), which)
+    with pytest.raises(ValueError, match="undefined at alpha = 0"):
+        cl.multi_coeff(table, rows, "b")
+    # a negative entry gives 0 whatever the degree, so it never needs the table
+    far = np.array([(-1,) + (n + 5,) * (d - 1)] if d > 1 else [(-1,)])
+    assert np.array_equal(cl.multi_coeff(table, far, "b"), [0.0])
 
 
 # ---------------------------------------------------------------------------

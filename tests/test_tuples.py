@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import cnplab as cl
 from cnplab.coeffs import graded_indices
-from cnplab.tuples import _weighted_series
+from cnplab.tuples import TuplePowers, _weighted_series
 from random_inputs import diff_kernel, random_commuting_tuple
-from series_reference import enumerated_series, enumerated_shift_norm_sq, ix_sandwich
+from series_reference import enumerated_series, enumerated_shift_norm_sq, ix_sandwich, tuple_power
 
 
 def P(n, tol=1e-9, window=3):
@@ -35,11 +35,16 @@ def test_shape_check():
 
 def test_tuple_power_trivials():
     t = cl.OperatorTuple((np.diag([1.0, 2.0]), np.diag([3.0, 4.0])))
-    assert np.array_equal(cl.tuple_power(t, (0, 0)), np.eye(2))
-    assert np.array_equal(cl.tuple_power(t, (1, 1)), np.diag([3.0, 8.0]))
-    assert np.array_equal(cl.tuple_power(t, (-1, 3)), np.eye(2))
+    powers = TuplePowers(t, 2)
+    assert np.array_equal(powers.power((0, 0)), np.eye(2))
+    assert np.array_equal(powers.power((1, 1)), np.diag([3.0, 8.0]))
+    assert powers.stack.shape == (6, 2, 2) and np.array_equal(powers.stack[0], np.eye(2))
+    with pytest.raises(ValueError):
+        powers.power((-1, 3))  # not a multi-index of the stack
+    with pytest.raises(ValueError):
+        powers.power((2, 1))  # past its degree
     jordan = cl.OperatorTuple((np.array([[0.0, 1.0], [0.0, 0.0]]),))
-    assert np.all(cl.tuple_power(jordan, (2,)) == 0.0)
+    assert np.all(TuplePowers(jordan, 2).power((2,)) == 0.0)
 
 
 def test_tuple_power_multiplicative():
@@ -48,10 +53,32 @@ def test_tuple_power_multiplicative():
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     a *= 0.8 / np.linalg.norm(a, 2)
     t = cl.OperatorTuple((a, 0.5 * a @ a + 0.1 * np.eye(4)))
+    powers = TuplePowers(t, 5)
     for alpha, beta in (((1, 0), (0, 1)), ((2, 1), (1, 1)), ((0, 2), (3, 0))):
-        combined = cl.tuple_power(t, tuple(x + y for x, y in zip(alpha, beta)))
-        split = cl.tuple_power(t, alpha) @ cl.tuple_power(t, beta)
+        combined = powers.power(tuple(x + y for x, y in zip(alpha, beta)))
+        split = powers.power(alpha) @ powers.power(beta)
         assert np.max(np.abs(combined - split)) <= 1e-12
+
+
+@given(d=st.sampled_from([1, 2, 3]), h=st.integers(min_value=1, max_value=4),
+       seed=st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=40, deadline=None)
+def test_power_stack_matches_matrix_power_reference(d, h, seed):
+    t = random_commuting_tuple(np.random.default_rng(seed), d, h, 0.9)
+    n = {1: 10, 2: 7, 3: 5}[d]
+    powers = TuplePowers(t, n)
+    want = np.array([tuple_power(t, alpha) for alpha in graded_indices(d, n)])
+    assert powers.stack.shape == want.shape
+    assert np.max(np.abs(powers.stack - want)) <= 1e-12
+
+
+def test_power_stack_of_a_nilpotent_jordan_block():
+    jordan = np.eye(4, k=1).astype(complex)
+    t = cl.OperatorTuple((jordan, 2.0 * jordan))
+    powers = TuplePowers(t, 5)
+    for alpha, got in zip(graded_indices(2, 5), powers.stack):
+        assert np.array_equal(got, tuple_power(t, alpha))
+        assert got.any() == (sum(alpha) <= 3)
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +115,6 @@ def test_defect_flags_indefinite():
     assert dd.delta[0, 0] == 0.0  # clipped square root
 
 
-def test_defect_requires_b():
-    table = cl.generate_coeffs(cl.szego(), 12)
-    with pytest.raises(cl.InsufficientCacheError):
-        cl.defect(cl.OperatorTuple.zero(1, 1), table, P(10))
-
-
 def test_defect_structure_invariants():
     # delta is the square root of delta_sq and the range basis is orthonormal
     rng = np.random.default_rng(3)
@@ -110,8 +131,9 @@ def test_defect_structure_invariants():
 def test_truncation_params_validation():
     with pytest.raises(ValueError):
         cl.TruncationParams(N=0)
-    with pytest.raises(ValueError):
-        cl.TruncationParams(N=5, tol=0.0)
+    for tol in (0.0, -1e-9, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            cl.TruncationParams(N=5, tol=tol)
     with pytest.raises(ValueError):
         cl.TruncationParams(N=5, tail_window=0)
 
