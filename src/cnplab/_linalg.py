@@ -46,12 +46,10 @@ def canonical_phases(u: np.ndarray) -> np.ndarray:
     if u.size == 0:
         return u
     out = np.array(u, dtype=complex)
-    for j in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, j])))
-        pivot = out[k, j]
-        if abs(pivot) > 0.0:
-            out[:, j] *= pivot.conjugate() / abs(pivot)
-    return out
+    pivots = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
+    # scalar quotients, then one broadcast product: the bits of a column-by-column
+    # rotation, except for a single row, where numpy's length-1 loop rounds apart
+    return out * np.array([p.conjugate() / abs(p) if abs(p) > 0.0 else 1.0 for p in pivots])
 
 
 def psd_decompose(a: np.ndarray):

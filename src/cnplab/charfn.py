@@ -16,11 +16,11 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import RANK_REL_TOL, hermitian_norm, hermitize, opnorm
-from .coeffs import (CoeffTable, KernelValue, as_points, graded_count, graded_position, in_ball,
+from .coeffs import (CoeffTable, KernelValue, as_points, graded_position, in_ball,
                      inner_products, is_cnp, kernel_eval, multi_coeff, scalar_series)
 from .errors import DomainError, NonConvergedError, NotCnpError
 from .model import DilationMap
-from .tuples import OperatorTuple, TruncationParams, _sigma
+from .tuples import OperatorTuple, TruncationParams, _graded_series
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,7 @@ def _taylor_blocks(lift: TupleLift) -> np.ndarray:
     v = lift.dilation
     idx = np.array(v.indices)
     n, d, h, r = len(idx), v.ops.d, v.ops.h, v.codomain_dims[1]
-    counts = np.array([graded_count(d, v.N - k) for k in range(v.N + 1)])
+    counts = np.array(v.shifts.index.ends[::-1])
     runs = counts[idx[1:].sum(axis=1)]
     alpha_pos = np.repeat(np.arange(1, n), runs)
     beta_pos = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
@@ -353,20 +353,14 @@ def _model_gap(lift: TupleLift) -> np.ndarray:
     a_{delta+beta}) e(delta + beta) for the tensored shifts S_i, so
     M_theta M_theta^* = sum_k a_k sigma^k(X), with X = D^{-1/2} G D^{-1/2},
     G = Theta Theta^* the Gram matrix of the Taylor stack, D = diag(a_delta) x I_r
-    and sigma(Y) = sum_i S_i Y S_i^*.  Summed by Horner, H <- a_{N-j} X + sigma(H)
-    from H = a_N X: sigma^k(X) reads X only on degrees <= N - k, so after step
-    j, H lives on the leading block of degrees <= j, where sigma gathers it.
+    and sigma(Y) = sum_i S_i Y S_i^*, summed on graded prefixes (`_graded_series`).
     """
     v = lift.dilation
-    d, r = v.ops.d, v.codomain_dims[1]
+    r = v.codomain_dims[1]
     flat = _taylor_blocks(lift).reshape(v.big_dim, -1)
     scale = np.repeat(1.0 / np.sqrt(v.shifts.a_alpha), r)
     x = scale[:, None] * (flat @ flat.conj().T) * scale
-    a = v.table.require_a(v.N)
-    acc = a[v.N] * x[:r, :r]
-    for j in range(1, v.N + 1):
-        size = graded_count(d, j) * r
-        acc = a[v.N - j] * x[:size, :size] + _sigma(v.tensored, acc, size)
+    acc, _ = _graded_series(v.tensored, v.table, v.N, "a", x)
     return np.eye(v.big_dim, dtype=complex) - v.matrix @ v.matrix.conj().T - acc
 
 

@@ -79,6 +79,10 @@ SUITE_DEPS = {
 
 ENV_OUT_DIR = "CNPLAB_OUT_DIR"
 
+# the largest series degree a config or a command may ask for; build_table
+# is quadratic in it (about 0.2 s at 1000)
+MAX_DEGREE = 1000
+
 # fixed gates shared by the suite runners
 GATES = {
     "roundtrip": 1e-12,
@@ -127,6 +131,14 @@ def strict_int(value, name: str) -> int:
     return int(value)
 
 
+def strict_degree(value, name: str) -> int:
+    """strict_int, at most MAX_DEGREE."""
+    n = strict_int(value, name)
+    if n > MAX_DEGREE:
+        raise ValueError(f"{name} must be at most {MAX_DEGREE}, got {value!r}")
+    return n
+
+
 def strict_float(value, name: str) -> float:
     """value as a finite float; ints pass, while bools, strings, NaN and infinities are rejected."""
     if isinstance(value, bool) or not (
@@ -139,7 +151,6 @@ def kernel_from_dict(spec: dict) -> tuple[KernelSpec, int]:
     rule = spec.get("rule")
     params = spec.get("params", {}) or {}
     d = strict_int(spec.get("d", 1), "kernel.d")
-    label = spec.get("label", "")
     name = {"bergman": "m", "dirichlet_t": "t", "custom": "coeffs"}.get(rule)
     if name is not None and params.get(name) is None:
         raise ValueError(f"the {rule} rule needs the parameter {name!r}")
@@ -154,9 +165,8 @@ def kernel_from_dict(spec: dict) -> tuple[KernelSpec, int]:
         param = tuple(strict_float(c, f"kernel.params.coeffs[{i}]") for i, c in enumerate(coeffs))
     else:
         param = None
-    ks = KernelSpec(d=d, rule=rule, param=param, label=label)
-    n_table = strict_int(spec.get("N_max", 64), "kernel.N_max")
-    return ks, n_table
+    return (KernelSpec(d=d, rule=rule, param=param, label=spec.get("label", "")),
+            strict_degree(spec.get("N_max", 64), "kernel.N_max"))
 
 
 def matrices_from_nested(entries) -> np.ndarray:
@@ -202,7 +212,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     kernel, n_table = kernel_from_dict(raw["kernel"])
     trunc_raw = raw.get("truncation", {})
     trunc = TruncationParams(
-        N=strict_int(trunc_raw.get("N", 32), "truncation.N"),
+        N=strict_degree(trunc_raw.get("N", 32), "truncation.N"),
         tol=strict_float(trunc_raw.get("tol", 1e-9), "truncation.tol"),
         tail_window=strict_int(trunc_raw.get("tail_window", 3), "truncation.tail_window"),
     )
@@ -236,7 +246,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         raise ValueError(f"counterexample.N_list must be a list of integers, got {n_list!r}")
     ce = {
         "m": strict_int(ce.get("m", 2), "counterexample.m"),
-        "N_list": [strict_int(n, f"counterexample.N_list[{i}]") for i, n in enumerate(n_list)],
+        "N_list": [strict_degree(n, f"counterexample.N_list[{i}]") for i, n in enumerate(n_list)],
         "d": strict_int(ce.get("d", 1), "counterexample.d"),
     }
     return RunConfig(
@@ -364,11 +374,10 @@ def _suite_existence(ctx: _SuiteContext, res: SuiteResult):
     res.verdict = report.status
     res.residuals["assoc_min_eig"] = fmt(report.value)
     res.residuals["invariance"] = fmt(report.invariance_residual)
-    x = np.eye(v.big_dim, dtype=complex) - v.matrix @ v.matrix.conj().T
     # series degree extends past the space truncation so the tail window sees
     # the terminating matrix series, not the cut-off
     p_series = replace(p, N=p.N + p.tail_window)
-    fact = check_factorability(x, v.tensored, ctx.table, p_series)
+    fact = check_factorability(v.matrix, v.tensored, ctx.table, p_series)
     res.details["factorability"] = fact.verdict
     res.details["factorability_failed_condition"] = fact.failed_condition
     consistent = (report.status == "admits") == (fact.verdict == "factorable")
@@ -488,20 +497,7 @@ def run(cfg: RunConfig) -> dict:
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": cfg.raw,
         "label": cfg.label,
-        "suites": [
-            {
-                "name": r.name,
-                "outcome": r.outcome,
-                "verdict": r.verdict,
-                "expected": r.expected,
-                "residuals": r.residuals,
-                "tolerances": r.tolerances,
-                "details": r.details,
-                "error": r.error,
-                "wall_time": r.wall_time,
-            }
-            for r in suites
-        ],
+        "suites": [dict(vars(r)) for r in suites],
         "overall": overall,
     }
 
@@ -564,7 +560,7 @@ def cmd_run(args) -> int:
 
 def cmd_kernel_info(args) -> int:
     try:
-        if args.N < 0:
+        if strict_degree(args.N, "--N") < 0:
             raise ValueError(f"--N must be >= 0, got {args.N}")
         params = {"m": args.m, "t": args.t,
                   "coeffs": [float(c) for c in args.coeffs.split(",")] if args.coeffs else None}
@@ -599,7 +595,8 @@ def cmd_counterexample(args) -> int:
         )
         return 2
     try:
-        points = [bergman_counterexample(args.m, int(n), d=args.d) for n in args.N.split(",")]
+        points = [bergman_counterexample(args.m, strict_degree(int(n), "--N"), d=args.d)
+                  for n in args.N.split(",")]
     except (CnpLabError, ValueError) as exc:
         print(f"invalid counterexample input: {exc}", file=sys.stderr)
         return 2

@@ -141,16 +141,8 @@ class KernelSpec:
                 raise InvalidKernelError("custom coefficients must all be positive and finite")
             object.__setattr__(self, "param", coeffs)
         if not self.label:
-            object.__setattr__(self, "label", self._default_label())
-
-    def _default_label(self) -> str:
-        if self.rule == "bergman":
-            return f"bergman({self.param})"
-        if self.rule == "dirichlet_t":
-            return f"dirichlet_t({self.param})"
-        if self.rule == "custom":
-            return "custom"
-        return self.rule
+            plain = self.param is None or self.rule == "custom"
+            object.__setattr__(self, "label", self.rule if plain else f"{self.rule}({self.param})")
 
 
 def szego(d: int = 1, label: str = "") -> KernelSpec:

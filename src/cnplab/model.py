@@ -24,7 +24,7 @@ from ._linalg import (
     opnorm,
     split_rank,
 )
-from .coeffs import (CoeffTable, bergman, build_table, graded_count, graded_position,
+from .coeffs import (CoeffTable, bergman, build_table, graded_position,
                      multi_coeff)  # noqa: F401  multi_coeff: tracers rebind it in every namespace
 from .errors import DegenerateDilationError, PrerequisiteError
 from .tuples import (
@@ -34,6 +34,7 @@ from .tuples import (
     TruncatedShifts,
     TruncationParams,
     TuplePowers,
+    _graded_series,
     _sigma,
     _weighted_series,
     defect,
@@ -138,7 +139,7 @@ def check_intertwining(v: DilationMap, alphas: Sequence[tuple]) -> float:
         y = v.matrix  # becomes (M^alpha x I_r)^* V
         for i in np.repeat(np.arange(v.ops.d), alpha):
             y = v.tensored.apply_adjoint(i, y)
-        rows = graded_count(v.ops.d, v.N - sum(alpha)) * v.codomain_dims[1]
+        rows = v.tensored.ends[v.N - sum(alpha)]
         diff = y[:rows] - v.matrix[:rows] @ v.powers.power(alpha).conj().T
         worst = max(worst, opnorm(diff))
     return worst
@@ -168,45 +169,43 @@ class FactorabilityReport:
     cond3_tail: float
 
 
-def check_factorability(x: np.ndarray, t: OperatorTuple | IndexShifts, table: CoeffTable,
+def check_factorability(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffTable,
                         p: TruncationParams) -> FactorabilityReport:
-    """Evaluate the factorability conditions for a Hermitian PSD matrix x.
+    """Evaluate the factorability conditions for X = I - V V^* on graded index-map shifts.
 
-    t is a dense tuple or index-map shifts, such as the tensored shifts of a
-    dilation space.  The constants c_i are the squared truncated shift norms
-    of the kernel.  Sign failures of conditions (1) and (2) are
+    shifts act on the graded space of the rows of V, such as the tensored
+    shifts of a dilation space.  X is PSD exactly when |V| <= 1: its
+    eigenvalues are 1 - eig(V^* V) and 1s.  The constants c_i are the squared
+    truncated shift norms of the kernel.  Both series are summed on graded
+    prefixes (`_graded_series`).  Sign failures of conditions (1) and (2) are
     definitive at this truncation; condition (3) distinguishes a
     converged-but-wrong series (not factorable) from one that is still
     moving (inconclusive).
     """
-    x = np.asarray(x, dtype=complex)
-    # the Frobenius norm of x - x^* bounds its spectral norm, which needs an SVD
-    if (np.linalg.norm(x - x.conj().T) > 1e-10
-            and opnorm(x - x.conj().T) > 1e-10 * max(1.0, opnorm(x))):
-        raise ValueError("x must be Hermitian")
-    x = hermitize(x)
-    min_x = float(np.linalg.eigvalsh(x)[0]) if x.size else 0.0
+    v_matrix = np.asarray(v_matrix, dtype=complex)
+    if v_matrix.ndim != 2 or v_matrix.shape[0] != shifts.h:
+        raise ValueError(f"V of shape {v_matrix.shape} does not map into the {shifts.h}-dim space")
+    min_x = 1.0 - opnorm(v_matrix) ** 2
     if min_x < -p.tol:
         raise ValueError(f"x must be PSD up to tol, min eigenvalue {min_x:.3e}")
-    c = [shift_norm_sq(table, i, p.N).value for i in range(t.d)]
+    x = hermitize(np.eye(shifts.h, dtype=complex) - v_matrix @ v_matrix.conj().T)
 
     cond1 = []
-    for i in range(t.d):
-        g = hermitize(c[i] * x - t.sandwich(i, x))
+    for i in range(shifts.d):
+        g = hermitize(shift_norm_sq(table, i, p.N).value * x - shifts.sandwich(i, x))
         cond1.append(float(np.linalg.eigvalsh(g)[0]) if g.size else 0.0)
 
-    p_of_x, inc2 = _weighted_series(t, table, p.N, "b", middle=x, start_degree=1,
-                                    window=p.tail_window)
+    p_of_x, inc2 = _graded_series(shifts, table, p.N, "b", x, start_degree=1,
+                                  window=p.tail_window)
     gap = hermitize(x - p_of_x)
     cond2_min = float(np.linalg.eigvalsh(gap)[0]) if gap.size else 0.0
     cond2_tail = max(inc2, default=0.0)
 
-    recon, inc3 = _weighted_series(t, table, p.N, "a", middle=gap, window=p.tail_window)
+    recon, inc3 = _graded_series(shifts, table, p.N, "a", gap, window=p.tail_window)
     cond3_res = hermitian_norm(recon - x)
     cond3_tail = max(inc3, default=0.0)
 
-    failed = None
-    verdict = "factorable"
+    verdict, failed = "factorable", None
     if any(m < -p.tol for m in cond1):
         verdict, failed = "not_factorable", 1
     elif cond2_min < -p.tol:
@@ -214,10 +213,7 @@ def check_factorability(x: np.ndarray, t: OperatorTuple | IndexShifts, table: Co
     elif cond2_tail > p.tol:
         verdict = "inconclusive"
     elif cond3_res > p.tol:
-        if cond3_tail <= p.tol:
-            verdict, failed = "not_factorable", 3
-        else:
-            verdict = "inconclusive"
+        verdict, failed = ("not_factorable", 3) if cond3_tail <= p.tol else ("inconclusive", None)
     return FactorabilityReport(
         verdict=verdict,
         failed_condition=failed,
@@ -250,7 +246,6 @@ class AssociatedTuple:
 
 
 def associated_tuple(v: DilationMap) -> AssociatedTuple:
-    r = v.codomain_dims[1]
     u, svals, _ = np.linalg.svd(v.matrix, full_matrices=True)
     rank = split_rank(svals, RANK_REL_TOL)
     k = canonical_phases(u[:, rank:])
@@ -258,7 +253,7 @@ def associated_tuple(v: DilationMap) -> AssociatedTuple:
     # the part of (M_i x I) K leaving span K is U U^* (M_i x I) K, of rank <= h;
     # with U[interior] = Q R its interior rows (degrees <= N - 1, which lead the
     # graded order) have the norm of R U^* (M_i x I) K
-    _, r_int = np.linalg.qr(u[:graded_count(v.ops.d, v.N - 1) * r])
+    _, r_int = np.linalg.qr(u[:v.tensored.ends[v.N - 1]])
     inv_res = max(opnorm(r_int @ (u.conj().T @ v.tensored.apply(i, k))) for i in range(v.ops.d))
     return AssociatedTuple(basis=k, range_basis=u, invariance_residual=inv_res, dim=k.shape[1])
 
@@ -330,14 +325,11 @@ def admits_charfn(v: DilationMap) -> ExistenceReport:
     vals = np.linalg.eigvalsh(delta_sq)  # none when Ker V^* = 0: an empty tuple contracts
     min_eig = float(vals[0]) if len(vals) else 0.0
     verdict = ContractionVerdict.decide(min_eig, max(tail, default=0.0), p.tol)
-    if verdict.status == "yes":
-        status, witness = "admits", None
-    elif verdict.status == "no":
-        status = "does_not_admit"
+    status = {"yes": "admits", "no": "does_not_admit"}.get(verdict.status, "inconclusive")
+    witness = None
+    if status == "does_not_admit":
         _, vecs = np.linalg.eigh(delta_sq)
         witness = canonical_phases((assoc.basis @ vecs[:, :1]))[:, 0]
-    else:
-        status, witness = "inconclusive", None
     return ExistenceReport(
         status=status,
         value=verdict.min_eig,

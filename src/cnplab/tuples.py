@@ -148,6 +148,30 @@ def _weighted_series(t, table: CoeffTable, n: int, which: str,
     return total, tail
 
 
+def _graded_series(s: "IndexShifts", table: CoeffTable, n: int, which: str, x: np.ndarray,
+                   start_degree: int = 0, window: int = 0):
+    """_weighted_series on the graded space of the shifts s with middle x, summed on prefixes.
+
+    sigma^k(X) reads X only on degrees <= N - k (N the top degree of s) and
+    vanishes for k > N, so the total is Horner's H <- sigma(H) + c_k X from
+    the highest nonzero c_k with k <= min(n, N) down, H living on the leading
+    block of degrees <= N - k, where sigma gathers it.  Tail-window increments
+    past degree N are exact zeros; those at degrees <= N are _weighted_series'.
+    """
+    coeffs = table.require_b(n) if which == "b" else table.require_a(n)
+    top = len(s.ends) - 1
+    last = max((k for k in range(start_degree, min(n, top) + 1) if coeffs[k] != 0.0), default=0)
+    total = np.zeros((0, 0), dtype=complex)  # sigma takes the empty block to zeros
+    for k in range(last, -1, -1):
+        total = _sigma(s, total, s.ends[top - k])
+        if k >= start_degree:
+            total += coeffs[k] * x[:len(total), :len(total)]
+    low = max(start_degree, n - window + 1)
+    if low > top:
+        return total, [0.0] * (n + 1 - low)
+    return total, _weighted_series(s, table, n, which, middle=x, start_degree=low, window=window)[1]
+
+
 # ---------------------------------------------------------------------------
 # Defect operator
 # ---------------------------------------------------------------------------
@@ -248,11 +272,9 @@ def is_pure(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
     # non-increasing up to rounding: equal increments must count as shrinking
     shrinking = all(window[k + 1] <= window[k] * (1.0 + 1e-12) + 1e-15
                     for k in range(len(window) - 1))
-    if residual <= p.tol and shrinking:
-        return PurityVerdict(status="pure", residual=residual, tail_increments=tuple(window))
-    if max(window, default=0.0) <= p.tol and residual > 10.0 * p.tol:
-        return PurityVerdict(status="not_pure", residual=residual, tail_increments=tuple(window))
-    return PurityVerdict(status="inconclusive", residual=residual, tail_increments=tuple(window))
+    settled = max(window, default=0.0) <= p.tol and residual > 10.0 * p.tol
+    status = "pure" if residual <= p.tol and shrinking else "not_pure" if settled else "inconclusive"
+    return PurityVerdict(status=status, residual=residual, tail_increments=tuple(window))
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +287,13 @@ class IndexShifts:
 
     maps[i] = (dst, src, weight) says T_i e_src[j] = weight[j] e_dst[j]; both
     index arrays are injective, so T_i X and T_i X T_i^* are O(h^2) gathers,
-    not dense O(h^3) products.  The shifts commute by construction.
+    not dense O(h^3) products.  The shifts commute by construction.  ends[j]
+    is the length of the leading block of degrees <= j, through the top degree.
     """
 
     maps: tuple
     h: int
+    ends: tuple
 
     @property
     def d(self) -> int:
@@ -313,7 +337,8 @@ class IndexShifts:
         def spread(idx):
             return (idx[:, None] * r + np.arange(r)).ravel()
         return IndexShifts(tuple((spread(dst), spread(src), np.repeat(w, r))
-                                 for dst, src, w in self.maps), self.h * r)
+                                 for dst, src, w in self.maps), self.h * r,
+                           tuple(e * r for e in self.ends))
 
 
 @dataclass(frozen=True)
@@ -356,7 +381,8 @@ def shift_matrices(table: CoeffTable, n: int) -> TruncatedShifts:
     ups = np.array(indices)[src] + np.eye(table.d, dtype=int)[:, None]  # alpha + e_i in row i
     dsts = graded_position(table.d, n, ups.reshape(-1, table.d)).reshape(table.d, len(src))
     maps = tuple((dst, src, np.sqrt(a_alpha[src] / a_alpha[dst])) for dst in dsts)
-    return TruncatedShifts(index=IndexShifts(maps, len(indices)), indices=indices, N=n,
+    ends = tuple(graded_count(table.d, j) for j in range(n + 1))
+    return TruncatedShifts(index=IndexShifts(maps, len(indices), ends), indices=indices, N=n,
                            a_alpha=a_alpha)
 
 

@@ -7,6 +7,12 @@ the same defect on the model space by the projected sigma-recursion and never
 forms A, so differential tests can compare the two.  `dense_intertwining`
 pushes a big_dim identity through the tensored shifts to form M^alpha x I,
 where the package gathers the adjoint shifts on the columns of V.
+`dense_check_factorability` is the factorability test as it stood before
+the package summed its series on graded prefixes: it takes any Hermitian X
+and any tuple, dense or index-map, checks X by a full eigensolve and sums
+both series by the forward sigma-recursion `_weighted_series`.
+`looped_canonical_phases` rotates one column at a time, where the package
+rotates every column by one broadcast product.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from dataclasses import replace
 import numpy as np
 
 import cnplab as cl
-from cnplab._linalg import opnorm, split_rank
-from cnplab.tuples import COMMUTATOR_TOL
+from cnplab._linalg import hermitian_norm, hermitize, opnorm, split_rank
+from cnplab.tuples import COMMUTATOR_TOL, _weighted_series, shift_norm_sq
 from series_reference import tuple_power
 
 
@@ -80,3 +86,82 @@ def dense_intertwining(v, alphas):
         diff = (vstar @ big_m - tuple_power(v.ops, alpha) @ vstar)[:, keep]
         worst = max(worst, opnorm(diff))
     return worst
+
+
+def dense_check_factorability(x, t, table, p):
+    """Evaluate the factorability conditions for a Hermitian PSD matrix x.
+
+    t is a dense tuple or index-map shifts, such as the tensored shifts of a
+    dilation space.  The constants c_i are the squared truncated shift norms
+    of the kernel.  Sign failures of conditions (1) and (2) are
+    definitive at this truncation; condition (3) distinguishes a
+    converged-but-wrong series (not factorable) from one that is still
+    moving (inconclusive).
+    """
+    x = np.asarray(x, dtype=complex)
+    # the Frobenius norm of x - x^* bounds its spectral norm, which needs an SVD
+    if (np.linalg.norm(x - x.conj().T) > 1e-10
+            and opnorm(x - x.conj().T) > 1e-10 * max(1.0, opnorm(x))):
+        raise ValueError("x must be Hermitian")
+    x = hermitize(x)
+    min_x = float(np.linalg.eigvalsh(x)[0]) if x.size else 0.0
+    if min_x < -p.tol:
+        raise ValueError(f"x must be PSD up to tol, min eigenvalue {min_x:.3e}")
+    c = [shift_norm_sq(table, i, p.N).value for i in range(t.d)]
+
+    cond1 = []
+    for i in range(t.d):
+        g = hermitize(c[i] * x - t.sandwich(i, x))
+        cond1.append(float(np.linalg.eigvalsh(g)[0]) if g.size else 0.0)
+
+    p_of_x, inc2 = _weighted_series(t, table, p.N, "b", middle=x, start_degree=1,
+                                    window=p.tail_window)
+    gap = hermitize(x - p_of_x)
+    cond2_min = float(np.linalg.eigvalsh(gap)[0]) if gap.size else 0.0
+    cond2_tail = max(inc2, default=0.0)
+
+    recon, inc3 = _weighted_series(t, table, p.N, "a", middle=gap, window=p.tail_window)
+    cond3_res = hermitian_norm(recon - x)
+    cond3_tail = max(inc3, default=0.0)
+
+    failed = None
+    verdict = "factorable"
+    if any(m < -p.tol for m in cond1):
+        verdict, failed = "not_factorable", 1
+    elif cond2_min < -p.tol:
+        verdict, failed = "not_factorable", 2
+    elif cond2_tail > p.tol:
+        verdict = "inconclusive"
+    elif cond3_res > p.tol:
+        if cond3_tail <= p.tol:
+            verdict, failed = "not_factorable", 3
+        else:
+            verdict = "inconclusive"
+    return cl.FactorabilityReport(
+        verdict=verdict,
+        failed_condition=failed,
+        cond1_min_eigs=tuple(cond1),
+        cond2_min_eig=cond2_min,
+        cond2_tail=cond2_tail,
+        cond3_residual=cond3_res,
+        cond3_tail=cond3_tail,
+    )
+
+
+def condition_values(report):
+    """cond1 min-eigs, cond2 min-eig and tail, cond3 residual and tail of a FactorabilityReport."""
+    return (*report.cond1_min_eigs, report.cond2_min_eig, report.cond2_tail,
+            report.cond3_residual, report.cond3_tail)
+
+
+def looped_canonical_phases(u):
+    """Each column of u rotated in place so its first largest-magnitude entry is real positive."""
+    if u.size == 0:
+        return u
+    out = np.array(u, dtype=complex)
+    for j in range(out.shape[1]):
+        k = int(np.argmax(np.abs(out[:, j])))
+        pivot = out[k, j]
+        if abs(pivot) > 0.0:
+            out[:, j] *= pivot.conjugate() / abs(pivot)
+    return out

@@ -9,6 +9,7 @@ import numpy as np
 
 import cnplab as cl
 
+from model_reference import condition_values, dense_check_factorability
 from test_coeffs import long_division_reciprocal
 
 
@@ -126,10 +127,15 @@ def test_criterion_5_existence_equivalence(existence_examples):
             tuple(np.kron(m, np.eye(r, dtype=complex)) for m in v.shifts.ops.mats))
         p_series = cl.TruncationParams(N=ex.p.N + ex.p.tail_window, tol=ex.p.tol,
                                        tail_window=ex.p.tail_window)
-        fact = cl.check_factorability(x, tensored, table, p_series)
+        fact = cl.check_factorability(v.matrix, v.tensored, table, p_series)
+        ref = dense_check_factorability(x, tensored, table, p_series)
         decided = report.status in ("admits", "does_not_admit") \
             and fact.verdict in ("factorable", "not_factorable")
         agree = (report.status == "admits") == (fact.verdict == "factorable")
+        # the prefix-summed check against the dense reference
+        agree = agree and (fact.verdict, fact.failed_condition) == \
+            (ref.verdict, ref.failed_condition) and np.max(np.abs(np.subtract(
+                condition_values(fact), condition_values(ref)))) <= 1e-12
         if ex.kernel.rule == "bergman":
             agree = agree and report.status == "does_not_admit"
         ok = ok and decided and agree

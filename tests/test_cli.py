@@ -364,6 +364,33 @@ def test_config_integers_accept_integral_floats():
     assert parsed.tuple_mats[0].shape == (1, 1)
 
 
+@pytest.mark.parametrize("overrides, name", [
+    # 1e300 passes as an integral float; numpy cannot allocate its table
+    ({("kernel", "N_max"): 1e300}, "kernel.N_max"),
+    ({("kernel", "N_max"): cli.MAX_DEGREE + 1}, "kernel.N_max"),
+    ({("kernel", "N_max"): 10 ** 11, ("truncation", "N"): 10 ** 11 - 4}, "kernel.N_max"),
+    ({("truncation", "N"): 1e300}, "truncation.N"),
+    ({("counterexample",): {"m": 2, "N_list": [0, 10 ** 11]}}, "counterexample.N_list[1]"),
+])
+def test_huge_degrees_exit_2(tmp_path, capsys, overrides, name):
+    cfg = base_config(suites=["coeffs", "contraction"])
+    for path, value in overrides.items():
+        set_entry(cfg, path, value)
+    assert run_cli_config(tmp_path, cfg) == (2, False)
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name} must be at most {cli.MAX_DEGREE}, got ")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+def test_degrees_up_to_the_bound_are_accepted():
+    cfg = cli.parse_config(base_config(
+        kernel={"d": 1, "rule": "szego", "params": {}, "N_max": cli.MAX_DEGREE},
+        truncation={"N": cli.MAX_DEGREE - 4, "tol": 1e-9, "tail_window": 3},
+        counterexample={"N_list": [cli.MAX_DEGREE]}))
+    assert (cfg.n_table, cfg.truncation.N, cfg.counterexample["N_list"]) == \
+        (cli.MAX_DEGREE, cli.MAX_DEGREE - 4, [cli.MAX_DEGREE])
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tol_exits_2(tmp_path, capsys, tol):
     # T = (2) under Szego is no contraction; a NaN or infinite tol made it pass
@@ -421,6 +448,8 @@ def test_config_floats_accept_ints():
     (["--rule", "custom", "--coeffs", "1,nan,0.5", "--N", "2"], "coeffs[1] must be a finite"),
     (["--rule", "custom", "--coeffs", "1,x", "--N", "1"], "could not convert"),
     (["--rule", "szego", "--N", "-2"], "--N must be >= 0, got -2"),
+    # the table of a huge degree does not fit in memory
+    (["--rule", "szego", "--N", "100000000000"], f"--N must be at most {cli.MAX_DEGREE}, got"),
 ])
 def test_kernel_info_rejects_non_finite_and_negative_input(capsys, argv, fragment):
     assert cli.main(["kernel-info", *argv]) == 2
@@ -479,7 +508,8 @@ def test_counterexample_rejects_m1(capsys):
     assert "drury-arveson" in err
 
 
-@pytest.mark.parametrize("argv", [["--N", "-1"], ["--N", "x"], ["--d", "0"]])
+@pytest.mark.parametrize("argv", [["--N", "-1"], ["--N", "x"], ["--d", "0"],
+                                  ["--N", "0,100000000000"]])
 def test_counterexample_bad_input_exits_2(capsys, argv):
     assert cli.main(["counterexample", "--m", "2", *argv]) == 2
     captured = capsys.readouterr()

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import cnplab as cl
 from cnplab.tuples import TuplePowers
-from model_reference import dense_associated_tuple, dense_existence, dense_intertwining
+from model_reference import (condition_values, dense_associated_tuple, dense_check_factorability,
+                             dense_existence, dense_intertwining)
 from series_reference import tuple_power
 from random_inputs import diff_kernel, random_commuting_tuple
 
@@ -113,22 +114,34 @@ def test_dilation_carries_its_tuple_and_shifts():
 # factorability
 # ---------------------------------------------------------------------------
 
+def assert_matches_reference(report, want, name=""):
+    """The prefix-summed report against the dense reference: same decision, values to 1e-12."""
+    assert (report.verdict, report.failed_condition) == (want.verdict, want.failed_condition), name
+    diff = np.subtract(condition_values(report), condition_values(want))
+    assert np.max(np.abs(diff)) <= 1e-12, name
+
+
 def test_factorability_zero_operator():
     table = cl.build_table(cl.szego(), 12)
     shifts = cl.shift_matrices(table, 8)
-    x = np.zeros((shifts.dim, shifts.dim))
-    report = cl.check_factorability(x, shifts.ops, table, P(8))
+    # V = I gives X = I - V V^* = 0
+    report = cl.check_factorability(np.eye(shifts.dim), shifts.index, table, P(8))
     assert report.verdict == "factorable"
+    x = np.zeros((shifts.dim, shifts.dim))
+    assert_matches_reference(report, dense_check_factorability(x, shifts.ops, table, P(8)))
 
 
 def test_factorability_identity_on_szego_shift():
     table = cl.build_table(cl.szego(), 12)
     shifts = cl.shift_matrices(table, 8)
     p = P(8)
-    report = cl.check_factorability(np.eye(shifts.dim), shifts.ops, table, p)
+    # V with no columns gives X = I
+    report = cl.check_factorability(np.zeros((shifts.dim, 0)), shifts.index, table, p)
     assert report.verdict == "factorable"
     assert report.cond2_min_eig >= -1e-12
     assert report.cond3_residual <= 1e-12
+    assert_matches_reference(report, dense_check_factorability(np.eye(shifts.dim), shifts.ops,
+                                                               table, p))
     # the gap X - P(X) is exactly the rank-one projection onto the constants
     powers = TuplePowers(shifts.ops, p.N)
     gap = np.eye(shifts.dim, dtype=complex)
@@ -148,21 +161,30 @@ def test_factorability_bergman_projection_fails_cond2():
     p = P(12)
     t0 = cl.shift_matrices(table, 0).ops  # compression to the constants
     v = cl.build_dilation(t0, table, p)
-    x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
-    report = cl.check_factorability(x, tensored_shifts(v.shifts, v.codomain_dims[1]), table,
-                                    P(p.N + 3))
+    report = cl.check_factorability(v.matrix, v.tensored, table, P(p.N + 3))
     assert report.verdict == "not_factorable"
     assert report.failed_condition == 2
     assert report.cond2_min_eig <= -(1.0 / 3.0) + 1e-10
+    x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
+    assert_matches_reference(report, dense_check_factorability(
+        x, tensored_shifts(v.shifts, v.codomain_dims[1]), table, P(p.N + 3)))
 
 
-def test_factorability_rejects_non_hermitian():
+def test_factorability_rejects_a_non_contractive_v():
+    # I - V V^* is PSD up to tol exactly when |V|^2 <= 1 + tol
     table = cl.build_table(cl.szego(), 12)
     shifts = cl.shift_matrices(table, 6)
-    x = np.zeros((shifts.dim, shifts.dim))
-    x[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        cl.check_factorability(x, shifts.ops, table, P(6))
+    v = np.zeros((shifts.dim, 2))
+    v[0, 0] = v[3, 1] = 1.0
+    v[:, 1] *= np.sqrt(1.0 + 2e-9)
+    with pytest.raises(ValueError, match="PSD up to tol"):
+        cl.check_factorability(v, shifts.index, table, P(6))
+    v[3, 1] = np.sqrt(1.0 + 0.5e-9)  # within tol: checked, not rejected
+    x = np.eye(shifts.dim) - v @ v.T
+    assert_matches_reference(cl.check_factorability(v, shifts.index, table, P(6)),
+                             dense_check_factorability(x, shifts.ops, table, P(6)))
+    with pytest.raises(ValueError, match="does not map into"):
+        cl.check_factorability(v[1:], shifts.index, table, P(6))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +284,9 @@ def test_existence_factorability_consistency(existence_examples):
         r = v.codomain_dims[1]
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
         p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
-        fact = cl.check_factorability(x, tensored_shifts(v.shifts, r), table, p_series)
+        fact = cl.check_factorability(v.matrix, v.tensored, table, p_series)
+        assert_matches_reference(fact, dense_check_factorability(
+            x, tensored_shifts(v.shifts, r), table, p_series), ex.name)
         assert report.status in ("admits", "does_not_admit"), ex.name
         assert fact.verdict in ("factorable", "not_factorable"), ex.name
         assert (report.status == "admits") == (fact.verdict == "factorable"), ex.name
@@ -270,23 +294,19 @@ def test_existence_factorability_consistency(existence_examples):
 
 def test_factorability_on_index_shifts_matches_dense(existence_examples):
     # the existence suite runs the check on index-map shifts; the dense
-    # Kronecker tuple must give the same report up to rounding
+    # reference on the Kronecker tuple and on the same index maps must give
+    # the same report up to rounding
     for ex in existence_examples:
         table = ex.table()
         v = cl.build_dilation(ex.ops, table, ex.p)
         r = v.codomain_dims[1]
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
         p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
-        dense = cl.check_factorability(x, tensored_shifts(v.shifts, r), table, p_series)
-        gather = cl.check_factorability(x, v.shifts.index.tensor(r), table, p_series)
-        assert (gather.verdict, gather.failed_condition) == \
-            (dense.verdict, dense.failed_condition), ex.name
-        for got, want in ((gather.cond1_min_eigs, dense.cond1_min_eigs),
-                          ((gather.cond2_min_eig, gather.cond2_tail, gather.cond3_residual,
-                            gather.cond3_tail),
-                           (dense.cond2_min_eig, dense.cond2_tail, dense.cond3_residual,
-                            dense.cond3_tail))):
-            assert np.max(np.abs(np.subtract(got, want))) <= 1e-12, ex.name
+        dense = dense_check_factorability(x, tensored_shifts(v.shifts, r), table, p_series)
+        gather = cl.check_factorability(v.matrix, v.shifts.index.tensor(r), table, p_series)
+        assert_matches_reference(gather, dense, ex.name)
+        assert_matches_reference(dense_check_factorability(x, v.tensored, table, p_series),
+                                 dense, ex.name)
 
 
 def test_associated_tuple_purity_follows_contractivity(pure_examples):

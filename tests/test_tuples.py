@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import cnplab as cl
 from cnplab.coeffs import graded_indices
-from cnplab.tuples import TuplePowers, _weighted_series
+from cnplab._linalg import canonical_phases
+from cnplab.tuples import TuplePowers, _graded_series, _weighted_series
+from model_reference import looped_canonical_phases
 from random_inputs import diff_kernel, random_commuting_tuple
 from series_reference import enumerated_series, enumerated_shift_norm_sq, ix_sandwich, tuple_power
 
@@ -422,6 +424,69 @@ def test_adjoint_and_leading_block_gathers_match_dense_kron(seed, d, rule, param
             assert np.max(np.abs(want[lead[j + 1]:]), initial=0.0) == 0.0
             assert np.max(np.abs(got - want[:lead[j + 1], :lead[j + 1]])) <= 1e-14 * scale
             assert np.array_equal(got, tensored.sandwich(i, full)[:lead[j + 1], :lead[j + 1]])
+
+
+GRADED_DEGREE = {1: 7, 2: 4, 3: 3}
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t", "bergman"]),
+       param=st.floats(min_value=0.0, max_value=2.0), r=st.sampled_from([1, 2]),
+       series=st.sampled_from([("a", 0), ("b", 1), ("a", 1), ("b", 2)]),
+       degree=st.sampled_from(["N - 2", "N", "N + window"]),
+       window=st.integers(min_value=1, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_graded_series_matches_enumeration(seed, d, rule, param, r, series, degree, window):
+    # the prefix-summed series on the tensored shifts against the term-by-term
+    # sum over the dense Kronecker tuple, below, at and past the top degree N
+    rng = np.random.default_rng(seed)
+    which, start = series
+    top = GRADED_DEGREE[d]
+    n = {"N - 2": top - 2, "N": top, "N + window": top + window}[degree]
+    table = cl.build_table(diff_kernel(rule, d, param), top + window + 1)
+    shifts = cl.shift_matrices(table, top)
+    dense = cl.OperatorTuple(tuple(np.kron(m, np.eye(r)) for m in shifts.ops.mats))
+    size = shifts.dim * r
+    m = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    x = 0.5 * (m + m.conj().T)
+    total, tail = _graded_series(shifts.index.tensor(r), table, n, which, x,
+                                 start_degree=start, window=window)
+    ref_total, ref_norms = enumerated_series(dense, table, n, which, middle=x, start_degree=start)
+    ref_tail = ref_norms[max(start, n - window + 1):]
+    scale = max(np.linalg.norm(ref_total, 2), max(ref_norms))
+    assert np.linalg.norm(total - ref_total, 2) <= 1e-12 * scale
+    assert len(tail) == len(ref_tail)
+    assert np.max(np.abs(np.subtract(tail, ref_tail)), initial=0.0) <= 1e-12 * scale
+    if n > top:  # past N the increments vanish: exact zeros
+        assert tail[-(n - max(top, n - window)):] == [0.0] * (n - max(top, n - window))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), rows=st.integers(min_value=0, max_value=7),
+       cols=st.integers(min_value=0, max_value=7), zero_column=st.booleans(),
+       tie=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_canonical_phases_matches_the_column_loop(seed, rows, cols, zero_column, tie):
+    # the package rotates eigenvector matrices and orthonormal bases, which
+    # have no more columns than rows
+    cols = min(cols, rows)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    if zero_column and cols:
+        u[:, 0] = 0.0
+    if tie and rows > 1 and cols:  # two entries of equal magnitude: the first one is the pivot
+        u[:2, -1] = [3.0 + 4.0j, -5.0]
+    assert np.array_equal(canonical_phases(u), looped_canonical_phases(u))
+
+
+def test_canonical_phases_of_a_kernel_basis_keep_their_bits():
+    # the 198 x 195 basis of Ker V^* of a Drury-Arveson pair at N = 10
+    rng = np.random.default_rng(11)
+    table = cl.build_table(cl.drury_arveson(2), 12)
+    t = random_commuting_tuple(rng, 2, 3, 0.3)
+    v = cl.build_dilation(t, table, cl.TruncationParams(N=10))
+    u = np.linalg.svd(v.matrix, full_matrices=True)[0][:, t.h:]
+    assert u.shape == (198, 195)
+    assert np.array_equal(canonical_phases(u), looped_canonical_phases(u))
 
 
 def test_hermitian_norm():
