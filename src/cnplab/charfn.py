@@ -87,72 +87,66 @@ class TupleLift:
     Built on the dilation it factors: the tuple, its defect Delta, the
     graded basis (whose positive part indexes the blocks), the coefficient
     table and the truncation all come from `dilation`.  t_tilde maps the
-    direct sum of one copy of C^h per positive multi-index back to C^h.
-    d_tilde_basis E is an orthonormal basis of the numerical range of D~,
-    the positive square root of I - t_tilde^* t_tilde on the direct sum;
-    t_tilde_e and d_tilde_e are T~E and D~E, the only form in which theta
-    uses them, and D~ itself is never formed.  Requires every b_alpha >= 0,
-    i.e. a CNP-consistent kernel, for the square roots to exist.
+    direct sum of one copy of C^h per positive multi-index back to C^h; only
+    its blocks in `support` (b_alpha > 0) are nonzero.  Off them D~, the
+    square root of I - t_tilde^* t_tilde, is I and theta is 0, so T~E and D~E
+    (E an orthonormal basis of Ran D~; D~ is never formed) are kept on the
+    support block, as t_tilde_e and d_tilde_e, whose columns are theta's
+    inputs theta_cols of defect_rank.  Requires every b_alpha >= 0.
     """
 
     dilation: DilationMap
     t_tilde: np.ndarray
-    d_tilde_basis: np.ndarray
+    sqrt_b: np.ndarray
+    support: np.ndarray
+    theta_cols: np.ndarray
+    defect_rank: int
     t_tilde_e: np.ndarray
     d_tilde_e: np.ndarray
-    sqrt_b: np.ndarray
     ttstar_residual: float
     intertwine_residual: float
     contractive: bool
-
-    @property
-    def defect_rank(self) -> int:
-        return self.d_tilde_basis.shape[1]
 
 
 def build_lift(v: DilationMap) -> TupleLift:
     """Assemble the lifted row operator of the tuple that v embeds.
 
     Reuses the defect and the powers T^alpha that v was built from.  The row
-    has rank <= h, so with its thin SVD T~ = U S W^* the defect is
-    D~ = I - W (I - sqrt(I - S^2)) W^*.  E spans the complement of the
-    columns of W whose eigenvalue 1 - S^2 is at most RANK_REL_TOL times the
-    largest eigenvalue of I - T~^*T~, so E = I when Delta is invertible.
-    Checks the two structural identities along the way: the row times its
-    adjoint reproduces I minus the squared defect of the tuple, and the row
-    intertwines the two defect square roots on E.
+    has rank <= h, so with the thin SVD U S W^* of its support block the
+    defect there is D~ = I - W (I - sqrt(I - S^2)) W^*.  E spans the
+    complement of the columns of W whose 1 - S^2 is at most RANK_REL_TOL
+    times the largest eigenvalue of I - T~^*T~, so E = I when Delta is
+    invertible.  b_1 = a_1 > 0, so the support leads the direct sum and E
+    keeps the coordinates past the n_drop it drops.  Checks T~ T~^* = I -
+    Delta^2 and the intertwining T~ D~ = Delta T~ on E along the way.
     """
-    table, p = v.table, v.params
+    table, p, h = v.table, v.params, v.ops.h
     cnp = is_cnp(table, p.N, tol_zero=p.tol)
     if not cnp.consistent:
         raise NotCnpError(f"b_{cnp.first_failure} = {cnp.value:.6g} < 0: square roots of the "
                           "inverted coefficients do not exist")
     sqrt_b = np.sqrt(np.maximum(multi_coeff(table, v.indices[1:], "b"), 0.0))
     t_tilde = np.hstack(sqrt_b[:, None, None] * v.powers.stack[1:])
-
+    support = np.flatnonzero(sqrt_b)
+    cols = (support[:, None] * h + np.arange(h)).ravel()
+    t_sup = t_tilde[:, cols]
     dd = v.defect_data
-    ttstar_res = opnorm(t_tilde @ t_tilde.conj().T - (np.eye(v.ops.h, dtype=complex) - dd.delta_sq))
-
-    _, s, w_star = np.linalg.svd(t_tilde, full_matrices=False)
+    ttstar_res = opnorm(t_tilde @ t_tilde.conj().T - (np.eye(h, dtype=complex) - dd.delta_sq))
+    _, s, w_star = np.linalg.svd(t_sup, full_matrices=False)
     eigs = 1.0 - s ** 2
     all_eigs = np.append(eigs, np.ones(t_tilde.shape[1] - len(s)))
     drop = eigs <= RANK_REL_TOL * all_eigs.max()
+    n_drop = np.count_nonzero(drop)
     q, _ = np.linalg.qr(w_star[drop].conj().T, mode="complete")  # I when nothing drops
-    basis = q[:, np.count_nonzero(drop):]
+    basis = q[:, n_drop:]
     shrink = w_star.conj().T * (1.0 - np.sqrt(np.clip(eigs, 0.0, None)))
     d_tilde_e = basis - shrink @ (w_star @ basis)
-    t_tilde_e = t_tilde @ basis
-    return TupleLift(
-        dilation=v,
-        t_tilde=t_tilde,
-        d_tilde_basis=basis,
-        t_tilde_e=t_tilde_e,
-        d_tilde_e=d_tilde_e,
-        sqrt_b=sqrt_b,
-        ttstar_residual=ttstar_res,
-        intertwine_residual=opnorm(t_tilde @ d_tilde_e - dd.delta @ t_tilde_e),
-        contractive=bool(all_eigs.min() >= -p.tol),
-    )
+    t_tilde_e = t_sup @ basis
+    return TupleLift(dilation=v, t_tilde=t_tilde, sqrt_b=sqrt_b, support=support,
+                     theta_cols=cols[n_drop:] - n_drop, defect_rank=t_tilde.shape[1] - n_drop,
+                     t_tilde_e=t_tilde_e, d_tilde_e=d_tilde_e, ttstar_residual=ttstar_res,
+                     intertwine_residual=opnorm(t_sup @ d_tilde_e - dd.delta @ t_tilde_e),
+                     contractive=bool(all_eigs.min() >= -p.tol))
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +157,10 @@ def build_lift(v: DilationMap) -> TupleLift:
 class CharFnEval:
     """The characteristic function at a stack of points, every field stacked along axis 0.
 
-    theta maps defect-range coordinates of the lift to defect-range
-    coordinates of the tuple; its norm is taken, by one batched SVD, only
-    when read.  z_norm_sq is the squared norm of the scalar
-    row Z(z), which stays strictly below 1 inside the ball.  s_z is the
-    kernel series at the tuple, s_z(T), that theta was built from.
+    theta maps defect-range coordinates of the lift to those of the tuple
+    and is 0 off its inputs theta_cols, where one batched SVD takes its norm
+    when read.  z_norm_sq, the squared norm of the scalar row Z(z), is below
+    1 inside the ball.  s_z is the kernel series s_z(T) that theta was built from.
     """
 
     z: np.ndarray
@@ -175,24 +168,26 @@ class CharFnEval:
     inverse_residual: np.ndarray
     z_norm_sq: np.ndarray
     s_z: np.ndarray
+    theta_cols: np.ndarray
 
     @cached_property
     def norm(self) -> np.ndarray:
-        return opnorm(self.theta)
+        return opnorm(self.theta[..., self.theta_cols])
 
 
 def charfn_eval(lift: TupleLift, zs) -> CharFnEval:
     """theta(z) = (-t_tilde + Delta s_z(T)^* Z(z) D) on the defect ranges, at each point z of zs.
 
     Z(z) is the row of scalar blocks sqrt(b_alpha) z^alpha I, applied as a
-    weighted sum over block rows.  The inverse (I - Z t_tilde^*)^{-1} is the
-    adjoint kernel series at the tuple, and kernel_calculus reports the
-    residual of that identity, which must stay below tol; a non-finite theta raises LinAlgError.
+    weighted sum over the block rows of the support.  The inverse (I - Z
+    t_tilde^*)^{-1} is the adjoint kernel series at the tuple, and
+    kernel_calculus reports the residual of that identity, which must stay
+    below tol; a non-finite theta raises LinAlgError.
     """
     v = lift.dilation
     t, p = v.ops, v.params
     zs = in_ball(zs, t.d, "z")
-    weights = lift.sqrt_b * _monomials(zs, v.indices[1:])
+    weights = lift.sqrt_b[lift.support] * _monomials(zs, np.array(v.indices[1:])[lift.support])
     z_norm_sq = np.sum(np.abs(weights) ** 2, axis=1)
     bad = np.flatnonzero(z_norm_sq >= 1.0)
     if len(bad):
@@ -205,15 +200,15 @@ def charfn_eval(lift: TupleLift, zs) -> CharFnEval:
                                 f"{calc.inverse_residual[bad[0]]:.3e} at point {bad[0]} "
                                 f"exceeds tol {p.tol:.1e}")
     dd = v.defect_data
-    z_d = (weights @ lift.d_tilde_e.reshape(len(v.indices) - 1, t.h * lift.defect_rank)
-           ).reshape(len(zs), t.h, lift.defect_rank)
+    z_d = (weights @ lift.d_tilde_e.reshape(len(lift.support), -1)).reshape(len(zs), t.h, -1)
     row = dd.delta @ calc.matrix.conj().swapaxes(1, 2) @ z_d
-    theta = dd.ran_delta_basis.conj().T @ (row - lift.t_tilde_e)
+    theta = np.zeros((len(zs), dd.rank, lift.defect_rank), dtype=complex)
+    theta[..., lift.theta_cols] = dd.ran_delta_basis.conj().T @ (row - lift.t_tilde_e)
     bad = np.flatnonzero(~np.isfinite(theta).all(axis=(1, 2)))
     if len(bad):
         raise np.linalg.LinAlgError(f"theta has non-finite entries at point {bad[0]}")
     return CharFnEval(z=zs, theta=theta, inverse_residual=calc.inverse_residual,
-                      z_norm_sq=z_norm_sq, s_z=calc.matrix)
+                      z_norm_sq=z_norm_sq, s_z=calc.matrix, theta_cols=lift.theta_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +306,11 @@ class ModelReport:
 def _taylor_blocks(lift: TupleLift) -> np.ndarray:
     """Taylor blocks of theta through total degree N, in closed form.
 
-    Returns the (number of multi-indices, r, r_in) stack of the blocks in
-    graded order.  With s_z(T)^* = sum_beta a_beta z^beta (T^beta)^* and
-    Z(z) D~ E = sum_alpha sqrt(b_alpha) z^alpha (D~E)_alpha, where
-    (D~E)_alpha is the block row of d_tilde_e at alpha, the coefficient of
-    z^gamma is
+    Returns the (number of multi-indices, r, len(lift.theta_cols)) stack of
+    the blocks in graded order, on theta's inputs theta_cols (0 on the
+    others).  With s_z(T)^* = sum_beta a_beta z^beta (T^beta)^* and Z(z) D~ E
+    = sum_alpha sqrt(b_alpha) z^alpha (D~E)_alpha, (D~E)_alpha the block row
+    of d_tilde_e at alpha in the support, the coefficient of z^gamma is
 
         -C^* T~ E                                                 at gamma = 0,
         C^* Delta sum_{alpha <= gamma, |alpha| >= 1}
@@ -332,15 +327,15 @@ def _taylor_blocks(lift: TupleLift) -> np.ndarray:
     v = lift.dilation
     idx = np.array(v.indices)
     n, d, h, r = len(idx), v.ops.d, v.ops.h, v.codomain_dims[1]
-    counts = np.array(v.shifts.index.ends[::-1])
-    runs = counts[idx[1:].sum(axis=1)]
-    alpha_pos = np.repeat(np.arange(1, n), runs)
+    runs = np.array(v.shifts.index.ends[::-1])[idx[lift.support + 1].sum(axis=1)]
+    alpha_k = np.repeat(np.arange(len(runs)), runs)
+    alpha_pos = lift.support[alpha_k] + 1
     beta_pos = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
     gamma_pos = graded_position(d, v.N, idx[alpha_pos] + idx[beta_pos])
     left = np.sqrt(v.shifts.a_alpha)[:, None, None] * v.matrix.reshape(n, r, h)
-    place = np.zeros((n, r, n - 1, h), dtype=complex)
-    place[gamma_pos, :, alpha_pos - 1] = lift.sqrt_b[alpha_pos - 1, None, None] * left[beta_pos]
-    blocks = (place.reshape(n * r, -1) @ lift.d_tilde_e).reshape(n, r, lift.defect_rank)
+    place = np.zeros((n, r, len(runs), h), dtype=complex)
+    place[gamma_pos, :, alpha_k] = lift.sqrt_b[alpha_pos - 1, None, None] * left[beta_pos]
+    blocks = (place.reshape(n * r, -1) @ lift.d_tilde_e).reshape(n, r, -1)
     blocks[0] = -(v.defect_data.ran_delta_basis.conj().T @ lift.t_tilde_e)
     return blocks
 
@@ -352,8 +347,9 @@ def _model_gap(lift: TupleLift) -> np.ndarray:
     e(beta + delta) x Theta_delta, and S^beta e(delta) = sqrt(a_delta /
     a_{delta+beta}) e(delta + beta) for the tensored shifts S_i, so
     M_theta M_theta^* = sum_k a_k sigma^k(X), with X = D^{-1/2} G D^{-1/2},
-    G = Theta Theta^* the Gram matrix of the Taylor stack, D = diag(a_delta) x I_r
-    and sigma(Y) = sum_i S_i Y S_i^*, summed on graded prefixes (`_graded_series`).
+    G = Theta Theta^* the Gram matrix of the Taylor stack (theta's other
+    inputs add 0), D = diag(a_delta) x I_r and sigma(Y) = sum_i S_i Y S_i^*,
+    summed on graded prefixes (`_graded_series`).
     """
     v = lift.dilation
     r = v.codomain_dims[1]

@@ -123,17 +123,19 @@ class RunConfig:
     raw: dict
 
 
-def strict_int(value, name: str) -> int:
-    """value as an int; integral floats pass, while bools, strings and fractions are rejected."""
+def strict_int(value, name: str, minimum: int | None = None) -> int:
+    """value as an int, at least minimum if given; only ints and integral floats pass."""
     if isinstance(value, bool) or not (
             isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)
 
 
-def strict_degree(value, name: str) -> int:
+def strict_degree(value, name: str, minimum: int | None = None) -> int:
     """strict_int, at most MAX_DEGREE."""
-    n = strict_int(value, name)
+    n = strict_int(value, name, minimum)
     if n > MAX_DEGREE:
         raise ValueError(f"{name} must be at most {MAX_DEGREE}, got {value!r}")
     return n
@@ -210,6 +212,9 @@ def load_tuple_source(source: dict, base_dir: str = ".") -> tuple:
 
 def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     kernel, n_table = kernel_from_dict(raw["kernel"])
+    if kernel.rule == "custom" and len(kernel.param) <= n_table:
+        raise ValueError(f"kernel.params.coeffs has {len(kernel.param)} entries, but kernel.N_max "
+                         f"= {n_table} needs {n_table + 1}")
     trunc_raw = raw.get("truncation", {})
     trunc = TruncationParams(
         N=strict_degree(trunc_raw.get("N", 32), "truncation.N"),
@@ -256,7 +261,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         truncation=trunc,
         suites=suites,
         expect=dict(raw.get("expect", {})),
-        seed=strict_int(raw.get("seed", 2024), "seed"),
+        seed=strict_int(raw.get("seed", 2024), "seed", 0),
         output=raw.get("output"),
         counterexample=ce,
         label=raw.get("label", ""),
@@ -560,8 +565,7 @@ def cmd_run(args) -> int:
 
 def cmd_kernel_info(args) -> int:
     try:
-        if strict_degree(args.N, "--N") < 0:
-            raise ValueError(f"--N must be >= 0, got {args.N}")
+        strict_degree(args.N, "--N", 0)
         params = {"m": args.m, "t": args.t,
                   "coeffs": [float(c) for c in args.coeffs.split(",")] if args.coeffs else None}
         spec, _ = kernel_from_dict({"rule": args.rule, "d": args.d, "params": params})

@@ -10,6 +10,9 @@ two:
 - `pointwise_calculus` and `pointwise_charfn_eval` evaluate the kernel
   calculus and theta at one point at a time, with a Python loop of h x h
   products per point, where the package evaluates a whole stack at once;
+- `dense_lift` builds T~E and D~E over the whole direct sum, off the support
+  of b too, from the thin SVD of the full row; `full_width` writes the
+  package's support-block lift out at that width;
 - `dense_lift_defect` takes the defect D~ of the lifted row, and a basis of
   its range, from a dense eigendecomposition of I - T~^*T~;
 - `dense_theta` forms the full row -T~ + Delta s_z(T)^* Z(z) D~ with Z(z)
@@ -30,6 +33,7 @@ two:
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +87,82 @@ def enumerated_calculus(t, table, w, p):
     return total, opnorm(layer), opnorm(binv @ total - np.eye(h, dtype=complex))
 
 
+@dataclass(frozen=True)
+class DenseLift:
+    """The lifted row with E, T~E and D~E over the whole direct sum.
+
+    Same fields as cnplab.charfn.TupleLift, except that d_tilde_basis,
+    t_tilde_e and d_tilde_e have one row or column per coordinate of the
+    direct sum, off the support of b too, and theta's inputs are all of E.
+    """
+
+    dilation: object
+    t_tilde: np.ndarray
+    d_tilde_basis: np.ndarray
+    t_tilde_e: np.ndarray
+    d_tilde_e: np.ndarray
+    sqrt_b: np.ndarray
+    ttstar_residual: float
+    intertwine_residual: float
+    contractive: bool
+
+    @property
+    def defect_rank(self) -> int:
+        return self.d_tilde_basis.shape[1]
+
+
+def dense_lift(v) -> DenseLift:
+    """The lift of the tuple that v embeds, from the thin SVD T~ = U S W^* of the full row.
+
+    D~ = I - W (I - sqrt(I - S^2)) W^* on the whole direct sum; E is the
+    complement, from a complete QR, of the columns of W whose eigenvalue
+    1 - S^2 is at the rank threshold, so E = I when Delta is invertible.
+    D~E is an (n - 1)h x (n - 1)h matrix then, even where b vanishes.  The
+    kernel must be CNP-consistent, as build_lift checks.
+    """
+    sqrt_b = np.sqrt(np.maximum(multi_coeff(v.table, v.indices[1:], "b"), 0.0))
+    t_tilde = np.hstack(sqrt_b[:, None, None] * v.powers.stack[1:])
+    dd = v.defect_data
+    ttstar_res = opnorm(t_tilde @ t_tilde.conj().T - (np.eye(v.ops.h, dtype=complex) - dd.delta_sq))
+    _, s, w_star = np.linalg.svd(t_tilde, full_matrices=False)
+    eigs = 1.0 - s ** 2
+    all_eigs = np.append(eigs, np.ones(t_tilde.shape[1] - len(s)))
+    drop = eigs <= RANK_REL_TOL * all_eigs.max()
+    q, _ = np.linalg.qr(w_star[drop].conj().T, mode="complete")
+    basis = q[:, np.count_nonzero(drop):]
+    shrink = w_star.conj().T * (1.0 - np.sqrt(np.clip(eigs, 0.0, None)))
+    d_tilde_e = basis - shrink @ (w_star @ basis)
+    t_tilde_e = t_tilde @ basis
+    return DenseLift(dilation=v, t_tilde=t_tilde, d_tilde_basis=basis, t_tilde_e=t_tilde_e,
+                     d_tilde_e=d_tilde_e, sqrt_b=sqrt_b, ttstar_residual=ttstar_res,
+                     intertwine_residual=opnorm(t_tilde @ d_tilde_e - dd.delta @ t_tilde_e),
+                     contractive=bool(all_eigs.min() >= -v.params.tol))
+
+
+def support_coords(lift) -> np.ndarray:
+    """The coordinates of the direct sum in the blocks of lift.support."""
+    h = lift.dilation.ops.h
+    return (lift.support[:, None] * h + np.arange(h)).ravel()
+
+
+def full_width(lift):
+    """(T~E, D~E) of a package lift over the whole direct sum.
+
+    The support block goes to its coordinates and theta's inputs
+    lift.theta_cols; off the support T~ = 0 and D~ = I, and E keeps those
+    coordinates, in order, past the directions it drops.
+    """
+    m, r_in = lift.t_tilde.shape[1], lift.defect_rank
+    cols = support_coords(lift)
+    off = np.setdiff1d(np.arange(m), cols)
+    t_e = np.zeros((lift.t_tilde.shape[0], r_in), dtype=complex)
+    t_e[:, lift.theta_cols] = lift.t_tilde_e
+    d_e = np.zeros((m, r_in), dtype=complex)
+    d_e[off, off - (m - r_in)] = 1.0
+    d_e[np.ix_(cols, lift.theta_cols)] = lift.d_tilde_e
+    return t_e, d_e
+
+
 def pointwise_calculus(t, table, w, p) -> CalculusResult:
     """The kernel calculus at the one point w, with scalar tail and residual fields."""
     w = point(w, t.d)
@@ -109,7 +189,8 @@ def pointwise_calculus(t, table, w, p) -> CalculusResult:
 
 
 def pointwise_charfn_eval(lift, z) -> CharFnEval:
-    """theta at the one point z, with the fields of a one-point evaluation unstacked."""
+    """theta at the one point z from a DenseLift, with the fields of a one-point
+    evaluation unstacked."""
     v = lift.dilation
     t, p = v.ops, v.params
     z = point(z, t.d)
@@ -130,7 +211,8 @@ def pointwise_charfn_eval(lift, z) -> CharFnEval:
     if not np.isfinite(theta).all():
         raise np.linalg.LinAlgError("theta has non-finite entries")
     return CharFnEval(z=z, theta=theta, inverse_residual=calc.inverse_residual,
-                      z_norm_sq=z_norm_sq, s_z=calc.matrix)
+                      z_norm_sq=z_norm_sq, s_z=calc.matrix,
+                      theta_cols=np.arange(lift.defect_rank))
 
 
 def dense_lift_defect(lift):
@@ -149,6 +231,8 @@ def dense_lift_defect(lift):
 
 def dense_theta(lift, z, defect) -> np.ndarray:
     """theta(z) from the full h x (positive indices * h) row, before compression.
+
+    Reads only t_tilde, sqrt_b and the dilation, so lift may be either kind.
 
     defect is (D~, E): the lift's defect and the basis of its range in which
     theta's input is written.
@@ -193,7 +277,7 @@ def fitted_taylor_blocks(lift, n_taylor: int, radius: float = 0.9):
 
 
 def looped_taylor_blocks(lift) -> np.ndarray:
-    """The closed-form Taylor blocks of theta, one gamma at a time.
+    """The closed-form Taylor blocks of theta from a DenseLift, one gamma at a time.
 
     Block gamma is C^* Delta sum_{alpha <= gamma, alpha != 0} a_{gamma-alpha}
     sqrt(b_alpha) (T^{gamma-alpha})^* (D~E)_alpha, with the left factors
@@ -218,7 +302,8 @@ def looped_taylor_blocks(lift) -> np.ndarray:
 
 
 def looped_model_gap(lift) -> np.ndarray:
-    """(I - V V^*) - M_theta M_theta^*, one column block beta of M_theta at a time.
+    """(I - V V^*) - M_theta M_theta^* from a DenseLift, one column block beta of
+    M_theta at a time.
 
     The delta with |beta| + |delta| <= N are a prefix of the graded order,
     so C_beta C_beta^* is that leading block of the Gram matrix of the
@@ -246,7 +331,7 @@ def looped_model_gap(lift) -> np.ndarray:
 
 
 def dense_model_gap(lift) -> np.ndarray:
-    """(I - V V^*) - M_theta M_theta^* with M_theta formed densely.
+    """(I - V V^*) - M_theta M_theta^* from a DenseLift, with M_theta formed densely.
 
     Block (beta + delta, beta) of M_theta is sqrt(a_beta / a_{beta+delta})
     Theta_delta, with Theta_delta from looped_taylor_blocks, written one

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cnplab as cl
-from charfn_reference import (dense_lift_defect, dense_model_gap, dense_theta,
-                              enumerated_calculus, fitted_taylor_blocks, looped_model_gap,
-                              looped_taylor_blocks, pointwise_calculus, pointwise_charfn_eval)
+from charfn_reference import (dense_lift, dense_lift_defect, dense_model_gap, dense_theta,
+                              enumerated_calculus, fitted_taylor_blocks, full_width,
+                              looped_model_gap, looped_taylor_blocks, pointwise_calculus,
+                              pointwise_charfn_eval, support_coords)
 from random_inputs import diff_kernel, random_commuting_tuple, random_point
 from cnplab._linalg import hermitian_norm
 from cnplab.charfn import _model_gap, _taylor_blocks, reciprocal_kernel
@@ -89,8 +90,10 @@ def test_lift_zero_tuple():
     p = P(20)
     lift = lift_of(cl.OperatorTuple.zero(1, 1), table, p)
     assert np.all(lift.t_tilde == 0.0)
-    assert np.array_equal(lift.d_tilde_basis, np.eye(20))
-    assert np.array_equal(lift.d_tilde_e, np.eye(20))
+    # Szego's b is supported on degree 1 alone; D~E is I there and off it
+    assert np.array_equal(lift.support, [0]) and np.array_equal(lift.theta_cols, [0])
+    assert np.array_equal(lift.d_tilde_e, np.eye(1))
+    assert np.array_equal(full_width(lift)[1], np.eye(20))
     assert lift.defect_rank == 20
 
 
@@ -141,7 +144,7 @@ def test_theta_at_zero_is_minus_lift(szego_half):
     t, lift, table, p = szego_half
     ev = cl.charfn_eval(lift, [[0.0]])
     basis = lift.dilation.defect_data.ran_delta_basis
-    expected = -(basis.conj().T @ lift.t_tilde @ lift.d_tilde_basis)
+    expected = -(basis.conj().T @ lift.t_tilde @ dense_lift(lift.dilation).d_tilde_basis)
     assert np.max(np.abs(ev.theta[0] - expected)) <= 1e-14
 
 
@@ -298,15 +301,16 @@ def test_taylor_blocks_match_mobius_coefficients(szego_half):
     # closed form: (z - t)/(1 - tz) = -t + (1 - t^2) sum_{n>=1} t^(n-1) z^n
     t, lift, table, p = szego_half
     blocks = _taylor_blocks(lift)
-    # one block per degree 0..N, in graded order
-    assert blocks.shape[0] == p.N + 1 and lift.dilation.indices == tuple(
+    # one block per degree 0..N, in graded order, on theta's one input that
+    # the lift reaches; nothing leaks into the others
+    assert blocks.shape == (p.N + 1, 1, 1) and lift.dilation.indices == tuple(
         (n,) for n in range(p.N + 1))
+    assert np.array_equal(lift.theta_cols, [0])
     assert abs(blocks[0][0, 0] - (-0.5)) <= 1e-14
     for n in range(1, p.N + 1):
         expected = 0.75 * 0.5 ** (n - 1)
         assert abs(blocks[n][0, 0] - expected) <= 1e-13, n
-        # nothing leaks into the directions the lift never reaches
-        assert np.max(np.abs(blocks[n][0, 1:])) <= 1e-13
+    assert np.all(cl.charfn_eval(lift, [[0.3]]).theta[0][0, 1:] == 0.0)
 
 
 def test_model_zero_tuple_exact():
@@ -318,11 +322,12 @@ def test_model_zero_tuple_exact():
     rep = cl.verify_model(lift)
     assert rep.compression_residual <= 1e-10
     assert rep.factor_residual <= 1e-10
-    # theta(z) = z e_0 exactly: one nonzero block, at degree 1
-    e0 = np.zeros((1, p.N))
-    e0[0, 0] = 1.0
+    # theta(z) = z e_0 exactly: one nonzero block, at degree 1, on the one
+    # input e_0 that the lift reaches
+    assert np.array_equal(lift.theta_cols, [0])
     for gamma, block in zip(v.indices, _taylor_blocks(lift), strict=True):
-        expected = e0 if gamma == (1,) else 0.0
+        expected = 1.0 if gamma == (1,) else 0.0
+        assert block.shape == (1, 1)
         assert np.max(np.abs(block - expected)) <= 1e-14, gamma
 
 
@@ -429,25 +434,35 @@ def test_theta_and_blocks_match_references(seed, d, h, rule, param):
     lift = lift_of(t, table, p)
     z = random_point(rng, d, 0.95)
     theta = cl.charfn_eval(lift, [z]).theta[0]
-    defect = (dense_lift_defect(lift)[0], lift.d_tilde_basis)
+    defect = (dense_lift_defect(lift)[0], dense_lift(lift.dilation).d_tilde_basis)
     assert np.max(np.abs(theta - dense_theta(lift, z, defect)), initial=0.0) <= 1e-13
 
     blocks = _taylor_blocks(lift)
     fitted, _ = fitted_taylor_blocks(lift, n)
     assert list(fitted) == list(lift.dilation.indices)
     for gamma, block in zip(lift.dilation.indices, blocks, strict=True):
-        assert np.max(np.abs(block - fitted[gamma]), initial=0.0) <= 1e-11, gamma
+        assert np.max(np.abs(block - fitted[gamma][:, lift.theta_cols]), initial=0.0) <= 1e-11, gamma
+        assert np.max(np.abs(np.delete(fitted[gamma], lift.theta_cols, axis=1)),
+                      initial=0.0) <= 1e-11, gamma
 
 
 def check_lift_against_dense_reference(lift, rng, radius):
-    """The closed-form lift agrees with the dense eigendecomposition one."""
+    """The closed-form lift agrees with the dense eigendecomposition one, and the
+    support-block lift with the full-width one."""
     d_ref, e_ref = dense_lift_defect(lift)
-    e = lift.d_tilde_basis
+    dense = dense_lift(lift.dilation)
+    e = dense.d_tilde_basis
     m = lift.t_tilde.shape[1]
-    assert np.max(np.abs(lift.d_tilde_e - d_ref @ e), initial=0.0) <= 1e-12
+    assert np.max(np.abs(dense.d_tilde_e - d_ref @ e), initial=0.0) <= 1e-12
     assert np.max(np.abs(e.conj().T @ e - np.eye(e.shape[1])), initial=0.0) <= 1e-12
     assert np.max(np.abs(e @ e.conj().T - e_ref @ e_ref.conj().T)) <= 1e-12
-    assert lift.defect_rank == e_ref.shape[1]
+    assert lift.defect_rank == dense.defect_rank == e_ref.shape[1]
+    t_e, d_e = full_width(lift)
+    assert np.max(np.abs(d_e - dense.d_tilde_e), initial=0.0) <= 1e-12
+    assert np.max(np.abs(t_e - dense.t_tilde_e), initial=0.0) <= 1e-12
+    assert abs(lift.ttstar_residual - dense.ttstar_residual) <= 1e-12
+    assert abs(lift.intertwine_residual - dense.intertwine_residual) <= 1e-12
+    assert lift.contractive == dense.contractive
     min_eig = np.linalg.eigvalsh(np.eye(m) - lift.t_tilde.conj().T @ lift.t_tilde)[0]
     assert lift.contractive == (min_eig >= -lift.dilation.params.tol)
     # theta(z) theta(w)^* does not depend on the basis of the lift's range
@@ -470,9 +485,12 @@ def test_lift_matches_dense_reference(seed, d, h, rule, param):
     t = random_commuting_tuple(rng, d, h, 0.35)
     lift = lift_of(t, table, P(n, tol=DIFF_TOL))
     check_lift_against_dense_reference(lift, rng, 0.9)
-    # Delta is invertible, so nothing is dropped and E is exactly I
+    # Delta is invertible, so nothing is dropped and E is exactly I: theta's
+    # inputs are the coordinates of the direct sum
     assert lift.dilation.defect_data.rank == h
-    assert np.array_equal(lift.d_tilde_basis, np.eye(lift.t_tilde.shape[1]))
+    assert np.array_equal(dense_lift(lift.dilation).d_tilde_basis, np.eye(lift.t_tilde.shape[1]))
+    assert lift.defect_rank == lift.t_tilde.shape[1]
+    assert np.array_equal(lift.theta_cols, support_coords(lift))
 
 
 @pytest.mark.parametrize("value, rotated", [(1.0, False), (2.0, False), (1.0, True)])
@@ -519,8 +537,9 @@ def test_batch_matches_pointwise_reference(seed, d, h, m, rule, param):
     lift = lift_of(t, table, p)
     ev = cl.charfn_eval(lift, zs)
     assert np.array_equal(ev.z, zs)
+    dense = dense_lift(lift.dilation)
     for i, z in enumerate(zs):
-        want = pointwise_charfn_eval(lift, z)
+        want = pointwise_charfn_eval(dense, z)
         scale = np.linalg.norm(want.theta, 2)
         assert np.linalg.norm(ev.theta[i] - want.theta, 2) <= 1e-12 * scale
         assert abs(ev.norm[i] - want.norm) <= 1e-12 * want.norm
@@ -528,7 +547,7 @@ def test_batch_matches_pointwise_reference(seed, d, h, m, rule, param):
 
 
 def overflowing_lift(lift):
-    """The lift with its tuple and D~E scaled so that theta overflows at |z| = 0.5.
+    """The lift, of either kind, with its tuple and D~E scaled so that theta overflows at |z| = 0.5.
 
     With T = c and the tolerance raised to 1e305, s_z(T) stays finite up to
     |z c| = 10^14.5 at degree 20; D~E scaled by 1e19 then carries theta past
@@ -544,31 +563,32 @@ def test_one_bad_point_fails_the_batch_as_it_fails_alone():
     p = P(20)
     t = cl.OperatorTuple.from_scalars(0.5)
     lift = lift_of(t, table, p)
+    dense = dense_lift(lift.dilation)
     good = [[0.1], [0.2j]]
     # outside the ball
     with pytest.raises(cl.DomainError):
-        pointwise_charfn_eval(lift, [1.2])
+        pointwise_charfn_eval(dense, [1.2])
     with pytest.raises(cl.DomainError, match=r"z\[1\]"):
         cl.charfn_eval(lift, [good[0], [1.2], good[1]])
     with pytest.raises(cl.DomainError, match=r"w\[1\]"):
         cl.kernel_calculus(t, table, [good[0], [1.2], good[1]], p)
     # the series tail at z = 0.9 is 0.45^20 > tol
     for z in good:
-        pointwise_charfn_eval(lift, z)
+        pointwise_charfn_eval(dense, z)
     with pytest.raises(cl.NonConvergedError):
-        pointwise_charfn_eval(lift, [0.9])
+        pointwise_charfn_eval(dense, [0.9])
     with pytest.raises(cl.NonConvergedError, match="at point 2 "):
         cl.charfn_eval(lift, good + [[0.9]])
     # the first point over tol is named
     with pytest.raises(cl.NonConvergedError, match="at point 1 "):
         cl.kernel_calculus(t, table, [good[0], [0.9], [0.95j]], p)
     # a non-finite theta
-    big = overflowing_lift(lift)
+    big, big_dense = overflowing_lift(lift), overflowing_lift(dense)
     with np.errstate(over="ignore", invalid="ignore"):
         for z in ([0.0], [1e-15]):
-            assert np.isfinite(pointwise_charfn_eval(big, z).theta).all()
+            assert np.isfinite(pointwise_charfn_eval(big_dense, z).theta).all()
         with pytest.raises(np.linalg.LinAlgError):
-            pointwise_charfn_eval(big, [0.5])
+            pointwise_charfn_eval(big_dense, [0.5])
         with pytest.raises(np.linalg.LinAlgError):
             cl.charfn_eval(big, [[0.0], [0.5], [1e-15]])
     # a length-d vector is not a stack of points
@@ -603,7 +623,7 @@ def test_model_gap_matches_dense_reference(seed, d, h, rule, param):
     table = cl.build_table(diff_kernel(rule, d, param), n + 1)
     lift = lift_of(random_commuting_tuple(rng, d, h, 0.35), table, P(n, tol=DIFF_TOL))
     v = lift.dilation
-    want = dense_model_gap(lift)
+    want = dense_model_gap(dense_lift(v))
     scale = max(1.0, np.linalg.norm(np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T, 2))
     gap = _model_gap(lift)
     assert np.linalg.norm(gap - want, 2) <= 1e-12 * scale
@@ -613,13 +633,17 @@ def test_model_gap_matches_dense_reference(seed, d, h, rule, param):
 
 
 def check_model_against_looped_references(lift):
-    """The placed Taylor stack and the Horner-summed gap against the per-gamma and
-    per-column loops, relative to the size of I - V V^*."""
+    """The placed Taylor stack and the Horner-summed gap of the support-block lift
+    against the per-gamma and per-column loops on the full-width lift, relative
+    to the size of I - V V^*; off theta's inputs the looped blocks vanish."""
     v = lift.dilation
-    want = looped_taylor_blocks(lift)
-    assert np.max(np.abs(_taylor_blocks(lift) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    dense = dense_lift(v)
+    want = looped_taylor_blocks(dense)
+    tol = 1e-12 * max(1.0, np.max(np.abs(want)))
+    assert np.max(np.abs(_taylor_blocks(lift) - want[..., lift.theta_cols])) <= tol
+    assert np.max(np.abs(np.delete(want, lift.theta_cols, axis=2)), initial=0.0) <= tol
     scale = max(1.0, np.linalg.norm(np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T, 2))
-    assert np.linalg.norm(_model_gap(lift) - looped_model_gap(lift), 2) <= 1e-12 * scale
+    assert np.linalg.norm(_model_gap(lift) - looped_model_gap(dense), 2) <= 1e-12 * scale
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
@@ -644,4 +668,64 @@ def test_model_on_a_singular_defect_matches_looped_references(spec, mats):
     table = cl.build_table(spec, 12)
     lift = lift_of(cl.OperatorTuple(tuple(mats)), table, P(10, tol=DIFF_TOL))
     assert lift.dilation.defect_data.rank == 1
+    check_model_against_looped_references(lift)
+
+
+def skip_degree_kernel(d, n):
+    """1/k = 1 - 0.5<z, w> - 0.3<z, w>^3: a CNP kernel whose b skips degree 2.
+
+    The table recomputes b from a by the float recursion, so degrees past 4
+    carry rounding noise of either sign, about 1e-17.
+    """
+    a = [1.0]
+    for k in range(1, n + 1):
+        a.append(0.5 * a[k - 1] + (0.3 * a[k - 3] if k >= 3 else 0.0))
+    return cl.custom_kernel(a, d=d)
+
+
+SUPPORT_CASES = {
+    # name: (kernel, tuple or (d, h) of a random one, sampling radius)
+    "szego": (cl.szego(), (1, 3), 0.9),
+    "drury-arveson d2": (cl.drury_arveson(2), (2, 3), 0.9),
+    "drury-arveson d3": (cl.drury_arveson(3), (3, 2), 0.9),
+    "dirichlet (full support)": (cl.dirichlet_t(1.0, d=2), (2, 2), 0.9),
+    "skip degree 2": (skip_degree_kernel(2, DIFF_DEGREE[2] + 1), (2, 2), 0.9),
+    "singular defect / szego": (cl.szego(), cl.OperatorTuple((np.diag([1.0, 0.3]),)), 0.3),
+    "singular defect / drury-arveson d2": (
+        cl.drury_arveson(2), cl.OperatorTuple((np.diag([0.6, 0.3]), np.diag([0.8, 0.2]))), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(SUPPORT_CASES))
+def test_support_lift_matches_dense_lift(name):
+    # the lift is built on the blocks with b_alpha > 0; theta, its Taylor
+    # stack, the model gap and the lift residuals must be those of the
+    # full-width lift, with theta exactly 0 on the inputs off the support
+    spec, tup, radius = SUPPORT_CASES[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    t = tup if isinstance(tup, cl.OperatorTuple) else random_commuting_tuple(rng, *tup, 0.35)
+    n = DIFF_DEGREE[t.d]
+    lift = lift_of(t, cl.build_table(spec, n + 1), P(n, tol=DIFF_TOL))
+    v = lift.dilation
+    degrees = np.array(v.indices[1:]).sum(axis=1)[lift.support]
+    assert np.array_equal(lift.support, np.flatnonzero(lift.sqrt_b))
+    if spec.rule == "custom":
+        assert {1, 3} <= set(degrees) and 2 not in degrees
+    elif spec.rule == "dirichlet_t":
+        assert len(lift.support) == len(v.indices) - 1
+    else:
+        assert set(degrees) == {1}
+    if name.startswith("singular"):
+        assert v.defect_data.rank < t.h and lift.defect_rank < lift.t_tilde.shape[1]
+    check_lift_against_dense_reference(lift, rng, radius)
+
+    dense = dense_lift(v)
+    zs = np.array([random_point(rng, t.d, radius) for _ in range(5)])
+    ev = cl.charfn_eval(lift, zs)
+    assert ev.theta.shape == (len(zs), v.defect_data.rank, lift.defect_rank)
+    assert np.all(np.delete(ev.theta, lift.theta_cols, axis=2) == 0.0)
+    for i, z in enumerate(zs):
+        want = pointwise_charfn_eval(dense, z)
+        assert np.max(np.abs(ev.theta[i] - want.theta)) <= 1e-12 * max(1.0, np.max(np.abs(want.theta)))
+        assert abs(ev.norm[i] - np.linalg.norm(want.theta, 2)) <= 1e-12
     check_model_against_looped_references(lift)

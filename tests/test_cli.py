@@ -382,6 +382,33 @@ def test_huge_degrees_exit_2(tmp_path, capsys, overrides, name):
     assert err.count("\n") == 1  # one line, no traceback
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    # the charfn suite samples with default_rng(seed + 1), which rejects a
+    # negative seed: the run used to end in that suite's error, exit 3
+    assert run_cli_config(tmp_path, base_config(seed=-2)) == (2, False)
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -2\n"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config()))
+    out = tmp_path / "r.json"
+    assert cli.main(["run", str(path), "--seed", "-7", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -7\n"
+    assert not out.exists()
+    assert cli.parse_config(base_config(seed=0)).seed == 0
+
+
+def test_custom_coefficients_shorter_than_the_table_exit_2(tmp_path, capsys):
+    # the table is built outside every suite, so a short list used to end in
+    # an InvalidKernelError traceback with exit 1
+    cfg = base_config(kernel={"d": 1, "rule": "custom", "params": {"coeffs": [1, 0.5, 0.25]},
+                              "N_max": 40}, suites=["coeffs"], tuple=None)
+    assert run_cli_config(tmp_path, cfg) == (2, False)
+    assert capsys.readouterr().err == ("config error: kernel.params.coeffs has 3 entries, but "
+                                       "kernel.N_max = 40 needs 41\n")
+    cfg["kernel"]["params"]["coeffs"] = [0.5 ** k for k in range(41)]
+    cfg["truncation"] = {"N": 20, "tol": 1e-9, "tail_window": 3}
+    assert run_cli_config(tmp_path, cfg) == (0, True)
+
+
 def test_degrees_up_to_the_bound_are_accepted():
     cfg = cli.parse_config(base_config(
         kernel={"d": 1, "rule": "szego", "params": {}, "N_max": cli.MAX_DEGREE},
