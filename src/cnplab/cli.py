@@ -64,18 +64,14 @@ SUITE_ORDER = (
     "existence", "charfn", "identities", "counterexample",
 )
 
-# prerequisite links; a suite is skipped when its nearest requested ancestor
-# did not pass
-SUITE_DEPS = {
-    "coeffs": None,
-    "contraction": "coeffs",
-    "purity": "contraction",
-    "dilation": "purity",
-    "existence": "dilation",
-    "charfn": "existence",
-    "identities": "charfn",
-    "counterexample": None,
-}
+# each suite through identities is skipped when the nearest requested one
+# before it did not pass; counterexample stands alone
+SUITE_CHAIN = SUITE_ORDER[:SUITE_ORDER.index("identities") + 1]
+
+# the verdict a suite must reach to pass when the config's expect names none;
+# any verdict of another suite passes
+DEFAULT_VERDICTS = {"contraction": "yes", "purity": "pure", "existence": "admits",
+                    "counterexample": "reproduced"}
 
 ENV_OUT_DIR = "CNPLAB_OUT_DIR"
 
@@ -149,9 +145,16 @@ def strict_float(value, name: str) -> float:
     return float(value)
 
 
+def json_object(value, name: str) -> dict:
+    """value, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {type(value).__name__}")
+    return value
+
+
 def kernel_from_dict(spec: dict) -> tuple[KernelSpec, int]:
-    rule = spec.get("rule")
-    params = spec.get("params", {}) or {}
+    rule = json_object(spec, "kernel").get("rule")
+    params = json_object(spec.get("params") or {}, "kernel.params")
     d = strict_int(spec.get("d", 1), "kernel.d")
     name = {"bergman": "m", "dirichlet_t": "t", "custom": "coeffs"}.get(rule)
     if name is not None and params.get(name) is None:
@@ -190,6 +193,7 @@ def matrix_to_nested(m: np.ndarray) -> list:
 
 def mats_from_tuple_dict(data: dict) -> tuple:
     """The tuple's matrices, shape-checked; commutators are checked when the tuple is built."""
+    json_object(data, "tuple")
     h = strict_int(data["h"], "tuple.h")
     d = strict_int(data["d"], "tuple.d")
     mats = tuple(matrices_from_nested(m) for m in data["mats"])
@@ -199,7 +203,7 @@ def mats_from_tuple_dict(data: dict) -> tuple:
 
 
 def load_tuple_source(source: dict, base_dir: str = ".") -> tuple:
-    if "inline" in source:
+    if "inline" in json_object(source, "tuple"):
         return mats_from_tuple_dict(source["inline"])
     if "path" in source:
         path = source["path"]
@@ -210,12 +214,28 @@ def load_tuple_source(source: dict, base_dir: str = ".") -> tuple:
     raise ValueError("tuple source needs an 'inline' block or a 'path'")
 
 
+def counterexample_block(ce: dict) -> dict:
+    """The counterexample block {m, d, N_list} with its defaults filled in, checked."""
+    json_object(ce, "counterexample")
+    m = strict_int(ce.get("m", 2), "counterexample.m")
+    if m < 2:
+        raise ValueError(
+            f"counterexample.m must be >= 2, got {m}: at m = 1 the kernel is the Drury-Arveson "
+            "kernel, the bound m(N+2)/(m+N+1) stays <= 1, and the quadratic form is nonnegative")
+    n_list = ce.get("N_list", [0, 1, 2, 3])
+    if not isinstance(n_list, list) or not n_list:
+        raise ValueError(f"counterexample.N_list must be a non-empty list of integers, got {n_list!r}")
+    n_list = [strict_degree(n, f"counterexample.N_list[{i}]", 0) for i, n in enumerate(n_list)]
+    return {"m": m, "N_list": n_list, "d": strict_int(ce.get("d", 1), "counterexample.d", 1)}
+
+
 def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
+    json_object(raw, "config")
     kernel, n_table = kernel_from_dict(raw["kernel"])
     if kernel.rule == "custom" and len(kernel.param) <= n_table:
         raise ValueError(f"kernel.params.coeffs has {len(kernel.param)} entries, but kernel.N_max "
                          f"= {n_table} needs {n_table + 1}")
-    trunc_raw = raw.get("truncation", {})
+    trunc_raw = json_object(raw.get("truncation", {}), "truncation")
     trunc = TruncationParams(
         N=strict_degree(trunc_raw.get("N", 32), "truncation.N"),
         tol=strict_float(trunc_raw.get("tol", 1e-9), "truncation.tol"),
@@ -245,25 +265,24 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         raise ValueError(f"suites {needs_tuple} require a tuple source")
     if tuple_mats is not None and len(tuple_mats) != kernel.d:
         raise ValueError(f"tuple has d={len(tuple_mats)} but kernel has d={kernel.d}")
-    ce = raw.get("counterexample", {})
-    n_list = ce.get("N_list", [0, 1, 2, 3])
-    if not isinstance(n_list, list):
-        raise ValueError(f"counterexample.N_list must be a list of integers, got {n_list!r}")
-    ce = {
-        "m": strict_int(ce.get("m", 2), "counterexample.m"),
-        "N_list": [strict_degree(n, f"counterexample.N_list[{i}]") for i, n in enumerate(n_list)],
-        "d": strict_int(ce.get("d", 1), "counterexample.d"),
-    }
+    expect = json_object(raw.get("expect", {}), "expect")
+    for name, verdict in expect.items():
+        if name not in SUITE_ORDER or not isinstance(verdict, str):
+            raise ValueError(f"expect must map suite names {list(SUITE_ORDER)} to verdict "
+                             f"strings, got {name!r}: {verdict!r}")
+    output = raw.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ValueError(f"output must be a string, got {output!r}")
     return RunConfig(
         kernel=kernel,
         n_table=n_table,
         tuple_mats=tuple_mats,
         truncation=trunc,
         suites=suites,
-        expect=dict(raw.get("expect", {})),
+        expect=dict(expect),
         seed=strict_int(raw.get("seed", 2024), "seed", 0),
-        output=raw.get("output"),
-        counterexample=ce,
+        output=output,
+        counterexample=counterexample_block(raw.get("counterexample", {})),
         label=raw.get("label", ""),
         raw=raw,
     )
@@ -344,9 +363,6 @@ def _suite_contraction(ctx: _SuiteContext, res: SuiteResult):
     res.residuals["min_eig"] = fmt(verdict.min_eig)
     res.residuals["tail_norm"] = fmt(verdict.tail_norm)
     res.tolerances["tol"] = fmt(ctx.cfg.truncation.tol)
-    expected = res.expected or "yes"
-    if verdict.status != expected:
-        res.outcome = "fail"
 
 
 def _suite_purity(ctx: _SuiteContext, res: SuiteResult):
@@ -354,9 +370,6 @@ def _suite_purity(ctx: _SuiteContext, res: SuiteResult):
     res.verdict = verdict.status
     res.residuals["purity_residual"] = fmt(verdict.residual)
     res.tolerances["tol"] = fmt(ctx.cfg.truncation.tol)
-    expected = res.expected or "pure"
-    if verdict.status != expected:
-        res.outcome = "fail"
 
 
 def _suite_dilation(ctx: _SuiteContext, res: SuiteResult):
@@ -387,8 +400,7 @@ def _suite_existence(ctx: _SuiteContext, res: SuiteResult):
     res.details["factorability_failed_condition"] = fact.failed_condition
     consistent = (report.status == "admits") == (fact.verdict == "factorable")
     res.details["existence_factorability_agree"] = consistent
-    expected = res.expected or "admits"
-    if report.status != expected or not consistent:
+    if not consistent:
         res.outcome = "fail"
 
 
@@ -435,21 +447,19 @@ def counterexample_row(point: CounterexamplePoint) -> dict:
     }
 
 
+def counterexample_points(ce: dict) -> list[tuple[CounterexamplePoint, bool]]:
+    """Each point of a parsed block, and whether it reproduces: a negative form, matched."""
+    points = [bergman_counterexample(ce["m"], n, d=ce["d"]) for n in ce["N_list"]]
+    return [(pt, pt.closed_form < 0.0 and pt.match_error <= GATES["counterexample_match"])
+            for pt in points]
+
+
 def _suite_counterexample(ctx: _SuiteContext, res: SuiteResult):
-    ce = ctx.cfg.counterexample
-    rows = []
-    worst_match = 0.0
-    all_negative = True
-    for n in ce["N_list"]:
-        point = bergman_counterexample(ce["m"], n, d=ce["d"])
-        worst_match = max(worst_match, point.match_error)
-        all_negative = all_negative and point.closed_form < 0.0
-        rows.append(counterexample_row(point))
-    res.verdict = "reproduced" if all_negative else "bound_not_violated"
-    res.gate("match_error_max", worst_match, GATES["counterexample_match"])
-    res.details["rows"] = rows
-    if not all_negative:
-        res.outcome = "fail"
+    points = counterexample_points(ctx.cfg.counterexample)
+    res.verdict = "reproduced" if all(ok for _, ok in points) else "bound_not_violated"
+    res.gate("match_error_max", max(pt.match_error for pt, _ in points),
+             GATES["counterexample_match"])
+    res.details["rows"] = [counterexample_row(pt) for pt, _ in points]
 
 
 SUITE_RUNNERS = {
@@ -469,32 +479,30 @@ SUITE_RUNNERS = {
 # ---------------------------------------------------------------------------
 
 def run(cfg: RunConfig) -> dict:
-    """Execute the requested suites in dependency order and assemble the report."""
+    """Execute the requested suites in dependency order, decide each outcome, assemble the report."""
     ctx = _SuiteContext(cfg)
-    outcomes: dict[str, str] = {}
     suites = []
-    requested = [s for s in SUITE_ORDER if s in cfg.suites]
-    for name in requested:
+    prior = None  # the nearest requested chain suite so far
+    for name in (s for s in SUITE_ORDER if s in cfg.suites):
         res = SuiteResult(name=name, expected=cfg.expect.get(name))
-        dep = SUITE_DEPS[name]
-        while dep is not None and dep not in outcomes:
-            dep = SUITE_DEPS[dep]
-        if dep is not None and outcomes[dep] != "pass":
+        if name in SUITE_CHAIN and prior is not None and prior.outcome != "pass":
             res.outcome = "skip"
-            res.verdict = f"skipped: prerequisite {dep} did not pass"
-            outcomes[name] = "skip"
-            suites.append(res)
-            continue
-        start = time.perf_counter()
-        try:
-            SUITE_RUNNERS[name](ctx, res)
-        except Exception as exc:  # a fault inside a suite is that suite's error
-            res.outcome = "error"
-            res.error = f"{type(exc).__name__}: {exc}"
-            if not isinstance(exc, CnpLabError):
-                traceback.print_exc()  # unexpected: show where it was raised
-        res.wall_time = time.perf_counter() - start
-        outcomes[name] = res.outcome
+            res.verdict = f"skipped: prerequisite {prior.name} did not pass"
+        else:
+            start = time.perf_counter()
+            try:
+                SUITE_RUNNERS[name](ctx, res)
+                expected = cfg.expect.get(name, DEFAULT_VERDICTS.get(name))
+                if expected is not None and res.verdict != expected:
+                    res.outcome = "fail"
+            except Exception as exc:  # a fault inside a suite is that suite's error
+                res.outcome = "error"
+                res.error = f"{type(exc).__name__}: {exc}"
+                if not isinstance(exc, CnpLabError):
+                    traceback.print_exc()  # unexpected: show where it was raised
+            res.wall_time = time.perf_counter() - start
+        if name in SUITE_CHAIN:
+            prior = res
         suites.append(res)
     overall = "pass" if all(r.outcome == "pass" for r in suites) else "fail"
     return {
@@ -525,14 +533,14 @@ def dump_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    if not os.path.isabs(path):
-        base = os.environ.get(ENV_OUT_DIR)
-        if base:
-            return os.path.join(base, path)
-    return path
+def _write_out(path: str | None, text: str) -> None:
+    """text and a newline to path, joined with $CNPLAB_OUT_DIR if relative; no path, no file."""
+    if path and not os.path.isabs(path) and os.environ.get(ENV_OUT_DIR):
+        path = os.path.join(os.environ[ENV_OUT_DIR], path)
+    if path:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -542,22 +550,18 @@ def _resolve_out(path: str | None) -> str | None:
 def cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
-            raw = json.load(fh)
+            raw = json_object(json.load(fh), "config")
         if args.tol is not None:
-            raw.setdefault("truncation", {})["tol"] = args.tol
+            json_object(raw.setdefault("truncation", {}), "truncation")["tol"] = args.tol
         if args.seed is not None:
             raw["seed"] = args.seed
         cfg = parse_config(raw, base_dir=os.path.dirname(os.path.abspath(args.config)))
+        report = run(cfg)  # builds the kernel's table first, so an overflow is a config error
     except (OSError, ValueError, KeyError, CnpLabError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    report = run(cfg)
     text = dump_report(report)
-    out = _resolve_out(args.out or cfg.output)
-    if out:
-        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+    _write_out(args.out or cfg.output, text)
     print(text)
     outcomes = {s["outcome"] for s in report["suites"]}
     return 1 if "fail" in outcomes else 3 if "error" in outcomes else 0
@@ -591,33 +595,20 @@ def cmd_kernel_info(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    if args.m < 2:
-        print(
-            "m must be >= 2: at m = 1 the kernel is the Drury-Arveson kernel, the "
-            "bound m(N+2)/(m+N+1) stays <= 1, and the quadratic form is nonnegative",
-            file=sys.stderr,
-        )
-        return 2
     try:
-        points = [bergman_counterexample(args.m, strict_degree(int(n), "--N"), d=args.d)
-                  for n in args.N.split(",")]
+        points = counterexample_points(counterexample_block(
+            {"m": args.m, "d": args.d, "N_list": [int(n) for n in args.N.split(",")]}))
     except (CnpLabError, ValueError) as exc:
         print(f"invalid counterexample input: {exc}", file=sys.stderr)
         return 2
     print(f"{'m':>3s} {'N':>3s} {'closed_form':>22s} {'numeric':>22s} {'match_error':>12s} {'bound':>10s}")
-    ok = True
-    for pt in points:
-        ok = ok and pt.match_error <= GATES["counterexample_match"] and pt.closed_form < 0.0
+    for pt, _ in points:
         print(f"{pt.m:>3d} {pt.N:>3d} {fmt(pt.closed_form):>22s} {fmt(pt.numeric):>22s} "
               f"{pt.match_error:>12.3e} {pt.bound_value:>10.6f}")
-    out = _resolve_out(args.out)
-    if out:
-        payload = [dict(counterexample_row(pt), d=pt.d) for pt in points]
-        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
-        with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return 0 if ok else 1
+    if args.out:
+        _write_out(args.out, json.dumps([dict(counterexample_row(pt), d=pt.d) for pt, _ in points],
+                                        indent=2, sort_keys=True))
+    return 0 if all(ok for _, ok in points) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

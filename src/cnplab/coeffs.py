@@ -16,6 +16,7 @@ it, and graded_count gives the length of its leading block of degrees <= j.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -124,8 +125,9 @@ class KernelSpec:
             raise InvalidKernelError(f"unknown rule {self.rule!r}; expected one of {RULES}")
         if self.rule == "bergman":
             m = self.param
-            if not isinstance(m, int) or m < 1:
-                raise InvalidKernelError(f"bergman requires integer m >= 1, got {m!r}")
+            if not isinstance(m, int) or not 1 <= m <= sys.float_info.max:  # a_1 = m
+                raise InvalidKernelError(f"bergman requires integer m >= 1 within the float range, "
+                                         f"got {m!r}")
         elif self.rule == "dirichlet_t":
             t = self.param
             if not isinstance(t, (int, float)) or not 0 <= t < math.inf:
@@ -229,24 +231,30 @@ def build_table(spec: KernelSpec, n: int) -> CoeffTable:
 
     sum b_n t^n = 1 - 1/(sum a_n t^n) by the convolution recursion
     b_n = a_n - sum_{j=1}^{n-1} b_j a_{n-j}, which makes b_1 = a_1 bit-exact.
-    Total for every positive input sequence.  For custom coefficient lists
-    the relation is a formal power-series statement about the cached
+    Total for every positive input sequence whose a_n and b_n stay finite;
+    a table with an overflowed entry is rejected.  For custom coefficient
+    lists the relation is a formal power-series statement about the cached
     prefix; nothing is claimed about pointwise values of the reciprocal
     beyond it.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    a = _scalar_coeffs(spec, n)
+    with np.errstate(over="ignore"):  # an overflowed a_n is rejected below
+        a = _scalar_coeffs(spec, n)
     if a[0] != 1.0:
         raise InvalidKernelError("generated sequence must start with a_0 = 1")
-    if np.any(a <= 0.0):
-        raise InvalidKernelError("generated coefficients must be strictly positive")
+    if not np.all((a > 0.0) & (a < np.inf)):
+        raise InvalidKernelError(f"{spec.label}: generated coefficients must be strictly "
+                                 "positive and within the float range")
     b = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        acc = a[k]
-        for j in range(1, k):
-            acc -= b[j] * a[k - j]
-        b[k] = acc
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed b_n is rejected below
+        for k in range(1, n + 1):
+            acc = a[k]
+            for j in range(1, k):
+                acc -= b[j] * a[k - j]
+            b[k] = acc
+    if not np.isfinite(b).all():
+        raise InvalidKernelError(f"{spec.label}: b_n overflows a float")
     return CoeffTable(spec=spec, a=a, b=b)
 
 

@@ -362,11 +362,22 @@ class CounterexamplePoint:
     bound_value: float
 
 
+def _compressed_shift_forms(table: CoeffTable, n: int, big_n: int, degrees) -> list[float]:
+    """Associated-defect forms, at K^* e(k e_1) for k in degrees, of the shifts compressed
+    to degrees <= n and embedded at truncation big_n."""
+    v = build_dilation(shift_matrices(table, n).ops, table, TruncationParams(N=big_n))
+    assoc = associated_tuple(v)
+    delta_sq, _ = _associated_defect(v, assoc, big_n)
+    targets = graded_position(table.d, big_n, [(k,) + (0,) * (table.d - 1) for k in degrees])
+    coords = assoc.basis[targets * v.codomain_dims[1]].conj()  # row j: K^* e at target j
+    return [float(np.real(np.vdot(c, delta_sq @ c))) for c in coords]
+
+
 def bergman_counterexample(m: int, n: int, d: int = 1) -> CounterexamplePoint:
     """Quadratic form of the associated tuple of the degree-n compressed shifts.
 
     Builds the compression T of the Bergman-m shifts to degrees <= n, embeds
-    it at a higher truncation, and evaluates the contractivity form of the
+    it at truncation n + 3, and evaluates the contractivity form of the
     associated tuple on the basis vector of degree n + 2 along the first
     coordinate.  m = 1 is rejected: there the ratio drops below 1 and the
     form is nonnegative.
@@ -378,22 +389,9 @@ def bergman_counterexample(m: int, n: int, d: int = 1) -> CounterexamplePoint:
         )
     if n < 0:
         raise ValueError(f"compression degree must be >= 0, got {n}")
-    big_n = n + 3
-    p = TruncationParams(N=big_n)
-    table = build_table(bergman(m, d=d), big_n + 1)
-
-    inner = shift_matrices(table, n)
-    t = inner.ops
-    v = build_dilation(t, table, p)
-    assoc = associated_tuple(v)
-
-    target = graded_position(d, big_n, [(n + 2,) + (0,) * (d - 1)])[0]
-    delta_sq, _ = _associated_defect(v, assoc, p.N)
-    coords = assoc.basis[target * v.codomain_dims[1]].conj()  # K^* e at the target
-    numeric = float(np.real(np.vdot(coords, delta_sq @ coords)))
-
-    closed = 1.0 - m * (n + 2) / (m + n + 1)
+    [numeric] = _compressed_shift_forms(build_table(bergman(m, d=d), n + 4), n, n + 3, [n + 2])
     bound = m * (n + 2) / (m + n + 1)
+    closed = 1.0 - bound
     return CounterexamplePoint(
         m=m, N=n, d=d,
         closed_form=closed,
@@ -412,17 +410,13 @@ def cnp_zero_tuple_probe(table: CoeffTable, n: int) -> np.ndarray:
 
     For the zero tuple on the constants, the contractivity form of the
     restricted shifts evaluated at the degree-k basis vector collapses to
-    b_k / a_k.  Returned for k = 2 .. n, computed on the model space by the
-    existence test's defect series, so the sign pattern cross-validates the
-    coefficient-level CNP classification.  The computation lives on the
-    first coordinate axis, so it is carried out in one variable regardless
-    of the ambient dimension.
+    b_k / a_k.  Returned for k = 2 .. n.  That tuple is the shifts compressed
+    to degree 0, so these are the counterexample's forms at compression
+    degree 0; their sign pattern cross-validates the coefficient-level CNP
+    classification.  They live on the first coordinate axis, so they are
+    computed in one variable regardless of the ambient dimension.
     """
     if n < 2:
         raise ValueError(f"probe needs n >= 2, got {n}")
-    spec1 = dataclasses.replace(table.spec, d=1)
-    v = build_dilation(OperatorTuple.zero(1, 1), build_table(spec1, n + 1), TruncationParams(N=n))
-    assoc = associated_tuple(v)
-    delta_sq, _ = _associated_defect(v, assoc, n)
-    coords = assoc.basis.conj().T[:, 2:]  # K^* e_k: one-variable index k sits at position k
-    return np.real(np.sum(coords.conj() * (delta_sq @ coords), axis=0))
+    table1 = build_table(dataclasses.replace(table.spec, d=1), n + 1)
+    return np.array(_compressed_shift_forms(table1, 0, n, range(2, n + 1)))

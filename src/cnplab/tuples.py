@@ -227,10 +227,6 @@ class ContractionVerdict:
     min_eig: float
     tail_norm: float
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "yes"
-
     @classmethod
     def decide(cls, min_eig: float, tail_norm: float, tol: float) -> "ContractionVerdict":
         """yes needs min_eig >= -tol and a tail window below tol: a live tail certifies nothing."""
@@ -250,10 +246,6 @@ class PurityVerdict:
     status: str  # "pure" | "not_pure" | "inconclusive"
     residual: float
     tail_increments: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "pure"
 
 
 def is_pure(t: OperatorTuple, table: CoeffTable, p: TruncationParams,

@@ -12,7 +12,10 @@ the package summed its series on graded prefixes: it takes any Hermitian X
 and any tuple, dense or index-map, checks X by a full eigensolve and sums
 both series by the forward sigma-recursion `_weighted_series`.
 `looped_canonical_phases` rotates one column at a time, where the package
-rotates every column by one broadcast product.
+rotates every column by one broadcast product.  `zero_tuple_probe` is the
+CNP probe as it stood before the package read it as the Bergman
+counterexample at compression degree 0: it embeds `OperatorTuple.zero(1, 1)`
+itself and reads every form at once.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 
 import cnplab as cl
 from cnplab._linalg import hermitian_norm, hermitize, opnorm, split_rank
+from cnplab.model import _associated_defect
 from cnplab.tuples import COMMUTATOR_TOL, _weighted_series, shift_norm_sq
 from series_reference import tuple_power
 
@@ -165,3 +169,13 @@ def looped_canonical_phases(u):
         if abs(pivot) > 0.0:
             out[:, j] *= pivot.conjugate() / abs(pivot)
     return out
+
+
+def zero_tuple_probe(table, n):
+    """Forms of the zero tuple's associated defect at e_2 .. e_n, in one variable."""
+    table1 = cl.build_table(replace(table.spec, d=1), n + 1)
+    v = cl.build_dilation(cl.OperatorTuple.zero(1, 1), table1, cl.TruncationParams(N=n))
+    assoc = cl.associated_tuple(v)
+    delta_sq, _ = _associated_defect(v, assoc, n)
+    coords = assoc.basis.conj().T[:, 2:]  # K^* e_k: one-variable index k sits at position k
+    return np.real(np.sum(coords.conj() * (delta_sq @ coords), axis=0))

@@ -111,14 +111,13 @@ def test_full_run_passes():
     assert [s["outcome"] for s in report["suites"]] == ["pass"] * 8
 
 
-def test_counterexample_suite_error_on_bad_m():
+def test_counterexample_suite_error_on_bad_m(tmp_path, capsys):
+    # m = 1 is the Drury-Arveson kernel, where the form is nonnegative: a config error
     cfg = base_config(suites=["coeffs", "counterexample"],
                       counterexample={"m": 1, "N_list": [0], "d": 1})
-    report = run_config(cfg)
-    suite = [s for s in report["suites"] if s["name"] == "counterexample"][0]
-    assert suite["outcome"] == "error"
-    assert "PrerequisiteError" in suite["error"]
-    assert report["overall"] == "fail"
+    assert run_cli_config(tmp_path, cfg) == (2, False)
+    err = capsys.readouterr().err
+    assert err.startswith("config error: counterexample.m must be >= 2") and "Drury-Arveson" in err
 
 
 def test_expected_failure_mode():
@@ -146,6 +145,34 @@ def test_unexpected_verdict_fails():
     )
     report = run_config(cfg)
     assert report["overall"] == "fail"
+
+
+@pytest.mark.parametrize("suite, verdict", [("coeffs", "cnp_consistent(N=84)"),
+                                            ("dilation", "isometry"), ("charfn", "contractive"),
+                                            ("identities", "identities"),
+                                            ("counterexample", "reproduced")])
+def test_expect_holds_for_every_suite(suite, verdict):
+    suites = list(cli.SUITE_ORDER)
+    report = run_config(base_config(suites=suites, expect={suite: verdict}))
+    assert report["overall"] == "pass"
+    report = run_config(base_config(suites=suites, expect={suite: "something_else"}))
+    by_name = {s["name"]: s for s in report["suites"]}
+    assert by_name[suite]["verdict"] == verdict and by_name[suite]["expected"] == "something_else"
+    assert by_name[suite]["outcome"] == "fail"
+    # the suites after it in the chain are skipped; counterexample stands alone
+    after = suites[suites.index(suite) + 1:]
+    assert [by_name[s]["outcome"] for s in after] == \
+        ["skip"] * len(set(after) & set(cli.SUITE_CHAIN)) + ["pass"] * ("counterexample" in after)
+
+
+def test_skip_names_the_nearest_requested_suite():
+    # scalar 1 is a contraction that is not pure; dilation is not requested
+    report = run_config(base_config(tuple={"inline": scalar_tuple_block(1.0)},
+                                    suites=["coeffs", "purity", "existence"]))
+    by_name = {s["name"]: s for s in report["suites"]}
+    assert by_name["purity"]["outcome"] == "fail" and by_name["purity"]["verdict"] == "not_pure"
+    assert by_name["existence"]["outcome"] == "skip"
+    assert by_name["existence"]["verdict"] == "skipped: prerequisite purity did not pass"
 
 
 def test_non_commuting_tuple_is_an_error_and_skips_dependents():
@@ -309,6 +336,78 @@ def test_counterexample_block_is_parsed_strictly(tmp_path, capsys, block, name):
     cfg = base_config(suites=["coeffs", "counterexample"], tuple=None, counterexample=block)
     assert run_cli_config(tmp_path, cfg) == (2, False)
     assert f"config error: {name} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, message", [
+    ({"m": 1, "N_list": [0]}, "counterexample.m must be >= 2, got 1: at m = 1 the kernel is the "
+                              "Drury-Arveson kernel"),
+    ({"d": 0}, "counterexample.d must be >= 1, got 0"),
+    ({"N_list": [-1]}, "counterexample.N_list[0] must be >= 0, got -1"),
+    ({"N_list": []}, "counterexample.N_list must be a non-empty list of integers, got []"),
+], ids=["m", "d", "N_list-entry", "N_list-empty"])
+def test_counterexample_block_out_of_range_exits_2(tmp_path, capsys, block, message):
+    cfg = base_config(suites=["coeffs", "counterexample"], tuple=None, counterexample=block)
+    assert run_cli_config(tmp_path, cfg) == (2, False)
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"config error: {message}")
+    assert captured.err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda cfg: [cfg], "config must be an object, got list"),
+    (lambda cfg: dict(cfg, kernel="szego"), "kernel must be an object, got str"),
+    (lambda cfg: dict(cfg, kernel=dict(cfg["kernel"], params=[2])), "kernel.params must be an object"),
+    (lambda cfg: dict(cfg, truncation="abc"), "truncation must be an object"),
+    (lambda cfg: dict(cfg, tuple=5), "tuple must be an object"),
+    (lambda cfg: dict(cfg, tuple={"inline": [0.5]}), "tuple must be an object"),
+    (lambda cfg: dict(cfg, counterexample=5), "counterexample must be an object"),
+    (lambda cfg: dict(cfg, expect=[1]), "expect must be an object"),
+    (lambda cfg: dict(cfg, expect={"existance": "admits"}),
+     f"expect must map suite names {list(cli.SUITE_ORDER)} to verdict strings, "
+     "got 'existance': 'admits'"),
+    (lambda cfg: dict(cfg, expect={"existence": 1}), "expect must map suite names"),
+    (lambda cfg: dict(cfg, output=5), "output must be a string, got 5"),
+], ids=["top-level", "kernel", "params", "truncation", "tuple", "inline", "counterexample",
+        "expect", "expect-name", "expect-verdict", "output"])
+def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, change, message):
+    # exit 1 is a suite's fail; a config that cannot be read is exit 2, before any suite runs
+    assert run_cli_config(tmp_path, change(base_config(suites=["coeffs", "contraction"]))) == \
+        (2, False)
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"config error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_tol_override_needs_a_truncation_object(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_config(truncation="abc")))
+    assert cli.main(["run", str(path), "--tol", "1e-8"]) == 2
+    assert capsys.readouterr().err == "config error: truncation must be an object, got str\n"
+
+
+@pytest.mark.parametrize("m", [10 ** 200, 10 ** 400], ids=["1e200", "1e400"])
+def test_kernel_without_a_finite_table_exits_2(tmp_path, capsys, m):
+    assert cli.main(["kernel-info", "--rule", "bergman", "--m", str(m), "--N", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("invalid kernel: ")
+    assert captured.err.count("\n") == 1
+    assert cli.main(["counterexample", "--m", str(m), "--N", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("invalid counterexample input: ")
+    cfg = base_config(kernel={"d": 1, "rule": "bergman", "params": {"m": m}, "N_max": 84},
+                      suites=["coeffs"], tuple=None)
+    assert run_cli_config(tmp_path, cfg) == (2, False)
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1
+    # the counterexample suite builds a table per instance: there it is the suite's error
+    cfg = base_config(suites=["coeffs", "counterexample"], tuple=None,
+                      counterexample={"m": m, "N_list": [0]})
+    assert run_cli_config(tmp_path, cfg) == (3, True)
+    captured = capsys.readouterr()
+    assert captured.err == ""  # a package error prints no traceback
+    suite = json.loads(captured.out)["suites"][1]
+    assert suite["outcome"] == "error" and suite["error"].startswith("InvalidKernelError: ")
 
 
 @pytest.mark.parametrize("rule, name", [("bergman", "m"), ("dirichlet_t", "t"),

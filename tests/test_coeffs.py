@@ -94,6 +94,21 @@ def test_bergman_param_validation():
             cl.dirichlet_t(t)
 
 
+def test_bergman_m_beyond_the_float_range_is_invalid():
+    with pytest.raises(cl.InvalidKernelError, match="within the float range"):
+        cl.bergman(10 ** 400)  # a_1 = m has no float
+
+
+@pytest.mark.parametrize("m, n, message", [
+    (10 ** 200, 3, "positive and within the float range"),  # a_2 = inf
+    (2 * 10 ** 31, 10, "b_n overflows a float"),  # a_10 is finite, the products in b_10 are not
+], ids=["a_2", "b_10"])
+def test_a_table_that_overflows_is_an_invalid_kernel(m, n, message):
+    # warnings are errors here, so the overflow must not warn on its way
+    with pytest.raises(cl.InvalidKernelError, match=message):
+        cl.build_table(cl.bergman(m), n)
+
+
 # ---------------------------------------------------------------------------
 # inversion
 # ---------------------------------------------------------------------------

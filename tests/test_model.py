@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import cnplab as cl
 from cnplab.tuples import TuplePowers
 from model_reference import (condition_values, dense_associated_tuple, dense_check_factorability,
-                             dense_existence, dense_intertwining)
+                             dense_existence, dense_intertwining, zero_tuple_probe)
 from series_reference import tuple_power
 from random_inputs import diff_kernel, random_commuting_tuple
 
@@ -505,6 +505,16 @@ def test_probe_bergman_value():
     table = cl.build_table(cl.bergman(2), 40)
     probe = cl.cnp_zero_tuple_probe(table, 10)
     assert abs(probe[0] + 1.0 / 3.0) <= 1e-12  # n = 2 entry is b_2 / a_2
+
+
+@pytest.mark.parametrize("spec", [cl.szego(), cl.drury_arveson(2), cl.bergman(2), cl.bergman(3),
+                                  cl.dirichlet_t(0.5)], ids=lambda spec: spec.label)
+def test_probe_matches_the_embedded_zero_tuple(spec):
+    # the probe reads the compressed shifts at degree 0; the reference embeds
+    # the zero tuple on the constants directly
+    table = cl.build_table(spec, 40)
+    probe = cl.cnp_zero_tuple_probe(table, 30)
+    assert np.max(np.abs(probe - zero_tuple_probe(table, 30))) <= 1e-15
 
 
 def test_probe_matches_coefficient_ratios():
