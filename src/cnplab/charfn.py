@@ -10,6 +10,8 @@ construction satisfies is available as a residual.
 
 from __future__ import annotations
 
+import operator
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -394,15 +396,17 @@ def eval_to_dict(ev: CharFnEval, i: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def ball_points(d: int, count: int, seed: int, radius: float = 0.8) -> np.ndarray:
-    """Deterministic pseudo-random points in the ball of the given radius, as a (count, d) stack."""
-    rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(count):
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            v = np.ones(d, dtype=complex)
-            n = np.linalg.norm(v)
-        scale = radius * rng.random() ** (1.0 / (2 * d))
-        pts.append(scale * v / n)
-    return np.array(pts)
+    """Deterministic points uniform in the ball of the given radius, as a (count, d) stack.
+
+    Each takes 2d + 1 uniforms of the stdlib stream of seed: a direction from d
+    complex Gaussians by Box-Muller, then the radius times u^(1/2d).
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    rng = random.Random(seed)
+    u = np.array([rng.random() for _ in range(count * (2 * d + 1))]).reshape(count, 2 * d + 1)
+    v = np.sqrt(-2.0 * np.log1p(-u[:, :d])) * np.exp(2j * np.pi * u[:, d:2 * d])
+    norms = np.linalg.norm(v, axis=1)
+    v[norms == 0.0], norms[norms == 0.0] = 1.0, np.sqrt(d)
+    return (radius * u[:, 2 * d] ** (1.0 / (2 * d)) / norms)[:, None] * v

@@ -25,6 +25,7 @@ from . import __version__
 from .coeffs import (
     CoeffTable,
     KernelSpec,
+    bergman,
     build_table,
     estimate_radius,
     is_cnp,
@@ -76,7 +77,7 @@ DEFAULT_VERDICTS = {"contraction": "yes", "purity": "pure", "existence": "admits
 ENV_OUT_DIR = "CNPLAB_OUT_DIR"
 
 # the largest series degree a config or a command may ask for; build_table
-# is quadratic in it (about 0.2 s at 1000)
+# is quadratic in it (about 10 ms at 1000)
 MAX_DEGREE = 1000
 
 # fixed gates shared by the suite runners
@@ -226,7 +227,9 @@ def counterexample_block(ce: dict) -> dict:
     if not isinstance(n_list, list) or not n_list:
         raise ValueError(f"counterexample.N_list must be a non-empty list of integers, got {n_list!r}")
     n_list = [strict_degree(n, f"counterexample.N_list[{i}]", 0) for i, n in enumerate(n_list)]
-    return {"m": m, "N_list": n_list, "d": strict_int(ce.get("d", 1), "counterexample.d", 1)}
+    d = strict_int(ce.get("d", 1), "counterexample.d", 1)
+    build_table(bergman(m, d), max(n_list) + 4)  # the largest table a point builds; raises on overflow
+    return {"m": m, "N_list": n_list, "d": d}
 
 
 def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
@@ -257,9 +260,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     unknown = [s for s in suites if s not in SUITE_ORDER]
     if unknown:
         raise ValueError(f"unknown suites {unknown}; valid: {list(SUITE_ORDER)}")
-    tuple_mats = None
-    if "tuple" in raw and raw["tuple"]:
-        tuple_mats = load_tuple_source(raw["tuple"], base_dir)
+    tuple_mats = load_tuple_source(raw["tuple"], base_dir) if raw.get("tuple") else None
     needs_tuple = [s for s in suites if s not in ("coeffs", "counterexample")]
     if needs_tuple and tuple_mats is None:
         raise ValueError(f"suites {needs_tuple} require a tuple source")
@@ -347,14 +348,11 @@ def _suite_coeffs(ctx: _SuiteContext, res: SuiteResult):
     for k in range(1, n + 1):
         conv[k] = a[k] - np.dot(b[1:k + 1], a[:k][::-1])
     res.gate("roundtrip_max", float(np.max(np.abs(conv[1:]))) if n else 0.0, GATES["roundtrip"])
-    cls = is_cnp(table)
-    res.verdict = cls.describe()
-    ra = estimate_radius(table, "a")
-    rb = estimate_radius(table, "b")
-    res.details["radius_a"] = {"radius": fmt(ra.radius), "reliable": ra.reliable,
-                               "exact_polynomial": ra.exact_polynomial}
-    res.details["radius_b"] = {"radius": fmt(rb.radius), "reliable": rb.reliable,
-                               "exact_polynomial": rb.exact_polynomial}
+    res.verdict = is_cnp(table).describe()
+    for which in ("a", "b"):
+        r = estimate_radius(table, which)
+        res.details[f"radius_{which}"] = {"radius": fmt(r.radius), "reliable": r.reliable,
+                                          "exact_polynomial": r.exact_polynomial}
 
 
 def _suite_contraction(ctx: _SuiteContext, res: SuiteResult):
@@ -457,7 +455,7 @@ def counterexample_points(ce: dict) -> list[tuple[CounterexamplePoint, bool]]:
 def _suite_counterexample(ctx: _SuiteContext, res: SuiteResult):
     points = counterexample_points(ctx.cfg.counterexample)
     res.verdict = "reproduced" if all(ok for _, ok in points) else "bound_not_violated"
-    res.gate("match_error_max", max(pt.match_error for pt, _ in points),
+    res.gate("match_error_max", np.max([pt.match_error for pt, _ in points]),
              GATES["counterexample_match"])
     res.details["rows"] = [counterexample_row(pt) for pt, _ in points]
 

@@ -248,11 +248,8 @@ def build_table(spec: KernelSpec, n: int) -> CoeffTable:
                                  "positive and within the float range")
     b = np.zeros(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed b_n is rejected below
-        for k in range(1, n + 1):
-            acc = a[k]
-            for j in range(1, k):
-                acc -= b[j] * a[k - j]
-            b[k] = acc
+        for k in range(1, n + 1):  # subtracted left to right, the order of the recursion
+            b[k] = np.subtract.reduce(np.concatenate(([a[k]], b[1:k] * a[k - 1:0:-1])))
     if not np.isfinite(b).all():
         raise InvalidKernelError(f"{spec.label}: b_n overflows a float")
     return CoeffTable(spec=spec, a=a, b=b)

@@ -7,6 +7,8 @@ sigma-recursion shortcut, so differential tests can compare the two.
 `tuple_power` is T^alpha as a product of matrix powers, one per coordinate,
 where the package builds every T^alpha as one graded stack of single products.
 `ix_sandwich` is T_i X T_i^* for index-map shifts gathered through np.ix_.
+`looped_reciprocal` is the convolution recursion for b_n as a scalar double
+loop, where the package subtracts each degree's products in one reduction.
 `enumerated_shift_norm_sq` takes the squared shift norm as the largest ratio
 a_alpha / a_{alpha+e_i} over every multi-index, where the package uses its
 closed form.
@@ -48,6 +50,17 @@ def enumerated_series(t, table, n, which, middle=None, start_degree=0):
         total += inc
         inc_norms.append(opnorm(inc))
     return total, inc_norms
+
+
+def looped_reciprocal(a):
+    """b_0 = 0 and b_k = a_k - sum_{j=1}^{k-1} b_j a_{k-j}, one scalar operation at a time."""
+    b = np.zeros(len(a))
+    for k in range(1, len(a)):
+        acc = a[k]
+        for j in range(1, k):
+            acc -= b[j] * a[k - j]
+        b[k] = acc
+    return b
 
 
 def ix_sandwich(shifts, i, x):

@@ -729,3 +729,30 @@ def test_support_lift_matches_dense_lift(name):
         assert np.max(np.abs(ev.theta[i] - want.theta)) <= 1e-12 * max(1.0, np.max(np.abs(want.theta)))
         assert abs(ev.norm[i] - np.linalg.norm(want.theta, 2)) <= 1e-12
     check_model_against_looped_references(lift)
+
+
+# ---------------------------------------------------------------------------
+# sample points
+# ---------------------------------------------------------------------------
+
+def test_ball_points_keep_their_stream():
+    want = [[0.015488889840942741 - 0.17851493149820408j, -0.02059734990993312 + 0.6464874492630631j],
+            [0.04754674087332091 - 0.19154808351370362j, 0.21799770860180362 + 0.14587863064825543j],
+            [0.04394900654418359 - 0.5684664971222974j, 0.3193985093059595 + 0.004226758862670762j]]
+    np.testing.assert_allclose(cl.ball_points(2, 3, seed=1), want, rtol=1e-12, atol=0)
+
+
+def test_ball_points_are_uniform_in_the_ball():
+    # |z|^(2d) of a uniform point of the radius-r ball in C^d is r^(2d) times a uniform variable
+    radius, d = 0.8, 2
+    sq = np.sum(np.abs(cl.ball_points(d, 10 ** 4, seed=3, radius=radius)) ** 2, axis=1)
+    assert sq.max() < radius ** 2
+    assert abs(np.mean(sq ** d) / radius ** (2 * d) - 0.5) < 5 * np.sqrt(1 / 12 / 10 ** 4)
+
+
+def test_ball_points_seed_is_a_nonnegative_integer():
+    with pytest.raises(ValueError, match="non-negative"):
+        cl.ball_points(2, 3, seed=-1)
+    with pytest.raises(TypeError):
+        cl.ball_points(2, 3, seed=1.0)
+    assert np.array_equal(cl.ball_points(2, 3, seed=np.int64(5)), cl.ball_points(2, 3, seed=5))

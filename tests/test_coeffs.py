@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import cnplab as cl
 from cnplab.coeffs import graded_count, graded_indices, graded_position, multinomial
 from random_inputs import diff_kernel
+from series_reference import looped_reciprocal
 
 
 def long_division_reciprocal(a, n):
@@ -136,6 +137,23 @@ def test_b1_equals_a1_bit_exact():
     for spec in BUILTIN_SPECS:
         table = cl.build_table(spec, 10)
         assert table.b[1] == table.a[1]
+
+
+@pytest.mark.parametrize("n", [24, 64, 90, 500])
+@pytest.mark.parametrize("spec", [cl.szego(), cl.bergman(2), cl.bergman(3, d=2), cl.bergman(7),
+                                  cl.dirichlet_t(1.0), cl.dirichlet_t(0.5)],
+                         ids=lambda s: f"{s.label}-d{s.d}")
+def test_reciprocal_matches_the_scalar_loop_bit_for_bit(spec, n):
+    a = cl.build_table(spec, n).a
+    assert np.array_equal(cl.build_table(spec, n).b.view(np.uint64),
+                          looped_reciprocal(a).view(np.uint64))
+
+
+def test_reciprocal_at_the_edge_of_the_float_range_matches_the_scalar_loop_bit_for_bit():
+    # b_9 of this Bergman table is about 1.4e276, and the products in b_10 overflow (see above)
+    table = cl.build_table(cl.bergman(2 * 10 ** 31), 9)
+    assert np.abs(table.b).max() > 1e276
+    assert np.array_equal(table.b.view(np.uint64), looped_reciprocal(table.a).view(np.uint64))
 
 
 @pytest.mark.parametrize("spec", BUILTIN_SPECS, ids=lambda s: s.label)
