@@ -358,7 +358,7 @@ def _model_gap(lift: TupleLift) -> np.ndarray:
     flat = _taylor_blocks(lift).reshape(v.big_dim, -1)
     scale = np.repeat(1.0 / np.sqrt(v.shifts.a_alpha), r)
     x = scale[:, None] * (flat @ flat.conj().T) * scale
-    acc, _ = _graded_series(v.tensored, v.table, v.N, "a", x)
+    acc = _graded_series(v.tensored, v.table, "a", x)
     return np.eye(v.big_dim, dtype=complex) - v.matrix @ v.matrix.conj().T - acc
 
 

@@ -16,13 +16,15 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import __version__
 from .coeffs import (
+    RADIUS_MIN_COEFFS,
+    RULES,
     CoeffTable,
     KernelSpec,
     bergman,
@@ -155,6 +157,8 @@ def json_object(value, name: str) -> dict:
 
 def kernel_from_dict(spec: dict) -> tuple[KernelSpec, int]:
     rule = json_object(spec, "kernel").get("rule")
+    if not isinstance(rule, str):
+        raise ValueError(f"kernel.rule must be one of the strings {RULES}, got {rule!r}")
     params = json_object(spec.get("params") or {}, "kernel.params")
     d = strict_int(spec.get("d", 1), "kernel.d")
     name = {"bergman": "m", "dirichlet_t": "t", "custom": "coeffs"}.get(rule)
@@ -177,9 +181,13 @@ def kernel_from_dict(spec: dict) -> tuple[KernelSpec, int]:
 
 def matrices_from_nested(entries) -> np.ndarray:
     """Nested lists of [re, im] pairs to a complex matrix of finite entries."""
-    arr = np.asarray(entries, dtype=float)
+    message = "matrix entries must be nested [re, im] pairs"
+    try:
+        arr = np.asarray(entries, dtype=float)
+    except TypeError:  # an object or null among the entries
+        raise ValueError(message) from None
     if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError("matrix entries must be nested [re, im] pairs")
+        raise ValueError(message)
     bad = np.argwhere(~np.isfinite(arr))
     if len(bad):
         row, col, part = bad[0]
@@ -197,6 +205,8 @@ def mats_from_tuple_dict(data: dict) -> tuple:
     json_object(data, "tuple")
     h = strict_int(data["h"], "tuple.h")
     d = strict_int(data["d"], "tuple.d")
+    if not isinstance(data["mats"], list):
+        raise ValueError(f"tuple.mats must be a list of matrices, got {data['mats']!r}")
     mats = tuple(matrices_from_nested(m) for m in data["mats"])
     if len(mats) != d or any(m.shape != (h, h) for m in mats):
         raise ValueError(f"expected {d} matrices of shape ({h}, {h})")
@@ -208,6 +218,8 @@ def load_tuple_source(source: dict, base_dir: str = ".") -> tuple:
         return mats_from_tuple_dict(source["inline"])
     if "path" in source:
         path = source["path"]
+        if not isinstance(path, str):
+            raise ValueError(f"tuple.path must be a string, got {path!r}")
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         with open(path) as fh:
@@ -244,8 +256,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         tol=strict_float(trunc_raw.get("tol", 1e-9), "truncation.tol"),
         tail_window=strict_int(trunc_raw.get("tail_window", 3), "truncation.tail_window"),
     )
-    # the existence suite extends its series by tail_window and reads shift
-    # norms one degree beyond that
+    # the existence suite sums the associated defect through N + tail_window;
+    # the floor asks for one degree more than that
     floor = trunc.N + trunc.tail_window + 1
     if n_table < floor:
         raise ValueError(
@@ -260,6 +272,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     unknown = [s for s in suites if s not in SUITE_ORDER]
     if unknown:
         raise ValueError(f"unknown suites {unknown}; valid: {list(SUITE_ORDER)}")
+    if "coeffs" in suites and n_table < RADIUS_MIN_COEFFS:
+        raise ValueError(f"kernel.N_max ({n_table}) must be at least {RADIUS_MIN_COEFFS} for the "
+                         f"coeffs suite: its radius estimator needs {RADIUS_MIN_COEFFS} "
+                         "coefficients of each series")
     tuple_mats = load_tuple_source(raw["tuple"], base_dir) if raw.get("tuple") else None
     needs_tuple = [s for s in suites if s not in ("coeffs", "counterexample")]
     if needs_tuple and tuple_mats is None:
@@ -384,16 +400,12 @@ def _suite_dilation(ctx: _SuiteContext, res: SuiteResult):
 
 
 def _suite_existence(ctx: _SuiteContext, res: SuiteResult):
-    p = ctx.cfg.truncation
     v = ctx.dilation
     report = admits_charfn(v)
     res.verdict = report.status
     res.residuals["assoc_min_eig"] = fmt(report.value)
     res.residuals["invariance"] = fmt(report.invariance_residual)
-    # series degree extends past the space truncation so the tail window sees
-    # the terminating matrix series, not the cut-off
-    p_series = replace(p, N=p.N + p.tail_window)
-    fact = check_factorability(v.matrix, v.tensored, ctx.table, p_series)
+    fact = check_factorability(v.matrix, v.tensored, ctx.table, ctx.cfg.truncation.tol)
     res.details["factorability"] = fact.verdict
     res.details["factorability_failed_condition"] = fact.failed_condition
     consistent = (report.status == "admits") == (fact.verdict == "factorable")

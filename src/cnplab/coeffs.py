@@ -31,6 +31,9 @@ CNP_TOL = 1e-12
 
 RULES = ("szego", "drury_arveson", "bergman", "dirichlet_t", "custom")
 
+# coefficients of a series that estimate_radius needs (b_0 is not one of them)
+RADIUS_MIN_COEFFS = 10
+
 
 # ---------------------------------------------------------------------------
 # Multi-index utilities
@@ -402,8 +405,9 @@ def estimate_radius(table: CoeffTable, which: str = "a") -> RadiusEstimate:
         start = 1
     else:
         raise ValueError(f"which must be 'a' or 'b', got {which!r}")
-    if len(coeffs) < 10:
-        raise InsufficientCacheError("radius estimate needs at least 10 cached coefficients")
+    if len(coeffs) < RADIUS_MIN_COEFFS:
+        raise InsufficientCacheError(
+            f"radius estimate needs at least {RADIUS_MIN_COEFFS} cached coefficients")
 
     top = start + len(coeffs) - 1
     tail_start = 3 * top // 4

@@ -154,74 +154,57 @@ class FactorabilityReport:
     """Numerical evaluation of the three factorability conditions.
 
     cond1: per-coordinate min eigenvalue of c_i X - T_i X T_i^*.
-    cond2: min eigenvalue of X - P(X) where P(X) is the b-weighted series,
-           plus the tail of that series.
-    cond3: residual of the a-weighted series of X - P(X) against X, plus its
-           tail.  The verdict is factorable only when all three pass.
+    cond2: min eigenvalue of X - P(X) where P(X) is the b-weighted series.
+    cond3: residual of the a-weighted series of X - P(X) against X.
+    The verdict is factorable only when all three pass.
     """
 
-    verdict: str  # "factorable" | "not_factorable" | "inconclusive"
+    verdict: str  # "factorable" | "not_factorable"
     failed_condition: int | None
     cond1_min_eigs: tuple
     cond2_min_eig: float
-    cond2_tail: float
     cond3_residual: float
-    cond3_tail: float
 
 
 def check_factorability(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffTable,
-                        p: TruncationParams) -> FactorabilityReport:
+                        tol: float) -> FactorabilityReport:
     """Evaluate the factorability conditions for X = I - V V^* on graded index-map shifts.
 
     shifts act on the graded space of the rows of V, such as the tensored
     shifts of a dilation space.  X is PSD exactly when |V| <= 1: its
     eigenvalues are 1 - eig(V^* V) and 1s.  The constants c_i are the squared
-    truncated shift norms of the kernel.  Both series are summed on graded
-    prefixes (`_graded_series`).  Sign failures of conditions (1) and (2) are
-    definitive at this truncation; condition (3) distinguishes a
-    converged-but-wrong series (not factorable) from one that is still
-    moving (inconclusive).
+    shift norms of the kernel at the top degree N of the shifts.  The shifts
+    are nilpotent, sigma^(N+1) = 0, so both series are finite sums, summed to
+    N on graded prefixes (`_graded_series`), and the verdict is two-valued.
+    Condition (3) holds identically on this space: A(t) (1 - B(t)) = 1 for
+    the a- and b-series, and every product term of degree above N meets
+    sigma^(N+1) = 0, so its residual measures rounding only.
     """
     v_matrix = np.asarray(v_matrix, dtype=complex)
     if v_matrix.ndim != 2 or v_matrix.shape[0] != shifts.h:
         raise ValueError(f"V of shape {v_matrix.shape} does not map into the {shifts.h}-dim space")
     min_x = 1.0 - opnorm(v_matrix) ** 2
-    if min_x < -p.tol:
+    if min_x < -tol:
         raise ValueError(f"x must be PSD up to tol, min eigenvalue {min_x:.3e}")
     x = hermitize(np.eye(shifts.h, dtype=complex) - v_matrix @ v_matrix.conj().T)
 
-    cond1 = []
+    top, cond1 = len(shifts.ends) - 1, []
     for i in range(shifts.d):
-        g = hermitize(shift_norm_sq(table, i, p.N).value * x - shifts.sandwich(i, x))
+        g = hermitize(shift_norm_sq(table, i, top).value * x - shifts.sandwich(i, x))
         cond1.append(float(np.linalg.eigvalsh(g)[0]) if g.size else 0.0)
 
-    p_of_x, inc2 = _graded_series(shifts, table, p.N, "b", x, start_degree=1,
-                                  window=p.tail_window)
-    gap = hermitize(x - p_of_x)
+    gap = hermitize(x - _graded_series(shifts, table, "b", x, start_degree=1))
     cond2_min = float(np.linalg.eigvalsh(gap)[0]) if gap.size else 0.0
-    cond2_tail = max(inc2, default=0.0)
+    cond3_res = hermitian_norm(_graded_series(shifts, table, "a", gap) - x)
 
-    recon, inc3 = _graded_series(shifts, table, p.N, "a", gap, window=p.tail_window)
-    cond3_res = hermitian_norm(recon - x)
-    cond3_tail = max(inc3, default=0.0)
-
-    verdict, failed = "factorable", None
-    if any(m < -p.tol for m in cond1):
-        verdict, failed = "not_factorable", 1
-    elif cond2_min < -p.tol:
-        verdict, failed = "not_factorable", 2
-    elif cond2_tail > p.tol:
-        verdict = "inconclusive"
-    elif cond3_res > p.tol:
-        verdict, failed = ("not_factorable", 3) if cond3_tail <= p.tol else ("inconclusive", None)
+    failures = [any(m < -tol for m in cond1), cond2_min < -tol, cond3_res > tol]
+    failed = failures.index(True) + 1 if any(failures) else None
     return FactorabilityReport(
-        verdict=verdict,
+        verdict="factorable" if failed is None else "not_factorable",
         failed_condition=failed,
         cond1_min_eigs=tuple(cond1),
         cond2_min_eig=cond2_min,
-        cond2_tail=cond2_tail,
         cond3_residual=cond3_res,
-        cond3_tail=cond3_tail,
     )
 
 

@@ -148,28 +148,25 @@ def _weighted_series(t, table: CoeffTable, n: int, which: str,
     return total, tail
 
 
-def _graded_series(s: "IndexShifts", table: CoeffTable, n: int, which: str, x: np.ndarray,
-                   start_degree: int = 0, window: int = 0):
-    """_weighted_series on the graded space of the shifts s with middle x, summed on prefixes.
+def _graded_series(s: "IndexShifts", table: CoeffTable, which: str, x: np.ndarray,
+                   start_degree: int = 0) -> np.ndarray:
+    """The whole series sum over k >= start_degree of c_k sigma^k(X) on the graded space of s.
 
     sigma^k(X) reads X only on degrees <= N - k (N the top degree of s) and
-    vanishes for k > N, so the total is Horner's H <- sigma(H) + c_k X from
-    the highest nonzero c_k with k <= min(n, N) down, H living on the leading
-    block of degrees <= N - k, where sigma gathers it.  Tail-window increments
-    past degree N are exact zeros; those at degrees <= N are _weighted_series'.
+    vanishes for k > N, so the series ends at N: nothing is truncated.  It is
+    Horner's H <- sigma(H) + c_k X from the highest nonzero c_k with k <= N
+    down, H living on the leading block of degrees <= N - k, where sigma
+    gathers it.
     """
-    coeffs = table.require_b(n) if which == "b" else table.require_a(n)
     top = len(s.ends) - 1
-    last = max((k for k in range(start_degree, min(n, top) + 1) if coeffs[k] != 0.0), default=0)
+    coeffs = table.require_b(top) if which == "b" else table.require_a(top)
+    last = max((k for k in range(start_degree, top + 1) if coeffs[k] != 0.0), default=0)
     total = np.zeros((0, 0), dtype=complex)  # sigma takes the empty block to zeros
     for k in range(last, -1, -1):
         total = _sigma(s, total, s.ends[top - k])
         if k >= start_degree:
             total += coeffs[k] * x[:len(total), :len(total)]
-    low = max(start_degree, n - window + 1)
-    if low > top:
-        return total, [0.0] * (n + 1 - low)
-    return total, _weighted_series(s, table, n, which, middle=x, start_degree=low, window=window)[1]
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ forms A, so differential tests can compare the two.  `dense_intertwining`
 pushes a big_dim identity through the tensored shifts to form M^alpha x I,
 where the package gathers the adjoint shifts on the columns of V.
 `dense_check_factorability` is the factorability test as it stood before
-the package summed its series on graded prefixes: it takes any Hermitian X
-and any tuple, dense or index-map, checks X by a full eigensolve and sums
-both series by the forward sigma-recursion `_weighted_series`.
+the package summed its series on graded prefixes to the top degree: it takes
+any Hermitian X and any tuple, dense or index-map, checks X by a full
+eigensolve, sums both series by the forward sigma-recursion
+`_weighted_series` to a given degree and watches their tail windows.
 `looped_canonical_phases` rotates one column at a time, where the package
 rotates every column by one broadcast product.  `zero_tuple_probe` is the
 CNP probe as it stood before the package read it as the Bergman
@@ -96,11 +97,11 @@ def dense_check_factorability(x, t, table, p):
     """Evaluate the factorability conditions for a Hermitian PSD matrix x.
 
     t is a dense tuple or index-map shifts, such as the tensored shifts of a
-    dilation space.  The constants c_i are the squared truncated shift norms
-    of the kernel.  Sign failures of conditions (1) and (2) are
-    definitive at this truncation; condition (3) distinguishes a
-    converged-but-wrong series (not factorable) from one that is still
-    moving (inconclusive).
+    dilation space.  The series run through degree p.N and the constants c_i
+    are the squared shift norms at p.N.  Sign failures of conditions (1) and
+    (2) are definitive at this truncation; a tail window above tol makes the
+    verdict inconclusive.  With p.N = top + tail_window for shifts of top
+    degree `top`, the windows see only the exact zeros past the top degree.
     """
     x = np.asarray(x, dtype=complex)
     # the Frobenius norm of x - x^* bounds its spectral norm, which needs an SVD
@@ -146,16 +147,13 @@ def dense_check_factorability(x, t, table, p):
         failed_condition=failed,
         cond1_min_eigs=tuple(cond1),
         cond2_min_eig=cond2_min,
-        cond2_tail=cond2_tail,
         cond3_residual=cond3_res,
-        cond3_tail=cond3_tail,
     )
 
 
 def condition_values(report):
-    """cond1 min-eigs, cond2 min-eig and tail, cond3 residual and tail of a FactorabilityReport."""
-    return (*report.cond1_min_eigs, report.cond2_min_eig, report.cond2_tail,
-            report.cond3_residual, report.cond3_tail)
+    """cond1 min-eigs, cond2 min-eig and cond3 residual of a FactorabilityReport."""
+    return (*report.cond1_min_eigs, report.cond2_min_eig, report.cond3_residual)
 
 
 def looped_canonical_phases(u):

@@ -127,7 +127,7 @@ def test_criterion_5_existence_equivalence(existence_examples):
             tuple(np.kron(m, np.eye(r, dtype=complex)) for m in v.shifts.ops.mats))
         p_series = cl.TruncationParams(N=ex.p.N + ex.p.tail_window, tol=ex.p.tol,
                                        tail_window=ex.p.tail_window)
-        fact = cl.check_factorability(v.matrix, v.tensored, table, p_series)
+        fact = cl.check_factorability(v.matrix, v.tensored, table, ex.p.tol)
         ref = dense_check_factorability(x, tensored, table, p_series)
         decided = report.status in ("admits", "does_not_admit") \
             and fact.verdict in ("factorable", "not_factorable")

@@ -383,8 +383,21 @@ def test_counterexample_block_out_of_range_exits_2(tmp_path, capsys, block, mess
      "got 'existance': 'admits'"),
     (lambda cfg: dict(cfg, expect={"existence": 1}), "expect must map suite names"),
     (lambda cfg: dict(cfg, output=5), "output must be a string, got 5"),
+    (lambda cfg: dict(cfg, tuple={"inline": dict(cfg["tuple"]["inline"], mats=5)}),
+     "tuple.mats must be a list of matrices, got 5"),
+    (lambda cfg: dict(cfg, tuple={"inline": dict(cfg["tuple"]["inline"], mats=None)}),
+     "tuple.mats must be a list of matrices, got None"),
+    (lambda cfg: dict(cfg, tuple={"inline": dict(cfg["tuple"]["inline"], mats=[{"re": 0.5}])}),
+     "matrix entries must be nested [re, im] pairs"),
+    (lambda cfg: dict(cfg, tuple={"path": 5}), "tuple.path must be a string, got 5"),
+    (lambda cfg: dict(cfg, kernel=dict(cfg["kernel"], rule=["szego"])),
+     "kernel.rule must be one of the strings ('szego', 'drury_arveson', 'bergman', "
+     "'dirichlet_t', 'custom'), got ['szego']"),
+    (lambda cfg: dict(cfg, kernel=dict(cfg["kernel"], rule={"name": "szego"})),
+     "kernel.rule must be one of the strings"),
 ], ids=["top-level", "kernel", "params", "truncation", "tuple", "inline", "counterexample",
-        "expect", "expect-name", "expect-verdict", "output"])
+        "expect", "expect-name", "expect-verdict", "output", "mats-number", "mats-null",
+        "mats-object", "path-number", "rule-list", "rule-object"])
 def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, change, message):
     # exit 1 is a suite's fail; a config that cannot be read is exit 2, before any suite runs
     assert run_cli_config(tmp_path, change(base_config(suites=["coeffs", "contraction"]))) == \
@@ -392,6 +405,20 @@ def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, change, m
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"config error: {message}")
     assert captured.err.count("\n") == 1
+
+
+def test_coeffs_suite_needs_ten_coefficients(tmp_path, capsys):
+    # the radius estimator reads 10 coefficients of each series, b_1..b_10 among them
+    cfg = {"kernel": {"d": 1, "rule": "szego", "N_max": 5},
+           "truncation": {"N": 1, "tail_window": 1}, "suites": ["coeffs"]}
+    assert run_cli_config(tmp_path, cfg) == (2, False)
+    assert capsys.readouterr().err == (
+        "config error: kernel.N_max (5) must be at least 10 for the coeffs suite: its radius "
+        "estimator needs 10 coefficients of each series\n")
+    cfg["kernel"]["N_max"] = 10
+    assert run_cli_config(tmp_path, cfg) == (0, True)
+    cfg["kernel"]["N_max"], cfg["suites"] = 5, ["counterexample"]  # no radius estimate
+    assert run_cli_config(tmp_path, cfg) == (0, True)
 
 
 def test_tol_override_needs_a_truncation_object(tmp_path, capsys):

@@ -125,10 +125,11 @@ def test_factorability_zero_operator():
     table = cl.build_table(cl.szego(), 12)
     shifts = cl.shift_matrices(table, 8)
     # V = I gives X = I - V V^* = 0
-    report = cl.check_factorability(np.eye(shifts.dim), shifts.index, table, P(8))
+    report = cl.check_factorability(np.eye(shifts.dim), shifts.index, table, 1e-9)
     assert report.verdict == "factorable"
     x = np.zeros((shifts.dim, shifts.dim))
-    assert_matches_reference(report, dense_check_factorability(x, shifts.ops, table, P(8)))
+    # the reference sums to top + tail_window: the same finite series
+    assert_matches_reference(report, dense_check_factorability(x, shifts.ops, table, P(8 + 3)))
 
 
 def test_factorability_identity_on_szego_shift():
@@ -136,12 +137,12 @@ def test_factorability_identity_on_szego_shift():
     shifts = cl.shift_matrices(table, 8)
     p = P(8)
     # V with no columns gives X = I
-    report = cl.check_factorability(np.zeros((shifts.dim, 0)), shifts.index, table, p)
+    report = cl.check_factorability(np.zeros((shifts.dim, 0)), shifts.index, table, p.tol)
     assert report.verdict == "factorable"
     assert report.cond2_min_eig >= -1e-12
     assert report.cond3_residual <= 1e-12
     assert_matches_reference(report, dense_check_factorability(np.eye(shifts.dim), shifts.ops,
-                                                               table, p))
+                                                               table, P(p.N + 3)))
     # the gap X - P(X) is exactly the rank-one projection onto the constants
     powers = TuplePowers(shifts.ops, p.N)
     gap = np.eye(shifts.dim, dtype=complex)
@@ -161,7 +162,7 @@ def test_factorability_bergman_projection_fails_cond2():
     p = P(12)
     t0 = cl.shift_matrices(table, 0).ops  # compression to the constants
     v = cl.build_dilation(t0, table, p)
-    report = cl.check_factorability(v.matrix, v.tensored, table, P(p.N + 3))
+    report = cl.check_factorability(v.matrix, v.tensored, table, p.tol)
     assert report.verdict == "not_factorable"
     assert report.failed_condition == 2
     assert report.cond2_min_eig <= -(1.0 / 3.0) + 1e-10
@@ -178,13 +179,44 @@ def test_factorability_rejects_a_non_contractive_v():
     v[0, 0] = v[3, 1] = 1.0
     v[:, 1] *= np.sqrt(1.0 + 2e-9)
     with pytest.raises(ValueError, match="PSD up to tol"):
-        cl.check_factorability(v, shifts.index, table, P(6))
+        cl.check_factorability(v, shifts.index, table, 1e-9)
     v[3, 1] = np.sqrt(1.0 + 0.5e-9)  # within tol: checked, not rejected
     x = np.eye(shifts.dim) - v @ v.T
-    assert_matches_reference(cl.check_factorability(v, shifts.index, table, P(6)),
-                             dense_check_factorability(x, shifts.ops, table, P(6)))
+    assert_matches_reference(cl.check_factorability(v, shifts.index, table, 1e-9),
+                             dense_check_factorability(x, shifts.ops, table, P(6 + 3)))
     with pytest.raises(ValueError, match="does not map into"):
-        cl.check_factorability(v[1:], shifts.index, table, P(6))
+        cl.check_factorability(v[1:], shifts.index, table, 1e-9)
+
+
+COND3_DEGREE = {1: 10, 2: 5, 3: 3}
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
+       r=st.sampled_from([1, 2]), cols=st.integers(min_value=1, max_value=3),
+       kernel=st.sampled_from(["szego", "drury_arveson", "bergman2", "bergman3", "dirichlet",
+                               "custom"]))
+@settings(max_examples=60, deadline=None)
+def test_factorability_cond3_is_an_identity_on_the_finite_space(seed, d, r, cols, kernel):
+    # A(t) (1 - B(t)) = 1 and sigma^(N+1) = 0 on the truncated space, so the
+    # a-series of X - P(X) gives back X for every X: condition 3 measures
+    # rounding only, under any kernel (CNP or not) and any V with |V| <= 1
+    rng = np.random.default_rng(seed)
+    n = COND3_DEGREE[d]
+    spec = {
+        "szego": lambda: cl.KernelSpec(d=d, rule="szego"),
+        "drury_arveson": lambda: cl.drury_arveson(d),
+        "bergman2": lambda: cl.bergman(2, d=d),
+        "bergman3": lambda: cl.bergman(3, d=d),
+        "dirichlet": lambda: cl.dirichlet_t(rng.uniform(0.0, 2.0), d=d),
+        "custom": lambda: cl.custom_kernel([1.0, *rng.uniform(0.5, 1.5, n + 1)], d=d),
+    }[kernel]()
+    table = cl.build_table(spec, n + 1)
+    shifts = cl.shift_matrices(table, n).index.tensor(r)
+    v = rng.standard_normal((shifts.h, cols)) + 1j * rng.standard_normal((shifts.h, cols))
+    v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v, 2)
+    report = cl.check_factorability(v, shifts, table, 1e-9)
+    assert report.cond3_residual <= 1e-12
+    assert report.failed_condition != 3
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +316,7 @@ def test_existence_factorability_consistency(existence_examples):
         r = v.codomain_dims[1]
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
         p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
-        fact = cl.check_factorability(v.matrix, v.tensored, table, p_series)
+        fact = cl.check_factorability(v.matrix, v.tensored, table, ex.p.tol)
         assert_matches_reference(fact, dense_check_factorability(
             x, tensored_shifts(v.shifts, r), table, p_series), ex.name)
         assert report.status in ("admits", "does_not_admit"), ex.name
@@ -303,7 +335,7 @@ def test_factorability_on_index_shifts_matches_dense(existence_examples):
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
         p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
         dense = dense_check_factorability(x, tensored_shifts(v.shifts, r), table, p_series)
-        gather = cl.check_factorability(v.matrix, v.shifts.index.tensor(r), table, p_series)
+        gather = cl.check_factorability(v.matrix, v.shifts.index.tensor(r), table, ex.p.tol)
         assert_matches_reference(gather, dense, ex.name)
         assert_matches_reference(dense_check_factorability(x, v.tensored, table, p_series),
                                  dense, ex.name)
