@@ -21,8 +21,8 @@ from ._linalg import RANK_REL_TOL, hermitian_norm, hermitize, opnorm
 from .coeffs import (CoeffTable, KernelValue, as_points, graded_position, in_ball,
                      inner_products, is_cnp, kernel_eval, multi_coeff, scalar_series)
 from .errors import DomainError, NonConvergedError, NotCnpError
-from .model import DilationMap
-from .tuples import OperatorTuple, TruncationParams, _graded_series
+from .model import DilationMap, defect_columns, reached_span
+from .tuples import OperatorTuple, TruncationParams
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +296,9 @@ class ModelReport:
     """Residuals of the functional-model identities on the truncated space.
 
     compression_residual: recovering each T_i by compressing the tensored
-    shifts through the embedding.  factor_residual: I - V V^* against the
-    multiplication operator of theta times its adjoint, summed from the
-    exact Taylor blocks of theta.
+    shifts through the embedding.  factor_residual: the norm of R, which
+    vanishes exactly when I - V V^* = M_theta M_theta^*, with M_theta summed
+    from the exact Taylor blocks of theta (`verify_model`).
     """
 
     compression_residual: float
@@ -342,40 +342,29 @@ def _taylor_blocks(lift: TupleLift) -> np.ndarray:
     return blocks
 
 
-def _model_gap(lift: TupleLift) -> np.ndarray:
-    """(I - V V^*) - M_theta M_theta^* on the truncated model space.
-
-    Column beta of M_theta is sum_delta sqrt(a_beta / a_{beta+delta})
-    e(beta + delta) x Theta_delta, and S^beta e(delta) = sqrt(a_delta /
-    a_{delta+beta}) e(delta + beta) for the tensored shifts S_i, so
-    M_theta M_theta^* = sum_k a_k sigma^k(X), with X = D^{-1/2} G D^{-1/2},
-    G = Theta Theta^* the Gram matrix of the Taylor stack (theta's other
-    inputs add 0), D = diag(a_delta) x I_r and sigma(Y) = sum_i S_i Y S_i^*,
-    summed on graded prefixes (`_graded_series`).
-    """
-    v = lift.dilation
-    r = v.codomain_dims[1]
-    flat = _taylor_blocks(lift).reshape(v.big_dim, -1)
-    scale = np.repeat(1.0 / np.sqrt(v.shifts.a_alpha), r)
-    x = scale[:, None] * (flat @ flat.conj().T) * scale
-    acc = _graded_series(v.tensored, v.table, "a", x)
-    return np.eye(v.big_dim, dtype=complex) - v.matrix @ v.matrix.conj().T - acc
-
-
 def verify_model(lift: TupleLift) -> ModelReport:
     """Check that the embedding carries the functional model back to the tuple.
 
     Verifies max_i |V^* (M_i x I) V - T_i| and the factorization of
-    I - V V^* by the truncated multiplication operator of theta, summed
-    from the exact Taylor blocks of theta through degree N: the column of
-    theta at a positive multi-index alpha starts at z-degree |alpha|, so
-    every degree up to N is needed.
+    I - V V^* by the truncated multiplication operator of theta.  Column beta
+    of M_theta is sum_delta sqrt(a_beta / a_{beta+delta}) e(beta + delta) x
+    Theta_delta, over the Taylor blocks of theta through degree N (its column
+    at alpha starts at z-degree |alpha|), so M_theta M_theta^* = sum_k a_k
+    sigma^k(W W^*), W the Taylor stack scaled by diag(a_delta)^(-1/2) x I_r.
+    On this space sum_k a_k sigma^k and 1 - sum_{k>=1} b_k sigma^k are inverse
+    maps (A(t) (1 - B(t)) = 1, sigma^(N+1) = 0), so the factorization holds
+    exactly when R = W W^* - (X - sum_k b_k sigma^k(X)) = 0, X = I - V V^*.
+    factor_residual is |R|, from its compression to the span of W and the
+    cond2 gap's columns (`defect_columns`, `reached_span`).
     """
     v = lift.dilation
     comp_res = max(opnorm(v.matrix.conj().T @ v.tensored.apply(i, v.matrix) - v.ops.mats[i])
                    for i in range(v.ops.d))
-    return ModelReport(compression_residual=comp_res,
-                       factor_residual=hermitian_norm(_model_gap(lift)))
+    scale = np.repeat(1.0 / np.sqrt(v.shifts.a_alpha), v.codomain_dims[1])
+    w = scale[:, None] * _taylor_blocks(lift).reshape(v.big_dim, -1)
+    cols, weights = defect_columns(v.tensored, v.table, v.matrix, -1.0)
+    _, r = reached_span(np.hstack([w, cols]), np.append(np.ones(w.shape[1]), -weights))
+    return ModelReport(compression_residual=comp_res, factor_residual=hermitian_norm(r))
 
 
 def eval_to_dict(ev: CharFnEval, i: int) -> dict:

@@ -148,6 +148,13 @@ def strict_float(value, name: str) -> float:
     return float(value)
 
 
+def json_string(value, name: str) -> str:
+    """value, which must be a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def json_object(value, name: str) -> dict:
     """value, which must be a JSON object."""
     if not isinstance(value, dict):
@@ -175,7 +182,8 @@ def kernel_from_dict(spec: dict) -> tuple[KernelSpec, int]:
         param = tuple(strict_float(c, f"kernel.params.coeffs[{i}]") for i, c in enumerate(coeffs))
     else:
         param = None
-    return (KernelSpec(d=d, rule=rule, param=param, label=spec.get("label", "")),
+    label = json_string(spec.get("label", ""), "kernel.label")
+    return (KernelSpec(d=d, rule=rule, param=param, label=label),
             strict_degree(spec.get("N_max", 64), "kernel.N_max"))
 
 
@@ -217,9 +225,7 @@ def load_tuple_source(source: dict, base_dir: str = ".") -> tuple:
     if "inline" in json_object(source, "tuple"):
         return mats_from_tuple_dict(source["inline"])
     if "path" in source:
-        path = source["path"]
-        if not isinstance(path, str):
-            raise ValueError(f"tuple.path must be a string, got {path!r}")
+        path = json_string(source["path"], "tuple.path")
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         with open(path) as fh:
@@ -240,7 +246,6 @@ def counterexample_block(ce: dict) -> dict:
         raise ValueError(f"counterexample.N_list must be a non-empty list of integers, got {n_list!r}")
     n_list = [strict_degree(n, f"counterexample.N_list[{i}]", 0) for i, n in enumerate(n_list)]
     d = strict_int(ce.get("d", 1), "counterexample.d", 1)
-    build_table(bergman(m, d), max(n_list) + 4)  # the largest table a point builds; raises on overflow
     return {"m": m, "N_list": n_list, "d": d}
 
 
@@ -256,8 +261,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         tol=strict_float(trunc_raw.get("tol", 1e-9), "truncation.tol"),
         tail_window=strict_int(trunc_raw.get("tail_window", 3), "truncation.tail_window"),
     )
-    # the existence suite sums the associated defect through N + tail_window;
-    # the floor asks for one degree more than that
+    # one degree above N + tail_window: more than any suite needs (the shifts
+    # read a_(N+1)), kept as the documented floor
     floor = trunc.N + trunc.tail_window + 1
     if n_table < floor:
         raise ValueError(
@@ -288,8 +293,12 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
             raise ValueError(f"expect must map suite names {list(SUITE_ORDER)} to verdict "
                              f"strings, got {name!r}: {verdict!r}")
     output = raw.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ValueError(f"output must be a string, got {output!r}")
+    if output is not None:
+        json_string(output, "output")
+    counterexample = counterexample_block(raw.get("counterexample", {}))
+    if "counterexample" in suites:  # the largest table a point builds; raises on overflow
+        build_table(bergman(counterexample["m"], counterexample["d"]),
+                    max(counterexample["N_list"]) + 4)
     return RunConfig(
         kernel=kernel,
         n_table=n_table,
@@ -299,8 +308,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         expect=dict(expect),
         seed=strict_int(raw.get("seed", 2024), "seed", 0),
         output=output,
-        counterexample=counterexample_block(raw.get("counterexample", {})),
-        label=raw.get("label", ""),
+        counterexample=counterexample,
+        label=json_string(raw.get("label", ""), "label"),
         raw=raw,
     )
 

@@ -92,6 +92,15 @@ def graded_position(d: int, n: int, rows) -> np.ndarray:
     return order[np.searchsorted(keys, rows @ (n + 1) ** np.arange(d))]
 
 
+def graded_steps(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each alpha != 0 of graded_indices(d, n): its first nonzero coordinate i and the
+    position of alpha - e_i, which comes earlier, so a graded stack of products is built
+    one factor per multi-index."""
+    idx = np.array(graded_indices(d, n))[1:]
+    first = np.argmax(idx > 0, axis=1)
+    return first, graded_position(d, n, idx - np.eye(d, dtype=int)[first])
+
+
 def multinomial(alpha: Sequence[int]) -> int:
     """Multinomial coefficient |alpha|! / prod(alpha_i!), an exact integer at every degree."""
     entries = tuple(int(a) for a in alpha)

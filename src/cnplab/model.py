@@ -16,16 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import (
-    RANK_REL_TOL,
-    canonical_phases,
-    hermitian_norm,
-    hermitize,
-    opnorm,
-    split_rank,
-)
-from .coeffs import (CoeffTable, bergman, build_table, graded_position,
-                     multi_coeff)  # noqa: F401  multi_coeff: tracers rebind it in every namespace
+from ._linalg import RANK_REL_TOL, canonical_phases, hermitize, opnorm, split_rank
+from .coeffs import (CoeffTable, bergman, build_table, graded_indices, graded_position,
+                     graded_steps, multi_coeff)
 from .errors import DegenerateDilationError, PrerequisiteError
 from .tuples import (
     DefectData,
@@ -34,15 +27,11 @@ from .tuples import (
     TruncatedShifts,
     TruncationParams,
     TuplePowers,
-    _graded_series,
-    _sigma,
-    _weighted_series,
     defect,
     is_contraction,  # noqa: F401  bound here too: tracers rebind it in every module namespace
     is_pure,
     shift_matrices,
     shift_norm_sq,
-    ContractionVerdict,
 )
 
 
@@ -146,24 +135,78 @@ def check_intertwining(v: DilationMap, alphas: Sequence[tuple]) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The span a defect reaches
+# ---------------------------------------------------------------------------
+
+def defect_columns(shifts: IndexShifts, table: CoeffTable, x: np.ndarray,
+                   x_weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """Columns C and weights w with C diag(w) C^* = Y - sum_{k>=1} b_k sigma^k(I - X X^*),
+    Y = I + x_weight X X^*: the cond2 gap of V = X at -1, the associated defect's operator at 0.
+
+    On the graded space, I - sum_{k>=1} b_k sigma^k(I) = E_0, the projection
+    onto degree 0, exactly: sigma^k(I) at degree j reads the shifts only down
+    to degree j - k >= 0, where nothing is cut.  sigma^k(X X^*) is the sum of
+    multinomial(alpha) (M^alpha X)(M^alpha X)^* over |alpha| = k.  So C is E_0
+    (weight 1) and the gathers M^alpha X for |alpha| <= m (weights x_weight,
+    then b_alpha; zero ones dropped), m <= N the last degree with b_m != 0.
+    """
+    top = len(shifts.ends) - 1
+    b = table.require_b(top)
+    m = max((k for k in range(1, top + 1) if b[k] != 0.0), default=0)
+    first, lower = graded_steps(shifts.d, m)
+    gathers = np.empty((len(first) + 1, *x.shape), dtype=complex)
+    gathers[0] = x
+    for j, (i, k) in enumerate(zip(first, lower), start=1):
+        gathers[j] = shifts.apply(i, gathers[k])
+    weights = np.append(x_weight, multi_coeff(table, graded_indices(shifts.d, m)[1:], "b"))
+    keep = np.flatnonzero(weights)
+    cols = np.hstack([np.eye(shifts.h, shifts.ends[0]), *gathers[keep]])
+    return cols, np.append(np.ones(shifts.ends[0]), np.repeat(weights[keep], x.shape[1]))
+
+
+def reached_span(cols: np.ndarray, weights: np.ndarray,
+                 lead: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, S): P C diag(w) C^* P = Q S Q^*, P = I - L L^* for the orthonormal lead L.
+
+    Q is an orthonormal basis, orthogonal to L, of a space holding Ran P C, so
+    the eigenvalues on Ran P are those of S, and 0 when Q is narrower.  Q and
+    the coordinates of P C come from the QR of [L, C] without pivoting: no rank
+    is decided, dependent columns only widen Q.  With no lead and at least as
+    many columns as rows, Q is the identity and S the operator itself.
+    """
+    k = 0 if lead is None else lead.shape[1]
+    if k == 0 and cols.shape[1] >= cols.shape[0]:
+        q, r = np.eye(cols.shape[0]), cols
+    else:
+        q, r = np.linalg.qr(cols if k == 0 else np.hstack([lead, cols]))
+        q, r = q[:, k:], r[k:, k:]
+    return q, hermitize((r * weights) @ r.conj().T)
+
+
+def _min_eig(vals: np.ndarray, short: bool) -> float:
+    """vals[0], or 0 when the span is short and 0 is smaller: the eigenvalue off the span."""
+    smallest = float(vals[0]) if len(vals) else 0.0
+    return min(smallest, 0.0) if short else smallest
+
+
+# ---------------------------------------------------------------------------
 # Factorability of a positive operator
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FactorabilityReport:
-    """Numerical evaluation of the three factorability conditions.
+    """Numerical evaluation of the factorability conditions.
 
     cond1: per-coordinate min eigenvalue of c_i X - T_i X T_i^*.
     cond2: min eigenvalue of X - P(X) where P(X) is the b-weighted series.
-    cond3: residual of the a-weighted series of X - P(X) against X.
-    The verdict is factorable only when all three pass.
+    The verdict is factorable only when both pass; condition (3) holds
+    identically on the truncated space (`check_factorability`).
     """
 
     verdict: str  # "factorable" | "not_factorable"
     failed_condition: int | None
     cond1_min_eigs: tuple
     cond2_min_eig: float
-    cond3_residual: float
 
 
 def check_factorability(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffTable,
@@ -172,13 +215,13 @@ def check_factorability(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffT
 
     shifts act on the graded space of the rows of V, such as the tensored
     shifts of a dilation space.  X is PSD exactly when |V| <= 1: its
-    eigenvalues are 1 - eig(V^* V) and 1s.  The constants c_i are the squared
-    shift norms of the kernel at the top degree N of the shifts.  The shifts
-    are nilpotent, sigma^(N+1) = 0, so both series are finite sums, summed to
-    N on graded prefixes (`_graded_series`), and the verdict is two-valued.
-    Condition (3) holds identically on this space: A(t) (1 - B(t)) = 1 for
-    the a- and b-series, and every product term of degree above N meets
-    sigma^(N+1) = 0, so its residual measures rounding only.
+    eigenvalues are 1 - eig(V^* V) and 1s.  Condition (1) takes d eigensolves
+    of X, with c_i the squared shift norms at the top degree N.  The shifts
+    are nilpotent, sigma^(N+1) = 0, so the b-series is finite and the verdict
+    two-valued; the cond2 gap vanishes off the span of E_0 and the gathers
+    M^alpha V (`defect_columns`), so its eigenvalues come from its compression
+    there (`reached_span`).  Condition (3) is not evaluated: A(t) (1 - B(t)) = 1
+    and sigma^(N+1) = 0 make it hold identically on this space.
     """
     v_matrix = np.asarray(v_matrix, dtype=complex)
     if v_matrix.ndim != 2 or v_matrix.shape[0] != shifts.h:
@@ -193,18 +236,15 @@ def check_factorability(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffT
         g = hermitize(shift_norm_sq(table, i, top).value * x - shifts.sandwich(i, x))
         cond1.append(float(np.linalg.eigvalsh(g)[0]) if g.size else 0.0)
 
-    gap = hermitize(x - _graded_series(shifts, table, "b", x, start_degree=1))
-    cond2_min = float(np.linalg.eigvalsh(gap)[0]) if gap.size else 0.0
-    cond3_res = hermitian_norm(_graded_series(shifts, table, "a", gap) - x)
+    basis, gap = reached_span(*defect_columns(shifts, table, v_matrix, -1.0))
+    cond2_min = _min_eig(np.linalg.eigvalsh(gap), basis.shape[1] < shifts.h)
 
-    failures = [any(m < -tol for m in cond1), cond2_min < -tol, cond3_res > tol]
-    failed = failures.index(True) + 1 if any(failures) else None
+    failed = 1 if any(m < -tol for m in cond1) else 2 if cond2_min < -tol else None
     return FactorabilityReport(
         verdict="factorable" if failed is None else "not_factorable",
         failed_condition=failed,
         cond1_min_eigs=tuple(cond1),
         cond2_min_eig=cond2_min,
-        cond3_residual=cond3_res,
     )
 
 
@@ -214,51 +254,43 @@ def check_factorability(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffT
 
 @dataclass(frozen=True)
 class AssociatedTuple:
-    """Compression K^* (M_i x I) K of the tensored shifts to Ker V^*, never formed.
+    """The restriction of the tensored shifts M_i x I to Ker V^*, never formed.
 
-    `basis` K and `range_basis` U are orthonormal bases of Ker V^* and Ran V.
-    Ker V^* is invariant for the shifts up to truncation, so the compression
-    equals the restriction up to `invariance_residual`, measured on rows of
-    degree <= N - 1 where the cut-off cannot pollute it.
+    `range_basis` U is an orthonormal basis of Ran V, so P = I - U U^* is the
+    projection onto Ker V^*, of dimension `dim`.  Ker V^* is invariant for
+    the shifts up to truncation, so the restriction equals the compression
+    up to `invariance_residual`, measured on rows of degree <= N - 1 where
+    the cut-off cannot pollute it.
     """
 
-    basis: np.ndarray
     range_basis: np.ndarray
     invariance_residual: float
     dim: int
 
 
 def associated_tuple(v: DilationMap) -> AssociatedTuple:
-    u, svals, _ = np.linalg.svd(v.matrix, full_matrices=True)
+    u, svals, _ = np.linalg.svd(v.matrix, full_matrices=False)
     rank = split_rank(svals, RANK_REL_TOL)
-    k = canonical_phases(u[:, rank:])
     u = u[:, :rank]
-    # the part of (M_i x I) K leaving span K is U U^* (M_i x I) K, of rank <= h;
+    # the part of (M_i x I) P leaving Ran P is U U^* (M_i x I) P, of rank <= h;
     # with U[interior] = Q R its interior rows (degrees <= N - 1, which lead the
-    # graded order) have the norm of R U^* (M_i x I) K
+    # graded order) have the norm of R U^* (M_i x I) P, an h x big_dim product
     _, r_int = np.linalg.qr(u[:v.tensored.ends[v.N - 1]])
-    inv_res = max(opnorm(r_int @ (u.conj().T @ v.tensored.apply(i, k))) for i in range(v.ops.d))
-    return AssociatedTuple(basis=k, range_basis=u, invariance_residual=inv_res, dim=k.shape[1])
+    inv_res = 0.0
+    for i in range(v.ops.d):
+        y = v.tensored.apply_adjoint(i, u).conj().T  # U^* (M_i x I)
+        inv_res = max(inv_res, opnorm(r_int @ (y - (y @ u) @ u.conj().T)))
+    return AssociatedTuple(range_basis=u, invariance_residual=inv_res, dim=v.big_dim - rank)
 
 
-def _associated_defect(v: DilationMap, assoc: AssociatedTuple, n: int):
-    """I - sum_{1<=k<=n} b_k sigma_A^k(I) for the associated tuple A, and its tail-window norms.
+def _associated_defect(v: DilationMap, assoc: AssociatedTuple):
+    """(Q, S) of `reached_span` for the associated defect I - sum_{k>=1} b_k sigma_A^k(I).
 
-    With P = K K^* = I - U U^*, sigma_A^k(I) = K^* W_k K exactly, where W_0 = P
-    and W_k = P sigma_M(W_{k-1}) P is summed on the model space by the shifts'
-    index gathers.  W_k = P W_k P, so b_k W_k has the norm of its compression.
+    For the restriction A of the shifts to Ker V^* = Ran P, sigma_A^k(I) =
+    sigma^k(P) there, so the defect is P (I - sum_k b_k sigma^k(I - U U^*)) P.
     """
-    u, k = assoc.range_basis, assoc.basis
-
-    def projected_sigma(x):  # P applied as rank-h corrections
-        y = _sigma(v.tensored, x)
-        y = y - u @ (u.conj().T @ y)
-        return y - (y @ u) @ u.conj().T
-
-    proj = np.eye(v.big_dim, dtype=complex) - u @ u.conj().T
-    total, tail = _weighted_series(v.tensored, v.table, n, "b", middle=proj, start_degree=1,
-                                   window=v.params.tail_window, sigma=projected_sigma)
-    return hermitize(np.eye(assoc.dim, dtype=complex) - k.conj().T @ total @ k), tail
+    u = assoc.range_basis
+    return reached_span(*defect_columns(v.tensored, v.table, u, 0.0), lead=u)
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +306,22 @@ class ExistenceReport:
     value.
     """
 
-    status: str  # "admits" | "does_not_admit" | "inconclusive"
+    status: str  # "admits" | "does_not_admit"
     value: float
     witness: np.ndarray | None
-    contraction: ContractionVerdict
     invariance_residual: float
-    kernel_dim: int
 
 
 def admits_charfn(v: DilationMap) -> ExistenceReport:
     """Decide whether the pure tuple embedded by v admits a characteristic function.
 
-    Runs the contractivity test on the tuple associated with the dilation,
-    against the dilation's kernel and truncation, with its defect summed on
-    the model space (`_associated_defect`).  Non-pure inputs are
-    rejected: outside the hypothesis there is nothing to decide.  Purity is
-    tested on the defect the dilation already holds.  The associated tuple
-    lives on a space truncated at degree N where the shifts are nilpotent
-    of order N + 1, so its contraction series is summed through
-    N + tail_window: past degree N the increments vanish identically and
-    the tail verdict reflects the finite matrix algebra, not the cut-off.
-    The table must therefore extend through N + tail_window.
+    Tests whether the tuple associated with the dilation is a contraction
+    for the dilation's kernel: the smallest eigenvalue of its defect
+    (`_associated_defect`) against -tol.  Non-pure inputs are rejected:
+    outside the hypothesis there is nothing to decide.  Purity is tested on
+    the defect the dilation already holds.  The defect is a finite sum, so
+    the verdict is two-valued; the witness is the eigenvector of the
+    smallest eigenvalue of the compression, lifted back to the model space.
     """
     table, p = v.table, v.params
     purity = is_pure(v.ops, table, p, defect_data=v.defect_data)
@@ -304,22 +331,15 @@ def admits_charfn(v: DilationMap) -> ExistenceReport:
             f"(residual {purity.residual:.3e})"
         )
     assoc = associated_tuple(v)
-    delta_sq, tail = _associated_defect(v, assoc, p.N + p.tail_window)
-    vals = np.linalg.eigvalsh(delta_sq)  # none when Ker V^* = 0: an empty tuple contracts
-    min_eig = float(vals[0]) if len(vals) else 0.0
-    verdict = ContractionVerdict.decide(min_eig, max(tail, default=0.0), p.tol)
-    status = {"yes": "admits", "no": "does_not_admit"}.get(verdict.status, "inconclusive")
-    witness = None
-    if status == "does_not_admit":
-        _, vecs = np.linalg.eigh(delta_sq)
-        witness = canonical_phases((assoc.basis @ vecs[:, :1]))[:, 0]
+    basis, delta_sq = _associated_defect(v, assoc)
+    vals, vecs = np.linalg.eigh(delta_sq)  # none when Ker V^* = 0: an empty tuple contracts
+    min_eig = _min_eig(vals, basis.shape[1] < assoc.dim)
+    witness = canonical_phases(basis @ vecs[:, :1])[:, 0] if min_eig < -p.tol else None
     return ExistenceReport(
-        status=status,
-        value=verdict.min_eig,
+        status="admits" if witness is None else "does_not_admit",
+        value=min_eig,
         witness=witness,
-        contraction=verdict,
         invariance_residual=assoc.invariance_residual,
-        kernel_dim=assoc.dim,
     )
 
 
@@ -346,13 +366,13 @@ class CounterexamplePoint:
 
 
 def _compressed_shift_forms(table: CoeffTable, n: int, big_n: int, degrees) -> list[float]:
-    """Associated-defect forms, at K^* e(k e_1) for k in degrees, of the shifts compressed
-    to degrees <= n and embedded at truncation big_n."""
+    """Associated-defect forms, at the vectors e(k e_1) for k in degrees, of the shifts
+    compressed to degrees <= n and embedded at truncation big_n.  The defect acts on Ker
+    V^* = Ran P, so the form at e is that of P e, read from the compression at Q^* e."""
     v = build_dilation(shift_matrices(table, n).ops, table, TruncationParams(N=big_n))
-    assoc = associated_tuple(v)
-    delta_sq, _ = _associated_defect(v, assoc, big_n)
+    basis, delta_sq = _associated_defect(v, associated_tuple(v))
     targets = graded_position(table.d, big_n, [(k,) + (0,) * (table.d - 1) for k in degrees])
-    coords = assoc.basis[targets * v.codomain_dims[1]].conj()  # row j: K^* e at target j
+    coords = basis[targets * v.codomain_dims[1]].conj()  # row j: Q^* e at target j
     return [float(np.real(np.vdot(c, delta_sq @ c))) for c in coords]
 
 

@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import RANK_REL_TOL, hermitian_norm, hermitize, opnorm, orthonormal_range, psd_sqrt
-from .coeffs import CoeffTable, graded_count, graded_indices, graded_position, multi_coeff
+from .coeffs import (CoeffTable, graded_count, graded_indices, graded_position, graded_steps,
+                     multi_coeff)
 from .errors import CommutationError
 
 COMMUTATOR_TOL = 1e-12
@@ -100,10 +101,8 @@ class TuplePowers:
 
     def __init__(self, t: OperatorTuple, n: int):
         self.tuple, self.n = t, n
-        idx = np.array(graded_indices(t.d, n))[1:]
-        first = np.argmax(idx > 0, axis=1)
-        lower = graded_position(t.d, n, idx - np.eye(t.d, dtype=int)[first])
-        self.stack = np.empty((len(idx) + 1, t.h, t.h), dtype=complex)
+        first, lower = graded_steps(t.d, n)
+        self.stack = np.empty((len(first) + 1, t.h, t.h), dtype=complex)
         self.stack[0] = np.eye(t.h)
         for j, (i, k) in enumerate(zip(first, lower), start=1):
             self.stack[j] = t.mats[i] @ self.stack[k]
@@ -112,22 +111,21 @@ class TuplePowers:
         return self.stack[graded_position(self.tuple.d, self.n, [alpha])[0]]
 
 
-def _sigma(t, x: np.ndarray, *size) -> np.ndarray:
-    """sigma(X) = sum_i T_i X T_i^*, the completely positive map (size: IndexShifts.sandwich)."""
-    return sum(t.sandwich(i, x, *size) for i in range(t.d))
+def _sigma(t, x: np.ndarray) -> np.ndarray:
+    """sigma(X) = sum_i T_i X T_i^*, the completely positive map."""
+    return sum(t.sandwich(i, x) for i in range(t.d))
 
 
 def _weighted_series(t, table: CoeffTable, n: int, which: str,
-                     middle: np.ndarray | None = None, start_degree: int = 0, window: int = 0,
-                     sigma=None):
+                     middle: np.ndarray | None = None, start_degree: int = 0, window: int = 0):
     """sum over k in [start_degree, n] of c_k sigma^k(M), with c_k = a_k or b_k.
 
     t (an OperatorTuple or IndexShifts) commutes, so sigma^k(M) is
     sum_{|alpha|=k} multinomial(alpha) T^alpha M (T^alpha)^*.  Returns (total,
     norms of the summed increments among the last `window` degrees).  M (the
-    identity by default) and so every increment is Hermitian; a linear `sigma`
-    replaces the tuple's own.  The recursion stops once every later increment
-    is exactly 0: zero times a finite matrix, or the zero matrix.
+    identity by default) and so every increment is Hermitian.  The recursion
+    stops once every later increment is exactly 0: zero times a finite
+    matrix, or the zero matrix.
     """
     coeffs = table.require_b(n) if which == "b" else table.require_a(n)
     last = max((k for k in range(start_degree, n + 1) if coeffs[k] != 0.0), default=-1)
@@ -136,7 +134,7 @@ def _weighted_series(t, table: CoeffTable, n: int, which: str,
     tail: list[float] = []
     for k in range(n + 1):
         if k:
-            layer = _sigma(t, layer) if sigma is None else sigma(layer)
+            layer = _sigma(t, layer)
         if k >= start_degree:
             inc = coeffs[k] * layer
             total += inc
@@ -146,27 +144,6 @@ def _weighted_series(t, table: CoeffTable, n: int, which: str,
             tail += [0.0] * (n - max(k, n - window, start_degree - 1))
             break
     return total, tail
-
-
-def _graded_series(s: "IndexShifts", table: CoeffTable, which: str, x: np.ndarray,
-                   start_degree: int = 0) -> np.ndarray:
-    """The whole series sum over k >= start_degree of c_k sigma^k(X) on the graded space of s.
-
-    sigma^k(X) reads X only on degrees <= N - k (N the top degree of s) and
-    vanishes for k > N, so the series ends at N: nothing is truncated.  It is
-    Horner's H <- sigma(H) + c_k X from the highest nonzero c_k with k <= N
-    down, H living on the leading block of degrees <= N - k, where sigma
-    gathers it.
-    """
-    top = len(s.ends) - 1
-    coeffs = table.require_b(top) if which == "b" else table.require_a(top)
-    last = max((k for k in range(start_degree, top + 1) if coeffs[k] != 0.0), default=0)
-    total = np.zeros((0, 0), dtype=complex)  # sigma takes the empty block to zeros
-    for k in range(last, -1, -1):
-        total = _sigma(s, total, s.ends[top - k])
-        if k >= start_degree:
-            total += coeffs[k] * x[:len(total), :len(total)]
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +279,18 @@ class IndexShifts:
         out[src] = w[:, None] * x[dst]
         return out
 
-    def sandwich(self, i: int, x: np.ndarray, size: int | None = None) -> np.ndarray:
+    def sandwich(self, i: int, x: np.ndarray) -> np.ndarray:
         """T_i X T_i^*: entry (dst[j], dst[k]) is w[j] X[src[j], src[k]] w[k].
 
-        x may be the leading m x m block of a matrix zero outside it: then the
-        leading run of (ascending) src below m is gathered into the leading
-        size x size block (size = h by default), which must hold its dst.
         Gathered and scattered by flat indices, and weighted in place: no
         index table or weighted copy outlives a call.
         """
-        m, size = x.shape[0], self.h if size is None else size
-        run = np.searchsorted(self.maps[i][1], m)
-        dst, src, w = (a[:run] for a in self.maps[i])
-        out = np.zeros((size, size), dtype=complex)
-        block = x.reshape(-1)[(src[:, None] * m + src).ravel()].reshape(run, run)
+        dst, src, w = self.maps[i]
+        out = np.zeros((self.h, self.h), dtype=complex)
+        block = x.reshape(-1)[(src[:, None] * self.h + src).ravel()].reshape(len(src), len(src))
         block *= w[:, None]
         block *= w
-        out.reshape(-1)[(dst[:, None] * size + dst).ravel()] = block.ravel()
+        out.reshape(-1)[(dst[:, None] * self.h + dst).ravel()] = block.ravel()
         return out
 
     def tensor(self, r: int) -> "IndexShifts":

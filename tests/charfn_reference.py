@@ -26,8 +26,12 @@ two:
   looped blocks as one dense matrix, block by block, and subtracts
   M_theta M_theta^* from I - V V^*;
 - `looped_model_gap` subtracts M_theta M_theta^* one column block at a
-  time, as a weighted leading block of the Gram matrix of the looped blocks,
-  where the package sums it by a Horner recursion in the tensored shifts.
+  time, as a weighted leading block of the Gram matrix of the looped blocks;
+- `model_gap` is the gap as the package formed it before it took the
+  factorization through the inverse map: M_theta M_theta^* summed as the
+  a-series of the Gram matrix of the package's Taylor stack, on the whole
+  model space, and `b_inverse_gap` carries such a gap through the inverse
+  map Y -> Y - sum_k b_k sigma^k(Y) to the R whose norm the package reports.
 """
 
 from __future__ import annotations
@@ -38,9 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from cnplab._linalg import RANK_REL_TOL, hermitize, opnorm, orthonormal_range, psd_sqrt
-from cnplab.charfn import CalculusResult, CharFnEval, charfn_eval
+from cnplab.charfn import CalculusResult, CharFnEval, _taylor_blocks, charfn_eval
 from cnplab.coeffs import graded_indices, multi_coeff
 from cnplab.errors import DomainError, NonConvergedError
+from cnplab.tuples import _weighted_series
 from series_reference import tuple_power
 
 
@@ -356,3 +361,21 @@ def dense_model_gap(lift) -> np.ndarray:
             mtheta[row * r_delta:(row + 1) * r_delta, col * r_in:(col + 1) * r_in] = w * block
     big_eye = np.eye(n_idx * r_delta, dtype=complex)
     return (big_eye - v.matrix @ v.matrix.conj().T) - mtheta @ mtheta.conj().T
+
+
+def model_gap(lift) -> np.ndarray:
+    """(I - V V^*) - M_theta M_theta^* on the model space, M_theta M_theta^* = sum_k
+    a_k sigma^k(G) with G = W W^*, W the Taylor stack scaled by diag(a_delta)^(-1/2) x I_r."""
+    v = lift.dilation
+    flat = _taylor_blocks(lift).reshape(v.big_dim, -1)
+    scale = np.repeat(1.0 / np.sqrt(v.shifts.a_alpha), v.codomain_dims[1])
+    g = scale[:, None] * (flat @ flat.conj().T) * scale
+    acc, _ = _weighted_series(v.tensored, v.table, v.N, "a", middle=g)
+    return np.eye(v.big_dim, dtype=complex) - v.matrix @ v.matrix.conj().T - acc
+
+
+def b_inverse_gap(v, gap) -> np.ndarray:
+    """R = -(gap - sum_{k>=1} b_k sigma^k(gap)): G - (X - sum_k b_k sigma^k(X)) for the
+    gap X - sum_k a_k sigma^k(G), X = I - V V^*."""
+    series, _ = _weighted_series(v.tensored, v.table, v.N, "b", middle=gap, start_degree=1)
+    return series - gap

@@ -11,7 +11,16 @@ where the package gathers the adjoint shifts on the columns of V.
 the package summed its series on graded prefixes to the top degree: it takes
 any Hermitian X and any tuple, dense or index-map, checks X by a full
 eigensolve, sums both series by the forward sigma-recursion
-`_weighted_series` to a given degree and watches their tail windows.
+`_weighted_series` to a given degree, watches their tail windows, and
+evaluates condition (3), which the package does not: it holds identically.
+`projected_associated_defect` is the associated defect as the package summed
+it before it compressed it to the span it reaches: U and K from a full SVD
+of V, a dense projector P = I - U U^*, and the projected sigma-recursion
+W_k = P sigma(W_{k-1}) P through N + tail_window.  That is the defect of the
+compression of the shifts to Ker V^*; `restricted_associated_defect` is the
+defect of their restriction, K^* (P - sum_k b_k sigma^k(P)) K, summed densely
+on the model space, which is what the package compresses.  The two differ
+only as far as Ker V^* fails to be invariant at the top degree.
 `looped_canonical_phases` rotates one column at a time, where the package
 rotates every column by one broadcast product.  `zero_tuple_probe` is the
 CNP probe as it stood before the package read it as the Bergman
@@ -23,12 +32,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from dataclasses import dataclass
+
 import numpy as np
 
 import cnplab as cl
 from cnplab._linalg import hermitian_norm, hermitize, opnorm, split_rank
-from cnplab.model import _associated_defect
-from cnplab.tuples import COMMUTATOR_TOL, _weighted_series, shift_norm_sq
+from cnplab.tuples import COMMUTATOR_TOL, _sigma, _weighted_series, shift_norm_sq
 from series_reference import tuple_power
 
 
@@ -93,12 +103,23 @@ def dense_intertwining(v, alphas):
     return worst
 
 
-def dense_check_factorability(x, t, table, p):
+@dataclass(frozen=True)
+class DenseFactorability:
+    """The reference's report: FactorabilityReport's fields and the condition (3) residual."""
+
+    verdict: str
+    failed_condition: int | None
+    cond1_min_eigs: tuple
+    cond2_min_eig: float
+    cond3_residual: float
+
+
+def dense_check_factorability(x, t, table, p, c_degree=None):
     """Evaluate the factorability conditions for a Hermitian PSD matrix x.
 
     t is a dense tuple or index-map shifts, such as the tensored shifts of a
     dilation space.  The series run through degree p.N and the constants c_i
-    are the squared shift norms at p.N.  Sign failures of conditions (1) and
+    are the squared shift norms at c_degree (p.N by default).  Sign failures of conditions (1) and
     (2) are definitive at this truncation; a tail window above tol makes the
     verdict inconclusive.  With p.N = top + tail_window for shifts of top
     degree `top`, the windows see only the exact zeros past the top degree.
@@ -112,7 +133,8 @@ def dense_check_factorability(x, t, table, p):
     min_x = float(np.linalg.eigvalsh(x)[0]) if x.size else 0.0
     if min_x < -p.tol:
         raise ValueError(f"x must be PSD up to tol, min eigenvalue {min_x:.3e}")
-    c = [shift_norm_sq(table, i, p.N).value for i in range(t.d)]
+    c = [shift_norm_sq(table, i, p.N if c_degree is None else c_degree).value
+         for i in range(t.d)]
 
     cond1 = []
     for i in range(t.d):
@@ -142,7 +164,7 @@ def dense_check_factorability(x, t, table, p):
             verdict, failed = "not_factorable", 3
         else:
             verdict = "inconclusive"
-    return cl.FactorabilityReport(
+    return DenseFactorability(
         verdict=verdict,
         failed_condition=failed,
         cond1_min_eigs=tuple(cond1),
@@ -152,8 +174,43 @@ def dense_check_factorability(x, t, table, p):
 
 
 def condition_values(report):
-    """cond1 min-eigs, cond2 min-eig and cond3 residual of a FactorabilityReport."""
-    return (*report.cond1_min_eigs, report.cond2_min_eig, report.cond3_residual)
+    """cond1 min-eigs and cond2 min-eig of a factorability report."""
+    return (*report.cond1_min_eigs, report.cond2_min_eig)
+
+
+def range_and_kernel(v):
+    """(U, K): orthonormal bases of Ran V and Ker V^* from the full SVD of V."""
+    u, svals, _ = np.linalg.svd(v.matrix, full_matrices=True)
+    rank = split_rank(svals)
+    return u[:, :rank], u[:, rank:]
+
+
+def projected_associated_defect(v, n=None):
+    """(K, I - sum_{1<=k<=n} b_k sigma_A^k(I), tail-window norms) for A = K^* (M_i x I) K.
+
+    sigma_A^k(I) = K^* W_k K with W_0 = P and W_k = P sigma(W_{k-1}) P, P the
+    dense projector onto Ker V^*, summed through n (N + tail_window by default).
+    """
+    u, k = range_and_kernel(v)
+    n = v.params.N + v.params.tail_window if n is None else n
+    b = v.table.require_b(n)
+    proj = np.eye(v.big_dim, dtype=complex) - u @ u.conj().T
+    layer, total, tail = proj, np.zeros_like(proj), []
+    for deg in range(1, n + 1):
+        layer = proj @ _sigma(v.tensored, layer) @ proj
+        total += b[deg] * layer
+        if deg > n - v.params.tail_window:
+            tail.append(hermitian_norm(b[deg] * layer))
+    return k, hermitize(np.eye(k.shape[1], dtype=complex) - k.conj().T @ total @ k), tail
+
+
+def restricted_associated_defect(v):
+    """(K, K^* (P - sum_{k>=1} b_k sigma^k(P)) K), the sigma-series of P summed through N
+    on the model space with no projection between its steps."""
+    u, k = range_and_kernel(v)
+    proj = np.eye(v.big_dim, dtype=complex) - u @ u.conj().T
+    total, _ = _weighted_series(v.tensored, v.table, v.N, "b", middle=proj, start_degree=1)
+    return k, hermitize(k.conj().T @ (proj - total) @ k)
 
 
 def looped_canonical_phases(u):
@@ -173,7 +230,6 @@ def zero_tuple_probe(table, n):
     """Forms of the zero tuple's associated defect at e_2 .. e_n, in one variable."""
     table1 = cl.build_table(replace(table.spec, d=1), n + 1)
     v = cl.build_dilation(cl.OperatorTuple.zero(1, 1), table1, cl.TruncationParams(N=n))
-    assoc = cl.associated_tuple(v)
-    delta_sq, _ = _associated_defect(v, assoc, n)
-    coords = assoc.basis.conj().T[:, 2:]  # K^* e_k: one-variable index k sits at position k
+    k, delta_sq, _ = projected_associated_defect(v, n)
+    coords = k.conj().T[:, 2:]  # K^* e_k: one-variable index k sits at position k
     return np.real(np.sum(coords.conj() * (delta_sq @ coords), axis=0))

@@ -29,3 +29,22 @@ def diff_kernel(rule, d, param):
         "dirichlet_t": lambda: cl.dirichlet_t(param, d=d),
         "bergman": lambda: cl.bergman(1 + int(param), d=d),
     }[rule]()
+
+
+def finite_b_kernel(rng, d, n, cnp=False):
+    """A custom kernel with 1/k = 1 - sum_{k<=m} b_k <z, w>^k, m in {1, 2, 3}, its a_0..a_n.
+
+    b_1 is in [1/2, 1] and b_2, b_3 in [-1/4, 1/2] ([0, 1/2] when cnp), all
+    multiples of 1/8, so the table recovers b from a exactly: b_k = 0 past m.
+    Redrawn until every a_k is positive.
+    """
+    while True:
+        m = int(rng.integers(1, 4))
+        b = np.zeros(n + 1)
+        b[1] = rng.integers(4, 9) / 8.0
+        b[2:m + 1] = rng.integers(0 if cnp else -2, 5, m - 1) / 8.0
+        a = [1.0]
+        for k in range(1, n + 1):
+            a.append(sum(b[j] * a[k - j] for j in range(1, min(k, m) + 1)))
+        if min(a) > 0.0:
+            return cl.custom_kernel(a, d=d)

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cnplab as cl
-from charfn_reference import (dense_lift, dense_lift_defect, dense_model_gap, dense_theta,
-                              enumerated_calculus, fitted_taylor_blocks, full_width,
-                              looped_model_gap, looped_taylor_blocks, pointwise_calculus,
-                              pointwise_charfn_eval, support_coords)
-from random_inputs import diff_kernel, random_commuting_tuple, random_point
-from cnplab._linalg import hermitian_norm
-from cnplab.charfn import _model_gap, _taylor_blocks, reciprocal_kernel
+from charfn_reference import (b_inverse_gap, dense_lift, dense_lift_defect, dense_model_gap,
+                              dense_theta, enumerated_calculus, fitted_taylor_blocks, full_width,
+                              looped_model_gap, looped_taylor_blocks, model_gap,
+                              pointwise_calculus, pointwise_charfn_eval, support_coords)
+from random_inputs import diff_kernel, finite_b_kernel, random_commuting_tuple, random_point
+from cnplab.charfn import _taylor_blocks, reciprocal_kernel
 
 
 def P(n, tol=1e-9, window=3):
@@ -615,9 +614,10 @@ def test_inverse_residual_is_the_calculus_one(charfn_examples):
        param=st.floats(min_value=0.0, max_value=2.0))
 @settings(max_examples=25, deadline=None)
 def test_model_gap_matches_dense_reference(seed, d, h, rule, param):
-    # verify_model sums M_theta M_theta^* column block by column block; the
-    # reference forms M_theta densely.  The gap need not be small here, as
-    # the truncation is not under test, but both sides must agree on it.
+    # the reference forms M_theta densely; verify_model takes the gap through
+    # the inverse map and reads the norm of R from its compression.  The gap
+    # need not be small here, as the truncation is not under test, but both
+    # sides must agree on it.
     rng = np.random.default_rng(seed)
     n = DIFF_DEGREE[d]
     table = cl.build_table(diff_kernel(rule, d, param), n + 1)
@@ -625,11 +625,43 @@ def test_model_gap_matches_dense_reference(seed, d, h, rule, param):
     v = lift.dilation
     want = dense_model_gap(dense_lift(v))
     scale = max(1.0, np.linalg.norm(np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T, 2))
-    gap = _model_gap(lift)
-    assert np.linalg.norm(gap - want, 2) <= 1e-12 * scale
-    # the gap is Hermitian, and its norm is taken from its eigenvalues
-    assert cl.verify_model(lift).factor_residual == hermitian_norm(gap)
-    assert abs(hermitian_norm(gap) - np.linalg.norm(gap, 2)) <= 1e-12 * scale
+    assert np.linalg.norm(model_gap(lift) - want, 2) <= 1e-12 * scale
+    r = np.linalg.norm(b_inverse_gap(v, want), 2)
+    assert abs(cl.verify_model(lift).factor_residual - r) <= 1e-12 * scale
+
+
+MODEL_GATE = 1e-7  # cli.GATES["model"]
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
+       h=st.sampled_from([1, 2]),
+       kernel=st.sampled_from(["szego", "drury_arveson", "finite_b", "dirichlet_t"]))
+@settings(max_examples=40, deadline=None)
+def test_model_factorization_decides_as_the_dense_gap(seed, d, h, kernel):
+    # |R| from the compression to the span of the scaled Taylor stack and the
+    # cond2 gap's columns, against R carried densely through the inverse map
+    # from the dense gap; both pass the gate together, and a mutated theta
+    # fails both.  dirichlet_t has b_k != 0 at every degree, so there the span
+    # is the whole space
+    rng = np.random.default_rng(seed)
+    n = DIFF_DEGREE[d]
+    spec = {
+        "szego": lambda: cl.KernelSpec(d=d, rule="szego"),
+        "drury_arveson": lambda: cl.drury_arveson(d),
+        "finite_b": lambda: finite_b_kernel(rng, d, n + 1, cnp=True),
+        "dirichlet_t": lambda: cl.dirichlet_t(rng.uniform(0.0, 2.0), d=d),
+    }[kernel]()
+    lift = lift_of(random_commuting_tuple(rng, d, h, 0.35), cl.build_table(spec, n + 1),
+                   P(n, tol=DIFF_TOL))
+    v = lift.dilation
+    scale = max(1.0, np.linalg.norm(np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T, 2))
+    for mutated in (False, True):
+        if mutated:
+            lift = dataclasses.replace(lift, d_tilde_e=1.01 * lift.d_tilde_e)
+        gap = model_gap(lift)
+        got = cl.verify_model(lift).factor_residual
+        assert abs(got - np.linalg.norm(b_inverse_gap(v, gap), 2)) <= 1e-12 * scale
+        assert (got <= MODEL_GATE) == (np.linalg.norm(gap, 2) <= MODEL_GATE) == (not mutated)
 
 
 def check_model_against_looped_references(lift):
@@ -643,7 +675,9 @@ def check_model_against_looped_references(lift):
     assert np.max(np.abs(_taylor_blocks(lift) - want[..., lift.theta_cols])) <= tol
     assert np.max(np.abs(np.delete(want, lift.theta_cols, axis=2)), initial=0.0) <= tol
     scale = max(1.0, np.linalg.norm(np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T, 2))
-    assert np.linalg.norm(_model_gap(lift) - looped_model_gap(dense), 2) <= 1e-12 * scale
+    assert np.linalg.norm(model_gap(lift) - looped_model_gap(dense), 2) <= 1e-12 * scale
+    r = np.linalg.norm(b_inverse_gap(v, looped_model_gap(dense)), 2)
+    assert abs(cl.verify_model(lift).factor_residual - r) <= 1e-12 * scale
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),

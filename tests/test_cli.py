@@ -407,6 +407,38 @@ def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, change, m
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda cfg: dict(cfg, label=[1]), "label must be a string, got [1]"),
+    (lambda cfg: dict(cfg, kernel=dict(cfg["kernel"], label=5)),
+     "kernel.label must be a string, got 5"),
+], ids=["top-level", "kernel"])
+def test_label_of_another_type_exits_2(tmp_path, capsys, change, message):
+    # a label is carried into the report as it is; a non-string one used to run
+    assert run_cli_config(tmp_path, change(base_config(suites=["coeffs"], tuple=None))) == \
+        (2, False)
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_counterexample_tables_are_built_only_for_its_suite(monkeypatch):
+    # the counterexample block is checked on every config, but its overflow
+    # check builds a Bergman table, which only the counterexample suite needs
+    built = []
+    original = cli.build_table
+
+    def counted(spec, n):
+        built.append((spec.rule, n))
+        return original(spec, n)
+
+    monkeypatch.setattr(cli, "build_table", counted)
+    report = run_config(base_config(suites=["identities"]))
+    assert report["overall"] == "pass"
+    assert built == [("szego", 84)]
+    built.clear()
+    cli.parse_config(base_config(suites=["coeffs", "counterexample"], tuple=None,
+                                 counterexample={"m": 3, "N_list": [0, 5]}))
+    assert built == [("bergman", 9)]
+
+
 def test_coeffs_suite_needs_ten_coefficients(tmp_path, capsys):
     # the radius estimator reads 10 coefficients of each series, b_1..b_10 among them
     cfg = {"kernel": {"d": 1, "rule": "szego", "N_max": 5},
@@ -784,7 +816,8 @@ def test_identities_run_takes_batched_svds_only_where_read(monkeypatch):
 
 def test_identities_run_reads_the_coefficient_vector(monkeypatch):
     # a_alpha is computed once per multi-index, as one stack by the shifts of
-    # the dilation; the lift adds b_alpha over the positive multi-indices as one more
+    # the dilation; the lift adds b_alpha over the positive multi-indices as one
+    # more, and the model check b_alpha on the degrees 1..m it gathers (m = 1 here)
     seen = []
     original = tuples.multi_coeff
 
@@ -798,7 +831,7 @@ def test_identities_run_reads_the_coefficient_vector(monkeypatch):
         ["coeffs", "contraction", "purity", "dilation", "charfn", "identities"]))
     assert report["overall"] == "pass"
     indices = cl.graded_indices(2, 8)
-    assert seen == [(indices, "a"), (indices[1:], "b")]
+    assert seen == [(indices, "a"), (indices[1:], "b"), (cl.graded_indices(2, 1)[1:], "b")]
 
 
 def test_z_row_identity_measures_the_identity_not_the_kernel_tail():
