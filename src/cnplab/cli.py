@@ -261,13 +261,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         tol=strict_float(trunc_raw.get("tol", 1e-9), "truncation.tol"),
         tail_window=strict_int(trunc_raw.get("tail_window", 3), "truncation.tail_window"),
     )
-    # one degree above N + tail_window: more than any suite needs (the shifts
-    # read a_(N+1)), kept as the documented floor
-    floor = trunc.N + trunc.tail_window + 1
-    if n_table < floor:
+    # the shift weights read a_(N+1), the deepest coefficient any suite needs
+    if n_table < trunc.N + 1:
         raise ValueError(
-            f"kernel.N_max ({n_table}) must be at least truncation.N + tail_window + 1 ({floor})"
-        )
+            f"kernel.N_max ({n_table}) must be at least truncation.N + 1 ({trunc.N + 1})")
     suites = raw.get("suites", [])
     if not isinstance(suites, (list, tuple)):
         raise ValueError(f"suites must be a list of suite names, got {suites!r}")
@@ -645,8 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_info = sub.add_parser("kernel-info", help="print coefficient tables and CNP verdict")
-    p_info.add_argument("--rule", required=True,
-                        choices=["szego", "drury_arveson", "bergman", "dirichlet_t", "custom"])
+    p_info.add_argument("--rule", required=True, choices=RULES)
     p_info.add_argument("--N", type=int, required=True, help="highest degree to print")
     p_info.add_argument("--d", type=int, default=1)
     p_info.add_argument("--m", type=int, default=None, help="bergman exponent")

@@ -197,10 +197,11 @@ def _min_eig(vals: np.ndarray, short: bool) -> float:
 class FactorabilityReport:
     """Numerical evaluation of the factorability conditions.
 
-    cond1: per-coordinate min eigenvalue of c_i X - T_i X T_i^*.
-    cond2: min eigenvalue of X - P(X) where P(X) is the b-weighted series.
-    The verdict is factorable only when both pass; condition (3) holds
-    identically on the truncated space (`check_factorability`).
+    cond1: per-coordinate min eigenvalue of c X - T_i X T_i^*, c the squared
+    shift norm.  cond2: min eigenvalue of X - P(X) where P(X) is the
+    b-weighted series.  The verdict is factorable only when both pass;
+    condition (3) holds identically on the truncated space
+    (`check_factorability`).
     """
 
     verdict: str  # "factorable" | "not_factorable"
@@ -215,13 +216,17 @@ def check_factorability(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffT
 
     shifts act on the graded space of the rows of V, such as the tensored
     shifts of a dilation space.  X is PSD exactly when |V| <= 1: its
-    eigenvalues are 1 - eig(V^* V) and 1s.  Condition (1) takes d eigensolves
-    of X, with c_i the squared shift norms at the top degree N.  The shifts
-    are nilpotent, sigma^(N+1) = 0, so the b-series is finite and the verdict
-    two-valued; the cond2 gap vanishes off the span of E_0 and the gathers
-    M^alpha V (`defect_columns`), so its eigenvalues come from its compression
-    there (`reached_span`).  Condition (3) is not evaluated: A(t) (1 - B(t)) = 1
-    and sigma^(N+1) = 0 make it hold identically on this space.
+    eigenvalues are 1 - eig(V^* V) and 1s.  X itself is never formed:
+    condition (1) takes d eigensolves of
+    c X - M_i X M_i^* = diag(c - M_i M_i^*) - c V V^* + (M_i V)(M_i V)^*,
+    where M_i M_i^* is diagonal and c, the squared shift norm at the top
+    degree N, is the same for every coordinate.
+    The shifts are nilpotent, sigma^(N+1) = 0, so the b-series is finite and
+    the verdict two-valued; the cond2 gap vanishes off the span of E_0 and the
+    gathers M^alpha V (`defect_columns`), so its eigenvalues come from its
+    compression there (`reached_span`).  Condition (3) is not evaluated:
+    A(t) (1 - B(t)) = 1 and sigma^(N+1) = 0 make it hold identically on this
+    space.
     """
     v_matrix = np.asarray(v_matrix, dtype=complex)
     if v_matrix.ndim != 2 or v_matrix.shape[0] != shifts.h:
@@ -229,12 +234,16 @@ def check_factorability(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffT
     min_x = 1.0 - opnorm(v_matrix) ** 2
     if min_x < -tol:
         raise ValueError(f"x must be PSD up to tol, min eigenvalue {min_x:.3e}")
-    x = hermitize(np.eye(shifts.h, dtype=complex) - v_matrix @ v_matrix.conj().T)
 
-    top, cond1 = len(shifts.ends) - 1, []
+    c = shift_norm_sq(table, 0, len(shifts.ends) - 1).value
+    c_vv = c * (v_matrix @ v_matrix.conj().T)
+    cond1 = []
     for i in range(shifts.d):
-        g = hermitize(shift_norm_sq(table, i, top).value * x - shifts.sandwich(i, x))
-        cond1.append(float(np.linalg.eigvalsh(g)[0]) if g.size else 0.0)
+        mv = shifts.apply(i, v_matrix)
+        g = mv @ mv.conj().T
+        g -= c_vv
+        g[np.diag_indices(shifts.h)] += c - shifts.outer_diagonal(i)
+        cond1.append(float(np.linalg.eigvalsh(g)[0]))
 
     basis, gap = reached_span(*defect_columns(shifts, table, v_matrix, -1.0))
     cond2_min = _min_eig(np.linalg.eigvalsh(gap), basis.shape[1] < shifts.h)

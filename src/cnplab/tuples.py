@@ -79,10 +79,6 @@ class OperatorTuple:
     def d(self) -> int:
         return len(self.mats)
 
-    def sandwich(self, i: int, x: np.ndarray) -> np.ndarray:
-        """T_i X T_i^*."""
-        return self.mats[i] @ x @ self.mats[i].conj().T
-
     @classmethod
     def zero(cls, h: int, d: int) -> "OperatorTuple":
         return cls(tuple(np.zeros((h, h), dtype=complex) for _ in range(d)))
@@ -111,16 +107,16 @@ class TuplePowers:
         return self.stack[graded_position(self.tuple.d, self.n, [alpha])[0]]
 
 
-def _sigma(t, x: np.ndarray) -> np.ndarray:
+def _sigma(t: OperatorTuple, x: np.ndarray) -> np.ndarray:
     """sigma(X) = sum_i T_i X T_i^*, the completely positive map."""
-    return sum(t.sandwich(i, x) for i in range(t.d))
+    return sum(m @ x @ m.conj().T for m in t.mats)
 
 
-def _weighted_series(t, table: CoeffTable, n: int, which: str,
+def _weighted_series(t: OperatorTuple, table: CoeffTable, n: int, which: str,
                      middle: np.ndarray | None = None, start_degree: int = 0, window: int = 0):
     """sum over k in [start_degree, n] of c_k sigma^k(M), with c_k = a_k or b_k.
 
-    t (an OperatorTuple or IndexShifts) commutes, so sigma^k(M) is
+    The dense tuple t commutes, so sigma^k(M) is
     sum_{|alpha|=k} multinomial(alpha) T^alpha M (T^alpha)^*.  Returns (total,
     norms of the summed increments among the last `window` degrees).  M (the
     identity by default) and so every increment is Hermitian.  The recursion
@@ -251,10 +247,11 @@ def is_pure(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
 class IndexShifts:
     """Weighted shifts on C^h with one nonzero per column, kept as index maps.
 
-    maps[i] = (dst, src, weight) says T_i e_src[j] = weight[j] e_dst[j]; both
-    index arrays are injective, so T_i X and T_i X T_i^* are O(h^2) gathers,
-    not dense O(h^3) products.  The shifts commute by construction.  ends[j]
-    is the length of the leading block of degrees <= j, through the top degree.
+    maps[i] = (dst, src, weight) says T_i e_src[j] = weight[j] e_dst[j] with
+    real weights; both index arrays are injective, so T_i X is a row gather,
+    not a dense product, and T_i T_i^* is diagonal.  The shifts commute by
+    construction.  ends[j] is the length of the leading block of degrees
+    <= j, through the top degree.
     """
 
     maps: tuple
@@ -273,24 +270,17 @@ class IndexShifts:
         return out
 
     def apply_adjoint(self, i: int, x: np.ndarray) -> np.ndarray:
-        """T_i^* X for real weights: row src[j] of the result is w[j] X[dst[j]]."""
+        """T_i^* X: row src[j] of the result is w[j] X[dst[j]]."""
         dst, src, w = self.maps[i]
         out = np.zeros((self.h, x.shape[1]), dtype=complex)
         out[src] = w[:, None] * x[dst]
         return out
 
-    def sandwich(self, i: int, x: np.ndarray) -> np.ndarray:
-        """T_i X T_i^*: entry (dst[j], dst[k]) is w[j] X[src[j], src[k]] w[k].
-
-        Gathered and scattered by flat indices, and weighted in place: no
-        index table or weighted copy outlives a call.
-        """
-        dst, src, w = self.maps[i]
-        out = np.zeros((self.h, self.h), dtype=complex)
-        block = x.reshape(-1)[(src[:, None] * self.h + src).ravel()].reshape(len(src), len(src))
-        block *= w[:, None]
-        block *= w
-        out.reshape(-1)[(dst[:, None] * self.h + dst).ravel()] = block.ravel()
+    def outer_diagonal(self, i: int) -> np.ndarray:
+        """The diagonal of T_i T_i^*: weight^2 on dst, 0 elsewhere."""
+        dst, _, w = self.maps[i]
+        out = np.zeros(self.h)
+        out[dst] = w ** 2
         return out
 
     def tensor(self, r: int) -> "IndexShifts":

@@ -31,7 +31,8 @@ two:
   factorization through the inverse map: M_theta M_theta^* summed as the
   a-series of the Gram matrix of the package's Taylor stack, on the whole
   model space, and `b_inverse_gap` carries such a gap through the inverse
-  map Y -> Y - sum_k b_k sigma^k(Y) to the R whose norm the package reports.
+  map Y -> Y - sum_k b_k sigma^k(Y) to the R whose norm the package reports;
+  both run their sigma-series on the dense Kronecker tuple `tensored_shifts`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from cnplab.charfn import CalculusResult, CharFnEval, _taylor_blocks, charfn_eva
 from cnplab.coeffs import graded_indices, multi_coeff
 from cnplab.errors import DomainError, NonConvergedError
 from cnplab.tuples import _weighted_series
-from series_reference import tuple_power
+from series_reference import tensored_shifts, tuple_power
 
 
 def point(z, d) -> np.ndarray:
@@ -370,12 +371,14 @@ def model_gap(lift) -> np.ndarray:
     flat = _taylor_blocks(lift).reshape(v.big_dim, -1)
     scale = np.repeat(1.0 / np.sqrt(v.shifts.a_alpha), v.codomain_dims[1])
     g = scale[:, None] * (flat @ flat.conj().T) * scale
-    acc, _ = _weighted_series(v.tensored, v.table, v.N, "a", middle=g)
+    acc, _ = _weighted_series(tensored_shifts(v.shifts, v.codomain_dims[1]), v.table, v.N, "a",
+                              middle=g)
     return np.eye(v.big_dim, dtype=complex) - v.matrix @ v.matrix.conj().T - acc
 
 
 def b_inverse_gap(v, gap) -> np.ndarray:
     """R = -(gap - sum_{k>=1} b_k sigma^k(gap)): G - (X - sum_k b_k sigma^k(X)) for the
     gap X - sum_k a_k sigma^k(G), X = I - V V^*."""
-    series, _ = _weighted_series(v.tensored, v.table, v.N, "b", middle=gap, start_degree=1)
+    series, _ = _weighted_series(tensored_shifts(v.shifts, v.codomain_dims[1]), v.table, v.N,
+                                 "b", middle=gap, start_degree=1)
     return series - gap

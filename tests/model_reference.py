@@ -9,17 +9,20 @@ pushes a big_dim identity through the tensored shifts to form M^alpha x I,
 where the package gathers the adjoint shifts on the columns of V.
 `dense_check_factorability` is the factorability test as it stood before
 the package summed its series on graded prefixes to the top degree: it takes
-any Hermitian X and any tuple, dense or index-map, checks X by a full
-eigensolve, sums both series by the forward sigma-recursion
-`_weighted_series` to a given degree, watches their tail windows, and
-evaluates condition (3), which the package does not: it holds identically.
+any Hermitian X and any dense tuple, such as the Kronecker tuple
+`tensored_shifts`, checks X by a full eigensolve, forms c X - T_i X T_i^*
+for condition (1) where the package assembles it from V, sums both series
+by the forward sigma-recursion `_weighted_series` to a given degree, watches
+their tail windows, and evaluates condition (3), which the package does not:
+it holds identically.
 `projected_associated_defect` is the associated defect as the package summed
 it before it compressed it to the span it reaches: U and K from a full SVD
 of V, a dense projector P = I - U U^*, and the projected sigma-recursion
-W_k = P sigma(W_{k-1}) P through N + tail_window.  That is the defect of the
-compression of the shifts to Ker V^*; `restricted_associated_defect` is the
-defect of their restriction, K^* (P - sum_k b_k sigma^k(P)) K, summed densely
-on the model space, which is what the package compresses.  The two differ
+W_k = P sigma(W_{k-1}) P on the Kronecker tuple through N + tail_window.
+That is the defect of the compression of the shifts to Ker V^*;
+`restricted_associated_defect` is the defect of their restriction,
+K^* (P - sum_k b_k sigma^k(P)) K, summed densely on the model space, which
+is what the package compresses.  The two differ
 only as far as Ker V^* fails to be invariant at the top degree.
 `looped_canonical_phases` rotates one column at a time, where the package
 rotates every column by one broadcast product.  `zero_tuple_probe` is the
@@ -39,7 +42,7 @@ import numpy as np
 import cnplab as cl
 from cnplab._linalg import hermitian_norm, hermitize, opnorm, split_rank
 from cnplab.tuples import COMMUTATOR_TOL, _sigma, _weighted_series, shift_norm_sq
-from series_reference import tuple_power
+from series_reference import tensored_shifts, tuple_power
 
 
 def dense_associated_tuple(v):
@@ -117,8 +120,8 @@ class DenseFactorability:
 def dense_check_factorability(x, t, table, p, c_degree=None):
     """Evaluate the factorability conditions for a Hermitian PSD matrix x.
 
-    t is a dense tuple or index-map shifts, such as the tensored shifts of a
-    dilation space.  The series run through degree p.N and the constants c_i
+    t is a dense tuple, such as the Kronecker tuple of the tensored shifts of
+    a dilation space.  The series run through degree p.N and the constants c_i
     are the squared shift norms at c_degree (p.N by default).  Sign failures of conditions (1) and
     (2) are definitive at this truncation; a tail window above tol makes the
     verdict inconclusive.  With p.N = top + tail_window for shifts of top
@@ -137,8 +140,8 @@ def dense_check_factorability(x, t, table, p, c_degree=None):
          for i in range(t.d)]
 
     cond1 = []
-    for i in range(t.d):
-        g = hermitize(c[i] * x - t.sandwich(i, x))
+    for ci, m in zip(c, t.mats):
+        g = hermitize(ci * x - m @ x @ m.conj().T)
         cond1.append(float(np.linalg.eigvalsh(g)[0]) if g.size else 0.0)
 
     p_of_x, inc2 = _weighted_series(t, table, p.N, "b", middle=x, start_degree=1,
@@ -194,10 +197,11 @@ def projected_associated_defect(v, n=None):
     u, k = range_and_kernel(v)
     n = v.params.N + v.params.tail_window if n is None else n
     b = v.table.require_b(n)
+    dense = tensored_shifts(v.shifts, v.codomain_dims[1])
     proj = np.eye(v.big_dim, dtype=complex) - u @ u.conj().T
     layer, total, tail = proj, np.zeros_like(proj), []
     for deg in range(1, n + 1):
-        layer = proj @ _sigma(v.tensored, layer) @ proj
+        layer = proj @ _sigma(dense, layer) @ proj
         total += b[deg] * layer
         if deg > n - v.params.tail_window:
             tail.append(hermitian_norm(b[deg] * layer))
@@ -206,10 +210,11 @@ def projected_associated_defect(v, n=None):
 
 def restricted_associated_defect(v):
     """(K, K^* (P - sum_{k>=1} b_k sigma^k(P)) K), the sigma-series of P summed through N
-    on the model space with no projection between its steps."""
+    on the Kronecker tuple with no projection between its steps."""
     u, k = range_and_kernel(v)
     proj = np.eye(v.big_dim, dtype=complex) - u @ u.conj().T
-    total, _ = _weighted_series(v.tensored, v.table, v.N, "b", middle=proj, start_degree=1)
+    total, _ = _weighted_series(tensored_shifts(v.shifts, v.codomain_dims[1]), v.table, v.N,
+                                "b", middle=proj, start_degree=1)
     return k, hermitize(k.conj().T @ (proj - total) @ k)
 
 

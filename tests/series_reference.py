@@ -6,7 +6,8 @@ coefficients c_alpha = c_|alpha| multinomial(alpha).  It shares none of the
 sigma-recursion shortcut, so differential tests can compare the two.
 `tuple_power` is T^alpha as a product of matrix powers, one per coordinate,
 where the package builds every T^alpha as one graded stack of single products.
-`ix_sandwich` is T_i X T_i^* for index-map shifts gathered through np.ix_.
+`tensored_shifts` is the dense Kronecker tuple M_i x I_r of truncated
+shifts, where the package keeps M_i x I_r as index maps.
 `looped_reciprocal` is the convolution recursion for b_n as a scalar double
 loop, where the package subtracts each degree's products in one reduction.
 `enumerated_shift_norm_sq` takes the squared shift norm as the largest ratio
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import cnplab as cl
 from cnplab._linalg import opnorm
 from cnplab.coeffs import graded_indices, multi_coeff
 
@@ -63,12 +65,9 @@ def looped_reciprocal(a):
     return b
 
 
-def ix_sandwich(shifts, i, x):
-    """T_i X T_i^* for IndexShifts, as a two-axis np.ix_ gather."""
-    dst, src, w = shifts.maps[i]
-    out = np.zeros((shifts.h, shifts.h), dtype=complex)
-    out[np.ix_(dst, dst)] = w[:, None] * x[np.ix_(src, src)] * w[None, :]
-    return out
+def tensored_shifts(shifts, r):
+    """The OperatorTuple of np.kron(M_i, I_r) for the TruncatedShifts shifts."""
+    return cl.OperatorTuple(tuple(np.kron(m, np.eye(r, dtype=complex)) for m in shifts.ops.mats))
 
 
 def enumerated_shift_norm_sq(table, i, n):

@@ -10,6 +10,7 @@ import numpy as np
 import cnplab as cl
 
 from model_reference import condition_values, dense_check_factorability
+from series_reference import tensored_shifts
 from test_coeffs import long_division_reciprocal
 
 
@@ -123,8 +124,7 @@ def test_criterion_5_existence_equivalence(existence_examples):
         report = cl.admits_charfn(v)
         r = v.codomain_dims[1]
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
-        tensored = cl.OperatorTuple(
-            tuple(np.kron(m, np.eye(r, dtype=complex)) for m in v.shifts.ops.mats))
+        tensored = tensored_shifts(v.shifts, r)
         p_series = cl.TruncationParams(N=ex.p.N + ex.p.tail_window, tol=ex.p.tol,
                                        tail_window=ex.p.tail_window)
         fact = cl.check_factorability(v.matrix, v.tensored, table, ex.p.tol)

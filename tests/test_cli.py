@@ -63,10 +63,9 @@ def test_parse_rejects_short_table():
 
 
 def test_table_floor_is_sufficient_for_every_suite():
-    # a config at exactly the minimum N_max must run the existence suite,
-    # which reads the deepest coefficients of any suite
+    # a config at exactly the minimum N_max, N + 1, must run the existence suite
     cfg = {
-        "kernel": {"d": 1, "rule": "dirichlet_t", "params": {"t": 1.0}, "N_max": 24},
+        "kernel": {"d": 1, "rule": "dirichlet_t", "params": {"t": 1.0}, "N_max": 21},
         "tuple": {"inline": scalar_tuple_block(0.3)},
         "truncation": {"N": 20, "tol": 1e-9, "tail_window": 3},
         "suites": ["coeffs", "contraction", "purity", "dilation", "existence"],
@@ -74,9 +73,22 @@ def test_table_floor_is_sufficient_for_every_suite():
     }
     report = run_config(cfg)
     assert report["overall"] == "pass"
-    cfg["kernel"]["N_max"] = 23
-    with pytest.raises(ValueError):
+    cfg["kernel"]["N_max"] = 20
+    with pytest.raises(ValueError, match=r"must be at least truncation\.N \+ 1 \(21\)$"):
         cli.parse_config(cfg)
+
+
+def test_drury_arveson_pair_runs_at_the_table_floor(tmp_path, capsys):
+    # N_max = N + 1 holds every coefficient coeffs..charfn reads; one less exits 2
+    raw = json.loads((CONFIGS / "drury_arveson_pair.json").read_text())
+    raw.pop("output")
+    raw["suites"] = ["coeffs", "contraction", "purity", "dilation", "existence", "charfn"]
+    raw["kernel"]["N_max"] = raw["truncation"]["N"] + 1
+    assert run_config(raw)["overall"] == "pass"
+    raw["kernel"]["N_max"] -= 1
+    assert run_cli_config(tmp_path, raw) == (2, False)
+    assert capsys.readouterr().err == ("config error: kernel.N_max (10) must be at least "
+                                       "truncation.N + 1 (11)\n")
 
 
 def test_parse_dimension_mismatch():

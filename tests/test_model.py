@@ -12,17 +12,13 @@ from cnplab.tuples import TuplePowers
 from model_reference import (condition_values, dense_associated_tuple, dense_check_factorability,
                              dense_existence, dense_intertwining, projected_associated_defect,
                              restricted_associated_defect, zero_tuple_probe)
-from series_reference import tuple_power
+from series_reference import tensored_shifts, tuple_power
 from random_inputs import diff_kernel, finite_b_kernel, random_commuting_tuple
 from cnplab.model import _associated_defect
 
 
 def P(n, tol=1e-9, window=3):
     return cl.TruncationParams(N=n, tol=tol, tail_window=window)
-
-
-def tensored_shifts(shifts, r):
-    return cl.OperatorTuple(tuple(np.kron(m, np.eye(r, dtype=complex)) for m in shifts.ops.mats))
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +186,25 @@ def test_factorability_rejects_a_non_contractive_v():
         cl.check_factorability(v[1:], shifts.index, table, 1e-9)
 
 
+@pytest.mark.parametrize("kernel, want", [(cl.drury_arveson(2), (0.0, -1.0)),
+                                          (cl.szego(), (-1.0,))])
+def test_factorability_fails_cond1(kernel, want):
+    # V = e(e_d), the unit column at graded position 1.  With c = 1 and
+    # M_d M_d^* = 1 at e(e_d), cond1 at the last coordinate has the diagonal
+    # entry 1 - 1 - |V|^2 = -1 there, and (M_d V)(M_d V)^* vanishes on e(e_d);
+    # at any other coordinate that entry is 1 - 0 - 1 = 0
+    table = cl.build_table(kernel, 10)
+    shifts = cl.shift_matrices(table, 6)
+    v = np.zeros((shifts.dim, 1))
+    v[1, 0] = 1.0
+    report = cl.check_factorability(v, shifts.index, table, 1e-9)
+    assert (report.verdict, report.failed_condition) == ("not_factorable", 1)
+    assert np.max(np.abs(np.subtract(report.cond1_min_eigs, want))) <= 1e-12
+    x = np.eye(shifts.dim) - v @ v.T
+    assert_matches_reference(report, dense_check_factorability(x, shifts.ops, table, P(6 + 3),
+                                                               c_degree=6))
+
+
 COND3_DEGREE = {1: 10, 2: 5, 3: 3}
 
 
@@ -214,10 +229,12 @@ def test_factorability_cond3_is_an_identity_on_the_finite_space(seed, d, r, cols
         "custom": lambda: cl.custom_kernel([1.0, *rng.uniform(0.5, 1.5, n + 1)], d=d),
     }[kernel]()
     table = cl.build_table(spec, n + 1)
-    shifts = cl.shift_matrices(table, n).index.tensor(r)
+    truncated = cl.shift_matrices(table, n)
+    shifts = truncated.index.tensor(r)
     v = rng.standard_normal((shifts.h, cols)) + 1j * rng.standard_normal((shifts.h, cols))
     v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v, 2)
-    want = dense_check_factorability(np.eye(shifts.h) - v @ v.conj().T, shifts, table, P(n))
+    want = dense_check_factorability(np.eye(shifts.h) - v @ v.conj().T,
+                                     tensored_shifts(truncated, r), table, P(n))
     assert want.cond3_residual <= 1e-12
     report = cl.check_factorability(v, shifts, table, 1e-9)
     assert np.max(np.abs(np.subtract(condition_values(report), condition_values(want)))) <= 1e-12
@@ -331,8 +348,7 @@ def test_existence_factorability_consistency(existence_examples):
 
 def test_factorability_on_index_shifts_matches_dense(existence_examples):
     # the existence suite runs the check on index-map shifts; the dense
-    # reference on the Kronecker tuple and on the same index maps must give
-    # the same report up to rounding
+    # reference on the Kronecker tuple must give the same report up to rounding
     for ex in existence_examples:
         table = ex.table()
         v = cl.build_dilation(ex.ops, table, ex.p)
@@ -342,8 +358,6 @@ def test_factorability_on_index_shifts_matches_dense(existence_examples):
         dense = dense_check_factorability(x, tensored_shifts(v.shifts, r), table, p_series)
         gather = cl.check_factorability(v.matrix, v.shifts.index.tensor(r), table, ex.p.tol)
         assert_matches_reference(gather, dense, ex.name)
-        assert_matches_reference(dense_check_factorability(x, v.tensored, table, p_series),
-                                 dense, ex.name)
 
 
 def test_associated_tuple_purity_follows_contractivity(pure_examples):
@@ -426,8 +440,8 @@ def test_reached_span_decides_as_the_dense_forms(seed, d, h, kernel):
     n, tol = v.N, v.params.tol
     fact = cl.check_factorability(v.matrix, v.tensored, v.table, tol)
     x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
-    assert_matches_reference(fact, dense_check_factorability(x, v.tensored, v.table, P(n + 3),
-                                                             c_degree=n))
+    assert_matches_reference(fact, dense_check_factorability(
+        x, tensored_shifts(v.shifts, v.codomain_dims[1]), v.table, P(n + 3), c_degree=n))
     report = cl.admits_charfn(v)
     k, delta_sq, tail = projected_associated_defect(v)
     vals, vecs = np.linalg.eigh(delta_sq)
