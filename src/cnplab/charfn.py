@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from ._linalg import RANK_REL_TOL, hermitian_norm, hermitize, opnorm
-from .coeffs import (CoeffTable, KernelValue, as_points, graded_position, in_ball,
-                     inner_products, is_cnp, kernel_eval, multi_coeff, scalar_series)
+from .coeffs import (CoeffTable, KernelValue, as_points, in_ball, inner_products, is_cnp,
+                     kernel_eval, multi_coeff, scalar_series)
 from .errors import DomainError, NonConvergedError, NotCnpError
 from .model import DilationMap, defect_columns, reached_span
 from .tuples import OperatorTuple, TruncationParams
@@ -321,23 +321,18 @@ def _taylor_blocks(lift: TupleLift) -> np.ndarray:
     with C the defect-range basis of the tuple and E that of the lift.  Each
     term has |alpha|, |gamma - alpha| <= N, so these are exactly the
     coefficients of the degree-N theta that charfn_eval evaluates.  Block
-    beta of the dilation is V_beta = sqrt(a_beta) C^* Delta (T^beta)^*, so the
-    stack is one product P (D~E), P placing sqrt(b_alpha a_beta) V_beta at
-    block (alpha + beta, alpha).  The beta with |beta| <= N - |alpha| lead the
-    graded order.
+    beta of the dilation is V_beta = sqrt(a_beta) C^* Delta (T^beta)^* and
+    (M^alpha x I) V has block sqrt(a_beta / a_gamma) V_beta at gamma = alpha +
+    beta, so off degree 0 the stack is diag(a_gamma)^(1/2) sum_alpha sqrt(b_alpha)
+    (M^alpha x I) V (D~E)_alpha over the support: gathers, then one product.
     """
     v = lift.dilation
-    idx = np.array(v.indices)
-    n, d, h, r = len(idx), v.ops.d, v.ops.h, v.codomain_dims[1]
-    runs = np.array(v.shifts.index.ends[::-1])[idx[lift.support + 1].sum(axis=1)]
-    alpha_k = np.repeat(np.arange(len(runs)), runs)
-    alpha_pos = lift.support[alpha_k] + 1
-    beta_pos = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
-    gamma_pos = graded_position(d, v.N, idx[alpha_pos] + idx[beta_pos])
-    left = np.sqrt(v.shifts.a_alpha)[:, None, None] * v.matrix.reshape(n, r, h)
-    place = np.zeros((n, r, len(runs), h), dtype=complex)
-    place[gamma_pos, :, alpha_k] = lift.sqrt_b[alpha_pos - 1, None, None] * left[beta_pos]
-    blocks = (place.reshape(n * r, -1) @ lift.d_tilde_e).reshape(n, r, -1)
+    alphas = lift.support + 1
+    gathers = v.tensored.graded_stack(v.matrix, sum(v.indices[alphas[-1]]))[alphas]
+    weighted = np.repeat(lift.sqrt_b[lift.support], v.ops.h)[:, None] * lift.d_tilde_e
+    flat = gathers.transpose(1, 0, 2).reshape(v.big_dim, -1)
+    blocks = (flat @ weighted).reshape(*v.codomain_dims, -1)
+    blocks *= np.sqrt(v.shifts.a_alpha)[:, None, None]
     blocks[0] = -(v.defect_data.ran_delta_basis.conj().T @ lift.t_tilde_e)
     return blocks
 
@@ -355,13 +350,14 @@ def verify_model(lift: TupleLift) -> ModelReport:
     maps (A(t) (1 - B(t)) = 1, sigma^(N+1) = 0), so the factorization holds
     exactly when R = W W^* - (X - sum_k b_k sigma^k(X)) = 0, X = I - V V^*.
     factor_residual is |R|, from its compression to the span of W and the
-    cond2 gap's columns (`defect_columns`, `reached_span`).
+    cond2 gap's columns (`defect_columns`, `reached_span`).  Ran W lies in S_V,
+    the span of those columns, but the QR takes [W, cols] so that an error in
+    W outside S_V still shows in |R|.
     """
     v = lift.dilation
     comp_res = max(opnorm(v.matrix.conj().T @ v.tensored.apply(i, v.matrix) - v.ops.mats[i])
                    for i in range(v.ops.d))
-    scale = np.repeat(1.0 / np.sqrt(v.shifts.a_alpha), v.codomain_dims[1])
-    w = scale[:, None] * _taylor_blocks(lift).reshape(v.big_dim, -1)
+    w = (_taylor_blocks(lift) / np.sqrt(v.shifts.a_alpha)[:, None, None]).reshape(v.big_dim, -1)
     cols, weights = defect_columns(v.tensored, v.table, v.matrix, -1.0)
     _, r = reached_span(np.hstack([w, cols]), np.append(np.ones(w.shape[1]), -weights))
     return ModelReport(compression_residual=comp_res, factor_residual=hermitian_norm(r))

@@ -427,8 +427,8 @@ def _suite_charfn(ctx: _SuiteContext, res: SuiteResult):
     res.gate("ttstar_identity", lift.ttstar_residual, GATES["lift"])
     res.gate("defect_intertwine", lift.intertwine_residual, GATES["lift"])
     ev = charfn_eval(lift, ball_points(cfg.kernel.d, 100, cfg.seed + 1))
-    # |Z(z)|^2 = 1 - 1/s(z, z), 1/s(z, z) by its own series (finite for Szego, Drury-Arveson)
-    recip = reciprocal_kernel(ctx.table, ev.z, ev.z, ctx.table.n_max)
+    # |Z(z)|^2 = 1 - 1/s(z, z), with Z's own cut: the series of 1/s(z, z) through degree N
+    recip = reciprocal_kernel(ctx.table, ev.z, ev.z, cfg.truncation.N)
     res.gate("theta_norm_excess", ev.norm.max() - 1.0, GATES["theta_norm_excess"])
     res.gate("z_row_identity", np.max(np.abs(ev.z_norm_sq - (1.0 - recip.value.real))),
              GATES["z_identity"])

@@ -428,9 +428,7 @@ def estimate_radius(table: CoeffTable, which: str = "a") -> RadiusEstimate:
     ratios = []
     for (i0, c0), (i1, c1) in zip(nonzero[:-1], nonzero[1:]):
         ratios.append(((i1, c1), (abs(c0) / abs(c1)) ** (1.0 / (i1 - i0))))
-    window = [r for (i1, _), r in ratios if i1 > tail_start]
-    if not window:
-        window = [r for _, r in ratios[-max(3, len(ratios) // 4):]]
+    window = [r for (i1, _), r in ratios if i1 > tail_start]  # the last ratio at least
     mean = float(np.mean(window))
     spread = float((max(window) - min(window)) / mean) if mean > 0 else math.inf
     return RadiusEstimate(radius=mean, reliable=spread <= 0.10, exact_polynomial=False, spread=spread)

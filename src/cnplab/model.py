@@ -18,7 +18,7 @@ import numpy as np
 
 from ._linalg import RANK_REL_TOL, canonical_phases, hermitize, opnorm, split_rank
 from .coeffs import (CoeffTable, bergman, build_table, graded_indices, graded_position,
-                     graded_steps, multi_coeff)
+                     multi_coeff)
 from .errors import DegenerateDilationError, PrerequisiteError
 from .tuples import (
     DefectData,
@@ -153,14 +153,9 @@ def defect_columns(shifts: IndexShifts, table: CoeffTable, x: np.ndarray,
     top = len(shifts.ends) - 1
     b = table.require_b(top)
     m = max((k for k in range(1, top + 1) if b[k] != 0.0), default=0)
-    first, lower = graded_steps(shifts.d, m)
-    gathers = np.empty((len(first) + 1, *x.shape), dtype=complex)
-    gathers[0] = x
-    for j, (i, k) in enumerate(zip(first, lower), start=1):
-        gathers[j] = shifts.apply(i, gathers[k])
     weights = np.append(x_weight, multi_coeff(table, graded_indices(shifts.d, m)[1:], "b"))
     keep = np.flatnonzero(weights)
-    cols = np.hstack([np.eye(shifts.h, shifts.ends[0]), *gathers[keep]])
+    cols = np.hstack([np.eye(shifts.h, shifts.ends[0]), *shifts.graded_stack(x, m)[keep]])
     return cols, np.append(np.ones(shifts.ends[0]), np.repeat(weights[keep], x.shape[1]))
 
 

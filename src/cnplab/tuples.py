@@ -276,6 +276,16 @@ class IndexShifts:
         out[src] = w[:, None] * x[dst]
         return out
 
+    def graded_stack(self, x: np.ndarray, m: int) -> np.ndarray:
+        """T^alpha X for |alpha| <= m, stacked in graded order: entry alpha is T_i applied to
+        entry alpha - e_i, i the first nonzero coordinate of alpha, one gather per multi-index."""
+        first, lower = graded_steps(self.d, m)
+        out = np.empty((len(first) + 1, *x.shape), dtype=complex)
+        out[0] = x
+        for j, (i, k) in enumerate(zip(first, lower), start=1):
+            out[j] = self.apply(i, out[k])
+        return out
+
     def outer_diagonal(self, i: int) -> np.ndarray:
         """The diagonal of T_i T_i^*: weight^2 on dst, 0 elsewhere."""
         dst, _, w = self.maps[i]

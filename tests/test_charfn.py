@@ -682,13 +682,16 @@ def check_model_against_looped_references(lift):
 
 @given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
        h=st.integers(min_value=1, max_value=3),
-       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t"]),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t", "finite_b"]),
        param=st.floats(min_value=0.0, max_value=2.0))
 @settings(max_examples=30, deadline=None)
 def test_taylor_stack_and_gap_match_looped_references(seed, d, h, rule, param):
+    # a finite-b kernel can have b_2 or b_3 = 0: a support that skips a degree
     rng = np.random.default_rng(seed)
     n = DIFF_DEGREE[d]
-    table = cl.build_table(diff_kernel(rule, d, param), n + 1)
+    spec = (finite_b_kernel(rng, d, n + 1, cnp=True) if rule == "finite_b"
+            else diff_kernel(rule, d, param))
+    table = cl.build_table(spec, n + 1)
     check_model_against_looped_references(
         lift_of(random_commuting_tuple(rng, d, h, 0.35), table, P(n, tol=DIFF_TOL)))
 

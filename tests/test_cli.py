@@ -857,18 +857,33 @@ def test_z_row_identity_measures_the_identity_not_the_kernel_tail():
     assert suite["outcome"] == "pass", suite["residuals"]
     assert float(suite["residuals"]["z_row_identity"]) <= 1e-15
     assert float(suite["details"]["z_row_series_last_term"]) == 0.0
-    # a reciprocal series that does not terminate records its last term,
-    # b_{N_max} |z|^(2 N_max) at the largest sampled |z|
+    # a reciprocal series that does not terminate is cut where Z is, at N, and
+    # records its last term, b_N |z|^(2N) at the largest sampled |z|
     dirichlet = json.loads((CONFIGS / "dirichlet_scalar.json").read_text())
     dirichlet["suites"] = ["coeffs", "contraction", "purity", "dilation", "charfn"]
     dirichlet.pop("output", None)
     cfg = cli.parse_config(dirichlet)
     suite = {s["name"]: s for s in cli.run(cfg)["suites"]}["charfn"]
-    b = cl.build_table(cfg.kernel, cfg.n_table).b
+    n = cfg.truncation.N
+    b = cl.build_table(cfg.kernel, n).b
     radius = np.max(np.linalg.norm(cl.ball_points(1, 100, cfg.seed + 1), axis=1))
-    want = abs(b[cfg.n_table]) * radius ** (2 * cfg.n_table)
-    assert 0.0 < want <= 1e-15
+    want = abs(b[n]) * radius ** (2 * n)
+    assert 0.0 < want <= 1e-14
     assert abs(float(suite["details"]["z_row_series_last_term"]) - want) <= 1e-12 * want
+    assert float(suite["residuals"]["z_row_identity"]) <= 1e-15
+
+
+def test_z_row_identity_holds_when_b_never_vanishes():
+    # under Dirichlet every b_k > 0, so a series of 1/s(z, z) cut past N would
+    # measure its own b-tail (1e-4 here), not the identity
+    raw = json.loads((CONFIGS / "drury_arveson_pair.json").read_text())
+    raw.pop("output")
+    raw["kernel"] = {"d": 2, "rule": "dirichlet_t", "params": {"t": 1.0}, "N_max": 64}
+    raw["truncation"]["N"] = 10
+    raw["suites"] = ["coeffs", "contraction", "purity", "dilation", "existence", "charfn"]
+    report = run_config(raw)
+    assert report["overall"] == "pass", [(s["name"], s["outcome"], s["residuals"])
+                                         for s in report["suites"]]
 
 
 @pytest.mark.parametrize("name", sorted(path.name for path in CONFIGS.glob("*.json")))
