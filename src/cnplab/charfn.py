@@ -17,11 +17,11 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import RANK_REL_TOL, hermitian_norm, hermitize, opnorm
+from ._linalg import RANK_REL_TOL, hermitize, opnorm
 from .coeffs import (CoeffTable, KernelValue, as_points, in_ball, inner_products, is_cnp,
                      kernel_eval, multi_coeff, scalar_series)
 from .errors import DomainError, NonConvergedError, NotCnpError
-from .model import DilationMap, defect_columns, reached_span
+from .model import DilationMap, defect_columns, eigenspace_spectrum
 from .tuples import OperatorTuple, TruncationParams
 
 
@@ -350,17 +350,18 @@ def verify_model(lift: TupleLift) -> ModelReport:
     maps (A(t) (1 - B(t)) = 1, sigma^(N+1) = 0), so the factorization holds
     exactly when R = W W^* - (X - sum_k b_k sigma^k(X)) = 0, X = I - V V^*.
     factor_residual is |R|, from its compression to the span of W and the
-    cond2 gap's columns (`defect_columns`, `reached_span`).  Ran W lies in S_V,
-    the span of those columns, but the QR takes [W, cols] so that an error in
-    W outside S_V still shows in |R|.
+    cond2 gap's columns (`defect_columns`, `eigenspace_spectrum` with a zero
+    diagonal).  Ran W lies in S_V, the span of those columns, but the QR takes
+    [W, cols] so that an error in W outside S_V still shows in |R|.
     """
     v = lift.dilation
     comp_res = max(opnorm(v.matrix.conj().T @ v.tensored.apply(i, v.matrix) - v.ops.mats[i])
                    for i in range(v.ops.d))
     w = (_taylor_blocks(lift) / np.sqrt(v.shifts.a_alpha)[:, None, None]).reshape(v.big_dim, -1)
     cols, weights = defect_columns(v.tensored, v.table, v.matrix, -1.0)
-    _, r = reached_span(np.hstack([w, cols]), np.append(np.ones(w.shape[1]), -weights))
-    return ModelReport(compression_residual=comp_res, factor_residual=hermitian_norm(r))
+    eigs = eigenspace_spectrum(np.zeros(v.big_dim), np.hstack([w, cols]),
+                               np.append(np.ones(w.shape[1]), -weights))
+    return ModelReport(compression_residual=comp_res, factor_residual=float(np.abs(eigs).max()))
 
 
 def eval_to_dict(ev: CharFnEval, i: int) -> dict:

@@ -36,6 +36,7 @@ from .errors import CnpLabError
 from .tuples import (
     DefectData,
     OperatorTuple,
+    PurityVerdict,
     TruncationParams,
     defect,
     is_contraction,
@@ -354,6 +355,10 @@ class _SuiteContext:
         return defect(self.ops, self.table, self.cfg.truncation)
 
     @cached_property
+    def purity(self) -> PurityVerdict:
+        return is_pure(self.ops, self.table, self.cfg.truncation, defect_data=self.defect)
+
+    @cached_property
     def dilation(self) -> DilationMap:
         return build_dilation(self.ops, self.table, self.cfg.truncation, defect_data=self.defect)
 
@@ -386,9 +391,8 @@ def _suite_contraction(ctx: _SuiteContext, res: SuiteResult):
 
 
 def _suite_purity(ctx: _SuiteContext, res: SuiteResult):
-    verdict = is_pure(ctx.ops, ctx.table, ctx.cfg.truncation, defect_data=ctx.defect)
-    res.verdict = verdict.status
-    res.residuals["purity_residual"] = fmt(verdict.residual)
+    res.verdict = ctx.purity.status
+    res.residuals["purity_residual"] = fmt(ctx.purity.residual)
     res.tolerances["tol"] = fmt(ctx.cfg.truncation.tol)
 
 
@@ -407,7 +411,7 @@ def _suite_dilation(ctx: _SuiteContext, res: SuiteResult):
 
 def _suite_existence(ctx: _SuiteContext, res: SuiteResult):
     v = ctx.dilation
-    report = admits_charfn(v)
+    report = admits_charfn(v, purity=ctx.purity)
     res.verdict = report.status
     res.residuals["assoc_min_eig"] = fmt(report.value)
     res.residuals["invariance"] = fmt(report.invariance_residual)

@@ -24,6 +24,7 @@ from .tuples import (
     DefectData,
     IndexShifts,
     OperatorTuple,
+    PurityVerdict,
     TruncatedShifts,
     TruncationParams,
     TuplePowers,
@@ -159,29 +160,23 @@ def defect_columns(shifts: IndexShifts, table: CoeffTable, x: np.ndarray,
     return cols, np.append(np.ones(shifts.ends[0]), np.repeat(weights[keep], x.shape[1]))
 
 
-def reached_span(cols: np.ndarray, weights: np.ndarray,
-                 lead: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, S): P C diag(w) C^* P = Q S Q^*, P = I - L L^* for the orthonormal lead L.
+def eigenspace_spectrum(delta: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Eigenvalues of G = diag(delta) + C diag(w) C^*, delta real, G never formed.
 
-    Q is an orthonormal basis, orthogonal to L, of a space holding Ran P C, so
-    the eigenvalues on Ran P are those of S, and 0 when Q is narrower.  Q and
-    the coordinates of P C come from the QR of [L, C] without pivoting: no rank
-    is decided, dependent columns only widen Q.  With no lead and at least as
-    many columns as rows, Q is the identity and S the operator itself.
+    The rows sharing one value delta_I span an eigenspace of diag(delta).  Each
+    set I with more rows than C has columns collapses to R_I, C[I] = Q_I R_I by
+    an unpivoted QR.  Ran Q_I and the other rows span K, which holds Ran C and is
+    invariant for diag(delta), hence for G, and G is delta_I on the rest of I.
+    Returned: the eigenvalues on K, then each collapsed delta_I once.  Exact, with
+    no threshold and no inverse of the diagonal; G itself when no set collapses.
     """
-    k = 0 if lead is None else lead.shape[1]
-    if k == 0 and cols.shape[1] >= cols.shape[0]:
-        q, r = np.eye(cols.shape[0]), cols
-    else:
-        q, r = np.linalg.qr(cols if k == 0 else np.hstack([lead, cols]))
-        q, r = q[:, k:], r[k:, k:]
-    return q, hermitize((r * weights) @ r.conj().T)
-
-
-def _min_eig(vals: np.ndarray, short: bool) -> float:
-    """vals[0], or 0 when the span is short and 0 is smaller: the eigenvalue off the span."""
-    smallest = float(vals[0]) if len(vals) else 0.0
-    return min(smallest, 0.0) if short else smallest
+    values, group, sizes = np.unique(delta, return_inverse=True, return_counts=True)
+    big = np.flatnonzero(sizes > cols.shape[1])
+    keep = sizes[group] <= cols.shape[1]
+    c_k = np.vstack([cols[keep], *(np.linalg.qr(cols[group == j], mode="r") for j in big)])
+    g = (c_k * weights) @ c_k.conj().T
+    g[np.diag_indices_from(g)] += np.append(delta[keep], np.repeat(values[big], cols.shape[1]))
+    return np.append(np.linalg.eigvalsh(hermitize(g)), values[big])
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +188,10 @@ class FactorabilityReport:
     """Numerical evaluation of the factorability conditions.
 
     cond1: per-coordinate min eigenvalue of c X - T_i X T_i^*, c the squared
-    shift norm.  cond2: min eigenvalue of X - P(X) where P(X) is the
-    b-weighted series.  The verdict is factorable only when both pass;
-    condition (3) holds identically on the truncated space
-    (`check_factorability`).
+    shift norm, exact from the eigenspaces of its diagonal (`eigenspace_spectrum`).
+    cond2: min eigenvalue of X - P(X) where P(X) is the b-weighted series.
+    The verdict is factorable only when both pass; condition (3) holds
+    identically on the truncated space (`check_factorability`).
     """
 
     verdict: str  # "factorable" | "not_factorable"
@@ -212,16 +207,16 @@ def check_factorability(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffT
     shifts act on the graded space of the rows of V, such as the tensored
     shifts of a dilation space.  X is PSD exactly when |V| <= 1: its
     eigenvalues are 1 - eig(V^* V) and 1s.  X itself is never formed:
-    condition (1) takes d eigensolves of
-    c X - M_i X M_i^* = diag(c - M_i M_i^*) - c V V^* + (M_i V)(M_i V)^*,
-    where M_i M_i^* is diagonal and c, the squared shift norm at the top
-    degree N, is the same for every coordinate.
-    The shifts are nilpotent, sigma^(N+1) = 0, so the b-series is finite and
-    the verdict two-valued; the cond2 gap vanishes off the span of E_0 and the
-    gathers M^alpha V (`defect_columns`), so its eigenvalues come from its
-    compression there (`reached_span`).  Condition (3) is not evaluated:
-    A(t) (1 - B(t)) = 1 and sigma^(N+1) = 0 make it hold identically on this
-    space.
+    condition (1) at coordinate i is the diagonal plus low-rank matrix
+    c X - M_i X M_i^* = diag(c - M_i M_i^*) - c V V^* + (M_i V)(M_i V)^*
+    (c, the squared shift norm at the top degree N, is the same for every
+    coordinate), solved on its diagonal's eigenspaces, each cut to the span
+    that [V, M_i V] reaches in it (`eigenspace_spectrum`).  The shifts are
+    nilpotent, sigma^(N+1) = 0, so the b-series is finite and the verdict
+    two-valued; the cond2 gap vanishes off the span of E_0 and the gathers
+    M^alpha V (`defect_columns`), and its zero diagonal is one eigenspace.
+    Condition (3) is not evaluated: A(t) (1 - B(t)) = 1 and sigma^(N+1) = 0
+    make it hold identically on this space.
     """
     v_matrix = np.asarray(v_matrix, dtype=complex)
     if v_matrix.ndim != 2 or v_matrix.shape[0] != shifts.h:
@@ -231,17 +226,12 @@ def check_factorability(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffT
         raise ValueError(f"x must be PSD up to tol, min eigenvalue {min_x:.3e}")
 
     c = shift_norm_sq(table, 0, len(shifts.ends) - 1).value
-    c_vv = c * (v_matrix @ v_matrix.conj().T)
-    cond1 = []
-    for i in range(shifts.d):
-        mv = shifts.apply(i, v_matrix)
-        g = mv @ mv.conj().T
-        g -= c_vv
-        g[np.diag_indices(shifts.h)] += c - shifts.outer_diagonal(i)
-        cond1.append(float(np.linalg.eigvalsh(g)[0]))
-
-    basis, gap = reached_span(*defect_columns(shifts, table, v_matrix, -1.0))
-    cond2_min = _min_eig(np.linalg.eigvalsh(gap), basis.shape[1] < shifts.h)
+    weights = np.repeat([-c, 1.0], v_matrix.shape[1])
+    cond1 = [float(eigenspace_spectrum(c - shifts.outer_diagonal(i),
+                                       np.hstack([v_matrix, shifts.apply(i, v_matrix)]),
+                                       weights).min()) for i in range(shifts.d)]
+    cond2_min = float(eigenspace_spectrum(np.zeros(shifts.h),
+                                          *defect_columns(shifts, table, v_matrix, -1.0)).min())
 
     failed = 1 if any(m < -tol for m in cond1) else 2 if cond2_min < -tol else None
     return FactorabilityReport(
@@ -288,13 +278,19 @@ def associated_tuple(v: DilationMap) -> AssociatedTuple:
 
 
 def _associated_defect(v: DilationMap, assoc: AssociatedTuple):
-    """(Q, S) of `reached_span` for the associated defect I - sum_{k>=1} b_k sigma_A^k(I).
+    """(Q, S) with Q S Q^* the associated defect I - sum_{k>=1} b_k sigma_A^k(I) on Ker V^*.
 
-    For the restriction A of the shifts to Ker V^* = Ran P, sigma_A^k(I) =
-    sigma^k(P) there, so the defect is P (I - sum_k b_k sigma^k(I - U U^*)) P.
+    For the restriction A of the shifts to Ker V^* = Ran P, P = I - U U^*,
+    sigma_A^k(I) = sigma^k(P) there, so the defect is P C diag(w) C^* P, with C
+    and w the `defect_columns` of U.  Q is an orthonormal basis, orthogonal to
+    U, of a space holding Ran P C, so the eigenvalues on Ker V^* are those of S,
+    and 0 when Q is narrower.  Q and the coordinates of P C come from the QR of
+    [U, C] without pivoting: no rank is decided, dependent columns only widen Q.
     """
-    u = assoc.range_basis
-    return reached_span(*defect_columns(v.tensored, v.table, u, 0.0), lead=u)
+    u, k = assoc.range_basis, assoc.range_basis.shape[1]
+    cols, weights = defect_columns(v.tensored, v.table, u, 0.0)
+    q, r = np.linalg.qr(np.hstack([u, cols]))
+    return q[:, k:], hermitize((r[k:, k:] * weights) @ r[k:, k:].conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +312,20 @@ class ExistenceReport:
     invariance_residual: float
 
 
-def admits_charfn(v: DilationMap) -> ExistenceReport:
+def admits_charfn(v: DilationMap, purity: PurityVerdict | None = None) -> ExistenceReport:
     """Decide whether the pure tuple embedded by v admits a characteristic function.
 
     Tests whether the tuple associated with the dilation is a contraction
     for the dilation's kernel: the smallest eigenvalue of its defect
     (`_associated_defect`) against -tol.  Non-pure inputs are rejected:
-    outside the hypothesis there is nothing to decide.  Purity is tested on
-    the defect the dilation already holds.  The defect is a finite sum, so
+    outside the hypothesis there is nothing to decide.  Purity, unless given,
+    is tested on the defect the dilation holds.  The defect is a finite sum, so
     the verdict is two-valued; the witness is the eigenvector of the
     smallest eigenvalue of the compression, lifted back to the model space.
     """
     table, p = v.table, v.params
-    purity = is_pure(v.ops, table, p, defect_data=v.defect_data)
+    if purity is None:
+        purity = is_pure(v.ops, table, p, defect_data=v.defect_data)
     if purity.status != "pure":
         raise PrerequisiteError(
             f"existence test requires a pure tuple; purity verdict was {purity.status!r} "
@@ -337,7 +334,7 @@ def admits_charfn(v: DilationMap) -> ExistenceReport:
     assoc = associated_tuple(v)
     basis, delta_sq = _associated_defect(v, assoc)
     vals, vecs = np.linalg.eigh(delta_sq)  # none when Ker V^* = 0: an empty tuple contracts
-    min_eig = _min_eig(vals, basis.shape[1] < assoc.dim)
+    min_eig = float(min([*vals, 0.0] if basis.shape[1] < assoc.dim else vals, default=0.0))
     witness = canonical_phases(basis @ vecs[:, :1])[:, 0] if min_eig < -p.tol else None
     return ExistenceReport(
         status="admits" if witness is None else "does_not_admit",

@@ -846,6 +846,30 @@ def test_identities_run_reads_the_coefficient_vector(monkeypatch):
     assert seen == [(indices, "a"), (indices[1:], "b"), (cl.graded_indices(2, 1)[1:], "b")]
 
 
+@pytest.mark.parametrize("name", ["drury_arveson_pair", "bergman_zero_tuple", "szego_scalar",
+                                  "dirichlet_scalar"])
+@pytest.mark.parametrize("suites", [["coeffs", "contraction", "purity", "dilation", "existence"],
+                                    ["dilation", "existence"]])
+def test_existence_reuses_the_purity_verdict(monkeypatch, name, suites):
+    # the purity suite and the existence suite read one verdict, and existence
+    # decides it once when the purity suite is not requested
+    calls = []
+    original = tuples.is_pure
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (tuples, model, cli):
+        monkeypatch.setattr(mod, "is_pure", counted)
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
+    raw["suites"] = suites
+    raw.pop("output")
+    report = run_config(raw)
+    assert report["overall"] == "pass"
+    assert len(calls) == 1
+
+
 def test_z_row_identity_measures_the_identity_not_the_kernel_tail():
     # with N_max = 15 the Drury-Arveson series s(z, z) stops at |z|^30, which
     # is 1e-3 at |z| = 0.8; 1/s(z, z) = 1 - |z|^2 has a terminating series

@@ -187,12 +187,15 @@ def test_factorability_rejects_a_non_contractive_v():
 
 
 @pytest.mark.parametrize("kernel, want", [(cl.drury_arveson(2), (0.0, -1.0)),
-                                          (cl.szego(), (-1.0,))])
+                                          (cl.szego(), (-1.0,)),
+                                          (cl.drury_arveson(3), (0.0, 0.0, -1.0))])
 def test_factorability_fails_cond1(kernel, want):
     # V = e(e_d), the unit column at graded position 1.  With c = 1 and
     # M_d M_d^* = 1 at e(e_d), cond1 at the last coordinate has the diagonal
     # entry 1 - 1 - |V|^2 = -1 there, and (M_d V)(M_d V)^* vanishes on e(e_d);
-    # at any other coordinate that entry is 1 - 0 - 1 = 0
+    # at any other coordinate that entry is 1 - 0 - 1 = 0.  The minimiser lies
+    # in the eigenspace of c - M_d M_d^* at 0, the rows e(k e_d), k = 1..6:
+    # more rows than the 2 columns of [V, M_d V], so that set is collapsed
     table = cl.build_table(kernel, 10)
     shifts = cl.shift_matrices(table, 6)
     v = np.zeros((shifts.dim, 1))
@@ -205,19 +208,60 @@ def test_factorability_fails_cond1(kernel, want):
                                                                c_degree=6))
 
 
+@given(seed=st.integers(min_value=0, max_value=2**31), n=st.integers(min_value=1, max_value=40),
+       values=st.integers(min_value=1, max_value=6), cols=st.integers(min_value=0, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_eigenspace_spectrum_matches_the_dense_spectrum(seed, n, values, cols):
+    # diag(delta) + C diag(w) C^* with repeated diagonal values: the returned
+    # values are its eigenvalues, and each eigenvalue is returned
+    rng = np.random.default_rng(seed)
+    delta = rng.integers(0, values, n) / 4.0
+    c = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+    w = rng.uniform(-2.0, 2.0, cols)
+    got = cl.model.eigenspace_spectrum(delta, c, w)
+    dense = np.linalg.eigvalsh(np.diag(delta) + (c * w) @ c.conj().T)
+    scale = 1.0 + np.abs(dense).max()
+    assert np.abs(dense[:, None] - got[None, :]).min(axis=0).max() <= 1e-12 * scale
+    assert np.abs(dense[:, None] - got[None, :]).min(axis=1).max() <= 1e-12 * scale
+    assert abs(got.min() - dense[0]) <= 1e-12 * scale
+
+
+def test_cond1_collapses_on_the_drury_arveson_triple(monkeypatch):
+    # (A, A/2 + A^2, A^2 - A/2) at N = 8: big_dim 495, and each cond1 solve is
+    # a 138-dim one, against the dense c X - M_i X M_i^*; cond2's is on its span
+    a = np.array([[0.1, 0.2, 0.0], [0.0, -0.1, 0.2], [0.0, 0.0, 0.1]])
+    t = cl.OperatorTuple((a, a / 2 + a @ a, a @ a - a / 2))
+    v = cl.build_dilation(t, cl.build_table(cl.drury_arveson(3), 12), P(8))
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: sizes.append(len(g)) or eigvalsh(g))
+    report = cl.check_factorability(v.matrix, v.tensored, v.table, 1e-9)
+    monkeypatch.undo()
+    assert v.big_dim == 495 and sizes[:3] == [138, 138, 138] and sizes[3] < v.big_dim
+    assert report.verdict == "factorable"
+    x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
+    c = cl.shift_norm_sq(v.table, 0, 8).value
+    dense = [np.linalg.eigvalsh(c * x - m @ x @ m.conj().T)[0]
+             for m in tensored_shifts(v.shifts, v.codomain_dims[1]).mats]
+    assert np.max(np.abs(np.subtract(report.cond1_min_eigs, dense))) <= 1e-12
+
+
 COND3_DEGREE = {1: 10, 2: 5, 3: 3}
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
-       r=st.sampled_from([1, 2]), cols=st.integers(min_value=1, max_value=3),
+       r=st.sampled_from([1, 2]), cols=st.integers(min_value=0, max_value=3),
        kernel=st.sampled_from(["szego", "drury_arveson", "bergman2", "bergman3", "dirichlet",
-                               "custom"]))
+                               "custom", "finite_b"]))
 @settings(max_examples=60, deadline=None)
 def test_factorability_cond3_is_an_identity_on_the_finite_space(seed, d, r, cols, kernel):
     # A(t) (1 - B(t)) = 1 and sigma^(N+1) = 0 on the truncated space, so the
     # a-series of X - P(X) gives back X for every X: condition 3 measures
     # rounding only, under any kernel (CNP or not) and any V with |V| <= 1,
-    # which is why the package does not evaluate it
+    # which is why the package does not evaluate it.  cond1 and cond2 match
+    # the dense solves: under Szego and Drury-Arveson large eigenspaces of
+    # cond1's diagonal collapse, under dirichlet in one variable every one is
+    # small, and with no columns cond1's matrix is its diagonal
     rng = np.random.default_rng(seed)
     n = COND3_DEGREE[d]
     spec = {
@@ -226,18 +270,20 @@ def test_factorability_cond3_is_an_identity_on_the_finite_space(seed, d, r, cols
         "bergman2": lambda: cl.bergman(2, d=d),
         "bergman3": lambda: cl.bergman(3, d=d),
         "dirichlet": lambda: cl.dirichlet_t(rng.uniform(0.0, 2.0), d=d),
-        "custom": lambda: cl.custom_kernel([1.0, *rng.uniform(0.5, 1.5, n + 1)], d=d),
+        "custom": lambda: cl.custom_kernel([1.0, *rng.uniform(0.5, 1.5, n + 4)], d=d),
+        "finite_b": lambda: finite_b_kernel(rng, d, n + 4),
     }[kernel]()
-    table = cl.build_table(spec, n + 1)
+    table = cl.build_table(spec, n + 4)
     truncated = cl.shift_matrices(table, n)
     shifts = truncated.index.tensor(r)
     v = rng.standard_normal((shifts.h, cols)) + 1j * rng.standard_normal((shifts.h, cols))
-    v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v, 2)
+    if cols:
+        v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v, 2)
+    # the reference sums to n + tail_window: the same finite series
     want = dense_check_factorability(np.eye(shifts.h) - v @ v.conj().T,
-                                     tensored_shifts(truncated, r), table, P(n))
+                                     tensored_shifts(truncated, r), table, P(n + 3), c_degree=n)
     assert want.cond3_residual <= 1e-12
-    report = cl.check_factorability(v, shifts, table, 1e-9)
-    assert np.max(np.abs(np.subtract(condition_values(report), condition_values(want)))) <= 1e-12
+    assert_matches_reference(cl.check_factorability(v, shifts, table, 1e-9), want)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +374,12 @@ def test_admits_requires_purity():
     assert cl.is_pure(t, table, P(20)).status == "not_pure"
     with pytest.raises(cl.PrerequisiteError):
         admits(t, table, P(20))
+    # a verdict handed on is read, not decided again: a non-pure one raises
+    v = cl.build_dilation(cl.OperatorTuple((np.diag([0.5, 0.25]),)), table, P(20))
+    assert cl.admits_charfn(v).status == "admits"
+    not_pure = cl.is_pure(t, table, P(20))
+    with pytest.raises(cl.PrerequisiteError, match="'not_pure'"):
+        cl.admits_charfn(v, purity=not_pure)
 
 
 def test_existence_factorability_consistency(existence_examples):
