@@ -593,8 +593,12 @@ def cmd_kernel_info(args) -> int:
         params = {"m": args.m, "t": args.t,
                   "coeffs": [float(c) for c in args.coeffs.split(",")] if args.coeffs else None}
         spec, _ = kernel_from_dict({"rule": args.rule, "d": args.d, "params": params})
-        # the radius estimator needs a longer prefix than small printouts ask for
-        table = build_table(spec, max(args.N, 16))
+        top = max(args.N, 16)  # the radius estimator needs a longer prefix than small printouts
+        if spec.rule == "custom" and len(spec.param) <= top:
+            raise ValueError(f"--coeffs has {len(spec.param)} entries, but --N {args.N} and the "
+                             f"radius estimate need the table through degree {top}, so "
+                             f"{top + 1} coefficients")
+        table = build_table(spec, top)
         ra = estimate_radius(table, "a")
         rb = estimate_radius(table, "b")
     except (CnpLabError, ValueError) as exc:

@@ -277,18 +277,20 @@ def associated_tuple(v: DilationMap) -> AssociatedTuple:
     return AssociatedTuple(range_basis=u, invariance_residual=inv_res, dim=v.big_dim - rank)
 
 
-def _associated_defect(v: DilationMap, assoc: AssociatedTuple):
+def _associated_defect(shifts: IndexShifts, table: CoeffTable, u: np.ndarray):
     """(Q, S) with Q S Q^* the associated defect I - sum_{k>=1} b_k sigma_A^k(I) on Ker V^*.
 
-    For the restriction A of the shifts to Ker V^* = Ran P, P = I - U U^*,
-    sigma_A^k(I) = sigma^k(P) there, so the defect is P C diag(w) C^* P, with C
-    and w the `defect_columns` of U.  Q is an orthonormal basis, orthogonal to
-    U, of a space holding Ran P C, so the eigenvalues on Ker V^* are those of S,
-    and 0 when Q is narrower.  Q and the coordinates of P C come from the QR of
-    [U, C] without pivoting: no rank is decided, dependent columns only widen Q.
+    u is an orthonormal basis U of Ran V, in the space the shifts act on.  For the shifts
+    compressed to the co-invariant block of degrees <= n, V is the inclusion of that block
+    (checked against `build_dilation` in the tests).  For the restriction A of the shifts
+    to Ker V^* = Ran P, P = I - U U^*, sigma_A^k(I) = sigma^k(P) there, so the defect is
+    P C diag(w) C^* P, with C and w the `defect_columns` of U.  Q is an orthonormal basis,
+    orthogonal to U, of a space holding Ran P C, so the eigenvalues on Ker V^* are those of
+    S, and 0 when Q is narrower.  Q and the coordinates of P C come from the QR of [U, C]
+    without pivoting: no rank is decided, dependent columns only widen Q.
     """
-    u, k = assoc.range_basis, assoc.range_basis.shape[1]
-    cols, weights = defect_columns(v.tensored, v.table, u, 0.0)
+    k = u.shape[1]
+    cols, weights = defect_columns(shifts, table, u, 0.0)
     q, r = np.linalg.qr(np.hstack([u, cols]))
     return q[:, k:], hermitize((r[k:, k:] * weights) @ r[k:, k:].conj().T)
 
@@ -332,7 +334,7 @@ def admits_charfn(v: DilationMap, purity: PurityVerdict | None = None) -> Existe
             f"(residual {purity.residual:.3e})"
         )
     assoc = associated_tuple(v)
-    basis, delta_sq = _associated_defect(v, assoc)
+    basis, delta_sq = _associated_defect(v.tensored, table, assoc.range_basis)
     vals, vecs = np.linalg.eigh(delta_sq)  # none when Ker V^* = 0: an empty tuple contracts
     min_eig = float(min([*vals, 0.0] if basis.shape[1] < assoc.dim else vals, default=0.0))
     witness = canonical_phases(basis @ vecs[:, :1])[:, 0] if min_eig < -p.tol else None
@@ -367,24 +369,24 @@ class CounterexamplePoint:
 
 
 def _compressed_shift_forms(table: CoeffTable, n: int, big_n: int, degrees) -> list[float]:
-    """Associated-defect forms, at the vectors e(k e_1) for k in degrees, of the shifts
-    compressed to degrees <= n and embedded at truncation big_n.  The defect acts on Ker
-    V^* = Ran P, so the form at e is that of P e, read from the compression at Q^* e."""
-    v = build_dilation(shift_matrices(table, n).ops, table, TruncationParams(N=big_n))
-    basis, delta_sq = _associated_defect(v, associated_tuple(v))
+    """Associated-defect forms, at e(k e_1) for k in degrees, of the shifts compressed to
+    degrees <= n and embedded at truncation big_n.  Degrees <= n are co-invariant, so the
+    compression dilates, with defect rank 1, to the inclusion of that leading block (tests
+    check `build_dilation` against it to 1e-14): U = I on its rows, the shifts are the model
+    space's own, and the form at e, that of P e, is read at Q^* e."""
+    shifts = shift_matrices(table, big_n).index
+    basis, delta_sq = _associated_defect(shifts, table, np.eye(shifts.h, shifts.ends[n]))
     targets = graded_position(table.d, big_n, [(k,) + (0,) * (table.d - 1) for k in degrees])
-    coords = basis[targets * v.codomain_dims[1]].conj()  # row j: Q^* e at target j
-    return [float(np.real(np.vdot(c, delta_sq @ c))) for c in coords]
+    return [float(np.real(np.vdot(c, delta_sq @ c))) for c in basis[targets].conj()]
 
 
 def bergman_counterexample(m: int, n: int, d: int = 1) -> CounterexamplePoint:
     """Quadratic form of the associated tuple of the degree-n compressed shifts.
 
-    Builds the compression T of the Bergman-m shifts to degrees <= n, embeds
-    it at truncation n + 3, and evaluates the contractivity form of the
-    associated tuple on the basis vector of degree n + 2 along the first
-    coordinate.  m = 1 is rejected: there the ratio drops below 1 and the
-    form is nonnegative.
+    The compression of the Bergman-m shifts to degrees <= n dilates to the inclusion of
+    that leading block into the model space at truncation n + 3 (`_compressed_shift_forms`),
+    where the form is evaluated on the basis vector of degree n + 2 along the first
+    coordinate.  m = 1 is rejected: there the ratio drops below 1 and the form is nonnegative.
     """
     if m < 2:
         raise PrerequisiteError(
@@ -395,14 +397,8 @@ def bergman_counterexample(m: int, n: int, d: int = 1) -> CounterexamplePoint:
         raise ValueError(f"compression degree must be >= 0, got {n}")
     [numeric] = _compressed_shift_forms(build_table(bergman(m, d=d), n + 4), n, n + 3, [n + 2])
     bound = m * (n + 2) / (m + n + 1)
-    closed = 1.0 - bound
-    return CounterexamplePoint(
-        m=m, N=n, d=d,
-        closed_form=closed,
-        numeric=numeric,
-        match_error=abs(numeric - closed),
-        bound_value=bound,
-    )
+    return CounterexamplePoint(m=m, N=n, d=d, closed_form=1.0 - bound, numeric=numeric,
+                               match_error=abs(numeric - (1.0 - bound)), bound_value=bound)
 
 
 # ---------------------------------------------------------------------------

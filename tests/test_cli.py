@@ -662,6 +662,9 @@ def test_config_floats_accept_ints():
     (["--rule", "szego", "--N", "-2"], "--N must be >= 0, got -2"),
     # the table of a huge degree does not fit in memory
     (["--rule", "szego", "--N", "100000000000"], f"--N must be at most {cli.MAX_DEGREE}, got"),
+    # the radius lines read the table through degree 16, whatever --N asks for
+    (["--rule", "custom", "--coeffs", "1,0.5,0.25,0.125", "--N", "3"],
+     "radius estimate need the table through degree 16, so 17 coefficients"),
 ])
 def test_kernel_info_rejects_non_finite_and_negative_input(capsys, argv, fragment):
     assert cli.main(["kernel-info", *argv]) == 2

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cnplab as cl
+from cnplab.coeffs import graded_count
 from cnplab.tuples import TuplePowers
 from model_reference import (condition_values, dense_associated_tuple, dense_check_factorability,
                              dense_existence, dense_intertwining, projected_associated_defect,
@@ -510,7 +511,7 @@ def test_reached_span_decides_as_the_dense_forms(seed, d, h, kernel):
     else:
         assert report.witness is None
     assoc = cl.associated_tuple(v)
-    basis, _ = _associated_defect(v, assoc)
+    basis, _ = _associated_defect(v.tensored, v.table, assoc.range_basis)
     assert kernel != "dirichlet_t" or basis.shape[1] == assoc.dim
     assert (report.status == "admits") == (fact.verdict == "factorable")
 
@@ -546,8 +547,34 @@ def test_invariance_matches_dense_reference():
         assert abs(cl.associated_tuple(v).invariance_residual - ref) <= 1e-12 * ref
 
 
+LEADING_BLOCK_KERNELS = {
+    "szego": lambda rng, d, n: cl.szego(d),
+    "drury_arveson": lambda rng, d, n: cl.drury_arveson(d),
+    "bergman2": lambda rng, d, n: cl.bergman(2, d=d),
+    "bergman3": lambda rng, d, n: cl.bergman(3, d=d),
+    "dirichlet_t": lambda rng, d, n: cl.dirichlet_t(1.0, d=d),
+    "finite_b": lambda rng, d, n: finite_b_kernel(rng, d, max(n, 3)),  # it may draw b_3
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(LEADING_BLOCK_KERNELS))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_compressed_shifts_dilate_to_the_leading_block_inclusion(kernel, d):
+    # the counterexample and the probe take V of the shifts compressed to degrees <= n as
+    # the inclusion of that leading block into the model space, without building it
+    rng = np.random.default_rng(d)
+    for n in range(4):
+        for big_n in sorted({n + 1, n + 3, 6}):
+            spec = LEADING_BLOCK_KERNELS[kernel](rng, d, big_n + 1)
+            table = cl.build_table(spec, big_n + 1)
+            v = cl.build_dilation(cl.shift_matrices(table, n).ops, table, P(big_n))
+            assert v.defect_data.rank == 1, (n, big_n)
+            inclusion = np.eye(v.big_dim, graded_count(d, n))
+            assert np.max(np.abs(v.matrix - inclusion)) <= 1e-14, (n, big_n)
+
+
 def test_counterexample_matches_dense_reference():
-    for m, n, d in ((2, 0, 1), (3, 2, 1), (2, 1, 2), (3, 3, 2)):
+    for m, n, d in ((2, 0, 1), (3, 2, 1), (2, 1, 2), (3, 3, 2), (2, 2, 3)):
         big_n = n + 3
         table = cl.build_table(cl.bergman(m, d=d), big_n + 1)
         v = cl.build_dilation(cl.shift_matrices(table, n).ops, table, P(big_n))
