@@ -205,10 +205,6 @@ def matrices_from_nested(entries) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def matrix_to_nested(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
-
-
 def mats_from_tuple_dict(data: dict) -> tuple:
     """The tuple's matrices, shape-checked; commutators are checked when the tuple is built."""
     json_object(data, "tuple")

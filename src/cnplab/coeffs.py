@@ -10,7 +10,8 @@ radius estimates.
 
 The graded order of multi-indices is decided here and nowhere else:
 graded_indices lists it, graded_position finds a stack of multi-indices in
-it, and graded_count gives the length of its leading block of degrees <= j.
+it, graded_count gives the length of its leading block of degrees <= j, and
+graded_stack builds a stack along it, one step per multi-index.
 """
 
 from __future__ import annotations
@@ -92,13 +93,18 @@ def graded_position(d: int, n: int, rows) -> np.ndarray:
     return order[np.searchsorted(keys, rows @ (n + 1) ** np.arange(d))]
 
 
-def graded_steps(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each alpha != 0 of graded_indices(d, n): its first nonzero coordinate i and the
-    position of alpha - e_i, which comes earlier, so a graded stack of products is built
-    one factor per multi-index."""
+def graded_stack(x: np.ndarray, d: int, n: int, step) -> np.ndarray:
+    """Entries for graded_indices(d, n), stacked: x at alpha = 0, then step(i, entry alpha - e_i)
+    with i the first nonzero coordinate of alpha; alpha - e_i comes earlier, so each entry
+    costs one step, such as one factor T_i of T^alpha."""
     idx = np.array(graded_indices(d, n))[1:]
     first = np.argmax(idx > 0, axis=1)
-    return first, graded_position(d, n, idx - np.eye(d, dtype=int)[first])
+    lower = graded_position(d, n, idx - np.eye(d, dtype=int)[first])
+    out = np.empty((len(idx) + 1, *x.shape), dtype=complex)
+    out[0] = x
+    for j, (i, k) in enumerate(zip(first, lower), start=1):
+        out[j] = step(i, out[k])
+    return out
 
 
 def multinomial(alpha: Sequence[int]) -> int:

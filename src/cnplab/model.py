@@ -66,11 +66,11 @@ class DilationMap:
 
     @property
     def N(self) -> int:
-        return self.shifts.N
+        return self.params.N
 
     @property
     def indices(self) -> tuple:
-        return self.shifts.indices
+        return graded_indices(self.ops.d, self.N)
 
     @property
     def codomain_dims(self) -> tuple:
@@ -251,10 +251,12 @@ class AssociatedTuple:
     """The restriction of the tensored shifts M_i x I to Ker V^*, never formed.
 
     `range_basis` U is an orthonormal basis of Ran V, so P = I - U U^* is the
-    projection onto Ker V^*, of dimension `dim`.  Ker V^* is invariant for
-    the shifts up to truncation, so the restriction equals the compression
-    up to `invariance_residual`, measured on rows of degree <= N - 1 where
-    the cut-off cannot pollute it.
+    projection onto Ker V^*, of dimension `dim`.  The restriction equals the
+    compression up to `invariance_residual`, the part of (M_i x I) P leaving
+    Ker V^*, read on rows of degree <= N - 1.  That part is the cut-off: on
+    Ker V^*, V^*(M_i x I) = E_i^*, E_i = -V T_i^* on the degree-N rows, so
+    the residual is at most max_i |T_i| |V_N| / sigma_min(V), V_N the
+    degree-N rows of V: it measures the leak at the top degree.
     """
 
     range_basis: np.ndarray

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from ._linalg import RANK_REL_TOL, hermitian_norm, hermitize, opnorm, orthonormal_range, psd_sqrt
-from .coeffs import (CoeffTable, graded_count, graded_indices, graded_position, graded_steps,
+from .coeffs import (CoeffTable, graded_count, graded_indices, graded_position, graded_stack,
                      multi_coeff)
 from .errors import CommutationError
 
@@ -92,16 +91,12 @@ class TuplePowers:
     """All products T^alpha for |alpha| <= N as one (m, h, h) stack in graded order.
 
     Entry alpha is T_i T^(alpha - e_i), with i the first nonzero coordinate of
-    alpha: one product per multi-index.
+    alpha: one product per multi-index (`coeffs.graded_stack`).
     """
 
     def __init__(self, t: OperatorTuple, n: int):
         self.tuple, self.n = t, n
-        first, lower = graded_steps(t.d, n)
-        self.stack = np.empty((len(first) + 1, t.h, t.h), dtype=complex)
-        self.stack[0] = np.eye(t.h)
-        for j, (i, k) in enumerate(zip(first, lower), start=1):
-            self.stack[j] = t.mats[i] @ self.stack[k]
+        self.stack = graded_stack(np.eye(t.h), t.d, n, lambda i, y: t.mats[i] @ y)
 
     def power(self, alpha) -> np.ndarray:
         return self.stack[graded_position(self.tuple.d, self.n, [alpha])[0]]
@@ -277,14 +272,8 @@ class IndexShifts:
         return out
 
     def graded_stack(self, x: np.ndarray, m: int) -> np.ndarray:
-        """T^alpha X for |alpha| <= m, stacked in graded order: entry alpha is T_i applied to
-        entry alpha - e_i, i the first nonzero coordinate of alpha, one gather per multi-index."""
-        first, lower = graded_steps(self.d, m)
-        out = np.empty((len(first) + 1, *x.shape), dtype=complex)
-        out[0] = x
-        for j, (i, k) in enumerate(zip(first, lower), start=1):
-            out[j] = self.apply(i, out[k])
-        return out
+        """T^alpha X for |alpha| <= m, stacked in graded order, one gather per multi-index."""
+        return graded_stack(x, self.d, m, self.apply)
 
     def outer_diagonal(self, i: int) -> np.ndarray:
         """The diagonal of T_i T_i^*: weight^2 on dst, 0 elsewhere."""
@@ -308,23 +297,11 @@ class TruncatedShifts:
 
     Matrices act on the orthonormal monomial basis e(alpha) = sqrt(a_alpha)
     z^alpha listed in graded_indices(d, N) order, with a_alpha in `a_alpha`;
-    `index` holds the shifts as index maps, and the dense `ops` are built
-    from it on first read.
+    `index` holds the shifts as index maps.
     """
 
     index: IndexShifts
-    indices: tuple
-    N: int
     a_alpha: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.indices)
-
-    @cached_property
-    def ops(self) -> OperatorTuple:
-        eye = np.eye(self.index.h, dtype=complex)
-        return OperatorTuple(tuple(self.index.apply(i, eye) for i in range(self.index.d)))
 
 
 def shift_matrices(table: CoeffTable, n: int) -> TruncatedShifts:
@@ -343,8 +320,7 @@ def shift_matrices(table: CoeffTable, n: int) -> TruncatedShifts:
     dsts = graded_position(table.d, n, ups.reshape(-1, table.d)).reshape(table.d, len(src))
     maps = tuple((dst, src, np.sqrt(a_alpha[src] / a_alpha[dst])) for dst in dsts)
     ends = tuple(graded_count(table.d, j) for j in range(n + 1))
-    return TruncatedShifts(index=IndexShifts(maps, len(indices), ends), indices=indices, N=n,
-                           a_alpha=a_alpha)
+    return TruncatedShifts(index=IndexShifts(maps, len(indices), ends), a_alpha=a_alpha)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cnplab as cl
+from series_reference import dense_shifts
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ def scaled_jordan(scale: float, size: int = 3) -> cl.OperatorTuple:
 
 def compressed_shifts(spec: cl.KernelSpec, degree: int, table_n: int) -> cl.OperatorTuple:
     table = cl.build_table(spec, table_n)
-    return cl.shift_matrices(table, degree).ops
+    return dense_shifts(table, degree)
 
 
 def _pure_examples() -> list[Example]:

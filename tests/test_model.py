@@ -13,7 +13,7 @@ from cnplab.tuples import TuplePowers
 from model_reference import (condition_values, dense_associated_tuple, dense_check_factorability,
                              dense_existence, dense_intertwining, projected_associated_defect,
                              restricted_associated_defect, zero_tuple_probe)
-from series_reference import tensored_shifts, tuple_power
+from series_reference import dense_shifts, tensored_shifts, tuple_power
 from random_inputs import diff_kernel, finite_b_kernel, random_commuting_tuple
 from cnplab.model import _associated_defect
 
@@ -105,8 +105,8 @@ def test_dilation_carries_its_tuple_and_shifts():
     assert v.ops is t and v.table is table and v.params is p
     assert all(np.array_equal(v.powers.power(alpha), tuple_power(t, alpha))
                for alpha in v.indices)
-    assert (v.N, v.indices) == (v.shifts.N, v.shifts.indices) == (8, cl.graded_indices(2, 8))
-    assert v.codomain_dims == (v.shifts.dim, 2) and v.big_dim == v.matrix.shape[0]
+    assert (v.N, v.indices) == (8, cl.graded_indices(2, 8))
+    assert v.codomain_dims == (v.shifts.index.h, 2) and v.big_dim == v.matrix.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +124,11 @@ def test_factorability_zero_operator():
     table = cl.build_table(cl.szego(), 12)
     shifts = cl.shift_matrices(table, 8)
     # V = I gives X = I - V V^* = 0
-    report = cl.check_factorability(np.eye(shifts.dim), shifts.index, table, 1e-9)
+    report = cl.check_factorability(np.eye(shifts.index.h), shifts.index, table, 1e-9)
     assert report.verdict == "factorable"
-    x = np.zeros((shifts.dim, shifts.dim))
+    x = np.zeros((shifts.index.h, shifts.index.h))
     # the reference sums to top + tail_window: the same finite series
-    assert_matches_reference(report, dense_check_factorability(x, shifts.ops, table, P(8 + 3)))
+    assert_matches_reference(report, dense_check_factorability(x, dense_shifts(table, 8), table, P(8 + 3)))
 
 
 def test_factorability_identity_on_szego_shift():
@@ -136,15 +136,16 @@ def test_factorability_identity_on_szego_shift():
     shifts = cl.shift_matrices(table, 8)
     p = P(8)
     # V with no columns gives X = I
-    report = cl.check_factorability(np.zeros((shifts.dim, 0)), shifts.index, table, p.tol)
+    report = cl.check_factorability(np.zeros((shifts.index.h, 0)), shifts.index, table, p.tol)
     assert report.verdict == "factorable"
     assert report.cond2_min_eig >= -1e-12
-    want = dense_check_factorability(np.eye(shifts.dim), shifts.ops, table, P(p.N + 3))
+    want = dense_check_factorability(np.eye(shifts.index.h), dense_shifts(table, p.N), table,
+                                     P(p.N + 3))
     assert want.cond3_residual <= 1e-12
     assert_matches_reference(report, want)
     # the gap X - P(X) is exactly the rank-one projection onto the constants
-    powers = TuplePowers(shifts.ops, p.N)
-    gap = np.eye(shifts.dim, dtype=complex)
+    powers = TuplePowers(dense_shifts(table, p.N), p.N)
+    gap = np.eye(shifts.index.h, dtype=complex)
     for alpha in cl.graded_indices(1, p.N):
         if sum(alpha) == 0:
             continue
@@ -159,7 +160,7 @@ def test_factorability_identity_on_szego_shift():
 def test_factorability_bergman_projection_fails_cond2():
     table = cl.build_table(cl.bergman(2), 20)
     p = P(12)
-    t0 = cl.shift_matrices(table, 0).ops  # compression to the constants
+    t0 = dense_shifts(table, 0)  # compression to the constants
     v = cl.build_dilation(t0, table, p)
     report = cl.check_factorability(v.matrix, v.tensored, table, p.tol)
     assert report.verdict == "not_factorable"
@@ -167,22 +168,22 @@ def test_factorability_bergman_projection_fails_cond2():
     assert report.cond2_min_eig <= -(1.0 / 3.0) + 1e-10
     x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
     assert_matches_reference(report, dense_check_factorability(
-        x, tensored_shifts(v.shifts, v.codomain_dims[1]), table, P(p.N + 3)))
+        x, tensored_shifts(v.table, v.N, v.codomain_dims[1]), table, P(p.N + 3)))
 
 
 def test_factorability_rejects_a_non_contractive_v():
     # I - V V^* is PSD up to tol exactly when |V|^2 <= 1 + tol
     table = cl.build_table(cl.szego(), 12)
     shifts = cl.shift_matrices(table, 6)
-    v = np.zeros((shifts.dim, 2))
+    v = np.zeros((shifts.index.h, 2))
     v[0, 0] = v[3, 1] = 1.0
     v[:, 1] *= np.sqrt(1.0 + 2e-9)
     with pytest.raises(ValueError, match="PSD up to tol"):
         cl.check_factorability(v, shifts.index, table, 1e-9)
     v[3, 1] = np.sqrt(1.0 + 0.5e-9)  # within tol: checked, not rejected
-    x = np.eye(shifts.dim) - v @ v.T
+    x = np.eye(shifts.index.h) - v @ v.T
     assert_matches_reference(cl.check_factorability(v, shifts.index, table, 1e-9),
-                             dense_check_factorability(x, shifts.ops, table, P(6 + 3)))
+                             dense_check_factorability(x, dense_shifts(table, 6), table, P(6 + 3)))
     with pytest.raises(ValueError, match="does not map into"):
         cl.check_factorability(v[1:], shifts.index, table, 1e-9)
 
@@ -199,14 +200,14 @@ def test_factorability_fails_cond1(kernel, want):
     # more rows than the 2 columns of [V, M_d V], so that set is collapsed
     table = cl.build_table(kernel, 10)
     shifts = cl.shift_matrices(table, 6)
-    v = np.zeros((shifts.dim, 1))
+    v = np.zeros((shifts.index.h, 1))
     v[1, 0] = 1.0
     report = cl.check_factorability(v, shifts.index, table, 1e-9)
     assert (report.verdict, report.failed_condition) == ("not_factorable", 1)
     assert np.max(np.abs(np.subtract(report.cond1_min_eigs, want))) <= 1e-12
-    x = np.eye(shifts.dim) - v @ v.T
-    assert_matches_reference(report, dense_check_factorability(x, shifts.ops, table, P(6 + 3),
-                                                               c_degree=6))
+    x = np.eye(shifts.index.h) - v @ v.T
+    assert_matches_reference(report, dense_check_factorability(x, dense_shifts(table, 6), table,
+                                                               P(6 + 3), c_degree=6))
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31), n=st.integers(min_value=1, max_value=40),
@@ -243,7 +244,7 @@ def test_cond1_collapses_on_the_drury_arveson_triple(monkeypatch):
     x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
     c = cl.shift_norm_sq(v.table, 0, 8).value
     dense = [np.linalg.eigvalsh(c * x - m @ x @ m.conj().T)[0]
-             for m in tensored_shifts(v.shifts, v.codomain_dims[1]).mats]
+             for m in tensored_shifts(v.table, v.N, v.codomain_dims[1]).mats]
     assert np.max(np.abs(np.subtract(report.cond1_min_eigs, dense))) <= 1e-12
 
 
@@ -275,14 +276,13 @@ def test_factorability_cond3_is_an_identity_on_the_finite_space(seed, d, r, cols
         "finite_b": lambda: finite_b_kernel(rng, d, n + 4),
     }[kernel]()
     table = cl.build_table(spec, n + 4)
-    truncated = cl.shift_matrices(table, n)
-    shifts = truncated.index.tensor(r)
+    shifts = cl.shift_matrices(table, n).index.tensor(r)
     v = rng.standard_normal((shifts.h, cols)) + 1j * rng.standard_normal((shifts.h, cols))
     if cols:
         v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v, 2)
     # the reference sums to n + tail_window: the same finite series
     want = dense_check_factorability(np.eye(shifts.h) - v @ v.conj().T,
-                                     tensored_shifts(truncated, r), table, P(n + 3), c_degree=n)
+                                     tensored_shifts(table, n, r), table, P(n + 3), c_degree=n)
     assert want.cond3_residual <= 1e-12
     assert_matches_reference(cl.check_factorability(v, shifts, table, 1e-9), want)
 
@@ -305,7 +305,7 @@ def test_associated_tuple_full_range_is_empty():
     # the truncated shifts dilate to themselves: the embedding is the identity
     table = cl.build_table(cl.dirichlet_t(1.0), 14)
     p = P(10)
-    v = cl.build_dilation(cl.shift_matrices(table, p.N).ops, table, p)
+    v = cl.build_dilation(dense_shifts(table, p.N), table, p)
     assoc = cl.associated_tuple(v)
     assert assoc.dim == 0 and assoc.range_basis.shape == (v.big_dim, v.big_dim)
     assert cl.admits_charfn(v).value == 0.0
@@ -328,7 +328,7 @@ def test_associated_tuple_bergman_kernel_structure():
     # positive degrees
     table = cl.build_table(cl.bergman(2), 20)
     p = P(12)
-    t0 = cl.shift_matrices(table, 0).ops
+    t0 = dense_shifts(table, 0)
     v = cl.build_dilation(t0, table, p)
     assoc = cl.associated_tuple(v)
     assert assoc.dim == p.N
@@ -361,7 +361,7 @@ def test_does_not_admit_zero_tuple_bergman():
 
 def test_witness_value_t0_bergman():
     table = cl.build_table(cl.bergman(2), 20)
-    t0 = cl.shift_matrices(table, 0).ops
+    t0 = dense_shifts(table, 0)
     report = admits(t0, table, P(12))
     assert report.status == "does_not_admit"
     assert abs(report.value + 1.0 / 3.0) <= 1e-12
@@ -393,7 +393,7 @@ def test_existence_factorability_consistency(existence_examples):
         p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
         fact = cl.check_factorability(v.matrix, v.tensored, table, ex.p.tol)
         assert_matches_reference(fact, dense_check_factorability(
-            x, tensored_shifts(v.shifts, r), table, p_series), ex.name)
+            x, tensored_shifts(v.table, v.N, r), table, p_series), ex.name)
         assert report.status in ("admits", "does_not_admit"), ex.name
         assert fact.verdict in ("factorable", "not_factorable"), ex.name
         assert (report.status == "admits") == (fact.verdict == "factorable"), ex.name
@@ -408,7 +408,7 @@ def test_factorability_on_index_shifts_matches_dense(existence_examples):
         r = v.codomain_dims[1]
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
         p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
-        dense = dense_check_factorability(x, tensored_shifts(v.shifts, r), table, p_series)
+        dense = dense_check_factorability(x, tensored_shifts(v.table, v.N, r), table, p_series)
         gather = cl.check_factorability(v.matrix, v.shifts.index.tensor(r), table, ex.p.tol)
         assert_matches_reference(gather, dense, ex.name)
 
@@ -494,7 +494,7 @@ def test_reached_span_decides_as_the_dense_forms(seed, d, h, kernel):
     fact = cl.check_factorability(v.matrix, v.tensored, v.table, tol)
     x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
     assert_matches_reference(fact, dense_check_factorability(
-        x, tensored_shifts(v.shifts, v.codomain_dims[1]), v.table, P(n + 3), c_degree=n))
+        x, tensored_shifts(v.table, v.N, v.codomain_dims[1]), v.table, P(n + 3), c_degree=n))
     report = cl.admits_charfn(v)
     k, delta_sq, tail = projected_associated_defect(v)
     vals, vecs = np.linalg.eigh(delta_sq)
@@ -547,6 +547,21 @@ def test_invariance_matches_dense_reference():
         assert abs(cl.associated_tuple(v).invariance_residual - ref) <= 1e-12 * ref
 
 
+def test_invariance_residual_is_the_top_degree_leak(pure_examples):
+    # V^*(M_i x I) = T_i V^* + E_i^* with E_i = -V T_i^* on the degree-N rows and 0 above,
+    # so on Ker V^* the leak U^*(M_i x I)P is E_i^* read through U^* and
+    # |U^*(M_i x I)P| <= |T_i| |V_N| / sigma_min(V), V_N the degree-N rows of V
+    table = cl.build_table(cl.drury_arveson(2), 12)
+    cases = [cl.build_dilation(ex.ops, ex.table(), ex.p) for ex in pure_examples]
+    cases += [cl.build_dilation(random_commuting_tuple(np.random.default_rng(seed), 2, 3, 0.6),
+                                table, P(10)) for seed in range(10)]
+    for v in cases:
+        top = v.matrix[v.tensored.ends[v.N - 1]:]
+        bound = (max(np.linalg.norm(m, 2) for m in v.ops.mats) * np.linalg.norm(top, 2)
+                 / np.linalg.svd(v.matrix, compute_uv=False)[-1])
+        assert cl.associated_tuple(v).invariance_residual <= bound * (1.0 + 1e-9) + 1e-15
+
+
 LEADING_BLOCK_KERNELS = {
     "szego": lambda rng, d, n: cl.szego(d),
     "drury_arveson": lambda rng, d, n: cl.drury_arveson(d),
@@ -567,7 +582,7 @@ def test_compressed_shifts_dilate_to_the_leading_block_inclusion(kernel, d):
         for big_n in sorted({n + 1, n + 3, 6}):
             spec = LEADING_BLOCK_KERNELS[kernel](rng, d, big_n + 1)
             table = cl.build_table(spec, big_n + 1)
-            v = cl.build_dilation(cl.shift_matrices(table, n).ops, table, P(big_n))
+            v = cl.build_dilation(dense_shifts(table, n), table, P(big_n))
             assert v.defect_data.rank == 1, (n, big_n)
             inclusion = np.eye(v.big_dim, graded_count(d, n))
             assert np.max(np.abs(v.matrix - inclusion)) <= 1e-14, (n, big_n)
@@ -577,7 +592,7 @@ def test_counterexample_matches_dense_reference():
     for m, n, d in ((2, 0, 1), (3, 2, 1), (2, 1, 2), (3, 3, 2), (2, 2, 3)):
         big_n = n + 3
         table = cl.build_table(cl.bergman(m, d=d), big_n + 1)
-        v = cl.build_dilation(cl.shift_matrices(table, n).ops, table, P(big_n))
+        v = cl.build_dilation(dense_shifts(table, n), table, P(big_n))
         k, _, _ = dense_associated_tuple(v)
         _, dd, _ = dense_existence(v, n=big_n)
         e = np.zeros(v.big_dim, dtype=complex)
@@ -600,7 +615,7 @@ def orbit_closure(shifts, v0, thr=1e-10):
     queue = [q]
     while queue:
         q = queue.pop(0)
-        for m in shifts.ops.mats:
+        for m in shifts.mats:
             w = m @ q
             nw = np.linalg.norm(w)
             if nw <= 1e-14:
@@ -620,17 +635,17 @@ def test_invariant_subspaces_stay_contractive():
     # contractive for a CNP kernel; orbit closures are invariant by construction
     table = cl.build_table(cl.drury_arveson(2), 12)
     p = P(8)
-    shifts = cl.shift_matrices(table, p.N)
+    shifts = dense_shifts(table, p.N)
     rng = np.random.default_rng(314159)
     for trial in range(20):
-        v0 = rng.standard_normal(shifts.dim) + 1j * rng.standard_normal(shifts.dim)
+        v0 = rng.standard_normal(shifts.h) + 1j * rng.standard_normal(shifts.h)
         k = orbit_closure(shifts, v0)
         defect = max(
-            np.linalg.norm((np.eye(shifts.dim) - k @ k.conj().T) @ (m @ k), 2)
-            for m in shifts.ops.mats
+            np.linalg.norm((np.eye(shifts.h) - k @ k.conj().T) @ (m @ k), 2)
+            for m in shifts.mats
         )
         assert defect <= 1e-8, (trial, defect)
-        restricted = cl.OperatorTuple(tuple(k.conj().T @ m @ k for m in shifts.ops.mats),
+        restricted = cl.OperatorTuple(tuple(k.conj().T @ m @ k for m in shifts.mats),
                                       commutator_tol=max(1e-12, 10.0 * defect))
         verdict = cl.is_contraction(restricted, table, p)
         assert verdict.status == "yes", (trial, verdict)
@@ -657,7 +672,7 @@ def test_counterexample_sweep():
 
 
 def test_counterexample_dimension_invariance():
-    for d in (1, 2, 3):
+    for d in (1, 2, 3, 4, 5):
         point = cl.bergman_counterexample(2, 0, d=d)
         assert abs(point.numeric + 1.0 / 3.0) <= 1e-12
 
@@ -678,12 +693,12 @@ def test_counterexample_against_direct_quadratic_form():
     for m, n in ((2, 0), (2, 2), (3, 1), (4, 3)):
         big_n = n + 3
         table = cl.build_table(cl.bergman(m), big_n + 1)
-        shifts = cl.shift_matrices(table, big_n)
-        proj = np.diag([1.0 if sum(alpha) > n else 0.0 for alpha in shifts.indices])
-        e = np.zeros(shifts.dim, dtype=complex)
-        e[shifts.indices.index((n + 2,))] = 1.0
+        indices = cl.graded_indices(1, big_n)
+        proj = np.diag([1.0 if sum(alpha) > n else 0.0 for alpha in indices])
+        e = np.zeros(len(indices), dtype=complex)
+        e[indices.index((n + 2,))] = 1.0
         q = 1.0
-        mat = shifts.ops.mats[0]
+        mat = dense_shifts(table, big_n).mats[0]
         w = e
         for i in range(1, big_n + 1):
             w = mat.conj().T @ w

@@ -11,7 +11,8 @@ from cnplab._linalg import canonical_phases
 from cnplab.tuples import TuplePowers, _weighted_series
 from model_reference import looped_canonical_phases
 from random_inputs import diff_kernel, random_commuting_tuple
-from series_reference import enumerated_series, enumerated_shift_norm_sq, tensored_shifts, tuple_power
+from series_reference import (dense_shifts, enumerated_series, enumerated_shift_norm_sq, tensored_shifts,
+                              tuple_power)
 
 
 def P(n, tol=1e-9, window=3):
@@ -218,22 +219,22 @@ def test_purity_inconclusive_near_boundary():
 
 def test_shift_matrix_szego():
     table = cl.build_table(cl.szego(), 5)
-    shifts = cl.shift_matrices(table, 3)
+    shifts = cl.shift_matrices(table, 3).index
     expected = np.diag([1.0, 1.0, 1.0], k=-1)
-    assert np.array_equal(shifts.ops.mats[0].real, expected)
+    assert np.array_equal(shifts.apply(0, np.eye(shifts.h)).real, expected)
 
 
 def test_shift_matrix_entries():
     # dirichlet: <M e(0), e(1)> = sqrt(a_0 / a_1) = sqrt(2), so the squared
     # norm matches the known value 2 of the dirichlet shift
     table = cl.build_table(cl.dirichlet_t(1.0), 5)
-    shifts = cl.shift_matrices(table, 3)
-    assert abs(shifts.ops.mats[0][1, 0] - np.sqrt(2.0)) <= 1e-15
+    shifts = cl.shift_matrices(table, 3).index
+    assert abs(shifts.apply(0, np.eye(shifts.h))[1, 0] - np.sqrt(2.0)) <= 1e-15
     da = cl.build_table(cl.drury_arveson(2), 5)
-    sda = cl.shift_matrices(da, 3)
-    pos = {alpha: i for i, alpha in enumerate(sda.indices)}
-    assert abs(sda.ops.mats[0][pos[(1, 0)], pos[(0, 0)]] - 1.0) <= 1e-15
-    assert abs(sda.ops.mats[1][pos[(1, 1)], pos[(1, 0)]] - np.sqrt(0.5)) <= 1e-15
+    sda = cl.shift_matrices(da, 3).index
+    pos = {alpha: i for i, alpha in enumerate(graded_indices(2, 3))}
+    assert abs(sda.apply(0, np.eye(sda.h))[pos[(1, 0)], pos[(0, 0)]] - 1.0) <= 1e-15
+    assert abs(sda.apply(1, np.eye(sda.h))[pos[(1, 1)], pos[(1, 0)]] - np.sqrt(0.5)) <= 1e-15
 
 
 @pytest.mark.parametrize("spec", [cl.szego(), cl.drury_arveson(2), cl.bergman(2),
@@ -244,12 +245,12 @@ def test_shift_defect_identity(spec):
     top = 8 if spec.d == 1 else 6
     table = cl.build_table(spec, top + 1)
     for n in range(1, top + 1):
-        shifts = cl.shift_matrices(table, n)
-        dd = cl.defect(shifts.ops, table, P(n))
+        dd = cl.defect(dense_shifts(table, n), table, P(n))
         nonzero = [k for k in range(1, n + 1) if table.b[k] != 0.0]
         n_b = min(max(nonzero), n) if nonzero else n
-        keep = [i for i, alpha in enumerate(shifts.indices) if sum(alpha) <= n - n_b]
-        e0 = np.zeros((len(shifts.indices), len(shifts.indices)))
+        indices = graded_indices(spec.d, n)
+        keep = [i for i, alpha in enumerate(indices) if sum(alpha) <= n - n_b]
+        e0 = np.zeros((len(indices), len(indices)))
         e0[0, 0] = 1.0
         sub = np.ix_(keep, keep)
         assert np.max(np.abs(dd.delta_sq[sub] - e0[sub])) <= 1e-10, (spec.label, n)
@@ -257,22 +258,23 @@ def test_shift_defect_identity(spec):
 
 def test_shift_defect_identity_three_variables():
     table = cl.build_table(cl.drury_arveson(3), 5)
-    shifts = cl.shift_matrices(table, 3)
-    dd = cl.defect(shifts.ops, table, P(3))
-    e0 = np.zeros((shifts.dim, shifts.dim))
+    shifts = dense_shifts(table, 3)
+    dd = cl.defect(shifts, table, P(3))
+    e0 = np.zeros((shifts.h, shifts.h))
     e0[0, 0] = 1.0
     assert np.max(np.abs(dd.delta_sq - e0)) <= 1e-12
-    assert cl.is_pure(shifts.ops, table, P(3)).status == "pure"
+    assert cl.is_pure(shifts, table, P(3)).status == "pure"
 
 
 def test_shift_purity_partial_sums_are_projections():
     spec = cl.drury_arveson(2)
     n = 6
     table = cl.build_table(spec, n + 1)
-    shifts = cl.shift_matrices(table, n)
-    e0 = np.zeros((shifts.dim, shifts.dim), dtype=complex)
+    shifts = dense_shifts(table, n)
+    indices = graded_indices(2, n)
+    e0 = np.zeros((shifts.h, shifts.h), dtype=complex)
     e0[0, 0] = 1.0
-    powers = cl.tuples.TuplePowers(shifts.ops, n)
+    powers = cl.tuples.TuplePowers(shifts, n)
     acc = np.zeros_like(e0)
     for j in range(n + 1):
         for alpha in graded_indices(2, j):
@@ -282,16 +284,15 @@ def test_shift_purity_partial_sums_are_projections():
                 acc = acc + c * (m @ e0 @ m.conj().T)
         # partial sum through degree j is exactly the projection onto degrees <= j
         assert np.max(np.abs(acc @ acc - acc)) <= 1e-10
-        expected_rank = sum(1 for alpha in shifts.indices if sum(alpha) <= j)
+        expected_rank = sum(1 for alpha in indices if sum(alpha) <= j)
         assert abs(np.trace(acc).real - expected_rank) <= 1e-10
-        diag = np.array([1.0 if sum(alpha) <= j else 0.0 for alpha in shifts.indices])
+        diag = np.array([1.0 if sum(alpha) <= j else 0.0 for alpha in indices])
         assert np.max(np.abs(acc - np.diag(diag))) <= 1e-10
 
 
 def test_shift_purity_verdict():
     table = cl.build_table(cl.dirichlet_t(1.0), 24)
-    shifts = cl.shift_matrices(table, 6)
-    verdict = cl.is_pure(shifts.ops, table, P(12))
+    verdict = cl.is_pure(dense_shifts(table, 6), table, P(12))
     assert verdict.status == "pure" and verdict.residual <= 1e-12
 
 
@@ -322,7 +323,7 @@ def test_shift_norm_sq_matches_enumeration(d, rule, param, n):
 def test_shifts_carry_the_multi_index_coefficients():
     table = cl.build_table(cl.bergman(2, d=3), 6)
     shifts = cl.shift_matrices(table, 5)
-    want = [cl.multi_coeff(table, alpha) for alpha in shifts.indices]
+    want = [cl.multi_coeff(table, alpha) for alpha in graded_indices(3, 5)]
     assert np.array_equal(shifts.a_alpha, want) and not shifts.a_alpha.flags.writeable
 
 
@@ -373,13 +374,12 @@ def test_index_shifts_match_dense_kron(seed, d, rule, param, r):
     rng = np.random.default_rng(seed)
     n = SERIES_DEGREE[d] - 2
     table = cl.build_table(diff_kernel(rule, d, param), n + 1)
-    shifts = cl.shift_matrices(table, n)
-    tensored = shifts.index.tensor(r)
-    dense = tensored_shifts(shifts, r)
-    size = shifts.dim * r
+    tensored = cl.shift_matrices(table, n).index.tensor(r)
+    dense = tensored_shifts(table, n, r)
+    size = len(graded_indices(d, n)) * r
     assert tensored.h == size and tensored.d == d
     k = rng.standard_normal((size, 4)) + 1j * rng.standard_normal((size, 4))
-    w_sq = max(1.0, max(np.max(np.abs(m), initial=0.0) for m in shifts.ops.mats)) ** 2
+    w_sq = max(1.0, max(np.max(np.abs(m), initial=0.0) for m in dense.mats)) ** 2
     for i, m in enumerate(dense.mats):
         assert np.max(np.abs(tensored.apply(i, k) - m @ k)) <= 1e-14 * w_sq * np.max(np.abs(k))
         # T_i T_i^* is diagonal, so cond1 reads it as a vector
@@ -394,13 +394,35 @@ def test_adjoint_gathers_match_dense_kron(seed, d, rule, param, r):
     rng = np.random.default_rng(seed)
     n = SERIES_DEGREE[d] - 2
     table = cl.build_table(diff_kernel(rule, d, param), n + 1)
-    shifts = cl.shift_matrices(table, n)
-    tensored = shifts.index.tensor(r)
-    size = shifts.dim * r
-    k = rng.standard_normal((size, 4)) + 1j * rng.standard_normal((size, 4))
-    for i, m in enumerate(np.kron(m, np.eye(r)) for m in shifts.ops.mats):
+    tensored = cl.shift_matrices(table, n).index.tensor(r)
+    dense = tensored_shifts(table, n, r)
+    k = rng.standard_normal((dense.h, 4)) + 1j * rng.standard_normal((dense.h, 4))
+    for i, m in enumerate(dense.mats):
         scale = max(1.0, np.max(np.abs(m))) ** 2 * np.max(np.abs(k))
         assert np.max(np.abs(tensored.apply_adjoint(i, k) - m.conj().T @ k)) <= 1e-14 * scale
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.integers(min_value=1, max_value=4),
+       n=st.integers(min_value=1, max_value=5), m=st.integers(min_value=0, max_value=5),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t", "bergman"]),
+       param=st.floats(min_value=0.0, max_value=2.0), r=st.sampled_from([1, 2]))
+@settings(max_examples=40, deadline=None)
+def test_graded_stack_matches_dense_powers(seed, d, n, m, rule, param, r):
+    # entry j of the gathered stack is M^alpha_j X, alpha_j the j-th multi-index of degree <= m
+    rng = np.random.default_rng(seed)
+    m = min(m, n)
+    table = cl.build_table(diff_kernel(rule, d, param), n + 1)
+    index = cl.shift_matrices(table, n).index
+    dense = dense_shifts(table, n)
+    for i in range(d):  # the reference shifts are the index maps, entry for entry
+        assert np.max(np.abs(index.apply(i, np.eye(index.h)) - dense.mats[i])) <= 1e-15
+    tensored = tensored_shifts(table, n, r)
+    x = rng.standard_normal((tensored.h, 2)) + 1j * rng.standard_normal((tensored.h, 2))
+    stack = index.tensor(r).graded_stack(x, m)
+    assert stack.shape == (len(graded_indices(d, m)), *x.shape)
+    for got, alpha in zip(stack, graded_indices(d, m)):
+        want = tuple_power(tensored, alpha) @ x
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), alpha
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31), rows=st.integers(min_value=0, max_value=7),
