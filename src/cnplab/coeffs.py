@@ -8,10 +8,13 @@ a_alpha = a_|alpha| * multinomial(alpha), the complete Nevanlinna-Pick
 classification (all b_n >= 0), pointwise kernel evaluation, and ratio-test
 radius estimates.
 
-The graded order of multi-indices is decided here and nowhere else:
-graded_indices lists it, graded_position finds a stack of multi-indices in
-it, graded_count gives the length of its leading block of degrees <= j, and
-graded_stack builds a stack along it, one step per multi-index.
+The graded order of multi-indices is decided here and nowhere else, by one
+recursion: graded_stack, of which graded_indices is the instance on the
+multi-indices themselves.  It rests on a prefix fact: the degree-k entries
+whose first nonzero coordinate is i are beta + e_i, in order, for the leading
+degree-(k - 1) entries beta that are 0 before coordinate i.  So each degree is
+d contiguous blocks, one step each.  graded_position finds a stack of
+multi-indices in the order, and graded_count gives its leading block's length.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,15 +43,6 @@ RADIUS_MIN_COEFFS = 10
 # Multi-index utilities
 # ---------------------------------------------------------------------------
 
-def _compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    if d == 1:
-        yield (n,)
-        return
-    for k in range(n + 1):
-        for rest in _compositions(n - k, d - 1):
-            yield (k,) + rest
-
-
 @lru_cache(maxsize=None)
 def graded_indices(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     """All multi-indices of length d with total degree <= n.
@@ -59,10 +53,9 @@ def graded_indices(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     """
     if d < 1 or n < 0:
         raise ValueError(f"need d >= 1 and n >= 0, got d={d}, n={n}")
-    out: list[tuple[int, ...]] = []
-    for deg in range(n + 1):
-        out.extend(_compositions(deg, d))
-    return tuple(out)
+    unit = np.eye(d, dtype=int)
+    rows = graded_stack(np.zeros(d, dtype=int), d, n, lambda i, y: y + unit[i])
+    return tuple(map(tuple, rows.tolist()))
 
 
 def graded_count(d: int, j: int) -> int:
@@ -94,16 +87,19 @@ def graded_position(d: int, n: int, rows) -> np.ndarray:
 
 
 def graded_stack(x: np.ndarray, d: int, n: int, step) -> np.ndarray:
-    """Entries for graded_indices(d, n), stacked: x at alpha = 0, then step(i, entry alpha - e_i)
-    with i the first nonzero coordinate of alpha; alpha - e_i comes earlier, so each entry
-    costs one step, such as one factor T_i of T^alpha."""
-    idx = np.array(graded_indices(d, n))[1:]
-    first = np.argmax(idx > 0, axis=1)
-    lower = graded_position(d, n, idx - np.eye(d, dtype=int)[first])
-    out = np.empty((len(idx) + 1, *x.shape), dtype=complex)
+    """Entries for graded_indices(d, n), stacked in x's dtype: x at alpha = 0, then
+    step(i, entry alpha - e_i), i the first nonzero coordinate of alpha.  By the prefix
+    fact above, step acts on a stack of entries, once per coordinate and degree: for
+    instance one batched factor T_i of T^alpha."""
+    out = np.empty((graded_count(d, n), *x.shape), dtype=x.dtype)
     out[0] = x
-    for j, (i, k) in enumerate(zip(first, lower), start=1):
-        out[j] = step(i, out[k])
+    pos = 1
+    for k in range(1, n + 1):
+        prev = graded_count(d, k - 2)  # where degree k - 1 starts
+        for i in range(d - 1, -1, -1):
+            size = graded_count(d - 1 - i, k - 1)
+            out[pos:pos + size] = step(i, out[prev:prev + size])
+            pos += size
     return out
 
 

@@ -91,12 +91,12 @@ class TuplePowers:
     """All products T^alpha for |alpha| <= N as one (m, h, h) stack in graded order.
 
     Entry alpha is T_i T^(alpha - e_i), with i the first nonzero coordinate of
-    alpha: one product per multi-index (`coeffs.graded_stack`).
+    alpha: one batched product per coordinate and degree (`coeffs.graded_stack`).
     """
 
     def __init__(self, t: OperatorTuple, n: int):
         self.tuple, self.n = t, n
-        self.stack = graded_stack(np.eye(t.h), t.d, n, lambda i, y: t.mats[i] @ y)
+        self.stack = graded_stack(np.eye(t.h, dtype=complex), t.d, n, lambda i, y: t.mats[i] @ y)
 
     def power(self, alpha) -> np.ndarray:
         return self.stack[graded_position(self.tuple.d, self.n, [alpha])[0]]
@@ -258,22 +258,22 @@ class IndexShifts:
         return len(self.maps)
 
     def apply(self, i: int, x: np.ndarray) -> np.ndarray:
-        """T_i X."""
+        """T_i X, for an (h, c) X or an (m, h, c) stack of them."""
         dst, src, w = self.maps[i]
-        out = np.zeros((self.h, x.shape[1]), dtype=complex)
-        out[dst] = w[:, None] * x[src]
+        out = np.zeros((*x.shape[:-2], self.h, x.shape[-1]), dtype=complex)
+        out[..., dst, :] = w[:, None] * x[..., src, :]
         return out
 
     def apply_adjoint(self, i: int, x: np.ndarray) -> np.ndarray:
-        """T_i^* X: row src[j] of the result is w[j] X[dst[j]]."""
+        """T_i^* X: row src[j] of the result is w[j] X[dst[j]]; X may be a stack, as in apply."""
         dst, src, w = self.maps[i]
-        out = np.zeros((self.h, x.shape[1]), dtype=complex)
-        out[src] = w[:, None] * x[dst]
+        out = np.zeros((*x.shape[:-2], self.h, x.shape[-1]), dtype=complex)
+        out[..., src, :] = w[:, None] * x[..., dst, :]
         return out
 
     def graded_stack(self, x: np.ndarray, m: int) -> np.ndarray:
-        """T^alpha X for |alpha| <= m, stacked in graded order, one gather per multi-index."""
-        return graded_stack(x, self.d, m, self.apply)
+        """T^alpha X for |alpha| <= m in graded order: one gather per coordinate and degree."""
+        return graded_stack(np.asarray(x, dtype=complex), self.d, m, self.apply)
 
     def outer_diagonal(self, i: int) -> np.ndarray:
         """The diagonal of T_i T_i^*: weight^2 on dst, 0 elsewhere."""
@@ -293,11 +293,11 @@ class IndexShifts:
 
 @dataclass(frozen=True)
 class TruncatedShifts:
-    """Compressions of the coordinate multipliers to degrees <= N.
+    """Compressions of the coordinate multipliers to degrees <= N, as index maps.
 
-    Matrices act on the orthonormal monomial basis e(alpha) = sqrt(a_alpha)
-    z^alpha listed in graded_indices(d, N) order, with a_alpha in `a_alpha`;
-    `index` holds the shifts as index maps.
+    `index` holds the shifts on the orthonormal monomial basis e(alpha) =
+    sqrt(a_alpha) z^alpha listed in graded_indices(d, N) order, with a_alpha
+    in `a_alpha`; no dense matrix is formed.
     """
 
     index: IndexShifts
@@ -305,10 +305,10 @@ class TruncatedShifts:
 
 
 def shift_matrices(table: CoeffTable, n: int) -> TruncatedShifts:
-    """Matrices of the coordinate shifts compressed to degree <= n.
+    """Index maps of the coordinate shifts compressed to degree <= n.
 
-    The only nonzero entries are <M_i e(alpha), e(alpha + e_i)> =
-    sqrt(a_alpha / a_{alpha+e_i}); the a-table must extend through n + 1.
+    M_i e(alpha) = sqrt(a_alpha / a_{alpha+e_i}) e(alpha + e_i) below degree
+    n, and 0 at degree n; the a-table must extend through n + 1.
     The vector of a_alpha is built here, once, and read by every later stage.
     """
     table.require_a(n + 1)

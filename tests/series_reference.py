@@ -9,6 +9,9 @@ where the package builds every T^alpha as one graded stack of single products.
 `dense_shifts` writes the truncated shifts M_i entry by entry from the
 multi-index coefficients, and `tensored_shifts` is their dense Kronecker
 tuple M_i x I_r, where the package keeps both as index maps.
+`looped_graded_stack` builds a graded stack one step per multi-index, each
+entry from its parent alpha - e_i found by lookup, where the package takes one
+batched step per coordinate and degree.
 `looped_reciprocal` is the convolution recursion for b_n as a scalar double
 loop, where the package subtracts each degree's products in one reduction.
 `enumerated_shift_norm_sq` takes the squared shift norm as the largest ratio
@@ -22,7 +25,7 @@ import numpy as np
 
 import cnplab as cl
 from cnplab._linalg import opnorm
-from cnplab.coeffs import graded_indices, multi_coeff
+from cnplab.coeffs import graded_indices, graded_position, multi_coeff
 
 
 def tuple_power(t, alpha) -> np.ndarray:
@@ -53,6 +56,20 @@ def enumerated_series(t, table, n, which, middle=None, start_degree=0):
         total += inc
         inc_norms.append(opnorm(inc))
     return total, inc_norms
+
+
+def looped_graded_stack(x: np.ndarray, d: int, n: int, step) -> np.ndarray:
+    """Entries for graded_indices(d, n), stacked: x at alpha = 0, then step(i, entry alpha - e_i)
+    with i the first nonzero coordinate of alpha; alpha - e_i comes earlier, so each entry
+    costs one step, such as one factor T_i of T^alpha."""
+    idx = np.array(graded_indices(d, n))[1:]
+    first = np.argmax(idx > 0, axis=1)
+    lower = graded_position(d, n, idx - np.eye(d, dtype=int)[first])
+    out = np.empty((len(idx) + 1, *x.shape), dtype=complex)
+    out[0] = x
+    for j, (i, k) in enumerate(zip(first, lower), start=1):
+        out[j] = step(i, out[k])
+    return out
 
 
 def looped_reciprocal(a):

@@ -1,5 +1,6 @@
 """Coefficient algebra: generation, inversion, multi-index values, CNP, radii."""
 
+import itertools
 import math
 
 import numpy as np
@@ -258,6 +259,17 @@ def test_multinomial_exact():
 def test_graded_order_is_stable():
     idx = graded_indices(2, 2)
     assert idx == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_graded_order_is_degree_then_lexicographic(d):
+    # every tuple of degree <= n from the full grid, sorted by (degree, tuple)
+    for n in range(7):
+        want = sorted((alpha for alpha in itertools.product(range(n + 1), repeat=d)
+                       if sum(alpha) <= n), key=lambda alpha: (sum(alpha), alpha))
+        got = graded_indices(d, n)
+        assert got == tuple(want)
+        assert all(type(a) is int for alpha in got for a in alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from cnplab._linalg import canonical_phases
 from cnplab.tuples import TuplePowers, _weighted_series
 from model_reference import looped_canonical_phases
 from random_inputs import diff_kernel, random_commuting_tuple
-from series_reference import (dense_shifts, enumerated_series, enumerated_shift_norm_sq, tensored_shifts,
-                              tuple_power)
+from series_reference import (dense_shifts, enumerated_series, enumerated_shift_norm_sq,
+                              looped_graded_stack, tensored_shifts, tuple_power)
 
 
 def P(n, tol=1e-9, window=3):
@@ -423,6 +423,44 @@ def test_graded_stack_matches_dense_powers(seed, d, n, m, rule, param, r):
     for got, alpha in zip(stack, graded_indices(d, m)):
         want = tuple_power(tensored, alpha) @ x
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), alpha
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.integers(min_value=1, max_value=5),
+       n=st.integers(min_value=0, max_value=8), h=st.integers(min_value=1, max_value=3),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t", "bergman"]),
+       param=st.floats(min_value=0.0, max_value=2.0))
+@settings(max_examples=40, deadline=None)
+def test_graded_stack_matches_the_per_index_loop_bit_for_bit(seed, d, n, h, rule, param):
+    # one batched step per coordinate and degree makes the same floating-point
+    # operations, on the same operands, as one step per multi-index
+    rng = np.random.default_rng(seed)
+    t = random_commuting_tuple(rng, d, h, 0.9)
+    want = looped_graded_stack(np.eye(h, dtype=complex), d, n, lambda i, y: t.mats[i] @ y)
+    assert np.array_equal(TuplePowers(t, n).stack, want)
+    # the gathers run past the shifts' own degree, 3 at most, where they reach 0
+    top = min(n, 3)
+    index = cl.shift_matrices(cl.build_table(diff_kernel(rule, d, param), top + 1), top).index
+    tensored = index.tensor(h)
+    x = rng.standard_normal((tensored.h, 2)) + 1j * rng.standard_normal((tensored.h, 2))
+    assert np.array_equal(tensored.graded_stack(x, n), looped_graded_stack(x, d, n, tensored.apply))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
+       rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t", "bergman"]),
+       param=st.floats(min_value=0.0, max_value=2.0), r=st.sampled_from([1, 2, 3]),
+       m=st.integers(min_value=0, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_gathers_act_on_a_stack_slice_by_slice(seed, d, rule, param, r, m):
+    rng = np.random.default_rng(seed)
+    n = SERIES_DEGREE[d] - 2
+    table = cl.build_table(diff_kernel(rule, d, param), n + 1)
+    tensored = cl.shift_matrices(table, n).index.tensor(r)
+    xs = rng.standard_normal((m, tensored.h, 3)) + 1j * rng.standard_normal((m, tensored.h, 3))
+    for i in range(d):
+        for gather in (tensored.apply, tensored.apply_adjoint):
+            got = gather(i, xs)
+            assert got.shape == xs.shape
+            assert np.array_equal(got, np.array([gather(i, x) for x in xs]).reshape(xs.shape))
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31), rows=st.integers(min_value=0, max_value=7),
