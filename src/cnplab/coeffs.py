@@ -13,8 +13,9 @@ recursion: graded_stack, of which graded_indices is the instance on the
 multi-indices themselves.  It rests on a prefix fact: the degree-k entries
 whose first nonzero coordinate is i are beta + e_i, in order, for the leading
 degree-(k - 1) entries beta that are 0 before coordinate i.  So each degree is
-d contiguous blocks, one step each.  graded_position finds a stack of
-multi-indices in the order, and graded_count gives its leading block's length.
+d contiguous blocks, one step each.  With suffix sums R_j = alpha_j + ... +
+alpha_{d-1}, |alpha|!/alpha! = prod_j binom(R_j, alpha_j), and the position of
+alpha (graded_position) is a sum of graded_count values (hockey stick).
 """
 
 from __future__ import annotations
@@ -63,27 +64,24 @@ def graded_count(d: int, j: int) -> int:
     return math.comb(j + d, d)
 
 
-@lru_cache(maxsize=None)
-def _graded_keys(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted base-(n + 1) keys of graded_indices(d, n), and the positions they sort from."""
-    keys = np.array(graded_indices(d, n)) @ (n + 1) ** np.arange(d)
-    order = np.argsort(keys)
-    return keys[order], order
-
-
 def graded_position(d: int, n: int, rows) -> np.ndarray:
     """Positions of the rows of an (m, d) stack of multi-indices inside graded_indices(d, n).
-
-    A row with a negative entry or degree above n raises ValueError: it is
-    outside the basis, and its base-(n + 1) key may equal the key of a row
-    inside it.
-    """
+    With R_j = alpha_j + ... + alpha_{d-1}, degree R_0 ends at graded_count(d, R_0) - 1, and
+    its entries after alpha that first differ from it at j - 1 number graded_count(d - j,
+    R_j - 1), by the hockey-stick identity.  A row with a negative entry or degree above n
+    raises ValueError."""
     rows = np.asarray(rows, dtype=int)
+    if rows.ndim != 2 or rows.shape[1] != d:
+        raise ValueError(f"multi-index stack of shape {rows.shape} does not match d={d}")
     outside = np.flatnonzero((rows < 0).any(axis=1) | (rows.sum(axis=1) > n))
     if len(outside):
         raise ValueError(f"multi-index {rows[outside[0]]} is not in graded_indices({d}, {n})")
-    keys, order = _graded_keys(d, n)
-    return order[np.searchsorted(keys, rows @ (n + 1) ** np.arange(d))]
+    counts = np.zeros((n + 2, d + 1), dtype=np.int64)  # counts[j + 1, m] = graded_count(m, j)
+    counts[1:, 0] = 1
+    for m in range(1, d + 1):
+        counts[:, m] = np.cumsum(counts[:, m - 1])
+    r = rows[:, ::-1].cumsum(axis=1)[:, ::-1]  # suffix sums R_j
+    return counts[r[:, 0] + 1, d] - 1 - counts[r[:, 1:], np.arange(d - 1, 0, -1)].sum(axis=1)
 
 
 def graded_stack(x: np.ndarray, d: int, n: int, step) -> np.ndarray:
@@ -103,15 +101,17 @@ def graded_stack(x: np.ndarray, d: int, n: int, step) -> np.ndarray:
     return out
 
 
+def _multinomials(rows: np.ndarray) -> np.ndarray:
+    """Exact |alpha|!/alpha! = prod_j binom(R_j, alpha_j) for each row alpha of a stack."""
+    return np.frompyfunc(math.comb, 2, 1)(rows[:, ::-1].cumsum(axis=1)[:, ::-1], rows).prod(axis=1)
+
+
 def multinomial(alpha: Sequence[int]) -> int:
-    """Multinomial coefficient |alpha|! / prod(alpha_i!), an exact integer at every degree."""
+    """|alpha|! / prod(alpha_i!) = prod_j binom(alpha_j + ... + alpha_{d-1}, alpha_j), exact."""
     entries = tuple(int(a) for a in alpha)
     if any(a < 0 for a in entries):
         raise ValueError(f"multinomial undefined for negative entries: {entries}")
-    out = math.factorial(sum(entries))
-    for a in entries:
-        out //= math.factorial(a)
-    return out
+    return _multinomials(np.array([entries], dtype=int))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +286,9 @@ def multi_coeff(table: CoeffTable, alpha, which: str = "a"):
     deg = stack.sum(axis=1)[live]
     if which == "b" and (deg == 0).any():
         raise ValueError("b_alpha is undefined at alpha = 0")
-    top = int(deg.max(initial=0))
-    scalars = table.require_b(top) if which == "b" else table.require_a(top)
+    scalars = (table.require_b if which == "b" else table.require_a)(int(deg.max(initial=0)))
     out = np.zeros(len(stack))
-    out[live] = scalars[deg] * np.array([multinomial(r) for r in stack[live]], dtype=float)
+    out[live] = scalars[deg] * _multinomials(stack[live]).astype(float)
     return out if rows.ndim == 2 else float(out[0])
 
 

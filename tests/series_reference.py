@@ -17,15 +17,24 @@ loop, where the package subtracts each degree's products in one reduction.
 `enumerated_shift_norm_sq` takes the squared shift norm as the largest ratio
 a_alpha / a_{alpha+e_i} over every multi-index, where the package uses its
 closed form.
+`factorial_multinomial` is |alpha|! / prod(alpha_i!) by factorials, where the
+package takes a product of binomials in the suffix sums of alpha.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 import cnplab as cl
 from cnplab._linalg import opnorm
 from cnplab.coeffs import graded_indices, graded_position, multi_coeff
+
+
+def factorial_multinomial(alpha) -> int:
+    """|alpha|! // prod(alpha_i!), one factorial per entry, for nonnegative alpha."""
+    return math.factorial(sum(alpha)) // math.prod(math.factorial(a) for a in alpha)
 
 
 def tuple_power(t, alpha) -> np.ndarray:

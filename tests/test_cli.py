@@ -125,6 +125,21 @@ def test_full_run_passes():
     assert [s["outcome"] for s in report["suites"]] == ["pass"] * 8
 
 
+def test_scalar_tuple_in_33_variables_passes_every_tuple_suite():
+    # d = 33, N = 3: 7,140 multi-indices, past where base-(N + 1) integer keys overflow.
+    # tail_window 1, as Drury-Arveson's degree-1 defect increment (3.3e-7) lies in a window
+    # of 3; N_max 64, as verify_multiplier reads the kernel series cut there
+    suites = ["contraction", "purity", "dilation", "existence", "charfn", "identities"]
+    cfg = base_config(kernel={"d": 33, "rule": "drury_arveson", "params": {}, "N_max": 64},
+                      tuple={"inline": {"h": 1, "d": 33, "mats": [[[[1e-4, 0.0]]]] * 33}},
+                      truncation={"N": 3, "tol": 1e-9, "tail_window": 1}, suites=suites)
+    for seed in (1234, 2):
+        cfg["seed"] = seed
+        report = run_config(cfg)
+        assert [(s["name"], s["outcome"]) for s in report["suites"]] == [
+            (name, "pass") for name in suites]
+
+
 def test_counterexample_suite_error_on_bad_m(tmp_path, capsys):
     # m = 1 is the Drury-Arveson kernel, where the form is nonnegative: a config error
     cfg = base_config(suites=["coeffs", "counterexample"],

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import cnplab as cl
 from cnplab.coeffs import graded_count, graded_indices, graded_position, multinomial
 from random_inputs import diff_kernel
-from series_reference import looped_reciprocal
+from series_reference import factorial_multinomial, looped_reciprocal
 
 
 def long_division_reciprocal(a, n):
@@ -294,8 +294,7 @@ def test_graded_lookup_matches_a_dict(d, n, seed):
         sums = np.array([idx[a] + idx[b] for a, b in pairs])
         want = [pos[tuple(int(x) for x in row)] for row in sums]
         assert graded_position(d, n, sums).tolist() == want
-    # rows outside the basis raise, though their base-(n + 1) keys may collide
-    # with keys of rows inside it
+    # rows outside the basis raise, whatever position the closed form would give them
     outside = rng.integers(-2, n + 2, (20, d))
     for row in outside:
         if row.min() < 0 or row.sum() > n:
@@ -305,16 +304,31 @@ def test_graded_lookup_matches_a_dict(d, n, seed):
                 graded_position(d, n, np.vstack([idx, row]))
 
 
+@pytest.mark.parametrize("d, n", [(33, 3), (65, 1)])
+def test_graded_lookup_matches_a_dict_where_integer_keys_overflow(d, n):
+    # (n + 1)^d >= 2^63: the positions stay exact however many coordinates there are
+    indices = graded_indices(d, n)
+    pos = {alpha: i for i, alpha in enumerate(indices)}
+    rng = np.random.default_rng(d)
+    rows = np.array(indices)[rng.permutation(len(indices))]
+    assert graded_position(d, n, rows).tolist() == [pos[tuple(r)] for r in rows.tolist()]
+
+
 def test_graded_lookup_rejects_a_colliding_key():
-    # at d = 2, n = 2 the row (3, 0) has key 3, the key of (0, 1)
+    # (3, 0) has degree above n = 2 and (-1, 1) a negative entry: both lie outside
+    # the basis, and both raise rather than land on a position inside it
     assert graded_position(2, 2, [(0, 1)]).tolist() == [1]
     with pytest.raises(ValueError):
         graded_position(2, 2, [(3, 0)])
     with pytest.raises(ValueError):
         graded_position(2, 2, [(-1, 1)])
+    # so does a stack whose width is not d, rather than broadcasting
+    for rows in ([[1]], [[0, 1, 0]], [0, 1]):
+        with pytest.raises(ValueError, match="does not match d=2"):
+            graded_position(2, 3, rows)
 
 
-@given(d=st.sampled_from([1, 2, 3]), n=st.integers(min_value=1, max_value=8),
+@given(d=st.sampled_from([1, 2, 3, 5]), n=st.integers(min_value=1, max_value=8),
        rule=st.sampled_from(["szego", "drury_arveson", "dirichlet_t", "bergman"]),
        param=st.floats(min_value=0.0, max_value=2.0), seed=st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=60, deadline=None)
@@ -325,7 +339,8 @@ def test_stacked_multi_coeff_matches_per_index_values(d, n, rule, param, seed):
     rows = rows[rows.sum(axis=1) <= n]
     nonzero = rows[(rows != 0).any(axis=1)]  # b_alpha is undefined at alpha = 0
     for which, scalars, stack in (("a", table.a, rows), ("b", table.b, nonzero)):
-        want = [scalars[sum(r)] * multinomial(r) if min(r) >= 0 else 0.0 for r in stack.tolist()]
+        want = [scalars[sum(r)] * factorial_multinomial(r) if min(r) >= 0 else 0.0
+                for r in stack.tolist()]
         got = cl.multi_coeff(table, stack, which)
         assert got.shape == (len(stack),) and np.array_equal(got, want)
         assert [cl.multi_coeff(table, r, which) for r in stack] == want
@@ -336,6 +351,16 @@ def test_stacked_multi_coeff_matches_per_index_values(d, n, rule, param, seed):
     # a negative entry gives 0 whatever the degree, so it never needs the table
     far = np.array([(-1,) + (n + 5,) * (d - 1)] if d > 1 else [(-1,)])
     assert np.array_equal(cl.multi_coeff(table, far, "b"), [0.0])
+
+
+def test_multi_coeff_keeps_the_bits_past_two_to_the_53():
+    # at d = 2, N = 100 the multinomials reach binom(100, 50) ~ 1e29: each is rounded to a
+    # float once, from the exact integer
+    table = cl.build_table(cl.drury_arveson(2), 100)
+    rows = np.array(graded_indices(2, 100))
+    want = [float(factorial_multinomial(r)) for r in rows.tolist()]
+    assert max(want) > 2.0 ** 53
+    assert np.array_equal(cl.multi_coeff(table, rows), want)
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,17 @@ def test_shift_norm_sq_matches_enumeration(d, rule, param, n):
         assert (got.value, got.argmax, got.lower_bound) == (value, argmax, sum(argmax) == n)
 
 
+def test_shift_destinations_where_integer_keys_overflow():
+    # d = 33, n = 3: 4^33 > 2^63, and every M_i still sends e(alpha) to e(alpha + e_i)
+    shifts = cl.shift_matrices(cl.build_table(cl.drury_arveson(33), 4), 3).index
+    indices = graded_indices(33, 3)
+    pos = {alpha: k for k, alpha in enumerate(indices)}
+    for i, (dst, src, _) in enumerate(shifts.maps):
+        ups = [indices[k][:i] + (indices[k][i] + 1,) + indices[k][i + 1:] for k in src]
+        assert dst.tolist() == [pos[up] for up in ups]
+        assert sorted(src.tolist()) == [k for k, alpha in enumerate(indices) if sum(alpha) < 3]
+
+
 def test_shifts_carry_the_multi_index_coefficients():
     table = cl.build_table(cl.bergman(2, d=3), 6)
     shifts = cl.shift_matrices(table, 5)
