@@ -86,21 +86,22 @@ def kernel_calculus(t: OperatorTuple, table: CoeffTable, ws, p: TruncationParams
 class TupleLift:
     """Row contraction with blocks sqrt(b_alpha) T^alpha over positive indices.
 
-    Built on the dilation it factors: the tuple, its defect Delta, the
-    graded basis (whose positive part indexes the blocks), the coefficient
-    table and the truncation all come from `dilation`.  t_tilde maps the
-    direct sum of one copy of C^h per positive multi-index back to C^h; only
-    its blocks in `support` (b_alpha > 0) are nonzero.  Off them D~, the
-    square root of I - t_tilde^* t_tilde, is I and theta is 0, so T~E and D~E
+    Built on the dilation it factors: the tuple, its defect Delta, the graded
+    basis (whose positive part indexes the blocks), the coefficient table and
+    the truncation all come from `dilation`.  t_tilde maps the direct sum of one
+    copy of C^h per positive multi-index back to C^h; only its blocks in
+    `support` (b_alpha > 0, multi-indices `support_exponents`) are nonzero.  Off
+    them D~ = (I - t_tilde^* t_tilde)^(1/2) is I and theta is 0, so T~E and D~E
     (E an orthonormal basis of Ran D~; D~ is never formed) are kept on the
-    support block, as t_tilde_e and d_tilde_e, whose columns are theta's
-    inputs theta_cols of defect_rank.  Requires every b_alpha >= 0.
+    support block, as t_tilde_e and d_tilde_e, whose columns are theta's inputs
+    theta_cols of defect_rank.  Requires every b_alpha >= 0.
     """
 
     dilation: DilationMap
     t_tilde: np.ndarray
     sqrt_b: np.ndarray
     support: np.ndarray
+    support_exponents: np.ndarray
     theta_cols: np.ndarray
     defect_rank: int
     t_tilde_e: np.ndarray
@@ -145,6 +146,7 @@ def build_lift(v: DilationMap) -> TupleLift:
     d_tilde_e = basis - shrink @ (w_star @ basis)
     t_tilde_e = t_sup @ basis
     return TupleLift(dilation=v, t_tilde=t_tilde, sqrt_b=sqrt_b, support=support,
+                     support_exponents=np.array(v.indices[1:])[support],
                      theta_cols=cols[n_drop:] - n_drop, defect_rank=t_tilde.shape[1] - n_drop,
                      t_tilde_e=t_tilde_e, d_tilde_e=d_tilde_e, ttstar_residual=ttstar_res,
                      intertwine_residual=opnorm(t_sup @ d_tilde_e - dd.delta @ t_tilde_e),
@@ -189,7 +191,7 @@ def charfn_eval(lift: TupleLift, zs) -> CharFnEval:
     v = lift.dilation
     t, p = v.ops, v.params
     zs = in_ball(zs, t.d, "z")
-    weights = lift.sqrt_b[lift.support] * _monomials(zs, np.array(v.indices[1:])[lift.support])
+    weights = lift.sqrt_b[lift.support] * _monomials(zs, lift.support_exponents)
     z_norm_sq = np.sum(np.abs(weights) ** 2, axis=1)
     bad = np.flatnonzero(z_norm_sq >= 1.0)
     if len(bad):

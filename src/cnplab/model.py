@@ -160,23 +160,43 @@ def defect_columns(shifts: IndexShifts, table: CoeffTable, x: np.ndarray,
     return cols, np.append(np.ones(shifts.ends[0]), np.repeat(weights[keep], x.shape[1]))
 
 
-def eigenspace_spectrum(delta: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Eigenvalues of G = diag(delta) + C diag(w) C^*, delta real, G never formed.
-
-    The rows sharing one value delta_I span an eigenspace of diag(delta).  Each
-    set I with more rows than C has columns collapses to R_I, C[I] = Q_I R_I by
-    an unpivoted QR.  Ran Q_I and the other rows span K, which holds Ran C and is
-    invariant for diag(delta), hence for G, and G is delta_I on the rest of I.
-    Returned: the eigenvalues on K, then each collapsed delta_I once.  Exact, with
-    no threshold and no inverse of the diagonal; G itself when no set collapses.
-    """
+def _eigenspaces(delta: np.ndarray, cols: np.ndarray):
+    """(delta_K, C_K, rest), which split G = diag(delta) + C diag(w) C^* exactly: rows sharing
+    one delta_I, more of them than C has columns, collapse to R_I, C[I] = Q_I R_I (unpivoted
+    QR), and G is diag(delta_K) + C_K diag(w) C_K^* on the span K of the Q_I and the other rows,
+    which holds Ran C and is invariant, and delta_I, |I| - cols times in rest, on the rest of I."""
     values, group, sizes = np.unique(delta, return_inverse=True, return_counts=True)
     big = np.flatnonzero(sizes > cols.shape[1])
     keep = sizes[group] <= cols.shape[1]
     c_k = np.vstack([cols[keep], *(np.linalg.qr(cols[group == j], mode="r") for j in big)])
+    delta_k = np.append(delta[keep], np.repeat(values[big], cols.shape[1]))
+    return delta_k, c_k, np.repeat(values[big], sizes[big] - cols.shape[1])
+
+
+def eigenspace_spectrum(delta: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The eigenvalues of G = diag(delta) + C diag(w) C^*, those on K first (`_eigenspaces`)."""
+    delta_k, c_k, rest = _eigenspaces(delta, cols)
     g = (c_k * weights) @ c_k.conj().T
-    g[np.diag_indices_from(g)] += np.append(delta[keep], np.repeat(values[big], cols.shape[1]))
-    return np.append(np.linalg.eigvalsh(hermitize(g)), values[big])
+    g[np.diag_indices_from(g)] += delta_k
+    return np.append(np.linalg.eigvalsh(hermitize(g)), rest)
+
+
+def negative_count(delta: np.ndarray, cols: np.ndarray, weights: np.ndarray, shift: float) -> int:
+    """The number of eigenvalues of G = diag(delta) + C diag(w) C^* below -shift, all w != 0.
+
+    G + shift is the Schur complement of -W^{-1} in [[D + shift, C], [C^*, -W^{-1}]], D =
+    diag(delta), W = diag(w).  Eliminate instead the rows L with |delta + shift| >= theta =
+    1e-3 max |delta|, dividing by nothing smaller: by Haynsworth's inertia additivity,
+    n_neg(G + shift) = n_neg(D_L + shift) + n_neg(K) - #{w > 0} for K = [[D_S + shift, C_S],
+    [C_S^*, -W^{-1} - C_L^* (D_L + shift)^{-1} C_L]] on the rest S, solved on D_S's eigenspaces.
+    """
+    small = np.abs(delta + shift) <= 1e-3 * np.abs(delta).max(initial=0.0)
+    delta_k, c_s, rest = _eigenspaces(delta[small], cols[small])
+    gap, c_l = delta[~small] + shift, cols[~small]
+    k = np.block([[np.diag(delta_k + shift), c_s],
+                  [c_s.conj().T, -np.diag(1.0 / weights) - (c_l.conj().T / gap) @ c_l]])
+    inertia = np.concatenate([np.linalg.eigvalsh(k), rest + shift, gap])
+    return int(np.count_nonzero(inertia < 0.0) - np.count_nonzero(weights > 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +205,16 @@ def eigenspace_spectrum(delta: np.ndarray, cols: np.ndarray, weights: np.ndarray
 
 @dataclass(frozen=True)
 class FactorabilityReport:
-    """Numerical evaluation of the factorability conditions.
+    """Numerical evaluation of the factorability conditions (`check_factorability`).
 
-    cond1: per-coordinate min eigenvalue of c X - T_i X T_i^*, c the squared
-    shift norm, exact from the eigenspaces of its diagonal (`eigenspace_spectrum`).
-    cond2: min eigenvalue of X - P(X) where P(X) is the b-weighted series.
-    The verdict is factorable only when both pass; condition (3) holds
-    identically on the truncated space (`check_factorability`).
+    cond1: per coordinate, the number of eigenvalues of c X - T_i X T_i^* below -tol.
+    cond2: min eigenvalue of X - P(X), P(X) the b-weighted series.  The verdict is
+    factorable only when both pass; condition (3) holds identically on the truncated space.
     """
 
     verdict: str  # "factorable" | "not_factorable"
     failed_condition: int | None
-    cond1_min_eigs: tuple
+    cond1_negative_counts: tuple
     cond2_min_eig: float
 
 
@@ -204,19 +222,14 @@ def check_factorability(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffT
                         tol: float) -> FactorabilityReport:
     """Evaluate the factorability conditions for X = I - V V^* on graded index-map shifts.
 
-    shifts act on the graded space of the rows of V, such as the tensored
-    shifts of a dilation space.  X is PSD exactly when |V| <= 1: its
-    eigenvalues are 1 - eig(V^* V) and 1s.  X itself is never formed:
-    condition (1) at coordinate i is the diagonal plus low-rank matrix
-    c X - M_i X M_i^* = diag(c - M_i M_i^*) - c V V^* + (M_i V)(M_i V)^*
-    (c, the squared shift norm at the top degree N, is the same for every
-    coordinate), solved on its diagonal's eigenspaces, each cut to the span
-    that [V, M_i V] reaches in it (`eigenspace_spectrum`).  The shifts are
-    nilpotent, sigma^(N+1) = 0, so the b-series is finite and the verdict
-    two-valued; the cond2 gap vanishes off the span of E_0 and the gathers
-    M^alpha V (`defect_columns`), and its zero diagonal is one eigenspace.
-    Condition (3) is not evaluated: A(t) (1 - B(t)) = 1 and sigma^(N+1) = 0
-    make it hold identically on this space.
+    shifts act on the graded space of the rows of V, such as a dilation's tensored shifts.
+    X is PSD exactly when |V| <= 1 (its eigenvalues are 1 - eig(V^* V) and 1s) and is never
+    formed.  Condition (1) at coordinate i, c X - M_i X M_i^* = diag(c - M_i M_i^*) - c V V^*
+    + (M_i V)(M_i V)^* with c the squared shift norm at the top degree N, counts its
+    eigenvalues below -tol (`negative_count`).  sigma^(N+1) = 0, so the b-series is finite
+    and the verdict two-valued; the cond2 gap vanishes off the span of E_0 and the gathers
+    M^alpha V (`defect_columns`).  Condition (3) is not evaluated: A(t) (1 - B(t)) = 1 and
+    sigma^(N+1) = 0 make it hold identically on this space.
     """
     v_matrix = np.asarray(v_matrix, dtype=complex)
     if v_matrix.ndim != 2 or v_matrix.shape[0] != shifts.h:
@@ -227,17 +240,17 @@ def check_factorability(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffT
 
     c = shift_norm_sq(table, 0, len(shifts.ends) - 1).value
     weights = np.repeat([-c, 1.0], v_matrix.shape[1])
-    cond1 = [float(eigenspace_spectrum(c - shifts.outer_diagonal(i),
-                                       np.hstack([v_matrix, shifts.apply(i, v_matrix)]),
-                                       weights).min()) for i in range(shifts.d)]
+    cond1 = tuple(negative_count(c - shifts.outer_diagonal(i),
+                                 np.hstack([v_matrix, shifts.apply(i, v_matrix)]), weights, tol)
+                  for i in range(shifts.d))
     cond2_min = float(eigenspace_spectrum(np.zeros(shifts.h),
                                           *defect_columns(shifts, table, v_matrix, -1.0)).min())
 
-    failed = 1 if any(m < -tol for m in cond1) else 2 if cond2_min < -tol else None
+    failed = 1 if any(cond1) else 2 if cond2_min < -tol else None
     return FactorabilityReport(
         verdict="factorable" if failed is None else "not_factorable",
         failed_condition=failed,
-        cond1_min_eigs=tuple(cond1),
+        cond1_negative_counts=cond1,
         cond2_min_eig=cond2_min,
     )
 

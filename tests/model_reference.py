@@ -10,11 +10,13 @@ where the package gathers the adjoint shifts on the columns of V.
 `dense_check_factorability` is the factorability test as it stood before
 the package summed its series on graded prefixes to the top degree: it takes
 any Hermitian X and any dense tuple, such as the Kronecker tuple
-`tensored_shifts`, checks X by a full eigensolve, forms c X - T_i X T_i^*
-for condition (1) where the package assembles it from V, sums both series
-by the forward sigma-recursion `_weighted_series` to a given degree, watches
-their tail windows, and evaluates condition (3), which the package does not:
-it holds identically.
+`tensored_shifts`, and checks X by a full eigensolve.  For condition (1) it
+forms c X - T_i X T_i^*, where the package assembles it from V, and counts
+its eigenvalues below -tol by a full eigensolve, where the package counts
+them by inertia on a small bordered matrix.  It sums both series by the
+forward sigma-recursion `_weighted_series` to a given degree, watches their
+tail windows, and evaluates condition (3), which the package does not: it
+holds identically.
 `projected_associated_defect` is the associated defect as the package summed
 it before it compressed it to the span it reaches: U and K from a full SVD
 of V, a dense projector P = I - U U^*, and the projected sigma-recursion
@@ -112,7 +114,7 @@ class DenseFactorability:
 
     verdict: str
     failed_condition: int | None
-    cond1_min_eigs: tuple
+    cond1_negative_counts: tuple
     cond2_min_eig: float
     cond3_residual: float
 
@@ -139,10 +141,8 @@ def dense_check_factorability(x, t, table, p, c_degree=None):
     c = [shift_norm_sq(table, i, p.N if c_degree is None else c_degree).value
          for i in range(t.d)]
 
-    cond1 = []
-    for ci, m in zip(c, t.mats):
-        g = hermitize(ci * x - m @ x @ m.conj().T)
-        cond1.append(float(np.linalg.eigvalsh(g)[0]) if g.size else 0.0)
+    cond1 = tuple(int(np.count_nonzero(np.linalg.eigvalsh(hermitize(ci * x - m @ x @ m.conj().T))
+                                       < -p.tol)) for ci, m in zip(c, t.mats))
 
     p_of_x, inc2 = _weighted_series(t, table, p.N, "b", middle=x, start_degree=1,
                                     window=p.tail_window)
@@ -156,7 +156,7 @@ def dense_check_factorability(x, t, table, p, c_degree=None):
 
     failed = None
     verdict = "factorable"
-    if any(m < -p.tol for m in cond1):
+    if any(cond1):
         verdict, failed = "not_factorable", 1
     elif cond2_min < -p.tol:
         verdict, failed = "not_factorable", 2
@@ -170,15 +170,17 @@ def dense_check_factorability(x, t, table, p, c_degree=None):
     return DenseFactorability(
         verdict=verdict,
         failed_condition=failed,
-        cond1_min_eigs=tuple(cond1),
+        cond1_negative_counts=cond1,
         cond2_min_eig=cond2_min,
         cond3_residual=cond3_res,
     )
 
 
-def condition_values(report):
-    """cond1 min-eigs and cond2 min-eig of a factorability report."""
-    return (*report.cond1_min_eigs, report.cond2_min_eig)
+def reports_agree(report, want):
+    """Whether two factorability reports have the same cond1 counts, exactly, and cond2
+    min-eigs within 1e-12."""
+    return (report.cond1_negative_counts == want.cond1_negative_counts
+            and abs(report.cond2_min_eig - want.cond2_min_eig) <= 1e-12)
 
 
 def range_and_kernel(v):

@@ -744,8 +744,9 @@ def test_support_lift_matches_dense_lift(name):
     n = DIFF_DEGREE[t.d]
     lift = lift_of(t, cl.build_table(spec, n + 1), P(n, tol=DIFF_TOL))
     v = lift.dilation
-    degrees = np.array(v.indices[1:]).sum(axis=1)[lift.support]
+    degrees = lift.support_exponents.sum(axis=1)
     assert np.array_equal(lift.support, np.flatnonzero(lift.sqrt_b))
+    assert np.array_equal(lift.support_exponents, np.array(v.indices[1:])[lift.support])
     if spec.rule == "custom":
         assert {1, 3} <= set(degrees) and 2 not in degrees
     elif spec.rule == "dirichlet_t":

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import cnplab as cl
 from cnplab.coeffs import graded_count
 from cnplab.tuples import TuplePowers
-from model_reference import (condition_values, dense_associated_tuple, dense_check_factorability,
-                             dense_existence, dense_intertwining, projected_associated_defect,
+from model_reference import (dense_associated_tuple, dense_check_factorability, dense_existence,
+                             dense_intertwining, projected_associated_defect, reports_agree,
                              restricted_associated_defect, zero_tuple_probe)
 from series_reference import dense_shifts, tensored_shifts, tuple_power
 from random_inputs import diff_kernel, finite_b_kernel, random_commuting_tuple
@@ -114,10 +114,10 @@ def test_dilation_carries_its_tuple_and_shifts():
 # ---------------------------------------------------------------------------
 
 def assert_matches_reference(report, want, name=""):
-    """The prefix-summed report against the dense reference: same decision, values to 1e-12."""
+    """The report against the dense reference: same decision, the same cond1 counts, and
+    cond2 to 1e-12."""
     assert (report.verdict, report.failed_condition) == (want.verdict, want.failed_condition), name
-    diff = np.subtract(condition_values(report), condition_values(want))
-    assert np.max(np.abs(diff)) <= 1e-12, name
+    assert reports_agree(report, want), name
 
 
 def test_factorability_zero_operator():
@@ -188,14 +188,15 @@ def test_factorability_rejects_a_non_contractive_v():
         cl.check_factorability(v[1:], shifts.index, table, 1e-9)
 
 
-@pytest.mark.parametrize("kernel, want", [(cl.drury_arveson(2), (0.0, -1.0)),
-                                          (cl.szego(), (-1.0,)),
-                                          (cl.drury_arveson(3), (0.0, 0.0, -1.0))])
+@pytest.mark.parametrize("kernel, want", [(cl.drury_arveson(2), (0, 1)),
+                                          (cl.szego(), (1,)),
+                                          (cl.drury_arveson(3), (0, 0, 1))])
 def test_factorability_fails_cond1(kernel, want):
     # V = e(e_d), the unit column at graded position 1.  With c = 1 and
     # M_d M_d^* = 1 at e(e_d), cond1 at the last coordinate has the diagonal
     # entry 1 - 1 - |V|^2 = -1 there, and (M_d V)(M_d V)^* vanishes on e(e_d);
-    # at any other coordinate that entry is 1 - 0 - 1 = 0.  The minimiser lies
+    # at any other coordinate that entry is 1 - 0 - 1 = 0: one eigenvalue
+    # below -tol at the last coordinate, none elsewhere.  The minimiser lies
     # in the eigenspace of c - M_d M_d^* at 0, the rows e(k e_d), k = 1..6:
     # more rows than the 2 columns of [V, M_d V], so that set is collapsed
     table = cl.build_table(kernel, 10)
@@ -204,7 +205,7 @@ def test_factorability_fails_cond1(kernel, want):
     v[1, 0] = 1.0
     report = cl.check_factorability(v, shifts.index, table, 1e-9)
     assert (report.verdict, report.failed_condition) == ("not_factorable", 1)
-    assert np.max(np.abs(np.subtract(report.cond1_min_eigs, want))) <= 1e-12
+    assert report.cond1_negative_counts == want
     x = np.eye(shifts.index.h) - v @ v.T
     assert_matches_reference(report, dense_check_factorability(x, dense_shifts(table, 6), table,
                                                                P(6 + 3), c_degree=6))
@@ -215,7 +216,7 @@ def test_factorability_fails_cond1(kernel, want):
 @settings(max_examples=60, deadline=None)
 def test_eigenspace_spectrum_matches_the_dense_spectrum(seed, n, values, cols):
     # diag(delta) + C diag(w) C^* with repeated diagonal values: the returned
-    # values are its eigenvalues, and each eigenvalue is returned
+    # values are its eigenvalues, each as often as it occurs
     rng = np.random.default_rng(seed)
     delta = rng.integers(0, values, n) / 4.0
     c = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
@@ -223,14 +224,99 @@ def test_eigenspace_spectrum_matches_the_dense_spectrum(seed, n, values, cols):
     got = cl.model.eigenspace_spectrum(delta, c, w)
     dense = np.linalg.eigvalsh(np.diag(delta) + (c * w) @ c.conj().T)
     scale = 1.0 + np.abs(dense).max()
-    assert np.abs(dense[:, None] - got[None, :]).min(axis=0).max() <= 1e-12 * scale
-    assert np.abs(dense[:, None] - got[None, :]).min(axis=1).max() <= 1e-12 * scale
-    assert abs(got.min() - dense[0]) <= 1e-12 * scale
+    assert len(got) == n and np.abs(np.sort(got) - dense).max() <= 1e-12 * scale
+
+
+def dense_count_cases(ev):
+    """(shift, count) pairs: eigenvalues of ev below each midpoint m between consecutive
+    ones more than 1e-8 apart (shift -m), and below -1e-9, -1e-6 and -1e-3."""
+    mids = (ev[:-1] + ev[1:])[np.diff(ev) > 1e-8] / 2.0
+    return [(-m, int(np.count_nonzero(ev < m))) for m in mids] + \
+        [(s, int(np.count_nonzero(ev < -s))) for s in (1e-9, 1e-6, 1e-3)]
+
+
+COUNT_SOURCES = ["random", "szego", "drury_arveson", "bergman2", "bergman3", "dirichlet"]
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), source=st.sampled_from(COUNT_SOURCES),
+       d=st.sampled_from([1, 2, 3]), r=st.sampled_from([1, 2]),
+       cols=st.integers(min_value=0, max_value=3))
+@settings(max_examples=80, deadline=None)
+def test_negative_count_matches_the_dense_count(seed, source, d, r, cols):
+    # the inertia count of diag(delta) + C diag(w) C^* against dense eigvalsh counts,
+    # at shifts between its eigenvalues and at tol-like ones.  "random" draws delta
+    # with repeated values, zeros and nonzero values below theta = 1e-3 max delta,
+    # and any nonzero weights; the rest are cond1 at a coordinate of the tensored
+    # shifts of a kernel, with a V of |V| <= 1
+    rng = np.random.default_rng(seed)
+    if source == "random":
+        n = int(rng.integers(1, 40))
+        delta = rng.choice([0.0, 1e-6, 2e-4, 0.25, 0.5, 0.75, 1.0], n)
+        c = rng.standard_normal((n, 2 * cols)) + 1j * rng.standard_normal((n, 2 * cols))
+        w = rng.choice([-1.0, 1.0], 2 * cols) * rng.uniform(0.1, 2.0, 2 * cols)
+    else:
+        n = {1: 8, 2: 5, 3: 3}[d]
+        spec = {"szego": cl.KernelSpec(d=d, rule="szego"), "drury_arveson": cl.drury_arveson(d),
+                "bergman2": cl.bergman(2, d=d), "bergman3": cl.bergman(3, d=d),
+                "dirichlet": cl.dirichlet_t(1.0, d=d)}[source]
+        table = cl.build_table(spec, n + 4)
+        shifts = cl.shift_matrices(table, n).index.tensor(r)
+        v = rng.standard_normal((shifts.h, cols)) + 1j * rng.standard_normal((shifts.h, cols))
+        if cols:
+            v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v, 2)
+        i = int(rng.integers(d))
+        top = cl.shift_norm_sq(table, 0, n).value
+        delta = top - shifts.outer_diagonal(i)
+        c = np.hstack([v, shifts.apply(i, v)])
+        w = np.repeat([-top, 1.0], cols)
+    ev = np.linalg.eigvalsh(np.diag(delta) + (c * w) @ c.conj().T)
+    for shift, want in dense_count_cases(ev):
+        assert cl.model.negative_count(delta, c, w, shift) == want, (shift, ev)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
+       r=st.sampled_from([1, 2]), cols=st.integers(min_value=1, max_value=3),
+       kernel=st.sampled_from(["szego", "drury_arveson", "dirichlet"]))
+@settings(max_examples=40, deadline=None)
+def test_cond2_bounds_cond1_under_a_cnp_kernel(seed, d, r, cols, kernel):
+    # for b_k >= 0 and |V| <= 1, X - sum_k b_k sigma^k(X) >= m = min(0, cond2_min)
+    # drops to X - a_1 M_i X M_i^* >= m (b_1 = a_1, X >= 0), and c >= a_0 / a_1 =
+    # 1 / a_1, so c X - M_i X M_i^* >= m / a_1: no eigenvalue of cond1 lies below
+    # -max(0, -cond2_min) / a_1 at any coordinate
+    rng = np.random.default_rng(seed)
+    n = {1: 8, 2: 5, 3: 3}[d]
+    spec = {"szego": cl.KernelSpec(d=d, rule="szego"), "drury_arveson": cl.drury_arveson(d),
+            "dirichlet": cl.dirichlet_t(rng.uniform(0.0, 2.0), d=d)}[kernel]
+    assert cond1_below_cond2_bound(spec, n, r, cols, rng) == (0,) * d
+
+
+def test_cond2_need_not_bound_cond1_under_bergman():
+    # the bound needs b_k >= 0: under Bergman 2 (b_2 < 0) it fails at this draw
+    rng = np.random.default_rng(11)
+    assert cond1_below_cond2_bound(cl.bergman(2), 8, 1, 1, rng) == (1,)
+
+
+def cond1_below_cond2_bound(spec, n, r, cols, rng):
+    """cond1 counts below -max(0, -cond2_min) / a_1 - 1e-12, for a random V with |V| <= 1."""
+    table = cl.build_table(spec, n + 4)
+    shifts = cl.shift_matrices(table, n).index.tensor(r)
+    v = rng.standard_normal((shifts.h, cols)) + 1j * rng.standard_normal((shifts.h, cols))
+    v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v, 2)
+    report = cl.check_factorability(v, shifts, table, 1e-9)
+    c = cl.shift_norm_sq(table, 0, n).value
+    bound = max(0.0, -report.cond2_min_eig) / table.require_a(1)[1] + 1e-12
+    return tuple(cl.model.negative_count(c - shifts.outer_diagonal(i),
+                                         np.hstack([v, shifts.apply(i, v)]),
+                                         np.repeat([-c, 1.0], cols), bound)
+                 for i in range(spec.d))
 
 
 def test_cond1_collapses_on_the_drury_arveson_triple(monkeypatch):
-    # (A, A/2 + A^2, A^2 - A/2) at N = 8: big_dim 495, and each cond1 solve is
-    # a 138-dim one, against the dense c X - M_i X M_i^*; cond2's is on its span
+    # (A, A/2 + A^2, A^2 - A/2) at N = 8: big_dim 495.  Each cond1 count is one
+    # solve of the collapsed |S| + 2h dimensions (the eigenspaces of cond1's
+    # diagonal below theta cut to the 2h columns, plus the 2h border), not
+    # the 138 of the collapsed eigenspaces of the whole diagonal, and it equals
+    # the count of the dense c X - M_i X M_i^*; cond2's solve is on its span
     a = np.array([[0.1, 0.2, 0.0], [0.0, -0.1, 0.2], [0.0, 0.0, 0.1]])
     t = cl.OperatorTuple((a, a / 2 + a @ a, a @ a - a / 2))
     v = cl.build_dilation(t, cl.build_table(cl.drury_arveson(3), 12), P(8))
@@ -239,13 +325,18 @@ def test_cond1_collapses_on_the_drury_arveson_triple(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: sizes.append(len(g)) or eigvalsh(g))
     report = cl.check_factorability(v.matrix, v.tensored, v.table, 1e-9)
     monkeypatch.undo()
-    assert v.big_dim == 495 and sizes[:3] == [138, 138, 138] and sizes[3] < v.big_dim
+    c = cl.shift_norm_sq(v.table, 0, 8).value
+    bordered = []
+    for i in range(3):
+        delta = c - v.tensored.outer_diagonal(i)
+        _, counts = np.unique(delta[delta < 1e-3 * delta.max()], return_counts=True)
+        bordered.append(int(np.minimum(counts, 6).sum()) + 6)
+    assert v.big_dim == 495 and sizes[:3] == bordered == [12, 12, 12] and sizes[3] < v.big_dim
     assert report.verdict == "factorable"
     x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
-    c = cl.shift_norm_sq(v.table, 0, 8).value
-    dense = [np.linalg.eigvalsh(c * x - m @ x @ m.conj().T)[0]
-             for m in tensored_shifts(v.table, v.N, v.codomain_dims[1]).mats]
-    assert np.max(np.abs(np.subtract(report.cond1_min_eigs, dense))) <= 1e-12
+    dense = tuple(int(np.count_nonzero(np.linalg.eigvalsh(c * x - m @ x @ m.conj().T) < -1e-9))
+                  for m in tensored_shifts(v.table, v.N, v.codomain_dims[1]).mats)
+    assert report.cond1_negative_counts == dense == (0, 0, 0)
 
 
 COND3_DEGREE = {1: 10, 2: 5, 3: 3}
