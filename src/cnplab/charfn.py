@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +28,7 @@ from .tuples import OperatorTuple, TruncationParams
 # Kernel functional calculus
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CalculusResult:
+class CalculusResult(NamedTuple):
     """Truncated kernel series sum_alpha a_alpha conj(w^alpha) T^alpha, stacked over points w.
 
     inverse_residual measures how well the b-weighted series inverts it,
@@ -82,8 +80,7 @@ def kernel_calculus(t: OperatorTuple, table: CoeffTable, ws, p: TruncationParams
 # The lifted row contraction and its defect
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TupleLift:
+class TupleLift(NamedTuple):
     """Row contraction with blocks sqrt(b_alpha) T^alpha over positive indices.
 
     Built on the dilation it factors: the tuple, its defect Delta, the graded
@@ -157,13 +154,12 @@ def build_lift(v: DilationMap) -> TupleLift:
 # Evaluating the characteristic function
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CharFnEval:
+class CharFnEval(NamedTuple):
     """The characteristic function at a stack of points, every field stacked along axis 0.
 
     theta maps defect-range coordinates of the lift to those of the tuple
-    and is 0 off its inputs theta_cols, where one batched SVD takes its norm
-    when read.  z_norm_sq, the squared norm of the scalar row Z(z), is below
+    and is 0 off its inputs theta_cols; each read of `norm` is one batched
+    SVD there.  z_norm_sq, the squared norm of the scalar row Z(z), is below
     1 inside the ball.  s_z is the kernel series s_z(T) that theta was built from.
     """
 
@@ -174,7 +170,7 @@ class CharFnEval:
     s_z: np.ndarray
     theta_cols: np.ndarray
 
-    @cached_property
+    @property
     def norm(self) -> np.ndarray:
         return opnorm(self.theta[..., self.theta_cols])
 
@@ -247,8 +243,7 @@ def verify_defect_identity(lift: TupleLift, zs, ws) -> np.ndarray:
     return opnorm(lhs - rhs)
 
 
-@dataclass(frozen=True)
-class MultiplierReport:
+class MultiplierReport(NamedTuple):
     """Sampled evidence that theta is a contractive multiplier.
 
     gram_min_eig is the smallest eigenvalue of the block matrix
@@ -293,8 +288,7 @@ def verify_multiplier(lift: TupleLift, points) -> MultiplierReport:
 # Functional-model verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelReport:
+class ModelReport(NamedTuple):
     """Residuals of the functional-model identities on the truncated space.
 
     compression_residual: recovering each T_i by compressing the tensored
@@ -352,26 +346,26 @@ def verify_model(lift: TupleLift) -> ModelReport:
     maps (A(t) (1 - B(t)) = 1, sigma^(N+1) = 0), so the factorization holds
     exactly when R = W W^* - (X - sum_k b_k sigma^k(X)) = 0, X = I - V V^*.
     factor_residual is |R|, from its compression to the span of W and the
-    cond2 gap's columns (`defect_columns`, `eigenspace_spectrum` with a zero
-    diagonal).  Ran W lies in S_V, the span of those columns, but the QR takes
-    [W, cols] so that an error in W outside S_V still shows in |R|.
+    cond2 gap's columns (`defect_columns`, `eigenspace_spectrum`).  Ran W lies
+    in S_V, the span of those columns, but the QR takes [W, cols] so that an
+    error in W outside S_V still shows in |R|.
     """
     v = lift.dilation
     comp_res = max(opnorm(v.matrix.conj().T @ v.tensored.apply(i, v.matrix) - v.ops.mats[i])
                    for i in range(v.ops.d))
     w = (_taylor_blocks(lift) / np.sqrt(v.shifts.a_alpha)[:, None, None]).reshape(v.big_dim, -1)
     cols, weights = defect_columns(v.tensored, v.table, v.matrix, -1.0)
-    eigs = eigenspace_spectrum(np.zeros(v.big_dim), np.hstack([w, cols]),
-                               np.append(np.ones(w.shape[1]), -weights))
+    eigs = eigenspace_spectrum(np.hstack([w, cols]), np.append(np.ones(w.shape[1]), -weights))
     return ModelReport(compression_residual=comp_res, factor_residual=float(np.abs(eigs).max()))
 
 
 def eval_to_dict(ev: CharFnEval, i: int) -> dict:
-    """Structured-text form of row i of an evaluation: point, re/im entries, norm, diagnostics."""
+    """Structured-text form of row i of an evaluation: point, re/im entries, norm, diagnostics.
+    The norm is row i's alone, so no batched SVD of the whole stack is taken."""
     return {
         "point": [[float(v.real), float(v.imag)] for v in ev.z[i]],
         "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in ev.theta[i]],
-        "norm": float(ev.norm[i]),
+        "norm": float(opnorm(ev.theta[i][:, ev.theta_cols])),
         "diagnostics": {
             "inverse_residual": float(ev.inverse_residual[i]),
             "z_norm_sq": float(ev.z_norm_sq[i]),

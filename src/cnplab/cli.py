@@ -18,6 +18,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +109,7 @@ def fmt(x: float) -> str:
 # Config parsing
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     kernel: KernelSpec
     n_table: int
     tuple_mats: tuple | None

@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -296,8 +296,7 @@ def multi_coeff(table: CoeffTable, alpha, which: str = "a"):
 # CNP classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CnpClassification:
+class CnpClassification(NamedTuple):
     """Degree-limited CNP certificate: all b_n >= 0 through the given degree.
 
     A consistent verdict certifies nonnegativity only up to `degree`; it is
@@ -358,8 +357,7 @@ def inner_products(zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     return np.sum(zs * np.conj(ws), axis=1)
 
 
-@dataclass(frozen=True)
-class KernelValue:
+class KernelValue(NamedTuple):
     value: np.ndarray
     tail_term: np.ndarray
 
@@ -389,8 +387,7 @@ def scalar_series(coeffs: Sequence[float], x: np.ndarray, n: int) -> KernelValue
     return KernelValue(value=value, tail_term=last)
 
 
-@dataclass(frozen=True)
-class RadiusEstimate:
+class RadiusEstimate(NamedTuple):
     radius: float
     reliable: bool
     exact_polynomial: bool

@@ -11,8 +11,7 @@ test with an explicit closed-form witness, reproduced numerically by
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,8 +39,7 @@ from .tuples import (
 # The dilation map
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DilationMap:
+class DilationMap(NamedTuple):
     """Block-column matrix of the embedding of a tuple into (truncated H_k) x Ran(defect).
 
     The block at multi-index alpha is sqrt(a_alpha) * C^* Delta (T^alpha)^*
@@ -173,12 +171,12 @@ def _eigenspaces(delta: np.ndarray, cols: np.ndarray):
     return delta_k, c_k, np.repeat(values[big], sizes[big] - cols.shape[1])
 
 
-def eigenspace_spectrum(delta: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The eigenvalues of G = diag(delta) + C diag(w) C^*, those on K first (`_eigenspaces`)."""
-    delta_k, c_k, rest = _eigenspaces(delta, cols)
-    g = (c_k * weights) @ c_k.conj().T
-    g[np.diag_indices_from(g)] += delta_k
-    return np.append(np.linalg.eigvalsh(hermitize(g)), rest)
+def eigenspace_spectrum(cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The eigenvalues of C diag(w) C^*: with more rows than columns, those of R diag(w) R^*,
+    C = Q R (unpivoted QR), then one 0 per row past the columns."""
+    c = np.linalg.qr(cols, mode="r") if len(cols) > cols.shape[1] else cols
+    return np.append(np.linalg.eigvalsh(hermitize((c * weights) @ c.conj().T)),
+                     np.zeros(len(cols) - len(c)))
 
 
 def negative_count(delta: np.ndarray, cols: np.ndarray, weights: np.ndarray, shift: float) -> int:
@@ -203,8 +201,7 @@ def negative_count(delta: np.ndarray, cols: np.ndarray, weights: np.ndarray, shi
 # Factorability of a positive operator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FactorabilityReport:
+class FactorabilityReport(NamedTuple):
     """Numerical evaluation of the factorability conditions (`check_factorability`).
 
     cond1: per coordinate, the number of eigenvalues of c X - T_i X T_i^* below -tol.
@@ -243,8 +240,7 @@ def check_factorability(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffT
     cond1 = tuple(negative_count(c - shifts.outer_diagonal(i),
                                  np.hstack([v_matrix, shifts.apply(i, v_matrix)]), weights, tol)
                   for i in range(shifts.d))
-    cond2_min = float(eigenspace_spectrum(np.zeros(shifts.h),
-                                          *defect_columns(shifts, table, v_matrix, -1.0)).min())
+    cond2_min = float(eigenspace_spectrum(*defect_columns(shifts, table, v_matrix, -1.0)).min())
 
     failed = 1 if any(cond1) else 2 if cond2_min < -tol else None
     return FactorabilityReport(
@@ -259,8 +255,7 @@ def check_factorability(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffT
 # Associated tuple on the kernel of the adjoint embedding
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AssociatedTuple:
+class AssociatedTuple(NamedTuple):
     """The restriction of the tensored shifts M_i x I to Ker V^*, never formed.
 
     `range_basis` U is an orthonormal basis of Ran V, so P = I - U U^* is the
@@ -314,8 +309,7 @@ def _associated_defect(shifts: IndexShifts, table: CoeffTable, u: np.ndarray):
 # Existence of a characteristic function
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExistenceReport:
+class ExistenceReport(NamedTuple):
     """Verdict of the characteristic-function existence test.
 
     does_not_admit carries the unit vector (in the ambient truncated-space
@@ -365,8 +359,7 @@ def admits_charfn(v: DilationMap, purity: PurityVerdict | None = None) -> Existe
 # The generalized Bergman counterexample
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CounterexamplePoint:
+class CounterexamplePoint(NamedTuple):
     """One (m, N) instance of the failing quadratic form.
 
     closed_form = 1 - m (N+2) / (m+N+1) is negative exactly when

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,8 +142,7 @@ def _weighted_series(t: OperatorTuple, table: CoeffTable, n: int, which: str,
 # Defect operator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DefectData:
+class DefectData(NamedTuple):
     """Truncated defect operator of a tuple against one kernel.
 
     delta_sq is I - sum_{1<=|alpha|<=N} b_alpha T^alpha (T^alpha)^*, delta its
@@ -186,8 +186,7 @@ def defect(t: OperatorTuple, table: CoeffTable, p: TruncationParams) -> DefectDa
 # Contractivity and purity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContractionVerdict:
+class ContractionVerdict(NamedTuple):
     status: str  # "yes" | "no" | "inconclusive"
     min_eig: float
     tail_norm: float
@@ -206,8 +205,7 @@ def is_contraction(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
     return ContractionVerdict.decide(dd.min_eig, dd.tail_norm, p.tol)
 
 
-@dataclass(frozen=True)
-class PurityVerdict:
+class PurityVerdict(NamedTuple):
     status: str  # "pure" | "not_pure" | "inconclusive"
     residual: float
     tail_increments: tuple
@@ -238,8 +236,7 @@ def is_pure(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
 # Truncated shift matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IndexShifts:
+class IndexShifts(NamedTuple):
     """Weighted shifts on C^h with one nonzero per column, kept as index maps.
 
     maps[i] = (dst, src, weight) says T_i e_src[j] = weight[j] e_dst[j] with
@@ -291,13 +288,12 @@ class IndexShifts:
                            tuple(e * r for e in self.ends))
 
 
-@dataclass(frozen=True)
-class TruncatedShifts:
+class TruncatedShifts(NamedTuple):
     """Compressions of the coordinate multipliers to degrees <= N, as index maps.
 
     `index` holds the shifts on the orthonormal monomial basis e(alpha) =
     sqrt(a_alpha) z^alpha listed in graded_indices(d, N) order, with a_alpha
-    in `a_alpha`; no dense matrix is formed.
+    in `a_alpha`; no dense matrix is formed.  The field `index` shadows tuple.index.
     """
 
     index: IndexShifts
@@ -312,19 +308,18 @@ def shift_matrices(table: CoeffTable, n: int) -> TruncatedShifts:
     The vector of a_alpha is built here, once, and read by every later stage.
     """
     table.require_a(n + 1)
-    indices = graded_indices(table.d, n)
+    indices = np.array(graded_indices(table.d, n))
     a_alpha = multi_coeff(table, indices, "a")
     a_alpha.setflags(write=False)
     src = np.arange(graded_count(table.d, n - 1))  # degrees < n lead the graded order
-    ups = np.array(indices)[src] + np.eye(table.d, dtype=int)[:, None]  # alpha + e_i in row i
+    ups = indices[src] + np.eye(table.d, dtype=int)[:, None]  # alpha + e_i in row i
     dsts = graded_position(table.d, n, ups.reshape(-1, table.d)).reshape(table.d, len(src))
     maps = tuple((dst, src, np.sqrt(a_alpha[src] / a_alpha[dst])) for dst in dsts)
     ends = tuple(graded_count(table.d, j) for j in range(n + 1))
     return TruncatedShifts(index=IndexShifts(maps, len(indices), ends), a_alpha=a_alpha)
 
 
-@dataclass(frozen=True)
-class ShiftNormBound:
+class ShiftNormBound(NamedTuple):
     """max_{|alpha|<=N} a_alpha / a_{alpha+e_i}: the squared shift norm.
 
     Exact for the truncated matrix; a lower bound for the full operator when

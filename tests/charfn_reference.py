@@ -38,7 +38,7 @@ two:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +93,7 @@ def enumerated_calculus(t, table, w, p):
     return total, opnorm(layer), opnorm(binv @ total - np.eye(h, dtype=complex))
 
 
-@dataclass(frozen=True)
-class DenseLift:
+class DenseLift(NamedTuple):
     """The lifted row with E, T~E and D~E over the whole direct sum.
 
     Same fields as cnplab.charfn.TupleLift, except that d_tilde_basis,

@@ -1,7 +1,5 @@
 """Characteristic function: lift, evaluation, and the operator identities."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -552,9 +550,8 @@ def overflowing_lift(lift):
     |z c| = 10^14.5 at degree 20; D~E scaled by 1e19 then carries theta past
     the largest double at z = 0.5, while it stays finite at z = 0 and 1e-15.
     """
-    v = dataclasses.replace(lift.dilation, ops=cl.OperatorTuple.from_scalars(6.3e14),
-                            params=P(20, tol=1e305))
-    return dataclasses.replace(lift, dilation=v, d_tilde_e=lift.d_tilde_e * 1e19)
+    v = lift.dilation._replace(ops=cl.OperatorTuple.from_scalars(6.3e14), params=P(20, tol=1e305))
+    return lift._replace(dilation=v, d_tilde_e=lift.d_tilde_e * 1e19)
 
 
 def test_one_bad_point_fails_the_batch_as_it_fails_alone():
@@ -657,7 +654,7 @@ def test_model_factorization_decides_as_the_dense_gap(seed, d, h, kernel):
     scale = max(1.0, np.linalg.norm(np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T, 2))
     for mutated in (False, True):
         if mutated:
-            lift = dataclasses.replace(lift, d_tilde_e=1.01 * lift.d_tilde_e)
+            lift = lift._replace(d_tilde_e=1.01 * lift.d_tilde_e)
         gap = model_gap(lift)
         got = cl.verify_model(lift).factor_residual
         assert abs(got - np.linalg.norm(b_inverse_gap(v, gap), 2)) <= 1e-12 * scale
