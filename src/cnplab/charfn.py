@@ -125,7 +125,8 @@ def build_lift(v: DilationMap) -> TupleLift:
     if not cnp.consistent:
         raise NotCnpError(f"b_{cnp.first_failure} = {cnp.value:.6g} < 0: square roots of the "
                           "inverted coefficients do not exist")
-    sqrt_b = np.sqrt(np.maximum(multi_coeff(table, v.indices[1:], "b"), 0.0))
+    exponents = np.array(v.indices[1:])
+    sqrt_b = np.sqrt(np.maximum(multi_coeff(table, exponents, "b"), 0.0))
     t_tilde = np.hstack(sqrt_b[:, None, None] * v.powers.stack[1:])
     support = np.flatnonzero(sqrt_b)
     cols = (support[:, None] * h + np.arange(h)).ravel()
@@ -143,7 +144,7 @@ def build_lift(v: DilationMap) -> TupleLift:
     d_tilde_e = basis - shrink @ (w_star @ basis)
     t_tilde_e = t_sup @ basis
     return TupleLift(dilation=v, t_tilde=t_tilde, sqrt_b=sqrt_b, support=support,
-                     support_exponents=np.array(v.indices[1:])[support],
+                     support_exponents=exponents[support],
                      theta_cols=cols[n_drop:] - n_drop, defect_rank=t_tilde.shape[1] - n_drop,
                      t_tilde_e=t_tilde_e, d_tilde_e=d_tilde_e, ttstar_residual=ttstar_res,
                      intertwine_residual=opnorm(t_sup @ d_tilde_e - dd.delta @ t_tilde_e),

@@ -15,8 +15,6 @@ import json
 import os
 import sys
 import time
-import traceback
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -312,17 +310,19 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
 # Suite runners
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SuiteResult:
-    name: str
-    outcome: str = "pass"  # "pass" | "fail" | "error" | "skip"
-    verdict: str = ""
-    expected: str | None = None
-    residuals: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
-    error: str | None = None
-    wall_time: float = 0.0
+    """One suite's entry in the report: the suite runner fills it in, vars() serialises it."""
+
+    def __init__(self, name: str, expected: str | None = None):
+        self.name = name
+        self.outcome = "pass"  # "pass" | "fail" | "error" | "skip"
+        self.verdict = ""
+        self.expected = expected
+        self.residuals: dict = {}
+        self.tolerances: dict = {}
+        self.details: dict = {}
+        self.error: str | None = None
+        self.wall_time = 0.0
 
     def gate(self, name: str, value: float, limit: float, lower: bool = False):
         """Record a residual and fail the suite when it violates its gate."""
@@ -514,8 +514,10 @@ def run(cfg: RunConfig) -> dict:
             except Exception as exc:  # a fault inside a suite is that suite's error
                 res.outcome = "error"
                 res.error = f"{type(exc).__name__}: {exc}"
-                if not isinstance(exc, CnpLabError):
-                    traceback.print_exc()  # unexpected: show where it was raised
+                if not isinstance(exc, CnpLabError):  # unexpected: show where it was raised
+                    import traceback
+
+                    traceback.print_exc()
             res.wall_time = time.perf_counter() - start
         if name in SUITE_CHAIN:
             prior = res

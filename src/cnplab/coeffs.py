@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -118,47 +117,78 @@ def multinomial(alpha: Sequence[int]) -> int:
 # Kernel specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KernelSpec:
+class ValueType:
+    """Base of the value types that check and normalise their fields in __init__.
+
+    A field is set once, by __init__, and is read-only after: assignment
+    raises AttributeError, and a copy is built through the constructor, so
+    it is checked again.  Equality, hash and repr go by the field values in
+    __slots__ order, as for a frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class KernelSpec(ValueType):
     """A unitarily invariant kernel: ambient dimension plus a coefficient rule.
 
     rule is one of "szego", "drury_arveson", "bergman" (param: integer
     m >= 1), "dirichlet_t" (param: finite real t >= 0) or "custom" (param:
-    finite list of positive finite coefficients starting with 1).
+    finite list of positive finite coefficients starting with 1, stored as a
+    tuple of floats).
     """
 
-    d: int
-    rule: str
-    param: object = None
-    label: str = ""
+    __slots__ = ("d", "rule", "param", "label")
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise InvalidKernelError(f"ambient dimension must be >= 1, got {self.d}")
-        if self.rule not in RULES:
-            raise InvalidKernelError(f"unknown rule {self.rule!r}; expected one of {RULES}")
-        if self.rule == "bergman":
-            m = self.param
-            if not isinstance(m, int) or not 1 <= m <= sys.float_info.max:  # a_1 = m
+    def __init__(self, d: int, rule: str, param: object = None, label: str = ""):
+        if d < 1:
+            raise InvalidKernelError(f"ambient dimension must be >= 1, got {d}")
+        if rule not in RULES:
+            raise InvalidKernelError(f"unknown rule {rule!r}; expected one of {RULES}")
+        if rule == "bergman":
+            if not isinstance(param, int) or not 1 <= param <= sys.float_info.max:  # a_1 = m
                 raise InvalidKernelError(f"bergman requires integer m >= 1 within the float range, "
-                                         f"got {m!r}")
-        elif self.rule == "dirichlet_t":
-            t = self.param
-            if not isinstance(t, (int, float)) or not 0 <= t < math.inf:
-                raise InvalidKernelError(f"dirichlet_t requires finite real t >= 0, got {t!r}")
-        elif self.rule == "custom":
-            coeffs = self.param
-            if coeffs is None or isinstance(coeffs, (str, int, float)):
+                                         f"got {param!r}")
+        elif rule == "dirichlet_t":
+            if not isinstance(param, (int, float)) or not 0 <= param < math.inf:
+                raise InvalidKernelError(f"dirichlet_t requires finite real t >= 0, got {param!r}")
+        elif rule == "custom":
+            if param is None or isinstance(param, (str, int, float)):
                 raise InvalidKernelError("custom rule requires a sequence of coefficients")
-            coeffs = tuple(float(c) for c in coeffs)
-            if len(coeffs) == 0 or coeffs[0] != 1.0:
+            param = tuple(float(c) for c in param)
+            if len(param) == 0 or param[0] != 1.0:
                 raise InvalidKernelError("custom coefficients must start with a_0 = 1")
-            if not all(0.0 < c < math.inf for c in coeffs):
+            if not all(0.0 < c < math.inf for c in param):
                 raise InvalidKernelError("custom coefficients must all be positive and finite")
-            object.__setattr__(self, "param", coeffs)
-        if not self.label:
-            plain = self.param is None or self.rule == "custom"
-            object.__setattr__(self, "label", self.rule if plain else f"{self.rule}({self.param})")
+        if not label:
+            label = rule if param is None or rule == "custom" else f"{rule}({param})"
+        self._set(d=d, rule=rule, param=param, label=label)
 
 
 def szego(d: int = 1, label: str = "") -> KernelSpec:
@@ -208,19 +238,16 @@ def _scalar_coeffs(spec: KernelSpec, n: int) -> np.ndarray:
 # Coefficient tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(ValueType):
     """Cached prefix of the scalar sequences {a_n} and {b_n} for one kernel; read-only arrays."""
 
-    spec: KernelSpec
-    a: np.ndarray
-    b: np.ndarray
+    __slots__ = ("spec", "a", "b")
 
-    def __post_init__(self):
-        for name in ("a", "b"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def __init__(self, spec: KernelSpec, a: np.ndarray, b: np.ndarray):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        a.setflags(write=False)
+        b.setflags(write=False)
+        self._set(spec=spec, a=a, b=b)
 
     @property
     def n_max(self) -> int:

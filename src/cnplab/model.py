@@ -10,13 +10,12 @@ test with an explicit closed-form witness, reproduced numerically by
 
 from __future__ import annotations
 
-import dataclasses
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ._linalg import RANK_REL_TOL, canonical_phases, hermitize, opnorm, split_rank
-from .coeffs import (CoeffTable, bergman, build_table, graded_indices, graded_position,
+from .coeffs import (CoeffTable, KernelSpec, bergman, build_table, graded_indices, graded_position,
                      multi_coeff)
 from .errors import DegenerateDilationError, PrerequisiteError
 from .tuples import (
@@ -426,5 +425,5 @@ def cnp_zero_tuple_probe(table: CoeffTable, n: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError(f"probe needs n >= 2, got {n}")
-    table1 = build_table(dataclasses.replace(table.spec, d=1), n + 1)
+    table1 = build_table(KernelSpec(1, table.spec.rule, table.spec.param, table.spec.label), n + 1)
     return np.array(_compressed_shift_forms(table1, 0, n, range(2, n + 1)))

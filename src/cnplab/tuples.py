@@ -9,49 +9,44 @@ so every verdict here is three-valued: yes / no / inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from ._linalg import RANK_REL_TOL, hermitian_norm, hermitize, opnorm, orthonormal_range, psd_sqrt
-from .coeffs import (CoeffTable, graded_count, graded_indices, graded_position, graded_stack,
-                     multi_coeff)
+from .coeffs import (CoeffTable, ValueType, graded_count, graded_indices, graded_position,
+                     graded_stack, multi_coeff)
 from .errors import CommutationError
 
 COMMUTATOR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TruncationParams:
+class TruncationParams(ValueType):
     """Series cut-off degree, verification tolerance and tail policy."""
 
-    N: int
-    tol: float = 1e-9
-    tail_window: int = 3
+    __slots__ = ("N", "tol", "tail_window")
 
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"truncation degree must be >= 1, got {self.N}")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
-        if self.tail_window < 1:
-            raise ValueError(f"tail window must be >= 1, got {self.tail_window}")
+    def __init__(self, N: int, tol: float = 1e-9, tail_window: int = 3):
+        if N < 1:
+            raise ValueError(f"truncation degree must be >= 1, got {N}")
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {tol}")
+        if tail_window < 1:
+            raise ValueError(f"tail window must be >= 1, got {tail_window}")
+        self._set(N=N, tol=tol, tail_window=tail_window)
 
 
-@dataclass(frozen=True)
-class OperatorTuple:
+class OperatorTuple(ValueType):
     """d pairwise-commuting complex h x h matrices.
 
     Commutators are checked at construction against
     commutator_tol * max(1, |T_i| |T_j|); matrices are stored read-only.
     """
 
-    mats: tuple
-    commutator_tol: float = COMMUTATOR_TOL
+    __slots__ = ("mats", "commutator_tol")
 
-    def __post_init__(self):
-        mats = tuple(np.array(m, dtype=complex) for m in self.mats)
+    def __init__(self, mats: tuple, commutator_tol: float = COMMUTATOR_TOL):
+        mats = tuple(np.array(m, dtype=complex) for m in mats)
         if len(mats) == 0:
             raise ValueError("need at least one matrix")
         h = mats[0].shape[0]
@@ -62,14 +57,14 @@ class OperatorTuple:
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 comm = opnorm(mats[i] @ mats[j] - mats[j] @ mats[i])
-                bound = self.commutator_tol * max(1.0, norms[i] * norms[j])
+                bound = commutator_tol * max(1.0, norms[i] * norms[j])
                 if comm > bound:
                     raise CommutationError(
                         f"matrices {i} and {j} do not commute: |[T_i, T_j]| = {comm:.3e} > {bound:.3e}"
                     )
         for m in mats:
             m.setflags(write=False)
-        object.__setattr__(self, "mats", mats)
+        self._set(mats=mats, commutator_tol=commutator_tol)
 
     @property
     def h(self) -> int:

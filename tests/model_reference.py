@@ -35,8 +35,6 @@ itself and reads every form at once.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +74,8 @@ def dense_existence(v, n=None):
     smallest eigenvalue of the defect.
     """
     k, ops, _ = dense_associated_tuple(v)
-    p = replace(v.params, N=v.params.N + v.params.tail_window if n is None else n)
+    p = v.params
+    p = cl.TruncationParams(p.N + p.tail_window if n is None else n, p.tol, p.tail_window)
     dd = cl.defect(ops, v.table, p)
     verdict = cl.is_contraction(ops, v.table, p, defect_data=dd)
     _, vecs = np.linalg.eigh(dd.delta_sq)
@@ -235,7 +234,8 @@ def looped_canonical_phases(u):
 
 def zero_tuple_probe(table, n):
     """Forms of the zero tuple's associated defect at e_2 .. e_n, in one variable."""
-    table1 = cl.build_table(replace(table.spec, d=1), n + 1)
+    spec = table.spec
+    table1 = cl.build_table(cl.KernelSpec(1, spec.rule, spec.param, spec.label), n + 1)
     v = cl.build_dilation(cl.OperatorTuple.zero(1, 1), table1, cl.TruncationParams(N=n))
     k, delta_sq, _ = projected_associated_defect(v, n)
     coords = k.conj().T[:, 2:]  # K^* e_k: one-variable index k sits at position k

@@ -308,11 +308,11 @@ def test_cmd_run_exit_codes(tmp_path):
     assert cli.main(["run", str(bad_path), "--out", str(tmp_path / "bad_report.json")]) == 1
 
 
-def test_fault_inside_a_suite_is_its_error(tmp_path):
+def test_fault_inside_a_suite_is_its_error(tmp_path, capsys):
     # finite but huge entries overflow the defect series, and the norm of its
     # tail window raises on the non-finite entries; that fault is the suite's
     # error, exit code 3, not a crash or a "fail", and the report is still
-    # written
+    # written; being no CnpLabError, it also prints its traceback to stderr
     huge = [[[1e300, 0.0], [0.0, 0.0]], [[1e300, 0.0], [0.0, 0.0]]]
     cfg = base_config(
         kernel={"d": 1, "rule": "szego", "params": {}, "N_max": 40},
@@ -330,6 +330,9 @@ def test_fault_inside_a_suite_is_its_error(tmp_path):
     assert by_name["contraction"]["outcome"] == "error"
     assert by_name["contraction"]["error"].startswith("LinAlgError: ")
     assert by_name["purity"]["outcome"] == "skip"
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last):" in err
+    assert "LinAlgError: " in err.rstrip("\n").splitlines()[-1]
 
 
 def test_cmd_run_config_error(tmp_path, capsys):
