@@ -465,7 +465,7 @@ def counterexample_row(point: CounterexamplePoint) -> dict:
 
 def counterexample_points(ce: dict) -> list[tuple[CounterexamplePoint, bool]]:
     """Each point of a parsed block, and whether it reproduces: a negative form, matched."""
-    points = [bergman_counterexample(ce["m"], n, d=ce["d"]) for n in ce["N_list"]]
+    points = bergman_counterexample(ce["m"], ce["N_list"], d=ce["d"])
     return [(pt, pt.closed_form < 0.0 and pt.match_error <= GATES["counterexample_match"])
             for pt in points]
 

@@ -16,22 +16,11 @@ import numpy as np
 
 from ._linalg import RANK_REL_TOL, canonical_phases, hermitize, opnorm, split_rank
 from .coeffs import (CoeffTable, KernelSpec, bergman, build_table, graded_indices, graded_position,
-                     multi_coeff)
+                     graded_stack, multi_coeff)
 from .errors import DegenerateDilationError, PrerequisiteError
-from .tuples import (
-    DefectData,
-    IndexShifts,
-    OperatorTuple,
-    PurityVerdict,
-    TruncatedShifts,
-    TruncationParams,
-    TuplePowers,
-    defect,
-    is_contraction,  # noqa: F401  bound here too: tracers rebind it in every module namespace
-    is_pure,
-    shift_matrices,
-    shift_norm_sq,
-)
+from .tuples import (DefectData, IndexShifts, OperatorTuple, PurityVerdict, TruncatedShifts,
+                     TruncationParams, TuplePowers, defect, is_pure, shift_matrices, shift_norm_sq)
+from .tuples import is_contraction  # noqa: F401  bound here: tracers rebind it in every module
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +278,13 @@ def associated_tuple(v: DilationMap) -> AssociatedTuple:
 def _associated_defect(shifts: IndexShifts, table: CoeffTable, u: np.ndarray):
     """(Q, S) with Q S Q^* the associated defect I - sum_{k>=1} b_k sigma_A^k(I) on Ker V^*.
 
-    u is an orthonormal basis U of Ran V, in the space the shifts act on.  For the shifts
-    compressed to the co-invariant block of degrees <= n, V is the inclusion of that block
-    (checked against `build_dilation` in the tests).  For the restriction A of the shifts
-    to Ker V^* = Ran P, P = I - U U^*, sigma_A^k(I) = sigma^k(P) there, so the defect is
-    P C diag(w) C^* P, with C and w the `defect_columns` of U.  Q is an orthonormal basis,
-    orthogonal to U, of a space holding Ran P C, so the eigenvalues on Ker V^* are those of
-    S, and 0 when Q is narrower.  Q and the coordinates of P C come from the QR of [U, C]
-    without pivoting: no rank is decided, dependent columns only widen Q.
+    u is an orthonormal basis U of Ran V, in the space the shifts act on.  For the
+    restriction A of the shifts to Ker V^* = Ran P, P = I - U U^*, sigma_A^k(I) =
+    sigma^k(P) there, so the defect is P C diag(w) C^* P, with C and w the
+    `defect_columns` of U.  Q is an orthonormal basis, orthogonal to U, of a space
+    holding Ran P C, so the eigenvalues on Ker V^* are those of S, and 0 when Q is
+    narrower.  Q and the coordinates of P C come from the QR of [U, C] without pivoting:
+    no rank is decided, dependent columns only widen Q.
     """
     k = u.shape[1]
     cols, weights = defect_columns(shifts, table, u, 0.0)
@@ -343,9 +331,10 @@ def admits_charfn(v: DilationMap, purity: PurityVerdict | None = None) -> Existe
         )
     assoc = associated_tuple(v)
     basis, delta_sq = _associated_defect(v.tensored, table, assoc.range_basis)
-    vals, vecs = np.linalg.eigh(delta_sq)  # none when Ker V^* = 0: an empty tuple contracts
+    vals = np.linalg.eigvalsh(delta_sq)  # none when Ker V^* = 0: an empty tuple contracts
     min_eig = float(min([*vals, 0.0] if basis.shape[1] < assoc.dim else vals, default=0.0))
-    witness = canonical_phases(basis @ vecs[:, :1])[:, 0] if min_eig < -p.tol else None
+    witness = (canonical_phases(basis @ np.linalg.eigh(delta_sq)[1][:, :1])[:, 0]
+               if min_eig < -p.tol else None)  # eigenvectors only for a witness
     return ExistenceReport(
         status="admits" if witness is None else "does_not_admit",
         value=min_eig,
@@ -375,37 +364,46 @@ class CounterexamplePoint(NamedTuple):
     bound_value: float
 
 
-def _compressed_shift_forms(table: CoeffTable, n: int, big_n: int, degrees) -> list[float]:
-    """Associated-defect forms, at e(k e_1) for k in degrees, of the shifts compressed to
-    degrees <= n and embedded at truncation big_n.  Degrees <= n are co-invariant, so the
-    compression dilates, with defect rank 1, to the inclusion of that leading block (tests
-    check `build_dilation` against it to 1e-14): U = I on its rows, the shifts are the model
-    space's own, and the form at e, that of P e, is read at Q^* e."""
+def _compressed_shift_forms(table: CoeffTable, big_n: int, pairs) -> list[float]:
+    """Associated-defect forms at e(k e_1) of the shifts compressed to degrees <= n, one per
+    pair (n, k), 0 <= n < k <= big_n.  Degrees <= n are co-invariant, so the compression
+    dilates, with defect rank 1, to the inclusion of that block (tests check `build_dilation`
+    against it to 1e-14), and e lies in Ker V^*, where the form is sum_{|alpha|>=1} b_alpha
+    |P_n (M^alpha)^* e|^2: one adjoint gather, to the last degree <= max k with b != 0."""
+    if any(not 0 <= n < k for n, k in pairs):
+        raise ValueError(f"each pair (n, k) needs 0 <= n < k, got {pairs}")
     shifts = shift_matrices(table, big_n).index
-    basis, delta_sq = _associated_defect(shifts, table, np.eye(shifts.h, shifts.ends[n]))
-    targets = graded_position(table.d, big_n, [(k,) + (0,) * (table.d - 1) for k in degrees])
-    return [float(np.real(np.vdot(c, delta_sq @ c))) for c in basis[targets].conj()]
+    top = int(np.flatnonzero(table.require_b(max(k for _, k in pairs)))[-1])
+    x = np.zeros((shifts.h, len(pairs)), dtype=complex)
+    x[graded_position(table.d, big_n, [(k,) + (0,) * (table.d - 1) for _, k in pairs]),
+      np.arange(len(pairs))] = 1.0
+    sq = np.abs(graded_stack(x, table.d, top, shifts.apply_adjoint)[1:]) ** 2
+    rows = np.arange(shifts.h)[:, None] < [shifts.ends[n] for n, _ in pairs]
+    return (multi_coeff(table, graded_indices(table.d, top)[1:], "b") @ (sq * rows).sum(1)).tolist()
 
 
-def bergman_counterexample(m: int, n: int, d: int = 1) -> CounterexamplePoint:
-    """Quadratic form of the associated tuple of the degree-n compressed shifts.
+def bergman_counterexample(m: int, ns: Sequence[int], d: int = 1) -> list[CounterexamplePoint]:
+    """Quadratic forms of the associated tuples of the compressed shifts, one per n in ns.
 
-    The compression of the Bergman-m shifts to degrees <= n dilates to the inclusion of
-    that leading block into the model space at truncation n + 3 (`_compressed_shift_forms`),
-    where the form is evaluated on the basis vector of degree n + 2 along the first
-    coordinate.  m = 1 is rejected: there the ratio drops below 1 and the form is nonnegative.
+    The compression of the Bergman-m shifts to degrees <= n dilates to the inclusion of that
+    block (`_compressed_shift_forms`); the form at the degree-(n + 2) basis vector along the
+    first coordinate reads no degree above n + 2, so all rows, in ns order, share one table
+    and one shift build.  m = 1 is rejected: the ratio drops below 1, the form is nonnegative.
     """
     if m < 2:
         raise PrerequisiteError(
             "counterexample requires m >= 2; at m = 1 the kernel has nonnegative "
             "inverted coefficients and the bound m(N+2)/(m+N+1) falls to within 1"
         )
-    if n < 0:
-        raise ValueError(f"compression degree must be >= 0, got {n}")
-    [numeric] = _compressed_shift_forms(build_table(bergman(m, d=d), n + 4), n, n + 3, [n + 2])
-    bound = m * (n + 2) / (m + n + 1)
-    return CounterexamplePoint(m=m, N=n, d=d, closed_form=1.0 - bound, numeric=numeric,
-                               match_error=abs(numeric - (1.0 - bound)), bound_value=bound)
+    if min(ns, default=-1) < 0:
+        raise ValueError(f"compression degrees must be a non-empty list of integers >= 0, got {ns}")
+    big_n = max(ns) + 3
+    forms = _compressed_shift_forms(build_table(bergman(m, d=d), big_n + 1), big_n,
+                                    [(n, n + 2) for n in ns])
+    bounds = [m * (n + 2) / (m + n + 1) for n in ns]
+    return [CounterexamplePoint(m=m, N=n, d=d, closed_form=1.0 - bound, numeric=numeric,
+                                match_error=abs(numeric - (1.0 - bound)), bound_value=bound)
+            for n, numeric, bound in zip(ns, forms, bounds)]
 
 
 # ---------------------------------------------------------------------------
@@ -426,4 +424,4 @@ def cnp_zero_tuple_probe(table: CoeffTable, n: int) -> np.ndarray:
     if n < 2:
         raise ValueError(f"probe needs n >= 2, got {n}")
     table1 = build_table(KernelSpec(1, table.spec.rule, table.spec.param, table.spec.label), n + 1)
-    return np.array(_compressed_shift_forms(table1, 0, n, range(2, n + 1)))
+    return np.array(_compressed_shift_forms(table1, n, [(0, k) for k in range(2, n + 1)]))

@@ -30,7 +30,9 @@ only as far as Ker V^* fails to be invariant at the top degree.
 rotates every column by one broadcast product.  `zero_tuple_probe` is the
 CNP probe as it stood before the package read it as the Bergman
 counterexample at compression degree 0: it embeds `OperatorTuple.zero(1, 1)`
-itself and reads every form at once.
+itself and reads every form at once.  `qr_compressed_shift_forms` is the counterexample
+form as the package read it before it summed it at e directly: `_associated_defect` on
+U = I of the leading block, rebuilt for each compression degree, and the form at Q^* e.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ import numpy as np
 
 import cnplab as cl
 from cnplab._linalg import hermitian_norm, hermitize, opnorm, split_rank
-from cnplab.tuples import COMMUTATOR_TOL, _sigma, _weighted_series, shift_norm_sq
+from cnplab.coeffs import graded_position
+from cnplab.model import _associated_defect
+from cnplab.tuples import COMMUTATOR_TOL, _sigma, _weighted_series, shift_matrices, shift_norm_sq
 from series_reference import dense_shifts, tensored_shifts, tuple_power
 
 
@@ -240,3 +244,20 @@ def zero_tuple_probe(table, n):
     k, delta_sq, _ = projected_associated_defect(v, n)
     coords = k.conj().T[:, 2:]  # K^* e_k: one-variable index k sits at position k
     return np.real(np.sum(coords.conj() * (delta_sq @ coords), axis=0))
+
+
+def qr_compressed_shift_forms(table, n, big_n, degrees):
+    """Associated-defect forms, at e(k e_1) for k in degrees, of the shifts compressed to
+    degrees <= n and embedded at truncation big_n: U = I on that leading block, the QR of
+    [U, C] in `_associated_defect`, and the form of P e read at Q^* e."""
+    shifts = shift_matrices(table, big_n).index
+    basis, delta_sq = _associated_defect(shifts, table, np.eye(shifts.h, shifts.ends[n]))
+    targets = graded_position(table.d, big_n, [(k,) + (0,) * (table.d - 1) for k in degrees])
+    return [float(np.real(np.vdot(c, delta_sq @ c))) for c in basis[targets].conj()]
+
+
+def qr_counterexample_form(m, n, d):
+    """The Bergman-m counterexample's form at compression degree n, by the QR route."""
+    [form] = qr_compressed_shift_forms(cl.build_table(cl.bergman(m, d=d), n + 4), n, n + 3,
+                                       [n + 2])
+    return form

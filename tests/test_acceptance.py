@@ -76,10 +76,9 @@ def test_criterion_3_counterexample():
     start = time.perf_counter()
     ok = True
     for m in (2, 3, 4):
-        for n in (0, 1, 2, 3):
-            point = cl.bergman_counterexample(m, n)
+        for point in cl.bergman_counterexample(m, (0, 1, 2, 3)):
             ok = ok and point.match_error <= 1e-12 and point.closed_form < 0.0
-    instance = cl.bergman_counterexample(2, 0)
+    [instance] = cl.bergman_counterexample(2, [0])
     ok = ok and abs(instance.bound_value - 4.0 / 3.0) <= 1e-12 and instance.bound_value > 1.0
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0

@@ -239,9 +239,9 @@ def test_counterexample_suite_runs_without_tuple():
 
 
 def test_a_nan_match_error_in_a_later_row_reaches_the_residual(monkeypatch):
-    def nan_at_degree_1(m, n, d=1):
-        point = model.bergman_counterexample(m, n, d=d)
-        return point._replace(match_error=math.nan) if n == 1 else point
+    def nan_at_degree_1(m, ns, d=1):
+        points = model.bergman_counterexample(m, ns, d=d)
+        return [p._replace(match_error=math.nan) if p.N == 1 else p for p in points]
 
     monkeypatch.setattr(cli, "bergman_counterexample", nan_at_degree_1)
     report = run_config(base_config(suites=["coeffs", "counterexample"], tuple=None,

@@ -1,5 +1,7 @@
 """Dilation map, factorability, associated tuples, existence, counterexample."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,12 @@ import cnplab as cl
 from cnplab.coeffs import graded_count
 from cnplab.tuples import TuplePowers
 from model_reference import (dense_associated_tuple, dense_check_factorability, dense_existence,
-                             dense_intertwining, projected_associated_defect, reports_agree,
-                             restricted_associated_defect, zero_tuple_probe)
+                             dense_intertwining, projected_associated_defect,
+                             qr_counterexample_form, reports_agree, restricted_associated_defect,
+                             zero_tuple_probe)
 from series_reference import dense_shifts, tensored_shifts, tuple_power
 from random_inputs import diff_kernel, finite_b_kernel, random_commuting_tuple
-from cnplab.model import _associated_defect
+from cnplab.model import _associated_defect, _compressed_shift_forms
 
 
 def P(n, tol=1e-9, window=3):
@@ -687,7 +690,8 @@ def test_counterexample_matches_dense_reference():
         e[v.indices.index((n + 2,) + (0,) * (d - 1)) * v.codomain_dims[1]] = 1.0
         coords = k.conj().T @ e
         ref = float(np.real(np.vdot(coords, dd.delta_sq @ coords)))
-        assert abs(cl.bergman_counterexample(m, n, d=d).numeric - ref) <= 1e-12, (m, n, d)
+        [point] = cl.bergman_counterexample(m, [n], d=d)
+        assert abs(point.numeric - ref) <= 1e-12, (m, n, d)
 
 
 def orbit_closure(shifts, v0, thr=1e-10):
@@ -744,16 +748,17 @@ def test_invariant_subspaces_stay_contractive():
 # ---------------------------------------------------------------------------
 
 def test_counterexample_closed_forms():
-    assert abs(cl.bergman_counterexample(2, 0).closed_form + 1.0 / 3.0) <= 1e-15
-    assert abs(cl.bergman_counterexample(2, 1).closed_form + 0.5) <= 1e-15
-    assert abs(cl.bergman_counterexample(3, 0).closed_form + 0.5) <= 1e-15
-    assert abs(cl.bergman_counterexample(3, 1).closed_form + 0.8) <= 1e-15
+    m2, m3 = cl.bergman_counterexample(2, [0, 1]), cl.bergman_counterexample(3, [0, 1])
+    assert abs(m2[0].closed_form + 1.0 / 3.0) <= 1e-15
+    assert abs(m2[1].closed_form + 0.5) <= 1e-15
+    assert abs(m3[0].closed_form + 0.5) <= 1e-15
+    assert abs(m3[1].closed_form + 0.8) <= 1e-15
 
 
 def test_counterexample_sweep():
     for m in (2, 3, 4):
-        for n in (0, 1, 2, 3):
-            point = cl.bergman_counterexample(m, n)
+        for n, point in zip((0, 1, 2, 3), cl.bergman_counterexample(m, (0, 1, 2, 3))):
+            assert point.N == n
             assert point.match_error <= 1e-12, (m, n, point)
             assert point.closed_form < 0.0
             assert point.bound_value > 1.0
@@ -761,17 +766,17 @@ def test_counterexample_sweep():
 
 def test_counterexample_dimension_invariance():
     for d in (1, 2, 3, 4, 5):
-        point = cl.bergman_counterexample(2, 0, d=d)
+        [point] = cl.bergman_counterexample(2, [0], d=d)
         assert abs(point.numeric + 1.0 / 3.0) <= 1e-12
 
 
 def test_counterexample_bound_value():
-    assert abs(cl.bergman_counterexample(2, 0).bound_value - 4.0 / 3.0) <= 1e-15
+    assert abs(cl.bergman_counterexample(2, [0])[0].bound_value - 4.0 / 3.0) <= 1e-15
 
 
 def test_counterexample_rejects_m1():
     with pytest.raises(cl.PrerequisiteError):
-        cl.bergman_counterexample(1, 0)
+        cl.bergman_counterexample(1, [0])
 
 
 def test_counterexample_against_direct_quadratic_form():
@@ -792,9 +797,58 @@ def test_counterexample_against_direct_quadratic_form():
             w = mat.conj().T @ w
             pw = proj @ w
             q -= table.b[i] * float(np.real(np.vdot(pw, pw)))
-        point = cl.bergman_counterexample(m, n)
+        [point] = cl.bergman_counterexample(m, [n])
         assert abs(q - point.numeric) <= 1e-12, (m, n, q, point.numeric)
         assert abs(q - point.closed_form) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_counterexample_rows_match_the_qr_route(m, d):
+    # the form summed at e against the QR of [U, C] and S, rebuilt per degree
+    for point in cl.bergman_counterexample(m, range(8), d=d):
+        assert abs(point.numeric - qr_counterexample_form(m, point.N, d)) <= 1e-14, point
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [3, 5])
+def test_a_batched_n_list_matches_one_degree_at_a_time(m, d):
+    # at n < m - 2 a lone row gathers to degree n + 2 < m, the batch to m
+    batch = cl.bergman_counterexample(m, range(8), d=d)
+    for n, point in enumerate(batch):
+        [single] = cl.bergman_counterexample(m, [n], d=d)
+        assert point.N == single.N == n
+        assert abs(point.numeric - single.numeric) <= 4 * np.spacing(abs(single.numeric)), n
+
+
+def test_counterexample_rows_follow_the_n_list():
+    points = cl.bergman_counterexample(2, [3, 0, 3])
+    assert [p.N for p in points] == [3, 0, 3]
+    assert points[0] == points[2]
+    assert abs(points[1].numeric + 1.0 / 3.0) <= 1e-15
+
+
+def test_counterexample_rejects_bad_degrees():
+    for ns in ([], [0, -1]):
+        with pytest.raises(ValueError):
+            cl.bergman_counterexample(2, ns)
+    table = cl.build_table(cl.bergman(2), 8)
+    for pair in ((2, 2), (3, 2), (-1, 2)):
+        with pytest.raises(ValueError):
+            _compressed_shift_forms(table, 6, [(0, 2), pair])
+
+
+def test_counterexample_memory_stays_small_at_d5():
+    # one adjoint gather of the six target columns; the QR route gathered M^alpha U for
+    # every degree and took the QR of [U, C], a 467 MB peak at d = 5
+    tracemalloc.start()
+    try:
+        points = cl.bergman_counterexample(2, range(6), d=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(p.match_error for p in points) <= 1e-12
+    assert peak < 32 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------
