@@ -90,8 +90,10 @@ class TupleLift(NamedTuple):
     `support` (b_alpha > 0, multi-indices `support_exponents`) are nonzero.  Off
     them D~ = (I - t_tilde^* t_tilde)^(1/2) is I and theta is 0, so T~E and D~E
     (E an orthonormal basis of Ran D~; D~ is never formed) are kept on the
-    support block, as t_tilde_e and d_tilde_e, whose columns are theta's inputs
-    theta_cols of defect_rank.  Requires every b_alpha >= 0.
+    support block, as t_tilde_e and d_tilde_e.  Their columns are theta's own
+    columns: h |support| - n_drop of its defect_rank = h (number of positive
+    multi-indices) - n_drop inputs, n_drop = dim Ker D~.  Requires every
+    b_alpha >= 0.
     """
 
     dilation: DilationMap
@@ -99,7 +101,6 @@ class TupleLift(NamedTuple):
     sqrt_b: np.ndarray
     support: np.ndarray
     support_exponents: np.ndarray
-    theta_cols: np.ndarray
     defect_rank: int
     t_tilde_e: np.ndarray
     d_tilde_e: np.ndarray
@@ -137,15 +138,14 @@ def build_lift(v: DilationMap) -> TupleLift:
     eigs = 1.0 - s ** 2
     all_eigs = np.append(eigs, np.ones(t_tilde.shape[1] - len(s)))
     drop = eigs <= RANK_REL_TOL * all_eigs.max()
-    n_drop = np.count_nonzero(drop)
+    n_drop = int(np.count_nonzero(drop))
     q, _ = np.linalg.qr(w_star[drop].conj().T, mode="complete")  # I when nothing drops
     basis = q[:, n_drop:]
     shrink = w_star.conj().T * (1.0 - np.sqrt(np.clip(eigs, 0.0, None)))
     d_tilde_e = basis - shrink @ (w_star @ basis)
     t_tilde_e = t_sup @ basis
     return TupleLift(dilation=v, t_tilde=t_tilde, sqrt_b=sqrt_b, support=support,
-                     support_exponents=exponents[support],
-                     theta_cols=cols[n_drop:] - n_drop, defect_rank=t_tilde.shape[1] - n_drop,
+                     support_exponents=exponents[support], defect_rank=t_tilde.shape[1] - n_drop,
                      t_tilde_e=t_tilde_e, d_tilde_e=d_tilde_e, ttstar_residual=ttstar_res,
                      intertwine_residual=opnorm(t_sup @ d_tilde_e - dd.delta @ t_tilde_e),
                      contractive=bool(all_eigs.min() >= -p.tol))
@@ -158,10 +158,11 @@ def build_lift(v: DilationMap) -> TupleLift:
 class CharFnEval(NamedTuple):
     """The characteristic function at a stack of points, every field stacked along axis 0.
 
-    theta maps defect-range coordinates of the lift to those of the tuple
-    and is 0 off its inputs theta_cols; each read of `norm` is one batched
-    SVD there.  z_norm_sq, the squared norm of the scalar row Z(z), is below
-    1 inside the ball.  s_z is the kernel series s_z(T) that theta was built from.
+    theta maps defect-range coordinates of the lift to those of the tuple, on
+    its own columns (those of the lift's t_tilde_e; it is 0 on the others);
+    each read of `norm` is one batched SVD.  z_norm_sq, the squared norm of
+    the scalar row Z(z), is below 1 inside the ball.  s_z is the kernel series
+    s_z(T) that theta was built from.
     """
 
     z: np.ndarray
@@ -169,21 +170,21 @@ class CharFnEval(NamedTuple):
     inverse_residual: np.ndarray
     z_norm_sq: np.ndarray
     s_z: np.ndarray
-    theta_cols: np.ndarray
 
     @property
     def norm(self) -> np.ndarray:
-        return opnorm(self.theta[..., self.theta_cols])
+        return opnorm(self.theta)
 
 
 def charfn_eval(lift: TupleLift, zs) -> CharFnEval:
     """theta(z) = (-t_tilde + Delta s_z(T)^* Z(z) D) on the defect ranges, at each point z of zs.
 
-    Z(z) is the row of scalar blocks sqrt(b_alpha) z^alpha I, applied as a
-    weighted sum over the block rows of the support.  The inverse (I - Z
-    t_tilde^*)^{-1} is the adjoint kernel series at the tuple, and
-    kernel_calculus reports the residual of that identity, which must stay
-    below tol; a non-finite theta raises LinAlgError.
+    theta is taken on its own columns, those of lift.t_tilde_e: off the
+    support of b it is 0.  Z(z) is the row of scalar blocks sqrt(b_alpha)
+    z^alpha I, applied as a weighted sum over the block rows of the support.
+    The inverse (I - Z t_tilde^*)^{-1} is the adjoint kernel series at the
+    tuple, and kernel_calculus reports the residual of that identity, which
+    must stay below tol; a non-finite theta raises LinAlgError.
     """
     v = lift.dilation
     t, p = v.ops, v.params
@@ -203,13 +204,12 @@ def charfn_eval(lift: TupleLift, zs) -> CharFnEval:
     dd = v.defect_data
     z_d = (weights @ lift.d_tilde_e.reshape(len(lift.support), -1)).reshape(len(zs), t.h, -1)
     row = dd.delta @ calc.matrix.conj().swapaxes(1, 2) @ z_d
-    theta = np.zeros((len(zs), dd.rank, lift.defect_rank), dtype=complex)
-    theta[..., lift.theta_cols] = dd.ran_delta_basis.conj().T @ (row - lift.t_tilde_e)
+    theta = dd.ran_delta_basis.conj().T @ (row - lift.t_tilde_e)
     bad = np.flatnonzero(~np.isfinite(theta).all(axis=(1, 2)))
     if len(bad):
         raise np.linalg.LinAlgError(f"theta has non-finite entries at point {bad[0]}")
     return CharFnEval(z=zs, theta=theta, inverse_residual=calc.inverse_residual,
-                      z_norm_sq=z_norm_sq, s_z=calc.matrix, theta_cols=lift.theta_cols)
+                      z_norm_sq=z_norm_sq, s_z=calc.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +305,11 @@ class ModelReport(NamedTuple):
 def _taylor_blocks(lift: TupleLift) -> np.ndarray:
     """Taylor blocks of theta through total degree N, in closed form.
 
-    Returns the (number of multi-indices, r, len(lift.theta_cols)) stack of
-    the blocks in graded order, on theta's inputs theta_cols (0 on the
-    others).  With s_z(T)^* = sum_beta a_beta z^beta (T^beta)^* and Z(z) D~ E
-    = sum_alpha sqrt(b_alpha) z^alpha (D~E)_alpha, (D~E)_alpha the block row
-    of d_tilde_e at alpha in the support, the coefficient of z^gamma is
+    Returns the (number of multi-indices, r, lift.t_tilde_e.shape[1]) stack
+    of the blocks in graded order, on theta's own columns.  With s_z(T)^* =
+    sum_beta a_beta z^beta (T^beta)^* and Z(z) D~ E = sum_alpha sqrt(b_alpha)
+    z^alpha (D~E)_alpha, (D~E)_alpha the block row of d_tilde_e at alpha in
+    the support, the coefficient of z^gamma is
 
         -C^* T~ E                                                 at gamma = 0,
         C^* Delta sum_{alpha <= gamma, |alpha| >= 1}
@@ -366,7 +366,7 @@ def eval_to_dict(ev: CharFnEval, i: int) -> dict:
     return {
         "point": [[float(v.real), float(v.imag)] for v in ev.z[i]],
         "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in ev.theta[i]],
-        "norm": float(opnorm(ev.theta[i][:, ev.theta_cols])),
+        "norm": float(opnorm(ev.theta[i])),
         "diagnostics": {
             "inverse_residual": float(ev.inverse_residual[i]),
             "z_norm_sq": float(ev.z_norm_sq[i]),

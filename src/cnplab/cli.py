@@ -289,8 +289,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         json_string(output, "output")
     counterexample = counterexample_block(raw.get("counterexample", {}))
     if "counterexample" in suites:  # the largest table a point builds; raises on overflow
-        build_table(bergman(counterexample["m"], counterexample["d"]),
-                    max(counterexample["N_list"]) + 4)
+        build_table(bergman(counterexample["m"]), max(counterexample["N_list"]) + 4)
     return RunConfig(
         kernel=kernel,
         n_table=n_table,
@@ -414,6 +413,9 @@ def _suite_existence(ctx: _SuiteContext, res: SuiteResult):
     fact = check_factorability(v.matrix, v.tensored, ctx.table, ctx.cfg.truncation.tol)
     res.details["factorability"] = fact.verdict
     res.details["factorability_failed_condition"] = fact.failed_condition
+    # the margins: cond1 fails on any count above 0, cond2 on a min eig below -tol
+    res.details["factorability_cond1_negative_counts"] = list(fact.cond1_negative_counts)
+    res.details["factorability_cond2_min_eig"] = fmt(fact.cond2_min_eig)
     consistent = (report.status == "admits") == (fact.verdict == "factorable")
     res.details["existence_factorability_agree"] = consistent
     if not consistent:
@@ -434,7 +436,8 @@ def _suite_charfn(ctx: _SuiteContext, res: SuiteResult):
              GATES["z_identity"])
     res.details["z_row_series_last_term"] = fmt(recip.tail_term.max())
     res.residuals["inverse_residual_max"] = fmt(ev.inverse_residual.max())
-    res.details["sample_evaluation"] = eval_to_dict(ev, 0)
+    # theta on its own columns, and the full input dimension they sit in
+    res.details["sample_evaluation"] = dict(eval_to_dict(ev, 0), defect_rank=lift.defect_rank)
 
 
 def _suite_identities(ctx: _SuiteContext, res: SuiteResult):

@@ -17,7 +17,7 @@ import numpy as np
 from ._linalg import RANK_REL_TOL, canonical_phases, hermitize, opnorm, split_rank
 from .coeffs import (CoeffTable, KernelSpec, bergman, build_table, graded_indices, graded_position,
                      graded_stack, multi_coeff)
-from .errors import DegenerateDilationError, PrerequisiteError
+from .errors import DegenerateDilationError, InvalidKernelError, PrerequisiteError
 from .tuples import (DefectData, IndexShifts, OperatorTuple, PurityVerdict, TruncatedShifts,
                      TruncationParams, TuplePowers, defect, is_pure, shift_matrices, shift_norm_sq)
 from .tuples import is_contraction  # noqa: F401  bound here: tracers rebind it in every module
@@ -388,7 +388,9 @@ def bergman_counterexample(m: int, ns: Sequence[int], d: int = 1) -> list[Counte
     The compression of the Bergman-m shifts to degrees <= n dilates to the inclusion of that
     block (`_compressed_shift_forms`); the form at the degree-(n + 2) basis vector along the
     first coordinate reads no degree above n + 2, so all rows, in ns order, share one table
-    and one shift build.  m = 1 is rejected: the ratio drops below 1, the form is nonnegative.
+    and one shift build.  Every term of that form lives on the first coordinate axis, so the
+    rows are computed in one variable and d (>= 1) only labels them.  m = 1 is rejected: the
+    ratio drops below 1, the form is nonnegative.
     """
     if m < 2:
         raise PrerequisiteError(
@@ -397,8 +399,10 @@ def bergman_counterexample(m: int, ns: Sequence[int], d: int = 1) -> list[Counte
         )
     if min(ns, default=-1) < 0:
         raise ValueError(f"compression degrees must be a non-empty list of integers >= 0, got {ns}")
+    if d < 1:
+        raise InvalidKernelError(f"ambient dimension must be >= 1, got {d}")
     big_n = max(ns) + 3
-    forms = _compressed_shift_forms(build_table(bergman(m, d=d), big_n + 1), big_n,
+    forms = _compressed_shift_forms(build_table(bergman(m), big_n + 1), big_n,
                                     [(n, n + 2) for n in ns])
     bounds = [m * (n + 2) / (m + n + 1) for n in ns]
     return [CounterexamplePoint(m=m, N=n, d=d, closed_form=1.0 - bound, numeric=numeric,

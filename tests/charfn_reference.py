@@ -11,8 +11,10 @@ two:
   calculus and theta at one point at a time, with a Python loop of h x h
   products per point, where the package evaluates a whole stack at once;
 - `dense_lift` builds T~E and D~E over the whole direct sum, off the support
-  of b too, from the thin SVD of the full row; `full_width` writes the
-  package's support-block lift out at that width;
+  of b too, from the thin SVD of the full row; `full_width` and `wide_lift`
+  write the package's support-block lift out at that width, and
+  `padded_theta` writes theta, which the package keeps on its own columns
+  `theta_cols`, out at all of the lift's defect_rank inputs;
 - `dense_lift_defect` takes the defect D~ of the lifted row, and a basis of
   its range, from a dense eigendecomposition of I - T~^*T~;
 - `dense_theta` forms the full row -T~ + Delta s_z(T)^* Z(z) D~ with Z(z)
@@ -113,7 +115,7 @@ class DenseLift(NamedTuple):
 
     @property
     def defect_rank(self) -> int:
-        return self.d_tilde_basis.shape[1]
+        return self.d_tilde_e.shape[1]
 
 
 def dense_lift(v) -> DenseLift:
@@ -150,22 +152,56 @@ def support_coords(lift) -> np.ndarray:
     return (lift.support[:, None] * h + np.arange(h)).ravel()
 
 
+def theta_cols(lift) -> np.ndarray:
+    """The positions of theta's own columns, those of lift.t_tilde_e, among its
+    lift.defect_rank inputs.
+
+    E drops n_drop = h |support| - (columns of t_tilde_e) directions of the
+    support block, which leads the direct sum, and keeps every coordinate
+    past them in order: the support's coordinates, less n_drop.
+    """
+    cols = support_coords(lift)
+    n_drop = len(cols) - lift.t_tilde_e.shape[1]
+    return cols[n_drop:] - n_drop
+
+
+def padded_theta(lift, theta) -> np.ndarray:
+    """A stack of theta on its own columns written out at all lift.defect_rank
+    inputs: exactly 0 off theta_cols(lift)."""
+    out = np.zeros((*theta.shape[:-1], lift.defect_rank), dtype=complex)
+    out[..., theta_cols(lift)] = theta
+    return out
+
+
 def full_width(lift):
     """(T~E, D~E) of a package lift over the whole direct sum.
 
     The support block goes to its coordinates and theta's inputs
-    lift.theta_cols; off the support T~ = 0 and D~ = I, and E keeps those
+    theta_cols(lift); off the support T~ = 0 and D~ = I, and E keeps those
     coordinates, in order, past the directions it drops.
     """
     m, r_in = lift.t_tilde.shape[1], lift.defect_rank
-    cols = support_coords(lift)
+    cols, inputs = support_coords(lift), theta_cols(lift)
     off = np.setdiff1d(np.arange(m), cols)
     t_e = np.zeros((lift.t_tilde.shape[0], r_in), dtype=complex)
-    t_e[:, lift.theta_cols] = lift.t_tilde_e
+    t_e[:, inputs] = lift.t_tilde_e
     d_e = np.zeros((m, r_in), dtype=complex)
     d_e[off, off - (m - r_in)] = 1.0
-    d_e[np.ix_(cols, lift.theta_cols)] = lift.d_tilde_e
+    d_e[np.ix_(cols, inputs)] = lift.d_tilde_e
     return t_e, d_e
+
+
+def wide_lift(lift) -> DenseLift:
+    """A package lift as a DenseLift over the whole direct sum (`full_width`).
+
+    The package keeps no basis E, so d_tilde_basis is None; the pointwise
+    references read only the other fields.
+    """
+    t_e, d_e = full_width(lift)
+    return DenseLift(dilation=lift.dilation, t_tilde=lift.t_tilde, d_tilde_basis=None,
+                     t_tilde_e=t_e, d_tilde_e=d_e, sqrt_b=lift.sqrt_b,
+                     ttstar_residual=lift.ttstar_residual,
+                     intertwine_residual=lift.intertwine_residual, contractive=lift.contractive)
 
 
 def pointwise_calculus(t, table, w, p) -> CalculusResult:
@@ -216,8 +252,7 @@ def pointwise_charfn_eval(lift, z) -> CharFnEval:
     if not np.isfinite(theta).all():
         raise np.linalg.LinAlgError("theta has non-finite entries")
     return CharFnEval(z=z, theta=theta, inverse_residual=calc.inverse_residual,
-                      z_norm_sq=z_norm_sq, s_z=calc.matrix,
-                      theta_cols=np.arange(lift.defect_rank))
+                      z_norm_sq=z_norm_sq, s_z=calc.matrix)
 
 
 def dense_lift_defect(lift):
@@ -262,7 +297,8 @@ def fitted_taylor_blocks(lift, n_taylor: int, radius: float = 0.9):
     discrete Fourier matrix.  Twice as many phases as coefficients keeps the
     unmodelled degrees through 2 n_taylor + 1 orthogonal to the fit, so the
     degree-2N polynomial theta is recovered exactly when n_taylor = N.
-    Returns (blocks, max sample residual of the fit).
+    The samples are padded to all of theta's inputs (`padded_theta`), so the
+    blocks are too.  Returns (blocks, max sample residual of the fit).
     """
     d = lift.dilation.ops.d
     k = 2 * (n_taylor + 1)
@@ -273,7 +309,7 @@ def fitted_taylor_blocks(lift, n_taylor: int, radius: float = 0.9):
 
     monomial_set = graded_indices(d, n_taylor)
     a_mat = np.stack([monomials(z, monomial_set) for z in pts])
-    theta = charfn_eval(lift, pts).theta
+    theta = padded_theta(lift, charfn_eval(lift, pts).theta)
     rhs = theta.reshape(len(pts), -1)
     coef, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
     fit_res = float(np.max(np.abs(a_mat @ coef - rhs))) if rhs.size else 0.0

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 import cnplab as cl
 from charfn_reference import (b_inverse_gap, dense_lift, dense_lift_defect, dense_model_gap,
                               dense_theta, enumerated_calculus, fitted_taylor_blocks, full_width,
-                              looped_model_gap, looped_taylor_blocks, model_gap,
-                              pointwise_calculus, pointwise_charfn_eval, support_coords)
+                              looped_model_gap, looped_taylor_blocks, model_gap, padded_theta,
+                              pointwise_calculus, pointwise_charfn_eval, support_coords,
+                              theta_cols, wide_lift)
 from random_inputs import diff_kernel, finite_b_kernel, random_commuting_tuple, random_point
 from cnplab.charfn import _taylor_blocks, reciprocal_kernel
 
@@ -88,7 +89,7 @@ def test_lift_zero_tuple():
     lift = lift_of(cl.OperatorTuple.zero(1, 1), table, p)
     assert np.all(lift.t_tilde == 0.0)
     # Szego's b is supported on degree 1 alone; D~E is I there and off it
-    assert np.array_equal(lift.support, [0]) and np.array_equal(lift.theta_cols, [0])
+    assert np.array_equal(lift.support, [0]) and np.array_equal(theta_cols(lift), [0])
     assert np.array_equal(lift.d_tilde_e, np.eye(1))
     assert np.array_equal(full_width(lift)[1], np.eye(20))
     assert lift.defect_rank == 20
@@ -142,7 +143,9 @@ def test_theta_at_zero_is_minus_lift(szego_half):
     ev = cl.charfn_eval(lift, [[0.0]])
     basis = lift.dilation.defect_data.ran_delta_basis
     expected = -(basis.conj().T @ lift.t_tilde @ dense_lift(lift.dilation).d_tilde_basis)
-    assert np.max(np.abs(ev.theta[0] - expected)) <= 1e-14
+    # theta on its one column; the dense -C^* T~ E is 0 on the other 79 inputs
+    assert ev.theta.shape == (1, 1, 1) and expected.shape == (1, lift.defect_rank) == (1, 80)
+    assert np.max(np.abs(padded_theta(lift, ev.theta)[0] - expected)) <= 1e-14
 
 
 def test_theta_matches_mobius(szego_half):
@@ -158,8 +161,11 @@ def test_theta_zero_tuple_is_coordinate():
     t = cl.OperatorTuple.zero(1, 1)
     lift = lift_of(t, table, p)
     theta = cl.charfn_eval(lift, [[0.37]]).theta[0]
-    assert abs(theta[0, 0] - 0.37) <= 1e-14
-    assert np.max(np.abs(theta[0, 1:])) <= 1e-14
+    assert theta.shape == (1, 1) and abs(theta[0, 0] - 0.37) <= 1e-14
+    # the dense theta, on all 20 inputs, is that coordinate and 0 on the others
+    want = dense_theta(lift, [0.37], dense_lift_defect(lift))
+    assert np.max(np.abs(padded_theta(lift, theta) - want)) <= 1e-14
+    assert np.max(np.abs(want[0, 1:])) <= 1e-14
 
 
 def test_scalar_mobius_sweep():
@@ -302,12 +308,13 @@ def test_taylor_blocks_match_mobius_coefficients(szego_half):
     # the lift reaches; nothing leaks into the others
     assert blocks.shape == (p.N + 1, 1, 1) and lift.dilation.indices == tuple(
         (n,) for n in range(p.N + 1))
-    assert np.array_equal(lift.theta_cols, [0])
+    assert np.array_equal(theta_cols(lift), [0])
     assert abs(blocks[0][0, 0] - (-0.5)) <= 1e-14
     for n in range(1, p.N + 1):
         expected = 0.75 * 0.5 ** (n - 1)
         assert abs(blocks[n][0, 0] - expected) <= 1e-13, n
-    assert np.all(cl.charfn_eval(lift, [[0.3]]).theta[0][0, 1:] == 0.0)
+    assert cl.charfn_eval(lift, [[0.3]]).theta.shape == (1, 1, 1)
+    assert np.all(pointwise_charfn_eval(wide_lift(lift), [0.3]).theta[0, 1:] == 0.0)
 
 
 def test_model_zero_tuple_exact():
@@ -321,7 +328,7 @@ def test_model_zero_tuple_exact():
     assert rep.factor_residual <= 1e-10
     # theta(z) = z e_0 exactly: one nonzero block, at degree 1, on the one
     # input e_0 that the lift reaches
-    assert np.array_equal(lift.theta_cols, [0])
+    assert np.array_equal(theta_cols(lift), [0])
     for gamma, block in zip(v.indices, _taylor_blocks(lift), strict=True):
         expected = 1.0 if gamma == (1,) else 0.0
         assert block.shape == (1, 1)
@@ -432,15 +439,18 @@ def test_theta_and_blocks_match_references(seed, d, h, rule, param):
     z = random_point(rng, d, 0.95)
     theta = cl.charfn_eval(lift, [z]).theta[0]
     defect = (dense_lift_defect(lift)[0], dense_lift(lift.dilation).d_tilde_basis)
-    assert np.max(np.abs(theta - dense_theta(lift, z, defect)), initial=0.0) <= 1e-13
+    want = dense_theta(lift, z, defect)
+    cols = theta_cols(lift)
+    assert theta.shape[1] == len(cols) == lift.t_tilde_e.shape[1]
+    assert np.max(np.abs(theta - want[:, cols]), initial=0.0) <= 1e-13
+    assert np.max(np.abs(np.delete(want, cols, axis=1)), initial=0.0) <= 1e-13
 
     blocks = _taylor_blocks(lift)
     fitted, _ = fitted_taylor_blocks(lift, n)
     assert list(fitted) == list(lift.dilation.indices)
     for gamma, block in zip(lift.dilation.indices, blocks, strict=True):
-        assert np.max(np.abs(block - fitted[gamma][:, lift.theta_cols]), initial=0.0) <= 1e-11, gamma
-        assert np.max(np.abs(np.delete(fitted[gamma], lift.theta_cols, axis=1)),
-                      initial=0.0) <= 1e-11, gamma
+        assert np.max(np.abs(block - fitted[gamma][:, cols]), initial=0.0) <= 1e-11, gamma
+        assert np.max(np.abs(np.delete(fitted[gamma], cols, axis=1)), initial=0.0) <= 1e-11, gamma
 
 
 def check_lift_against_dense_reference(lift, rng, radius):
@@ -487,7 +497,7 @@ def test_lift_matches_dense_reference(seed, d, h, rule, param):
     assert lift.dilation.defect_data.rank == h
     assert np.array_equal(dense_lift(lift.dilation).d_tilde_basis, np.eye(lift.t_tilde.shape[1]))
     assert lift.defect_rank == lift.t_tilde.shape[1]
-    assert np.array_equal(lift.theta_cols, support_coords(lift))
+    assert np.array_equal(theta_cols(lift), support_coords(lift))
 
 
 @pytest.mark.parametrize("value, rotated", [(1.0, False), (2.0, False), (1.0, True)])
@@ -534,11 +544,13 @@ def test_batch_matches_pointwise_reference(seed, d, h, m, rule, param):
     lift = lift_of(t, table, p)
     ev = cl.charfn_eval(lift, zs)
     assert np.array_equal(ev.z, zs)
+    assert ev.theta.shape == (m, lift.dilation.defect_data.rank, lift.t_tilde_e.shape[1])
     dense = dense_lift(lift.dilation)
     for i, z in enumerate(zs):
+        # against the dense theta on all inputs: equal on theta's columns, 0 off them
         want = pointwise_charfn_eval(dense, z)
         scale = np.linalg.norm(want.theta, 2)
-        assert np.linalg.norm(ev.theta[i] - want.theta, 2) <= 1e-12 * scale
+        assert np.linalg.norm(padded_theta(lift, ev.theta[i]) - want.theta, 2) <= 1e-12 * scale
         assert abs(ev.norm[i] - want.norm) <= 1e-12 * want.norm
         assert abs(ev.z_norm_sq[i] - want.z_norm_sq) <= 1e-12 * want.z_norm_sq
 
@@ -669,8 +681,9 @@ def check_model_against_looped_references(lift):
     dense = dense_lift(v)
     want = looped_taylor_blocks(dense)
     tol = 1e-12 * max(1.0, np.max(np.abs(want)))
-    assert np.max(np.abs(_taylor_blocks(lift) - want[..., lift.theta_cols])) <= tol
-    assert np.max(np.abs(np.delete(want, lift.theta_cols, axis=2)), initial=0.0) <= tol
+    cols = theta_cols(lift)
+    assert np.max(np.abs(_taylor_blocks(lift) - want[..., cols])) <= tol
+    assert np.max(np.abs(np.delete(want, cols, axis=2)), initial=0.0) <= tol
     scale = max(1.0, np.linalg.norm(np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T, 2))
     assert np.linalg.norm(model_gap(lift) - looped_model_gap(dense), 2) <= 1e-12 * scale
     r = np.linalg.norm(b_inverse_gap(v, looped_model_gap(dense)), 2)
@@ -754,16 +767,46 @@ def test_support_lift_matches_dense_lift(name):
         assert v.defect_data.rank < t.h and lift.defect_rank < lift.t_tilde.shape[1]
     check_lift_against_dense_reference(lift, rng, radius)
 
-    dense = dense_lift(v)
+    dense, wide, cols = dense_lift(v), wide_lift(lift), theta_cols(lift)
     zs = np.array([random_point(rng, t.d, radius) for _ in range(5)])
     ev = cl.charfn_eval(lift, zs)
-    assert ev.theta.shape == (len(zs), v.defect_data.rank, lift.defect_rank)
-    assert np.all(np.delete(ev.theta, lift.theta_cols, axis=2) == 0.0)
+    assert ev.theta.shape == (len(zs), v.defect_data.rank, lift.t_tilde_e.shape[1])
     for i, z in enumerate(zs):
+        # the support-block lift written out at full width gives exact zeros off theta's columns
+        on_wide = pointwise_charfn_eval(wide, z).theta
+        assert np.all(np.delete(on_wide, cols, axis=1) == 0.0)
         want = pointwise_charfn_eval(dense, z)
-        assert np.max(np.abs(ev.theta[i] - want.theta)) <= 1e-12 * max(1.0, np.max(np.abs(want.theta)))
+        tol = 1e-12 * max(1.0, np.max(np.abs(want.theta)))
+        assert np.max(np.abs(ev.theta[i] - on_wide[:, cols])) <= tol
+        assert np.max(np.abs(padded_theta(lift, ev.theta[i]) - want.theta)) <= tol
         assert abs(ev.norm[i] - np.linalg.norm(want.theta, 2)) <= 1e-12
     check_model_against_looped_references(lift)
+
+
+WIDTH_CASES = {
+    # name: (kernel, tuple or (d, h) of a random one, N, theta's columns, defect_rank)
+    "drury-arveson d2": (cl.drury_arveson(2), (2, 3), 8, 6, 3 * 44),
+    "szego scalar": (cl.szego(), cl.OperatorTuple.from_scalars(0.5), 20, 1, 20),
+    "dirichlet scalar (full support)": (
+        cl.dirichlet_t(1.0), cl.OperatorTuple.from_scalars(0.5), 20, 20, 20),
+    # h |S| - n_drop = 2 - 1 of 2 * 20 - 1 inputs
+    "singular defect / szego": (cl.szego(), cl.OperatorTuple((np.diag([1.0, 0.3]),)), 20, 1, 39),
+}
+
+
+@pytest.mark.parametrize("name", list(WIDTH_CASES))
+def test_theta_has_the_width_of_its_columns(name):
+    spec, tup, n, columns, defect_rank = WIDTH_CASES[name]
+    t = tup if isinstance(tup, cl.OperatorTuple) else random_commuting_tuple(
+        np.random.default_rng(5), *tup, 0.35)
+    lift = lift_of(t, cl.build_table(spec, n + 1), P(n, tol=DIFF_TOL))
+    ev = cl.charfn_eval(lift, cl.ball_points(t.d, 3, seed=7, radius=0.3))
+    assert ev.theta.shape == (3, lift.dilation.defect_data.rank, columns)
+    assert lift.t_tilde_e.shape[1] == lift.d_tilde_e.shape[1] == columns
+    assert _taylor_blocks(lift).shape == (len(lift.dilation.indices),
+                                          lift.dilation.defect_data.rank, columns)
+    assert lift.defect_rank == defect_rank
+    assert len(theta_cols(lift)) == columns and theta_cols(lift).max() < defect_rank
 
 
 # ---------------------------------------------------------------------------

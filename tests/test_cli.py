@@ -733,6 +733,13 @@ def test_counterexample_command(tmp_path, capsys):
     assert rows[0]["m"] == 2 and float(rows[0]["match_error"]) <= 1e-12
 
 
+def test_counterexample_rows_do_not_grow_with_d(capsys):
+    # every term lives on the first coordinate axis, so d = 60 costs what d = 1 does; in 60
+    # variables the degree-8 graded space alone has about 1.2e10 multi-indices
+    assert cli.main(["counterexample", "--m", "2", "--d", "60", "--N", "5"]) == 0
+    assert "-0.75" in capsys.readouterr().out
+
+
 def test_counterexample_rejects_m1(capsys):
     assert cli.main(["counterexample", "--m", "1", "--N", "0"]) == 2
     err = capsys.readouterr().err.lower()
@@ -969,3 +976,58 @@ def test_sampled_suites_leave_numpy_random_unimported():
     outcomes, imported = proc.stdout.splitlines()
     assert ["charfn", "pass"] in json.loads(outcomes) and ["identities", "pass"] in json.loads(outcomes)
     assert imported == "False"
+
+
+def charfn_config(name):
+    raw = json.loads((CONFIGS / name).read_text())
+    raw.pop("output", None)
+    raw["suites"] = ["coeffs", "contraction", "purity", "dilation", "existence", "charfn"]
+    return raw
+
+
+@pytest.mark.parametrize("name, rows, columns, defect_rank", [
+    ("drury_arveson_pair.json", 3, 6, 3 * 65),  # the two degree-1 blocks of h = 3, of 65
+    ("szego_scalar.json", 1, 1, 80),
+    ("dirichlet_scalar.json", 1, 60, 60),  # b_k > 0 at every degree: the whole direct sum
+])
+def test_sample_evaluation_writes_theta_on_its_columns(name, rows, columns, defect_rank):
+    report = run_config(charfn_config(name))
+    assert report["overall"] == "pass"
+    charfn_suite = {s["name"]: s for s in report["suites"]}["charfn"]
+    sample = charfn_suite["details"]["sample_evaluation"]
+    assert sample["defect_rank"] == defect_rank
+    matrix = np.array(sample["matrix"])
+    assert matrix.shape == (rows, columns, 2)
+    theta = matrix[..., 0] + 1j * matrix[..., 1]
+    assert sample["norm"] == float(np.linalg.norm(theta, 2))
+
+
+def benchmark_config(monkeypatch, name):
+    """A seed-1 config of the benchmark's workloads (benchmarks/workloads.py)."""
+    monkeypatch.syspath_prepend(str(CONFIGS.parent / "benchmarks"))
+    import workloads
+
+    return (workloads.bergman_shift_config(1) if name == "bergman-d2"
+            else workloads.d2_config(name, 1))
+
+
+@pytest.mark.parametrize("name, verdict, failed", [
+    ("existence-d2", "admits", None),
+    ("bergman-d2", "does_not_admit", 2),  # compressed Bergman-2 shifts in two variables
+])
+def test_existence_reports_the_factorability_margins(monkeypatch, name, verdict, failed):
+    cfg = cli.parse_config(benchmark_config(monkeypatch, name))
+    existence = {s["name"]: s for s in cli.run(cfg)["suites"]}["existence"]
+    details, tol = existence["details"], cfg.truncation.tol
+    assert existence["outcome"] == "pass" and existence["verdict"] == verdict
+    assert details["factorability_failed_condition"] == failed
+    ctx = cli._SuiteContext(cfg)
+    fact = model.check_factorability(ctx.dilation.matrix, ctx.dilation.tensored, ctx.table, tol)
+    counts = details["factorability_cond1_negative_counts"]
+    cond2 = details["factorability_cond2_min_eig"]
+    assert counts == list(fact.cond1_negative_counts) == [0, 0]
+    assert cond2 == cli.fmt(fact.cond2_min_eig)
+    # the margins decide the verdict: cond1 on a count above 0, then cond2 below -tol
+    assert (float(cond2) < -tol) == (failed == 2)
+    if failed == 2:
+        assert abs(float(cond2) - float(existence["residuals"]["assoc_min_eig"])) <= 1e-12

@@ -838,6 +838,22 @@ def test_counterexample_rejects_bad_degrees():
             _compressed_shift_forms(table, 6, [(0, 2), pair])
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_d_variable_forms_equal_the_one_variable_rows(m, d):
+    # bergman_counterexample computes its rows in one variable; the d-variable gather,
+    # which reads only the first coordinate axis, gives the same forms, exactly at m = 2
+    # and 3 and to rounding at m = 5 (b_2 .. b_5 all nonzero)
+    ns = range(12 if d < 5 else 6)
+    big_n = max(ns) + 3
+    forms = _compressed_shift_forms(cl.build_table(cl.bergman(m, d=d), big_n + 1), big_n,
+                                    [(n, n + 2) for n in ns])
+    for form, point in zip(forms, cl.bergman_counterexample(m, ns, d=d), strict=True):
+        assert point.d == d
+        ulps = 0 if m < 5 else 4
+        assert abs(form - point.numeric) <= ulps * np.spacing(abs(point.numeric)), (point, form)
+
+
 def test_counterexample_memory_stays_small_at_d5():
     # one adjoint gather of the six target columns; the QR route gathered M^alpha U for
     # every degree and took the QR of [U, C], a 467 MB peak at d = 5
