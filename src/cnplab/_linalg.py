@@ -75,20 +75,18 @@ def psd_sqrt(a: np.ndarray):
     return root, min_eig, vals, vecs
 
 
-def orthonormal_range(vals: np.ndarray, vecs: np.ndarray, rel_tol: float = RANK_REL_TOL):
+def orthonormal_range(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the numerical range of a Hermitian PSD matrix.
 
     From its psd_decompose eigenpairs: the eigenvectors with eigenvalue above
-    rel_tol * max_eig, in ascending eigenvalue order with canonical phases.
-    Returns (basis, kept_eigvals).
+    RANK_REL_TOL * max_eig, in ascending eigenvalue order with canonical phases.
     """
     if len(vals) == 0 or vals[-1] <= 0.0:
-        return np.zeros((vecs.shape[0], 0), dtype=complex), np.zeros(0)
-    keep = vals > rel_tol * vals[-1]
-    return vecs[:, keep], vals[keep]
+        return np.zeros((vecs.shape[0], 0), dtype=complex)
+    return vecs[:, vals > RANK_REL_TOL * vals[-1]]
 
 
-def split_rank(svals: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
+def split_rank(svals: np.ndarray) -> int:
     """Numerical rank from a descending singular-value array, failing loudly.
 
     Raises AmbiguousRankError when any singular value sits within a factor of
@@ -96,7 +94,7 @@ def split_rank(svals: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
     """
     if len(svals) == 0 or svals[0] <= 0.0:
         return 0
-    thr = rel_tol * float(svals[0])
+    thr = RANK_REL_TOL * float(svals[0])
     for s in svals:
         if thr / AMBIGUITY_FACTOR < s < thr * AMBIGUITY_FACTOR:
             raise AmbiguousRankError(

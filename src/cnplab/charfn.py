@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import RANK_REL_TOL, hermitize, opnorm
+from ._linalg import hermitize, opnorm
 from .coeffs import (CoeffTable, KernelValue, as_points, in_ball, inner_products, is_cnp,
                      kernel_eval, multi_coeff, scalar_series)
 from .errors import DomainError, NonConvergedError, NotCnpError
@@ -92,8 +92,8 @@ class TupleLift(NamedTuple):
     (E an orthonormal basis of Ran D~; D~ is never formed) are kept on the
     support block, as t_tilde_e and d_tilde_e.  Their columns are theta's own
     columns: h |support| - n_drop of its defect_rank = h (number of positive
-    multi-indices) - n_drop inputs, n_drop = dim Ker D~.  Requires every
-    b_alpha >= 0.
+    multi-indices) - n_drop inputs, n_drop = dim Ker D~ = h - rank Delta, the
+    rank that `defect` decided.  Requires every b_alpha >= 0.
     """
 
     dilation: DilationMap
@@ -114,11 +114,12 @@ def build_lift(v: DilationMap) -> TupleLift:
 
     Reuses the defect and the powers T^alpha that v was built from.  The row
     has rank <= h, so with the thin SVD U S W^* of its support block the
-    defect there is D~ = I - W (I - sqrt(I - S^2)) W^*.  E spans the
-    complement of the columns of W whose 1 - S^2 is at most RANK_REL_TOL
-    times the largest eigenvalue of I - T~^*T~, so E = I when Delta is
-    invertible.  b_1 = a_1 > 0, so the support leads the direct sum and E
-    keeps the coordinates past the n_drop it drops.  Checks T~ T~^* = I -
+    defect there is D~ = I - W (I - sqrt(I - S^2)) W^*.  T~ T~^* = I - Delta^2,
+    so Ker D~ is spanned by the columns of W of the n_drop = h - rank Delta
+    largest singular values: the rank is the one `defect` decided, and the lift
+    takes no second rank decision.  E spans their complement, so E = I when
+    Delta is invertible.  b_1 = a_1 > 0, so the support leads the direct sum
+    and E keeps the coordinates past the n_drop it drops.  Checks T~ T~^* = I -
     Delta^2 and the intertwining T~ D~ = Delta T~ on E along the way.
     """
     table, p, h = v.table, v.params, v.ops.h
@@ -136,10 +137,8 @@ def build_lift(v: DilationMap) -> TupleLift:
     ttstar_res = opnorm(t_tilde @ t_tilde.conj().T - (np.eye(h, dtype=complex) - dd.delta_sq))
     _, s, w_star = np.linalg.svd(t_sup, full_matrices=False)
     eigs = 1.0 - s ** 2
-    all_eigs = np.append(eigs, np.ones(t_tilde.shape[1] - len(s)))
-    drop = eigs <= RANK_REL_TOL * all_eigs.max()
-    n_drop = int(np.count_nonzero(drop))
-    q, _ = np.linalg.qr(w_star[drop].conj().T, mode="complete")  # I when nothing drops
+    n_drop = h - dd.rank
+    q, _ = np.linalg.qr(w_star[:n_drop].conj().T, mode="complete")  # I when nothing drops
     basis = q[:, n_drop:]
     shrink = w_star.conj().T * (1.0 - np.sqrt(np.clip(eigs, 0.0, None)))
     d_tilde_e = basis - shrink @ (w_star @ basis)
@@ -148,7 +147,7 @@ def build_lift(v: DilationMap) -> TupleLift:
                      support_exponents=exponents[support], defect_rank=t_tilde.shape[1] - n_drop,
                      t_tilde_e=t_tilde_e, d_tilde_e=d_tilde_e, ttstar_residual=ttstar_res,
                      intertwine_residual=opnorm(t_sup @ d_tilde_e - dd.delta @ t_tilde_e),
-                     contractive=bool(all_eigs.min() >= -p.tol))
+                     contractive=bool(eigs.min() >= -p.tol))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._linalg import RANK_REL_TOL, canonical_phases, hermitize, opnorm, split_rank
+from ._linalg import canonical_phases, hermitize, opnorm, split_rank
 from .coeffs import (CoeffTable, KernelSpec, bergman, build_table, graded_indices, graded_position,
                      graded_stack, multi_coeff)
 from .errors import DegenerateDilationError, InvalidKernelError, PrerequisiteError
@@ -262,7 +262,7 @@ class AssociatedTuple(NamedTuple):
 
 def associated_tuple(v: DilationMap) -> AssociatedTuple:
     u, svals, _ = np.linalg.svd(v.matrix, full_matrices=False)
-    rank = split_rank(svals, RANK_REL_TOL)
+    rank = split_rank(svals)
     u = u[:, :rank]
     # the part of (M_i x I) P leaving Ran P is U U^* (M_i x I) P, of rank <= h;
     # with U[interior] = Q R its interior rows (degrees <= N - 1, which lead the

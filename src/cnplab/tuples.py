@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import RANK_REL_TOL, hermitian_norm, hermitize, opnorm, orthonormal_range, psd_sqrt
+from ._linalg import hermitian_norm, hermitize, opnorm, orthonormal_range, psd_sqrt
 from .coeffs import (CoeffTable, ValueType, graded_count, graded_indices, graded_position,
                      graded_stack, multi_coeff)
 from .errors import CommutationError
@@ -142,9 +142,11 @@ class DefectData(NamedTuple):
 
     delta_sq is I - sum_{1<=|alpha|<=N} b_alpha T^alpha (T^alpha)^*, delta its
     positive square root (computed from the eigenvalue-clipped matrix when
-    delta_sq is indefinite, with `positive` recording the honest sign),
+    delta_sq is indefinite, with min_eig keeping the honest sign),
     ran_delta_basis an orthonormal basis of the numerical range of delta,
     increment_norms the norms of the last tail_window series increments.
+    `rank` is the one rank decision on Delta: the lift drops h - rank
+    directions (`build_lift`) and takes none of its own.
     """
 
     delta_sq: np.ndarray
@@ -152,7 +154,6 @@ class DefectData(NamedTuple):
     ran_delta_basis: np.ndarray
     tail_norm: float
     min_eig: float
-    positive: bool
     increment_norms: tuple
 
     @property
@@ -165,14 +166,13 @@ def defect(t: OperatorTuple, table: CoeffTable, p: TruncationParams) -> DefectDa
     series, tail = _weighted_series(t, table, p.N, "b", start_degree=1, window=p.tail_window)
     delta_sq = hermitize(np.eye(t.h, dtype=complex) - series)
     delta, min_eig, vals, vecs = psd_sqrt(delta_sq)
-    basis, _ = orthonormal_range(vals, vecs, RANK_REL_TOL)
+    basis = orthonormal_range(vals, vecs)
     return DefectData(
         delta_sq=delta_sq,
         delta=delta,
         ran_delta_basis=basis,
         tail_norm=max(tail, default=0.0),
         min_eig=min_eig,
-        positive=min_eig >= -p.tol,
         increment_norms=tuple(tail),
     )
 

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cnplab._linalg import RANK_REL_TOL, hermitize, opnorm, orthonormal_range, psd_sqrt
+from cnplab._linalg import hermitize, opnorm, psd_sqrt
 from cnplab.charfn import CalculusResult, CharFnEval, _taylor_blocks, charfn_eval
 from cnplab.coeffs import graded_indices, multi_coeff
 from cnplab.errors import DomainError, NonConvergedError
@@ -122,8 +122,9 @@ def dense_lift(v) -> DenseLift:
     """The lift of the tuple that v embeds, from the thin SVD T~ = U S W^* of the full row.
 
     D~ = I - W (I - sqrt(I - S^2)) W^* on the whole direct sum; E is the
-    complement, from a complete QR, of the columns of W whose eigenvalue
-    1 - S^2 is at the rank threshold, so E = I when Delta is invertible.
+    complement, from a complete QR, of the columns of W of the h - rank Delta
+    largest singular values, which span Ker D~ as T~ T~^* = I - Delta^2, so
+    E = I when Delta is invertible.
     D~E is an (n - 1)h x (n - 1)h matrix then, even where b vanishes.  The
     kernel must be CNP-consistent, as build_lift checks.
     """
@@ -134,9 +135,9 @@ def dense_lift(v) -> DenseLift:
     _, s, w_star = np.linalg.svd(t_tilde, full_matrices=False)
     eigs = 1.0 - s ** 2
     all_eigs = np.append(eigs, np.ones(t_tilde.shape[1] - len(s)))
-    drop = eigs <= RANK_REL_TOL * all_eigs.max()
-    q, _ = np.linalg.qr(w_star[drop].conj().T, mode="complete")
-    basis = q[:, np.count_nonzero(drop):]
+    n_drop = v.ops.h - dd.rank
+    q, _ = np.linalg.qr(w_star[:n_drop].conj().T, mode="complete")
+    basis = q[:, n_drop:]
     shrink = w_star.conj().T * (1.0 - np.sqrt(np.clip(eigs, 0.0, None)))
     d_tilde_e = basis - shrink @ (w_star @ basis)
     t_tilde_e = t_tilde @ basis
@@ -259,14 +260,13 @@ def dense_lift_defect(lift):
     """(D~, E): the square root of I - T~^*T~ and an orthonormal basis of its range.
 
     D~ comes from the eigendecomposition of the full (positive indices * h)
-    square matrix, E from its eigenvectors whose eigenvalue exceeds
-    RANK_REL_TOL times the largest.
+    square matrix, E from its eigenvectors past the h - rank Delta of the
+    smallest eigenvalues, which span Ker D~.
     """
     m = lift.t_tilde.shape[1]
     d_sq = hermitize(np.eye(m, dtype=complex) - lift.t_tilde.conj().T @ lift.t_tilde)
-    d_tilde, _, vals, vecs = psd_sqrt(d_sq)
-    basis, _ = orthonormal_range(vals, vecs, RANK_REL_TOL)
-    return d_tilde, basis
+    d_tilde, _, _, vecs = psd_sqrt(d_sq)
+    return d_tilde, vecs[:, lift.dilation.ops.h - lift.dilation.defect_data.rank:]
 
 
 def dense_theta(lift, z, defect) -> np.ndarray:

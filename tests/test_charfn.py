@@ -453,22 +453,30 @@ def test_theta_and_blocks_match_references(seed, d, h, rule, param):
         assert np.max(np.abs(np.delete(fitted[gamma], cols, axis=1)), initial=0.0) <= 1e-11, gamma
 
 
-def check_lift_against_dense_reference(lift, rng, radius):
+def check_lift_against_dense_reference(lift, rng, radius, root_tol=1e-12):
     """The closed-form lift agrees with the dense eigendecomposition one, and the
-    support-block lift with the full-width one."""
+    support-block lift with the full-width one.
+
+    root_tol bounds the differences that pass through D~ = (I - T~^*T~)^(1/2),
+    whose square root magnifies a rounding of eps in an eigenvalue lambda to
+    eps / (2 sqrt(lambda)).
+    """
     d_ref, e_ref = dense_lift_defect(lift)
     dense = dense_lift(lift.dilation)
     e = dense.d_tilde_basis
     m = lift.t_tilde.shape[1]
-    assert np.max(np.abs(dense.d_tilde_e - d_ref @ e), initial=0.0) <= 1e-12
+    assert np.max(np.abs(dense.d_tilde_e - d_ref @ e), initial=0.0) <= root_tol
     assert np.max(np.abs(e.conj().T @ e - np.eye(e.shape[1])), initial=0.0) <= 1e-12
     assert np.max(np.abs(e @ e.conj().T - e_ref @ e_ref.conj().T)) <= 1e-12
     assert lift.defect_rank == dense.defect_rank == e_ref.shape[1]
+    # E drops exactly dim Ker Delta directions of the support block: the rank `defect` decided
+    h = lift.dilation.ops.h
+    assert lift.t_tilde_e.shape[1] == h * len(lift.support) - (h - lift.dilation.defect_data.rank)
     t_e, d_e = full_width(lift)
-    assert np.max(np.abs(d_e - dense.d_tilde_e), initial=0.0) <= 1e-12
+    assert np.max(np.abs(d_e - dense.d_tilde_e), initial=0.0) <= root_tol
     assert np.max(np.abs(t_e - dense.t_tilde_e), initial=0.0) <= 1e-12
     assert abs(lift.ttstar_residual - dense.ttstar_residual) <= 1e-12
-    assert abs(lift.intertwine_residual - dense.intertwine_residual) <= 1e-12
+    assert abs(lift.intertwine_residual - dense.intertwine_residual) <= root_tol
     assert lift.contractive == dense.contractive
     min_eig = np.linalg.eigvalsh(np.eye(m) - lift.t_tilde.conj().T @ lift.t_tilde)[0]
     assert lift.contractive == (min_eig >= -lift.dilation.params.tol)
@@ -783,6 +791,13 @@ def test_support_lift_matches_dense_lift(name):
     check_model_against_looped_references(lift)
 
 
+# Delta^2 = I - T T^* has eigenvalues 4.97e-11 and 0.3439: the smaller lies above the
+# rank threshold of `defect` (1e-10 * 0.3439), while 1 - S^2 of the lifted row lies below
+# 1e-10 of the largest eigenvalue 1 of I - T~^*T~.  It is the tuple of
+# configs/szego_jordan_pair.json
+JORDAN_PAIR = cl.OperatorTuple((np.array([[0.9, 0.19 - 4.5e-11], [0.0, 0.9]]),))
+
+
 WIDTH_CASES = {
     # name: (kernel, tuple or (d, h) of a random one, N, theta's columns, defect_rank)
     "drury-arveson d2": (cl.drury_arveson(2), (2, 3), 8, 6, 3 * 44),
@@ -791,6 +806,8 @@ WIDTH_CASES = {
         cl.dirichlet_t(1.0), cl.OperatorTuple.from_scalars(0.5), 20, 20, 20),
     # h |S| - n_drop = 2 - 1 of 2 * 20 - 1 inputs
     "singular defect / szego": (cl.szego(), cl.OperatorTuple((np.diag([1.0, 0.3]),)), 20, 1, 39),
+    # Delta^2 has an eigenvalue of 5e-11, so rank Delta = 2 and nothing drops
+    "small defect eigenvalue / szego": (cl.szego(), JORDAN_PAIR, 200, 2, 400),
 }
 
 
@@ -807,6 +824,15 @@ def test_theta_has_the_width_of_its_columns(name):
                                           lift.dilation.defect_data.rank, columns)
     assert lift.defect_rank == defect_rank
     assert len(theta_cols(lift)) == columns and theta_cols(lift).max() < defect_rank
+
+
+def test_lift_keeps_the_rank_of_a_small_defect_eigenvalue():
+    # the lift drops h - rank Delta = 0 directions, though one 1 - S^2 of its
+    # row is 5e-11; the kernel series at T converges slowly, so theta is
+    # sampled near 0.  The square root at 5e-11 turns eps into about 1.6e-11
+    lift = lift_of(JORDAN_PAIR, cl.build_table(cl.szego(), 201), P(200, tol=DIFF_TOL))
+    assert lift.dilation.defect_data.rank == 2 and lift.t_tilde_e.shape[1] == 2
+    check_lift_against_dense_reference(lift, np.random.default_rng(3), 0.3, root_tol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -989,6 +989,7 @@ def charfn_config(name):
     ("drury_arveson_pair.json", 3, 6, 3 * 65),  # the two degree-1 blocks of h = 3, of 65
     ("szego_scalar.json", 1, 1, 80),
     ("dirichlet_scalar.json", 1, 60, 60),  # b_k > 0 at every degree: the whole direct sum
+    ("szego_jordan_pair.json", 2, 2, 400),  # Delta^2 eigenvalue 5e-11 is kept: nothing drops
 ])
 def test_sample_evaluation_writes_theta_on_its_columns(name, rows, columns, defect_rank):
     report = run_config(charfn_config(name))

@@ -92,7 +92,7 @@ def test_defect_zero_tuple():
     table = cl.build_table(cl.szego(), 12)
     dd = cl.defect(cl.OperatorTuple.zero(3, 1), table, P(10))
     assert np.array_equal(dd.delta_sq, np.eye(3))
-    assert dd.tail_norm == 0.0 and dd.positive and dd.rank == 3
+    assert dd.tail_norm == 0.0 and dd.min_eig == 1.0 and dd.rank == 3
 
 
 def test_defect_scalar_szego():
@@ -112,8 +112,9 @@ def test_defect_scalar_bergman_by_hand():
 
 def test_defect_flags_indefinite():
     table = cl.build_table(cl.szego(), 12)
-    dd = cl.defect(cl.OperatorTuple.from_scalars(2.0), table, P(10))
-    assert not dd.positive
+    t = cl.OperatorTuple.from_scalars(2.0)
+    dd = cl.defect(t, table, P(10))
+    assert cl.is_contraction(t, table, P(10), dd).status == "no"
     assert abs(dd.min_eig + 3.0) <= 1e-12
     assert dd.delta[0, 0] == 0.0  # clipped square root
 
@@ -125,7 +126,7 @@ def test_defect_structure_invariants():
     m *= 0.7 / np.linalg.norm(m, 2)
     table = cl.build_table(cl.szego(), 12)
     dd = cl.defect(cl.OperatorTuple((m,)), table, P(10))
-    assert dd.positive
+    assert dd.min_eig >= 0.5  # 1 - |m|^2 = 0.51 at the least
     assert np.max(np.abs(dd.delta @ dd.delta - dd.delta_sq)) <= 1e-10
     c = dd.ran_delta_basis
     assert np.max(np.abs(c.conj().T @ c - np.eye(c.shape[1]))) <= 1e-12
