@@ -15,12 +15,20 @@ AMBIGUITY_FACTOR = 10.0
 
 
 def opnorm(a: np.ndarray):
-    """Spectral norm, 0 for an empty or all-zero matrix; LinAlgError on non-finite entries."""
+    """Spectral norm, 0 for an empty or all-zero matrix; LinAlgError on non-finite entries.
+
+    A matrix takes its largest singular value; a stack (m, p, q) takes, per matrix,
+    s sqrt(lambda_max(G)) from one batched eigvalsh, s its largest entry modulus and G
+    the smaller Gram matrix of a / s, which the scaling keeps from overflow and underflow."""
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("spectral norm of a matrix with non-finite entries")
-    if a.ndim == 3:  # a stack: the norm of each matrix, from one batched SVD
-        return np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
-    return float(np.linalg.norm(a, 2)) if a.any() else 0.0
+    if a.ndim == 2:
+        return float(np.linalg.svd(a, compute_uv=False)[0]) if a.any() else 0.0
+    s = np.abs(a).max(axis=(1, 2), initial=0.0)
+    s[s == 0.0] = 1.0
+    b = a / s[:, None, None]
+    gram = b.conj().swapaxes(1, 2) @ b if a.shape[2] <= a.shape[1] else b @ b.conj().swapaxes(1, 2)
+    return s * np.sqrt(np.linalg.eigvalsh(gram).max(axis=-1, initial=0.0))
 
 
 def hermitian_norm(a: np.ndarray) -> float:

@@ -66,7 +66,8 @@ def kernel_calculus(t: OperatorTuple, table: CoeffTable, ws, p: TruncationParams
     for k in range(1, p.N + 1):
         power = power @ a_w
         total += a[k] * power
-        binv -= b[k] * power
+        if b[k]:  # b_k = 0 past degree 1 for Drury-Arveson and Szego
+            binv -= b[k] * power
     tail = opnorm(a[p.N] * power)
     inverse_residual = opnorm(binv @ total - eye)
     bad = np.flatnonzero(tail > p.tol)
@@ -134,7 +135,7 @@ def build_lift(v: DilationMap) -> TupleLift:
     cols = (support[:, None] * h + np.arange(h)).ravel()
     t_sup = t_tilde[:, cols]
     dd = v.defect_data
-    ttstar_res = opnorm(t_tilde @ t_tilde.conj().T - (np.eye(h, dtype=complex) - dd.delta_sq))
+    ttstar_res = opnorm(t_sup @ t_sup.conj().T - (np.eye(h, dtype=complex) - dd.delta_sq))
     _, s, w_star = np.linalg.svd(t_sup, full_matrices=False)
     eigs = 1.0 - s ** 2
     n_drop = h - dd.rank
@@ -159,7 +160,7 @@ class CharFnEval(NamedTuple):
 
     theta maps defect-range coordinates of the lift to those of the tuple, on
     its own columns (those of the lift's t_tilde_e; it is 0 on the others);
-    each read of `norm` is one batched SVD.  z_norm_sq, the squared norm of
+    each read of `norm` is one stack `opnorm`.  z_norm_sq, the squared norm of
     the scalar row Z(z), is below 1 inside the ball.  s_z is the kernel series
     s_z(T) that theta was built from.
     """
@@ -361,7 +362,7 @@ def verify_model(lift: TupleLift) -> ModelReport:
 
 def eval_to_dict(ev: CharFnEval, i: int) -> dict:
     """Structured-text form of row i of an evaluation: point, re/im entries, norm, diagnostics.
-    The norm is row i's alone, so no batched SVD of the whole stack is taken."""
+    The norm is row i's alone, so no norm of the whole stack is taken."""
     return {
         "point": [[float(v.real), float(v.imag)] for v in ev.z[i]],
         "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in ev.theta[i]],

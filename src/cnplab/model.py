@@ -108,16 +108,15 @@ def check_intertwining(v: DilationMap, alphas: Sequence[tuple]) -> float:
     truncated space, so they only measure the cut-off, not the intertwining.
     An alpha with |alpha| > N has no such degree and is skipped.
     """
+    alphas = [alpha for alpha in alphas if sum(alpha) <= v.N]
+    positions = graded_position(v.ops.d, v.powers.n, np.reshape(alphas, (len(alphas), v.ops.d)))
     worst = 0.0
-    for alpha in alphas:
-        if sum(alpha) > v.N:
-            continue
+    for alpha, power in zip(alphas, v.powers.stack[positions]):
         y = v.matrix  # becomes (M^alpha x I_r)^* V
         for i in np.repeat(np.arange(v.ops.d), alpha):
             y = v.tensored.apply_adjoint(i, y)
         rows = v.tensored.ends[v.N - sum(alpha)]
-        diff = y[:rows] - v.matrix[:rows] @ v.powers.power(alpha).conj().T
-        worst = max(worst, opnorm(diff))
+        worst = max(worst, opnorm(y[:rows] - v.matrix[:rows] @ power.conj().T))
     return worst
 
 

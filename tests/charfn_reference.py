@@ -35,6 +35,7 @@ two:
   model space, and `b_inverse_gap` carries such a gap through the inverse
   map Y -> Y - sum_k b_k sigma^k(Y) to the R whose norm the package reports;
   both run their sigma-series on the dense Kronecker tuple `tensored_shifts`.
+Spectral norms are taken by SVD, `np.linalg.norm(x, 2)`, not by the package's `opnorm`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cnplab._linalg import hermitize, opnorm, psd_sqrt
+from cnplab._linalg import hermitize, psd_sqrt
 from cnplab.charfn import CalculusResult, CharFnEval, _taylor_blocks, charfn_eval
 from cnplab.coeffs import graded_indices, multi_coeff
 from cnplab.errors import DomainError, NonConvergedError
@@ -92,7 +93,8 @@ def enumerated_calculus(t, table, w, p):
         layer += term
         if deg >= 1:
             binv -= (multi_coeff(table, alpha, "b") * mono[j]) * pa
-    return total, opnorm(layer), opnorm(binv @ total - np.eye(h, dtype=complex))
+    residual = binv @ total - np.eye(h, dtype=complex)
+    return total, np.linalg.norm(layer, 2), np.linalg.norm(residual, 2)
 
 
 class DenseLift(NamedTuple):
@@ -131,7 +133,8 @@ def dense_lift(v) -> DenseLift:
     sqrt_b = np.sqrt(np.maximum(multi_coeff(v.table, v.indices[1:], "b"), 0.0))
     t_tilde = np.hstack(sqrt_b[:, None, None] * v.powers.stack[1:])
     dd = v.defect_data
-    ttstar_res = opnorm(t_tilde @ t_tilde.conj().T - (np.eye(v.ops.h, dtype=complex) - dd.delta_sq))
+    ttstar = t_tilde @ t_tilde.conj().T - (np.eye(v.ops.h, dtype=complex) - dd.delta_sq)
+    ttstar_res = np.linalg.norm(ttstar, 2)
     _, s, w_star = np.linalg.svd(t_tilde, full_matrices=False)
     eigs = 1.0 - s ** 2
     all_eigs = np.append(eigs, np.ones(t_tilde.shape[1] - len(s)))
@@ -143,7 +146,7 @@ def dense_lift(v) -> DenseLift:
     t_tilde_e = t_tilde @ basis
     return DenseLift(dilation=v, t_tilde=t_tilde, d_tilde_basis=basis, t_tilde_e=t_tilde_e,
                      d_tilde_e=d_tilde_e, sqrt_b=sqrt_b, ttstar_residual=ttstar_res,
-                     intertwine_residual=opnorm(t_tilde @ d_tilde_e - dd.delta @ t_tilde_e),
+                     intertwine_residual=np.linalg.norm(t_tilde @ d_tilde_e - dd.delta @ t_tilde_e, 2),
                      contractive=bool(all_eigs.min() >= -v.params.tol))
 
 
@@ -221,8 +224,8 @@ def pointwise_calculus(t, table, w, p) -> CalculusResult:
         power = power @ a_w
         total += a[k] * power
         binv -= b[k] * power
-    tail = opnorm(a[p.N] * power)
-    inverse_residual = opnorm(binv @ total - eye)
+    tail = np.linalg.norm(a[p.N] * power, 2)
+    inverse_residual = np.linalg.norm(binv @ total - eye, 2)
     if tail > p.tol:
         raise NonConvergedError(
             f"kernel series tail {tail:.3e} exceeds tol {p.tol:.1e} at degree {p.N}"

@@ -33,6 +33,7 @@ counterexample at compression degree 0: it embeds `OperatorTuple.zero(1, 1)`
 itself and reads every form at once.  `qr_compressed_shift_forms` is the counterexample
 form as the package read it before it summed it at e directly: `_associated_defect` on
 U = I of the leading block, rebuilt for each compression degree, and the form at Q^* e.
+Spectral norms are taken by SVD, `np.linalg.norm(x, 2)`, not by the package's `opnorm`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import cnplab as cl
-from cnplab._linalg import hermitian_norm, hermitize, opnorm, split_rank
+from cnplab._linalg import hermitian_norm, hermitize, split_rank
 from cnplab.coeffs import graded_position
 from cnplab.model import _associated_defect
 from cnplab.tuples import COMMUTATOR_TOL, _sigma, _weighted_series, shift_matrices, shift_norm_sq
@@ -64,7 +65,7 @@ def dense_associated_tuple(v):
     for m in dense_shifts(v.table, v.N).mats:
         mk = np.kron(m, np.eye(r)) @ k
         compressed = k.conj().T @ mk
-        inv_res = max(inv_res, opnorm((mk - k @ compressed)[interior]))
+        inv_res = max(inv_res, np.linalg.norm((mk - k @ compressed)[interior], 2))
         mats.append(compressed)
     ops = cl.OperatorTuple(tuple(mats), commutator_tol=max(COMMUTATOR_TOL, 10.0 * inv_res))
     return k, ops, inv_res
@@ -107,7 +108,7 @@ def dense_intertwining(v, alphas):
         keep = [j * r + k for j, beta in enumerate(v.indices)
                 if sum(beta) <= v.N - sum(alpha) for k in range(r)]
         diff = (vstar @ big_m - tuple_power(v.ops, alpha) @ vstar)[:, keep]
-        worst = max(worst, opnorm(diff))
+        worst = max(worst, np.linalg.norm(diff, 2))
     return worst
 
 
@@ -135,7 +136,7 @@ def dense_check_factorability(x, t, table, p, c_degree=None):
     x = np.asarray(x, dtype=complex)
     # the Frobenius norm of x - x^* bounds its spectral norm, which needs an SVD
     if (np.linalg.norm(x - x.conj().T) > 1e-10
-            and opnorm(x - x.conj().T) > 1e-10 * max(1.0, opnorm(x))):
+            and np.linalg.norm(x - x.conj().T, 2) > 1e-10 * max(1.0, np.linalg.norm(x, 2))):
         raise ValueError("x must be Hermitian")
     x = hermitize(x)
     min_x = float(np.linalg.eigvalsh(x)[0]) if x.size else 0.0

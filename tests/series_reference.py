@@ -19,6 +19,7 @@ a_alpha / a_{alpha+e_i} over every multi-index, where the package uses its
 closed form.
 `factorial_multinomial` is |alpha|! / prod(alpha_i!) by factorials, where the
 package takes a product of binomials in the suffix sums of alpha.
+Spectral norms are taken by SVD, `np.linalg.norm(x, 2)`, not by the package's `opnorm`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 import numpy as np
 
 import cnplab as cl
-from cnplab._linalg import opnorm
 from cnplab.coeffs import graded_indices, graded_position, multi_coeff
 
 
@@ -63,7 +63,7 @@ def enumerated_series(t, table, n, which, middle=None, start_degree=0):
             m = p @ p.conj().T if middle is None else p @ middle @ p.conj().T
             inc += multi_coeff(table, alpha, which) * m
         total += inc
-        inc_norms.append(opnorm(inc))
+        inc_norms.append(np.linalg.norm(inc, 2))
     return total, inc_norms
 
 

@@ -831,23 +831,32 @@ def test_identities_run_builds_theta_on_the_dilation(monkeypatch):
     assert any(dd is v.defect_data for dd in calls["defect"])
 
 
-def test_identities_run_takes_batched_svds_only_where_read(monkeypatch):
-    stacks = []
-    svd = np.linalg.svd
+def test_identities_run_takes_batched_norms_only_where_read(monkeypatch):
+    stacks, svd_stacks = [], []
+    eigvalsh, svd = np.linalg.eigvalsh, np.linalg.svd
 
-    def counted(a, *args, **kwargs):
+    def counted_eigvalsh(a, *args, **kwargs):
         if np.ndim(a) == 3:
             stacks.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    def counted_svd(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            svd_stacks.append(len(a))
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     report = run_config(nilpotent_pair_config(
         ["coeffs", "contraction", "purity", "dilation", "charfn", "identities"]))
     assert report["overall"] == "pass"
-    # the tail and inverse residual of each of the 4 kernel calculi (100, 20,
-    # 20 and 5 points), the norms of the 100 charfn samples, and the 20
-    # defect-identity residuals: theta's norms at the other 45 points are never read
+    # a stack's norms come from one batched eigvalsh of its scaled Gram
+    # matrices: the tail and inverse residual of each of the 4 kernel calculi
+    # (100, 20, 20 and 5 points), the norms of the 100 charfn samples, and the
+    # 20 defect-identity residuals; theta's norms at the other 45 points are
+    # never read, and no stack is passed to an SVD
     assert sorted(stacks) == sorted([100, 100, 20, 20, 20, 20, 5, 5] + [100] + [20])
+    assert svd_stacks == []
 
 
 def test_identities_run_reads_the_coefficient_vector(monkeypatch):

@@ -520,3 +520,34 @@ def test_hermitian_norm():
         for norm in (hermitian_norm, opnorm):
             with pytest.raises(np.linalg.LinAlgError):
                 norm(np.diag([bad, 1.0]).astype(complex))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e200])
+def test_opnorm_against_the_svd(scale):
+    from cnplab._linalg import opnorm
+
+    rng = np.random.default_rng(13)
+    eps = np.finfo(float).eps
+
+    def draw(*shape):
+        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    # a matrix has the bits of LAPACK's largest singular value
+    for shape in [(1, 1), (3, 3), (3, 6), (6, 3), (1, 7), (7, 1)]:
+        for a in (draw(*shape), draw(*shape).real):
+            got = opnorm(a)
+            assert type(got) is float and got == np.linalg.norm(a, 2)
+    # a stack is within 8 eps of the SVD at every scale: the Gram matrix of
+    # a / max|a_ij| neither overflows past 1e154 nor underflows below 1e-154
+    for shape in [(40, 1, 1), (40, 3, 3), (40, 3, 6), (40, 6, 3)]:
+        for a in (draw(*shape), draw(*shape).real):
+            a[7] = 0.0
+            want = np.linalg.svd(a, compute_uv=False).max(axis=-1)
+            got = opnorm(a)
+            assert got.shape == (40,) and got[7] == 0.0
+            assert np.all(np.abs(got - want) <= 8 * eps * want)
+    for shape in [(0, 3), (3, 0), (0, 0)]:
+        assert opnorm(np.zeros(shape, dtype=complex)) == 0.0
+    assert opnorm(np.zeros((3, 3), dtype=complex)) == 0.0
+    for shape in [(0, 3, 3), (4, 0, 3), (4, 3, 0)]:
+        assert np.array_equal(opnorm(np.zeros(shape, dtype=complex)), np.zeros(shape[0]))
