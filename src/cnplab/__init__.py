@@ -76,6 +76,7 @@ from .charfn import (
     ball_points,
     build_lift,
     charfn_eval,
+    check_eval,
     eval_to_dict,
     kernel_calculus,
     verify_defect_identity,

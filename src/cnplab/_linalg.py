@@ -13,6 +13,8 @@ RANK_REL_TOL = 1e-10
 # ambiguous; such decisions fail loudly instead of silently.
 AMBIGUITY_FACTOR = 10.0
 
+NON_FINITE_NORM = "spectral norm of a matrix with non-finite entries"
+
 
 def opnorm(a: np.ndarray):
     """Spectral norm, 0 for an empty or all-zero matrix; LinAlgError on non-finite entries.
@@ -21,12 +23,15 @@ def opnorm(a: np.ndarray):
     s sqrt(lambda_max(G)) from one batched eigvalsh, s its largest entry modulus and G
     the smaller Gram matrix of a / s, which the scaling keeps from overflow and underflow."""
     if not np.isfinite(a).all():
-        raise np.linalg.LinAlgError("spectral norm of a matrix with non-finite entries")
+        raise np.linalg.LinAlgError(NON_FINITE_NORM)
     if a.ndim == 2:
         return float(np.linalg.svd(a, compute_uv=False)[0]) if a.any() else 0.0
     s = np.abs(a).max(axis=(1, 2), initial=0.0)
     s[s == 0.0] = 1.0
-    b = a / s[:, None, None]
+    # a complex a / s forms 1/s, which overflows for a subnormal s: such members are lifted by
+    # 2^64 first, exactly, and a stack without them keeps the bits of a / s
+    lift = np.where(s < 2.0 ** -1022, 2.0 ** 64, 1.0)[:, None, None]
+    b = (a * lift if (lift > 1.0).any() else a) / (s[:, None, None] * lift)
     gram = b.conj().swapaxes(1, 2) @ b if a.shape[2] <= a.shape[1] else b @ b.conj().swapaxes(1, 2)
     return s * np.sqrt(np.linalg.eigvalsh(gram).max(axis=-1, initial=0.0))
 

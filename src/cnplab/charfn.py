@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import hermitize, opnorm
+from ._linalg import NON_FINITE_NORM, hermitize, opnorm
 from .coeffs import (CoeffTable, KernelValue, as_points, in_ball, inner_products, is_cnp,
                      kernel_eval, multi_coeff, scalar_series)
 from .errors import DomainError, NonConvergedError, NotCnpError
@@ -45,7 +45,8 @@ def _monomials(ws: np.ndarray, indices) -> np.ndarray:
     return np.prod(np.power(ws[:, None, :], np.asarray(indices)), axis=2)
 
 
-def kernel_calculus(t: OperatorTuple, table: CoeffTable, ws, p: TruncationParams) -> CalculusResult:
+def kernel_calculus(t: OperatorTuple, table: CoeffTable, ws, p: TruncationParams, *,
+                    check: bool = True) -> CalculusResult:
     """Evaluate the kernel series at the tuple for every point w of the stack ws.
 
     The tuple commutes, so by the multinomial theorem the degree-k layer
@@ -53,7 +54,8 @@ def kernel_calculus(t: OperatorTuple, table: CoeffTable, ws, p: TruncationParams
     A_w = sum_i conj(w_i) T_i: both series cost one product of A_w stacks
     per degree.  The points must lie strictly inside the ball.  The norm of
     the highest-degree layer a_N A_w^N is the tail diagnostic; a tail above
-    tol at any point flags the sum as non-converged.
+    tol at any point flags the sum as non-converged; check=False leaves that to
+    the caller, and gives a non-finite layer a NaN norm.
     """
     ws = in_ball(ws, t.d, "w")
     a = table.require_a(p.N)
@@ -68,13 +70,26 @@ def kernel_calculus(t: OperatorTuple, table: CoeffTable, ws, p: TruncationParams
         total += a[k] * power
         if b[k]:  # b_k = 0 past degree 1 for Drury-Arveson and Szego
             binv -= b[k] * power
-    tail = opnorm(a[p.N] * power)
-    inverse_residual = opnorm(binv @ total - eye)
-    bad = np.flatnonzero(tail > p.tol)
+    calc = CalculusResult(matrix=total, tail_term=_stack_norms(a[p.N] * power),
+                          inverse_residual=_stack_norms(binv @ total - eye))
+    return _check_series(calc, p) if check else calc
+
+
+def _stack_norms(stack: np.ndarray) -> np.ndarray:
+    """opnorm of each matrix of the stack, NaN for one with a non-finite entry."""
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    return np.where(finite, opnorm(np.where(finite[:, None, None], stack, 0.0)), np.nan)
+
+
+def _check_series(res, p: TruncationParams):
+    """res (a CalculusResult or a CharFnEval) if its series is finite and its tail within tol."""
+    if np.isnan(res.tail_term).any() or np.isnan(res.inverse_residual).any():
+        raise np.linalg.LinAlgError(NON_FINITE_NORM)
+    bad = np.flatnonzero(res.tail_term > p.tol)
     if len(bad):
-        raise NonConvergedError(f"kernel series tail {tail[bad[0]]:.3e} at point {bad[0]} "
-                                f"exceeds tol {p.tol:.1e} at degree {p.N}")
-    return CalculusResult(matrix=total, tail_term=tail, inverse_residual=inverse_residual)
+        raise NonConvergedError(f"kernel series tail {res.tail_term[bad[0]]:.3e} at point "
+                                f"{bad[0]} exceeds tol {p.tol:.1e} at degree {p.N}")
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +177,7 @@ class CharFnEval(NamedTuple):
     its own columns (those of the lift's t_tilde_e; it is 0 on the others);
     each read of `norm` is one stack `opnorm`.  z_norm_sq, the squared norm of
     the scalar row Z(z), is below 1 inside the ball.  s_z is the kernel series
-    s_z(T) that theta was built from.
+    s_z(T) that theta was built from, and tail_term its kernel_calculus tail.
     """
 
     z: np.ndarray
@@ -170,46 +185,55 @@ class CharFnEval(NamedTuple):
     inverse_residual: np.ndarray
     z_norm_sq: np.ndarray
     s_z: np.ndarray
+    tail_term: np.ndarray
 
     @property
     def norm(self) -> np.ndarray:
         return opnorm(self.theta)
 
 
-def charfn_eval(lift: TupleLift, zs) -> CharFnEval:
+def charfn_eval(lift: TupleLift, zs, *, check: bool = True) -> CharFnEval:
     """theta(z) = (-t_tilde + Delta s_z(T)^* Z(z) D) on the defect ranges, at each point z of zs.
 
     theta is taken on its own columns, those of lift.t_tilde_e: off the
     support of b it is 0.  Z(z) is the row of scalar blocks sqrt(b_alpha)
     z^alpha I, applied as a weighted sum over the block rows of the support.
     The inverse (I - Z t_tilde^*)^{-1} is the adjoint kernel series at the
-    tuple, and kernel_calculus reports the residual of that identity, which
-    must stay below tol; a non-finite theta raises LinAlgError.
+    tuple, and kernel_calculus reports the residual of that identity.  The
+    points must lie strictly inside the ball; check=False leaves every other
+    check of a point (`check_eval`) to the caller, for the rows it reads.
     """
     v = lift.dilation
     t, p = v.ops, v.params
     zs = in_ball(zs, t.d, "z")
     weights = lift.sqrt_b[lift.support] * _monomials(zs, lift.support_exponents)
-    z_norm_sq = np.sum(np.abs(weights) ** 2, axis=1)
-    bad = np.flatnonzero(z_norm_sq >= 1.0)
-    if len(bad):
-        raise DomainError(f"point {bad[0]}: |Z(z)|^2 = {z_norm_sq[bad[0]]}, not a strict contraction")
-
-    calc = kernel_calculus(t, v.table, zs, p)
-    bad = np.flatnonzero(calc.inverse_residual > p.tol)
-    if len(bad):
-        raise NonConvergedError(f"reciprocal-series inverse residual "
-                                f"{calc.inverse_residual[bad[0]]:.3e} at point {bad[0]} "
-                                f"exceeds tol {p.tol:.1e}")
+    calc = kernel_calculus(t, v.table, zs, p, check=False)
     dd = v.defect_data
     z_d = (weights @ lift.d_tilde_e.reshape(len(lift.support), -1)).reshape(len(zs), t.h, -1)
     row = dd.delta @ calc.matrix.conj().swapaxes(1, 2) @ z_d
-    theta = dd.ran_delta_basis.conj().T @ (row - lift.t_tilde_e)
-    bad = np.flatnonzero(~np.isfinite(theta).all(axis=(1, 2)))
+    ev = CharFnEval(z=zs, theta=dd.ran_delta_basis.conj().T @ (row - lift.t_tilde_e),
+                    inverse_residual=calc.inverse_residual,
+                    z_norm_sq=np.sum(np.abs(weights) ** 2, axis=1), s_z=calc.matrix,
+                    tail_term=calc.tail_term)
+    return check_eval(ev, p) if check else ev
+
+
+def check_eval(ev: CharFnEval, p: TruncationParams) -> CharFnEval:
+    """ev if each point passes, in turn, |Z(z)|^2 < 1, `_check_series`, the inverse residual
+    within tol and a finite theta; the first to fail is named by its index in the stack."""
+    bad = np.flatnonzero(ev.z_norm_sq >= 1.0)
+    if len(bad):
+        raise DomainError(f"point {bad[0]}: |Z(z)|^2 = {ev.z_norm_sq[bad[0]]}, "
+                          "not a strict contraction")
+    bad = np.flatnonzero(_check_series(ev, p).inverse_residual > p.tol)
+    if len(bad):
+        raise NonConvergedError(f"reciprocal-series inverse residual "
+                                f"{ev.inverse_residual[bad[0]]:.3e} at point {bad[0]} "
+                                f"exceeds tol {p.tol:.1e}")
+    bad = np.flatnonzero(~np.isfinite(ev.theta).all(axis=(1, 2)))
     if len(bad):
         raise np.linalg.LinAlgError(f"theta has non-finite entries at point {bad[0]}")
-    return CharFnEval(z=zs, theta=theta, inverse_residual=calc.inverse_residual,
-                      z_norm_sq=z_norm_sq, s_z=calc.matrix)
+    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +251,16 @@ def reciprocal_kernel(table: CoeffTable, zs, ws, n: int) -> KernelValue:
     return scalar_series(np.concatenate(([1.0], -table.require_b(n)[1:n + 1])), x, n)
 
 
-def verify_defect_identity(lift: TupleLift, zs, ws) -> np.ndarray:
+def verify_defect_identity(lift: TupleLift, ez: CharFnEval, ew: CharFnEval) -> np.ndarray:
     """Residuals of I - theta(z) theta(w)^* = Delta s_z(T)^* s_w(T) Delta / s(z, w) by row pair.
 
-    Both sides are compressed to the defect range and evaluated at the same
-    truncation degree; 1/s(z, w) goes through the reciprocal series so no
-    scalar division fights the operator truncation.
+    ez and ew evaluate theta on the lift (`charfn_eval`) at stacks z and w of one
+    length.  Both sides are compressed to the defect range and evaluated at the same
+    truncation degree; 1/s(z, w) goes through the reciprocal series so no scalar
+    division fights the operator truncation.
     """
     v = lift.dilation
     dd = v.defect_data
-    ez, ew = charfn_eval(lift, zs), charfn_eval(lift, ws)
     recip = reciprocal_kernel(v.table, ez.z, ew.z, v.N).value
     lhs = np.eye(dd.rank, dtype=complex) - ez.theta @ ew.theta.conj().swapaxes(1, 2)
     mid = dd.delta @ ez.s_z.conj().swapaxes(1, 2) @ ew.s_z @ dd.delta
@@ -257,14 +281,14 @@ class MultiplierReport(NamedTuple):
     vv_identity_residual: float
 
 
-def verify_multiplier(lift: TupleLift, points) -> MultiplierReport:
-    """Gram positivity of theta and the inner products of V^*-embedded kernel functions."""
+def verify_multiplier(lift: TupleLift, ev: CharFnEval) -> MultiplierReport:
+    """Gram positivity of theta and the inner products of V^*-embedded kernel functions at
+    the two or more points of ev, theta evaluated on the lift (`charfn_eval`)."""
     v = lift.dilation
-    pts = as_points(points, v.ops.d)
+    pts, theta = ev.z, ev.theta
     n_pts, r = len(pts), v.codomain_dims[1]
     if n_pts < 2:
         raise ValueError("need at least 2 sample points")
-    theta = charfn_eval(lift, pts).theta
 
     # V^* applied to each kernel function, expanded in the truncated
     # orthonormal basis: one h x r block per point

@@ -51,10 +51,12 @@ from .model import (
     check_intertwining,
 )
 from .charfn import (
+    CharFnEval,
     TupleLift,
     ball_points,
     build_lift,
     charfn_eval,
+    check_eval,
     eval_to_dict,
     reciprocal_kernel,
     verify_defect_identity,
@@ -361,6 +363,21 @@ class _SuiteContext:
     def lift(self) -> TupleLift:
         return build_lift(self.dilation)
 
+    @cached_property
+    def theta(self) -> dict[str, CharFnEval]:
+        """theta at each sample point of the requested suites, by sample, from one charfn_eval
+        that checks no point: each suite checks the samples it reads (`check_eval`), so a bad
+        point fails only the suite whose sample holds it, with its index in that sample."""
+        d, seed, samples = self.cfg.kernel.d, self.cfg.seed, {}
+        if "charfn" in self.cfg.suites:
+            samples["charfn"] = ball_points(d, 100, seed + 1)
+        if "identities" in self.cfg.suites:  # the z and the w of 20 pairs, 5 multiplier points
+            pairs = ball_points(d, 40, seed + 2)
+            samples.update(z=pairs[0::2], w=pairs[1::2], multiplier=ball_points(d, 5, seed + 3))
+        ev = charfn_eval(self.lift, np.concatenate(list(samples.values())), check=False)
+        ends = np.cumsum([0] + [len(pts) for pts in samples.values()])
+        return {name: ev._make(f[i:j] for f in ev) for name, i, j in zip(samples, ends, ends[1:])}
+
 
 def _suite_coeffs(ctx: _SuiteContext, res: SuiteResult):
     table = ctx.table
@@ -428,7 +445,7 @@ def _suite_charfn(ctx: _SuiteContext, res: SuiteResult):
     res.verdict = "contractive" if lift.contractive else "non_contractive"
     res.gate("ttstar_identity", lift.ttstar_residual, GATES["lift"])
     res.gate("defect_intertwine", lift.intertwine_residual, GATES["lift"])
-    ev = charfn_eval(lift, ball_points(cfg.kernel.d, 100, cfg.seed + 1))
+    ev = check_eval(ctx.theta["charfn"], cfg.truncation)
     # |Z(z)|^2 = 1 - 1/s(z, z), with Z's own cut: the series of 1/s(z, z) through degree N
     recip = reciprocal_kernel(ctx.table, ev.z, ev.z, cfg.truncation.N)
     res.gate("theta_norm_excess", ev.norm.max() - 1.0, GATES["theta_norm_excess"])
@@ -441,13 +458,11 @@ def _suite_charfn(ctx: _SuiteContext, res: SuiteResult):
 
 
 def _suite_identities(ctx: _SuiteContext, res: SuiteResult):
-    cfg = ctx.cfg
-    lift = ctx.lift
+    lift, p = ctx.lift, ctx.cfg.truncation
     res.verdict = "identities"
-    pairs = ball_points(cfg.kernel.d, 40, cfg.seed + 2)
-    res.gate("identity_i1", verify_defect_identity(lift, pairs[0::2], pairs[1::2]).max(),
-             GATES["identity_i1"])
-    mult = verify_multiplier(lift, ball_points(cfg.kernel.d, 5, cfg.seed + 3))
+    ez, ew = (check_eval(ctx.theta[name], p) for name in ("z", "w"))
+    res.gate("identity_i1", verify_defect_identity(lift, ez, ew).max(), GATES["identity_i1"])
+    mult = verify_multiplier(lift, check_eval(ctx.theta["multiplier"], p))
     res.gate("gram_min_eig", mult.gram_min_eig, GATES["gram_min_eig"], lower=True)
     res.gate("vv_identity", mult.vv_identity_residual, GATES["vv_identity"])
     model = verify_model(lift)

@@ -91,11 +91,8 @@ class TuplePowers:
     """
 
     def __init__(self, t: OperatorTuple, n: int):
-        self.tuple, self.n = t, n
+        self.n = n
         self.stack = graded_stack(np.eye(t.h, dtype=complex), t.d, n, lambda i, y: t.mats[i] @ y)
-
-    def power(self, alpha) -> np.ndarray:
-        return self.stack[graded_position(self.tuple.d, self.n, [alpha])[0]]
 
 
 def _sigma(t: OperatorTuple, x: np.ndarray) -> np.ndarray:

@@ -256,7 +256,7 @@ def pointwise_charfn_eval(lift, z) -> CharFnEval:
     if not np.isfinite(theta).all():
         raise np.linalg.LinAlgError("theta has non-finite entries")
     return CharFnEval(z=z, theta=theta, inverse_residual=calc.inverse_residual,
-                      z_norm_sq=z_norm_sq, s_z=calc.matrix)
+                      z_norm_sq=z_norm_sq, s_z=calc.matrix, tail_term=calc.tail_term)
 
 
 def dense_lift_defect(lift):

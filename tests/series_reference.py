@@ -45,6 +45,11 @@ def tuple_power(t, alpha) -> np.ndarray:
     return out
 
 
+def stack_power(powers, alpha) -> np.ndarray:
+    """T^alpha read from a TuplePowers stack at the graded position of alpha."""
+    return powers.stack[graded_position(len(alpha), powers.n, [alpha])[0]]
+
+
 def enumerated_series(t, table, n, which, middle=None, start_degree=0):
     """(sum over start_degree <= |alpha| <= n of c_alpha T^alpha M (T^alpha)^*,
     norm of the degree-k increment for every k in 0..n, 0 below start_degree)."""

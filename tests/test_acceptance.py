@@ -153,10 +153,10 @@ def test_criterion_6_charfn_identities(charfn_examples):
         table = ex.table()
         lift = cl.build_lift(cl.build_dilation(ex.ops, table, ex.p))
         d = ex.kernel.d
-        zs = cl.ball_points(d, 20, seed=101)
-        ws = cl.ball_points(d, 20, seed=102)
-        i1 = cl.verify_defect_identity(lift, zs, ws).max()
-        mult = cl.verify_multiplier(lift, cl.ball_points(d, 5, seed=103))
+        ez = cl.charfn_eval(lift, cl.ball_points(d, 20, seed=101))
+        ew = cl.charfn_eval(lift, cl.ball_points(d, 20, seed=102))
+        i1 = cl.verify_defect_identity(lift, ez, ew).max()
+        mult = cl.verify_multiplier(lift, cl.charfn_eval(lift, cl.ball_points(d, 5, seed=103)))
         model = cl.verify_model(lift)
         norms = cl.charfn_eval(lift, cl.ball_points(d, 100, seed=104)).norm.max()
         good = (i1 <= 1e-8

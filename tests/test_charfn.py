@@ -243,21 +243,23 @@ def test_defect_identity_origin_zero_tuple():
     p = P(20)
     t = cl.OperatorTuple.zero(1, 1)
     lift = lift_of(t, table, p)
-    assert cl.verify_defect_identity(lift, [[0.0]], [[0.0]])[0] <= 1e-14
+    ev = cl.charfn_eval(lift, [[0.0]])
+    assert cl.verify_defect_identity(lift, ev, ev)[0] <= 1e-14
 
 
 def test_defect_identity_scalar(szego_half):
     t, lift, table, p = szego_half
-    assert cl.verify_defect_identity(lift, [[0.3]], [[-0.2]])[0] <= 1e-9
+    ez, ew = cl.charfn_eval(lift, [[0.3]]), cl.charfn_eval(lift, [[-0.2]])
+    assert cl.verify_defect_identity(lift, ez, ew)[0] <= 1e-9
 
 
 def test_defect_identity_sampled(charfn_examples):
     for ex in charfn_examples:
         table = ex.table()
         lift = lift_of(ex.ops, table, ex.p)
-        zs = cl.ball_points(ex.kernel.d, 20, seed=21)
-        ws = cl.ball_points(ex.kernel.d, 20, seed=22)
-        worst = cl.verify_defect_identity(lift, zs, ws).max()
+        ez = cl.charfn_eval(lift, cl.ball_points(ex.kernel.d, 20, seed=21))
+        ew = cl.charfn_eval(lift, cl.ball_points(ex.kernel.d, 20, seed=22))
+        worst = cl.verify_defect_identity(lift, ez, ew).max()
         assert worst <= 1e-8, (ex.name, worst)
 
 
@@ -275,7 +277,7 @@ def test_multiplier_gram_zero_tuple_pair():
     p = P(20)
     t = cl.OperatorTuple.zero(1, 1)
     lift = lift_of(t, table, p)
-    rep = cl.verify_multiplier(lift, [[0.0], [0.5]])
+    rep = cl.verify_multiplier(lift, cl.charfn_eval(lift, [[0.0], [0.5]]))
     assert rep.gram_min_eig >= -1e-12
     assert abs(rep.gram_min_eig) <= 1e-10  # ones matrix has a zero eigenvalue
     assert rep.vv_identity_residual <= 1e-10
@@ -285,7 +287,8 @@ def test_multiplier_sampled(charfn_examples):
     for ex in charfn_examples:
         table = ex.table()
         lift = lift_of(ex.ops, table, ex.p)
-        rep = cl.verify_multiplier(lift, cl.ball_points(ex.kernel.d, 5, seed=31))
+        ev = cl.charfn_eval(lift, cl.ball_points(ex.kernel.d, 5, seed=31))
+        rep = cl.verify_multiplier(lift, ev)
         assert rep.gram_min_eig >= -1e-9, (ex.name, rep)
         assert rep.vv_identity_residual <= 1e-8, (ex.name, rep)
 
@@ -293,7 +296,7 @@ def test_multiplier_sampled(charfn_examples):
 def test_multiplier_needs_two_points(szego_half):
     t, lift, table, p = szego_half
     with pytest.raises(ValueError):
-        cl.verify_multiplier(lift, [[0.0]])
+        cl.verify_multiplier(lift, cl.charfn_eval(lift, [[0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +361,10 @@ def test_full_stack_on_random_contraction():
     assert cl.admits_charfn(v).status == "admits"
     lift = cl.build_lift(v)
     assert lift.ttstar_residual <= 1e-10 and lift.intertwine_residual <= 1e-10
-    worst = cl.verify_defect_identity(lift, cl.ball_points(1, 10, 41),
-                                      cl.ball_points(1, 10, 42)).max()
+    worst = cl.verify_defect_identity(lift, cl.charfn_eval(lift, cl.ball_points(1, 10, 41)),
+                                      cl.charfn_eval(lift, cl.ball_points(1, 10, 42))).max()
     assert worst <= 1e-8
-    mult = cl.verify_multiplier(lift, cl.ball_points(1, 5, 43))
+    mult = cl.verify_multiplier(lift, cl.charfn_eval(lift, cl.ball_points(1, 5, 43)))
     assert mult.gram_min_eig >= -1e-9 and mult.vv_identity_residual <= 1e-8
     model = cl.verify_model(lift)
     assert model.compression_residual <= 1e-7 and model.factor_residual <= 1e-7
@@ -380,10 +383,10 @@ def test_identities_on_random_commuting_pair():
     assert cl.is_contraction(t, table, p).status == "yes"
     assert cl.is_pure(t, table, p).status == "pure"
     lift = lift_of(t, table, p)
-    worst = cl.verify_defect_identity(lift, cl.ball_points(2, 10, 51),
-                                      cl.ball_points(2, 10, 52)).max()
+    worst = cl.verify_defect_identity(lift, cl.charfn_eval(lift, cl.ball_points(2, 10, 51)),
+                                      cl.charfn_eval(lift, cl.ball_points(2, 10, 52))).max()
     assert worst <= 1e-8
-    mult = cl.verify_multiplier(lift, cl.ball_points(2, 4, 53))
+    mult = cl.verify_multiplier(lift, cl.charfn_eval(lift, cl.ball_points(2, 4, 53)))
     assert mult.gram_min_eig >= -1e-9 and mult.vv_identity_residual <= 1e-8
 
 
@@ -613,7 +616,36 @@ def test_one_bad_point_fails_the_batch_as_it_fails_alone():
     with pytest.raises(ValueError, match="shape"):
         cl.kernel_calculus(t, table, [0.3], p)
     with pytest.raises(ValueError, match="do not pair up"):
-        cl.verify_defect_identity(lift, good, good[:1])
+        cl.verify_defect_identity(lift, cl.charfn_eval(lift, good), cl.charfn_eval(lift, good[:1]))
+
+
+def test_an_unchecked_evaluation_leaves_every_check_to_check_eval():
+    table = cl.build_table(cl.szego(), 90)
+    p = P(20)
+    lift = lift_of(cl.OperatorTuple.from_scalars(0.5), table, p)
+    pts = [[0.1], [0.9], [0.2j]]
+    ev = cl.charfn_eval(lift, pts, check=False)
+    with pytest.raises(cl.NonConvergedError, match="at point 1 ") as checked:
+        cl.check_eval(ev, p)
+    with pytest.raises(cl.NonConvergedError) as alone:
+        cl.charfn_eval(lift, pts)
+    assert str(checked.value) == str(alone.value)
+    # the good rows are the bits of their own evaluation
+    good = cl.check_eval(ev._make(f[[0, 2]] for f in ev), p)
+    want = cl.charfn_eval(lift, [pts[0], pts[2]])
+    assert all(np.array_equal(x, y) for x, y in zip(good, want, strict=True))
+    # a series past the largest double at z = 0.9, (0.9e20)^20 > 1e308: a NaN tail
+    # unchecked, opnorm's error checked
+    big = lift._replace(dilation=lift.dilation._replace(ops=cl.OperatorTuple.from_scalars(1e20),
+                                                        params=P(20, tol=1e305)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev = cl.charfn_eval(big, [[0.0], [0.9]], check=False)
+        assert np.isfinite(ev.tail_term[0]) and np.isnan(ev.tail_term[1])
+        with pytest.raises(np.linalg.LinAlgError, match="spectral norm") as checked:
+            cl.check_eval(ev, big.dilation.params)
+        with pytest.raises(np.linalg.LinAlgError) as alone:
+            cl.charfn_eval(big, [[0.9]])
+        assert str(checked.value) == str(alone.value)
 
 
 def test_inverse_residual_is_the_calculus_one(charfn_examples):

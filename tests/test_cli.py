@@ -818,10 +818,11 @@ def test_identities_run_builds_theta_on_the_dilation(monkeypatch):
     report = run_config(nilpotent_pair_config(
         ["coeffs", "contraction", "purity", "dilation", "charfn", "identities"]))
     assert report["overall"] == "pass"
-    # theta is evaluated on point stacks: the 100 charfn samples, the z and
-    # the w of the 20 defect-identity pairs, and the 5 multiplier points
-    assert [len(e.z) for e in calls["charfn_eval"]] == [100, 20, 20, 5]
-    assert [len(c.matrix) for c in calls["kernel_calculus"]] == [100, 20, 20, 5]
+    # theta is evaluated once, on one stack of every sample point: the 100
+    # charfn samples, the z and the w of the 20 defect-identity pairs, and the
+    # 5 multiplier points
+    assert [len(e.z) for e in calls["charfn_eval"]] == [145]
+    assert [len(c.matrix) for c in calls["kernel_calculus"]] == [145]
     # contraction, purity and the dilation share one defect; the lift reuses
     # the dilation's defect and powers, and the model check its tensored shifts
     assert len(calls["defect"]) == 1 and len(calls["TuplePowers"]) == 1
@@ -851,12 +852,56 @@ def test_identities_run_takes_batched_norms_only_where_read(monkeypatch):
         ["coeffs", "contraction", "purity", "dilation", "charfn", "identities"]))
     assert report["overall"] == "pass"
     # a stack's norms come from one batched eigvalsh of its scaled Gram
-    # matrices: the tail and inverse residual of each of the 4 kernel calculi
-    # (100, 20, 20 and 5 points), the norms of the 100 charfn samples, and the
-    # 20 defect-identity residuals; theta's norms at the other 45 points are
-    # never read, and no stack is passed to an SVD
-    assert sorted(stacks) == sorted([100, 100, 20, 20, 20, 20, 5, 5] + [100] + [20])
+    # matrices: the tail and inverse residual of the one kernel calculus (145
+    # points), the norms of the 100 charfn samples, and the 20 defect-identity
+    # residuals; theta's norms at the other 45 points are never read, and no
+    # stack is passed to an SVD
+    assert stacks == [145, 145, 100, 20]
     assert svd_stacks == []
+
+
+# (seed offset, sample size, moved point, the sub-stack that holds it, its index there)
+BAD_SAMPLE_POINTS = {
+    "charfn": (1, 100, 7, slice(None), 7),
+    "identities z": (2, 40, 4, slice(0, None, 2), 2),
+    "identities w": (2, 40, 5, slice(1, None, 2), 2),
+    "identities multiplier": (3, 5, 3, slice(None), 3),
+}
+
+
+@pytest.mark.parametrize("where", BAD_SAMPLE_POINTS)
+def test_a_bad_sample_point_fails_the_suite_whose_sample_holds_it(monkeypatch, where):
+    # theta is evaluated once on every sample point, but each suite checks only
+    # its own: a point whose series tail exceeds tol fails that suite with the
+    # error its sub-stack raises alone, the index counted within the sub-stack
+    offset, count, moved, sub_stack, index = BAD_SAMPLE_POINTS[where]
+    raw = json.loads((CONFIGS / "drury_arveson_pair.json").read_text())
+    raw.pop("output")
+    original = cli.ball_points
+
+    def with_moved_point(d, n, seed):
+        pts = original(d, n, seed)
+        if seed == raw["seed"] + offset:
+            pts[moved] = [0.99, 0.0]
+        return pts
+
+    monkeypatch.setattr(cli, "ball_points", with_moved_point)
+    cfg = cli.parse_config(raw, base_dir=str(CONFIGS))
+    with pytest.raises(cl.NonConvergedError, match=f"at point {index} ") as alone:
+        cl.charfn_eval(cli._SuiteContext(cfg).lift,
+                       with_moved_point(2, count, raw["seed"] + offset)[sub_stack])
+    suites = {s["name"]: s for s in cli.run(cfg)["suites"]}
+    bad_suite = where.split()[0]
+    assert suites[bad_suite]["outcome"] == "error"
+    assert suites[bad_suite]["error"] == f"NonConvergedError: {alone.value}"
+    if bad_suite == "identities":
+        assert suites["charfn"]["outcome"] == "pass"
+    else:
+        # identities waits on charfn; run without it, it never evaluates charfn's sample
+        assert suites["identities"]["outcome"] == "skip"
+        raw["suites"] = ["identities"]
+        [alone_run] = cli.run(cli.parse_config(raw, base_dir=str(CONFIGS)))["suites"]
+        assert alone_run["outcome"] == "pass"
 
 
 def test_identities_run_reads_the_coefficient_vector(monkeypatch):
@@ -1010,6 +1055,20 @@ def test_sample_evaluation_writes_theta_on_its_columns(name, rows, columns, defe
     assert matrix.shape == (rows, columns, 2)
     theta = matrix[..., 0] + 1j * matrix[..., 1]
     assert sample["norm"] == float(np.linalg.norm(theta, 2))
+
+
+def test_drury_arveson_pair_at_degree_200_passes_every_suite(monkeypatch):
+    # at N = 200 some sample point's tail a_N A_w^N has its largest entry below
+    # 1/DBL_MAX, where a stack norm that formed 1/max|entry| overflowed and
+    # failed the charfn suite; theta is evaluated once, on all 145 sample points
+    calls = record_calls(monkeypatch, {"charfn_eval": charfn.charfn_eval})
+    raw = json.loads((CONFIGS / "drury_arveson_pair.json").read_text())
+    raw.pop("output")
+    raw["kernel"]["N_max"], raw["truncation"]["N"] = 205, 200
+    report = cli.run(cli.parse_config(raw, base_dir=str(CONFIGS)))
+    assert [(s["name"], s["outcome"]) for s in report["suites"]] == [
+        (name, "pass") for name in cli.SUITE_CHAIN]
+    assert [len(e.z) for e in calls["charfn_eval"]] == [145]
 
 
 def benchmark_config(monkeypatch, name):

@@ -14,7 +14,7 @@ from model_reference import (dense_associated_tuple, dense_check_factorability, 
                              dense_intertwining, projected_associated_defect,
                              qr_counterexample_form, reports_agree, restricted_associated_defect,
                              zero_tuple_probe)
-from series_reference import dense_shifts, tensored_shifts, tuple_power
+from series_reference import dense_shifts, stack_power, tensored_shifts, tuple_power
 from random_inputs import diff_kernel, finite_b_kernel, random_commuting_tuple
 from cnplab.model import _associated_defect, _compressed_shift_forms
 
@@ -103,7 +103,7 @@ def test_dilation_carries_its_tuple_and_shifts():
     p = P(8)
     v = cl.build_dilation(t, table, p)
     assert v.ops is t and v.table is table and v.params is p
-    assert all(np.array_equal(v.powers.power(alpha), tuple_power(t, alpha))
+    assert all(np.array_equal(stack_power(v.powers, alpha), tuple_power(t, alpha))
                for alpha in v.indices)
     assert (v.N, v.indices) == (8, cl.graded_indices(2, 8))
     assert v.codomain_dims == (v.shifts.index.h, 2) and v.big_dim == v.matrix.shape[0]
@@ -150,7 +150,7 @@ def test_factorability_identity_on_szego_shift():
         if sum(alpha) == 0:
             continue
         b = cl.multi_coeff(table, alpha, "b")
-        m = powers.power(alpha)
+        m = stack_power(powers, alpha)
         gap -= b * (m @ m.conj().T)
     e0 = np.zeros_like(gap)
     e0[0, 0] = 1.0

@@ -12,7 +12,7 @@ from cnplab.tuples import TuplePowers, _weighted_series
 from model_reference import looped_canonical_phases
 from random_inputs import diff_kernel, random_commuting_tuple
 from series_reference import (dense_shifts, enumerated_series, enumerated_shift_norm_sq,
-                              looped_graded_stack, tensored_shifts, tuple_power)
+                              looped_graded_stack, stack_power, tensored_shifts, tuple_power)
 
 
 def P(n, tol=1e-9, window=3):
@@ -39,15 +39,15 @@ def test_shape_check():
 def test_tuple_power_trivials():
     t = cl.OperatorTuple((np.diag([1.0, 2.0]), np.diag([3.0, 4.0])))
     powers = TuplePowers(t, 2)
-    assert np.array_equal(powers.power((0, 0)), np.eye(2))
-    assert np.array_equal(powers.power((1, 1)), np.diag([3.0, 8.0]))
+    assert np.array_equal(stack_power(powers, (0, 0)), np.eye(2))
+    assert np.array_equal(stack_power(powers, (1, 1)), np.diag([3.0, 8.0]))
     assert powers.stack.shape == (6, 2, 2) and np.array_equal(powers.stack[0], np.eye(2))
     with pytest.raises(ValueError):
-        powers.power((-1, 3))  # not a multi-index of the stack
+        stack_power(powers, (-1, 3))  # not a multi-index of the stack
     with pytest.raises(ValueError):
-        powers.power((2, 1))  # past its degree
+        stack_power(powers, (2, 1))  # past its degree
     jordan = cl.OperatorTuple((np.array([[0.0, 1.0], [0.0, 0.0]]),))
-    assert np.all(TuplePowers(jordan, 2).power((2,)) == 0.0)
+    assert np.all(stack_power(TuplePowers(jordan, 2), (2,)) == 0.0)
 
 
 def test_tuple_power_multiplicative():
@@ -58,8 +58,8 @@ def test_tuple_power_multiplicative():
     t = cl.OperatorTuple((a, 0.5 * a @ a + 0.1 * np.eye(4)))
     powers = TuplePowers(t, 5)
     for alpha, beta in (((1, 0), (0, 1)), ((2, 1), (1, 1)), ((0, 2), (3, 0))):
-        combined = powers.power(tuple(x + y for x, y in zip(alpha, beta)))
-        split = powers.power(alpha) @ powers.power(beta)
+        combined = stack_power(powers, tuple(x + y for x, y in zip(alpha, beta)))
+        split = stack_power(powers, alpha) @ stack_power(powers, beta)
         assert np.max(np.abs(combined - split)) <= 1e-12
 
 
@@ -281,7 +281,7 @@ def test_shift_purity_partial_sums_are_projections():
         for alpha in graded_indices(2, j):
             if sum(alpha) == j:
                 c = cl.multi_coeff(table, alpha)
-                m = powers.power(alpha)
+                m = stack_power(powers, alpha)
                 acc = acc + c * (m @ e0 @ m.conj().T)
         # partial sum through degree j is exactly the projection onto degrees <= j
         assert np.max(np.abs(acc @ acc - acc)) <= 1e-10
@@ -522,7 +522,9 @@ def test_hermitian_norm():
                 norm(np.diag([bad, 1.0]).astype(complex))
 
 
-@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e200])
+# below 1/DBL_MAX ~ 5.6e-309 the reciprocal of a subnormal scale overflows
+@pytest.mark.parametrize("scale", [1e-320, 1e-310, 5e-309, 1e-200, 1e-100, 1e-10, 1.0, 1e10, 1e100,
+                                   1e200])
 def test_opnorm_against_the_svd(scale):
     from cnplab._linalg import opnorm
 
@@ -537,15 +539,22 @@ def test_opnorm_against_the_svd(scale):
         for a in (draw(*shape), draw(*shape).real):
             got = opnorm(a)
             assert type(got) is float and got == np.linalg.norm(a, 2)
-    # a stack is within 8 eps of the SVD at every scale: the Gram matrix of
-    # a / max|a_ij| neither overflows past 1e154 nor underflows below 1e-154
+    # a stack is within 8 eps of the SVD at every scale, or 8 steps of the
+    # subnormal grid where 8 eps is finer than it: the Gram matrix of a / max|a_ij|
+    # neither overflows past 1e154 nor underflows below 1e-154
+    tiny_step = np.finfo(float).smallest_subnormal
     for shape in [(40, 1, 1), (40, 3, 3), (40, 3, 6), (40, 6, 3)]:
         for a in (draw(*shape), draw(*shape).real):
             a[7] = 0.0
             want = np.linalg.svd(a, compute_uv=False).max(axis=-1)
             got = opnorm(a)
             assert got.shape == (40,) and got[7] == 0.0
-            assert np.all(np.abs(got - want) <= 8 * eps * want)
+            assert np.all(np.abs(got - want) <= np.maximum(8 * eps * want, 8 * tiny_step))
+    # a stack that mixes subnormal and normal members takes each at its own scale
+    members = np.array([1e-320, 1.0, 1e-310, scale, 5e-309, 1e300])[:, None, None]
+    a = (rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))) * members
+    want = np.linalg.svd(a, compute_uv=False).max(axis=-1)
+    assert np.all(np.abs(opnorm(a) - want) <= np.maximum(8 * eps * want, 8 * tiny_step))
     for shape in [(0, 3), (3, 0), (0, 0)]:
         assert opnorm(np.zeros(shape, dtype=complex)) == 0.0
     assert opnorm(np.zeros((3, 3), dtype=complex)) == 0.0
