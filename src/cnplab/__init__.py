@@ -28,7 +28,6 @@ from .coeffs import (
     szego,
 )
 from .errors import (
-    AmbiguousRankError,
     CnpLabError,
     CommutationError,
     DegenerateDilationError,
@@ -56,6 +55,7 @@ from .tuples import (
 from .model import (
     AssociatedTuple,
     CounterexamplePoint,
+    DefectSpan,
     DilationMap,
     ExistenceReport,
     FactorabilityReport,
@@ -66,6 +66,7 @@ from .model import (
     check_factorability,
     check_intertwining,
     cnp_zero_tuple_probe,
+    defect_span,
 )
 from .charfn import (
     CalculusResult,

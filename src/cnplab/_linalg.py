@@ -4,14 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AmbiguousRankError
-
 # Relative eigenvalue/singular-value threshold for every rank decision.
 RANK_REL_TOL = 1e-10
-
-# Singular values within this factor of the threshold make the rank decision
-# ambiguous; such decisions fail loudly instead of silently.
-AMBIGUITY_FACTOR = 10.0
 
 NON_FINITE_NORM = "spectral norm of a matrix with non-finite entries"
 
@@ -79,13 +73,16 @@ def psd_decompose(a: np.ndarray):
 def psd_sqrt(a: np.ndarray):
     """Positive square root of a Hermitian matrix with negative eigenvalues clipped.
 
-    Returns (sqrt_matrix, min_eig, eigvals, eigvecs).
+    Returns (sqrt_matrix, min_eig, eigvals, eigvecs).  A matrix whose entries all lie below
+    2^-500 is lifted by 4^k first, exactly: its eigenvalues may round on the subnormal grid,
+    and the root, near their square roots, lies far above it.
     """
-    vals, vecs = psd_decompose(a)
-    min_eig = float(vals[0]) if len(vals) else 0.0
-    clipped = np.clip(vals, 0.0, None)
-    root = (vecs * np.sqrt(clipped)) @ vecs.conj().T
-    return root, min_eig, vals, vecs
+    top = np.abs(a).max(initial=0.0)
+    k = -(int(np.frexp(top)[1]) // 2) if 0.0 < top < 2.0 ** -500 else 0
+    vals, vecs = psd_decompose(a * 2.0 ** k * 2.0 ** k)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T * 2.0 ** -k
+    vals = vals * 2.0 ** -k * 2.0 ** -k
+    return root, float(vals[0]) if len(vals) else 0.0, vals, vecs
 
 
 def orthonormal_range(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -98,20 +95,3 @@ def orthonormal_range(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         return np.zeros((vecs.shape[0], 0), dtype=complex)
     return vecs[:, vals > RANK_REL_TOL * vals[-1]]
 
-
-def split_rank(svals: np.ndarray) -> int:
-    """Numerical rank from a descending singular-value array, failing loudly.
-
-    Raises AmbiguousRankError when any singular value sits within a factor of
-    AMBIGUITY_FACTOR of the threshold.
-    """
-    if len(svals) == 0 or svals[0] <= 0.0:
-        return 0
-    thr = RANK_REL_TOL * float(svals[0])
-    for s in svals:
-        if thr / AMBIGUITY_FACTOR < s < thr * AMBIGUITY_FACTOR:
-            raise AmbiguousRankError(
-                f"singular value {s:.3e} within a factor of {AMBIGUITY_FACTOR} "
-                f"of the rank threshold {thr:.3e}"
-            )
-    return int(np.sum(svals >= thr))

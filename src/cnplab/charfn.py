@@ -20,7 +20,7 @@ from ._linalg import NON_FINITE_NORM, hermitize, opnorm
 from .coeffs import (CoeffTable, KernelValue, as_points, in_ball, inner_products, is_cnp,
                      kernel_eval, multi_coeff, scalar_series)
 from .errors import DomainError, NonConvergedError, NotCnpError
-from .model import DilationMap, defect_columns, eigenspace_spectrum
+from .model import DilationMap, span_spectrum
 from .tuples import OperatorTuple, TruncationParams
 
 
@@ -326,36 +326,27 @@ class ModelReport(NamedTuple):
     factor_residual: float
 
 
-def _taylor_blocks(lift: TupleLift) -> np.ndarray:
-    """Taylor blocks of theta through total degree N, in closed form.
+def span_coefficients(lift: TupleLift) -> np.ndarray:
+    """K with W = C K, W the Taylor stack of theta scaled by diag(a_gamma)^(-1/2) x I_r, on the
+    columns C = [V, E_0, M^alpha V] of the dilation's span (`DefectSpan`) and theta's own columns.
 
-    Returns the (number of multi-indices, r, lift.t_tilde_e.shape[1]) stack
-    of the blocks in graded order, on theta's own columns.  With s_z(T)^* =
-    sum_beta a_beta z^beta (T^beta)^* and Z(z) D~ E = sum_alpha sqrt(b_alpha)
-    z^alpha (D~E)_alpha, (D~E)_alpha the block row of d_tilde_e at alpha in
-    the support, the coefficient of z^gamma is
-
-        -C^* T~ E                                                 at gamma = 0,
-        C^* Delta sum_{alpha <= gamma, |alpha| >= 1}
-            a_{gamma-alpha} sqrt(b_alpha) (T^{gamma-alpha})^* (D~E)_alpha   otherwise,
-
-    with C the defect-range basis of the tuple and E that of the lift.  Each
-    term has |alpha|, |gamma - alpha| <= N, so these are exactly the
-    coefficients of the degree-N theta that charfn_eval evaluates.  Block
-    beta of the dilation is V_beta = sqrt(a_beta) C^* Delta (T^beta)^* and
-    (M^alpha x I) V has block sqrt(a_beta / a_gamma) V_beta at gamma = alpha +
-    beta, so off degree 0 the stack is diag(a_gamma)^(1/2) sum_alpha sqrt(b_alpha)
-    (M^alpha x I) V (D~E)_alpha over the support: gathers, then one product.
+    The coefficient of z^gamma in theta is -C^* T~ E at gamma = 0 and otherwise C^* Delta
+    sum_{alpha <= gamma, |alpha| >= 1} a_{gamma-alpha} sqrt(b_alpha) (T^{gamma-alpha})^*
+    (D~E)_alpha, (D~E)_alpha the block row of d_tilde_e at alpha in the support: exactly the
+    degree-N theta that charfn_eval evaluates.  Block beta of V is sqrt(a_beta) C^* Delta
+    (T^beta)^*, and (M^alpha x I) V has block sqrt(a_beta / a_gamma) V_beta at gamma = alpha +
+    beta, so W = E_0 (-C^* T~ E) + sum_alpha sqrt(b_alpha) (M^alpha x I) V (D~E)_alpha over the
+    support (b_alpha > 0), whose gathers are among the span's (b_alpha != 0): K is -C^* T~ E
+    on E_0, sqrt(b_alpha) (D~E)_alpha on the gather at alpha, placed by graded position, else 0.
     """
     v = lift.dilation
-    alphas = lift.support + 1
-    gathers = v.tensored.graded_stack(v.matrix, sum(v.indices[alphas[-1]]))[alphas]
-    weighted = np.repeat(lift.sqrt_b[lift.support], v.ops.h)[:, None] * lift.d_tilde_e
-    flat = gathers.transpose(1, 0, 2).reshape(v.big_dim, -1)
-    blocks = (flat @ weighted).reshape(*v.codomain_dims, -1)
-    blocks *= np.sqrt(v.shifts.a_alpha)[:, None, None]
-    blocks[0] = -(v.defect_data.ran_delta_basis.conj().T @ lift.t_tilde_e)
-    return blocks
+    span, h, e0 = v.span, v.ops.h, v.tensored.ends[0]
+    k = np.zeros((span.r.shape[1], lift.t_tilde_e.shape[1]), dtype=complex)
+    k[h:h + e0] = -(v.defect_data.ran_delta_basis.conj().T @ lift.t_tilde_e)
+    blocks = np.searchsorted(span.positions, lift.support + 1)
+    k[(h + e0 + h * blocks[:, None] + np.arange(h)).ravel()] = (
+        np.repeat(lift.sqrt_b[lift.support], h)[:, None] * lift.d_tilde_e)
+    return k
 
 
 def verify_model(lift: TupleLift) -> ModelReport:
@@ -370,17 +361,16 @@ def verify_model(lift: TupleLift) -> ModelReport:
     On this space sum_k a_k sigma^k and 1 - sum_{k>=1} b_k sigma^k are inverse
     maps (A(t) (1 - B(t)) = 1, sigma^(N+1) = 0), so the factorization holds
     exactly when R = W W^* - (X - sum_k b_k sigma^k(X)) = 0, X = I - V V^*.
-    factor_residual is |R|, from its compression to the span of W and the
-    cond2 gap's columns (`defect_columns`, `eigenspace_spectrum`).  Ran W lies
-    in S_V, the span of those columns, but the QR takes [W, cols] so that an
-    error in W outside S_V still shows in |R|.
+    W = C K on the columns C of the dilation's span (`span_coefficients`), and
+    the second term is the cond2 gap C diag(-1, weights) C^*, so factor_residual
+    = |R| is the largest |eig| of F (K K^* - diag(-1, weights)) F^*, F the
+    span's triangular factor (`span_spectrum`): no gather and no QR of its own.
     """
     v = lift.dilation
     comp_res = max(opnorm(v.matrix.conj().T @ v.tensored.apply(i, v.matrix) - v.ops.mats[i])
                    for i in range(v.ops.d))
-    w = (_taylor_blocks(lift) / np.sqrt(v.shifts.a_alpha)[:, None, None]).reshape(v.big_dim, -1)
-    cols, weights = defect_columns(v.tensored, v.table, v.matrix, -1.0)
-    eigs = eigenspace_spectrum(np.hstack([w, cols]), np.append(np.ones(w.shape[1]), -weights))
+    span = v.span
+    eigs = span_spectrum(span, np.append(np.ones(v.ops.h), -span.weights), span_coefficients(lift))
     return ModelReport(compression_residual=comp_res, factor_residual=float(np.abs(eigs).max()))
 
 

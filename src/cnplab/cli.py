@@ -427,7 +427,7 @@ def _suite_existence(ctx: _SuiteContext, res: SuiteResult):
     res.verdict = report.status
     res.residuals["assoc_min_eig"] = fmt(report.value)
     res.residuals["invariance"] = fmt(report.invariance_residual)
-    fact = check_factorability(v.matrix, v.tensored, ctx.table, ctx.cfg.truncation.tol)
+    fact = check_factorability(v.span, ctx.cfg.truncation.tol)
     res.details["factorability"] = fact.verdict
     res.details["factorability_failed_condition"] = fact.failed_condition
     # the margins: cond1 fails on any count above 0, cond2 on a min eig below -tol

@@ -22,11 +22,7 @@ class CommutationError(CnpLabError):
 
 
 class DegenerateDilationError(CnpLabError):
-    """The defect operator has rank zero, so there is no dilation space."""
-
-
-class AmbiguousRankError(CnpLabError):
-    """Singular values straddle the rank threshold; no safe rank decision."""
+    """No dilation space (a rank-zero defect), or a V that need not be injective."""
 
 
 class NotCnpError(CnpLabError):

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._linalg import canonical_phases, hermitize, opnorm, split_rank
+from ._linalg import canonical_phases, hermitize, opnorm
 from .coeffs import (CoeffTable, KernelSpec, bergman, build_table, graded_indices, graded_position,
                      graded_stack, multi_coeff)
 from .errors import DegenerateDilationError, InvalidKernelError, PrerequisiteError
@@ -35,7 +35,8 @@ class DilationMap(NamedTuple):
     graded_indices order with the defect-range coordinate fastest.  The map
     carries what it was built from: the tuple it embeds, its defect and
     powers T^alpha through degree N, the coefficient table, the truncation,
-    and the shifts of its model space, plain and tensored with I_r.  Every
+    the shifts of its model space, plain and tensored with I_r, and the one
+    factorization of the span its defect reaches (`defect_span`).  Every
     later stage, the characteristic function included, reads these from
     here, so it cannot disagree with the dilation on any of them.
     """
@@ -49,6 +50,7 @@ class DilationMap(NamedTuple):
     powers: TuplePowers
     table: CoeffTable
     params: TruncationParams
+    span: DefectSpan
 
     @property
     def N(self) -> int:
@@ -75,7 +77,8 @@ def build_dilation(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
     For a pure tuple this is an isometry up to the purity residual; the
     defect of V^*V from the identity is recorded.  A rank-zero defect admits
     no dilation space and raises.  The shifts of the model space are built
-    here, at degree N, and tensored once; the defect is computed unless given.
+    here, at degree N, tensored once, and V's span factored once; the defect
+    is computed unless given.
     """
     dd = defect(t, table, p) if defect_data is None else defect_data
     c = dd.ran_delta_basis
@@ -86,16 +89,18 @@ def build_dilation(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
     blocks = c.conj().T @ dd.delta @ powers.stack.conj().swapaxes(1, 2)
     matrix = (np.sqrt(shifts.a_alpha)[:, None, None] * blocks).reshape(-1, t.h)
     iso_defect = opnorm(matrix.conj().T @ matrix - np.eye(t.h, dtype=complex))
+    tensored = shifts.index.tensor(c.shape[1])
     return DilationMap(
         matrix=matrix,
         ops=t,
         shifts=shifts,
-        tensored=shifts.index.tensor(c.shape[1]),
+        tensored=tensored,
         isometry_defect=iso_defect,
         defect_data=dd,
         powers=powers,
         table=table,
         params=p,
+        span=defect_span(matrix, tensored, table),
     )
 
 
@@ -124,25 +129,50 @@ def check_intertwining(v: DilationMap, alphas: Sequence[tuple]) -> float:
 # The span a defect reaches
 # ---------------------------------------------------------------------------
 
-def defect_columns(shifts: IndexShifts, table: CoeffTable, x: np.ndarray,
-                   x_weight: float) -> tuple[np.ndarray, np.ndarray]:
-    """Columns C and weights w with C diag(w) C^* = Y - sum_{k>=1} b_k sigma^k(I - X X^*),
-    Y = I + x_weight X X^*: the cond2 gap of V = X at -1, the associated defect's operator at 0.
+class DefectSpan(NamedTuple):
+    """One unpivoted QR, [V, E_0, M^alpha V] = Q R, of the span S_V that the defect of V reaches.
 
-    On the graded space, I - sum_{k>=1} b_k sigma^k(I) = E_0, the projection
-    onto degree 0, exactly: sigma^k(I) at degree j reads the shifts only down
-    to degree j - k >= 0, where nothing is cut.  sigma^k(X X^*) is the sum of
-    multinomial(alpha) (M^alpha X)(M^alpha X)^* over |alpha| = k.  So C is E_0
-    (weight 1) and the gathers M^alpha X for |alpha| <= m (weights x_weight,
-    then b_alpha; zero ones dropped), m <= N the last degree with b_m != 0.
+    On the graded space I - sum_{k>=1} b_k sigma^k(I) = E_0, the projection onto degree 0,
+    exactly (sigma^k(I) at degree j reads the shifts only down to degree j - k >= 0), and
+    sigma^k(V V^*) = sum_{|alpha|=k} multinomial(alpha) (M^alpha V)(M^alpha V)^*.  So with
+    `weights` 1 on E_0 and b_alpha on the gather at each graded position in `positions` (b_alpha
+    != 0, |alpha| <= N), C diag(x, weights) C^* = I + x V V^* - sum_k b_k sigma^k(I - V V^*):
+    the cond2 gap at x = -1, the operator the associated defect compresses at x = 0.
     """
+
+    matrix: np.ndarray
+    shifts: IndexShifts
+    table: CoeffTable
+    q: np.ndarray
+    r: np.ndarray
+    weights: np.ndarray
+    positions: np.ndarray
+
+
+def defect_span(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffTable) -> DefectSpan:
+    """V's span under graded index-map shifts: one gather, one QR, no rank (`DefectSpan`)."""
+    v_matrix = np.asarray(v_matrix, dtype=complex)
+    if v_matrix.ndim != 2 or v_matrix.shape[0] != shifts.h:
+        raise ValueError(f"V of shape {v_matrix.shape} does not map into the {shifts.h}-dim space")
     top = len(shifts.ends) - 1
     b = table.require_b(top)
     m = max((k for k in range(1, top + 1) if b[k] != 0.0), default=0)
-    weights = np.append(x_weight, multi_coeff(table, graded_indices(shifts.d, m)[1:], "b"))
-    keep = np.flatnonzero(weights)
-    cols = np.hstack([np.eye(shifts.h, shifts.ends[0]), *shifts.graded_stack(x, m)[keep]])
-    return cols, np.append(np.ones(shifts.ends[0]), np.repeat(weights[keep], x.shape[1]))
+    b_alpha = multi_coeff(table, graded_indices(shifts.d, m)[1:], "b")
+    positions = np.flatnonzero(b_alpha) + 1
+    q, r = np.linalg.qr(np.hstack([v_matrix, np.eye(shifts.h, shifts.ends[0]),
+                                   *shifts.graded_stack(v_matrix, m)[positions]]))
+    weights = np.append(np.ones(shifts.ends[0]), np.repeat(b_alpha[positions - 1], len(v_matrix.T)))
+    return DefectSpan(v_matrix, shifts, table, q, r, weights, positions)
+
+
+def span_spectrum(span: DefectSpan, weights: np.ndarray, coeffs: np.ndarray | None = None):
+    """The eigenvalues of C (diag(weights) + K K^*) C^*, C = Q R the span's columns and K =
+    coeffs: those of R (diag(weights) + K K^*) R^*, then one 0 per row past len(R)."""
+    g = (span.r * weights) @ span.r.conj().T
+    if coeffs is not None:
+        rk = span.r @ coeffs
+        g += rk @ rk.conj().T
+    return np.append(np.linalg.eigvalsh(hermitize(g)), np.zeros(len(span.q) - len(span.r)))
 
 
 def _eigenspaces(delta: np.ndarray, cols: np.ndarray):
@@ -156,14 +186,6 @@ def _eigenspaces(delta: np.ndarray, cols: np.ndarray):
     c_k = np.vstack([cols[keep], *(np.linalg.qr(cols[group == j], mode="r") for j in big)])
     delta_k = np.append(delta[keep], np.repeat(values[big], cols.shape[1]))
     return delta_k, c_k, np.repeat(values[big], sizes[big] - cols.shape[1])
-
-
-def eigenspace_spectrum(cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The eigenvalues of C diag(w) C^*: with more rows than columns, those of R diag(w) R^*,
-    C = Q R (unpivoted QR), then one 0 per row past the columns."""
-    c = np.linalg.qr(cols, mode="r") if len(cols) > cols.shape[1] else cols
-    return np.append(np.linalg.eigvalsh(hermitize((c * weights) @ c.conj().T)),
-                     np.zeros(len(cols) - len(c)))
 
 
 def negative_count(delta: np.ndarray, cols: np.ndarray, weights: np.ndarray, shift: float) -> int:
@@ -202,32 +224,29 @@ class FactorabilityReport(NamedTuple):
     cond2_min_eig: float
 
 
-def check_factorability(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffTable,
-                        tol: float) -> FactorabilityReport:
-    """Evaluate the factorability conditions for X = I - V V^* on graded index-map shifts.
+def check_factorability(span: DefectSpan, tol: float) -> FactorabilityReport:
+    """Evaluate the factorability conditions for X = I - V V^* on the factored span of V.
 
-    shifts act on the graded space of the rows of V, such as a dilation's tensored shifts.
-    X is PSD exactly when |V| <= 1 (its eigenvalues are 1 - eig(V^* V) and 1s) and is never
-    formed.  Condition (1) at coordinate i, c X - M_i X M_i^* = diag(c - M_i M_i^*) - c V V^*
-    + (M_i V)(M_i V)^* with c the squared shift norm at the top degree N, counts its
-    eigenvalues below -tol (`negative_count`).  sigma^(N+1) = 0, so the b-series is finite
-    and the verdict two-valued; the cond2 gap vanishes off the span of E_0 and the gathers
-    M^alpha V (`defect_columns`).  Condition (3) is not evaluated: A(t) (1 - B(t)) = 1 and
-    sigma^(N+1) = 0 make it hold identically on this space.
+    The span's shifts act on the graded space of the rows of V, such as a dilation's tensored
+    shifts.  X is PSD exactly when |V| = |R_11| <= 1 (its eigenvalues are 1 - eig(V^* V) and
+    1s) and is never formed.  Condition (1) at coordinate i, c X - M_i X M_i^* = diag(c -
+    M_i M_i^*) - c V V^* + (M_i V)(M_i V)^* with c the squared shift norm at the top degree N,
+    counts its eigenvalues below -tol (`negative_count`).  sigma^(N+1) = 0, so the b-series
+    is finite and the verdict two-valued; the cond2 gap is C diag(-1, weights) C^* on the
+    span's columns (`DefectSpan`), read from R (`span_spectrum`).  Condition (3) is not
+    evaluated: A(t) (1 - B(t)) = 1 and sigma^(N+1) = 0 make it hold identically on this space.
     """
-    v_matrix = np.asarray(v_matrix, dtype=complex)
-    if v_matrix.ndim != 2 or v_matrix.shape[0] != shifts.h:
-        raise ValueError(f"V of shape {v_matrix.shape} does not map into the {shifts.h}-dim space")
-    min_x = 1.0 - opnorm(v_matrix) ** 2
+    v_matrix, shifts, h = span.matrix, span.shifts, span.matrix.shape[1]
+    min_x = 1.0 - opnorm(span.r[:h, :h]) ** 2
     if min_x < -tol:
         raise ValueError(f"x must be PSD up to tol, min eigenvalue {min_x:.3e}")
 
-    c = shift_norm_sq(table, 0, len(shifts.ends) - 1).value
-    weights = np.repeat([-c, 1.0], v_matrix.shape[1])
+    c = shift_norm_sq(span.table, 0, len(shifts.ends) - 1).value
+    weights = np.repeat([-c, 1.0], h)
     cond1 = tuple(negative_count(c - shifts.outer_diagonal(i),
                                  np.hstack([v_matrix, shifts.apply(i, v_matrix)]), weights, tol)
                   for i in range(shifts.d))
-    cond2_min = float(eigenspace_spectrum(*defect_columns(shifts, table, v_matrix, -1.0)).min())
+    cond2_min = float(span_spectrum(span, np.append(-np.ones(h), span.weights)).min())
 
     failed = 1 if any(cond1) else 2 if cond2_min < -tol else None
     return FactorabilityReport(
@@ -245,13 +264,14 @@ def check_factorability(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffT
 class AssociatedTuple(NamedTuple):
     """The restriction of the tensored shifts M_i x I to Ker V^*, never formed.
 
-    `range_basis` U is an orthonormal basis of Ran V, so P = I - U U^* is the
-    projection onto Ker V^*, of dimension `dim`.  The restriction equals the
-    compression up to `invariance_residual`, the part of (M_i x I) P leaving
-    Ker V^*, read on rows of degree <= N - 1.  That part is the cut-off: on
-    Ker V^*, V^*(M_i x I) = E_i^*, E_i = -V T_i^* on the degree-N rows, so
-    the residual is at most max_i |T_i| |V_N| / sigma_min(V), V_N the
-    degree-N rows of V: it measures the leak at the top degree.
+    `range_basis` U = Q_1, the first h columns of the span's Q, is an orthonormal basis of
+    Ran V when |V^*V - I| < 1 makes R_11 invertible (else `associated_tuple` raises
+    DegenerateDilationError), so P = I - U U^* is the projection onto Ker V^*, of dimension
+    `dim`.  The restriction equals the compression up to `invariance_residual`, the part of
+    (M_i x I) P leaving Ker V^*, read on rows of degree <= N - 1.  That part is the cut-off:
+    on Ker V^*, V^*(M_i x I) = E_i^*, E_i = -V T_i^* on the degree-N rows, so the residual
+    is at most max_i |T_i| |V_N| / sigma_min(V), V_N the degree-N rows of V: it measures
+    the leak at the top degree.
     """
 
     range_basis: np.ndarray
@@ -260,9 +280,10 @@ class AssociatedTuple(NamedTuple):
 
 
 def associated_tuple(v: DilationMap) -> AssociatedTuple:
-    u, svals, _ = np.linalg.svd(v.matrix, full_matrices=False)
-    rank = split_rank(svals)
-    u = u[:, :rank]
+    if not v.isometry_defect < 1.0:
+        raise DegenerateDilationError(f"|V^*V - I| = {v.isometry_defect:.3e}: V may not be "
+                                      "injective")
+    u = v.span.q[:, :v.ops.h]
     # the part of (M_i x I) P leaving Ran P is U U^* (M_i x I) P, of rank <= h;
     # with U[interior] = Q R its interior rows (degrees <= N - 1, which lead the
     # graded order) have the norm of R U^* (M_i x I) P, an h x big_dim product
@@ -271,24 +292,7 @@ def associated_tuple(v: DilationMap) -> AssociatedTuple:
     for i in range(v.ops.d):
         y = v.tensored.apply_adjoint(i, u).conj().T  # U^* (M_i x I)
         inv_res = max(inv_res, opnorm(r_int @ (y - (y @ u) @ u.conj().T)))
-    return AssociatedTuple(range_basis=u, invariance_residual=inv_res, dim=v.big_dim - rank)
-
-
-def _associated_defect(shifts: IndexShifts, table: CoeffTable, u: np.ndarray):
-    """(Q, S) with Q S Q^* the associated defect I - sum_{k>=1} b_k sigma_A^k(I) on Ker V^*.
-
-    u is an orthonormal basis U of Ran V, in the space the shifts act on.  For the
-    restriction A of the shifts to Ker V^* = Ran P, P = I - U U^*, sigma_A^k(I) =
-    sigma^k(P) there, so the defect is P C diag(w) C^* P, with C and w the
-    `defect_columns` of U.  Q is an orthonormal basis, orthogonal to U, of a space
-    holding Ran P C, so the eigenvalues on Ker V^* are those of S, and 0 when Q is
-    narrower.  Q and the coordinates of P C come from the QR of [U, C] without pivoting:
-    no rank is decided, dependent columns only widen Q.
-    """
-    k = u.shape[1]
-    cols, weights = defect_columns(shifts, table, u, 0.0)
-    q, r = np.linalg.qr(np.hstack([u, cols]))
-    return q[:, k:], hermitize((r[k:, k:] * weights) @ r[k:, k:].conj().T)
+    return AssociatedTuple(range_basis=u, invariance_residual=inv_res, dim=v.big_dim - v.ops.h)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +316,16 @@ class ExistenceReport(NamedTuple):
 def admits_charfn(v: DilationMap, purity: PurityVerdict | None = None) -> ExistenceReport:
     """Decide whether the pure tuple embedded by v admits a characteristic function.
 
-    Tests whether the tuple associated with the dilation is a contraction
-    for the dilation's kernel: the smallest eigenvalue of its defect
-    (`_associated_defect`) against -tol.  Non-pure inputs are rejected:
-    outside the hypothesis there is nothing to decide.  Purity, unless given,
-    is tested on the defect the dilation holds.  The defect is a finite sum, so
-    the verdict is two-valued; the witness is the eigenvector of the
-    smallest eigenvalue of the compression, lifted back to the model space.
+    Tests whether the tuple associated with the dilation is a contraction for the dilation's
+    kernel: the smallest eigenvalue of its defect against -tol.  Non-pure inputs are rejected:
+    outside the hypothesis there is nothing to decide.  Purity, unless given, is tested on the
+    defect the dilation holds.  For the restriction A of the shifts to Ker V^* = Ran P,
+    sigma_A^k(I) = sigma^k(P) there, so the defect is P C diag(0, weights) C^* P on the span's
+    columns C = Q R (`DefectSpan`).  P Q = [0, Q_2] and M^alpha Q_1 = M^alpha V R_11^-1, so in
+    the basis Q_2 it is S = [X, Z] diag(weights) [X, Z]^*, X the rows of R past h on E_0 and
+    Z_alpha those on the gather at alpha times R_11^-1; the eigenvalues on Ker V^* are those
+    of S, and 0 when Q_2 is narrower.  The verdict is two-valued (a finite sum); the witness
+    is Q_2 times the eigenvector of the smallest eigenvalue of S.
     """
     table, p = v.table, v.params
     if purity is None:
@@ -329,7 +336,12 @@ def admits_charfn(v: DilationMap, purity: PurityVerdict | None = None) -> Existe
             f"(residual {purity.residual:.3e})"
         )
     assoc = associated_tuple(v)
-    basis, delta_sq = _associated_defect(v.tensored, table, assoc.range_basis)
+    span, h, e0 = v.span, v.ops.h, v.tensored.ends[0]
+    xz = span.r[h:, h:].copy()
+    gathers = xz[:, e0:]  # Z_alpha = R_22[:, alpha] R_11^-1: solved h entries at a time
+    xz[:, e0:] = np.linalg.solve(span.r[:h, :h].T, gathers.reshape(-1, h).T).T.reshape(gathers.shape)
+    delta_sq = hermitize((xz * span.weights) @ xz.conj().T)
+    basis = span.q[:, h:]
     vals = np.linalg.eigvalsh(delta_sq)  # none when Ker V^* = 0: an empty tuple contracts
     min_eig = float(min([*vals, 0.0] if basis.shape[1] < assoc.dim else vals, default=0.0))
     witness = (canonical_phases(basis @ np.linalg.eigh(delta_sq)[1][:, :1])[:, 0]

@@ -141,7 +141,7 @@ class DefectData(NamedTuple):
     positive square root (computed from the eigenvalue-clipped matrix when
     delta_sq is indefinite, with min_eig keeping the honest sign),
     ran_delta_basis an orthonormal basis of the numerical range of delta,
-    increment_norms the norms of the last tail_window series increments.
+    tail_norm the largest norm of the last tail_window series increments.
     `rank` is the one rank decision on Delta: the lift drops h - rank
     directions (`build_lift`) and takes none of its own.
     """
@@ -151,7 +151,6 @@ class DefectData(NamedTuple):
     ran_delta_basis: np.ndarray
     tail_norm: float
     min_eig: float
-    increment_norms: tuple
 
     @property
     def rank(self) -> int:
@@ -170,7 +169,6 @@ def defect(t: OperatorTuple, table: CoeffTable, p: TruncationParams) -> DefectDa
         ran_delta_basis=basis,
         tail_norm=max(tail, default=0.0),
         min_eig=min_eig,
-        increment_norms=tuple(tail),
     )
 
 
@@ -200,7 +198,6 @@ def is_contraction(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
 class PurityVerdict(NamedTuple):
     status: str  # "pure" | "not_pure" | "inconclusive"
     residual: float
-    tail_increments: tuple
 
 
 def is_pure(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
@@ -221,7 +218,7 @@ def is_pure(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
                     for k in range(len(window) - 1))
     settled = max(window, default=0.0) <= p.tol and residual > 10.0 * p.tol
     status = "pure" if residual <= p.tol and shrinking else "not_pure" if settled else "inconclusive"
-    return PurityVerdict(status=status, residual=residual, tail_increments=tuple(window))
+    return PurityVerdict(status=status, residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,11 @@ two:
   as an explicit block row and compresses it to the defect ranges;
 - `fitted_taylor_blocks` recovers the Taylor blocks of theta by least
   squares on charfn_eval samples over a phase grid;
+- `gathered_taylor_blocks` is the Taylor stack as the package formed it
+  before it wrote the stack on the columns of the dilation's span: its own
+  gather of V, the placed product with the weighted D~E, and block 0
+  overwritten; `span_taylor_blocks` reads the package's stack, W = C K with
+  K from `span_coefficients` and C = Q R from the span;
 - `looped_taylor_blocks` sums the closed-form Taylor blocks one multi-index
   gamma at a time, over every pair alpha + beta = gamma, where the package
   places all of them in one product;
@@ -31,7 +36,8 @@ two:
   time, as a weighted leading block of the Gram matrix of the looped blocks;
 - `model_gap` is the gap as the package formed it before it took the
   factorization through the inverse map: M_theta M_theta^* summed as the
-  a-series of the Gram matrix of the package's Taylor stack, on the whole
+  a-series of the Gram matrix of the package's Taylor stack
+  (`span_taylor_blocks`), on the whole
   model space, and `b_inverse_gap` carries such a gap through the inverse
   map Y -> Y - sum_k b_k sigma^k(Y) to the R whose norm the package reports;
   both run their sigma-series on the dense Kronecker tuple `tensored_shifts`.
@@ -46,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cnplab._linalg import hermitize, psd_sqrt
-from cnplab.charfn import CalculusResult, CharFnEval, _taylor_blocks, charfn_eval
+from cnplab.charfn import CalculusResult, CharFnEval, charfn_eval, span_coefficients
 from cnplab.coeffs import graded_indices, multi_coeff
 from cnplab.errors import DomainError, NonConvergedError
 from cnplab.tuples import _weighted_series
@@ -320,6 +326,33 @@ def fitted_taylor_blocks(lift, n_taylor: int, radius: float = 0.9):
     return blocks, fit_res
 
 
+def gathered_taylor_blocks(lift) -> np.ndarray:
+    """Taylor blocks of theta through total degree N, on theta's own columns, in graded order.
+
+    Block beta of the dilation is V_beta = sqrt(a_beta) C^* Delta (T^beta)^* and
+    (M^alpha x I) V has block sqrt(a_beta / a_gamma) V_beta at gamma = alpha + beta, so off
+    degree 0 the stack is diag(a_gamma)^(1/2) sum_alpha sqrt(b_alpha) (M^alpha x I) V
+    (D~E)_alpha over the support: gathers, then one product; block 0 is -C^* T~ E.
+    """
+    v = lift.dilation
+    alphas = lift.support + 1
+    gathers = v.tensored.graded_stack(v.matrix, sum(v.indices[alphas[-1]]))[alphas]
+    weighted = np.repeat(lift.sqrt_b[lift.support], v.ops.h)[:, None] * lift.d_tilde_e
+    flat = gathers.transpose(1, 0, 2).reshape(v.big_dim, -1)
+    blocks = (flat @ weighted).reshape(*v.codomain_dims, -1)
+    blocks *= np.sqrt(v.shifts.a_alpha)[:, None, None]
+    blocks[0] = -(v.defect_data.ran_delta_basis.conj().T @ lift.t_tilde_e)
+    return blocks
+
+
+def span_taylor_blocks(lift) -> np.ndarray:
+    """The Taylor stack of theta as verify_model reads it: W = C K on the columns C = Q R of
+    the dilation's span, K = `span_coefficients`, scaled back by diag(a_gamma)^(1/2) x I_r."""
+    v = lift.dilation
+    w = v.span.q @ (v.span.r @ span_coefficients(lift))
+    return np.sqrt(v.shifts.a_alpha)[:, None, None] * w.reshape(*v.codomain_dims, -1)
+
+
 def looped_taylor_blocks(lift) -> np.ndarray:
     """The closed-form Taylor blocks of theta from a DenseLift, one gamma at a time.
 
@@ -406,7 +439,7 @@ def model_gap(lift) -> np.ndarray:
     """(I - V V^*) - M_theta M_theta^* on the model space, M_theta M_theta^* = sum_k
     a_k sigma^k(G) with G = W W^*, W the Taylor stack scaled by diag(a_delta)^(-1/2) x I_r."""
     v = lift.dilation
-    flat = _taylor_blocks(lift).reshape(v.big_dim, -1)
+    flat = span_taylor_blocks(lift).reshape(v.big_dim, -1)
     scale = np.repeat(1.0 / np.sqrt(v.shifts.a_alpha), v.codomain_dims[1])
     g = scale[:, None] * (flat @ flat.conj().T) * scale
     acc, _ = _weighted_series(tensored_shifts(v.table, v.N, v.codomain_dims[1]), v.table, v.N, "a",

@@ -31,8 +31,12 @@ rotates every column by one broadcast product.  `zero_tuple_probe` is the
 CNP probe as it stood before the package read it as the Bergman
 counterexample at compression degree 0: it embeds `OperatorTuple.zero(1, 1)`
 itself and reads every form at once.  `qr_compressed_shift_forms` is the counterexample
-form as the package read it before it summed it at e directly: `_associated_defect` on
+form as the package read it before it summed it at e directly: `qr_associated_defect` on
 U = I of the leading block, rebuilt for each compression degree, and the form at Q^* e.
+`qr_associated_defect` is the associated defect as the package took it before it read the
+dilation's one factored span: its own gather of E_0 and the M^alpha U (`defect_columns`)
+and its own QR of [U, C], for any orthonormal U.  `split_rank` is the rank decision the
+package took on the singular values of V before V's leading block of that QR replaced it.
 Spectral norms are taken by SVD, `np.linalg.norm(x, 2)`, not by the package's `opnorm`.
 """
 
@@ -43,11 +47,64 @@ from dataclasses import dataclass
 import numpy as np
 
 import cnplab as cl
-from cnplab._linalg import hermitian_norm, hermitize, split_rank
-from cnplab.coeffs import graded_position
-from cnplab.model import _associated_defect
+from cnplab._linalg import RANK_REL_TOL, hermitian_norm, hermitize
+from cnplab.coeffs import graded_indices, graded_position, multi_coeff
 from cnplab.tuples import COMMUTATOR_TOL, _sigma, _weighted_series, shift_matrices, shift_norm_sq
 from series_reference import dense_shifts, tensored_shifts, tuple_power
+
+
+# Singular values within this factor of the threshold make the rank decision
+# ambiguous; such decisions fail loudly instead of silently.
+AMBIGUITY_FACTOR = 10.0
+
+
+class AmbiguousRankError(cl.CnpLabError):
+    """Singular values straddle the rank threshold; no safe rank decision."""
+
+
+def split_rank(svals: np.ndarray) -> int:
+    """Numerical rank from a descending singular-value array, failing loudly.
+
+    Raises AmbiguousRankError when any singular value sits within a factor of
+    AMBIGUITY_FACTOR of the threshold.
+    """
+    if len(svals) == 0 or svals[0] <= 0.0:
+        return 0
+    thr = RANK_REL_TOL * float(svals[0])
+    for s in svals:
+        if thr / AMBIGUITY_FACTOR < s < thr * AMBIGUITY_FACTOR:
+            raise AmbiguousRankError(
+                f"singular value {s:.3e} within a factor of {AMBIGUITY_FACTOR} "
+                f"of the rank threshold {thr:.3e}"
+            )
+    return int(np.sum(svals >= thr))
+
+
+def defect_columns(shifts, table, x, x_weight):
+    """Columns C and weights w with C diag(w) C^* = Y - sum_{k>=1} b_k sigma^k(I - X X^*),
+    Y = I + x_weight X X^*: E_0 (weight 1) and the gathers M^alpha X for |alpha| <= m
+    (weights x_weight, then b_alpha; zero ones dropped), m <= N the last degree with b_m != 0."""
+    top = len(shifts.ends) - 1
+    b = table.require_b(top)
+    m = max((k for k in range(1, top + 1) if b[k] != 0.0), default=0)
+    weights = np.append(x_weight, multi_coeff(table, graded_indices(shifts.d, m)[1:], "b"))
+    keep = np.flatnonzero(weights)
+    cols = np.hstack([np.eye(shifts.h, shifts.ends[0]), *shifts.graded_stack(x, m)[keep]])
+    return cols, np.append(np.ones(shifts.ends[0]), np.repeat(weights[keep], x.shape[1]))
+
+
+def qr_associated_defect(shifts, table, u):
+    """(Q, S) with Q S Q^* the associated defect I - sum_{k>=1} b_k sigma_A^k(I) on Ker V^*.
+
+    u is an orthonormal basis U of Ran V, in the space the shifts act on.  The defect is
+    P C diag(w) C^* P, P = I - U U^*, with C and w the `defect_columns` of U.  Q is an
+    orthonormal basis, orthogonal to U, of a space holding Ran P C, so the eigenvalues on
+    Ker V^* are those of S, and 0 when Q is narrower: from the QR of [U, C] without pivoting.
+    """
+    k = u.shape[1]
+    cols, weights = defect_columns(shifts, table, u, 0.0)
+    q, r = np.linalg.qr(np.hstack([u, cols]))
+    return q[:, k:], hermitize((r[k:, k:] * weights) @ r[k:, k:].conj().T)
 
 
 def dense_associated_tuple(v):
@@ -250,9 +307,9 @@ def zero_tuple_probe(table, n):
 def qr_compressed_shift_forms(table, n, big_n, degrees):
     """Associated-defect forms, at e(k e_1) for k in degrees, of the shifts compressed to
     degrees <= n and embedded at truncation big_n: U = I on that leading block, the QR of
-    [U, C] in `_associated_defect`, and the form of P e read at Q^* e."""
+    [U, C] in `qr_associated_defect`, and the form of P e read at Q^* e."""
     shifts = shift_matrices(table, big_n).index
-    basis, delta_sq = _associated_defect(shifts, table, np.eye(shifts.h, shifts.ends[n]))
+    basis, delta_sq = qr_associated_defect(shifts, table, np.eye(shifts.h, shifts.ends[n]))
     targets = graded_position(table.d, big_n, [(k,) + (0,) * (table.d - 1) for k in degrees])
     return [float(np.real(np.vdot(c, delta_sq @ c))) for c in basis[targets].conj()]
 

@@ -126,7 +126,7 @@ def test_criterion_5_existence_equivalence(existence_examples):
         tensored = tensored_shifts(v.table, v.N, r)
         p_series = cl.TruncationParams(N=ex.p.N + ex.p.tail_window, tol=ex.p.tol,
                                        tail_window=ex.p.tail_window)
-        fact = cl.check_factorability(v.matrix, v.tensored, table, ex.p.tol)
+        fact = cl.check_factorability(v.span, ex.p.tol)
         ref = dense_check_factorability(x, tensored, table, p_series)
         decided = report.status in ("admits", "does_not_admit") \
             and fact.verdict in ("factorable", "not_factorable")

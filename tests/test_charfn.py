@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 import cnplab as cl
 from charfn_reference import (b_inverse_gap, dense_lift, dense_lift_defect, dense_model_gap,
                               dense_theta, enumerated_calculus, fitted_taylor_blocks, full_width,
-                              looped_model_gap, looped_taylor_blocks, model_gap, padded_theta,
-                              pointwise_calculus, pointwise_charfn_eval, support_coords,
-                              theta_cols, wide_lift)
+                              gathered_taylor_blocks, looped_model_gap, looped_taylor_blocks,
+                              model_gap, padded_theta, pointwise_calculus, pointwise_charfn_eval,
+                              span_taylor_blocks, support_coords, theta_cols, wide_lift)
 from random_inputs import diff_kernel, finite_b_kernel, random_commuting_tuple, random_point
-from cnplab.charfn import _taylor_blocks, reciprocal_kernel
+from cnplab.charfn import reciprocal_kernel
 
 
 def P(n, tol=1e-9, window=3):
@@ -306,7 +306,7 @@ def test_multiplier_needs_two_points(szego_half):
 def test_taylor_blocks_match_mobius_coefficients(szego_half):
     # closed form: (z - t)/(1 - tz) = -t + (1 - t^2) sum_{n>=1} t^(n-1) z^n
     t, lift, table, p = szego_half
-    blocks = _taylor_blocks(lift)
+    blocks = span_taylor_blocks(lift)
     # one block per degree 0..N, in graded order, on theta's one input that
     # the lift reaches; nothing leaks into the others
     assert blocks.shape == (p.N + 1, 1, 1) and lift.dilation.indices == tuple(
@@ -332,7 +332,7 @@ def test_model_zero_tuple_exact():
     # theta(z) = z e_0 exactly: one nonzero block, at degree 1, on the one
     # input e_0 that the lift reaches
     assert np.array_equal(theta_cols(lift), [0])
-    for gamma, block in zip(v.indices, _taylor_blocks(lift), strict=True):
+    for gamma, block in zip(v.indices, span_taylor_blocks(lift), strict=True):
         expected = 1.0 if gamma == (1,) else 0.0
         assert block.shape == (1, 1)
         assert np.max(np.abs(block - expected)) <= 1e-14, gamma
@@ -448,7 +448,7 @@ def test_theta_and_blocks_match_references(seed, d, h, rule, param):
     assert np.max(np.abs(theta - want[:, cols]), initial=0.0) <= 1e-13
     assert np.max(np.abs(np.delete(want, cols, axis=1)), initial=0.0) <= 1e-13
 
-    blocks = _taylor_blocks(lift)
+    blocks = span_taylor_blocks(lift)
     fitted, _ = fitted_taylor_blocks(lift, n)
     assert list(fitted) == list(lift.dilation.indices)
     for gamma, block in zip(lift.dilation.indices, blocks, strict=True):
@@ -722,7 +722,7 @@ def check_model_against_looped_references(lift):
     want = looped_taylor_blocks(dense)
     tol = 1e-12 * max(1.0, np.max(np.abs(want)))
     cols = theta_cols(lift)
-    assert np.max(np.abs(_taylor_blocks(lift) - want[..., cols])) <= tol
+    assert np.max(np.abs(span_taylor_blocks(lift) - want[..., cols])) <= tol
     assert np.max(np.abs(np.delete(want, cols, axis=2)), initial=0.0) <= tol
     scale = max(1.0, np.linalg.norm(np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T, 2))
     assert np.linalg.norm(model_gap(lift) - looped_model_gap(dense), 2) <= 1e-12 * scale
@@ -823,6 +823,61 @@ def test_support_lift_matches_dense_lift(name):
     check_model_against_looped_references(lift)
 
 
+def support_case_lift(name):
+    """The lift of SUPPORT_CASES[name], built as test_support_lift_matches_dense_lift does."""
+    spec, tup, _ = SUPPORT_CASES[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    t = tup if isinstance(tup, cl.OperatorTuple) else random_commuting_tuple(rng, *tup, 0.35)
+    n = DIFF_DEGREE[t.d]
+    return lift_of(t, cl.build_table(spec, n + 1), P(n, tol=DIFF_TOL))
+
+
+@pytest.mark.parametrize("name", list(SUPPORT_CASES))
+def test_span_coefficients_give_the_gathered_taylor_stack(name):
+    # W = C K on the span's columns is the stack that the gathers of V and the
+    # placed product with D~E give, to rounding
+    lift = support_case_lift(name)
+    want = gathered_taylor_blocks(lift)
+    assert span_taylor_blocks(lift).shape == want.shape
+    assert np.max(np.abs(span_taylor_blocks(lift) - want)) <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+def dense_factor_residual(lift):
+    """(|R| from M_theta formed densely, the size of I - V V^* it is measured against)."""
+    v = lift.dilation
+    scale = max(1.0, np.linalg.norm(np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T, 2))
+    return np.linalg.norm(b_inverse_gap(v, dense_model_gap(dense_lift(v))), 2), scale
+
+
+def test_model_factorization_where_the_gathers_outnumber_the_support():
+    # b carries rounding noise of both signs past degree 4: the span gathers at
+    # every b_alpha != 0, the lift only at b_alpha > 0, so K places the support's
+    # blocks by graded position among more gathers than it fills
+    lift = support_case_lift("skip degree 2")
+    v = lift.dilation
+    assert len(v.span.positions) > len(lift.support)
+    assert set(lift.support + 1) <= set(v.span.positions)
+    r, scale = dense_factor_residual(lift)
+    assert abs(cl.verify_model(lift).factor_residual - r) <= 1e-12 * scale
+
+
+def test_model_factorization_on_a_rank_deficient_v():
+    # T = diag(1, 0.3) has Delta e_1 = 0, so V e_1 = 0 and R_11 is singular: the
+    # model factorization reads R without inverting R_11, and the existence test
+    # stops at purity before the associated defect would need R_11^-1
+    lift = support_case_lift("singular defect / szego")
+    v = lift.dilation
+    h = v.ops.h
+    assert np.linalg.svd(v.span.r[:h, :h], compute_uv=False)[-1] <= 1e-14
+    r, scale = dense_factor_residual(lift)
+    assert abs(cl.verify_model(lift).factor_residual - r) <= 1e-12 * scale
+    with pytest.raises(cl.PrerequisiteError, match="pure"):
+        cl.admits_charfn(v)
+    # Q_1 need not span Ran V there: the associated tuple refuses, as |V^*V - I| = 1
+    with pytest.raises(cl.DegenerateDilationError, match="injective"):
+        cl.associated_tuple(v)
+
+
 # Delta^2 = I - T T^* has eigenvalues 4.97e-11 and 0.3439: the smaller lies above the
 # rank threshold of `defect` (1e-10 * 0.3439), while 1 - S^2 of the lifted row lies below
 # 1e-10 of the largest eigenvalue 1 of I - T~^*T~.  It is the tuple of
@@ -852,7 +907,7 @@ def test_theta_has_the_width_of_its_columns(name):
     ev = cl.charfn_eval(lift, cl.ball_points(t.d, 3, seed=7, radius=0.3))
     assert ev.theta.shape == (3, lift.dilation.defect_data.rank, columns)
     assert lift.t_tilde_e.shape[1] == lift.d_tilde_e.shape[1] == columns
-    assert _taylor_blocks(lift).shape == (len(lift.dilation.indices),
+    assert span_taylor_blocks(lift).shape == (len(lift.dilation.indices),
                                           lift.dilation.defect_data.rank, columns)
     assert lift.defect_rank == defect_rank
     assert len(theta_cols(lift)) == columns and theta_cols(lift).max() < defect_rank

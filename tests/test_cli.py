@@ -12,6 +12,7 @@ import pytest
 
 import cnplab as cl
 from cnplab import charfn, cli, model, tuples
+from model_reference import projected_associated_defect
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -906,8 +907,8 @@ def test_a_bad_sample_point_fails_the_suite_whose_sample_holds_it(monkeypatch, w
 
 def test_identities_run_reads_the_coefficient_vector(monkeypatch):
     # a_alpha is computed once per multi-index, as one stack by the shifts of
-    # the dilation; the lift adds b_alpha over the positive multi-indices as one
-    # more, and the model check b_alpha on the degrees 1..m it gathers (m = 1 here)
+    # the dilation; its span adds b_alpha on the degrees 1..m it gathers (m = 1
+    # here), and the lift b_alpha over the positive multi-indices as one more
     seen = []
     original = tuples.multi_coeff
 
@@ -921,7 +922,7 @@ def test_identities_run_reads_the_coefficient_vector(monkeypatch):
         ["coeffs", "contraction", "purity", "dilation", "charfn", "identities"]))
     assert report["overall"] == "pass"
     indices = cl.graded_indices(2, 8)
-    assert seen == [(indices, "a"), (indices[1:], "b"), (cl.graded_indices(2, 1)[1:], "b")]
+    assert seen == [(indices, "a"), (cl.graded_indices(2, 1)[1:], "b"), (indices[1:], "b")]
 
 
 @pytest.mark.parametrize("name", ["drury_arveson_pair", "bergman_zero_tuple", "szego_scalar",
@@ -1091,7 +1092,7 @@ def test_existence_reports_the_factorability_margins(monkeypatch, name, verdict,
     assert existence["outcome"] == "pass" and existence["verdict"] == verdict
     assert details["factorability_failed_condition"] == failed
     ctx = cli._SuiteContext(cfg)
-    fact = model.check_factorability(ctx.dilation.matrix, ctx.dilation.tensored, ctx.table, tol)
+    fact = model.check_factorability(ctx.dilation.span, tol)
     counts = details["factorability_cond1_negative_counts"]
     cond2 = details["factorability_cond2_min_eig"]
     assert counts == list(fact.cond1_negative_counts) == [0, 0]
@@ -1100,3 +1101,38 @@ def test_existence_reports_the_factorability_margins(monkeypatch, name, verdict,
     assert (float(cond2) < -tol) == (failed == 2)
     if failed == 2:
         assert abs(float(cond2) - float(existence["residuals"]["assoc_min_eig"])) <= 1e-12
+
+
+def test_bergman_d2_witness_is_a_projected_bottom_eigenvector(monkeypatch):
+    # the witness is Q_2 times the bottom eigenvector of S, read from the span's
+    # one QR; the reference projects the Kronecker shifts onto Ker V^* densely.
+    # -1/2 is a fourfold eigenvalue there, one per basis vector of degree 3, so
+    # the witness is pinned down only up to that eigenspace
+    v = cli._SuiteContext(cli.parse_config(benchmark_config(monkeypatch, "bergman-d2"))).dilation
+    report = model.admits_charfn(v)
+    k, delta_sq, _ = projected_associated_defect(v)
+    vals, vecs = np.linalg.eigh(delta_sq)
+    bottom = k @ vecs[:, vals <= vals[0] + 1e-9]
+    assert report.status == "does_not_admit" and bottom.shape[1] == 4
+    assert abs(report.value - vals[0]) <= 1e-12 and abs(np.linalg.norm(report.witness) - 1.0) <= 1e-12
+    assert np.linalg.norm(report.witness - bottom @ (bottom.conj().T @ report.witness)) <= 1e-12
+
+
+def test_seven_suite_run_factors_the_defect_span_once(monkeypatch):
+    # cond2, the associated tuple and defect, and the model factorization read
+    # one QR of [V, E_0, M^alpha V], and no other QR has big_dim rows
+    shapes, qr = [], np.linalg.qr
+
+    def counted_qr(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    calls = record_calls(monkeypatch, {"build_dilation": model.build_dilation})
+    raw = json.loads((CONFIGS / "drury_arveson_pair.json").read_text())
+    raw.pop("output")
+    report = cli.run(cli.parse_config(raw, base_dir=str(CONFIGS)))
+    assert [(s["name"], s["outcome"]) for s in report["suites"]] == [
+        (name, "pass") for name in cli.SUITE_CHAIN]
+    [v] = calls["build_dilation"]
+    assert [s for s in shapes if s[0] == v.big_dim] == [(v.big_dim, v.span.r.shape[1])]

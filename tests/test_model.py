@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 import cnplab as cl
 from cnplab.coeffs import graded_count
 from cnplab.tuples import TuplePowers
-from model_reference import (dense_associated_tuple, dense_check_factorability, dense_existence,
-                             dense_intertwining, projected_associated_defect,
-                             qr_counterexample_form, reports_agree, restricted_associated_defect,
-                             zero_tuple_probe)
+from model_reference import (AmbiguousRankError, dense_associated_tuple, dense_check_factorability,
+                             dense_existence, dense_intertwining, projected_associated_defect,
+                             qr_associated_defect, qr_counterexample_form, reports_agree,
+                             restricted_associated_defect, split_rank, zero_tuple_probe)
 from series_reference import dense_shifts, stack_power, tensored_shifts, tuple_power
 from random_inputs import diff_kernel, finite_b_kernel, random_commuting_tuple
-from cnplab.model import _associated_defect, _compressed_shift_forms
+from cnplab._linalg import hermitize
+from cnplab.model import _compressed_shift_forms
 
 
 def P(n, tol=1e-9, window=3):
@@ -124,7 +125,8 @@ def test_factorability_zero_operator():
     table = cl.build_table(cl.szego(), 12)
     shifts = cl.shift_matrices(table, 8)
     # V = I gives X = I - V V^* = 0
-    report = cl.check_factorability(np.eye(shifts.index.h), shifts.index, table, 1e-9)
+    report = cl.check_factorability(cl.defect_span(np.eye(shifts.index.h), shifts.index, table),
+                                    1e-9)
     assert report.verdict == "factorable"
     x = np.zeros((shifts.index.h, shifts.index.h))
     # the reference sums to top + tail_window: the same finite series
@@ -136,7 +138,8 @@ def test_factorability_identity_on_szego_shift():
     shifts = cl.shift_matrices(table, 8)
     p = P(8)
     # V with no columns gives X = I
-    report = cl.check_factorability(np.zeros((shifts.index.h, 0)), shifts.index, table, p.tol)
+    span = cl.defect_span(np.zeros((shifts.index.h, 0)), shifts.index, table)
+    report = cl.check_factorability(span, p.tol)
     assert report.verdict == "factorable"
     assert report.cond2_min_eig >= -1e-12
     want = dense_check_factorability(np.eye(shifts.index.h), dense_shifts(table, p.N), table,
@@ -162,7 +165,7 @@ def test_factorability_bergman_projection_fails_cond2():
     p = P(12)
     t0 = dense_shifts(table, 0)  # compression to the constants
     v = cl.build_dilation(t0, table, p)
-    report = cl.check_factorability(v.matrix, v.tensored, table, p.tol)
+    report = cl.check_factorability(v.span, p.tol)
     assert report.verdict == "not_factorable"
     assert report.failed_condition == 2
     assert report.cond2_min_eig <= -(1.0 / 3.0) + 1e-10
@@ -179,13 +182,13 @@ def test_factorability_rejects_a_non_contractive_v():
     v[0, 0] = v[3, 1] = 1.0
     v[:, 1] *= np.sqrt(1.0 + 2e-9)
     with pytest.raises(ValueError, match="PSD up to tol"):
-        cl.check_factorability(v, shifts.index, table, 1e-9)
+        cl.check_factorability(cl.defect_span(v, shifts.index, table), 1e-9)
     v[3, 1] = np.sqrt(1.0 + 0.5e-9)  # within tol: checked, not rejected
     x = np.eye(shifts.index.h) - v @ v.T
-    assert_matches_reference(cl.check_factorability(v, shifts.index, table, 1e-9),
+    assert_matches_reference(cl.check_factorability(cl.defect_span(v, shifts.index, table), 1e-9),
                              dense_check_factorability(x, dense_shifts(table, 6), table, P(6 + 3)))
     with pytest.raises(ValueError, match="does not map into"):
-        cl.check_factorability(v[1:], shifts.index, table, 1e-9)
+        cl.defect_span(v[1:], shifts.index, table)
 
 
 @pytest.mark.parametrize("kernel, want", [(cl.drury_arveson(2), (0, 1)),
@@ -203,12 +206,21 @@ def test_factorability_fails_cond1(kernel, want):
     shifts = cl.shift_matrices(table, 6)
     v = np.zeros((shifts.index.h, 1))
     v[1, 0] = 1.0
-    report = cl.check_factorability(v, shifts.index, table, 1e-9)
+    report = cl.check_factorability(cl.defect_span(v, shifts.index, table), 1e-9)
     assert (report.verdict, report.failed_condition) == ("not_factorable", 1)
     assert report.cond1_negative_counts == want
     x = np.eye(shifts.index.h) - v @ v.T
     assert_matches_reference(report, dense_check_factorability(x, dense_shifts(table, 6), table,
                                                                P(6 + 3), c_degree=6))
+
+
+def eigenspace_spectrum(cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The eigenvalues of C diag(w) C^*: with more rows than columns, those of R diag(w) R^*,
+    C = Q R (unpivoted QR), then one 0 per row past the columns.  The package read cond2 and
+    the model factorization this way, each from a QR of its own, before `DefectSpan`."""
+    c = np.linalg.qr(cols, mode="r") if len(cols) > cols.shape[1] else cols
+    return np.append(np.linalg.eigvalsh(hermitize((c * weights) @ c.conj().T)),
+                     np.zeros(len(cols) - len(c)))
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31), n=st.integers(min_value=1, max_value=40),
@@ -221,7 +233,7 @@ def test_eigenspace_spectrum_matches_the_dense_spectrum(seed, n, cols):
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
     w = rng.uniform(-2.0, 2.0, cols)
-    got = cl.model.eigenspace_spectrum(c, w)
+    got = eigenspace_spectrum(c, w)
     dense = np.linalg.eigvalsh((c * w) @ c.conj().T)
     scale = 1.0 + np.abs(dense).max()
     assert len(got) == n and np.abs(np.sort(got) - dense).max() <= 1e-12 * scale
@@ -302,7 +314,7 @@ def cond1_below_cond2_bound(spec, n, r, cols, rng):
     shifts = cl.shift_matrices(table, n).index.tensor(r)
     v = rng.standard_normal((shifts.h, cols)) + 1j * rng.standard_normal((shifts.h, cols))
     v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v, 2)
-    report = cl.check_factorability(v, shifts, table, 1e-9)
+    report = cl.check_factorability(cl.defect_span(v, shifts, table), 1e-9)
     c = cl.shift_norm_sq(table, 0, n).value
     bound = max(0.0, -report.cond2_min_eig) / table.require_a(1)[1] + 1e-12
     return tuple(cl.model.negative_count(c - shifts.outer_diagonal(i),
@@ -323,7 +335,7 @@ def test_cond1_collapses_on_the_drury_arveson_triple(monkeypatch):
     sizes = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: sizes.append(len(g)) or eigvalsh(g))
-    report = cl.check_factorability(v.matrix, v.tensored, v.table, 1e-9)
+    report = cl.check_factorability(v.span, 1e-9)
     monkeypatch.undo()
     c = cl.shift_norm_sq(v.table, 0, 8).value
     bordered = []
@@ -375,7 +387,7 @@ def test_factorability_cond3_is_an_identity_on_the_finite_space(seed, d, r, cols
     want = dense_check_factorability(np.eye(shifts.h) - v @ v.conj().T,
                                      tensored_shifts(table, n, r), table, P(n + 3), c_degree=n)
     assert want.cond3_residual <= 1e-12
-    assert_matches_reference(cl.check_factorability(v, shifts, table, 1e-9), want)
+    assert_matches_reference(cl.check_factorability(cl.defect_span(v, shifts, table), 1e-9), want)
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +395,10 @@ def test_factorability_cond3_is_an_identity_on_the_finite_space(seed, d, r, cols
 # ---------------------------------------------------------------------------
 
 def test_ambiguous_rank_fails_loudly():
-    from cnplab._linalg import split_rank
-
     clean = np.array([1.0, 0.9, 1e-14])
     assert split_rank(clean) == 2
     straddling = np.array([1.0, 0.9, 5e-10])  # within a factor 10 of 1e-10
-    with pytest.raises(cl.AmbiguousRankError):
+    with pytest.raises(AmbiguousRankError):
         split_rank(straddling)
 
 
@@ -482,7 +492,7 @@ def test_existence_factorability_consistency(existence_examples):
         r = v.codomain_dims[1]
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
         p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
-        fact = cl.check_factorability(v.matrix, v.tensored, table, ex.p.tol)
+        fact = cl.check_factorability(v.span, ex.p.tol)
         assert_matches_reference(fact, dense_check_factorability(
             x, tensored_shifts(v.table, v.N, r), table, p_series), ex.name)
         assert report.status in ("admits", "does_not_admit"), ex.name
@@ -500,7 +510,8 @@ def test_factorability_on_index_shifts_matches_dense(existence_examples):
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
         p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
         dense = dense_check_factorability(x, tensored_shifts(v.table, v.N, r), table, p_series)
-        gather = cl.check_factorability(v.matrix, v.shifts.index.tensor(r), table, ex.p.tol)
+        span = cl.defect_span(v.matrix, v.shifts.index.tensor(r), table)
+        gather = cl.check_factorability(span, ex.p.tol)
         assert_matches_reference(gather, dense, ex.name)
 
 
@@ -582,7 +593,7 @@ def test_reached_span_decides_as_the_dense_forms(seed, d, h, kernel):
     # != 0 at every degree, so there the span is the whole space
     v = span_case(seed, d, h, kernel, 0.1)
     n, tol = v.N, v.params.tol
-    fact = cl.check_factorability(v.matrix, v.tensored, v.table, tol)
+    fact = cl.check_factorability(v.span, tol)
     x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
     assert_matches_reference(fact, dense_check_factorability(
         x, tensored_shifts(v.table, v.N, v.codomain_dims[1]), v.table, P(n + 3), c_degree=n))
@@ -602,8 +613,11 @@ def test_reached_span_decides_as_the_dense_forms(seed, d, h, kernel):
     else:
         assert report.witness is None
     assoc = cl.associated_tuple(v)
-    basis, _ = _associated_defect(v.tensored, v.table, assoc.range_basis)
-    assert kernel != "dirichlet_t" or basis.shape[1] == assoc.dim
+    basis, qr_delta_sq = qr_associated_defect(v.tensored, v.table, assoc.range_basis)
+    assert kernel != "dirichlet_t" or v.span.q.shape[1] - h == basis.shape[1] == assoc.dim
+    qr_vals = np.linalg.eigvalsh(qr_delta_sq)
+    assert abs(report.value - min([*qr_vals, 0.0] if basis.shape[1] < assoc.dim else qr_vals,
+                                  default=0.0)) <= 1e-12
     assert (report.status == "admits") == (fact.verdict == "factorable")
 
 

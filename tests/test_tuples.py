@@ -560,3 +560,34 @@ def test_opnorm_against_the_svd(scale):
     assert opnorm(np.zeros((3, 3), dtype=complex)) == 0.0
     for shape in [(0, 3, 3), (4, 0, 3), (4, 3, 0)]:
         assert np.array_equal(opnorm(np.zeros(shape, dtype=complex)), np.zeros(shape[0]))
+
+
+@pytest.mark.parametrize("scale", [1e-320, 1e-310, 5e-309, 1e-200, 1e-100, 1e-10, 1.0, 1e10, 1e100,
+                                   1e200, 1e300])
+def test_hermitian_norm_and_psd_sqrt_against_the_svd(scale):
+    from cnplab._linalg import hermitian_norm, hermitize, psd_sqrt
+
+    rng = np.random.default_rng(17)
+    eps, tiny_step = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    for n in (1, 3, 6):
+        for imag in (1j, 0.0):
+            g = rng.standard_normal((n, n)) + imag * rng.standard_normal((n, n))
+            # the norm is an eigenvalue: within 8 eps of the SVD's, or 8 steps of the
+            # subnormal grid where 8 eps is finer than it
+            a = scale * (g + g.conj().T)
+            want = np.linalg.norm(a, 2)
+            assert abs(hermitian_norm(a) - want) <= max(8 * eps * want, 8 * tiny_step)
+            # the root of a positive definite matrix against U S^(1/2) U^* from the SVD of
+            # the matrix lifted by an exact 4^k, where no eigenvalue rounds on the
+            # subnormal grid; the root itself is far above that grid at every scale
+            b = np.eye(n) + 0.3 * g / np.sqrt(n)
+            p = scale * hermitize(b @ b.conj().T)
+            k = -(int(np.frexp(np.abs(p).max())[1]) // 2)
+            u, s, _ = np.linalg.svd(p * 2.0 ** k * 2.0 ** k)
+            root, min_eig, vals, _ = psd_sqrt(p)
+            want_root = (u * np.sqrt(s)) @ u.conj().T * 2.0 ** -k
+            assert np.abs(root - want_root).max() <= 32 * eps * np.sqrt(s[0]) * 2.0 ** -k
+            least = s[-1] * 2.0 ** -k * 2.0 ** -k
+            assert abs(min_eig - least) <= max(8 * eps * s[0] * 2.0 ** -k * 2.0 ** -k,
+                                               8 * tiny_step)
+            assert min_eig == vals[0]
