@@ -43,7 +43,6 @@ from .tuples import (
     DefectData,
     OperatorTuple,
     PurityVerdict,
-    ShiftNormBound,
     TruncatedShifts,
     TruncationParams,
     defect,

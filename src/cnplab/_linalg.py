@@ -30,16 +30,6 @@ def opnorm(a: np.ndarray):
     return s * np.sqrt(np.linalg.eigvalsh(gram).max(axis=-1, initial=0.0))
 
 
-def hermitian_norm(a: np.ndarray) -> float:
-    """Spectral norm of a Hermitian matrix from the eigenvalues of its lower triangle.
-
-    Non-finite entries raise LinAlgError; eigvalsh would return numbers for them.
-    """
-    if not np.isfinite(a).all():
-        raise np.linalg.LinAlgError("Hermitian norm of a matrix with non-finite entries")
-    return float(np.abs(np.linalg.eigvalsh(a)).max()) if a.any() else 0.0
-
-
 def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
@@ -59,27 +49,18 @@ def canonical_phases(u: np.ndarray) -> np.ndarray:
     return out * np.array([p.conjugate() / abs(p) if abs(p) > 0.0 else 1.0 for p in pivots])
 
 
-def psd_decompose(a: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix, returned ascending.
-
-    Returns (eigvals, eigvecs) with canonical column phases.
-    """
-    if a.shape[0] == 0:
-        return np.zeros(0), np.zeros((0, 0), dtype=complex)
-    vals, vecs = np.linalg.eigh(hermitize(a))
-    return vals, canonical_phases(vecs)
-
-
 def psd_sqrt(a: np.ndarray):
     """Positive square root of a Hermitian matrix with negative eigenvalues clipped.
 
-    Returns (sqrt_matrix, min_eig, eigvals, eigvecs).  A matrix whose entries all lie below
-    2^-500 is lifted by 4^k first, exactly: its eigenvalues may round on the subnormal grid,
-    and the root, near their square roots, lies far above it.
+    Returns (sqrt_matrix, min_eig, eigvals, eigvecs), the eigenpairs ascending with canonical
+    column phases.  A matrix whose entries all lie below 2^-500 is lifted by 4^k first,
+    exactly: its eigenvalues may round on the subnormal grid, and the root, near their square
+    roots, lies far above it.
     """
     top = np.abs(a).max(initial=0.0)
     k = -(int(np.frexp(top)[1]) // 2) if 0.0 < top < 2.0 ** -500 else 0
-    vals, vecs = psd_decompose(a * 2.0 ** k * 2.0 ** k)
+    vals, vecs = np.linalg.eigh(hermitize(a * 2.0 ** k * 2.0 ** k))
+    vecs = canonical_phases(vecs)
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T * 2.0 ** -k
     vals = vals * 2.0 ** -k * 2.0 ** -k
     return root, float(vals[0]) if len(vals) else 0.0, vals, vecs
@@ -88,7 +69,7 @@ def psd_sqrt(a: np.ndarray):
 def orthonormal_range(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the numerical range of a Hermitian PSD matrix.
 
-    From its psd_decompose eigenpairs: the eigenvectors with eigenvalue above
+    From the eigenpairs psd_sqrt returns: the eigenvectors with eigenvalue above
     RANK_REL_TOL * max_eig, in ascending eigenvalue order with canonical phases.
     """
     if len(vals) == 0 or vals[-1] <= 0.0:

@@ -45,17 +45,15 @@ def _monomials(ws: np.ndarray, indices) -> np.ndarray:
     return np.prod(np.power(ws[:, None, :], np.asarray(indices)), axis=2)
 
 
-def kernel_calculus(t: OperatorTuple, table: CoeffTable, ws, p: TruncationParams, *,
-                    check: bool = True) -> CalculusResult:
+def kernel_calculus(t: OperatorTuple, table: CoeffTable, ws, p: TruncationParams) -> CalculusResult:
     """Evaluate the kernel series at the tuple for every point w of the stack ws.
 
     The tuple commutes, so by the multinomial theorem the degree-k layer
     sum_{|alpha|=k} a_alpha conj(w^alpha) T^alpha is a_k A_w^k with
     A_w = sum_i conj(w_i) T_i: both series cost one product of A_w stacks
     per degree.  The points must lie strictly inside the ball.  The norm of
-    the highest-degree layer a_N A_w^N is the tail diagnostic; a tail above
-    tol at any point flags the sum as non-converged; check=False leaves that to
-    the caller, and gives a non-finite layer a NaN norm.
+    the highest-degree layer a_N A_w^N is the tail diagnostic, NaN for a
+    non-finite layer; whether it is within tol is decided by `check_eval`.
     """
     ws = in_ball(ws, t.d, "w")
     a = table.require_a(p.N)
@@ -70,26 +68,14 @@ def kernel_calculus(t: OperatorTuple, table: CoeffTable, ws, p: TruncationParams
         total += a[k] * power
         if b[k]:  # b_k = 0 past degree 1 for Drury-Arveson and Szego
             binv -= b[k] * power
-    calc = CalculusResult(matrix=total, tail_term=_stack_norms(a[p.N] * power),
+    return CalculusResult(matrix=total, tail_term=_stack_norms(a[p.N] * power),
                           inverse_residual=_stack_norms(binv @ total - eye))
-    return _check_series(calc, p) if check else calc
 
 
 def _stack_norms(stack: np.ndarray) -> np.ndarray:
     """opnorm of each matrix of the stack, NaN for one with a non-finite entry."""
     finite = np.isfinite(stack).all(axis=(1, 2))
     return np.where(finite, opnorm(np.where(finite[:, None, None], stack, 0.0)), np.nan)
-
-
-def _check_series(res, p: TruncationParams):
-    """res (a CalculusResult or a CharFnEval) if its series is finite and its tail within tol."""
-    if np.isnan(res.tail_term).any() or np.isnan(res.inverse_residual).any():
-        raise np.linalg.LinAlgError(NON_FINITE_NORM)
-    bad = np.flatnonzero(res.tail_term > p.tol)
-    if len(bad):
-        raise NonConvergedError(f"kernel series tail {res.tail_term[bad[0]]:.3e} at point "
-                                f"{bad[0]} exceeds tol {p.tol:.1e} at degree {p.N}")
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +178,7 @@ class CharFnEval(NamedTuple):
         return opnorm(self.theta)
 
 
-def charfn_eval(lift: TupleLift, zs, *, check: bool = True) -> CharFnEval:
+def charfn_eval(lift: TupleLift, zs) -> CharFnEval:
     """theta(z) = (-t_tilde + Delta s_z(T)^* Z(z) D) on the defect ranges, at each point z of zs.
 
     theta is taken on its own columns, those of lift.t_tilde_e: off the
@@ -200,32 +186,38 @@ def charfn_eval(lift: TupleLift, zs, *, check: bool = True) -> CharFnEval:
     z^alpha I, applied as a weighted sum over the block rows of the support.
     The inverse (I - Z t_tilde^*)^{-1} is the adjoint kernel series at the
     tuple, and kernel_calculus reports the residual of that identity.  The
-    points must lie strictly inside the ball; check=False leaves every other
-    check of a point (`check_eval`) to the caller, for the rows it reads.
+    points must lie strictly inside the ball; every other check of a point
+    (`check_eval`) is left to the caller, for the rows it reads.
     """
     v = lift.dilation
     t, p = v.ops, v.params
     zs = in_ball(zs, t.d, "z")
     weights = lift.sqrt_b[lift.support] * _monomials(zs, lift.support_exponents)
-    calc = kernel_calculus(t, v.table, zs, p, check=False)
+    calc = kernel_calculus(t, v.table, zs, p)
     dd = v.defect_data
     z_d = (weights @ lift.d_tilde_e.reshape(len(lift.support), -1)).reshape(len(zs), t.h, -1)
     row = dd.delta @ calc.matrix.conj().swapaxes(1, 2) @ z_d
-    ev = CharFnEval(z=zs, theta=dd.ran_delta_basis.conj().T @ (row - lift.t_tilde_e),
-                    inverse_residual=calc.inverse_residual,
-                    z_norm_sq=np.sum(np.abs(weights) ** 2, axis=1), s_z=calc.matrix,
-                    tail_term=calc.tail_term)
-    return check_eval(ev, p) if check else ev
+    return CharFnEval(z=zs, theta=dd.ran_delta_basis.conj().T @ (row - lift.t_tilde_e),
+                      inverse_residual=calc.inverse_residual,
+                      z_norm_sq=np.sum(np.abs(weights) ** 2, axis=1), s_z=calc.matrix,
+                      tail_term=calc.tail_term)
 
 
 def check_eval(ev: CharFnEval, p: TruncationParams) -> CharFnEval:
-    """ev if each point passes, in turn, |Z(z)|^2 < 1, `_check_series`, the inverse residual
-    within tol and a finite theta; the first to fail is named by its index in the stack."""
+    """ev if each point passes, in turn, |Z(z)|^2 < 1, a finite series (else the error of a
+    norm of non-finite entries), the series tail within tol, the inverse residual within tol
+    and a finite theta; the first to fail is named by its index in the stack."""
     bad = np.flatnonzero(ev.z_norm_sq >= 1.0)
     if len(bad):
         raise DomainError(f"point {bad[0]}: |Z(z)|^2 = {ev.z_norm_sq[bad[0]]}, "
                           "not a strict contraction")
-    bad = np.flatnonzero(_check_series(ev, p).inverse_residual > p.tol)
+    if np.isnan(ev.tail_term).any() or np.isnan(ev.inverse_residual).any():
+        raise np.linalg.LinAlgError(NON_FINITE_NORM)
+    bad = np.flatnonzero(ev.tail_term > p.tol)
+    if len(bad):
+        raise NonConvergedError(f"kernel series tail {ev.tail_term[bad[0]]:.3e} at point "
+                                f"{bad[0]} exceeds tol {p.tol:.1e} at degree {p.N}")
+    bad = np.flatnonzero(ev.inverse_residual > p.tol)
     if len(bad):
         raise NonConvergedError(f"reciprocal-series inverse residual "
                                 f"{ev.inverse_residual[bad[0]]:.3e} at point {bad[0]} "
@@ -296,9 +288,8 @@ def verify_multiplier(lift: TupleLift, ev: CharFnEval) -> MultiplierReport:
     vstar = v.matrix.conj().T.reshape(v.ops.h, len(v.indices), r)
     embedded = np.tensordot(kernel_fns, vstar, axes=([1], [1]))
 
-    # block (i, j) pairs z_i with w = z_j.  Scalar kernel values use the full
-    # cached table: the scalar series is cheap, and a short truncation would
-    # only measure its own tail
+    # block (i, j) pairs z_i with w = z_j.  s(z, w) is the a-series cut at N_max, while theta
+    # and the kernel functions are cut at N: vv_identity measures that mismatch too
     s = kernel_eval(v.table, np.repeat(pts, n_pts, axis=0), np.tile(pts, (n_pts, 1)),
                     v.table.n_max).value.reshape(n_pts, n_pts, 1, 1)
     blocks = s * (np.eye(r, dtype=complex) - theta[:, None] @ theta.conj().swapaxes(1, 2))

@@ -365,16 +365,16 @@ class _SuiteContext:
 
     @cached_property
     def theta(self) -> dict[str, CharFnEval]:
-        """theta at each sample point of the requested suites, by sample, from one charfn_eval
-        that checks no point: each suite checks the samples it reads (`check_eval`), so a bad
-        point fails only the suite whose sample holds it, with its index in that sample."""
+        """theta at each sample point of the requested suites, by sample, from one charfn_eval:
+        each suite checks the samples it reads (`check_eval`), so a bad point fails only the
+        suite whose sample holds it, with its index in that sample."""
         d, seed, samples = self.cfg.kernel.d, self.cfg.seed, {}
         if "charfn" in self.cfg.suites:
             samples["charfn"] = ball_points(d, 100, seed + 1)
         if "identities" in self.cfg.suites:  # the z and the w of 20 pairs, 5 multiplier points
             pairs = ball_points(d, 40, seed + 2)
             samples.update(z=pairs[0::2], w=pairs[1::2], multiplier=ball_points(d, 5, seed + 3))
-        ev = charfn_eval(self.lift, np.concatenate(list(samples.values())), check=False)
+        ev = charfn_eval(self.lift, np.concatenate(list(samples.values())))
         ends = np.cumsum([0] + [len(pts) for pts in samples.values()])
         return {name: ev._make(f[i:j] for f in ev) for name, i, j in zip(samples, ends, ends[1:])}
 

@@ -241,7 +241,7 @@ def check_factorability(span: DefectSpan, tol: float) -> FactorabilityReport:
     if min_x < -tol:
         raise ValueError(f"x must be PSD up to tol, min eigenvalue {min_x:.3e}")
 
-    c = shift_norm_sq(span.table, 0, len(shifts.ends) - 1).value
+    c = shift_norm_sq(span.table, len(shifts.ends) - 1)
     weights = np.repeat([-c, 1.0], h)
     cond1 = tuple(negative_count(c - shifts.outer_diagonal(i),
                                  np.hstack([v_matrix, shifts.apply(i, v_matrix)]), weights, tol)

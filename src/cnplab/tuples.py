@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import hermitian_norm, hermitize, opnorm, orthonormal_range, psd_sqrt
+from ._linalg import hermitize, opnorm, orthonormal_range, psd_sqrt
 from .coeffs import (CoeffTable, ValueType, graded_count, graded_indices, graded_position,
                      graded_stack, multi_coeff)
 from .errors import CommutationError
@@ -106,10 +106,9 @@ def _weighted_series(t: OperatorTuple, table: CoeffTable, n: int, which: str,
 
     The dense tuple t commutes, so sigma^k(M) is
     sum_{|alpha|=k} multinomial(alpha) T^alpha M (T^alpha)^*.  Returns (total,
-    norms of the summed increments among the last `window` degrees).  M (the
-    identity by default) and so every increment is Hermitian.  The recursion
-    stops once every later increment is exactly 0: zero times a finite
-    matrix, or the zero matrix.
+    norms of the summed increments among the last `window` degrees).  M is the
+    identity by default.  The recursion stops once every later increment is
+    exactly 0: zero times a finite matrix, or the zero matrix.
     """
     coeffs = table.require_b(n) if which == "b" else table.require_a(n)
     last = max((k for k in range(start_degree, n + 1) if coeffs[k] != 0.0), default=-1)
@@ -123,7 +122,7 @@ def _weighted_series(t: OperatorTuple, table: CoeffTable, n: int, which: str,
             inc = coeffs[k] * layer
             total += inc
             if k > n - window:
-                tail.append(hermitian_norm(inc))
+                tail.append(opnorm(inc))
         if (k >= last or not layer.any()) and np.isfinite(layer).all():
             tail += [0.0] * (n - max(k, n - window, start_degree - 1))
             break
@@ -308,25 +307,13 @@ def shift_matrices(table: CoeffTable, n: int) -> TruncatedShifts:
     return TruncatedShifts(index=IndexShifts(maps, len(indices), ends), a_alpha=a_alpha)
 
 
-class ShiftNormBound(NamedTuple):
-    """max_{|alpha|<=N} a_alpha / a_{alpha+e_i}: the squared shift norm.
+def shift_norm_sq(table: CoeffTable, n: int) -> float:
+    """max_{|alpha|<=n} a_alpha / a_{alpha+e_i}, the squared norm of every truncated shift M_i.
 
-    Exact for the truncated matrix; a lower bound for the full operator when
-    the maximum sits at the truncation boundary, which `lower_bound` flags.
+    In closed form: a_alpha / a_{alpha+e_i} = (a_k / a_{k+1}) (alpha_i + 1) / (k + 1) at
+    |alpha| = k, so the maximum over degree k is a_k / a_{k+1}, attained only at k e_i, and
+    the value does not depend on i.  It is a lower bound for the full operator's when the
+    maximum sits at the truncation boundary, k = n.
     """
-
-    value: float
-    lower_bound: bool
-    argmax: tuple
-
-
-def shift_norm_sq(table: CoeffTable, i: int, n: int) -> ShiftNormBound:
-    """In closed form: a_alpha / a_{alpha+e_i} = (a_k / a_{k+1}) (alpha_i + 1) / (k + 1) at
-    |alpha| = k, so the maximum over degree k is a_k / a_{k+1}, attained only at k e_i."""
     a = table.require_a(n + 1)
-    if not 0 <= i < table.d:
-        raise ValueError(f"coordinate {i} out of range for d={table.d}")
-    ratios = a[:n + 1] / a[1:n + 2]
-    k = int(np.argmax(ratios))
-    return ShiftNormBound(value=float(ratios[k]), lower_bound=k == n,
-                          argmax=tuple(k if j == i else 0 for j in range(table.d)))
+    return float(np.max(a[:n + 1] / a[1:n + 2]))

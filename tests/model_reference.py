@@ -37,7 +37,9 @@ U = I of the leading block, rebuilt for each compression degree, and the form at
 dilation's one factored span: its own gather of E_0 and the M^alpha U (`defect_columns`)
 and its own QR of [U, C], for any orthonormal U.  `split_rank` is the rank decision the
 package took on the singular values of V before V's leading block of that QR replaced it.
-Spectral norms are taken by SVD, `np.linalg.norm(x, 2)`, not by the package's `opnorm`.
+`hermitian_norm` is the spectral norm of a Hermitian matrix from its eigenvalues, the second
+norm kernel the package kept for its series tails before `opnorm` took them.
+Other spectral norms are taken by SVD, `np.linalg.norm(x, 2)`, not by the package's `opnorm`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import cnplab as cl
-from cnplab._linalg import RANK_REL_TOL, hermitian_norm, hermitize
+from cnplab._linalg import RANK_REL_TOL, hermitize
 from cnplab.coeffs import graded_indices, graded_position, multi_coeff
 from cnplab.tuples import COMMUTATOR_TOL, _sigma, _weighted_series, shift_matrices, shift_norm_sq
 from series_reference import dense_shifts, tensored_shifts, tuple_power
@@ -56,6 +58,16 @@ from series_reference import dense_shifts, tensored_shifts, tuple_power
 # Singular values within this factor of the threshold make the rank decision
 # ambiguous; such decisions fail loudly instead of silently.
 AMBIGUITY_FACTOR = 10.0
+
+
+def hermitian_norm(a: np.ndarray) -> float:
+    """Spectral norm of a Hermitian matrix from the eigenvalues of its lower triangle.
+
+    Non-finite entries raise LinAlgError; eigvalsh would return numbers for them.
+    """
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("Hermitian norm of a matrix with non-finite entries")
+    return float(np.abs(np.linalg.eigvalsh(a)).max()) if a.any() else 0.0
 
 
 class AmbiguousRankError(cl.CnpLabError):
@@ -199,11 +211,10 @@ def dense_check_factorability(x, t, table, p, c_degree=None):
     min_x = float(np.linalg.eigvalsh(x)[0]) if x.size else 0.0
     if min_x < -p.tol:
         raise ValueError(f"x must be PSD up to tol, min eigenvalue {min_x:.3e}")
-    c = [shift_norm_sq(table, i, p.N if c_degree is None else c_degree).value
-         for i in range(t.d)]
+    c = shift_norm_sq(table, p.N if c_degree is None else c_degree)
 
-    cond1 = tuple(int(np.count_nonzero(np.linalg.eigvalsh(hermitize(ci * x - m @ x @ m.conj().T))
-                                       < -p.tol)) for ci, m in zip(c, t.mats))
+    cond1 = tuple(int(np.count_nonzero(np.linalg.eigvalsh(hermitize(c * x - m @ x @ m.conj().T))
+                                       < -p.tol)) for m in t.mats)
 
     p_of_x, inc2 = _weighted_series(t, table, p.N, "b", middle=x, start_degree=1,
                                     window=p.tail_window)

@@ -12,6 +12,7 @@ from charfn_reference import (b_inverse_gap, dense_lift, dense_lift_defect, dens
                               model_gap, padded_theta, pointwise_calculus, pointwise_charfn_eval,
                               span_taylor_blocks, support_coords, theta_cols, wide_lift)
 from random_inputs import diff_kernel, finite_b_kernel, random_commuting_tuple, random_point
+from cnplab._linalg import NON_FINITE_NORM
 from cnplab.charfn import reciprocal_kernel
 
 
@@ -62,10 +63,14 @@ def test_kernel_calculus_zero_tuple():
 
 
 def test_kernel_calculus_flags_nonconvergence():
+    # the calculus reports its tail a_N |A_w^N| = 0.855^10 > tol, and check_eval decides on it
     table = cl.build_table(cl.szego(), 12)
     t = cl.OperatorTuple.from_scalars(0.95)
-    with pytest.raises(cl.NonConvergedError):
-        cl.kernel_calculus(t, table, [[0.9]], P(10))
+    p = P(10)
+    [tail] = cl.kernel_calculus(t, table, [[0.9]], p).tail_term
+    assert tail > p.tol
+    with pytest.raises(cl.NonConvergedError, match=f"^kernel series tail {tail:.3e} at point 0 "):
+        cl.check_eval(cl.charfn_eval(lift_of(t, table, p), [[0.9]]), p)
 
 
 # ---------------------------------------------------------------------------
@@ -591,16 +596,22 @@ def test_one_bad_point_fails_the_batch_as_it_fails_alone():
         cl.charfn_eval(lift, [good[0], [1.2], good[1]])
     with pytest.raises(cl.DomainError, match=r"w\[1\]"):
         cl.kernel_calculus(t, table, [good[0], [1.2], good[1]], p)
-    # the series tail at z = 0.9 is 0.45^20 > tol
+    # the series tail at z = 0.9 is 0.45^20 > tol: the evaluation returns it, and the
+    # check names the point
     for z in good:
         pointwise_charfn_eval(dense, z)
     with pytest.raises(cl.NonConvergedError):
         pointwise_charfn_eval(dense, [0.9])
+    ev = cl.charfn_eval(lift, good + [[0.9]])
+    assert np.array_equal(ev.tail_term > p.tol, [False, False, True])
     with pytest.raises(cl.NonConvergedError, match="at point 2 "):
-        cl.charfn_eval(lift, good + [[0.9]])
+        cl.check_eval(ev, p)
     # the first point over tol is named
+    pts = [good[0], [0.9], [0.95j]]
+    assert np.array_equal(cl.kernel_calculus(t, table, pts, p).tail_term > p.tol,
+                          [False, True, True])
     with pytest.raises(cl.NonConvergedError, match="at point 1 "):
-        cl.kernel_calculus(t, table, [good[0], [0.9], [0.95j]], p)
+        cl.check_eval(cl.charfn_eval(lift, pts), p)
     # a non-finite theta
     big, big_dense = overflowing_lift(lift), overflowing_lift(dense)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -608,8 +619,10 @@ def test_one_bad_point_fails_the_batch_as_it_fails_alone():
             assert np.isfinite(pointwise_charfn_eval(big_dense, z).theta).all()
         with pytest.raises(np.linalg.LinAlgError):
             pointwise_charfn_eval(big_dense, [0.5])
-        with pytest.raises(np.linalg.LinAlgError):
-            cl.charfn_eval(big, [[0.0], [0.5], [1e-15]])
+        ev = cl.charfn_eval(big, [[0.0], [0.5], [1e-15]])
+        assert np.array_equal(np.isfinite(ev.theta).all(axis=(1, 2)), [True, False, True])
+        with pytest.raises(np.linalg.LinAlgError, match="^theta has non-finite entries at point 1"):
+            cl.check_eval(ev, big.dilation.params)
     # a length-d vector is not a stack of points
     with pytest.raises(ValueError, match="shape"):
         cl.charfn_eval(lift, [0.3])
@@ -620,32 +633,33 @@ def test_one_bad_point_fails_the_batch_as_it_fails_alone():
 
 
 def test_an_unchecked_evaluation_leaves_every_check_to_check_eval():
+    # an evaluation checks no point but its place in the ball; check_eval names the bad one
     table = cl.build_table(cl.szego(), 90)
     p = P(20)
     lift = lift_of(cl.OperatorTuple.from_scalars(0.5), table, p)
     pts = [[0.1], [0.9], [0.2j]]
-    ev = cl.charfn_eval(lift, pts, check=False)
+    ev = cl.charfn_eval(lift, pts)
     with pytest.raises(cl.NonConvergedError, match="at point 1 ") as checked:
         cl.check_eval(ev, p)
-    with pytest.raises(cl.NonConvergedError) as alone:
-        cl.charfn_eval(lift, pts)
-    assert str(checked.value) == str(alone.value)
+    with pytest.raises(cl.NonConvergedError, match="at point 0 ") as alone:
+        cl.check_eval(cl.charfn_eval(lift, pts[1:2]), p)
+    assert str(checked.value) == str(alone.value).replace("point 0", "point 1")
     # the good rows are the bits of their own evaluation
     good = cl.check_eval(ev._make(f[[0, 2]] for f in ev), p)
     want = cl.charfn_eval(lift, [pts[0], pts[2]])
     assert all(np.array_equal(x, y) for x, y in zip(good, want, strict=True))
-    # a series past the largest double at z = 0.9, (0.9e20)^20 > 1e308: a NaN tail
-    # unchecked, opnorm's error checked
+    # a series past the largest double at z = 0.9, (0.9e20)^20 > 1e308: a NaN tail in the
+    # evaluation, opnorm's error in the check
     big = lift._replace(dilation=lift.dilation._replace(ops=cl.OperatorTuple.from_scalars(1e20),
                                                         params=P(20, tol=1e305)))
     with np.errstate(over="ignore", invalid="ignore"):
-        ev = cl.charfn_eval(big, [[0.0], [0.9]], check=False)
+        ev = cl.charfn_eval(big, [[0.0], [0.9]])
         assert np.isfinite(ev.tail_term[0]) and np.isnan(ev.tail_term[1])
         with pytest.raises(np.linalg.LinAlgError, match="spectral norm") as checked:
             cl.check_eval(ev, big.dilation.params)
         with pytest.raises(np.linalg.LinAlgError) as alone:
-            cl.charfn_eval(big, [[0.9]])
-        assert str(checked.value) == str(alone.value)
+            cl.check_eval(cl.charfn_eval(big, [[0.9]]), big.dilation.params)
+        assert str(checked.value) == str(alone.value) == NON_FINITE_NORM
 
 
 def test_inverse_residual_is_the_calculus_one(charfn_examples):

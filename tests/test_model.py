@@ -277,7 +277,7 @@ def test_negative_count_matches_the_dense_count(seed, source, d, r, cols):
         if cols:
             v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v, 2)
         i = int(rng.integers(d))
-        top = cl.shift_norm_sq(table, 0, n).value
+        top = cl.shift_norm_sq(table, n)
         delta = top - shifts.outer_diagonal(i)
         c = np.hstack([v, shifts.apply(i, v)])
         w = np.repeat([-top, 1.0], cols)
@@ -315,7 +315,7 @@ def cond1_below_cond2_bound(spec, n, r, cols, rng):
     v = rng.standard_normal((shifts.h, cols)) + 1j * rng.standard_normal((shifts.h, cols))
     v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v, 2)
     report = cl.check_factorability(cl.defect_span(v, shifts, table), 1e-9)
-    c = cl.shift_norm_sq(table, 0, n).value
+    c = cl.shift_norm_sq(table, n)
     bound = max(0.0, -report.cond2_min_eig) / table.require_a(1)[1] + 1e-12
     return tuple(cl.model.negative_count(c - shifts.outer_diagonal(i),
                                          np.hstack([v, shifts.apply(i, v)]),
@@ -337,7 +337,7 @@ def test_cond1_collapses_on_the_drury_arveson_triple(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: sizes.append(len(g)) or eigvalsh(g))
     report = cl.check_factorability(v.span, 1e-9)
     monkeypatch.undo()
-    c = cl.shift_norm_sq(v.table, 0, 8).value
+    c = cl.shift_norm_sq(v.table, 8)
     bordered = []
     for i in range(3):
         delta = c - v.tensored.outer_diagonal(i)

@@ -23,7 +23,7 @@ RECORDS = [
     model.DilationMap, model.FactorabilityReport, model.AssociatedTuple, model.ExistenceReport,
     model.CounterexamplePoint,
     tuples.DefectData, tuples.ContractionVerdict, tuples.PurityVerdict, tuples.IndexShifts,
-    tuples.TruncatedShifts, tuples.ShiftNormBound,
+    tuples.TruncatedShifts,
     cli.RunConfig,
 ]
 
