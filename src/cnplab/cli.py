@@ -167,7 +167,7 @@ def kernel_from_dict(spec: dict) -> tuple[KernelSpec, int]:
     rule = json_object(spec, "kernel").get("rule")
     if not isinstance(rule, str):
         raise ValueError(f"kernel.rule must be one of the strings {RULES}, got {rule!r}")
-    params = json_object(spec.get("params") or {}, "kernel.params")
+    params = json_object({} if spec.get("params") is None else spec["params"], "kernel.params")
     d = strict_int(spec.get("d", 1), "kernel.d")
     name = {"bergman": "m", "dirichlet_t": "t", "custom": "coeffs"}.get(rule)
     if name is not None and params.get(name) is None:
@@ -189,14 +189,16 @@ def kernel_from_dict(spec: dict) -> tuple[KernelSpec, int]:
 
 
 def matrices_from_nested(entries) -> np.ndarray:
-    """Nested lists of [re, im] pairs to a complex matrix of finite entries."""
-    message = "matrix entries must be nested [re, im] pairs"
-    try:
-        arr = np.asarray(entries, dtype=float)
-    except TypeError:  # an object or null among the entries
-        raise ValueError(message) from None
+    """Nested lists of [re, im] pairs to a complex matrix of finite entries; each part must
+    be a JSON number: "0.1" and true are refused, not parsed."""
+    arr = np.asarray(entries, dtype=object)  # lists nest into axes; anything else is an entry
     if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError(message)
+        raise ValueError("matrix entries must be nested [re, im] pairs")
+    for (row, col, part), value in np.ndenumerate(arr):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"matrix entry [{row}][{col}] has a non-number "
+                             f"{('real', 'imaginary')[part]} part: {value!r}")
+    arr = arr.astype(float)
     bad = np.argwhere(~np.isfinite(arr))
     if len(bad):
         row, col, part = bad[0]
@@ -208,11 +210,12 @@ def matrices_from_nested(entries) -> np.ndarray:
 def mats_from_tuple_dict(data: dict) -> tuple:
     """The tuple's matrices, shape-checked; commutators are checked when the tuple is built."""
     json_object(data, "tuple")
-    h = strict_int(data["h"], "tuple.h")
-    d = strict_int(data["d"], "tuple.d")
-    if not isinstance(data["mats"], list):
-        raise ValueError(f"tuple.mats must be a list of matrices, got {data['mats']!r}")
-    mats = tuple(matrices_from_nested(m) for m in data["mats"])
+    h = strict_int(data.get("h"), "tuple.h")
+    d = strict_int(data.get("d"), "tuple.d")
+    mats = data.get("mats")
+    if not isinstance(mats, list):
+        raise ValueError(f"tuple.mats must be a list of matrices, got {mats!r}")
+    mats = tuple(matrices_from_nested(m) for m in mats)
     if len(mats) != d or any(m.shape != (h, h) for m in mats):
         raise ValueError(f"expected {d} matrices of shape ({h}, {h})")
     return mats
@@ -248,7 +251,7 @@ def counterexample_block(ce: dict) -> dict:
 
 def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     json_object(raw, "config")
-    kernel, n_table = kernel_from_dict(raw["kernel"])
+    kernel, n_table = kernel_from_dict(raw.get("kernel"))
     if kernel.rule == "custom" and len(kernel.param) <= n_table:
         raise ValueError(f"kernel.params.coeffs has {len(kernel.param)} entries, but kernel.N_max "
                          f"= {n_table} needs {n_table + 1}")
@@ -275,7 +278,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         raise ValueError(f"kernel.N_max ({n_table}) must be at least {RADIUS_MIN_COEFFS} for the "
                          f"coeffs suite: its radius estimator needs {RADIUS_MIN_COEFFS} "
                          "coefficients of each series")
-    tuple_mats = load_tuple_source(raw["tuple"], base_dir) if raw.get("tuple") else None
+    tuple_mats = None if raw.get("tuple") is None else load_tuple_source(raw["tuple"], base_dir)
     needs_tuple = [s for s in suites if s not in ("coeffs", "counterexample")]
     if needs_tuple and tuple_mats is None:
         raise ValueError(f"suites {needs_tuple} require a tuple source")
@@ -353,11 +356,11 @@ class _SuiteContext:
 
     @cached_property
     def purity(self) -> PurityVerdict:
-        return is_pure(self.ops, self.table, self.cfg.truncation, defect_data=self.defect)
+        return is_pure(self.defect)
 
     @cached_property
     def dilation(self) -> DilationMap:
-        return build_dilation(self.ops, self.table, self.cfg.truncation, defect_data=self.defect)
+        return build_dilation(self.defect)
 
     @cached_property
     def lift(self) -> TupleLift:
@@ -395,7 +398,7 @@ def _suite_coeffs(ctx: _SuiteContext, res: SuiteResult):
 
 
 def _suite_contraction(ctx: _SuiteContext, res: SuiteResult):
-    verdict = is_contraction(ctx.ops, ctx.table, ctx.cfg.truncation, defect_data=ctx.defect)
+    verdict = is_contraction(ctx.defect)
     res.verdict = verdict.status
     res.residuals["min_eig"] = fmt(verdict.min_eig)
     res.residuals["tail_norm"] = fmt(verdict.tail_norm)
@@ -423,7 +426,7 @@ def _suite_dilation(ctx: _SuiteContext, res: SuiteResult):
 
 def _suite_existence(ctx: _SuiteContext, res: SuiteResult):
     v = ctx.dilation
-    report = admits_charfn(v, purity=ctx.purity)
+    report = admits_charfn(v, ctx.purity)
     res.verdict = report.status
     res.residuals["assoc_min_eig"] = fmt(report.value)
     res.residuals["invariance"] = fmt(report.invariance_residual)

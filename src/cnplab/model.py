@@ -19,7 +19,7 @@ from .coeffs import (CoeffTable, KernelSpec, bergman, build_table, graded_indice
                      graded_stack, multi_coeff)
 from .errors import DegenerateDilationError, InvalidKernelError, PrerequisiteError
 from .tuples import (DefectData, IndexShifts, OperatorTuple, PurityVerdict, TruncatedShifts,
-                     TruncationParams, TuplePowers, defect, is_pure, shift_matrices, shift_norm_sq)
+                     TruncationParams, TuplePowers, shift_matrices, shift_norm_sq)
 from .tuples import is_contraction  # noqa: F401  bound here: tracers rebind it in every module
 
 
@@ -70,17 +70,16 @@ class DilationMap(NamedTuple):
         return self.codomain_dims[0] * self.codomain_dims[1]
 
 
-def build_dilation(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
-                   defect_data: DefectData | None = None) -> DilationMap:
+def build_dilation(dd: DefectData) -> DilationMap:
     """Matrix of h -> sum_alpha sqrt(a_alpha) e(alpha) x (defect-range coords of Delta (T^alpha)^* h).
 
     For a pure tuple this is an isometry up to the purity residual; the
     defect of V^*V from the identity is recorded.  A rank-zero defect admits
     no dilation space and raises.  The shifts of the model space are built
-    here, at degree N, tensored once, and V's span factored once; the defect
-    is computed unless given.
+    here, at degree N, tensored once, and V's span factored once; the tuple,
+    table and truncation are those the defect was computed from.
     """
-    dd = defect(t, table, p) if defect_data is None else defect_data
+    t, table, p = dd.ops, dd.table, dd.params
     c = dd.ran_delta_basis
     if c.shape[1] == 0 and t.h > 0:
         raise DegenerateDilationError("defect operator has rank zero; no dilation space")
@@ -313,13 +312,13 @@ class ExistenceReport(NamedTuple):
     invariance_residual: float
 
 
-def admits_charfn(v: DilationMap, purity: PurityVerdict | None = None) -> ExistenceReport:
+def admits_charfn(v: DilationMap, purity: PurityVerdict) -> ExistenceReport:
     """Decide whether the pure tuple embedded by v admits a characteristic function.
 
     Tests whether the tuple associated with the dilation is a contraction for the dilation's
-    kernel: the smallest eigenvalue of its defect against -tol.  Non-pure inputs are rejected:
-    outside the hypothesis there is nothing to decide.  Purity, unless given, is tested on the
-    defect the dilation holds.  For the restriction A of the shifts to Ker V^* = Ran P,
+    kernel: the smallest eigenvalue of its defect against -tol.  `purity` is the verdict on
+    the defect v holds (`is_pure(v.defect_data)`); non-pure inputs are rejected: outside the
+    hypothesis there is nothing to decide.  For the restriction A of the shifts to Ker V^* = Ran P,
     sigma_A^k(I) = sigma^k(P) there, so the defect is P C diag(0, weights) C^* P on the span's
     columns C = Q R (`DefectSpan`).  P Q = [0, Q_2] and M^alpha Q_1 = M^alpha V R_11^-1, so in
     the basis Q_2 it is S = [X, Z] diag(weights) [X, Z]^*, X the rows of R past h on E_0 and
@@ -327,9 +326,6 @@ def admits_charfn(v: DilationMap, purity: PurityVerdict | None = None) -> Existe
     of S, and 0 when Q_2 is narrower.  The verdict is two-valued (a finite sum); the witness
     is Q_2 times the eigenvector of the smallest eigenvalue of S.
     """
-    table, p = v.table, v.params
-    if purity is None:
-        purity = is_pure(v.ops, table, p, defect_data=v.defect_data)
     if purity.status != "pure":
         raise PrerequisiteError(
             f"existence test requires a pure tuple; purity verdict was {purity.status!r} "
@@ -345,7 +341,7 @@ def admits_charfn(v: DilationMap, purity: PurityVerdict | None = None) -> Existe
     vals = np.linalg.eigvalsh(delta_sq)  # none when Ker V^* = 0: an empty tuple contracts
     min_eig = float(min([*vals, 0.0] if basis.shape[1] < assoc.dim else vals, default=0.0))
     witness = (canonical_phases(basis @ np.linalg.eigh(delta_sq)[1][:, :1])[:, 0]
-               if min_eig < -p.tol else None)  # eigenvectors only for a witness
+               if min_eig < -v.params.tol else None)  # eigenvectors only for a witness
     return ExistenceReport(
         status="admits" if witness is None else "does_not_admit",
         value=min_eig,

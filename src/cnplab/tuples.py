@@ -100,31 +100,29 @@ def _sigma(t: OperatorTuple, x: np.ndarray) -> np.ndarray:
     return sum(m @ x @ m.conj().T for m in t.mats)
 
 
-def _weighted_series(t: OperatorTuple, table: CoeffTable, n: int, which: str,
-                     middle: np.ndarray | None = None, start_degree: int = 0, window: int = 0):
-    """sum over k in [start_degree, n] of c_k sigma^k(M), with c_k = a_k or b_k.
+def _weighted_series(t: OperatorTuple, coeffs: np.ndarray, x: np.ndarray, window: int):
+    """sum over k in [0, n] of c_k sigma^k(X), n = len(coeffs) - 1.
 
-    The dense tuple t commutes, so sigma^k(M) is
-    sum_{|alpha|=k} multinomial(alpha) T^alpha M (T^alpha)^*.  Returns (total,
-    norms of the summed increments among the last `window` degrees).  M is the
-    identity by default.  The recursion stops once every later increment is
-    exactly 0: zero times a finite matrix, or the zero matrix.
+    The dense tuple t commutes, so sigma^k(X) is
+    sum_{|alpha|=k} multinomial(alpha) T^alpha X (T^alpha)^*.  Returns (total,
+    norms of the summed increments among the last `window` degrees).  The
+    recursion stops once every later increment is exactly 0: zero times a
+    finite matrix, or the zero matrix.
     """
-    coeffs = table.require_b(n) if which == "b" else table.require_a(n)
-    last = max((k for k in range(start_degree, n + 1) if coeffs[k] != 0.0), default=-1)
-    layer = np.eye(t.h, dtype=complex) if middle is None else np.asarray(middle, dtype=complex)
+    n = len(coeffs) - 1
+    last = max((k for k in range(n + 1) if coeffs[k] != 0.0), default=-1)
+    layer = np.asarray(x, dtype=complex)
     total = np.zeros((t.h, t.h), dtype=complex)
     tail: list[float] = []
     for k in range(n + 1):
         if k:
             layer = _sigma(t, layer)
-        if k >= start_degree:
-            inc = coeffs[k] * layer
-            total += inc
-            if k > n - window:
-                tail.append(opnorm(inc))
+        inc = coeffs[k] * layer
+        total += inc
+        if k > n - window:
+            tail.append(opnorm(inc))
         if (k >= last or not layer.any()) and np.isfinite(layer).all():
-            tail += [0.0] * (n - max(k, n - window, start_degree - 1))
+            tail += [0.0] * (n - max(k, n - window))
             break
     return total, tail
 
@@ -142,7 +140,8 @@ class DefectData(NamedTuple):
     ran_delta_basis an orthonormal basis of the numerical range of delta,
     tail_norm the largest norm of the last tail_window series increments.
     `rank` is the one rank decision on Delta: the lift drops h - rank
-    directions (`build_lift`) and takes none of its own.
+    directions (`build_lift`) and takes none of its own.  ops, table and params
+    are what it was computed from: every stage that reads the defect reads them here.
     """
 
     delta_sq: np.ndarray
@@ -150,6 +149,9 @@ class DefectData(NamedTuple):
     ran_delta_basis: np.ndarray
     tail_norm: float
     min_eig: float
+    ops: OperatorTuple
+    table: CoeffTable
+    params: TruncationParams
 
     @property
     def rank(self) -> int:
@@ -157,8 +159,9 @@ class DefectData(NamedTuple):
 
 
 def defect(t: OperatorTuple, table: CoeffTable, p: TruncationParams) -> DefectData:
-    """Truncated defect of t: the b-weighted series subtracted from the identity."""
-    series, tail = _weighted_series(t, table, p.N, "b", start_degree=1, window=p.tail_window)
+    """Truncated defect of t: the b-weighted series (b_0 = 0) subtracted from the identity."""
+    series, tail = _weighted_series(t, table.require_b(p.N)[:p.N + 1], np.eye(t.h, dtype=complex),
+                                    p.tail_window)
     delta_sq = hermitize(np.eye(t.h, dtype=complex) - series)
     delta, min_eig, vals, vecs = psd_sqrt(delta_sq)
     basis = orthonormal_range(vals, vecs)
@@ -168,6 +171,9 @@ def defect(t: OperatorTuple, table: CoeffTable, p: TruncationParams) -> DefectDa
         ran_delta_basis=basis,
         tail_norm=max(tail, default=0.0),
         min_eig=min_eig,
+        ops=t,
+        table=table,
+        params=p,
     )
 
 
@@ -180,18 +186,12 @@ class ContractionVerdict(NamedTuple):
     min_eig: float
     tail_norm: float
 
-    @classmethod
-    def decide(cls, min_eig: float, tail_norm: float, tol: float) -> "ContractionVerdict":
-        """yes needs min_eig >= -tol and a tail window below tol: a live tail certifies nothing."""
-        status = "no" if min_eig < -tol else "inconclusive" if tail_norm > tol else "yes"
-        return cls(status=status, min_eig=min_eig, tail_norm=tail_norm)
 
-
-def is_contraction(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
-                   defect_data: DefectData | None = None) -> ContractionVerdict:
-    """Three-valued contractivity test on the truncated defect (ContractionVerdict.decide)."""
-    dd = defect(t, table, p) if defect_data is None else defect_data
-    return ContractionVerdict.decide(dd.min_eig, dd.tail_norm, p.tol)
+def is_contraction(dd: DefectData) -> ContractionVerdict:
+    """yes needs min_eig >= -tol and a tail window below tol: a live tail certifies nothing."""
+    tol = dd.params.tol
+    status = "no" if dd.min_eig < -tol else "inconclusive" if dd.tail_norm > tol else "yes"
+    return ContractionVerdict(status=status, min_eig=dd.min_eig, tail_norm=dd.tail_norm)
 
 
 class PurityVerdict(NamedTuple):
@@ -199,18 +199,16 @@ class PurityVerdict(NamedTuple):
     residual: float
 
 
-def is_pure(t: OperatorTuple, table: CoeffTable, p: TruncationParams,
-            defect_data: DefectData | None = None) -> PurityVerdict:
+def is_pure(dd: DefectData) -> PurityVerdict:
     """Tests whether the a-weighted defect series reaches the identity.
 
     pure: the partial sum at degree N is within tol of I and the monitored
     tail increments are non-increasing.  not_pure: the increments have
     numerically converged while the partial sum stays far from I.
     """
-    if defect_data is None:
-        defect_data = defect(t, table, p)
-    total, window = _weighted_series(t, table, p.N, "a", middle=defect_data.delta_sq,
-                                     window=p.tail_window)
+    t, p = dd.ops, dd.params
+    total, window = _weighted_series(t, dd.table.require_a(p.N)[:p.N + 1], dd.delta_sq,
+                                     p.tail_window)
     residual = opnorm(total - np.eye(t.h, dtype=complex))
     # non-increasing up to rounding: equal increments must count as shrinking
     shrinking = all(window[k + 1] <= window[k] * (1.0 + 1e-12) + 1e-15

@@ -442,14 +442,14 @@ def model_gap(lift) -> np.ndarray:
     flat = span_taylor_blocks(lift).reshape(v.big_dim, -1)
     scale = np.repeat(1.0 / np.sqrt(v.shifts.a_alpha), v.codomain_dims[1])
     g = scale[:, None] * (flat @ flat.conj().T) * scale
-    acc, _ = _weighted_series(tensored_shifts(v.table, v.N, v.codomain_dims[1]), v.table, v.N, "a",
-                              middle=g)
+    acc, _ = _weighted_series(tensored_shifts(v.table, v.N, v.codomain_dims[1]),
+                              v.table.require_a(v.N)[:v.N + 1], g, 0)
     return np.eye(v.big_dim, dtype=complex) - v.matrix @ v.matrix.conj().T - acc
 
 
 def b_inverse_gap(v, gap) -> np.ndarray:
     """R = -(gap - sum_{k>=1} b_k sigma^k(gap)): G - (X - sum_k b_k sigma^k(X)) for the
     gap X - sum_k a_k sigma^k(G), X = I - V V^*."""
-    series, _ = _weighted_series(tensored_shifts(v.table, v.N, v.codomain_dims[1]), v.table, v.N,
-                                 "b", middle=gap, start_degree=1)
+    series, _ = _weighted_series(tensored_shifts(v.table, v.N, v.codomain_dims[1]),
+                                 v.table.require_b(v.N)[:v.N + 1], gap, 0)
     return series - gap

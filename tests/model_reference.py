@@ -151,7 +151,7 @@ def dense_existence(v, n=None):
     p = v.params
     p = cl.TruncationParams(p.N + p.tail_window if n is None else n, p.tol, p.tail_window)
     dd = cl.defect(ops, v.table, p)
-    verdict = cl.is_contraction(ops, v.table, p, defect_data=dd)
+    verdict = cl.is_contraction(dd)
     _, vecs = np.linalg.eigh(dd.delta_sq)
     return verdict, dd, k @ vecs[:, 0]
 
@@ -216,13 +216,12 @@ def dense_check_factorability(x, t, table, p, c_degree=None):
     cond1 = tuple(int(np.count_nonzero(np.linalg.eigvalsh(hermitize(c * x - m @ x @ m.conj().T))
                                        < -p.tol)) for m in t.mats)
 
-    p_of_x, inc2 = _weighted_series(t, table, p.N, "b", middle=x, start_degree=1,
-                                    window=p.tail_window)
+    p_of_x, inc2 = _weighted_series(t, table.require_b(p.N)[:p.N + 1], x, p.tail_window)
     gap = hermitize(x - p_of_x)
     cond2_min = float(np.linalg.eigvalsh(gap)[0]) if gap.size else 0.0
     cond2_tail = max(inc2, default=0.0)
 
-    recon, inc3 = _weighted_series(t, table, p.N, "a", middle=gap, window=p.tail_window)
+    recon, inc3 = _weighted_series(t, table.require_a(p.N)[:p.N + 1], gap, p.tail_window)
     cond3_res = hermitian_norm(recon - x)
     cond3_tail = max(inc3, default=0.0)
 
@@ -287,8 +286,8 @@ def restricted_associated_defect(v):
     on the Kronecker tuple with no projection between its steps."""
     u, k = range_and_kernel(v)
     proj = np.eye(v.big_dim, dtype=complex) - u @ u.conj().T
-    total, _ = _weighted_series(tensored_shifts(v.table, v.N, v.codomain_dims[1]), v.table, v.N,
-                                "b", middle=proj, start_degree=1)
+    total, _ = _weighted_series(tensored_shifts(v.table, v.N, v.codomain_dims[1]),
+                                v.table.require_b(v.N)[:v.N + 1], proj, 0)
     return k, hermitize(k.conj().T @ (proj - total) @ k)
 
 
@@ -309,7 +308,7 @@ def zero_tuple_probe(table, n):
     """Forms of the zero tuple's associated defect at e_2 .. e_n, in one variable."""
     spec = table.spec
     table1 = cl.build_table(cl.KernelSpec(1, spec.rule, spec.param, spec.label), n + 1)
-    v = cl.build_dilation(cl.OperatorTuple.zero(1, 1), table1, cl.TruncationParams(N=n))
+    v = cl.build_dilation(cl.defect(cl.OperatorTuple.zero(1, 1), table1, cl.TruncationParams(N=n)))
     k, delta_sq, _ = projected_associated_defect(v, n)
     coords = k.conj().T[:, 2:]  # K^* e_k: one-variable index k sits at position k
     return np.real(np.sum(coords.conj() * (delta_sq @ coords), axis=0))

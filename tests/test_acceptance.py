@@ -92,8 +92,8 @@ def test_criterion_4_dilation_isometry(pure_examples):
     notes = []
     for ex in pure_examples:
         table = ex.table()
-        purity = cl.is_pure(ex.ops, table, ex.p)
-        v = cl.build_dilation(ex.ops, table, ex.p)
+        purity = cl.is_pure(cl.defect(ex.ops, table, ex.p))
+        v = cl.build_dilation(cl.defect(ex.ops, table, ex.p))
         d = ex.kernel.d
         alphas = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
         alphas += [tuple(2 if i == j else 0 for i in range(d)) for j in range(d)]
@@ -119,8 +119,8 @@ def test_criterion_5_existence_equivalence(existence_examples):
     notes = []
     for ex in existence_examples:
         table = ex.table()
-        v = cl.build_dilation(ex.ops, table, ex.p)
-        report = cl.admits_charfn(v)
+        v = cl.build_dilation(cl.defect(ex.ops, table, ex.p))
+        report = cl.admits_charfn(v, cl.is_pure(v.defect_data))
         r = v.codomain_dims[1]
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
         tensored = tensored_shifts(v.table, v.N, r)
@@ -151,7 +151,7 @@ def test_criterion_6_charfn_identities(charfn_examples):
     notes = []
     for ex in charfn_examples:
         table = ex.table()
-        lift = cl.build_lift(cl.build_dilation(ex.ops, table, ex.p))
+        lift = cl.build_lift(cl.build_dilation(cl.defect(ex.ops, table, ex.p)))
         d = ex.kernel.d
         ez = cl.charfn_eval(lift, cl.ball_points(d, 20, seed=101))
         ew = cl.charfn_eval(lift, cl.ball_points(d, 20, seed=102))
@@ -185,7 +185,7 @@ def test_criterion_7_classical_reduction():
         t_val = float(rng.uniform(-0.95, 0.95))
         z = complex(rng.uniform(-0.85, 0.85), rng.uniform(-0.4, 0.4))
         t = cl.OperatorTuple.from_scalars(t_val)
-        lift = cl.build_lift(cl.build_dilation(t, table, p))
+        lift = cl.build_lift(cl.build_dilation(cl.defect(t, table, p)))
         theta = cl.charfn_eval(lift, [[z]]).theta[0]
         mobius = (z - t_val) / (1.0 - t_val * z)
         worst = max(worst, abs(theta[0, 0] - mobius))

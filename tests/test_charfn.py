@@ -25,7 +25,7 @@ def mobius(t, z):
 
 
 def lift_of(t, table, p):
-    return cl.build_lift(cl.build_dilation(t, table, p))
+    return cl.build_lift(cl.build_dilation(cl.defect(t, table, p)))
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +132,7 @@ def test_lift_contraction_equivalence():
     for value, expected in ((0.5, "yes"), (1.0, "yes"), (2.0, "no")):
         t = cl.OperatorTuple((np.diag([value, 0.3]),))
         lift = lift_of(t, table, p)
-        verdict = cl.is_contraction(t, table, p)
+        verdict = cl.is_contraction(cl.defect(t, table, p))
         assert verdict.status == expected
         row_norm = np.linalg.norm(lift.t_tilde, 2)
         assert (row_norm <= 1.0 + p.tol) == (expected == "yes")
@@ -329,7 +329,7 @@ def test_model_zero_tuple_exact():
     table = cl.build_table(cl.szego(), 90)
     p = P(20)
     t = cl.OperatorTuple.zero(1, 1)
-    v = cl.build_dilation(t, table, p)
+    v = cl.build_dilation(cl.defect(t, table, p))
     lift = cl.build_lift(v)
     rep = cl.verify_model(lift)
     assert rep.compression_residual <= 1e-10
@@ -360,10 +360,12 @@ def test_full_stack_on_random_contraction():
     t = cl.OperatorTuple((a,))
     table = cl.build_table(cl.szego(), 90)
     p = P(60)
-    assert cl.is_contraction(t, table, p).status == "yes"
-    assert cl.is_pure(t, table, p).status == "pure"
-    v = cl.build_dilation(t, table, p)
-    assert cl.admits_charfn(v).status == "admits"
+    dd = cl.defect(t, table, p)
+    assert cl.is_contraction(dd).status == "yes"
+    purity = cl.is_pure(dd)
+    assert purity.status == "pure"
+    v = cl.build_dilation(dd)
+    assert cl.admits_charfn(v, purity).status == "admits"
     lift = cl.build_lift(v)
     assert lift.ttstar_residual <= 1e-10 and lift.intertwine_residual <= 1e-10
     worst = cl.verify_defect_identity(lift, cl.charfn_eval(lift, cl.ball_points(1, 10, 41)),
@@ -385,8 +387,8 @@ def test_identities_on_random_commuting_pair():
     t = cl.OperatorTuple((0.45 * a, 0.35 * (a @ a)))
     table = cl.build_table(cl.drury_arveson(2), 90)
     p = P(24)
-    assert cl.is_contraction(t, table, p).status == "yes"
-    assert cl.is_pure(t, table, p).status == "pure"
+    assert cl.is_contraction(cl.defect(t, table, p)).status == "yes"
+    assert cl.is_pure(cl.defect(t, table, p)).status == "pure"
     lift = lift_of(t, table, p)
     worst = cl.verify_defect_identity(lift, cl.charfn_eval(lift, cl.ball_points(2, 10, 51)),
                                       cl.charfn_eval(lift, cl.ball_points(2, 10, 52))).max()
@@ -886,7 +888,7 @@ def test_model_factorization_on_a_rank_deficient_v():
     r, scale = dense_factor_residual(lift)
     assert abs(cl.verify_model(lift).factor_residual - r) <= 1e-12 * scale
     with pytest.raises(cl.PrerequisiteError, match="pure"):
-        cl.admits_charfn(v)
+        cl.admits_charfn(v, cl.is_pure(v.defect_data))
     # Q_1 need not span Ran V there: the associated tuple refuses, as |V^*V - I| = 1
     with pytest.raises(cl.DegenerateDilationError, match="injective"):
         cl.associated_tuple(v)

@@ -426,9 +426,40 @@ def test_counterexample_block_out_of_range_exits_2(tmp_path, capsys, block, mess
      "'dirichlet_t', 'custom'), got ['szego']"),
     (lambda cfg: dict(cfg, kernel=dict(cfg["kernel"], rule={"name": "szego"})),
      "kernel.rule must be one of the strings"),
+    # an entry that is not a JSON number is refused, not parsed or coerced
+    (lambda cfg: dict(cfg, tuple={"inline": dict(cfg["tuple"]["inline"], mats=[[[["0.1", "0"]]]])}),
+     "matrix entry [0][0] has a non-number real part: '0.1'"),
+    (lambda cfg: dict(cfg, tuple={"inline": dict(cfg["tuple"]["inline"], mats=[[[[True, 0.0]]]])}),
+     "matrix entry [0][0] has a non-number real part: True"),
+    (lambda cfg: dict(cfg, tuple={"inline": dict(cfg["tuple"]["inline"], mats=[[[[0.5, False]]]])}),
+     "matrix entry [0][0] has a non-number imaginary part: False"),
+    (lambda cfg: dict(cfg, tuple={"inline": dict(cfg["tuple"]["inline"], mats=[[[[0.5, "0"]]]])}),
+     "matrix entry [0][0] has a non-number imaginary part: '0'"),
+    # null and a missing key are absent; any other falsy non-object is refused
+    (lambda cfg: dict(cfg, kernel=dict(cfg["kernel"], params=[])), "kernel.params must be an object"),
+    (lambda cfg: dict(cfg, kernel=dict(cfg["kernel"], params=0)), "kernel.params must be an object"),
+    (lambda cfg: dict(cfg, kernel=dict(cfg["kernel"], params=False)),
+     "kernel.params must be an object"),
+    (lambda cfg: dict(cfg, kernel=dict(cfg["kernel"], params="")), "kernel.params must be an object"),
+    (lambda cfg: dict(cfg, tuple=[]), "tuple must be an object"),
+    (lambda cfg: dict(cfg, tuple=0), "tuple must be an object"),
+    (lambda cfg: dict(cfg, tuple=False), "tuple must be an object"),
+    (lambda cfg: dict(cfg, tuple=""), "tuple must be an object"),
+    # a missing required key is named by its field's own check
+    (lambda cfg: {k: v for k, v in cfg.items() if k != "kernel"},
+     "kernel must be an object, got NoneType"),
+    (lambda cfg: dict(cfg, tuple={"inline": {"d": 1, "mats": [[[[0.5, 0.0]]]]}}),
+     "tuple.h must be an integer, got None"),
+    (lambda cfg: dict(cfg, tuple={"inline": {"h": 1, "mats": [[[[0.5, 0.0]]]]}}),
+     "tuple.d must be an integer, got None"),
+    (lambda cfg: dict(cfg, tuple={"inline": {"h": 1, "d": 1}}),
+     "tuple.mats must be a list of matrices, got None"),
 ], ids=["top-level", "kernel", "params", "truncation", "tuple", "inline", "counterexample",
         "expect", "expect-name", "expect-verdict", "output", "mats-number", "mats-null",
-        "mats-object", "path-number", "rule-list", "rule-object"])
+        "mats-object", "path-number", "rule-list", "rule-object", "entry-string", "entry-bool",
+        "entry-bool-among-numbers", "entry-string-among-numbers", "params-empty-list",
+        "params-zero", "params-false", "params-empty-string", "tuple-empty-list", "tuple-zero",
+        "tuple-false", "tuple-empty-string", "no-kernel", "no-h", "no-d", "no-mats"])
 def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, change, message):
     # exit 1 is a suite's fail; a config that cannot be read is exit 2, before any suite runs
     assert run_cli_config(tmp_path, change(base_config(suites=["coeffs", "contraction"]))) == \
@@ -942,7 +973,7 @@ def test_existence_reuses_the_purity_verdict(monkeypatch, name, suites):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for mod in (tuples, model, cli):
+    for mod in (tuples, cli):
         monkeypatch.setattr(mod, "is_pure", counted)
     raw = json.loads((CONFIGS / f"{name}.json").read_text())
     raw["suites"] = suites
@@ -1144,7 +1175,7 @@ def test_bergman_d2_witness_is_a_projected_bottom_eigenvector(monkeypatch):
     # -1/2 is a fourfold eigenvalue there, one per basis vector of degree 3, so
     # the witness is pinned down only up to that eigenspace
     v = cli._SuiteContext(cli.parse_config(benchmark_config(monkeypatch, "bergman-d2"))).dilation
-    report = model.admits_charfn(v)
+    report = model.admits_charfn(v, tuples.is_pure(v.defect_data))
     k, delta_sq, _ = projected_associated_defect(v)
     vals, vecs = np.linalg.eigh(delta_sq)
     bottom = k @ vecs[:, vals <= vals[0] + 1e-9]

@@ -1,6 +1,8 @@
 """Dilation map, factorability, associated tuples, existence, counterexample."""
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cnplab as cl
+from cnplab import cli
 from cnplab.coeffs import graded_count
 from cnplab.tuples import TuplePowers
 from model_reference import (AmbiguousRankError, dense_associated_tuple, dense_check_factorability,
@@ -28,9 +31,26 @@ def P(n, tol=1e-9, window=3):
 # dilation map
 # ---------------------------------------------------------------------------
 
+def test_every_stage_reads_the_defect_it_is_given():
+    # a defect records the tuple, table and truncation it was computed from, and the stages
+    # after it read them from there: the shipped DA pair's verdicts from its defect alone
+    path = Path(__file__).resolve().parents[1] / "configs" / "drury_arveson_pair.json"
+    cfg = cli.parse_config(json.loads(path.read_text()))
+    t = cl.OperatorTuple(cfg.tuple_mats)
+    table, p = cl.build_table(cfg.kernel, cfg.n_table), cfg.truncation
+    dd = cl.defect(t, table, p)
+    assert dd.ops is t and dd.table is table and dd.params is p
+    v = cl.build_dilation(dd)
+    assert v.defect_data is dd and v.ops is t and v.table is table and v.params is p
+    reported = {s["name"]: s["verdict"] for s in cli.run(cfg)["suites"]}
+    assert cl.is_contraction(dd).status == reported["contraction"] == "yes"
+    assert cl.is_pure(dd).status == reported["purity"] == "pure"
+    assert cl.admits_charfn(v, cl.is_pure(dd)).status == reported["existence"] == "admits"
+
+
 def test_dilation_zero_tuple():
     table = cl.build_table(cl.szego(), 12)
-    v = cl.build_dilation(cl.OperatorTuple.zero(2, 1), table, P(10))
+    v = cl.build_dilation(cl.defect(cl.OperatorTuple.zero(2, 1), table, P(10)))
     assert v.isometry_defect <= 1e-14
     assert np.array_equal(v.matrix[:2, :], np.eye(2))
     assert np.all(v.matrix[2:, :] == 0.0)
@@ -39,7 +59,7 @@ def test_dilation_zero_tuple():
 def test_dilation_scalar_szego_column():
     t = 0.5
     table = cl.build_table(cl.szego(), 62)
-    v = cl.build_dilation(cl.OperatorTuple.from_scalars(t), table, P(60))
+    v = cl.build_dilation(cl.defect(cl.OperatorTuple.from_scalars(t), table, P(60)))
     expected = np.sqrt(1 - t * t) * t ** np.arange(61)
     assert np.max(np.abs(v.matrix[:, 0] - expected)) <= 1e-14
     assert v.isometry_defect <= 1e-9
@@ -49,14 +69,14 @@ def test_dilation_degenerate():
     table = cl.build_table(cl.szego(), 12)
     unit = cl.OperatorTuple.from_scalars(1.0)
     with pytest.raises(cl.DegenerateDilationError):
-        cl.build_dilation(unit, table, P(10))
+        cl.build_dilation(cl.defect(unit, table, P(10)))
 
 
 def test_intertwining_zero_tuple():
     table = cl.build_table(cl.drury_arveson(2), 10)
     zero = cl.OperatorTuple.zero(2, 2)
     p = P(8)
-    v = cl.build_dilation(zero, table, p)
+    v = cl.build_dilation(cl.defect(zero, table, p))
     res = cl.check_intertwining(v, [(1, 0), (0, 1), (1, 1)])
     assert res == 0.0
     # |alpha| > N reaches no column inside the truncated space
@@ -68,7 +88,7 @@ def test_intertwining_scalar_and_truncation_trend():
     t = cl.OperatorTuple.from_scalars(0.5)
     residuals = {}
     for n in (40, 60):
-        v = cl.build_dilation(t, table, P(n))
+        v = cl.build_dilation(cl.defect(t, table, P(n)))
         residuals[n] = cl.check_intertwining(v, [(3,)])
     assert residuals[60] <= 1e-9
     assert residuals[60] <= residuals[40] + 1e-13
@@ -85,7 +105,7 @@ def test_intertwining_matches_dense_reference(seed, d, h, rule, param, exact):
     rng = np.random.default_rng(seed)
     n = {1: 10, 2: 6, 3: 4}[d]
     table = cl.build_table(diff_kernel(rule, d, param), n + 1)
-    v = cl.build_dilation(random_commuting_tuple(rng, d, h, 0.35), table, P(n))
+    v = cl.build_dilation(cl.defect(random_commuting_tuple(rng, d, h, 0.35), table, P(n)))
     if not exact:
         shape = v.matrix.shape
         v = v._replace(matrix=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -102,7 +122,7 @@ def test_dilation_carries_its_tuple_and_shifts():
     table = cl.build_table(cl.drury_arveson(2), 10)
     t = cl.OperatorTuple.zero(2, 2)
     p = P(8)
-    v = cl.build_dilation(t, table, p)
+    v = cl.build_dilation(cl.defect(t, table, p))
     assert v.ops is t and v.table is table and v.params is p
     assert all(np.array_equal(stack_power(v.powers, alpha), tuple_power(t, alpha))
                for alpha in v.indices)
@@ -164,7 +184,7 @@ def test_factorability_bergman_projection_fails_cond2():
     table = cl.build_table(cl.bergman(2), 20)
     p = P(12)
     t0 = dense_shifts(table, 0)  # compression to the constants
-    v = cl.build_dilation(t0, table, p)
+    v = cl.build_dilation(cl.defect(t0, table, p))
     report = cl.check_factorability(v.span, p.tol)
     assert report.verdict == "not_factorable"
     assert report.failed_condition == 2
@@ -331,7 +351,7 @@ def test_cond1_collapses_on_the_drury_arveson_triple(monkeypatch):
     # the count of the dense c X - M_i X M_i^*; cond2's solve is on its span
     a = np.array([[0.1, 0.2, 0.0], [0.0, -0.1, 0.2], [0.0, 0.0, 0.1]])
     t = cl.OperatorTuple((a, a / 2 + a @ a, a @ a - a / 2))
-    v = cl.build_dilation(t, cl.build_table(cl.drury_arveson(3), 12), P(8))
+    v = cl.build_dilation(cl.defect(t, cl.build_table(cl.drury_arveson(3), 12), P(8)))
     sizes = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: sizes.append(len(g)) or eigvalsh(g))
@@ -406,17 +426,17 @@ def test_associated_tuple_full_range_is_empty():
     # the truncated shifts dilate to themselves: the embedding is the identity
     table = cl.build_table(cl.dirichlet_t(1.0), 14)
     p = P(10)
-    v = cl.build_dilation(dense_shifts(table, p.N), table, p)
+    v = cl.build_dilation(cl.defect(dense_shifts(table, p.N), table, p))
     assoc = cl.associated_tuple(v)
     assert assoc.dim == 0 and assoc.range_basis.shape == (v.big_dim, v.big_dim)
-    assert cl.admits_charfn(v).value == 0.0
+    assert cl.admits_charfn(v, cl.is_pure(v.defect_data)).value == 0.0
 
 
 def test_associated_tuple_scalar_szego():
     table = cl.build_table(cl.szego(), 82)
     p = P(80)
     t = cl.OperatorTuple.from_scalars(0.5)
-    v = cl.build_dilation(t, table, p)
+    v = cl.build_dilation(cl.defect(t, table, p))
     assoc = cl.associated_tuple(v)
     assert assoc.dim == 80
     assert assoc.invariance_residual <= 1e-10
@@ -430,7 +450,7 @@ def test_associated_tuple_bergman_kernel_structure():
     table = cl.build_table(cl.bergman(2), 20)
     p = P(12)
     t0 = dense_shifts(table, 0)
-    v = cl.build_dilation(t0, table, p)
+    v = cl.build_dilation(cl.defect(t0, table, p))
     assoc = cl.associated_tuple(v)
     assert assoc.dim == p.N
     # the constants lie in Ran V, so Ker V^* has no component on them
@@ -442,7 +462,8 @@ def test_associated_tuple_bergman_kernel_structure():
 # ---------------------------------------------------------------------------
 
 def admits(t, table, p):
-    return cl.admits_charfn(cl.build_dilation(t, table, p))
+    dd = cl.defect(t, table, p)
+    return cl.admits_charfn(cl.build_dilation(dd), cl.is_pure(dd))
 
 
 def test_admits_zero_tuple_drury_arveson():
@@ -473,22 +494,22 @@ def test_admits_requires_purity():
     # yet its defect is nonzero and it has a dilation map to test
     table = cl.build_table(cl.szego(), 22)
     t = cl.OperatorTuple((np.diag([1.0, 0.5]),))
-    assert cl.is_pure(t, table, P(20)).status == "not_pure"
+    assert cl.is_pure(cl.defect(t, table, P(20))).status == "not_pure"
     with pytest.raises(cl.PrerequisiteError):
         admits(t, table, P(20))
     # a verdict handed on is read, not decided again: a non-pure one raises
-    v = cl.build_dilation(cl.OperatorTuple((np.diag([0.5, 0.25]),)), table, P(20))
-    assert cl.admits_charfn(v).status == "admits"
-    not_pure = cl.is_pure(t, table, P(20))
+    v = cl.build_dilation(cl.defect(cl.OperatorTuple((np.diag([0.5, 0.25]),)), table, P(20)))
+    assert cl.admits_charfn(v, cl.is_pure(v.defect_data)).status == "admits"
+    not_pure = cl.is_pure(cl.defect(t, table, P(20)))
     with pytest.raises(cl.PrerequisiteError, match="'not_pure'"):
-        cl.admits_charfn(v, purity=not_pure)
+        cl.admits_charfn(v, not_pure)
 
 
 def test_existence_factorability_consistency(existence_examples):
     for ex in existence_examples:
         table = ex.table()
-        v = cl.build_dilation(ex.ops, table, ex.p)
-        report = cl.admits_charfn(v)
+        v = cl.build_dilation(cl.defect(ex.ops, table, ex.p))
+        report = cl.admits_charfn(v, cl.is_pure(v.defect_data))
         r = v.codomain_dims[1]
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
         p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
@@ -505,7 +526,7 @@ def test_factorability_on_index_shifts_matches_dense(existence_examples):
     # reference on the Kronecker tuple must give the same report up to rounding
     for ex in existence_examples:
         table = ex.table()
-        v = cl.build_dilation(ex.ops, table, ex.p)
+        v = cl.build_dilation(cl.defect(ex.ops, table, ex.p))
         r = v.codomain_dims[1]
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
         p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
@@ -519,13 +540,13 @@ def test_associated_tuple_purity_follows_contractivity(pure_examples):
     # whenever the associated tuple is a contraction it is itself pure
     for ex in pure_examples[:5]:
         table = ex.table()
-        v = cl.build_dilation(ex.ops, table, ex.p)
+        v = cl.build_dilation(cl.defect(ex.ops, table, ex.p))
         if cl.associated_tuple(v).dim == 0:
             continue
         _, ops, _ = dense_associated_tuple(v)
         p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
-        if cl.is_contraction(ops, table, p_series).status == "yes":
-            verdict = cl.is_pure(ops, table, p_series)
+        if cl.is_contraction(cl.defect(ops, table, p_series)).status == "yes":
+            verdict = cl.is_pure(cl.defect(ops, table, p_series))
             assert verdict.status == "pure", (ex.name, verdict)
 
 
@@ -545,8 +566,8 @@ def test_existence_matches_dense_reference(seed, d, h, rule, t):
     n = EXISTENCE_DEGREE[d]
     kernel = cl.bergman(2, d=d) if rule == "bergman" else diff_kernel(rule, d, t)
     table = cl.build_table(kernel, n + 4)
-    v = cl.build_dilation(random_commuting_tuple(rng, d, h, 0.1), table, P(n))
-    report = cl.admits_charfn(v)
+    v = cl.build_dilation(cl.defect(random_commuting_tuple(rng, d, h, 0.1), table, P(n)))
+    report = cl.admits_charfn(v, cl.is_pure(v.defect_data))
     ref, dd, ref_witness = dense_existence(v)
     k, _, ref_invariance = dense_associated_tuple(v)
     assert report.status == {"yes": "admits", "no": "does_not_admit"}[ref.status]
@@ -581,7 +602,7 @@ def span_case(seed, d, h, kernel, scale):
         "dirichlet_t": lambda: cl.dirichlet_t(rng.uniform(0.25, 2.0), d=d),
     }[kernel]()
     table = cl.build_table(spec, n + 4)
-    return cl.build_dilation(random_commuting_tuple(rng, d, h, scale), table, P(n))
+    return cl.build_dilation(cl.defect(random_commuting_tuple(rng, d, h, scale), table, P(n)))
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31), d=st.sampled_from([1, 2, 3]),
@@ -597,7 +618,7 @@ def test_reached_span_decides_as_the_dense_forms(seed, d, h, kernel):
     x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
     assert_matches_reference(fact, dense_check_factorability(
         x, tensored_shifts(v.table, v.N, v.codomain_dims[1]), v.table, P(n + 3), c_degree=n))
-    report = cl.admits_charfn(v)
+    report = cl.admits_charfn(v, cl.is_pure(v.defect_data))
     k, delta_sq, tail = projected_associated_defect(v)
     vals, vecs = np.linalg.eigh(delta_sq)
     ref = float(vals[0]) if len(vals) else 0.0
@@ -632,9 +653,10 @@ def test_associated_defect_matches_the_restriction_at_any_leak(seed, d, h, kerne
     # recursion) moves away from it by about the square of that residual,
     # 1.3e-9 at the largest
     v = span_case(seed, d, h, kernel, 0.6)
-    if cl.is_pure(v.ops, v.table, v.params, defect_data=v.defect_data).status != "pure":
+    purity = cl.is_pure(v.defect_data)
+    if purity.status != "pure":
         return
-    report = cl.admits_charfn(v)
+    report = cl.admits_charfn(v, purity)
     _, restricted = restricted_associated_defect(v)
     vals = np.linalg.eigvalsh(restricted)
     assert abs(report.value - (vals[0] if len(vals) else 0.0)) <= 1e-12
@@ -646,7 +668,7 @@ def test_invariance_matches_dense_reference():
     rng = np.random.default_rng(1)
     for spec, t, n in ((cl.szego(), cl.OperatorTuple.from_scalars(0.9), 10),
                        (cl.drury_arveson(2), random_commuting_tuple(rng, 2, 3, 0.6), 5)):
-        v = cl.build_dilation(t, cl.build_table(spec, n + 4), P(n))
+        v = cl.build_dilation(cl.defect(t, cl.build_table(spec, n + 4), P(n)))
         _, _, ref = dense_associated_tuple(v)
         assert ref > 1e-4
         assert abs(cl.associated_tuple(v).invariance_residual - ref) <= 1e-12 * ref
@@ -657,9 +679,10 @@ def test_invariance_residual_is_the_top_degree_leak(pure_examples):
     # so on Ker V^* the leak U^*(M_i x I)P is E_i^* read through U^* and
     # |U^*(M_i x I)P| <= |T_i| |V_N| / sigma_min(V), V_N the degree-N rows of V
     table = cl.build_table(cl.drury_arveson(2), 12)
-    cases = [cl.build_dilation(ex.ops, ex.table(), ex.p) for ex in pure_examples]
-    cases += [cl.build_dilation(random_commuting_tuple(np.random.default_rng(seed), 2, 3, 0.6),
-                                table, P(10)) for seed in range(10)]
+    cases = [cl.build_dilation(cl.defect(ex.ops, ex.table(), ex.p)) for ex in pure_examples]
+    cases += [cl.build_dilation(cl.defect(random_commuting_tuple(np.random.default_rng(seed), 2, 3,
+                                                                 0.6), table, P(10)))
+              for seed in range(10)]
     for v in cases:
         top = v.matrix[v.tensored.ends[v.N - 1]:]
         bound = (max(np.linalg.norm(m, 2) for m in v.ops.mats) * np.linalg.norm(top, 2)
@@ -687,7 +710,7 @@ def test_compressed_shifts_dilate_to_the_leading_block_inclusion(kernel, d):
         for big_n in sorted({n + 1, n + 3, 6}):
             spec = LEADING_BLOCK_KERNELS[kernel](rng, d, big_n + 1)
             table = cl.build_table(spec, big_n + 1)
-            v = cl.build_dilation(dense_shifts(table, n), table, P(big_n))
+            v = cl.build_dilation(cl.defect(dense_shifts(table, n), table, P(big_n)))
             assert v.defect_data.rank == 1, (n, big_n)
             inclusion = np.eye(v.big_dim, graded_count(d, n))
             assert np.max(np.abs(v.matrix - inclusion)) <= 1e-14, (n, big_n)
@@ -697,7 +720,7 @@ def test_counterexample_matches_dense_reference():
     for m, n, d in ((2, 0, 1), (3, 2, 1), (2, 1, 2), (3, 3, 2), (2, 2, 3)):
         big_n = n + 3
         table = cl.build_table(cl.bergman(m, d=d), big_n + 1)
-        v = cl.build_dilation(dense_shifts(table, n), table, P(big_n))
+        v = cl.build_dilation(cl.defect(dense_shifts(table, n), table, P(big_n)))
         k, _, _ = dense_associated_tuple(v)
         _, dd, _ = dense_existence(v, n=big_n)
         e = np.zeros(v.big_dim, dtype=complex)
@@ -753,7 +776,7 @@ def test_invariant_subspaces_stay_contractive():
         assert defect <= 1e-8, (trial, defect)
         restricted = cl.OperatorTuple(tuple(k.conj().T @ m @ k for m in shifts.mats),
                                       commutator_tol=max(1e-12, 10.0 * defect))
-        verdict = cl.is_contraction(restricted, table, p)
+        verdict = cl.is_contraction(cl.defect(restricted, table, p))
         assert verdict.status == "yes", (trial, verdict)
 
 

@@ -114,7 +114,7 @@ def test_defect_flags_indefinite():
     table = cl.build_table(cl.szego(), 12)
     t = cl.OperatorTuple.from_scalars(2.0)
     dd = cl.defect(t, table, P(10))
-    assert cl.is_contraction(t, table, P(10), dd).status == "no"
+    assert cl.is_contraction(dd).status == "no"
     assert abs(dd.min_eig + 3.0) <= 1e-12
     assert dd.delta[0, 0] == 0.0  # clipped square root
 
@@ -148,18 +148,19 @@ def test_truncation_params_validation():
 
 def test_contraction_examples():
     sz = cl.build_table(cl.szego(), 12)
-    assert cl.is_contraction(cl.OperatorTuple.zero(2, 1), sz, P(10)).status == "yes"
-    bad = cl.is_contraction(cl.OperatorTuple.from_scalars(2.0), sz, P(10))
+    assert cl.is_contraction(cl.defect(cl.OperatorTuple.zero(2, 1), sz, P(10))).status == "yes"
+    bad = cl.is_contraction(cl.defect(cl.OperatorTuple.from_scalars(2.0), sz, P(10)))
     assert bad.status == "no" and abs(bad.min_eig + 3.0) <= 1e-12
     di = cl.build_table(cl.dirichlet_t(1.0), 82)
-    assert cl.is_contraction(cl.OperatorTuple.from_scalars(0.9), di, P(80)).status == "yes"
+    verdict = cl.is_contraction(cl.defect(cl.OperatorTuple.from_scalars(0.9), di, P(80)))
+    assert verdict.status == "yes"
 
 
 def test_contraction_inconclusive_when_tail_lives():
     # dirichlet coefficients decay slowly: at a short truncation the tail
     # window is still moving for a scalar close to the boundary
     di = cl.build_table(cl.dirichlet_t(1.0), 12)
-    verdict = cl.is_contraction(cl.OperatorTuple.from_scalars(0.98), di, P(10))
+    verdict = cl.is_contraction(cl.defect(cl.OperatorTuple.from_scalars(0.98), di, P(10)))
     assert verdict.status == "inconclusive"
 
 
@@ -175,7 +176,7 @@ def test_contraction_random_oracle():
         v, _ = np.linalg.qr(rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h)))
         svals = rng.uniform(0.3, 1.5, size=h)
         t = cl.OperatorTuple((u @ np.diag(svals) @ v.conj().T,))
-        verdict = cl.is_contraction(t, table, p)
+        verdict = cl.is_contraction(cl.defect(t, table, p))
         expected = float(np.max(svals)) ** 2 <= 1.0 + p.tol
         assert verdict.status == ("yes" if expected else "no")
 
@@ -191,7 +192,8 @@ def test_conjugation_invariance():
     d0 = cl.defect(base, table, p).delta_sq
     d1 = cl.defect(conj, table, p).delta_sq
     assert np.max(np.abs(d1 - u @ d0 @ u.conj().T)) <= 1e-10
-    assert cl.is_contraction(base, table, p).status == cl.is_contraction(conj, table, p).status
+    assert (cl.is_contraction(cl.defect(base, table, p)).status
+            == cl.is_contraction(cl.defect(conj, table, p)).status)
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +202,17 @@ def test_conjugation_invariance():
 
 def test_purity_examples():
     sz = cl.build_table(cl.szego(), 62)
-    zero = cl.is_pure(cl.OperatorTuple.zero(2, 1), sz, P(10))
+    zero = cl.is_pure(cl.defect(cl.OperatorTuple.zero(2, 1), sz, P(10)))
     assert zero.status == "pure" and zero.residual <= 1e-12
-    half = cl.is_pure(cl.OperatorTuple.from_scalars(0.5), sz, P(60))
+    half = cl.is_pure(cl.defect(cl.OperatorTuple.from_scalars(0.5), sz, P(60)))
     assert half.status == "pure" and half.residual <= 1e-9
-    unitary = cl.is_pure(cl.OperatorTuple.from_scalars(1.0), sz, P(60))
+    unitary = cl.is_pure(cl.defect(cl.OperatorTuple.from_scalars(1.0), sz, P(60)))
     assert unitary.status == "not_pure" and abs(unitary.residual - 1.0) <= 1e-12
 
 
 def test_purity_inconclusive_near_boundary():
     sz = cl.build_table(cl.szego(), 32)
-    verdict = cl.is_pure(cl.OperatorTuple.from_scalars(0.995), sz, P(30))
+    verdict = cl.is_pure(cl.defect(cl.OperatorTuple.from_scalars(0.995), sz, P(30)))
     assert verdict.status == "inconclusive"
 
 
@@ -264,7 +266,7 @@ def test_shift_defect_identity_three_variables():
     e0 = np.zeros((shifts.h, shifts.h))
     e0[0, 0] = 1.0
     assert np.max(np.abs(dd.delta_sq - e0)) <= 1e-12
-    assert cl.is_pure(shifts, table, P(3)).status == "pure"
+    assert cl.is_pure(cl.defect(shifts, table, P(3))).status == "pure"
 
 
 def test_shift_purity_partial_sums_are_projections():
@@ -293,7 +295,7 @@ def test_shift_purity_partial_sums_are_projections():
 
 def test_shift_purity_verdict():
     table = cl.build_table(cl.dirichlet_t(1.0), 24)
-    verdict = cl.is_pure(dense_shifts(table, 6), table, P(12))
+    verdict = cl.is_pure(cl.defect(dense_shifts(table, 6), table, P(12)))
     assert verdict.status == "pure" and verdict.residual <= 1e-12
 
 
@@ -366,11 +368,13 @@ def test_series_matches_enumeration(seed, d, h, rule, param, series, hermitian_m
     if hermitian_middle:
         m = rng.standard_normal((h, h)) + 1j * rng.standard_normal((h, h))
         middle = 0.5 * (m + m.conj().T)
-    total, tail = _weighted_series(t, table, n, which, middle=middle, start_degree=start,
-                                   window=window)
+    # the degrees below start_degree enter with coefficient 0
+    coeffs = (table.require_b(n) if which == "b" else table.require_a(n))[:n + 1].copy()
+    coeffs[:start] = 0.0
+    total, tail = _weighted_series(t, coeffs, np.eye(h) if middle is None else middle, window)
     ref_total, ref_norms = enumerated_series(t, table, n, which, middle=middle,
                                              start_degree=start)
-    ref_tail = ref_norms[max(start, n - window + 1):]
+    ref_tail = ref_norms[max(0, n - window + 1):]
     scale = max(np.linalg.norm(ref_total, 2), max(ref_norms))
     assert np.linalg.norm(total - ref_total, 2) <= 1e-12 * scale
     assert len(tail) == len(ref_tail)
@@ -496,7 +500,7 @@ def test_canonical_phases_of_a_kernel_basis_keep_their_bits():
     rng = np.random.default_rng(11)
     table = cl.build_table(cl.drury_arveson(2), 12)
     t = random_commuting_tuple(rng, 2, 3, 0.3)
-    v = cl.build_dilation(t, table, cl.TruncationParams(N=10))
+    v = cl.build_dilation(cl.defect(t, table, cl.TruncationParams(N=10)))
     u = np.linalg.svd(v.matrix, full_matrices=True)[0][:, t.h:]
     assert u.shape == (198, 195)
     assert np.array_equal(canonical_phases(u), looped_canonical_phases(u))
