@@ -125,12 +125,12 @@ def build_lift(v: DilationMap) -> TupleLift:
     Delta^2 and the intertwining T~ D~ = Delta T~ on E along the way.
     """
     table, p, h = v.table, v.params, v.ops.h
-    cnp = is_cnp(table, p.N, tol_zero=p.tol)
+    cnp = is_cnp(table, p.N)
     if not cnp.consistent:
         raise NotCnpError(f"b_{cnp.first_failure} = {cnp.value:.6g} < 0: square roots of the "
                           "inverted coefficients do not exist")
     exponents = np.array(v.indices[1:])
-    sqrt_b = np.sqrt(np.maximum(multi_coeff(table, exponents, "b"), 0.0))
+    sqrt_b = np.sqrt(multi_coeff(table, exponents, "b"))
     t_tilde = np.hstack(sqrt_b[:, None, None] * v.powers.stack[1:])
     support = np.flatnonzero(sqrt_b)
     cols = (support[:, None] * h + np.arange(h)).ravel()
@@ -327,17 +327,15 @@ def span_coefficients(lift: TupleLift) -> np.ndarray:
     degree-N theta that charfn_eval evaluates.  Block beta of V is sqrt(a_beta) C^* Delta
     (T^beta)^*, and (M^alpha x I) V has block sqrt(a_beta / a_gamma) V_beta at gamma = alpha +
     beta, so W = E_0 (-C^* T~ E) + sum_alpha sqrt(b_alpha) (M^alpha x I) V (D~E)_alpha over the
-    support (b_alpha > 0), whose gathers are among the span's (b_alpha != 0): K is -C^* T~ E
-    on E_0, sqrt(b_alpha) (D~E)_alpha on the gather at alpha, placed by graded position, else 0.
+    support (b_alpha > 0).  The table is CNP, so the support is exactly the span's gathers
+    (b_alpha != 0), in the same graded order: K is 0 on V, -C^* T~ E on E_0, then
+    sqrt(b_alpha) (D~E)_alpha on the gathers, block after block.
     """
     v = lift.dilation
-    span, h, e0 = v.span, v.ops.h, v.tensored.ends[0]
-    k = np.zeros((span.r.shape[1], lift.t_tilde_e.shape[1]), dtype=complex)
-    k[h:h + e0] = -(v.defect_data.ran_delta_basis.conj().T @ lift.t_tilde_e)
-    blocks = np.searchsorted(span.positions, lift.support + 1)
-    k[(h + e0 + h * blocks[:, None] + np.arange(h)).ravel()] = (
-        np.repeat(lift.sqrt_b[lift.support], h)[:, None] * lift.d_tilde_e)
-    return k
+    h = v.ops.h
+    return np.vstack([np.zeros((h, lift.t_tilde_e.shape[1])),
+                      -(v.defect_data.ran_delta_basis.conj().T @ lift.t_tilde_e),
+                      np.repeat(lift.sqrt_b[lift.support], h)[:, None] * lift.d_tilde_e])
 
 
 def verify_model(lift: TupleLift) -> ModelReport:

@@ -189,21 +189,14 @@ def kernel_from_dict(spec: dict) -> tuple[KernelSpec, int]:
 
 
 def matrices_from_nested(entries) -> np.ndarray:
-    """Nested lists of [re, im] pairs to a complex matrix of finite entries; each part must
-    be a JSON number: "0.1" and true are refused, not parsed."""
+    """Nested lists of [re, im] pairs to a complex matrix; each part must be a JSON number
+    within the float range (`strict_float`): "0.1", true and 10**400 are refused, not parsed."""
     arr = np.asarray(entries, dtype=object)  # lists nest into axes; anything else is an entry
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError("matrix entries must be nested [re, im] pairs")
-    for (row, col, part), value in np.ndenumerate(arr):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"matrix entry [{row}][{col}] has a non-number "
-                             f"{('real', 'imaginary')[part]} part: {value!r}")
-    arr = arr.astype(float)
-    bad = np.argwhere(~np.isfinite(arr))
-    if len(bad):
-        row, col, part = bad[0]
-        raise ValueError(f"matrix entry [{row}][{col}] has a non-finite "
-                         f"{('real', 'imaginary')[part]} part: {arr[row, col, part]}")
+    parts = [strict_float(value, f"matrix entry [{row}][{col}] {('real', 'imaginary')[part]} part")
+             for (row, col, part), value in np.ndenumerate(arr)]
+    arr = np.reshape(parts, arr.shape)
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -29,9 +29,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientCacheError, InvalidKernelError
 
-# Absolute tolerance below which a numerically computed b_n counts as zero
-# for CNP classification.
-CNP_TOL = 1e-12
+EPS = np.finfo(float).eps
 
 RULES = ("szego", "drury_arveson", "bergman", "dirichlet_t", "custom")
 
@@ -272,11 +270,14 @@ def build_table(spec: KernelSpec, n: int) -> CoeffTable:
 
     sum b_n t^n = 1 - 1/(sum a_n t^n) by the convolution recursion
     b_n = a_n - sum_{j=1}^{n-1} b_j a_{n-j}, which makes b_1 = a_1 bit-exact.
-    Total for every positive input sequence whose a_n and b_n stay finite;
-    a table with an overflowed entry is rejected.  For custom coefficient
-    lists the relation is a formal power-series statement about the cached
-    prefix; nothing is claimed about pointwise values of the reciprocal
-    beyond it.
+    The table decides which b_n are zero, once: a b_n within (n + 1) eps times
+    the sum of |terms| of its own row, about twice that row's worst rounding
+    error, is set to exactly 0 when that sum is finite, so later rows read
+    exact zeros and every reader takes b's zeros and signs as given.  Total for every positive
+    input sequence whose a_n and b_n stay finite; a table with an overflowed
+    entry is rejected.  For custom coefficient lists the relation is a formal
+    power-series statement about the cached prefix; nothing is claimed about
+    pointwise values of the reciprocal beyond it.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
@@ -290,7 +291,12 @@ def build_table(spec: KernelSpec, n: int) -> CoeffTable:
     b = np.zeros(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed b_n is rejected below
         for k in range(1, n + 1):  # subtracted left to right, the order of the recursion
-            b[k] = np.subtract.reduce(np.concatenate(([a[k]], b[1:k] * a[k - 1:0:-1])))
+            terms = np.concatenate(([a[k]], b[1:k] * a[k - 1:0:-1]))
+            bk = np.subtract.reduce(terms)
+            scale = np.add.reduce(abs(terms))  # an overflowed b_k overflows it too
+            if bk and math.isfinite(scale) and abs(bk) <= (k + 1) * EPS * scale:
+                bk = 0.0
+            b[k] = bk
     if not np.isfinite(b).all():
         raise InvalidKernelError(f"{spec.label}: b_n overflows a float")
     return CoeffTable(spec=spec, a=a, b=b)
@@ -341,13 +347,13 @@ class CnpClassification(NamedTuple):
         return f"not_cnp(n={self.first_failure}, b={self.value:.6g})"
 
 
-def is_cnp(table: CoeffTable, n: int | None = None, tol_zero: float = CNP_TOL) -> CnpClassification:
-    """Classify the kernel by the sign pattern of b_1 .. b_n."""
+def is_cnp(table: CoeffTable, n: int | None = None) -> CnpClassification:
+    """Classify the kernel by the signs of b_1 .. b_n, whose zeros the table decided."""
     if n is None:
         n = table.n_max
     b = table.require_b(n)
     for k in range(1, n + 1):
-        if b[k] < -tol_zero:
+        if b[k] < 0.0:
             return CnpClassification(consistent=False, degree=n, first_failure=k, value=float(b[k]))
     return CnpClassification(consistent=True, degree=n)
 

@@ -134,9 +134,10 @@ class DefectSpan(NamedTuple):
     On the graded space I - sum_{k>=1} b_k sigma^k(I) = E_0, the projection onto degree 0,
     exactly (sigma^k(I) at degree j reads the shifts only down to degree j - k >= 0), and
     sigma^k(V V^*) = sum_{|alpha|=k} multinomial(alpha) (M^alpha V)(M^alpha V)^*.  So with
-    `weights` 1 on E_0 and b_alpha on the gather at each graded position in `positions` (b_alpha
-    != 0, |alpha| <= N), C diag(x, weights) C^* = I + x V V^* - sum_k b_k sigma^k(I - V V^*):
-    the cond2 gap at x = -1, the operator the associated defect compresses at x = 0.
+    `weights` 1 on E_0 and b_alpha on the gather at each alpha with b_alpha != 0 (|alpha| <= N,
+    in graded order: under a CNP table, the lift's support), C diag(x, weights) C^* = I + x V V^*
+    - sum_k b_k sigma^k(I - V V^*): the cond2 gap at x = -1, the operator the associated defect
+    compresses at x = 0.
     """
 
     matrix: np.ndarray
@@ -145,7 +146,6 @@ class DefectSpan(NamedTuple):
     q: np.ndarray
     r: np.ndarray
     weights: np.ndarray
-    positions: np.ndarray
 
 
 def defect_span(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffTable) -> DefectSpan:
@@ -161,7 +161,7 @@ def defect_span(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffTable) ->
     q, r = np.linalg.qr(np.hstack([v_matrix, np.eye(shifts.h, shifts.ends[0]),
                                    *shifts.graded_stack(v_matrix, m)[positions]]))
     weights = np.append(np.ones(shifts.ends[0]), np.repeat(b_alpha[positions - 1], len(v_matrix.T)))
-    return DefectSpan(v_matrix, shifts, table, q, r, weights, positions)
+    return DefectSpan(v_matrix, shifts, table, q, r, weights)
 
 
 def span_spectrum(span: DefectSpan, weights: np.ndarray, coeffs: np.ndarray | None = None):

@@ -48,3 +48,15 @@ def finite_b_kernel(rng, d, n, cnp=False):
             a.append(sum(b[j] * a[k - j] for j in range(1, min(k, m) + 1)))
         if min(a) > 0.0:
             return cl.custom_kernel(a, d=d)
+
+
+def skip_degree_kernel(d, n):
+    """1/k = 1 - 0.5<z, w> - 0.3<z, w>^3, a CNP kernel whose b skips degree 2, by its a_0..a_n.
+
+    a is formed in float, so the table's recursion recovers b past degree 3 only up to
+    rounding noise of either sign, about 1e-17, which its zero rule must set to 0.
+    """
+    a = [1.0]
+    for k in range(1, n + 1):
+        a.append(0.5 * a[k - 1] + (0.3 * a[k - 3] if k >= 3 else 0.0))
+    return cl.custom_kernel(a, d=d)

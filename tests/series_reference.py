@@ -13,7 +13,8 @@ tuple M_i x I_r, where the package keeps both as index maps.
 entry from its parent alpha - e_i found by lookup, where the package takes one
 batched step per coordinate and degree.
 `looped_reciprocal` is the convolution recursion for b_n as a scalar double
-loop, where the package subtracts each degree's products in one reduction.
+loop, with the zero rule accumulated term by term, where the package subtracts
+each degree's products in one reduction.
 `enumerated_shift_norm_sq` takes the squared shift norm as the largest ratio
 a_alpha / a_{alpha+e_i} over every multi-index, where the package uses its
 closed form.
@@ -87,13 +88,18 @@ def looped_graded_stack(x: np.ndarray, d: int, n: int, step) -> np.ndarray:
 
 
 def looped_reciprocal(a):
-    """b_0 = 0 and b_k = a_k - sum_{j=1}^{k-1} b_j a_{k-j}, one scalar operation at a time."""
+    """b_0 = 0 and b_k = a_k - sum_{j=1}^{k-1} b_j a_{k-j}, one scalar operation at a time;
+    b_k within (k + 1) eps times the sum of its row's |terms| is set to 0 when that sum is finite."""
+    eps = np.finfo(float).eps
     b = np.zeros(len(a))
     for k in range(1, len(a)):
-        acc = a[k]
+        acc = scale = a[k]
         for j in range(1, k):
-            acc -= b[j] * a[k - j]
-        b[k] = acc
+            term = b[j] * a[k - j]
+            acc -= term
+            with np.errstate(over="ignore"):  # an overflowed scale only keeps b_k as computed
+                scale += abs(term)
+        b[k] = 0.0 if math.isfinite(scale) and abs(acc) <= (k + 1) * eps * scale else acc
     return b
 
 

@@ -11,7 +11,8 @@ from charfn_reference import (b_inverse_gap, dense_lift, dense_lift_defect, dens
                               gathered_taylor_blocks, looped_model_gap, looped_taylor_blocks,
                               model_gap, padded_theta, pointwise_calculus, pointwise_charfn_eval,
                               span_taylor_blocks, support_coords, theta_cols, wide_lift)
-from random_inputs import diff_kernel, finite_b_kernel, random_commuting_tuple, random_point
+from random_inputs import (diff_kernel, finite_b_kernel, random_commuting_tuple, random_point,
+                           skip_degree_kernel)
 from cnplab._linalg import NON_FINITE_NORM
 from cnplab.charfn import reciprocal_kernel
 
@@ -774,18 +775,6 @@ def test_model_on_a_singular_defect_matches_looped_references(spec, mats):
     check_model_against_looped_references(lift)
 
 
-def skip_degree_kernel(d, n):
-    """1/k = 1 - 0.5<z, w> - 0.3<z, w>^3: a CNP kernel whose b skips degree 2.
-
-    The table recomputes b from a by the float recursion, so degrees past 4
-    carry rounding noise of either sign, about 1e-17.
-    """
-    a = [1.0]
-    for k in range(1, n + 1):
-        a.append(0.5 * a[k - 1] + (0.3 * a[k - 3] if k >= 3 else 0.0))
-    return cl.custom_kernel(a, d=d)
-
-
 SUPPORT_CASES = {
     # name: (kernel, tuple or (d, h) of a random one, sampling radius)
     "szego": (cl.szego(), (1, 3), 0.9),
@@ -814,7 +803,7 @@ def test_support_lift_matches_dense_lift(name):
     assert np.array_equal(lift.support, np.flatnonzero(lift.sqrt_b))
     assert np.array_equal(lift.support_exponents, np.array(v.indices[1:])[lift.support])
     if spec.rule == "custom":
-        assert {1, 3} <= set(degrees) and 2 not in degrees
+        assert set(degrees) == {1, 3}
     elif spec.rule == "dirichlet_t":
         assert len(lift.support) == len(v.indices) - 1
     else:
@@ -865,14 +854,24 @@ def dense_factor_residual(lift):
     return np.linalg.norm(b_inverse_gap(v, dense_model_gap(dense_lift(v))), 2), scale
 
 
-def test_model_factorization_where_the_gathers_outnumber_the_support():
-    # b carries rounding noise of both signs past degree 4: the span gathers at
-    # every b_alpha != 0, the lift only at b_alpha > 0, so K places the support's
-    # blocks by graded position among more gathers than it fills
+def test_skip_degree_kernel_has_b_on_degrees_1_and_3_alone():
+    # the float recursion leaves noise of either sign past degree 3, about 1e-17, and the
+    # table's zero rule sets it to exactly 0: b is the cubic polynomial it was given by
+    table = cl.build_table(skip_degree_kernel(1, 40), 40)
+    assert np.array_equal(np.flatnonzero(table.b), [1, 3])
+    assert np.allclose(table.b[[1, 3]], [0.5, 0.3], rtol=1e-15, atol=0.0)
+    est = cl.estimate_radius(table, "b")
+    assert est.exact_polynomial and est.radius == np.inf
+
+
+def test_model_factorization_where_the_gathers_equal_the_support():
+    # under a CNP table the span gathers at b_alpha != 0 and the lift at b_alpha > 0 are the
+    # same multi-indices in the same order, so K writes the support's blocks one after the
+    # other: 2 of degree 1 and 4 of degree 3 at d = 2, N = 8
     lift = support_case_lift("skip degree 2")
     v = lift.dilation
-    assert len(v.span.positions) > len(lift.support)
-    assert set(lift.support + 1) <= set(v.span.positions)
+    assert v.N == 8 and v.ops.d == 2
+    assert (len(v.span.weights) - v.tensored.ends[0]) // v.ops.h == len(lift.support) == 6
     r, scale = dense_factor_residual(lift)
     assert abs(cl.verify_model(lift).factor_residual - r) <= 1e-12 * scale
 

@@ -1,8 +1,10 @@
 """Config ingestion, suite orchestration, reports, and the command line."""
 
 import collections
+import functools
 import json
 import math
+import operator
 import subprocess
 import sys
 from pathlib import Path
@@ -355,15 +357,58 @@ def run_cli_config(tmp_path, raw):
     return code, out.exists()
 
 
-@pytest.mark.parametrize("entry, where", [([float("nan"), 0.0], "real part: nan"),
-                                          ([0.5, float("inf")], "imaginary part: inf")])
-def test_non_finite_matrix_entry_is_config_error(tmp_path, capsys, entry, where):
+# the values put in place of each node of a shipped config: every JSON type, edge numbers, an
+# integer beyond the float range, and small containers of the shapes configs use
+MUTATIONS = (None, True, 0, -1, 3, 1.5, -0.0, 1e308, 10 ** 400, 10 ** 20, "x", [], {}, [[1]],
+             [0.5, 0.0])
+
+
+def json_nodes(node, path=()):
+    """The paths below node: every value of an object and the first two entries of a list."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node[:2]) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from json_nodes(child, path + (key,))
+
+
+def test_no_mutation_of_a_shipped_config_escapes_main(tmp_path, monkeypatch, capsys):
+    # every node of every shipped config replaced by every value of MUTATIONS, 2,550 runs:
+    # a bad config exits 2 and a run 0, 1 or 3, and no exception escapes `cnplab run`
+    monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path))
+    path = tmp_path / "cfg.json"
+    cases, escapes = 0, []
+    for shipped in sorted(CONFIGS.glob("*.json")):
+        text = shipped.read_text()
+        for node in json_nodes(json.loads(text)):
+            for value in MUTATIONS:
+                cfg = json.loads(text)
+                functools.reduce(operator.getitem, node[:-1], cfg)[node[-1]] = value
+                path.write_text(json.dumps(cfg))
+                try:
+                    code = cli.main(["run", str(path)])
+                except Exception as exc:  # an escape is what this test looks for
+                    code = f"{type(exc).__name__}: {exc}"
+                capsys.readouterr()
+                cases += 1
+                if code not in (0, 1, 2, 3):
+                    escapes.append((shipped.name, node, value, code))
+    assert cases == 2550
+    assert not escapes, f"{len(escapes)} escapes, first {escapes[:3]}"
+
+
+@pytest.mark.parametrize("entry, message", [
+    ([float("nan"), 0.0], "matrix entry [0][0] real part must be a finite number, got nan"),
+    ([0.5, float("inf")], "matrix entry [0][0] imaginary part must be a finite number, got inf"),
+    # an integer beyond the float range is a JSON number too, and has no float
+    ([10 ** 400, 0.0], f"matrix entry [0][0] real part must be a finite number, got {10 ** 400}"),
+], ids=["nan", "inf", "int-beyond-float"])
+def test_non_finite_matrix_entry_is_config_error(tmp_path, capsys, entry, message):
     # json writes and reads back NaN and Infinity
     cfg = base_config(suites=["coeffs", "contraction"],
                       tuple={"inline": {"h": 1, "d": 1, "mats": [[[entry]]]}})
     assert run_cli_config(tmp_path, cfg) == (2, False)
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "entry [0][0]" in err and where in err
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("m", [2.5, "2", True, float("inf")])
@@ -428,13 +473,13 @@ def test_counterexample_block_out_of_range_exits_2(tmp_path, capsys, block, mess
      "kernel.rule must be one of the strings"),
     # an entry that is not a JSON number is refused, not parsed or coerced
     (lambda cfg: dict(cfg, tuple={"inline": dict(cfg["tuple"]["inline"], mats=[[[["0.1", "0"]]]])}),
-     "matrix entry [0][0] has a non-number real part: '0.1'"),
+     "matrix entry [0][0] real part must be a finite number, got '0.1'"),
     (lambda cfg: dict(cfg, tuple={"inline": dict(cfg["tuple"]["inline"], mats=[[[[True, 0.0]]]])}),
-     "matrix entry [0][0] has a non-number real part: True"),
+     "matrix entry [0][0] real part must be a finite number, got True"),
     (lambda cfg: dict(cfg, tuple={"inline": dict(cfg["tuple"]["inline"], mats=[[[[0.5, False]]]])}),
-     "matrix entry [0][0] has a non-number imaginary part: False"),
+     "matrix entry [0][0] imaginary part must be a finite number, got False"),
     (lambda cfg: dict(cfg, tuple={"inline": dict(cfg["tuple"]["inline"], mats=[[[[0.5, "0"]]]])}),
-     "matrix entry [0][0] has a non-number imaginary part: '0'"),
+     "matrix entry [0][0] imaginary part must be a finite number, got '0'"),
     # null and a missing key are absent; any other falsy non-object is refused
     (lambda cfg: dict(cfg, kernel=dict(cfg["kernel"], params=[])), "kernel.params must be an object"),
     (lambda cfg: dict(cfg, kernel=dict(cfg["kernel"], params=0)), "kernel.params must be an object"),

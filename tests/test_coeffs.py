@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import cnplab as cl
 from cnplab.coeffs import graded_count, graded_indices, graded_position, multinomial
-from random_inputs import diff_kernel
+from random_inputs import diff_kernel, skip_degree_kernel
 from series_reference import factorial_multinomial, looped_reciprocal
 
 
@@ -101,14 +101,17 @@ def test_bergman_m_beyond_the_float_range_is_invalid():
         cl.bergman(10 ** 400)  # a_1 = m has no float
 
 
-@pytest.mark.parametrize("m, n, message", [
-    (10 ** 200, 3, "positive and within the float range"),  # a_2 = inf
-    (2 * 10 ** 31, 10, "b_n overflows a float"),  # a_10 is finite, the products in b_10 are not
-], ids=["a_2", "b_10"])
-def test_a_table_that_overflows_is_an_invalid_kernel(m, n, message):
+@pytest.mark.parametrize("spec, n, message", [
+    (cl.bergman(10 ** 200), 3, "positive and within the float range"),  # a_2 = inf
+    # a_10 is finite, the products in b_10 are not
+    (cl.bergman(2 * 10 ** 31), 10, "b_n overflows a float"),
+    # b_2 = 1e308 - 1e308 * 1e308 is -inf, which the zero rule must not take for a 0
+    (cl.custom_kernel([1.0, 1e308, 1e308]), 2, "b_n overflows a float"),
+], ids=["a_2", "b_10", "custom b_2"])
+def test_a_table_that_overflows_is_an_invalid_kernel(spec, n, message):
     # warnings are errors here, so the overflow must not warn on its way
     with pytest.raises(cl.InvalidKernelError, match=message):
-        cl.build_table(cl.bergman(m), n)
+        cl.build_table(spec, n)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +151,47 @@ def test_reciprocal_matches_the_scalar_loop_bit_for_bit(spec, n):
     a = cl.build_table(spec, n).a
     assert np.array_equal(cl.build_table(spec, n).b.view(np.uint64),
                           looped_reciprocal(a).view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 20])
+def test_bergman_b_is_an_exact_polynomial(m):
+    # 1/k = (1 - t)^m: b_k = (-1)^(k+1) binom(m, k) through degree m, then exactly 0
+    b = cl.build_table(cl.bergman(m), 500).b
+    assert np.array_equal(b[1:m + 1], [(-1) ** (k + 1) * math.comb(m, k) for k in range(1, m + 1)])
+    assert not b[m + 1:].any()
+
+
+@given(support=st.dictionaries(st.integers(min_value=2, max_value=12),
+                               st.floats(min_value=1e-3, max_value=2.0), max_size=6),
+       b_1=st.floats(min_value=0.1, max_value=2.0), n=st.integers(min_value=1, max_value=120))
+@settings(max_examples=60, deadline=None)
+def test_the_table_recovers_the_support_of_a_sparse_b(support, b_1, n):
+    # a CNP kernel given by a sparse b >= 0 (a_k >= b_1^k keeps every a_k a positive float),
+    # with a formed in float by a_k = sum_j b_j a_{k-j}: the table's b has exactly b's support
+    want = np.zeros(n + 1)
+    for k, value in {**support, 1: b_1}.items():
+        if k <= n:
+            want[k] = value
+    a = [1.0]
+    for k in range(1, n + 1):
+        a.append(sum(want[j] * a[k - j] for j in range(1, min(k, 12) + 1)))
+    b = cl.build_table(cl.custom_kernel(a), n).b
+    assert np.array_equal(np.flatnonzero(b), np.flatnonzero(want))
+    assert not (b < 0.0).any()
+
+
+@pytest.mark.parametrize("a, sign", [
+    ([1.0, 1.3e154, 1e308], -1.0),  # b_2 = 1e308 - 1.69e308, about -6.9e307
+    ([1.0, 1e154, 1.7e308], 1.0),  # b_2 = 1.7e308 - 1e308, about 7e307
+], ids=["negative", "positive"])
+def test_a_finite_b_whose_row_scale_overflows_keeps_its_sign(a, sign):
+    # |a_2| + |b_1 a_1| overflows while b_2 stays finite: an infinite row bound decides nothing
+    table = cl.build_table(cl.custom_kernel(a), 2)
+    assert np.sign(table.b[2]) == sign
+    assert np.array_equal(table.b.view(np.uint64), looped_reciprocal(table.a).view(np.uint64))
+    assert cl.is_cnp(table).consistent == (sign > 0)
+    if sign < 0:
+        assert cl.is_cnp(table).describe().startswith("not_cnp(n=2, b=-6.9")
 
 
 def test_reciprocal_at_the_edge_of_the_float_range_matches_the_scalar_loop_bit_for_bit():
@@ -386,13 +430,16 @@ def test_cnp_describe():
 
 
 def test_cnp_tolerance_absorbs_roundoff():
-    # a barely negative b_2 within the zero tolerance stays consistent,
-    # a clearly negative one does not
-    borderline = cl.build_table(cl.custom_kernel([1.0, 1.0, 1.0 - 5e-13] + [1.0] * 8), 10)
-    assert cl.is_cnp(borderline).consistent
-    clearly = cl.build_table(cl.custom_kernel([1.0, 1.0, 1.0 - 1e-6] + [1.0] * 8), 10)
-    cls = cl.is_cnp(clearly)
-    assert not cls.consistent and cls.first_failure == 2
+    # 1/k = 1 - 0.5t - 0.3t^3 given by its a in float: b past degree 3 is rounding noise of
+    # either sign, which the table's zero rule sets to exactly 0, so the kernel stays consistent
+    assert cl.is_cnp(cl.build_table(skip_degree_kernel(1, 40), 40)).consistent
+    # b_2 = -5e-13 is about 375 times its row's rounding bound 3 eps (a_2 + a_1^2): a
+    # genuinely negative coefficient, and so is -1e-6
+    for gap in (5e-13, 1e-6):
+        table = cl.build_table(cl.custom_kernel([1.0, 1.0, 1.0 - gap] + [1.0] * 8), 10)
+        cls = cl.is_cnp(table)
+        assert not cls.consistent and cls.first_failure == 2 and cls.value == table.b[2] < 0.0
+    assert cls.describe().startswith("not_cnp(n=2, b=-1e-06")
 
 
 # ---------------------------------------------------------------------------
