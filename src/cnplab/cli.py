@@ -30,6 +30,7 @@ from .coeffs import (
     build_table,
     estimate_radius,
     is_cnp,
+    shown,
 )
 from .errors import CnpLabError
 from .tuples import (
@@ -127,9 +128,9 @@ def strict_int(value, name: str, minimum: int | None = None) -> int:
     """value as an int, at least minimum if given; only ints and integral floats pass."""
     if isinstance(value, bool) or not (
             isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
     if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+        raise ValueError(f"{name} must be >= {minimum}, got {shown(value)}")
     return int(value)
 
 
@@ -137,7 +138,7 @@ def strict_degree(value, name: str, minimum: int | None = None) -> int:
     """strict_int, at most MAX_DEGREE."""
     n = strict_int(value, name, minimum)
     if n > MAX_DEGREE:
-        raise ValueError(f"{name} must be at most {MAX_DEGREE}, got {value!r}")
+        raise ValueError(f"{name} must be at most {MAX_DEGREE}, got {shown(value)}")
     return n
 
 
@@ -145,7 +146,7 @@ def strict_float(value, name: str) -> float:
     """value as a finite float; ints pass, while bools, strings, NaN and infinities are rejected."""
     if isinstance(value, bool) or not (
             isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+        raise ValueError(f"{name} must be a finite number, got {shown(value)}")
     return float(value)
 
 

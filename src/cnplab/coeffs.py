@@ -153,6 +153,14 @@ class ValueType:
         return type(self), self._values()
 
 
+def shown(value, form=repr) -> str:
+    """form(value), but an integer of more than 20 digits is shown by its digit count."""
+    if not isinstance(value, int) or abs(value) < 10 ** 20:
+        return form(value)
+    n = int(math.log10(abs(value)))  # the digit count less 1, up to rounding
+    return f"an integer of {n + 1 + (abs(value) >= 10 ** (n + 1)) - (abs(value) < 10 ** n)} digits"
+
+
 class KernelSpec(ValueType):
     """A unitarily invariant kernel: ambient dimension plus a coefficient rule.
 
@@ -172,7 +180,7 @@ class KernelSpec(ValueType):
         if rule == "bergman":
             if not isinstance(param, int) or not 1 <= param <= sys.float_info.max:  # a_1 = m
                 raise InvalidKernelError(f"bergman requires integer m >= 1 within the float range, "
-                                         f"got {param!r}")
+                                         f"got {shown(param)}")
         elif rule == "dirichlet_t":
             if not isinstance(param, (int, float)) or not 0 <= param < math.inf:
                 raise InvalidKernelError(f"dirichlet_t requires finite real t >= 0, got {param!r}")
@@ -185,7 +193,7 @@ class KernelSpec(ValueType):
             if not all(0.0 < c < math.inf for c in param):
                 raise InvalidKernelError("custom coefficients must all be positive and finite")
         if not label:
-            label = rule if param is None or rule == "custom" else f"{rule}({param})"
+            label = rule if param is None or rule == "custom" else f"{rule}({shown(param, str)})"
         self._set(d=d, rule=rule, param=param, label=label)
 
 

@@ -129,27 +129,27 @@ def check_intertwining(v: DilationMap, alphas: Sequence[tuple]) -> float:
 # ---------------------------------------------------------------------------
 
 class DefectSpan(NamedTuple):
-    """One unpivoted QR, [V, E_0, M^alpha V] = Q R, of the span S_V that the defect of V reaches.
+    """The columns C = [V, E_0, M^alpha V] of the span S_V that the defect of V reaches, and R.
 
-    On the graded space I - sum_{k>=1} b_k sigma^k(I) = E_0, the projection onto degree 0,
-    exactly (sigma^k(I) at degree j reads the shifts only down to degree j - k >= 0), and
-    sigma^k(V V^*) = sum_{|alpha|=k} multinomial(alpha) (M^alpha V)(M^alpha V)^*.  So with
-    `weights` 1 on E_0 and b_alpha on the gather at each alpha with b_alpha != 0 (|alpha| <= N,
-    in graded order: under a CNP table, the lift's support), C diag(x, weights) C^* = I + x V V^*
-    - sum_k b_k sigma^k(I - V V^*): the cond2 gap at x = -1, the operator the associated defect
-    compresses at x = 0.
+    R is that of the unpivoted QR C = Q R; only a witness forms Q (`admits_charfn`).  On the graded
+    space I - sum_{k>=1} b_k sigma^k(I) = E_0, the projection onto degree 0, exactly (sigma^k(I) at
+    degree j reads the shifts only down to degree j - k >= 0), and sigma^k(V V^*) = sum_{|alpha|=k}
+    multinomial(alpha) (M^alpha V)(M^alpha V)^*.  So with `weights` 1 on E_0 and b_alpha on the
+    gather at each alpha with b_alpha != 0 (|alpha| <= N, in graded order: under a CNP table, the
+    lift's support), C diag(x, weights) C^* = I + x V V^* - sum_k b_k sigma^k(I - V V^*): the cond2
+    gap at x = -1, the operator the associated defect compresses at x = 0.
     """
 
     matrix: np.ndarray
     shifts: IndexShifts
     table: CoeffTable
-    q: np.ndarray
+    columns: np.ndarray
     r: np.ndarray
     weights: np.ndarray
 
 
 def defect_span(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffTable) -> DefectSpan:
-    """V's span under graded index-map shifts: one gather, one QR, no rank (`DefectSpan`)."""
+    """V's span under graded index-map shifts: one gather, one R-only QR, no rank (`DefectSpan`)."""
     v_matrix = np.asarray(v_matrix, dtype=complex)
     if v_matrix.ndim != 2 or v_matrix.shape[0] != shifts.h:
         raise ValueError(f"V of shape {v_matrix.shape} does not map into the {shifts.h}-dim space")
@@ -158,20 +158,20 @@ def defect_span(v_matrix: np.ndarray, shifts: IndexShifts, table: CoeffTable) ->
     m = max((k for k in range(1, top + 1) if b[k] != 0.0), default=0)
     b_alpha = multi_coeff(table, graded_indices(shifts.d, m)[1:], "b")
     positions = np.flatnonzero(b_alpha) + 1
-    q, r = np.linalg.qr(np.hstack([v_matrix, np.eye(shifts.h, shifts.ends[0]),
-                                   *shifts.graded_stack(v_matrix, m)[positions]]))
+    columns = np.hstack([v_matrix, np.eye(shifts.h, shifts.ends[0]),
+                         *shifts.graded_stack(v_matrix, m)[positions]])
     weights = np.append(np.ones(shifts.ends[0]), np.repeat(b_alpha[positions - 1], len(v_matrix.T)))
-    return DefectSpan(v_matrix, shifts, table, q, r, weights)
+    return DefectSpan(v_matrix, shifts, table, columns, np.linalg.qr(columns, mode="r"), weights)
 
 
 def span_spectrum(span: DefectSpan, weights: np.ndarray, coeffs: np.ndarray | None = None):
     """The eigenvalues of C (diag(weights) + K K^*) C^*, C = Q R the span's columns and K =
-    coeffs: those of R (diag(weights) + K K^*) R^*, then one 0 per row past len(R)."""
+    coeffs: those of R (diag(weights) + K K^*) R^*, then one 0 per row of C past len(R)."""
     g = (span.r * weights) @ span.r.conj().T
     if coeffs is not None:
         rk = span.r @ coeffs
         g += rk @ rk.conj().T
-    return np.append(np.linalg.eigvalsh(hermitize(g)), np.zeros(len(span.q) - len(span.r)))
+    return np.append(np.linalg.eigvalsh(hermitize(g)), np.zeros(span.shifts.h - len(span.r)))
 
 
 def _eigenspaces(delta: np.ndarray, cols: np.ndarray):
@@ -263,14 +263,13 @@ def check_factorability(span: DefectSpan, tol: float) -> FactorabilityReport:
 class AssociatedTuple(NamedTuple):
     """The restriction of the tensored shifts M_i x I to Ker V^*, never formed.
 
-    `range_basis` U = Q_1, the first h columns of the span's Q, is an orthonormal basis of
-    Ran V when |V^*V - I| < 1 makes R_11 invertible (else `associated_tuple` raises
-    DegenerateDilationError), so P = I - U U^* is the projection onto Ker V^*, of dimension
+    `range_basis` U = V R_11^-1 is Q_1, the first h columns of the span's Q (V leads C = Q R), an
+    orthonormal basis of Ran V when |V^*V - I| < 1 makes R_11 invertible (else `associated_tuple`
+    raises DegenerateDilationError), so P = I - U U^* is the projection onto Ker V^*, of dimension
     `dim`.  The restriction equals the compression up to `invariance_residual`, the part of
-    (M_i x I) P leaving Ker V^*, read on rows of degree <= N - 1.  That part is the cut-off:
-    on Ker V^*, V^*(M_i x I) = E_i^*, E_i = -V T_i^* on the degree-N rows, so the residual
-    is at most max_i |T_i| |V_N| / sigma_min(V), V_N the degree-N rows of V: it measures
-    the leak at the top degree.
+    (M_i x I) P leaving Ker V^*, read on rows of degree <= N - 1.  That part is the cut-off: on
+    Ker V^*, V^*(M_i x I) = E_i^*, E_i = -V T_i^* on the degree-N rows, so the residual is at
+    most max_i |T_i| |V_N| / sigma_min(V), V_N the degree-N rows of V: the leak at the top degree.
     """
 
     range_basis: np.ndarray
@@ -282,11 +281,11 @@ def associated_tuple(v: DilationMap) -> AssociatedTuple:
     if not v.isometry_defect < 1.0:
         raise DegenerateDilationError(f"|V^*V - I| = {v.isometry_defect:.3e}: V may not be "
                                       "injective")
-    u = v.span.q[:, :v.ops.h]
+    u = np.linalg.solve(v.span.r[:v.ops.h, :v.ops.h].T, v.matrix.T).T  # V R_11^-1 = Q_1
     # the part of (M_i x I) P leaving Ran P is U U^* (M_i x I) P, of rank <= h;
     # with U[interior] = Q R its interior rows (degrees <= N - 1, which lead the
     # graded order) have the norm of R U^* (M_i x I) P, an h x big_dim product
-    _, r_int = np.linalg.qr(u[:v.tensored.ends[v.N - 1]])
+    r_int = np.linalg.qr(u[:v.tensored.ends[v.N - 1]], mode="r")
     inv_res = 0.0
     for i in range(v.ops.d):
         y = v.tensored.apply_adjoint(i, u).conj().T  # U^* (M_i x I)
@@ -316,15 +315,16 @@ def admits_charfn(v: DilationMap, purity: PurityVerdict) -> ExistenceReport:
     """Decide whether the pure tuple embedded by v admits a characteristic function.
 
     Tests whether the tuple associated with the dilation is a contraction for the dilation's
-    kernel: the smallest eigenvalue of its defect against -tol.  `purity` is the verdict on
-    the defect v holds (`is_pure(v.defect_data)`); non-pure inputs are rejected: outside the
-    hypothesis there is nothing to decide.  For the restriction A of the shifts to Ker V^* = Ran P,
+    kernel: the smallest eigenvalue of its defect against -tol.  `purity` is the verdict on the
+    defect v holds (`is_pure(v.defect_data)`); non-pure inputs are rejected: outside the hypothesis
+    there is nothing to decide.  For the restriction A of the shifts to Ker V^* = Ran P,
     sigma_A^k(I) = sigma^k(P) there, so the defect is P C diag(0, weights) C^* P on the span's
-    columns C = Q R (`DefectSpan`).  P Q = [0, Q_2] and M^alpha Q_1 = M^alpha V R_11^-1, so in
-    the basis Q_2 it is S = [X, Z] diag(weights) [X, Z]^*, X the rows of R past h on E_0 and
-    Z_alpha those on the gather at alpha times R_11^-1; the eigenvalues on Ker V^* are those
-    of S, and 0 when Q_2 is narrower.  The verdict is two-valued (a finite sum); the witness
-    is Q_2 times the eigenvector of the smallest eigenvalue of S.
+    columns C = Q R (`DefectSpan`).  P Q = [0, Q_2] and M^alpha Q_1 = M^alpha V R_11^-1, so in the
+    basis Q_2 it is S = [X, Z] diag(weights) [X, Z]^*, X the rows of R past h on E_0 and Z_alpha
+    those on the gather at alpha times R_11^-1: R alone.  The eigenvalues on Ker V^* are those of
+    S, and 0 when Q_2 (len(R) - h wide) is narrower.  The verdict is two-valued (a finite sum); the
+    witness is Q_2 times the eigenvector of the smallest eigenvalue of S, from a reduced QR of C
+    made only then (the same Householder steps as R).
     """
     if purity.status != "pure":
         raise PrerequisiteError(
@@ -337,11 +337,11 @@ def admits_charfn(v: DilationMap, purity: PurityVerdict) -> ExistenceReport:
     gathers = xz[:, e0:]  # Z_alpha = R_22[:, alpha] R_11^-1: solved h entries at a time
     xz[:, e0:] = np.linalg.solve(span.r[:h, :h].T, gathers.reshape(-1, h).T).T.reshape(gathers.shape)
     delta_sq = hermitize((xz * span.weights) @ xz.conj().T)
-    basis = span.q[:, h:]
     vals = np.linalg.eigvalsh(delta_sq)  # none when Ker V^* = 0: an empty tuple contracts
-    min_eig = float(min([*vals, 0.0] if basis.shape[1] < assoc.dim else vals, default=0.0))
-    witness = (canonical_phases(basis @ np.linalg.eigh(delta_sq)[1][:, :1])[:, 0]
-               if min_eig < -v.params.tol else None)  # eigenvectors only for a witness
+    min_eig = float(min([*vals, 0.0] if len(span.r) - h < assoc.dim else vals, default=0.0))
+    witness = (canonical_phases(np.linalg.qr(span.columns)[0][:, h:]  # Q_2, for a witness only
+                                @ np.linalg.eigh(delta_sq)[1][:, :1])[:, 0]
+               if min_eig < -v.params.tol else None)
     return ExistenceReport(
         status="admits" if witness is None else "does_not_admit",
         value=min_eig,

@@ -346,10 +346,10 @@ def gathered_taylor_blocks(lift) -> np.ndarray:
 
 
 def span_taylor_blocks(lift) -> np.ndarray:
-    """The Taylor stack of theta as verify_model reads it: W = C K on the columns C = Q R of
+    """The Taylor stack of theta as verify_model reads it: W = C K on the columns C of
     the dilation's span, K = `span_coefficients`, scaled back by diag(a_gamma)^(1/2) x I_r."""
     v = lift.dilation
-    w = v.span.q @ (v.span.r @ span_coefficients(lift))
+    w = v.span.columns @ span_coefficients(lift)
     return np.sqrt(v.shifts.a_alpha)[:, None, None] * w.reshape(*v.codomain_dims, -1)
 
 

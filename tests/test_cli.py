@@ -401,7 +401,8 @@ def test_no_mutation_of_a_shipped_config_escapes_main(tmp_path, monkeypatch, cap
     ([float("nan"), 0.0], "matrix entry [0][0] real part must be a finite number, got nan"),
     ([0.5, float("inf")], "matrix entry [0][0] imaginary part must be a finite number, got inf"),
     # an integer beyond the float range is a JSON number too, and has no float
-    ([10 ** 400, 0.0], f"matrix entry [0][0] real part must be a finite number, got {10 ** 400}"),
+    ([10 ** 400, 0.0], "matrix entry [0][0] real part must be a finite number, got an integer of "
+                       "401 digits"),
 ], ids=["nan", "inf", "int-beyond-float"])
 def test_non_finite_matrix_entry_is_config_error(tmp_path, capsys, entry, message):
     # json writes and reads back NaN and Infinity
@@ -409,6 +410,21 @@ def test_non_finite_matrix_entry_is_config_error(tmp_path, capsys, entry, messag
                       tuple={"inline": {"h": 1, "d": 1, "mats": [[[entry]]]}})
     assert run_cli_config(tmp_path, cfg) == (2, False)
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, config, shown", [
+    (None, {"truncation": {"N": 10 ** 400, "tol": 1e-9, "tail_window": 3}}, "401 digits"),
+    (None, {"tuple": {"inline": {"h": 1, "d": 1, "mats": [[[[10 ** 400, 0.0]]]]}}}, "401 digits"),
+    (["kernel-info", "--rule", "bergman", "--m", str(10 ** 200), "--N", "8"], None, "201 digits"),
+], ids=["N", "matrix-entry", "kernel-info-m"])
+def test_out_of_range_integer_is_shown_by_its_digit_count(tmp_path, capsys, argv, config, shown):
+    # an error message or kernel label gives a huge integer's size, not its 401 digits
+    if config is not None:
+        assert run_cli_config(tmp_path, base_config(**config)) == (2, False)
+    else:
+        assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200 and f"an integer of {shown}" in err
 
 
 @pytest.mark.parametrize("m", [2.5, "2", True, float("inf")])
@@ -1229,21 +1245,42 @@ def test_bergman_d2_witness_is_a_projected_bottom_eigenvector(monkeypatch):
     assert np.linalg.norm(report.witness - bottom @ (bottom.conj().T @ report.witness)) <= 1e-12
 
 
-def test_seven_suite_run_factors_the_defect_span_once(monkeypatch):
-    # cond2, the associated tuple and defect, and the model factorization read
-    # one QR of [V, E_0, M^alpha V], and no other QR has big_dim rows
-    shapes, qr = [], np.linalg.qr
+def recorded_qr_run(monkeypatch, raw):
+    """(report, the run's DilationMap, (shape, mode) of every np.linalg.qr call) of one run."""
+    qrs, qr = [], np.linalg.qr
 
-    def counted_qr(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return qr(a, *args, **kwargs)
+    def counted_qr(a, mode="reduced"):
+        qrs.append((np.shape(a), mode))
+        return qr(a, mode=mode)
 
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     calls = record_calls(monkeypatch, {"build_dilation": model.build_dilation})
+    report = cli.run(cli.parse_config(raw, base_dir=str(CONFIGS)))
+    [v] = calls["build_dilation"]
+    return report, v, qrs
+
+
+def test_seven_suite_run_factors_the_defect_span_once(monkeypatch):
+    # cond2, the associated tuple and defect, and the model factorization read
+    # the R of one QR of [V, E_0, M^alpha V], and no QR forms a Q it does not
+    # read: the span's and the associated tuple's interior QR are R-only
     raw = json.loads((CONFIGS / "drury_arveson_pair.json").read_text())
     raw.pop("output")
-    report = cli.run(cli.parse_config(raw, base_dir=str(CONFIGS)))
+    report, v, qrs = recorded_qr_run(monkeypatch, raw)
     assert [(s["name"], s["outcome"]) for s in report["suites"]] == [
         (name, "pass") for name in cli.SUITE_CHAIN]
-    [v] = calls["build_dilation"]
-    assert [s for s in shapes if s[0] == v.big_dim] == [(v.big_dim, v.span.r.shape[1])]
+    assert (v.big_dim, v.span.r.shape[1], v.tensored.ends[v.N - 1]) == (198, 12, 165)
+    assert [q for q in qrs if q[0][0] in (198, 165)] == [((198, 12), "r"), ((165, 3), "r")]
+    # no reduced QR at all; build_lift's complete QR reads its Q
+    assert [mode for _, mode in qrs if mode != "r"] == ["complete"]
+
+
+def test_does_not_admit_run_forms_the_span_q_once_for_its_witness(monkeypatch):
+    # compressed Bergman-2 shifts in two variables: the span's R-only QR, then
+    # one reduced QR of the same columns, on the witness branch alone
+    report, v, qrs = recorded_qr_run(monkeypatch, benchmark_config(monkeypatch, "bergman-d2"))
+    existence = {s["name"]: s for s in report["suites"]}["existence"]
+    assert (existence["outcome"], existence["verdict"]) == ("pass", "does_not_admit")
+    assert v.span.columns.shape == (v.big_dim, len(v.span.weights) + v.ops.h) == (91, 19)
+    assert qrs == [((91, 19), "r"), ((v.tensored.ends[v.N - 1], v.ops.h), "r"),
+                   ((91, 19), "reduced")]

@@ -20,7 +20,7 @@ from model_reference import (AmbiguousRankError, dense_associated_tuple, dense_c
 from series_reference import dense_shifts, stack_power, tensored_shifts, tuple_power
 from random_inputs import diff_kernel, finite_b_kernel, random_commuting_tuple
 from cnplab._linalg import hermitize
-from cnplab.model import _compressed_shift_forms
+from cnplab.model import _compressed_shift_forms, span_spectrum
 
 
 def P(n, tol=1e-9, window=3):
@@ -457,6 +457,33 @@ def test_associated_tuple_bergman_kernel_structure():
     assert abs(np.linalg.norm(assoc.range_basis[0]) - 1.0) <= 1e-12
 
 
+def da_pair_dilation(spec):
+    """The dilation of the shipped DA pair at N = 10 under the kernel spec."""
+    path = Path(__file__).resolve().parents[1] / "configs" / "drury_arveson_pair.json"
+    cfg = cli.parse_config(json.loads(path.read_text()))
+    dd = cl.defect(cl.OperatorTuple(cfg.tuple_mats), cl.build_table(spec, 14), P(10))
+    return cl.build_dilation(dd)
+
+
+@pytest.mark.parametrize("spec, cols", [(cl.drury_arveson(2), 12), (cl.dirichlet_t(1.0, d=2), 201)],
+                         ids=["narrow-da", "wide-dirichlet"])
+def test_range_basis_is_the_span_q1(spec, cols):
+    # U = V R_11^-1 from the span's R-only QR is the Q_1 a reduced QR of its columns forms;
+    # the span's spectrum pads one 0 per row past len(R): big_dim - 12 on the DA pair, none
+    # on the Dirichlet span, 201 columns on 198 rows
+    v = da_pair_dilation(spec)
+    h, span = v.ops.h, v.span
+    assert span.columns.shape == (v.big_dim, cols) and v.big_dim == 198
+    u = cl.associated_tuple(v).range_basis
+    q1 = np.linalg.qr(span.columns)[0][:, :h]
+    assert np.linalg.norm(u - q1, 2) <= 1e-12
+    assert np.linalg.norm(u.conj().T @ u - np.eye(h), 2) <= 1e-12
+    assert len(span.r) == min(v.big_dim, cols)
+    eigs = span_spectrum(span, np.append(np.ones(h), span.weights))
+    assert len(eigs) == v.big_dim and not eigs[len(span.r):].any()
+    assert v.big_dim - len(span.r) == (v.big_dim - 12 if cols == 12 else 0)
+
+
 # ---------------------------------------------------------------------------
 # existence test
 # ---------------------------------------------------------------------------
@@ -635,7 +662,7 @@ def test_reached_span_decides_as_the_dense_forms(seed, d, h, kernel):
         assert report.witness is None
     assoc = cl.associated_tuple(v)
     basis, qr_delta_sq = qr_associated_defect(v.tensored, v.table, assoc.range_basis)
-    assert kernel != "dirichlet_t" or v.span.q.shape[1] - h == basis.shape[1] == assoc.dim
+    assert kernel != "dirichlet_t" or len(v.span.r) - h == basis.shape[1] == assoc.dim
     qr_vals = np.linalg.eigvalsh(qr_delta_sq)
     assert abs(report.value - min([*qr_vals, 0.0] if basis.shape[1] < assoc.dim else qr_vals,
                                   default=0.0)) <= 1e-12
