@@ -40,11 +40,6 @@ class CalculusResult(NamedTuple):
     inverse_residual: np.ndarray
 
 
-def _monomials(ws: np.ndarray, indices) -> np.ndarray:
-    """w^alpha for every point w of the stack (rows) and multi-index alpha in indices (columns)."""
-    return np.prod(np.power(ws[:, None, :], np.asarray(indices)), axis=2)
-
-
 def kernel_calculus(t: OperatorTuple, table: CoeffTable, ws, p: TruncationParams) -> CalculusResult:
     """Evaluate the kernel series at the tuple for every point w of the stack ws.
 
@@ -162,15 +157,17 @@ class CharFnEval(NamedTuple):
     theta maps defect-range coordinates of the lift to those of the tuple, on
     its own columns (those of the lift's t_tilde_e; it is 0 on the others);
     each read of `norm` is one stack `opnorm`.  z_norm_sq, the squared norm of
-    the scalar row Z(z), is below 1 inside the ball.  s_z is the kernel series
-    s_z(T) that theta was built from, and tail_term its kernel_calculus tail.
+    the scalar row Z(z), is below 1 inside the ball.  kernel_fn is the
+    embedded kernel function V^*(k_z x I_r) = sum_alpha a_alpha conj(z^alpha)
+    T^alpha Delta C = s_z(T) Delta C, from the kernel series s_z(T) that theta
+    was built from, and tail_term is that series' kernel_calculus tail.
     """
 
     z: np.ndarray
     theta: np.ndarray
     inverse_residual: np.ndarray
     z_norm_sq: np.ndarray
-    s_z: np.ndarray
+    kernel_fn: np.ndarray
     tail_term: np.ndarray
 
     @property
@@ -192,14 +189,15 @@ def charfn_eval(lift: TupleLift, zs) -> CharFnEval:
     v = lift.dilation
     t, p = v.ops, v.params
     zs = in_ball(zs, t.d, "z")
-    weights = lift.sqrt_b[lift.support] * _monomials(zs, lift.support_exponents)
+    weights = lift.sqrt_b[lift.support] * np.prod(zs[:, None] ** lift.support_exponents, axis=2)
     calc = kernel_calculus(t, v.table, zs, p)
     dd = v.defect_data
     z_d = (weights @ lift.d_tilde_e.reshape(len(lift.support), -1)).reshape(len(zs), t.h, -1)
     row = dd.delta @ calc.matrix.conj().swapaxes(1, 2) @ z_d
     return CharFnEval(z=zs, theta=dd.ran_delta_basis.conj().T @ (row - lift.t_tilde_e),
                       inverse_residual=calc.inverse_residual,
-                      z_norm_sq=np.sum(np.abs(weights) ** 2, axis=1), s_z=calc.matrix,
+                      z_norm_sq=np.sum(np.abs(weights) ** 2, axis=1),
+                      kernel_fn=calc.matrix @ (dd.delta @ dd.ran_delta_basis),
                       tail_term=calc.tail_term)
 
 
@@ -244,19 +242,17 @@ def reciprocal_kernel(table: CoeffTable, zs, ws, n: int) -> KernelValue:
 
 
 def verify_defect_identity(lift: TupleLift, ez: CharFnEval, ew: CharFnEval) -> np.ndarray:
-    """Residuals of I - theta(z) theta(w)^* = Delta s_z(T)^* s_w(T) Delta / s(z, w) by row pair.
+    """Residuals of I - theta(z) theta(w)^* = K_z^* K_w / s(z, w) by row pair, K_z = s_z(T) Delta C.
 
     ez and ew evaluate theta on the lift (`charfn_eval`) at stacks z and w of one
-    length.  Both sides are compressed to the defect range and evaluated at the same
-    truncation degree; 1/s(z, w) goes through the reciprocal series so no scalar
-    division fights the operator truncation.
+    length; K_z is ez's kernel_fn, so both sides sit on the defect range and are
+    evaluated at the same truncation degree.  1/s(z, w) goes through the reciprocal
+    series so no scalar division fights the operator truncation.
     """
     v = lift.dilation
-    dd = v.defect_data
     recip = reciprocal_kernel(v.table, ez.z, ew.z, v.N).value
-    lhs = np.eye(dd.rank, dtype=complex) - ez.theta @ ew.theta.conj().swapaxes(1, 2)
-    mid = dd.delta @ ez.s_z.conj().swapaxes(1, 2) @ ew.s_z @ dd.delta
-    rhs = recip[:, None, None] * (dd.ran_delta_basis.conj().T @ mid @ dd.ran_delta_basis)
+    lhs = np.eye(v.defect_data.rank, dtype=complex) - ez.theta @ ew.theta.conj().swapaxes(1, 2)
+    rhs = recip[:, None, None] * (ez.kernel_fn.conj().swapaxes(1, 2) @ ew.kernel_fn)
     return opnorm(lhs - rhs)
 
 
@@ -275,23 +271,17 @@ class MultiplierReport(NamedTuple):
 
 def verify_multiplier(lift: TupleLift, ev: CharFnEval) -> MultiplierReport:
     """Gram positivity of theta and the inner products of V^*-embedded kernel functions at
-    the two or more points of ev, theta evaluated on the lift (`charfn_eval`)."""
-    v = lift.dilation
-    pts, theta = ev.z, ev.theta
-    n_pts, r = len(pts), v.codomain_dims[1]
+    the two or more points of ev, theta and the embedded kernel functions V^*(k_z x I_r)
+    (`CharFnEval.kernel_fn`) evaluated on the lift (`charfn_eval`)."""
+    table, pts, theta, embedded = lift.dilation.table, ev.z, ev.theta, ev.kernel_fn
+    n_pts, r = len(pts), theta.shape[1]
     if n_pts < 2:
         raise ValueError("need at least 2 sample points")
 
-    # V^* applied to each kernel function, expanded in the truncated
-    # orthonormal basis: one h x r block per point
-    kernel_fns = np.sqrt(v.shifts.a_alpha) * np.conj(_monomials(pts, v.indices))
-    vstar = v.matrix.conj().T.reshape(v.ops.h, len(v.indices), r)
-    embedded = np.tensordot(kernel_fns, vstar, axes=([1], [1]))
-
     # block (i, j) pairs z_i with w = z_j.  s(z, w) is the a-series cut at N_max, while theta
     # and the kernel functions are cut at N: vv_identity measures that mismatch too
-    s = kernel_eval(v.table, np.repeat(pts, n_pts, axis=0), np.tile(pts, (n_pts, 1)),
-                    v.table.n_max).value.reshape(n_pts, n_pts, 1, 1)
+    s = kernel_eval(table, np.repeat(pts, n_pts, axis=0), np.tile(pts, (n_pts, 1)),
+                    table.n_max).value.reshape(n_pts, n_pts, 1, 1)
     blocks = s * (np.eye(r, dtype=complex) - theta[:, None] @ theta.conj().swapaxes(1, 2))
     lhs = embedded.conj().swapaxes(1, 2)[:, None] @ embedded
     worst = float(np.max(np.abs(lhs - blocks), initial=0.0))

@@ -113,7 +113,7 @@ def fmt(x: float) -> str:
 class RunConfig(NamedTuple):
     kernel: KernelSpec
     n_table: int
-    tuple_mats: tuple | None
+    ops: OperatorTuple | None
     truncation: TruncationParams
     suites: tuple
     expect: dict
@@ -124,11 +124,24 @@ class RunConfig(NamedTuple):
     raw: dict
 
 
+def integer(text: str) -> int:
+    """int(text), the JSON hook and option type for integers; past the digits int() converts, the
+    10^(n-1) of text's n digits, beyond the float range that `strict_int` and `strict_float` allow,
+    so the field's own check refuses it by name and shows it by n (`shown`)."""
+    try:
+        return int(text)
+    except ValueError:  # not an integer, or too long for int()
+        digits = text.strip().lstrip("+-")
+        return 10 ** (len(digits) - 1) if digits.isdecimal() else int(text)
+
+
 def strict_int(value, name: str, minimum: int | None = None) -> int:
-    """value as an int, at least minimum if given; only ints and integral floats pass."""
+    """An int or integral float within the float range, at least minimum if given, as an int."""
     if isinstance(value, bool) or not (
             isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {shown(value)}")
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"{name} must be within the float range, got {shown(value)}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {shown(value)}")
     return int(value)
@@ -202,7 +215,7 @@ def matrices_from_nested(entries) -> np.ndarray:
 
 
 def mats_from_tuple_dict(data: dict) -> tuple:
-    """The tuple's matrices, shape-checked; commutators are checked when the tuple is built."""
+    """The tuple's matrices, shape-checked; `parse_config` checks that they commute."""
     json_object(data, "tuple")
     h = strict_int(data.get("h"), "tuple.h")
     d = strict_int(data.get("d"), "tuple.d")
@@ -223,7 +236,7 @@ def load_tuple_source(source: dict, base_dir: str = ".") -> tuple:
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         with open(path) as fh:
-            return mats_from_tuple_dict(json.load(fh))
+            return mats_from_tuple_dict(json.load(fh, parse_int=integer))
     raise ValueError("tuple source needs an 'inline' block or a 'path'")
 
 
@@ -233,7 +246,7 @@ def counterexample_block(ce: dict) -> dict:
     m = strict_int(ce.get("m", 2), "counterexample.m")
     if m < 2:
         raise ValueError(
-            f"counterexample.m must be >= 2, got {m}: at m = 1 the kernel is the Drury-Arveson "
+            f"counterexample.m must be >= 2, got {shown(m)}: at m = 1 the kernel is the Drury-Arveson "
             "kernel, the bound m(N+2)/(m+N+1) stays <= 1, and the quadratic form is nonnegative")
     n_list = ce.get("N_list", [0, 1, 2, 3])
     if not isinstance(n_list, list) or not n_list:
@@ -272,12 +285,13 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         raise ValueError(f"kernel.N_max ({n_table}) must be at least {RADIUS_MIN_COEFFS} for the "
                          f"coeffs suite: its radius estimator needs {RADIUS_MIN_COEFFS} "
                          "coefficients of each series")
-    tuple_mats = None if raw.get("tuple") is None else load_tuple_source(raw["tuple"], base_dir)
+    ops = None if raw.get("tuple") is None else OperatorTuple(
+        load_tuple_source(raw["tuple"], base_dir))
     needs_tuple = [s for s in suites if s not in ("coeffs", "counterexample")]
-    if needs_tuple and tuple_mats is None:
+    if needs_tuple and ops is None:
         raise ValueError(f"suites {needs_tuple} require a tuple source")
-    if tuple_mats is not None and len(tuple_mats) != kernel.d:
-        raise ValueError(f"tuple has d={len(tuple_mats)} but kernel has d={kernel.d}")
+    if ops is not None and ops.d != kernel.d:
+        raise ValueError(f"tuple has d={ops.d} but kernel has d={kernel.d}")
     expect = json_object(raw.get("expect", {}), "expect")
     for name, verdict in expect.items():
         if name not in SUITE_ORDER or not isinstance(verdict, str):
@@ -292,7 +306,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     return RunConfig(
         kernel=kernel,
         n_table=n_table,
-        tuple_mats=tuple_mats,
+        ops=ops,
         truncation=trunc,
         suites=suites,
         expect=dict(expect),
@@ -339,14 +353,8 @@ class _SuiteContext:
         self.table: CoeffTable = build_table(cfg.kernel, cfg.n_table)
 
     @cached_property
-    def ops(self) -> OperatorTuple:
-        # constructed on first use so the commutator check surfaces as a
-        # suite error, not a config error
-        return OperatorTuple(self.cfg.tuple_mats)
-
-    @cached_property
     def defect(self) -> DefectData:
-        return defect(self.ops, self.table, self.cfg.truncation)
+        return defect(self.cfg.ops, self.table, self.cfg.truncation)
 
     @cached_property
     def purity(self) -> PurityVerdict:
@@ -583,17 +591,17 @@ def _write_out(path: str | None, text: str) -> None:
 def cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
-            raw = json_object(json.load(fh), "config")
+            raw = json_object(json.load(fh, parse_int=integer), "config")
         if args.tol is not None:
             json_object(raw.setdefault("truncation", {}), "truncation")["tol"] = args.tol
         if args.seed is not None:
             raw["seed"] = args.seed
         cfg = parse_config(raw, base_dir=os.path.dirname(os.path.abspath(args.config)))
         report = run(cfg)  # builds the kernel's table first, so an overflow is a config error
+        text = dump_report(report)  # fails on a key no field reads past int()'s digits (`integer`)
     except (OSError, ValueError, KeyError, CnpLabError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    text = dump_report(report)
     _write_out(args.out or cfg.output, text)
     print(text)
     outcomes = {s["outcome"] for s in report["suites"]}
@@ -634,7 +642,7 @@ def cmd_kernel_info(args) -> int:
 def cmd_counterexample(args) -> int:
     try:
         points = counterexample_points(counterexample_block(
-            {"m": args.m, "d": args.d, "N_list": [int(n) for n in args.N.split(",")]}))
+            {"m": args.m, "d": args.d, "N_list": [integer(n) for n in args.N.split(",")]}))
     except (CnpLabError, ValueError) as exc:
         print(f"invalid counterexample input: {exc}", file=sys.stderr)
         return 2
@@ -659,22 +667,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to the run config")
     p_run.add_argument("--out", default=None, help="report path (joined with $CNPLAB_OUT_DIR if relative)")
     p_run.add_argument("--tol", type=float, default=None, help="override truncation tolerance")
-    p_run.add_argument("--seed", type=int, default=None, help="override sampling seed")
+    p_run.add_argument("--seed", type=integer, default=None, help="override sampling seed")
     p_run.set_defaults(func=cmd_run)
 
     p_info = sub.add_parser("kernel-info", help="print coefficient tables and CNP verdict")
     p_info.add_argument("--rule", required=True, choices=RULES)
-    p_info.add_argument("--N", type=int, required=True, help="highest degree to print")
-    p_info.add_argument("--d", type=int, default=1)
-    p_info.add_argument("--m", type=int, default=None, help="bergman exponent")
+    p_info.add_argument("--N", type=integer, required=True, help="highest degree to print")
+    p_info.add_argument("--d", type=integer, default=1)
+    p_info.add_argument("--m", type=integer, default=None, help="bergman exponent")
     p_info.add_argument("--t", type=float, default=None, help="dirichlet weight exponent")
     p_info.add_argument("--coeffs", default=None, help="comma-separated custom coefficients")
     p_info.set_defaults(func=cmd_kernel_info)
 
     p_ce = sub.add_parser("counterexample", help="reproduce the generalized Bergman counterexample")
-    p_ce.add_argument("--m", type=int, required=True, help="kernel exponent, must be >= 2")
+    p_ce.add_argument("--m", type=integer, required=True, help="kernel exponent, must be >= 2")
     p_ce.add_argument("--N", default="0,1,2,3", help="comma-separated compression degrees")
-    p_ce.add_argument("--d", type=int, default=1)
+    p_ce.add_argument("--d", type=integer, default=1)
     p_ce.add_argument("--out", default=None, help="optional JSON output path")
     p_ce.set_defaults(func=cmd_counterexample)
     return parser
@@ -682,7 +690,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # a report or rows path that cannot be written (`_write_out`)
+        print(f"cannot write the output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

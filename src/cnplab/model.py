@@ -18,8 +18,8 @@ from ._linalg import canonical_phases, hermitize, opnorm
 from .coeffs import (CoeffTable, KernelSpec, bergman, build_table, graded_indices, graded_position,
                      graded_stack, multi_coeff)
 from .errors import DegenerateDilationError, InvalidKernelError, PrerequisiteError
-from .tuples import (DefectData, IndexShifts, OperatorTuple, PurityVerdict, TruncatedShifts,
-                     TruncationParams, TuplePowers, shift_matrices, shift_norm_sq)
+from .tuples import (DefectData, IndexShifts, OperatorTuple, PurityVerdict, TruncationParams,
+                     TuplePowers, shift_matrices, shift_norm_sq)
 from .tuples import is_contraction  # noqa: F401  bound here: tracers rebind it in every module
 
 
@@ -35,7 +35,7 @@ class DilationMap(NamedTuple):
     graded_indices order with the defect-range coordinate fastest.  The map
     carries what it was built from: the tuple it embeds, its defect and
     powers T^alpha through degree N, the coefficient table, the truncation,
-    the shifts of its model space, plain and tensored with I_r, and the one
+    the shifts of its model space tensored with I_r, and the one
     factorization of the span its defect reaches (`defect_span`).  Every
     later stage, the characteristic function included, reads these from
     here, so it cannot disagree with the dilation on any of them.
@@ -43,7 +43,6 @@ class DilationMap(NamedTuple):
 
     matrix: np.ndarray
     ops: OperatorTuple
-    shifts: TruncatedShifts
     tensored: IndexShifts
     isometry_defect: float
     defect_data: DefectData
@@ -92,7 +91,6 @@ def build_dilation(dd: DefectData) -> DilationMap:
     return DilationMap(
         matrix=matrix,
         ops=t,
-        shifts=shifts,
         tensored=tensored,
         isometry_defect=iso_defect,
         defect_data=dd,

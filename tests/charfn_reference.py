@@ -10,6 +10,9 @@ two:
 - `pointwise_calculus` and `pointwise_charfn_eval` evaluate the kernel
   calculus and theta at one point at a time, with a Python loop of h x h
   products per point, where the package evaluates a whole stack at once;
+- `enumerated_kernel_fn` expands V^*(k_z x I_r) in the model basis, a sum of
+  the blocks of V^* over every multi-index alpha with |alpha| <= N, where the
+  package forms s_z(T) Delta C from the kernel series at the tuple;
 - `dense_lift` builds T~E and D~E over the whole direct sum, off the support
   of b too, from the thin SVD of the full row; `full_width` and `wide_lift`
   write the package's support-block lift out at that width, and
@@ -262,7 +265,18 @@ def pointwise_charfn_eval(lift, z) -> CharFnEval:
     if not np.isfinite(theta).all():
         raise np.linalg.LinAlgError("theta has non-finite entries")
     return CharFnEval(z=z, theta=theta, inverse_residual=calc.inverse_residual,
-                      z_norm_sq=z_norm_sq, s_z=calc.matrix, tail_term=calc.tail_term)
+                      z_norm_sq=z_norm_sq, kernel_fn=calc.matrix @ dd.delta @ dd.ran_delta_basis,
+                      tail_term=calc.tail_term)
+
+
+def enumerated_kernel_fn(v, zs) -> np.ndarray:
+    """V^*(k_z x I_r) at each point z of zs, one h x r block per point: k_z is sum_alpha
+    sqrt(a_alpha) conj(z^alpha) e(alpha) over every multi-index alpha with |alpha| <= N, so
+    its image is that weighted sum of the blocks of V^*, one block per alpha."""
+    kernel_fns = np.sqrt(multi_coeff(v.table, v.indices, "a")) * np.conj(
+        [monomials(point(z, v.ops.d), v.indices) for z in zs])
+    vstar = v.matrix.conj().T.reshape(v.ops.h, len(v.indices), v.defect_data.rank)
+    return np.tensordot(kernel_fns, vstar, axes=([1], [1]))
 
 
 def dense_lift_defect(lift):
@@ -340,7 +354,7 @@ def gathered_taylor_blocks(lift) -> np.ndarray:
     weighted = np.repeat(lift.sqrt_b[lift.support], v.ops.h)[:, None] * lift.d_tilde_e
     flat = gathers.transpose(1, 0, 2).reshape(v.big_dim, -1)
     blocks = (flat @ weighted).reshape(*v.codomain_dims, -1)
-    blocks *= np.sqrt(v.shifts.a_alpha)[:, None, None]
+    blocks *= np.sqrt(multi_coeff(v.table, v.indices, "a"))[:, None, None]
     blocks[0] = -(v.defect_data.ran_delta_basis.conj().T @ lift.t_tilde_e)
     return blocks
 
@@ -350,7 +364,8 @@ def span_taylor_blocks(lift) -> np.ndarray:
     the dilation's span, K = `span_coefficients`, scaled back by diag(a_gamma)^(1/2) x I_r."""
     v = lift.dilation
     w = v.span.columns @ span_coefficients(lift)
-    return np.sqrt(v.shifts.a_alpha)[:, None, None] * w.reshape(*v.codomain_dims, -1)
+    return (np.sqrt(multi_coeff(v.table, v.indices, "a"))[:, None, None]
+            * w.reshape(*v.codomain_dims, -1))
 
 
 def looped_taylor_blocks(lift) -> np.ndarray:
@@ -440,7 +455,7 @@ def model_gap(lift) -> np.ndarray:
     a_k sigma^k(G) with G = W W^*, W the Taylor stack scaled by diag(a_delta)^(-1/2) x I_r."""
     v = lift.dilation
     flat = span_taylor_blocks(lift).reshape(v.big_dim, -1)
-    scale = np.repeat(1.0 / np.sqrt(v.shifts.a_alpha), v.codomain_dims[1])
+    scale = np.repeat(1.0 / np.sqrt(multi_coeff(v.table, v.indices, "a")), v.codomain_dims[1])
     g = scale[:, None] * (flat @ flat.conj().T) * scale
     acc, _ = _weighted_series(tensored_shifts(v.table, v.N, v.codomain_dims[1]),
                               v.table.require_a(v.N)[:v.N + 1], g, 0)

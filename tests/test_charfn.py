@@ -1,5 +1,8 @@
 """Characteristic function: lift, evaluation, and the operator identities."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +10,14 @@ from hypothesis import strategies as st
 
 import cnplab as cl
 from charfn_reference import (b_inverse_gap, dense_lift, dense_lift_defect, dense_model_gap,
-                              dense_theta, enumerated_calculus, fitted_taylor_blocks, full_width,
-                              gathered_taylor_blocks, looped_model_gap, looped_taylor_blocks,
-                              model_gap, padded_theta, pointwise_calculus, pointwise_charfn_eval,
-                              span_taylor_blocks, support_coords, theta_cols, wide_lift)
+                              dense_theta, enumerated_calculus, enumerated_kernel_fn,
+                              fitted_taylor_blocks, full_width, gathered_taylor_blocks,
+                              looped_model_gap, looped_taylor_blocks, model_gap, padded_theta,
+                              pointwise_calculus, pointwise_charfn_eval, span_taylor_blocks,
+                              support_coords, theta_cols, wide_lift)
 from random_inputs import (diff_kernel, finite_b_kernel, random_commuting_tuple, random_point,
                            skip_degree_kernel)
+from cnplab import cli
 from cnplab._linalg import NON_FINITE_NORM
 from cnplab.charfn import reciprocal_kernel
 
@@ -297,6 +302,26 @@ def test_multiplier_sampled(charfn_examples):
         rep = cl.verify_multiplier(lift, ev)
         assert rep.gram_min_eig >= -1e-9, (ex.name, rep)
         assert rep.vv_identity_residual <= 1e-8, (ex.name, rep)
+
+
+@pytest.mark.parametrize("kernel, n", [(cl.drury_arveson, 10), (cl.drury_arveson, 200),
+                                       (lambda d: cl.dirichlet_t(1.0, d), 10), ("triple", 10)],
+                         ids=["da-pair-10", "da-pair-200", "dirichlet-pair-10", "da-triple-10"])
+def test_kernel_fn_is_the_enumerated_embedded_kernel_function(kernel, n):
+    # V^*(k_z x I_r) = s_z(T) Delta C: the kernel series at the tuple against V^* summed over
+    # every multi-index of the model basis, on the shipped DA pair, the pair under Dirichlet
+    # (b_alpha > 0 on every alpha) and the DA triple (A, A/2 + A^2, A^2 - A/2)
+    path = Path(__file__).resolve().parents[1] / "configs" / "drury_arveson_pair.json"
+    t = cli.parse_config(json.loads(path.read_text())).ops
+    if kernel == "triple":
+        a = t.mats[0]
+        t, kernel = cl.OperatorTuple((a, a / 2 + a @ a, a @ a - a / 2)), cl.drury_arveson
+    lift = lift_of(t, cl.build_table(kernel(t.d), n + 5), P(n))
+    ev = cl.charfn_eval(lift, cl.ball_points(t.d, 5, seed=7))
+    want = enumerated_kernel_fn(lift.dilation, ev.z)
+    assert ev.kernel_fn.shape == want.shape == (5, t.h, lift.dilation.defect_data.rank)
+    for got, ref in zip(ev.kernel_fn, want):
+        assert np.linalg.norm(got - ref, 2) <= 1e-13 * np.linalg.norm(ref, 2)
 
 
 def test_multiplier_needs_two_points(szego_half):

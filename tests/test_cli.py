@@ -206,7 +206,8 @@ def test_skip_names_the_nearest_requested_suite():
     assert by_name["existence"]["verdict"] == "skipped: prerequisite purity did not pass"
 
 
-def test_non_commuting_tuple_is_an_error_and_skips_dependents():
+def test_non_commuting_tuple_is_a_config_error(tmp_path, capsys):
+    # parse_config builds the tuple, so a commutator over tol is bad input: exit 2, no report
     mats = [
         [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
         [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
@@ -217,14 +218,12 @@ def test_non_commuting_tuple_is_an_error_and_skips_dependents():
         truncation={"N": 8, "tol": 1e-9, "tail_window": 3},
         suites=["coeffs", "contraction", "purity", "dilation"],
     )
-    report = run_config(cfg)
-    assert report["overall"] == "fail"
-    by_name = {s["name"]: s for s in report["suites"]}
-    assert by_name["coeffs"]["outcome"] == "pass"
-    assert by_name["contraction"]["outcome"] == "error"
-    assert "CommutationError" in by_name["contraction"]["error"]
-    assert by_name["purity"]["outcome"] == "skip"
-    assert by_name["dilation"]["outcome"] == "skip"
+    with pytest.raises(cl.CommutationError):
+        cli.parse_config(cfg)
+    assert run_cli_config(tmp_path, cfg) == (2, False)
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(
+        "config error: matrices 0 and 1 do not commute: |[T_i, T_j]| = ")
 
 
 def test_counterexample_suite_runs_without_tuple():
@@ -412,19 +411,46 @@ def test_non_finite_matrix_entry_is_config_error(tmp_path, capsys, entry, messag
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-@pytest.mark.parametrize("argv, config, shown", [
-    (None, {"truncation": {"N": 10 ** 400, "tol": 1e-9, "tail_window": 3}}, "401 digits"),
-    (None, {"tuple": {"inline": {"h": 1, "d": 1, "mats": [[[[10 ** 400, 0.0]]]]}}}, "401 digits"),
-    (["kernel-info", "--rule", "bergman", "--m", str(10 ** 200), "--N", "8"], None, "201 digits"),
-], ids=["N", "matrix-entry", "kernel-info-m"])
-def test_out_of_range_integer_is_shown_by_its_digit_count(tmp_path, capsys, argv, config, shown):
-    # an error message or kernel label gives a huge integer's size, not its 401 digits
+# a decimal integer of 5000 digits, past the 4300 that int() converts
+BIG = "1" * 5000
+
+
+@pytest.mark.parametrize("argv, config, field, shown", [
+    (None, {"truncation": {"N": 10 ** 400, "tol": 1e-9, "tail_window": 3}}, "truncation.N", 401),
+    (None, {"tuple": {"inline": {"h": 1, "d": 1, "mats": [[[[10 ** 400, 0.0]]]]}}},
+     "matrix entry [0][0]", 401),
+    (["kernel-info", "--rule", "bergman", "--m", str(10 ** 200), "--N", "8"], None, "bergman(", 201),
+    (None, {"truncation": {"N": "BIG", "tol": 1e-9, "tail_window": 3}}, "truncation.N", 5000),
+    (None, {"seed": "BIG"}, "seed", 5000),
+    (["kernel-info", "--rule", "bergman", "--m", BIG, "--N", "8"], None, "kernel.params.m", 5000),
+    (["counterexample", "--m", BIG], None, "counterexample.m", 5000),
+    (["counterexample", "--m", "2", "--N", f"0,{BIG}"], None, "counterexample.N_list[1]", 5000),
+], ids=["N", "matrix-entry", "kernel-info-m", "N-past-int", "seed-past-int", "kernel-info-m-past-int",
+        "counterexample-m-past-int", "counterexample-N-past-int"])
+def test_out_of_range_integer_is_shown_by_its_digit_count(tmp_path, capsys, argv, config, field,
+                                                          shown):
+    # an error message or kernel label names the field and gives a huge integer's digit count,
+    # not its digits, also past the digits int() converts ("BIG"), in place of Python's advice
     if config is not None:
-        assert run_cli_config(tmp_path, base_config(**config)) == (2, False)
-    else:
-        assert cli.main(argv) == 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(**config)).replace('"BIG"', BIG))
+        argv = ["run", str(path), "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and len(err) < 200 and f"an integer of {shown}" in err
+    assert err.count("\n") == 1 and len(err) < 200 and f"an integer of {shown} digits" in err
+    assert field in err and not (tmp_path / "report.json").exists()
+
+
+def test_unwritable_output_path_is_exit_2(tmp_path, capsys):
+    # a directory where the report or the counterexample rows go: one line that names it
+    cfg = base_config(suites=["coeffs"], output=str(tmp_path))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for argv in (["run", str(path)], ["run", str(path), "--out", str(tmp_path)],
+                 ["counterexample", "--m", "2", "--out", str(tmp_path)]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(tmp_path) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("m", [2.5, "2", True, float("inf")])
@@ -657,7 +683,7 @@ def test_config_integers_accept_integral_floats():
     values = (parsed.kernel.d, parsed.n_table, parsed.truncation.N,
               parsed.truncation.tail_window, parsed.seed)
     assert values == (1, 84, 80, 3, 1234) and all(type(x) is int for x in values)
-    assert parsed.tuple_mats[0].shape == (1, 1)
+    assert parsed.ops.mats[0].shape == (1, 1)
 
 
 @pytest.mark.parametrize("overrides, name", [

@@ -36,7 +36,7 @@ def test_every_stage_reads_the_defect_it_is_given():
     # after it read them from there: the shipped DA pair's verdicts from its defect alone
     path = Path(__file__).resolve().parents[1] / "configs" / "drury_arveson_pair.json"
     cfg = cli.parse_config(json.loads(path.read_text()))
-    t = cl.OperatorTuple(cfg.tuple_mats)
+    t = cfg.ops
     table, p = cl.build_table(cfg.kernel, cfg.n_table), cfg.truncation
     dd = cl.defect(t, table, p)
     assert dd.ops is t and dd.table is table and dd.params is p
@@ -127,7 +127,7 @@ def test_dilation_carries_its_tuple_and_shifts():
     assert all(np.array_equal(stack_power(v.powers, alpha), tuple_power(t, alpha))
                for alpha in v.indices)
     assert (v.N, v.indices) == (8, cl.graded_indices(2, 8))
-    assert v.codomain_dims == (v.shifts.index.h, 2) and v.big_dim == v.matrix.shape[0]
+    assert v.codomain_dims[1] == 2 and v.tensored.h == v.big_dim == v.matrix.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +461,7 @@ def da_pair_dilation(spec):
     """The dilation of the shipped DA pair at N = 10 under the kernel spec."""
     path = Path(__file__).resolve().parents[1] / "configs" / "drury_arveson_pair.json"
     cfg = cli.parse_config(json.loads(path.read_text()))
-    dd = cl.defect(cl.OperatorTuple(cfg.tuple_mats), cl.build_table(spec, 14), P(10))
+    dd = cl.defect(cfg.ops, cl.build_table(spec, 14), P(10))
     return cl.build_dilation(dd)
 
 
@@ -558,7 +558,7 @@ def test_factorability_on_index_shifts_matches_dense(existence_examples):
         x = np.eye(v.big_dim) - v.matrix @ v.matrix.conj().T
         p_series = P(ex.p.N + ex.p.tail_window, tol=ex.p.tol, window=ex.p.tail_window)
         dense = dense_check_factorability(x, tensored_shifts(v.table, v.N, r), table, p_series)
-        span = cl.defect_span(v.matrix, v.shifts.index.tensor(r), table)
+        span = cl.defect_span(v.matrix, v.tensored, table)
         gather = cl.check_factorability(span, ex.p.tol)
         assert_matches_reference(gather, dense, ex.name)
 
